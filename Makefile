@@ -28,10 +28,14 @@ test:
 # torture test that used to flake with "undo chain broken: wal: no record
 # at LSN" — the claim→publish race in the lock-free append path. The loop
 # is the regression gate for that fix: any reintroduced window resurfaces
-# as a flake well within 1000 schedules.
+# as a flake well within 1000 schedules. The version store's own tests
+# (retire queue vs. concurrent committers and snapshot readers) repeat 20
+# times: its races are between FinishCommit, End and RowsBetween, which a
+# single pass schedules only one way.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
+	$(GO) test -race -count=20 ./internal/mvcc
 
 # Crash-torture smoke under injected disk faults, torn log tails, and
 # planted silent corruption: every fault class must be absorbed.

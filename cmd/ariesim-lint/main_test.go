@@ -64,3 +64,68 @@ func (t *Table) ScanIndexRange(name string) error {
 		t.Fatalf("latch-only index scan flagged %d finding(s); want 0", n)
 	}
 }
+
+// scanThroughStore is a snapshotScan that answers its windows from the
+// version store, as package db's does.
+const scanThroughStore = `package db
+
+func (t *Table) snapshotScanIndex(sec *secondary) error {
+	return t.snapshotScan(nil, nil, nil)
+}
+
+func (t *Table) snapshotScan(s, from, to any) error {
+	_, err := t.vs.RowsBetween(t.id, "", true, "", false, true, 0)
+	return err
+}
+`
+
+// TestReadOnlyPathFlagsLockCallInStoreIterator: the walk crosses from
+// package db into package mvcc, so a chain iterator that RowsBetween
+// drives is held to the zero-lock rule although no db function names it.
+func TestReadOnlyPathFlagsLockCallInStoreIterator(t *testing.T) {
+	store := `package mvcc
+
+func (st *Store) RowsBetween(tableID uint64, lo string, loIncl bool, hi string, hiIncl, hiUnbounded bool, s uint64) ([]Row, error) {
+	it := st.table(tableID).index.iterate(lo)
+	return it.collect(hi)
+}
+
+func (it *chainIterator) collect(hi string) ([]Row, error) {
+	if err := it.st.locks.Request(it.owner, it.name, 0, 0); err != nil { // a range lock on the window
+		return nil, err
+	}
+	return nil, nil
+}
+`
+	pkg := []parsedFile{parseSrc(t, "scan.go", scanThroughStore), parseSrc(t, "store.go", store)}
+	if n := lintReadOnlyPath(pkg); n == 0 {
+		t.Fatal("lock-manager call in an mvcc iterator reachable from snapshotScan was not flagged")
+	}
+}
+
+// TestReadOnlyPathAllowsMutexInStoreIterator is the matching positive
+// case: the store's own mutexes (Lock and Unlock without a lock name) and
+// its index walk pass clean, and a locking helper the snapshot path does
+// not reach is not held against it.
+func TestReadOnlyPathAllowsMutexInStoreIterator(t *testing.T) {
+	store := `package mvcc
+
+func (st *Store) RowsBetween(tableID uint64, lo string, loIncl bool, hi string, hiIncl, hiUnbounded bool, s uint64) ([]Row, error) {
+	tc := st.table(tableID)
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	c, _ := tc.index.seek(lo, nil)
+	return collect(c, hi), nil
+}
+
+func (ix *chainIndex) seek(k string, path *indexPath) (*chain, uint64) { return ix.after(nil, 0), 0 }
+
+func (st *Store) auditUnderLock() error {
+	return st.locks.Request(0, "audit", 0, 0) // not reachable from a snapshot root
+}
+`
+	pkg := []parsedFile{parseSrc(t, "scan.go", scanThroughStore), parseSrc(t, "store.go", store)}
+	if n := lintReadOnlyPath(pkg); n != 0 {
+		t.Fatalf("latch-free store iterator flagged %d finding(s); want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -637,5 +638,126 @@ func TestSnapshotScanNoDuplicateUnderReinsert(t *testing.T) {
 	}
 	if len(emitted) != keys {
 		t.Fatalf("scan emitted %d rows, want %d: %q", len(emitted), keys, emitted)
+	}
+}
+
+// loadRows inserts keys key8(0..n-1) in transactions of 500 rows.
+func loadRows(t *testing.T, d *DB, tbl *Table, n int) {
+	t.Helper()
+	for lo := 0; lo < n; lo += 500 {
+		if err := d.RunTxn(func(tx *txn.Tx) error {
+			for i := lo; i < lo+500 && i < n; i++ {
+				if err := tbl.Insert(tx, key8(i), []byte("v0")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func liveChains(d *DB) int {
+	return int(d.Stats().ChainsCreated.Load()) - int(d.Stats().ChainsRemoved.Load())
+}
+
+// TestVersionStoreFootprintBounded: a chain pinned by a reader at the
+// moment its writer commits is retired when that reader ends, not when
+// (if ever) the key is next written. One goroutine, so no commit is in
+// flight at the end and the store must be empty; uniform updates over
+// 10,000 keys almost never revisit one.
+func TestVersionStoreFootprintBounded(t *testing.T) {
+	const rows, rounds, perRound = 10000, 300, 4
+	d := Open(Options{})
+	tbl, err := d.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, d, tbl, rows)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < rounds; round++ {
+		rtx, err := d.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perRound; i++ {
+			k, v := key8(rng.Intn(rows)), []byte(fmt.Sprintf("r%d", round))
+			if err := d.RunTxn(func(tx *txn.Tx) error { return tbl.Update(tx, k, v) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := liveChains(d); got == 0 {
+			t.Fatalf("round %d: a registered snapshot pinned no chain", round)
+		}
+		if err := d.EndReadOnly(rtx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := liveChains(d); got != 0 {
+		t.Fatalf("%d chains live with no reader and no commit in flight (%d created)", got, d.Stats().ChainsCreated.Load())
+	}
+}
+
+// TestSnapshotScanCostTracksWindow: with one snapshot pinning a chain on
+// every one of N rows, a 16-row snapshot scan looks at the chains in its
+// 17 windows plus a seek per window, not at all N per window.
+func TestSnapshotScanCostTracksWindow(t *testing.T) {
+	const rows = 20000
+	d := Open(Options{})
+	tbl, err := d.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, d, tbl, rows)
+	pin, err := d.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.EndReadOnly(pin)
+	for lo := 0; lo < rows; lo += 500 {
+		if err := d.RunTxn(func(tx *txn.Tx) error {
+			for i := lo; i < lo+500; i++ {
+				if err := tbl.Update(tx, key8(i), []byte("v1")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := liveChains(d); got != rows {
+		t.Fatalf("%d chains live under the pinned snapshot, want %d", got, rows)
+	}
+	for _, c := range []struct {
+		name string
+		tx   *txn.Tx // nil: a fresh snapshot
+		want string
+	}{{"pinned", pin, "v0"}, {"fresh", nil, "v1"}} {
+		tx := c.tx
+		if tx == nil {
+			if tx, err = d.BeginReadOnly(); err != nil {
+				t.Fatal(err)
+			}
+			defer d.EndReadOnly(tx)
+		}
+		before := d.Stats().Snap()
+		n := 0
+		if err := tbl.Scan(tx, key8(rows/2), key8(rows/2+15), func(r Row) (bool, error) {
+			if string(r.Value) != c.want {
+				return false, fmt.Errorf("%s = %q, want %q", r.Key, r.Value, c.want)
+			}
+			n++
+			return true, nil
+		}); err != nil || n != 16 {
+			t.Fatalf("%s snapshot: scan of 16 saw %d rows: %v", c.name, n, err)
+		}
+		// c·(16 + log2 N) with c = 32: each of the 17 windows seeks on its
+		// own, an expected 2·log2 N chains of a one-in-four skip list.
+		limit := uint64(32 * (16 + math.Log2(rows)))
+		if got := trace.Diff(before, d.Stats().Snap()).ChainsScanned; got == 0 || got > limit {
+			t.Fatalf("%s snapshot: a 16-row scan examined %d chains among %d, limit %d", c.name, got, rows, limit)
+		}
 	}
 }

@@ -128,6 +128,7 @@ type Stats struct {
 	VersionsPruned    atomic.Uint64 // obsolete versions discarded from chains
 	ChainsCreated     atomic.Uint64 // version chains materialized
 	ChainsRemoved     atomic.Uint64 // version chains fully retired
+	ChainsScanned     atomic.Uint64 // chains whose key a scan-window lookup (RowsBetween) examined
 	VersionChainPeak  atomic.Uint64 // max versions ever held by one chain (gauge, not a counter)
 	ReadOnlyLockCalls atomic.Uint64 // lock-manager requests issued by snapshot transactions (must stay 0)
 }
@@ -281,7 +282,8 @@ type Snapshot struct {
 	AmbiguityRestarts, SMBitWaits, DeleteBitPOSCs             uint64
 	SnapshotBegins, SnapshotReads, SnapshotChainHits          uint64
 	SnapshotTooOld, VersionsPushed, VersionsPruned            uint64
-	ChainsCreated, ChainsRemoved, VersionChainPeak            uint64
+	ChainsCreated, ChainsRemoved, ChainsScanned               uint64
+	VersionChainPeak                                          uint64
 	ReadOnlyLockCalls                                         uint64
 }
 
@@ -372,6 +374,7 @@ func (s *Stats) Snap() Snapshot {
 	out.VersionsPruned = s.VersionsPruned.Load()
 	out.ChainsCreated = s.ChainsCreated.Load()
 	out.ChainsRemoved = s.ChainsRemoved.Load()
+	out.ChainsScanned = s.ChainsScanned.Load()
 	out.VersionChainPeak = s.VersionChainPeak.Load()
 	out.ReadOnlyLockCalls = s.ReadOnlyLockCalls.Load()
 	return out
@@ -461,6 +464,7 @@ func Diff(before, after Snapshot) Snapshot {
 	d.VersionsPruned = after.VersionsPruned - before.VersionsPruned
 	d.ChainsCreated = after.ChainsCreated - before.ChainsCreated
 	d.ChainsRemoved = after.ChainsRemoved - before.ChainsRemoved
+	d.ChainsScanned = after.ChainsScanned - before.ChainsScanned
 	// VersionChainPeak is an epoch-global high-water gauge; subtracting
 	// snapshots is meaningless, so a diff carries the "after" reading.
 	d.VersionChainPeak = after.VersionChainPeak
