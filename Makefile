@@ -31,11 +31,16 @@ test:
 # as a flake well within 1000 schedules. The version store's own tests
 # (retire queue vs. concurrent committers and snapshot readers) repeat 20
 # times: its races are between FinishCommit, End and RowsBetween, which a
-# single pass schedules only one way.
+# single pass schedules only one way. Heap placement likewise: the
+# free-space inventory is fed by Delete and by rollbacks under page latches
+# while inserts take from it under none, and compaction borrows a pooled
+# scratch page (-short keeps the single-goroutine count tests at one table
+# size; the concurrent ones run in full).
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
 	$(GO) test -race -count=20 ./internal/mvcc
+	$(GO) test -race -short -count=10 ./internal/data ./internal/storage
 
 # Crash-torture smoke under injected disk faults, torn log tails, and
 # planted silent corruption: every fault class must be absorbed.

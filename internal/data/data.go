@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/latch"
@@ -24,12 +25,22 @@ type Manager struct {
 	pool  *buffer.Pool
 	gran  lock.Granularity
 	stats *trace.Stats
+
+	// route names the handle whose chain a data page is on, for Undo, which
+	// is handed a page and no table. Like the inventories it feeds it is
+	// volatile, and routeMu is a leaf.
+	routeMu sync.Mutex
+	route   map[storage.PageID]*Table
+
+	// testHook, when set by a test, is called at the named points of the
+	// placement protocol with the page at hand.
+	testHook func(point string, pid storage.PageID)
 }
 
 // NewManager creates a record manager over pool using the given lock
 // granularity for record locks.
 func NewManager(pool *buffer.Pool, gran lock.Granularity, stats *trace.Stats) *Manager {
-	return &Manager{pool: pool, gran: gran, stats: stats}
+	return &Manager{pool: pool, gran: gran, stats: stats, route: make(map[storage.PageID]*Table)}
 }
 
 // Granularity returns the data lock granularity in force.
@@ -41,14 +52,40 @@ func (m *Manager) LockName(rid storage.RID) lock.Name {
 	return lock.DataLockName(m.gran, uint64(rid.Page), rid.Slot)
 }
 
+func (m *Manager) setRoute(pid storage.PageID, t *Table) {
+	m.routeMu.Lock()
+	m.route[pid] = t
+	m.routeMu.Unlock()
+}
+
+func (m *Manager) tableOf(pid storage.PageID) *Table {
+	m.routeMu.Lock()
+	defer m.routeMu.Unlock()
+	return m.route[pid]
+}
+
+func (m *Manager) hook(point string, pid storage.PageID) {
+	if m.testHook != nil {
+		m.testHook(point, pid)
+	}
+}
+
+// maxProbes bounds the listed pages one insert tries before it goes to the
+// tail of the chain.
+const maxProbes = 8
+
 // Table is a handle on one table's data page chain.
 type Table struct {
 	ID        uint64
 	FirstPage storage.PageID
 	m         *Manager
 
-	mu   sync.Mutex
-	hint storage.PageID // last page known to have had room
+	// inv says where an insert should look for room. It starts empty; the
+	// handle's first insert walks the chain once to fill it (buildMu makes
+	// the others wait for that walk, built lets them skip the mutex after).
+	inv     *inventory
+	built   atomic.Bool
+	buildMu sync.Mutex
 }
 
 // CreateTable allocates and formats the first data page of a new table
@@ -69,21 +106,74 @@ func (m *Manager) CreateTable(tx *txn.Tx, id uint64) (*Table, error) {
 	f.Page.Format(pid, storage.PageTypeData, 0)
 	f.Page.SetLSN(uint64(lsn))
 	m.pool.MarkDirty(f, lsn)
-	return &Table{ID: id, FirstPage: pid, m: m, hint: pid}, nil
+	t := m.OpenTable(id, pid)
+	// A one-page chain needs no walk: the page is the tail and is empty.
+	m.setRoute(pid, t)
+	t.notePage(f.Page)
+	t.built.Store(true)
+	return t, nil
 }
 
 // OpenTable rebinds a handle to an existing table (after restart).
 func (m *Manager) OpenTable(id uint64, firstPage storage.PageID) *Table {
-	return &Table{ID: id, FirstPage: firstPage, m: m, hint: firstPage}
+	return &Table{ID: id, FirstPage: firstPage, m: m, inv: newInventory(firstPage)}
 }
 
 func (t *Table) intentLock(tx *txn.Tx, mode lock.Mode) error {
 	return tx.Lock(lock.TableName(t.ID), mode, lock.Commit, false)
 }
 
+// notePage reports p to the inventory. The caller holds p's latch.
+func (t *Table) notePage(p *storage.Page) {
+	ghost := false
+	for i, n := 0, p.NSlots(); i < n && !ghost; i++ {
+		if cell, ok := p.Cell(i); ok {
+			ghost, _ = unwrapCell(cell)
+		}
+	}
+	t.inv.note(p.ID(), p.FreeSpace(), ghost)
+}
+
+// buildInventory walks the chain once, under S latches, reporting every
+// page and finding the tail. Deletes and rollbacks that run beside it
+// report the pages they touch themselves, in latch order with the walk.
+func (t *Table) buildInventory() error {
+	t.buildMu.Lock()
+	defer t.buildMu.Unlock()
+	if t.built.Load() {
+		return nil
+	}
+	tail := t.FirstPage
+	for pid := t.FirstPage; pid != storage.InvalidPageID; {
+		t.m.hook("build-visit", pid)
+		f, err := t.m.pool.Fix(pid)
+		if err != nil {
+			return err
+		}
+		f.Latch.Acquire(latch.S)
+		t.m.setRoute(pid, t)
+		t.notePage(f.Page)
+		next := f.Page.Next()
+		f.Latch.Release(latch.S)
+		t.m.pool.Unfix(f)
+		tail, pid = pid, next
+	}
+	t.inv.setTail(tail)
+	t.built.Store(true)
+	return nil
+}
+
 // Insert stores rec and returns its RID, holding a commit-duration X lock
 // on it. Under data-only locking this lock doubles as the lock on every
 // index key that will reference the record.
+//
+// Placement asks the inventory for a page before fixing any: first the
+// oldest page with a ghost (reclaiming what a committed deleter left), then
+// a page with enough real free space. Each candidate is validated under its
+// latch; one that turns out wrong is reported as it is and the next is
+// tried. A ghost page that cannot be used yet ends the ghost probing for
+// this insert — its deleter is still running, most often this transaction
+// itself, and younger ghosts are no likelier to be free.
 func (t *Table) Insert(tx *txn.Tx, rec []byte) (storage.RID, error) {
 	if err := t.intentLock(tx, lock.IX); err != nil {
 		return storage.RID{}, err
@@ -91,78 +181,68 @@ func (t *Table) Insert(tx *txn.Tx, rec []byte) (storage.RID, error) {
 	if 1+len(rec) > storage.PageCapacity(t.m.pool.PageSize()) {
 		return storage.RID{}, fmt.Errorf("data: record of %d bytes exceeds page capacity", len(rec))
 	}
-	t.mu.Lock()
-	start := t.hint
-	t.mu.Unlock()
-
-	tryRun := func(from, until storage.PageID) (storage.RID, storage.PageID, error) {
-		pid := from
-		last := pid
-		for pid != storage.InvalidPageID && pid != until {
-			rid, next, err := t.tryInsertOn(tx, pid, rec)
-			if err != nil || rid != (storage.RID{}) {
-				return rid, pid, err
-			}
-			last = pid
-			pid = next
-		}
-		return storage.RID{}, last, nil
-	}
-
-	// Phase 1: from the hint to the end of the chain.
-	rid, tail, err := tryRun(start, storage.InvalidPageID)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	// Phase 2: wrap to the head in case earlier pages regained space
-	// (purged ghosts).
-	if rid == (storage.RID{}) && start != t.FirstPage {
-		rid, _, err = tryRun(t.FirstPage, start)
-		if err != nil {
+	if !t.built.Load() {
+		if err := t.buildInventory(); err != nil {
 			return storage.RID{}, err
 		}
 	}
-	// Phase 3: extend the table with fresh pages inside nested top
-	// actions, so each page survives even if tx later rolls back (other
-	// transactions may have inserted into it meanwhile).
-	for attempt := 0; rid == (storage.RID{}); attempt++ {
+	cell := wrapRecord(rec)
+	ghosts := true
+	for probe := 0; probe < maxProbes; probe++ {
+		pid, ok := t.inv.take(len(cell)+2, ghosts)
+		if !ok {
+			break
+		}
+		rid, _, ghostLeft, err := t.tryInsertOn(tx, pid, rec, cell)
+		if err != nil || rid != (storage.RID{}) {
+			return rid, err
+		}
+		if ghostLeft {
+			ghosts = false
+		}
+	}
+	// No listed page took the record: go to the tail, and extend the table
+	// with fresh pages inside nested top actions, so each page survives
+	// even if tx later rolls back (other transactions may have inserted
+	// into it meanwhile).
+	pid := t.inv.tailPage()
+	for attempt := 0; ; attempt++ {
 		if attempt > 1_000_000 {
 			return storage.RID{}, errors.New("data: insert livelock")
 		}
-		newPid, err := t.extend(tx, tail)
-		if err != nil {
-			return storage.RID{}, err
+		rid, next, _, err := t.tryInsertOn(tx, pid, rec, cell)
+		if err != nil || rid != (storage.RID{}) {
+			return rid, err
 		}
-		rid, tail, err = tryRun(newPid, storage.InvalidPageID)
-		if err != nil {
-			return storage.RID{}, err
+		if next == storage.InvalidPageID {
+			if next, err = t.extend(tx, pid); err != nil {
+				return storage.RID{}, err
+			}
 		}
+		t.inv.setTail(next)
+		pid = next
 	}
-	t.mu.Lock()
-	t.hint = rid.Page
-	t.mu.Unlock()
-	return rid, nil
 }
 
-// tryInsertOn attempts the insert on page pid. It returns the RID on
-// success; a zero RID with next set means "advance to next page"; a zero
-// RID with next == InvalidPageID means the chain ended.
-func (t *Table) tryInsertOn(tx *txn.Tx, pid storage.PageID, rec []byte) (storage.RID, storage.PageID, error) {
-	cell := wrapRecord(rec)
+// tryInsertOn attempts the insert on page pid and reports the page to the
+// inventory before unlatching it. It returns the RID on success; with a
+// zero RID, next is the page's successor in the chain (InvalidPageID at the
+// tail) and ghostLeft says the page still holds a ghost that could not be
+// purged.
+func (t *Table) tryInsertOn(tx *txn.Tx, pid storage.PageID, rec, cell []byte) (_ storage.RID, next storage.PageID, ghostLeft bool, _ error) {
 	for {
 		f, err := t.m.pool.Fix(pid)
 		if err != nil {
-			return storage.RID{}, 0, err
+			return storage.RID{}, 0, false, err
 		}
 		f.Latch.Acquire(latch.X)
 		if !f.Page.HasRoomFor(len(cell)) {
-			t.purgeGhosts(tx, f)
+			ghostLeft = t.purgeGhosts(tx, f)
 		}
 		if !f.Page.HasRoomFor(len(cell)) {
-			next := f.Page.Next()
-			f.Latch.Release(latch.X)
-			t.m.pool.Unfix(f)
-			return storage.RID{}, next, nil
+			next = f.Page.Next()
+			t.unlatch(f)
+			return storage.RID{}, next, ghostLeft, nil
 		}
 		slot := t.freeSlot(f.Page)
 		rid := storage.RID{Page: pid, Slot: slot}
@@ -171,26 +251,31 @@ func (t *Table) tryInsertOn(tx *txn.Tx, pid storage.PageID, rec []byte) (storage
 		// denial (a rare reused slot whose old lock lingers), fall back to
 		// the unconditional protocol: unlatch, wait, revalidate.
 		if err := tx.Lock(name, lock.X, lock.Commit, true); err != nil {
-			f.Latch.Release(latch.X)
-			t.m.pool.Unfix(f)
+			t.unlatch(f)
 			if err := tx.Lock(name, lock.X, lock.Commit, false); err != nil {
-				return storage.RID{}, 0, err
+				return storage.RID{}, 0, false, err
 			}
 			// Revalidate from scratch; the page may have changed shape.
 			continue
 		}
 		lsn := tx.LogUpdate(pid, wal.OpDataInsert, insertPayload{Slot: slot, Record: rec}.encode(), false)
 		if err := f.Page.AddCellAt(slot, cell); err != nil {
-			f.Latch.Release(latch.X)
-			t.m.pool.Unfix(f)
-			return storage.RID{}, 0, fmt.Errorf("data: insert apply on page %d slot %d: %w", pid, slot, err)
+			t.unlatch(f)
+			return storage.RID{}, 0, false, fmt.Errorf("data: insert apply on page %d slot %d: %w", pid, slot, err)
 		}
 		f.Page.SetLSN(uint64(lsn))
 		t.m.pool.MarkDirty(f, lsn)
-		f.Latch.Release(latch.X)
-		t.m.pool.Unfix(f)
-		return rid, 0, nil
+		t.unlatch(f)
+		return rid, 0, false, nil
 	}
+}
+
+// unlatch ends an insert's hold on f, telling the inventory what the page
+// looks like now.
+func (t *Table) unlatch(f *buffer.Frame) {
+	t.notePage(f.Page)
+	f.Latch.Release(latch.X)
+	t.m.pool.Unfix(f)
 }
 
 // freeSlot picks the insertion slot: the first freed stable slot, or a new
@@ -207,8 +292,9 @@ func (t *Table) freeSlot(p *storage.Page) uint16 {
 
 // purgeGhosts physically removes ghost records whose locks are free — the
 // deleter committed, so the space is reclaimable. Purges are logged
-// redo-only: they are never undone.
-func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) {
+// redo-only: they are never undone. It reports whether a ghost whose lock
+// is still held was left behind.
+func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) (left bool) {
 	for i := 0; i < f.Page.NSlots(); i++ {
 		cell, ok := f.Page.Cell(i)
 		if !ok {
@@ -222,10 +308,12 @@ func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) {
 		name := t.m.LockName(rid)
 		// Skip our own uncommitted deletes.
 		if tx.HoldsLock(name) {
+			left = true
 			continue
 		}
 		// An instant conditional X grant proves no one holds the lock.
 		if err := tx.Lock(name, lock.X, lock.Instant, true); err != nil {
+			left = true
 			continue
 		}
 		lsn := tx.LogUpdate(f.ID(), wal.OpDataPurge, purgePayload{Slot: uint16(i)}.encode(), true)
@@ -235,9 +323,13 @@ func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) {
 		f.Page.SetLSN(uint64(lsn))
 		t.m.pool.MarkDirty(f, lsn)
 	}
+	return left
 }
 
-// extend appends a fresh data page after tail inside a nested top action.
+// extend appends a fresh data page after tail inside a nested top action
+// and returns the page now following tail. The action ends before tail is
+// unlatched: nobody can reach the new page, let alone list it, while a
+// rollback could still free it.
 func (t *Table) extend(tx *txn.Tx, tail storage.PageID) (storage.PageID, error) {
 	tok := tx.BeginNTA()
 	pid, err := space.Alloc(tx, t.m.pool)
@@ -262,9 +354,8 @@ func (t *Table) extend(tx *txn.Tx, tail storage.PageID) (storage.PageID, error) 
 		return 0, err
 	}
 	tf.Latch.Acquire(latch.X)
-	if tf.Page.Next() != storage.InvalidPageID {
+	if next := tf.Page.Next(); next != storage.InvalidPageID {
 		// Another transaction extended concurrently; free ours and use theirs.
-		next := tf.Page.Next()
 		tf.Latch.Release(latch.X)
 		t.m.pool.Unfix(tf)
 		if err := space.Free(tx, t.m.pool, pid); err != nil {
@@ -278,9 +369,10 @@ func (t *Table) extend(tx *txn.Tx, tail storage.PageID) (storage.PageID, error) 
 	tf.Page.SetNext(pid)
 	tf.Page.SetLSN(uint64(lsn))
 	t.m.pool.MarkDirty(tf, lsn)
+	tx.EndNTA(tok)
 	tf.Latch.Release(latch.X)
 	t.m.pool.Unfix(tf)
-	tx.EndNTA(tok)
+	t.m.setRoute(pid, t)
 	return pid, nil
 }
 
@@ -316,6 +408,8 @@ func (t *Table) Delete(tx *txn.Tx, rid storage.RID, locked bool) error {
 	cell[0] |= cellGhost
 	f.Page.SetLSN(uint64(lsn))
 	t.m.pool.MarkDirty(f, lsn)
+	t.m.hook("delete-note", rid.Page)
+	t.inv.note(rid.Page, f.Page.FreeSpace(), true)
 	return nil
 }
 
@@ -492,6 +586,11 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		}
 		f.Page.SetLSN(uint64(lsn))
 		m.pool.MarkDirty(f, lsn)
+		// The freed slot is room again. A page no handle has walked yet
+		// has no route; the walk will see it as it is.
+		if t := m.tableOf(rec.Page); t != nil {
+			t.notePage(f.Page)
+		}
 		return nil
 	case wal.OpDataDelete:
 		pl, err := decodeInsertPayload(rec.Payload)

@@ -223,42 +223,77 @@ func TestExtensionSurvivesRollback(t *testing.T) {
 	}
 }
 
+// chainLen counts the pages of tbl's chain.
+func chainLen(t testing.TB, e *env, tbl *Table) int {
+	t.Helper()
+	n := 0
+	for pid := tbl.FirstPage; pid != storage.InvalidPageID; n++ {
+		f, err := e.pool.Fix(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pid = f.Page.Next()
+		e.pool.Unfix(f)
+	}
+	return n
+}
+
+// Once the deleter has committed, a full page's ghost space is reused
+// before the table extends.
 func TestGhostPurgeReclaimsSpace(t *testing.T) {
 	e := newEnv(t, 256, lock.GranRecord)
 	tbl := e.createTable(t)
-	// Fill page 1 exactly, then delete everything and commit.
+	// Fill three pages, then delete everything on the first and commit.
 	fill := e.mgr.Begin()
 	rec := bytes.Repeat([]byte{'g'}, 30)
-	var rids []storage.RID
-	for {
+	perPage := 0
+	var onFirst []storage.RID
+	for chainLen(t, e, tbl) < 3 || perPage == 0 {
 		rid, err := tbl.Insert(fill, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rid.Page != tbl.FirstPage {
-			break // spilled to page 2: page 1 is full
+		if rid.Page == tbl.FirstPage {
+			onFirst = append(onFirst, rid)
+		} else if perPage == 0 {
+			perPage = len(onFirst) // the first page is full
 		}
-		rids = append(rids, rid)
 	}
-	for _, rid := range rids {
+	for n := 1; n < perPage; n++ { // fill the third page too
+		if _, err := tbl.Insert(fill, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rid := range onFirst {
 		if err := tbl.Delete(fill, rid, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_ = fill.Commit()
+	if got := chainLen(t, e, tbl); got != 3 {
+		t.Fatalf("setup: chain of %d pages, want 3 full ones", got)
+	}
 
-	// A new insert starting its walk at the head must reclaim the full
-	// first page via ghost purge rather than spilling onward.
-	tbl.mu.Lock()
-	tbl.hint = tbl.FirstPage
-	tbl.mu.Unlock()
+	// The ghosts' space holds exactly as many records again; only the next
+	// one may extend the table.
 	tx := e.mgr.Begin()
-	rid, err := tbl.Insert(tx, rec)
-	if err != nil {
+	for range onFirst {
+		rid, err := tbl.Insert(tx, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid.Page != tbl.FirstPage {
+			t.Fatalf("insert went to page %d with ghost space left on page %d", rid.Page, tbl.FirstPage)
+		}
+	}
+	if got := chainLen(t, e, tbl); got != 3 {
+		t.Fatalf("table extended to %d pages while ghost space was left", got)
+	}
+	if _, err := tbl.Insert(tx, rec); err != nil {
 		t.Fatal(err)
 	}
-	if rid.Page != tbl.FirstPage {
-		t.Fatalf("insert went to page %d; ghosts not purged", rid.Page)
+	if got := chainLen(t, e, tbl); got != 4 {
+		t.Fatalf("chain of %d pages after filling every page, want 4", got)
 	}
 	_ = tx.Commit()
 }

@@ -222,14 +222,25 @@ func chaosIndexExtract(value []byte) []byte {
 // chaosModel is the exact model of acked-committed state. Mutations happen
 // only inside RunTxn OnCommit callbacks — atomically with the commit ack —
 // so at any crash instant the model IS the set of durable transactions.
+//
+// Acks do not arrive in commit order: with early lock release a transaction
+// can take a lock its predecessor has just dropped, commit behind it and be
+// acknowledged before it (both forces done, the predecessor's goroutine not
+// yet run). Each key therefore remembers the commit LSN of the write that
+// set it, and a write older than that is already overwritten.
 type chaosModel struct {
 	mu   sync.Mutex
 	rows map[string]string
+	at   map[string]wal.LSN // commit LSN of each key's last write, deletes included
 }
 
-func (m *chaosModel) apply(local map[string]*string) {
+func (m *chaosModel) apply(commit wal.LSN, local map[string]*string) {
 	m.mu.Lock()
 	for k, v := range local {
+		if m.at[k] > commit {
+			continue
+		}
+		m.at[k] = commit
 		if v == nil {
 			delete(m.rows, k)
 		} else {
@@ -237,6 +248,22 @@ func (m *chaosModel) apply(local map[string]*string) {
 		}
 	}
 	m.mu.Unlock()
+}
+
+// ackHooks returns the RunTxn callbacks that record a committed
+// transaction's staged writes — *local, filled by the body's last attempt —
+// in the snapshot ledger and, at the ack, in the model.
+func ackHooks(model *chaosModel, ledger *chaosSnapLedger, commits *atomic.Int64, local *map[string]*string) (onCommitted func(wal.LSN), onCommit func()) {
+	var commit wal.LSN
+	onCommitted = func(lsn wal.LSN) {
+		commit = lsn
+		ledger.record(lsn, *local)
+	}
+	onCommit = func() {
+		model.apply(commit, *local)
+		commits.Add(1)
+	}
+	return onCommitted, onCommit
 }
 
 func (m *chaosModel) snapshot() map[string]string {
@@ -309,7 +336,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		}
 		return nil
 	}
-	model := &chaosModel{rows: map[string]string{}}
+	model := &chaosModel{rows: map[string]string{}, at: map[string]wal.LSN{}}
 	var commits atomic.Int64
 	var gaveUp atomic.Int64
 	res := &ChaosResult{}
@@ -389,14 +416,8 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					return
 				default:
 				}
-				opts := RunTxnOpts{
-					Seed: o.Seed + int64(w)*1000003 + int64(iter),
-					OnCommit: func() {
-						model.apply(local)
-						commits.Add(1)
-					},
-					OnCommitted: func(lsn wal.LSN) { snapLedger.record(lsn, local) },
-				}
+				opts := RunTxnOpts{Seed: o.Seed + int64(w)*1000003 + int64(iter)}
+				opts.OnCommitted, opts.OnCommit = ackHooks(model, snapLedger, &commits, &local)
 				err := d.RunTxnWith(opts, func(tx *txn.Tx) error {
 					local = map[string]*string{} // fresh staging per attempt
 					tbl, err := d.TableFor(tx, tableName)
@@ -839,11 +860,9 @@ func verifyIndexAgainst(d *DB, tableName, indexName string, want map[string]stri
 // next-key lock before the rendezvous).
 func forceDeadlockRepair(d *DB, tableName string, model *chaosModel, commits *atomic.Int64, ledger *chaosSnapLedger, seed int64) error {
 	var sepLocal map[string]*string
-	err := d.RunTxnWith(RunTxnOpts{
-		Seed:        seed + 17,
-		OnCommit:    func() { model.apply(sepLocal); commits.Add(1) },
-		OnCommitted: func(lsn wal.LSN) { ledger.record(lsn, sepLocal) },
-	}, func(tx *txn.Tx) error {
+	opts := RunTxnOpts{Seed: seed + 17}
+	opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &sepLocal)
+	err := d.RunTxnWith(opts, func(tx *txn.Tx) error {
 		sepLocal = map[string]*string{}
 		tbl, err := d.TableFor(tx, tableName)
 		if err != nil {
@@ -866,11 +885,9 @@ func forceDeadlockRepair(d *DB, tableName string, model *chaosModel, commits *at
 			first, second := keys[i], keys[1-i]
 			rendezvoused := false
 			var local map[string]*string
-			errs[i] = d.RunTxnWith(RunTxnOpts{
-				Seed:        seed + int64(i) + 51,
-				OnCommit:    func() { model.apply(local); commits.Add(1) },
-				OnCommitted: func(lsn wal.LSN) { ledger.record(lsn, local) },
-			}, func(tx *txn.Tx) error {
+			opts := RunTxnOpts{Seed: seed + int64(i) + 51}
+			opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &local)
+			errs[i] = d.RunTxnWith(opts, func(tx *txn.Tx) error {
 				local = map[string]*string{}
 				tbl, err := d.TableFor(tx, tableName)
 				if err != nil {
@@ -913,11 +930,9 @@ func forceTimeoutRepair(d *DB, tableName string, model *chaosModel, commits *ato
 	go func() {
 		defer wg.Done()
 		var local map[string]*string
-		holderErr = d.RunTxnWith(RunTxnOpts{
-			Seed:        seed + 97,
-			OnCommit:    func() { model.apply(local); commits.Add(1) },
-			OnCommitted: func(lsn wal.LSN) { ledger.record(lsn, local) },
-		}, func(tx *txn.Tx) error {
+		opts := RunTxnOpts{Seed: seed + 97}
+		opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &local)
+		holderErr = d.RunTxnWith(opts, func(tx *txn.Tx) error {
 			local = map[string]*string{}
 			tbl, err := d.TableFor(tx, tableName)
 			if err != nil {
@@ -933,11 +948,9 @@ func forceTimeoutRepair(d *DB, tableName string, model *chaosModel, commits *ato
 	}()
 	<-holderHas
 	var local map[string]*string
-	waiterErr := d.RunTxnWith(RunTxnOpts{
-		Seed:        seed + 193,
-		OnCommit:    func() { model.apply(local); commits.Add(1) },
-		OnCommitted: func(lsn wal.LSN) { ledger.record(lsn, local) },
-	}, func(tx *txn.Tx) error {
+	opts := RunTxnOpts{Seed: seed + 193}
+	opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &local)
+	waiterErr := d.RunTxnWith(opts, func(tx *txn.Tx) error {
 		local = map[string]*string{}
 		tbl, err := d.TableFor(tx, tableName)
 		if err != nil {

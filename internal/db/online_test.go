@@ -101,6 +101,21 @@ func TestOnlineRestartCommitsBeforeRecoveryDone(t *testing.T) {
 		t.Fatal("engine finished recovery before we could probe it (device too fast?)")
 	}
 
+	// Operations that need a quiesced engine are refused while recovery is
+	// in flight. It may end between a probe and the check of its result, so
+	// a probe that was let through counts against the gate only if recovery
+	// is still running afterwards.
+	if err := d.VerifyConsistency(); !errors.Is(err, ErrRecovering) && d.Recovering() {
+		t.Fatalf("VerifyConsistency mid-recovery = %v, want ErrRecovering", err)
+	}
+	if _, err := d.CreateTable("t2"); !errors.Is(err, ErrRecovering) && d.Recovering() {
+		t.Fatalf("CreateTable mid-recovery = %v, want ErrRecovering", err)
+	}
+	d.Checkpoint()
+	if n := d.Stats().CheckpointsSkippedRecovering.Load(); n == 0 && d.Recovering() {
+		t.Fatal("mid-recovery checkpoint was not skipped")
+	}
+
 	// A transaction commits while recovery is still in flight; its reads go
 	// through the on-demand hook.
 	tbl, _ := d.Table("t")
@@ -114,21 +129,6 @@ func TestOnlineRestartCommitsBeforeRecoveryDone(t *testing.T) {
 		t.Fatalf("commit during recovery: %v", err)
 	}
 	model["during-recovery"] = "committed"
-
-	if d.Recovering() {
-		// Probe the gates only if the window is still open (the commit above
-		// may have outlived the drain on a fast run).
-		if err := d.VerifyConsistency(); !errors.Is(err, ErrRecovering) {
-			t.Fatalf("VerifyConsistency mid-recovery = %v, want ErrRecovering", err)
-		}
-		if _, err := d.CreateTable("t2"); !errors.Is(err, ErrRecovering) {
-			t.Fatalf("CreateTable mid-recovery = %v, want ErrRecovering", err)
-		}
-		d.Checkpoint()
-		if n := d.Stats().CheckpointsSkippedRecovering.Load(); n == 0 {
-			t.Fatal("mid-recovery checkpoint was not skipped")
-		}
-	}
 
 	full, err := d.AwaitRecovered()
 	if err != nil {

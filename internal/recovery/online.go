@@ -72,6 +72,10 @@ type OnlineOpts struct {
 	// Granularity is the engine's data-lock granularity, used to derive
 	// the record lock names reinstated for background losers.
 	Granularity lock.Granularity
+
+	// replayGate, when set by a test, is called as a page's on-demand
+	// replay begins.
+	replayGate func(storage.PageID)
 }
 
 // Online coordinates the concurrent phases of an online restart. It is
@@ -90,6 +94,11 @@ type Online struct {
 	// mu guards the plan. pending maps each unrecovered DPT page to its
 	// redoable log suffix (in LSN order); draining marks pages the drain
 	// workers have claimed (attribution for the on-demand/drain split).
+	// An entry outlives its replay, emptied: only the drain removes it,
+	// after a Fix of its own has returned, because only then is the frame
+	// known to be installed, dirty and visible to the closing checkpoint's
+	// dirty page table. A replay started by a foreground Fix may still be
+	// in flight when the drain gets to the page.
 	mu       sync.Mutex
 	pending  map[storage.PageID][]*wal.Record
 	draining map[storage.PageID]bool
@@ -97,6 +106,8 @@ type Online struct {
 	order []storage.PageID
 
 	bgLosers []*txn.Tx
+
+	replayGate func(storage.PageID)
 
 	applied  atomic.Int64
 	skipped  atomic.Int64
@@ -142,6 +153,8 @@ func StartOnline(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.M
 		pending:  make(map[storage.PageID][]*wal.Record, len(dpt)),
 		draining: make(map[storage.PageID]bool),
 		done:     make(chan struct{}),
+
+		replayGate: opts.replayGate,
 	}
 	rep.RedoWorkers = workers
 
@@ -281,20 +294,22 @@ func classifyLoser(log *wal.Log, e *wal.TxTableEntry, gran lock.Granularity) ([]
 
 // recoverPage is the buffer pool's recovery hook: replay the page's
 // planned log suffix onto the freshly read page image. Runs under the
-// pool's loading-frame protocol, so exactly one invocation per planned
-// page (unless it fails, in which case the plan entry is restored and the
-// next fix retries — replay is idempotent because every record is
-// page_LSN-guarded).
+// pool's loading-frame protocol, so one invocation at a time per planned
+// page; a failed one leaves the plan entry as it was and the next fix
+// retries (replay is idempotent because every record is page_LSN-guarded),
+// a successful one empties it.
 func (o *Online) recoverPage(pid storage.PageID, p *storage.Page) (bool, wal.LSN, error) {
 	o.mu.Lock()
 	recs := o.pending[pid]
-	if recs == nil {
+	if len(recs) == 0 {
 		o.mu.Unlock()
 		return false, wal.NilLSN, nil
 	}
-	delete(o.pending, pid)
 	byDrain := o.draining[pid]
 	o.mu.Unlock()
+	if o.replayGate != nil {
+		o.replayGate(pid)
+	}
 
 	dirty := false
 	var recLSN wal.LSN
@@ -305,9 +320,6 @@ func (o *Online) recoverPage(pid storage.PageID, p *storage.Page) (bool, wal.LSN
 			continue
 		}
 		if err := routeRedo(p, r); err != nil {
-			o.mu.Lock()
-			o.pending[pid] = recs
-			o.mu.Unlock()
 			return false, wal.NilLSN, fmt.Errorf("recovery: on-demand redo of %s: %w", r, err)
 		}
 		p.SetLSN(uint64(r.LSN))
@@ -317,6 +329,9 @@ func (o *Online) recoverPage(pid storage.PageID, p *storage.Page) (bool, wal.LSN
 		}
 		applied++
 	}
+	o.mu.Lock()
+	o.pending[pid] = recs[:0]
+	o.mu.Unlock()
 	o.applied.Add(int64(applied))
 	o.skipped.Add(int64(skipped))
 	if byDrain {
@@ -423,19 +438,17 @@ func (o *Online) drainPart(pages []storage.PageID) error {
 		var live []storage.PageID
 		o.mu.Lock()
 		for _, pid := range pages[i:end] {
-			if _, ok := o.pending[pid]; ok {
+			if len(o.pending[pid]) > 0 {
 				o.draining[pid] = true
 				live = append(live, pid)
 			}
 		}
 		o.mu.Unlock()
+		batch := pages[i:end]
 		i = end
-		if len(live) == 0 {
-			continue
-		}
 		o.pool.Prefetch(live)
 		var err error
-		for _, pid := range live {
+		for _, pid := range batch {
 			if e := o.drainPage(pid); e != nil && err == nil {
 				err = e
 			}
@@ -452,27 +465,39 @@ func (o *Online) drainPart(pages []storage.PageID) error {
 	return nil
 }
 
-// drainPage fixes one page (running the hook if the page is still
-// pending), retrying fix failures — the pool's internal retry and media
-// recovery handle most faults, so the loop only rides out seeded bursts.
+// drainPage fixes one page — running the hook if the page is still to be
+// replayed, waiting out a replay a foreground fix has in flight — and
+// retires its plan entry. A page replayed on demand that has since left
+// the pool was installed and written back; it needs no second read. Fix
+// failures are retried: the pool's internal retry and media recovery handle
+// most faults, so the loop only rides out seeded bursts.
 func (o *Online) drainPage(pid storage.PageID) error {
 	for attempt := 0; ; attempt++ {
 		o.mu.Lock()
-		_, ok := o.pending[pid]
+		recs, ok := o.pending[pid]
 		o.mu.Unlock()
 		if !ok || o.abort.Load() {
 			return nil
 		}
+		if len(recs) == 0 && !o.pool.Contains(pid) {
+			break
+		}
 		f, err := o.pool.Fix(pid)
 		if err == nil {
 			o.pool.Unfix(f)
-			return nil
+			break
 		}
 		if attempt >= maxDrainRetries {
 			return fmt.Errorf("recovery: drain of page %d: %w", pid, err)
 		}
 		time.Sleep(time.Duration(attempt+1) * 50 * time.Microsecond)
 	}
+	o.mu.Lock()
+	if len(o.pending[pid]) == 0 {
+		delete(o.pending, pid)
+	}
+	o.mu.Unlock()
+	return nil
 }
 
 // undoBackground rolls back the insert-only losers in the same

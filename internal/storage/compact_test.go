@@ -1,0 +1,143 @@
+package storage
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+)
+
+// checkAgainst compares every slot of p with the model: the same slots
+// live, the same bytes in each.
+func checkAgainst(t *testing.T, step int, p *Page, model [][]byte) {
+	t.Helper()
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	if p.NSlots() != len(model) {
+		t.Fatalf("step %d: %d slots, model has %d", step, p.NSlots(), len(model))
+	}
+	for i, want := range model {
+		got, ok := p.Cell(i)
+		if ok != (want != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("step %d: slot %d = %x (live %v), model %x", step, i, got, ok, want)
+		}
+	}
+}
+
+// Random stable-slot traffic on a page kept nearly full, so that most adds
+// compact first: slot numbers and cell bytes must survive every step.
+func TestCompactStableSlotsAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPage(512)
+		p.Format(9, PageTypeData, 0)
+		var model [][]byte // nil = freed slot
+		compactions := 0
+		for step := 0; step < 4000; step++ {
+			if rng.Intn(3) > 0 {
+				slot := uint16(rng.Intn(len(model) + 1))
+				for s, c := range model { // prefer a freed slot, as the record manager does
+					if c == nil {
+						slot = uint16(s)
+						break
+					}
+				}
+				if int(slot) < len(model) && model[slot] != nil {
+					continue
+				}
+				cell := make([]byte, rng.Intn(40)+1)
+				rng.Read(cell)
+				if !p.HasRoomFor(len(cell)) {
+					continue
+				}
+				garbage := p.garbage()
+				if err := p.AddCellAt(slot, cell); err != nil {
+					t.Fatalf("seed %d step %d: AddCellAt(%d): %v", seed, step, slot, err)
+				}
+				if garbage > 0 && p.garbage() == 0 {
+					compactions++
+				}
+				for int(slot) >= len(model) {
+					model = append(model, nil)
+				}
+				model[slot] = cell
+			} else if len(model) > 0 {
+				slot := rng.Intn(len(model))
+				if model[slot] == nil {
+					continue
+				}
+				got, err := p.RemoveCell(uint16(slot))
+				if err != nil || !bytes.Equal(got, model[slot]) {
+					t.Fatalf("seed %d step %d: RemoveCell(%d) = %x, %v", seed, step, slot, got, err)
+				}
+				model[slot] = nil
+			}
+			checkAgainst(t, step, p, model)
+		}
+		if compactions < 50 {
+			t.Fatalf("seed %d: only %d compactions; the sequence does not exercise compact", seed, compactions)
+		}
+	}
+}
+
+// The same for dense slots, where positions shift on every insert and delete.
+func TestCompactDenseSlotsAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPage(512)
+		p.Format(9, PageTypeIndex, 0)
+		var model [][]byte
+		compactions := 0
+		for step := 0; step < 4000; step++ {
+			if rng.Intn(3) > 0 {
+				at := rng.Intn(len(model) + 1)
+				cell := make([]byte, rng.Intn(40)+1)
+				rng.Read(cell)
+				garbage := p.garbage()
+				err := p.InsertCellAt(at, cell)
+				if errors.Is(err, ErrPageFull) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("seed %d step %d: InsertCellAt(%d): %v", seed, step, at, err)
+				}
+				if garbage > 0 && p.garbage() == 0 {
+					compactions++
+				}
+				model = append(model, nil)
+				copy(model[at+1:], model[at:])
+				model[at] = cell
+			} else if len(model) > 0 {
+				at := rng.Intn(len(model))
+				got, err := p.DeleteCellAt(at)
+				if err != nil || !bytes.Equal(got, model[at]) {
+					t.Fatalf("seed %d step %d: DeleteCellAt(%d) = %x, %v", seed, step, at, got, err)
+				}
+				model = append(model[:at], model[at+1:]...)
+			}
+			checkAgainst(t, step, p, model)
+		}
+		if compactions < 50 {
+			t.Fatalf("seed %d: only %d compactions; the sequence does not exercise compact", seed, compactions)
+		}
+	}
+}
+
+func TestCompactDoesNotAllocate(t *testing.T) {
+	p := NewPage(DefaultPageSize)
+	p.Format(9, PageTypeData, 0)
+	cell := bytes.Repeat([]byte{'c'}, 100)
+	for p.HasRoomFor(len(cell)) {
+		if _, err := p.AddCell(cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.RemoveCell(3); err != nil {
+		t.Fatal(err)
+	}
+	p.compact() // the first call may fill the scratch pool
+	if n := testing.AllocsPerRun(100, p.compact); n != 0 {
+		t.Fatalf("compact allocates %v times per run, want 0", n)
+	}
+}

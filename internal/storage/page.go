@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // PageType distinguishes the on-disk page kinds.
@@ -436,32 +437,32 @@ func (p *Page) LiveCells() int {
 	return live
 }
 
-// compact rewrites all live cells contiguously at the end of the page,
-// reclaiming garbage. Slot numbers are preserved.
+// compactScratch lends compact a copy of the cell area to read from while it
+// rewrites the page.
+var compactScratch = sync.Pool{New: func() any {
+	b := make([]byte, MaxPageSize)
+	return &b
+}}
+
+// compact rewrites all live cells contiguously at the end of the page, in
+// slot order, reclaiming garbage. Slot numbers are preserved.
 func (p *Page) compact() {
-	n := p.NSlots()
-	type live struct {
-		slot int
-		data []byte
-	}
-	cells := make([]live, 0, n)
-	for i := 0; i < n; i++ {
+	scratch := compactScratch.Get().(*[]byte)
+	old := (*scratch)[:len(p.b)]
+	start := p.cellStart()
+	copy(old[start:], p.b[start:])
+	w := len(p.b)
+	for i, n := 0, p.NSlots(); i < n; i++ {
 		off := p.slot(i)
 		if off == freeSlotMarker {
 			continue
 		}
-		size := int(p.u16(int(off)))
-		data := make([]byte, size)
-		copy(data, p.b[int(off)+2:int(off)+2+size])
-		cells = append(cells, live{i, data})
+		cell := old[off : int(off)+2+int(binary.LittleEndian.Uint16(old[off:]))]
+		w -= len(cell)
+		copy(p.b[w:], cell)
+		p.setSlot(i, uint16(w))
 	}
-	w := len(p.b)
-	for _, c := range cells {
-		w -= len(c.data) + 2
-		p.setU16(w, uint16(len(c.data)))
-		copy(p.b[w+2:], c.data)
-		p.setSlot(c.slot, uint16(w))
-	}
+	compactScratch.Put(scratch)
 	p.setCellStart(w)
 	p.setGarbage(0)
 }
