@@ -130,70 +130,6 @@ func BenchmarkFig2LockCalls(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedThroughput compares end-to-end throughput of the three
-// protocols under a concurrent mixed workload on a shared key range —
-// the §5 concurrency/performance claim.
-func BenchmarkMixedThroughput(b *testing.B) {
-	for _, p := range protocols {
-		b.Run(p.name, func(b *testing.B) {
-			d, tbl := primedDB(b, p.proto, 2000)
-			var seq atomic.Int64
-			var deadlocks atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				g := workload.New(workload.Spec{
-					Keys: 4000, ReadFrac: 0.6, InsertFrac: 0.25, DeleteFrac: 0.15,
-					Seed: seq.Add(1),
-				})
-				for pb.Next() {
-					op := g.Next()
-					tx := d.MustBegin()
-					var err error
-					switch op.Kind {
-					case workload.Read:
-						_, err = tbl.Get(tx, op.Key)
-						if errors.Is(err, db.ErrNotFound) {
-							err = nil
-						}
-					case workload.Insert:
-						err = tbl.Insert(tx, op.Key, op.Value)
-						if errors.Is(err, db.ErrDuplicate) {
-							err = nil
-						}
-					case workload.Delete:
-						err = tbl.Delete(tx, op.Key)
-						if errors.Is(err, db.ErrNotFound) {
-							err = nil
-						}
-					default:
-						n := 0
-						err = tbl.Scan(tx, op.Key, nil, func(db.Row) (bool, error) {
-							n++
-							return n < 16, nil
-						})
-					}
-					if err != nil {
-						if errors.Is(err, ariesim.ErrDeadlock) {
-							deadlocks.Add(1)
-							_ = tx.Rollback()
-							continue
-						}
-						b.Error(err)
-						_ = tx.Rollback()
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(deadlocks.Load()), "deadlocks")
-		})
-	}
-}
-
 // BenchmarkSMOInterference measures reader latency while a background
 // writer continuously splits the readers' pages — §2.1's "retrievals go
 // on concurrently with SMOs" versus the System R baseline.
@@ -465,118 +401,5 @@ func BenchmarkTreeLatchVsTreeLock(b *testing.B) {
 				}
 			})
 		})
-	}
-}
-
-// BenchmarkCoreOps reports the raw single-threaded cost of the four basic
-// index operations (paper §1.1) at the engine level.
-func BenchmarkCoreOps(b *testing.B) {
-	b.Run("fetch", func(b *testing.B) {
-		d, tbl := primedDB(b, core.DataOnly, 10000)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx := d.MustBegin()
-			if _, err := tbl.Get(tx, bkey((i%10000)*2)); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fetch-next", func(b *testing.B) {
-		d, tbl := primedDB(b, core.DataOnly, 10000)
-		b.ResetTimer()
-		i := 0
-		for i < b.N {
-			tx := d.MustBegin()
-			err := tbl.Scan(tx, bkey(0), nil, func(db.Row) (bool, error) {
-				i++
-				return i < b.N, nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("insert", func(b *testing.B) {
-		d, tbl := primedDB(b, core.DataOnly, 1000)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx := d.MustBegin()
-			if err := tbl.Insert(tx, bkey(1_000_000+i), []byte("bench-insert")); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("delete", func(b *testing.B) {
-		d, tbl := primedDB(b, core.DataOnly, 1000)
-		// Pre-populate enough victims outside the timer.
-		tx := d.MustBegin()
-		for i := 0; i < b.N; i++ {
-			if err := tbl.Insert(tx, bkey(2_000_000+i), []byte("bench-delete")); err != nil {
-				b.Fatal(err)
-			}
-			if i%2000 == 1999 {
-				_ = tx.Commit()
-				tx = d.MustBegin()
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx := d.MustBegin()
-			if err := tbl.Delete(tx, bkey(2_000_000+i)); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCommitForce isolates the synchronous log force at commit — the
-// paper's "number of synchronous log I/Os" efficiency metric (one per
-// commit, none per page write thanks to no-force).
-func BenchmarkCommitForce(b *testing.B) {
-	d, tbl := primedDB(b, core.DataOnly, 100)
-	before := d.Stats().Snap()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := d.MustBegin()
-		if err := tbl.Insert(tx, bkey(3_000_000+i), []byte("x")); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	diff := trace.Diff(before, d.Stats().Snap())
-	b.ReportMetric(float64(diff.LogForces)/float64(b.N), "forces/commit")
-	b.ReportMetric(float64(diff.PageWrites)/float64(b.N), "pagewrites/commit")
-}
-
-// BenchmarkCheckpointOverhead measures a fuzzy checkpoint (no page
-// flushes, no quiesce — two log records plus the table snapshots).
-func BenchmarkCheckpointOverhead(b *testing.B) {
-	d, tbl := primedDB(b, core.DataOnly, 5000)
-	tx := d.MustBegin()
-	for i := 0; i < 50; i++ {
-		_ = tbl.Insert(tx, bkey(4_000_000+i), []byte("dirty"))
-	}
-	_ = tx.Commit()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Checkpoint()
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"sync"
 
 	"ariesim/internal/db"
+	"ariesim/internal/harness"
 	"ariesim/internal/lock"
 	"ariesim/internal/repl"
 	"ariesim/internal/storage"
@@ -308,7 +309,7 @@ func main() {
 // runSweep exhaustively crash-tests every log record boundary of a
 // scripted workload, double-crashing each point mid-restart.
 func runSweep(seed int64) {
-	res, err := db.CrashSweep(db.SweepOpts{
+	res, err := harness.CrashSweep(harness.SweepOpts{
 		Seed: seed,
 		Logf: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
 	})
@@ -324,7 +325,7 @@ func runSweep(seed int64) {
 // crashes it at random points, verifying the acked-commit model exactly
 // after every restart.
 func runChaos(seed int64, workers, crashes int, faults, online bool, redoWorkers, mvccReaders int, secIndex bool) {
-	res, err := db.RunChaosSweep(db.ChaosOpts{
+	res, err := harness.RunChaosSweep(harness.ChaosOpts{
 		Seed:            seed,
 		Workers:         workers,
 		Crashes:         crashes,
@@ -376,7 +377,7 @@ func runStandby(seed int64, workers, commits int, faults, online bool, redoWorke
 		f.DropProb, f.DupProb, f.ReorderProb = 0.15, 0.08, 0.08
 		f.CorruptProb, f.StallProb = 0.05, 0.02
 	}
-	res, err := repl.RunStandbySweep(repl.SweepOpts{
+	res, err := harness.RunStandbySweep(harness.StandbySweepOpts{
 		Seed:            seed,
 		Workers:         workers,
 		PreCrashCommits: commits,

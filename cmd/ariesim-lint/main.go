@@ -11,6 +11,9 @@
 //     package db and, through it, in package mvcc (the MVCC contract:
 //     readers are zero-lock, so a locked fetch or lock.Manager request
 //     anywhere the snapshot path can reach is a bug, not a style problem)
+//   - exclusive mutex acquisitions reachable from the log append path in
+//     package wal (the append path is a lock-free reservation pipeline:
+//     appenders share crashMu's read side and must never serialize)
 //
 // Usage mirrors the go tool: `ariesim-lint ./...` walks the tree rooted at
 // the current directory; bare directory arguments lint just that package
@@ -70,15 +73,17 @@ func main() {
 	}
 
 	findings := 0
-	var snapshotPkgs []parsedFile
+	var parsed []parsedFile
 	for _, path := range files {
 		n, pf := lintFile(path)
 		findings += n
-		if pf.file != nil && readOnlyPathPackages[pf.file.Name.Name] && !strings.HasSuffix(path, "_test.go") {
-			snapshotPkgs = append(snapshotPkgs, pf)
+		if pf.file != nil && !strings.HasSuffix(path, "_test.go") {
+			parsed = append(parsed, pf)
 		}
 	}
-	findings += lintReadOnlyPath(snapshotPkgs)
+	for _, c := range []pathCheck{readOnlyPath, appendPath} {
+		findings += c.lint(parsed)
+	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "ariesim-lint: %d finding(s)\n", findings)
 		os.Exit(1)
@@ -153,43 +158,67 @@ func lintFile(path string) (int, parsedFile) {
 	return n, parsedFile{path: path, fset: fset, file: f}
 }
 
-// readOnlyPathPackages are the packages the snapshot read path runs in:
-// db holds its roots, and the version store's lookups (Read, RowsBetween
-// and whatever cursor or index they walk) are reached from them by name,
-// so a lock-manager call added there is flagged like one in db.
-var readOnlyPathPackages = map[string]bool{"db": true, "mvcc": true}
-
-// snapshotRoots are package db's read-only snapshot entry points and
-// helpers. Everything reachable from them by name must stay zero-lock.
-var snapshotRoots = []string{
-	"BeginReadOnly", "EndReadOnly", "RunReadOnly", "RunReadOnlyWith",
-	"SnapshotBackup", "snapshotGet", "snapshotRead", "snapshotScan",
-	"snapshotScanPrefix", "snapshotScanIndex", "probePage",
-	"snapCursorStart", "snapCursorNext",
+// pathCheck is a reachability gate over a name-based call graph: starting
+// from roots, it follows every call by callee name through the function
+// bodies of the named packages — never descending into stops — and reports
+// each call in a reached function that finding rejects. Name-based
+// reachability over-approximates (any same-named method joins the walk),
+// which is the safe direction for a gate.
+type pathCheck struct {
+	packages map[string]bool
+	roots    []string
+	stops    map[string]bool
+	// finding reports whether call breaks the path's rule, and names it.
+	finding func(call *ast.CallExpr) (bad bool, what string)
+	// rule completes the message "<what> reachable from <rule>".
+	rule string
 }
 
-// dispatchStops are dual-path dispatchers: they branch on tx.Snapshot()
-// between the locked path (legitimate for ordinary transactions) and the
-// snapshot path. The walk does not descend into them — their snapshot
-// branches re-enter through the snapshot* helpers, which are roots — so
-// their locked arms don't false-positive the gate.
-var dispatchStops = map[string]bool{
-	"Get": true, "Scan": true, "ScanPrefix": true,
-	"ScanIndex": true, "ScanIndexRange": true, "ScanSecondary": true,
+// readOnlyPath keeps the snapshot read path zero-lock. Package db holds its
+// roots (the read-only entry points and their helpers), and the version
+// store's lookups (Read, RowsBetween and whatever cursor or index they walk)
+// are reached from them by name, so a lock-manager call added in mvcc is
+// flagged like one in db. The stops are dual-path dispatchers: they branch
+// on tx.Snapshot() between the locked path (legitimate for ordinary
+// transactions) and the snapshot path, whose branches re-enter through the
+// snapshot* helpers, which are roots — so the locked arms don't
+// false-positive the gate.
+var readOnlyPath = pathCheck{
+	packages: map[string]bool{"db": true, "mvcc": true},
+	roots: []string{
+		"BeginReadOnly", "EndReadOnly", "RunReadOnly", "RunReadOnlyWith",
+		"SnapshotBackup", "snapshotGet", "snapshotRead", "snapshotScan",
+		"snapshotScanPrefix", "snapshotScanIndex", "probePage",
+		"snapCursorStart", "snapCursorNext",
+	},
+	stops: map[string]bool{
+		"Get": true, "Scan": true, "ScanPrefix": true,
+		"ScanIndex": true, "ScanIndexRange": true, "ScanSecondary": true,
+	},
+	finding: lockManagerCall,
+	rule:    "the read-only snapshot path (via %s); snapshot readers must stay zero-lock",
 }
 
-// lintReadOnlyPath walks a name-based call graph of the given files
-// (packages db and mvcc) from the snapshot read-path roots and flags
-// lock-manager traffic in any function the walk reaches: calls to the locked read helper fetchRow, to locked
-// fetch variants (Fetch/FetchNext — the NoLock forms are the sanctioned
-// ones), to Lock/Unlock with arguments (a lock.Manager name, unlike a
-// mutex), or to anything through a receiver chain naming the lock
-// manager. Name-based reachability over-approximates (any same-named
-// method joins the walk), which is the safe direction for a gate.
-func lintReadOnlyPath(pkg []parsedFile) int {
+// appendPath keeps the log append path free of exclusive mutexes: Append
+// claims with one fetch-add and publishes under crashMu's shared side, so
+// concurrent appenders never serialize. Force is where the flush pipeline
+// (mutex-guarded by design) begins, so the walk stops there.
+var appendPath = pathCheck{
+	packages: map[string]bool{"wal": true},
+	roots:    []string{"Append", "reserveFill"},
+	stops:    map[string]bool{"Force": true},
+	finding:  exclusiveLockCall,
+	rule:     "the log append path (via %s); appenders must never serialize",
+}
+
+// lint runs the check over the files of its packages among parsed.
+func (c pathCheck) lint(parsed []parsedFile) int {
 	decls := map[string][]parsedFile{}
 	bodies := map[string][]*ast.FuncDecl{}
-	for _, pf := range pkg {
+	for _, pf := range parsed {
+		if !c.packages[pf.file.Name.Name] {
+			continue
+		}
 		for _, d := range pf.file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				decls[fd.Name.Name] = append(decls[fd.Name.Name], pf)
@@ -198,11 +227,11 @@ func lintReadOnlyPath(pkg []parsedFile) int {
 		}
 	}
 	reached := map[string]bool{}
-	queue := append([]string(nil), snapshotRoots...)
+	queue := append([]string(nil), c.roots...)
 	for len(queue) > 0 {
 		name := queue[0]
 		queue = queue[1:]
-		if reached[name] || bodies[name] == nil || dispatchStops[name] {
+		if reached[name] || bodies[name] == nil || c.stops[name] {
 			reached[name] = true
 			continue
 		}
@@ -225,7 +254,7 @@ func lintReadOnlyPath(pkg []parsedFile) int {
 	}
 	n := 0
 	for name := range reached {
-		if dispatchStops[name] {
+		if c.stops[name] {
 			continue
 		}
 		for i, fd := range bodies[name] {
@@ -235,9 +264,8 @@ func lintReadOnlyPath(pkg []parsedFile) int {
 				if !ok {
 					return true
 				}
-				if bad, what := lockManagerCall(call); bad {
-					report(pf.fset.Position(call.Pos()),
-						"%s reachable from the read-only snapshot path (via %s); snapshot readers must stay zero-lock", what, name)
+				if bad, what := c.finding(call); bad {
+					report(pf.fset.Position(call.Pos()), "%s reachable from "+c.rule, what, name)
 					n++
 				}
 				return true
@@ -245,6 +273,15 @@ func lintReadOnlyPath(pkg []parsedFile) int {
 		}
 	}
 	return n
+}
+
+// exclusiveLockCall reports whether call acquires a mutex exclusively: a
+// Lock with no arguments (RLock, the shared side, is allowed).
+func exclusiveLockCall(call *ast.CallExpr) (bool, string) {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Lock" && len(call.Args) == 0 {
+		return true, "exclusive mutex Lock"
+	}
+	return false, ""
 }
 
 // lockManagerCall reports whether call is lock-manager traffic: the

@@ -31,7 +31,7 @@ func (t *Table) walkEntries(sec *secondary) error {
 	return err
 }
 `
-	if n := lintReadOnlyPath([]parsedFile{parseSrc(t, "bad.go", src)}); n == 0 {
+	if n := readOnlyPath.lint([]parsedFile{parseSrc(t, "bad.go", src)}); n == 0 {
 		t.Fatal("locked Fetch reachable from snapshotScanIndex was not flagged")
 	}
 }
@@ -60,7 +60,7 @@ func (t *Table) ScanIndexRange(name string) error {
 	return err
 }
 `
-	if n := lintReadOnlyPath([]parsedFile{parseSrc(t, "good.go", src)}); n != 0 {
+	if n := readOnlyPath.lint([]parsedFile{parseSrc(t, "good.go", src)}); n != 0 {
 		t.Fatalf("latch-only index scan flagged %d finding(s); want 0", n)
 	}
 }
@@ -98,7 +98,7 @@ func (it *chainIterator) collect(hi string) ([]Row, error) {
 }
 `
 	pkg := []parsedFile{parseSrc(t, "scan.go", scanThroughStore), parseSrc(t, "store.go", store)}
-	if n := lintReadOnlyPath(pkg); n == 0 {
+	if n := readOnlyPath.lint(pkg); n == 0 {
 		t.Fatal("lock-manager call in an mvcc iterator reachable from snapshotScan was not flagged")
 	}
 }
@@ -125,7 +125,81 @@ func (st *Store) auditUnderLock() error {
 }
 `
 	pkg := []parsedFile{parseSrc(t, "scan.go", scanThroughStore), parseSrc(t, "store.go", store)}
-	if n := lintReadOnlyPath(pkg); n != 0 {
+	if n := readOnlyPath.lint(pkg); n != 0 {
 		t.Fatalf("latch-free store iterator flagged %d finding(s); want 0", n)
+	}
+}
+
+// TestAppendPathFlagsExclusiveLock is the append gate's negative test: a
+// serializing latch on Append — directly or in a helper reserveFill calls —
+// must be flagged.
+func TestAppendPathFlagsExclusiveLock(t *testing.T) {
+	src := `package wal
+
+func (l *Log) Append(r *Record) LSN {
+	l.crashMu.RLock()
+	defer l.crashMu.RUnlock()
+	return l.reserveFill(r, 0)
+}
+
+func (l *Log) reserveFill(r *Record, enc int) LSN {
+	l.account(enc)
+	return 0
+}
+
+func (l *Log) account(enc int) {
+	l.mu.Lock() // an appender serializing on the log mutex
+	l.bytes += enc
+	l.mu.Unlock()
+}
+`
+	if n := appendPath.lint([]parsedFile{parseSrc(t, "bad.go", src)}); n == 0 {
+		t.Fatal("exclusive Lock reachable from Append was not flagged")
+	}
+}
+
+// TestAppendPathAllowsSharedFenceAndForce is the matching positive case:
+// the shared side of the crash fence passes, the mutex-guarded flush
+// pipeline behind Force is not the append path's concern, a same-named
+// function in another package does not join the walk, and a lock-manager
+// Lock (which takes a name) is not a mutex.
+func TestAppendPathAllowsSharedFenceAndForce(t *testing.T) {
+	src := `package wal
+
+func (l *Log) Append(r *Record) LSN {
+	l.crashMu.RLock()
+	lsn := l.reserveFill(r, 0)
+	l.crashMu.RUnlock()
+	return lsn
+}
+
+func (l *Log) reserveFill(r *Record, enc int) LSN {
+	l.resv.Add(1)
+	l.locks.Lock(r.owner, r.name)
+	return 0
+}
+
+func (l *Log) AppendForce(r *Record) LSN {
+	lsn := l.Append(r)
+	l.Force(lsn)
+	return lsn
+}
+
+func (l *Log) Force(lsn LSN) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return true
+}
+`
+	other := `package buffer
+
+func (p *Pool) reserveFill() {
+	p.mu.Lock()
+	p.mu.Unlock()
+}
+`
+	pkg := []parsedFile{parseSrc(t, "good.go", src), parseSrc(t, "pool.go", other)}
+	if n := appendPath.lint(pkg); n != 0 {
+		t.Fatalf("lock-free append path flagged %d finding(s); want 0", n)
 	}
 }

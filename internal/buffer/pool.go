@@ -92,7 +92,7 @@ type MediaRecoverer func(storage.PageID) error
 // hook replays the page's log suffix in place and reports whether it
 // changed the page (and from which LSN), so the pool can install the
 // dirty/recLSN state itself; the hook must NOT call back into the pool
-// (the serial-I/O path runs it under the shard lock). A hook error
+// (it runs inside the loading-frame protocol). A hook error
 // withdraws the frame exactly like a failed read: parked fixers fail fast
 // and a later Fix retries from scratch. Because the hook rides the
 // loading-frame protocol, N concurrent fixers of one page cost exactly
@@ -181,11 +181,6 @@ type Config struct {
 	// and clamped so each shard holds at least one frame. Zero uses
 	// DefaultShards; one reproduces a single-mutex pool.
 	Shards int
-	// SerialIO makes miss reads and eviction writebacks run while holding
-	// the shard lock, and routes Unfix/MarkDirty through it — the
-	// historical single-global-mutex pool, kept as an honest benchmark
-	// baseline (pair it with Shards: 1).
-	SerialIO bool
 }
 
 // Pool is the buffer pool.
@@ -194,7 +189,6 @@ type Pool struct {
 	log      *wal.Log
 	stats    *trace.Stats
 	capacity int
-	serialIO bool
 
 	shards []poolShard
 	mask   uint64
@@ -244,7 +238,6 @@ func NewPoolWith(disk *storage.Disk, log *wal.Log, cfg Config, stats *trace.Stat
 		log:      log,
 		stats:    stats,
 		capacity: cfg.Capacity,
-		serialIO: cfg.SerialIO,
 		shards:   make([]poolShard, n),
 		mask:     uint64(n - 1),
 	}
@@ -317,10 +310,8 @@ func (p *Pool) recoveryHook() RecoveryHook {
 }
 
 // runRecoveryHook applies the installed hook (if any) to a freshly read
-// frame, installing the resulting dirty/recLSN state directly — MarkDirty
-// would deadlock on the serial-I/O path, which calls this under the shard
-// lock. No latch is needed: the frame is still loading, so no other fixer
-// can hold it.
+// frame, installing the resulting dirty/recLSN state directly. No latch is
+// needed: the frame is still loading, so no other fixer can hold it.
 func (p *Pool) runRecoveryHook(f *Frame) error {
 	hook := p.recoveryHook()
 	if hook == nil {
@@ -489,26 +480,6 @@ func (p *Pool) Fix(id storage.PageID) (*Frame, error) {
 		return nil, err
 	}
 
-	if p.serialIO {
-		// Baseline mode: the read happens under the shard lock, exactly as
-		// the historical single-mutex pool did.
-		err := p.readPage(id, f.Page.Bytes())
-		if err == nil {
-			err = p.runRecoveryHook(f)
-		}
-		if err != nil {
-			s.removeLocked(f)
-		}
-		close(f.ready)
-		s.mu.Unlock()
-		if err != nil {
-			f.pins.Add(-1)
-			f.loadErr = err
-			return nil, err
-		}
-		return f, nil
-	}
-
 	s.mu.Unlock()
 	err := p.readPage(id, f.Page.Bytes())
 	if err == nil {
@@ -532,11 +503,6 @@ func (p *Pool) Fix(id storage.PageID) (*Frame, error) {
 // Unfix releases one pin on the frame and grants it a clock second chance.
 // Lock-free: it must never contend with other pages' fixes.
 func (p *Pool) Unfix(f *Frame) {
-	if p.serialIO {
-		s := p.shardOf(f.id)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	if f.pins.Add(-1) < 0 {
 		panic(fmt.Sprintf("buffer: unfix of unpinned page %d", f.id))
 	}
@@ -548,11 +514,6 @@ func (p *Pool) Unfix(f *Frame) {
 // becomes the frame's recLSN (the dirty page table entry ARIES redo
 // starts from). Touches only the frame's own mutex.
 func (p *Pool) MarkDirty(f *Frame, lsn wal.LSN) {
-	if p.serialIO {
-		s := p.shardOf(f.id)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	f.mu.Lock()
 	if !f.dirty {
 		f.dirty = true
@@ -601,18 +562,6 @@ func (p *Pool) evictLocked(s *poolShard) error {
 			f.pins.Add(1)
 			if p.stats != nil {
 				p.stats.EvictionsDirty.Add(1)
-			}
-			if p.serialIO {
-				err := p.writeBack(f)
-				f.pins.Add(-1)
-				if err != nil {
-					return err
-				}
-				s.removeLocked(f)
-				if p.stats != nil {
-					p.stats.PageEvicted.Add(1)
-				}
-				return nil
 			}
 			s.mu.Unlock()
 			err := p.writeBack(f)
@@ -768,12 +717,8 @@ func (p *Pool) Contains(id storage.PageID) bool {
 // issuing the miss reads concurrently so they overlap on the device queue.
 // It is purely advisory: errors are swallowed (the demand Fix will surface
 // them with full retry/recovery handling) and resident pages are skipped.
-// Returns the number of pages actually fetched. Serial-I/O baseline pools
-// do not prefetch — overlap is the whole point.
+// Returns the number of pages actually fetched.
 func (p *Pool) Prefetch(ids []storage.PageID) int {
-	if p.serialIO || len(ids) == 0 {
-		return 0
-	}
 	var fetched atomic.Int64
 	var wg sync.WaitGroup
 	for _, id := range ids {

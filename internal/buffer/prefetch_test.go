@@ -43,13 +43,3 @@ func TestPrefetchBringsPagesResident(t *testing.T) {
 		t.Fatalf("re-prefetch paid %d extra disk reads", got-misses)
 	}
 }
-
-func TestPrefetchSerialIOPoolDeclines(t *testing.T) {
-	_, _, p, st := newEnvCfg(Config{Capacity: 16, Shards: 1, SerialIO: true})
-	if n := p.Prefetch([]storage.PageID{1, 2, 3}); n != 0 {
-		t.Fatalf("serial-I/O pool prefetched %d pages; overlap is impossible there", n)
-	}
-	if got := st.PagesPrefetched.Load(); got != 0 {
-		t.Fatalf("PagesPrefetched = %d on a serial-I/O pool", got)
-	}
-}

@@ -1,9 +1,12 @@
-package db
+// The chaos sweep is the engine's crash-robustness test; the sweep itself lives in
+// internal/harness (which imports this package, hence the external test
+// package).
+package db_test
 
 import (
 	"testing"
 
-	"ariesim/internal/wal"
+	"ariesim/internal/harness"
 )
 
 // TestChaosSweep runs a scaled-down chaos sweep: concurrent workers
@@ -11,7 +14,7 @@ import (
 // committed-state verification after every restart. The full-size run
 // (8 workers, 20 crashes) is `make chaos`; -short shrinks this further.
 func TestChaosSweep(t *testing.T) {
-	o := ChaosOpts{
+	o := harness.ChaosOpts{
 		Seed:            1,
 		Workers:         8,
 		Crashes:         5,
@@ -24,7 +27,7 @@ func TestChaosSweep(t *testing.T) {
 		o.Crashes = 2
 		o.CommitsPerPhase = 6
 	}
-	res, err := RunChaosSweep(o)
+	res, err := harness.RunChaosSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestChaosSweep(t *testing.T) {
 // the engine mid-recovery. Verification is the same exact committed model.
 // This is the run `make race` puts under the race detector.
 func TestChaosSweepOnlineRestart(t *testing.T) {
-	o := ChaosOpts{
+	o := harness.ChaosOpts{
 		Seed:            3,
 		Workers:         8,
 		Crashes:         6,
@@ -70,7 +73,7 @@ func TestChaosSweepOnlineRestart(t *testing.T) {
 		o.Crashes = 3
 		o.CommitsPerPhase = 6
 	}
-	res, err := RunChaosSweep(o)
+	res, err := harness.RunChaosSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestChaosSweepOnlineRestart(t *testing.T) {
 // index-scan snapshot observation is ledger-verified like a base scan.
 // The full-size runs are `make chaos-index`.
 func TestChaosSweepSecondaryIndex(t *testing.T) {
-	o := ChaosOpts{
+	o := harness.ChaosOpts{
 		Seed:            5,
 		Workers:         8,
 		Crashes:         5,
@@ -112,7 +115,7 @@ func TestChaosSweepSecondaryIndex(t *testing.T) {
 		o.Crashes = 2
 		o.CommitsPerPhase = 6
 	}
-	res, err := RunChaosSweep(o)
+	res, err := harness.RunChaosSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestChaosSweepSecondaryIndex(t *testing.T) {
 // index/base cross-verification at crash boundaries that land while the
 // background drain and loser undo are still running.
 func TestChaosSweepSecondaryIndexOnline(t *testing.T) {
-	o := ChaosOpts{
+	o := harness.ChaosOpts{
 		Seed:            7,
 		Workers:         8,
 		Crashes:         6,
@@ -149,7 +152,7 @@ func TestChaosSweepSecondaryIndexOnline(t *testing.T) {
 		o.Crashes = 3
 		o.CommitsPerPhase = 6
 	}
-	res, err := RunChaosSweep(o)
+	res, err := harness.RunChaosSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,19 +163,4 @@ func TestChaosSweepSecondaryIndexOnline(t *testing.T) {
 		t.Error("no crash landed mid-recovery")
 	}
 	t.Logf("chaos result: %+v", res)
-}
-
-// Acks can arrive against commit order (early lock release lets a
-// transaction commit behind the one whose lock it took and be acknowledged
-// first); the model must end with what the later commit wrote.
-func TestChaosModelFollowsCommitOrder(t *testing.T) {
-	m := &chaosModel{rows: map[string]string{}, at: map[string]wal.LSN{}}
-	val := func(s string) *string { return &s }
-	m.apply(20, map[string]*string{"k": val("second"), "gone": nil})
-	m.apply(10, map[string]*string{"k": val("first"), "gone": val("inserted before the delete")})
-	m.apply(30, map[string]*string{"other": val("x")})
-	got := m.snapshot()
-	if len(got) != 2 || got["k"] != "second" || got["other"] != "x" {
-		t.Fatalf("model = %v, want k=second, other=x", got)
-	}
 }

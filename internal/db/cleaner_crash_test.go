@@ -17,7 +17,6 @@ func TestCleanerCrashFence(t *testing.T) {
 		PageSize:        512,
 		PoolSize:        16, // tight pool: constant dirty-frame churn
 		CleanerInterval: 200 * time.Microsecond,
-		CleanerBatch:    8,
 	})
 	tbl, err := d.CreateTable("t")
 	if err != nil {

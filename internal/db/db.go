@@ -76,44 +76,15 @@ type Options struct {
 	// Zero (the default) keeps forces instantaneous, preserving historical
 	// behavior; a realistic value (50–500µs) makes group commit measurable.
 	LogForceDelay time.Duration
-	// NoGroupCommit disables log-force coalescing: every committer whose
-	// record is not yet stable pays a full serial flush. The concurrency
-	// benchmark's baseline configuration.
-	NoGroupCommit bool
-	// LockShards sets the lock-manager shard count (rounded up to a power
-	// of two). Zero uses lock.DefaultShards; one reproduces the historical
-	// single-mutex lock manager (the benchmark baseline).
-	LockShards int
-	// BufferShards sets the buffer-pool frame-table shard count (rounded
-	// up to a power of two, clamped so every shard owns at least one
-	// frame). Zero uses buffer.DefaultShards; one gives a single-mutex
-	// frame table.
-	BufferShards int
-	// BufferSerialIO makes the pool run miss reads and eviction writebacks
-	// while holding the frame-table lock — the seed pool's behavior, kept
-	// as the buffer benchmark's baseline. Pair with BufferShards: 1.
-	BufferSerialIO bool
 	// CleanerInterval enables the background page cleaner, which flushes
 	// dirty frames ahead of the clock hand every interval so foreground
 	// evictions find clean victims and checkpoint DPTs stay small. Zero
 	// (the default) disables it, preserving historical behavior.
 	CleanerInterval time.Duration
-	// CleanerBatch is the per-shard page budget of one cleaner pass
-	// (default buffer.DefaultCleanerBatch).
-	CleanerBatch int
-	// PageIODelay simulates the latency of one page read or write on the
-	// data device (default 0 keeps tier-1 tests instantaneous). With a
-	// realistic value the buffer benchmark measures I/O overlap, not
-	// map-lookup speed.
-	PageIODelay time.Duration
 	// RedoWorkers sets the restart redo parallelism: zero or one runs the
 	// classic single-threaded redo pass; N > 1 partitions the dirty page
 	// table across N workers by page id (see recovery.RestartOpts).
 	RedoWorkers int
-	// RedoPrefetch sets the restart redo prefetcher's read-ahead depth in
-	// pages. Zero uses recovery.DefaultRedoPrefetch when RedoWorkers > 1;
-	// negative disables prefetching.
-	RedoPrefetch int
 	// OnlineRestart makes Restart open the engine right after the analysis
 	// pass: redo happens on demand at buffer-fix time (plus a background
 	// drain), and loser undo runs in the background under reinstated locks.
@@ -131,9 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PoolSize == 0 {
 		o.PoolSize = 256
-	}
-	if o.LockShards == 0 {
-		o.LockShards = lock.DefaultShards
 	}
 	if o.Stats == nil {
 		o.Stats = &trace.Stats{}
@@ -241,8 +209,6 @@ func Open(opts Options) *DB {
 		cat:   catalog{NextTableID: 1, NextIndexID: 1},
 	}
 	d.log.SetForceDelay(opts.LogForceDelay)
-	d.log.SetGroupCommit(!opts.NoGroupCommit)
-	d.disk.SetIODelay(opts.PageIODelay)
 	lock.RegisterTraceNames()
 	d.upCh = make(chan struct{})
 	close(d.upCh)
@@ -261,16 +227,12 @@ func (d *DB) buildVolatile() {
 		// orphaned epoch's disk after the engine moves on.
 		d.pool.StopCleaner()
 	}
-	d.locks = lock.NewManagerSharded(d.stats, d.opts.LockShards)
+	d.locks = lock.NewManager(d.stats)
 	d.locks.SetWaitTimeout(d.opts.LockWaitTimeout)
 	d.tm = txn.NewManager(log, d.locks)
-	d.pool = buffer.NewPoolWith(disk, log, buffer.Config{
-		Capacity: d.opts.PoolSize,
-		Shards:   d.opts.BufferShards,
-		SerialIO: d.opts.BufferSerialIO,
-	}, d.stats)
+	d.pool = buffer.NewPool(disk, log, d.opts.PoolSize, d.stats)
 	if d.opts.CleanerInterval > 0 {
-		d.pool.StartCleaner(d.opts.CleanerInterval, d.opts.CleanerBatch)
+		d.pool.StartCleaner(d.opts.CleanerInterval, buffer.DefaultCleanerBatch)
 	}
 	d.im = core.NewManager(d.pool, d.stats)
 	d.dm = data.NewManager(d.pool, d.opts.Granularity, d.stats)
@@ -1038,7 +1000,6 @@ func (d *DB) restartOptsLocked(maxUndoSteps int) recovery.RestartOpts {
 	return recovery.RestartOpts{
 		MaxUndoSteps: maxUndoSteps,
 		RedoWorkers:  d.opts.RedoWorkers,
-		RedoPrefetch: d.opts.RedoPrefetch,
 	}
 }
 

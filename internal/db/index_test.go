@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ariesim/internal/trace"
 	"ariesim/internal/txn"
 )
 
@@ -336,3 +337,75 @@ func TestIndexScanWriterOracle(t *testing.T) {
 }
 
 var errAbortOracle = fmt.Errorf("oracle: deliberate abort")
+
+// TestIndexRangeScanCostTracksMatches: a locked ScanIndexRange fixes pages
+// for what it matches — one descent of the secondary tree, the leaves that
+// hold the matching entries, and one heap fetch per match — not for the
+// table it runs on. Quadrupling the table leaves a 16-match scan's fixes
+// where they were (give or take a tree level) and quadrupling the matches
+// grows them about fourfold. Counts, so one run on any box is the evidence.
+func TestIndexRangeScanCostTracksMatches(t *testing.T) {
+	sval := func(i int) []byte { return []byte(fmt.Sprintf("s%08d", i)) }
+	build := func(rows int) (*DB, *Table) {
+		d := Open(Options{PoolSize: 4096})
+		tbl, err := d.CreateTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.CreateIndex("by_val", func(v []byte) []byte { return append([]byte(nil), v...) }); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < rows; lo += 500 {
+			if err := d.RunTxn(func(tx *txn.Tx) error {
+				for i := lo; i < lo+500; i++ {
+					if err := tbl.Insert(tx, key8(i), sval(i)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d, tbl
+	}
+	fixes := func(d *DB, tbl *Table, rows, matches int) uint64 {
+		t.Helper()
+		before := d.Stats().Snap()
+		n := 0
+		if err := d.RunTxn(func(tx *txn.Tx) error {
+			n = 0
+			return tbl.ScanIndexRange(tx, "by_val", sval(rows/2), sval(rows/2+matches-1), func(sk []byte, r Row) (bool, error) {
+				if !bytes.Equal(sk, r.Value) {
+					return false, fmt.Errorf("row %q under key %q", r.Value, sk)
+				}
+				n++
+				return true, nil
+			})
+		}); err != nil || n != matches {
+			t.Fatalf("%d rows: range of %d matched %d: %v", rows, matches, n, err)
+		}
+		return trace.Diff(before, d.Stats().Snap()).PageFixes
+	}
+	const small, big = 2000, 8000
+	ds, ts := build(small)
+	dbig, tbig := build(big)
+	small16, big16, big64 := fixes(ds, ts, small, 16), fixes(dbig, tbig, big, 16), fixes(dbig, tbig, big, 64)
+	t.Logf("page fixes: 16 of %d = %d, 16 of %d = %d, 64 of %d = %d", small, small16, big, big16, big, big64)
+	// Per match: the leaf holding the entry and the heap page holding the
+	// row; per scan: the descent and the leaf boundaries crossed.
+	for _, c := range []struct {
+		matches int
+		got     uint64
+	}{{16, small16}, {16, big16}, {64, big64}} {
+		if limit := uint64(3*c.matches + 8); c.got == 0 || c.got > limit {
+			t.Errorf("a %d-match range scan fixed %d pages, limit %d", c.matches, c.got, limit)
+		}
+	}
+	if big16 > small16+4 {
+		t.Errorf("16 matches cost %d fixes among %d rows but %d among %d: the scan pays for the table", small16, small, big16, big)
+	}
+	if big64 < 2*big16 {
+		t.Errorf("64 matches cost %d fixes, 16 cost %d: the count does not follow the matches", big64, big16)
+	}
+}

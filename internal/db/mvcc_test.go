@@ -406,9 +406,19 @@ func TestMVCCSnapshotOracle(t *testing.T) {
 							ops = append(ops, oracleOp{key: k, present: false})
 							continue
 						}
-						err := tbl.Insert(tx, []byte(k), []byte(v))
-						if errors.Is(err, ErrDuplicate) {
-							err = tbl.Update(tx, []byte(k), []byte(v))
+						// Upsert. Right after an online restart an insert can
+						// find the key (ErrDuplicate) and the update then miss
+						// it (ErrNotFound): the other side of a race with a
+						// loser's undo, retried in place like the chaos
+						// harness's upsert does.
+						var err error
+						for round := 0; round < 4; round++ {
+							if err = tbl.Insert(tx, []byte(k), []byte(v)); !errors.Is(err, ErrDuplicate) {
+								break
+							}
+							if err = tbl.Update(tx, []byte(k), []byte(v)); !errors.Is(err, ErrNotFound) {
+								break
+							}
 						}
 						if err != nil {
 							return err

@@ -118,23 +118,3 @@ func TestParallelRedoByteIdenticalAcrossCrashPoints(t *testing.T) {
 		}
 	}
 }
-
-// TestCrashSweepParallelRedo re-runs the exhaustive crash-point sweep with
-// parallel redo on every fork: every boundary must still recover to the
-// exact covered committed snapshot under full consistency verification.
-func TestCrashSweepParallelRedo(t *testing.T) {
-	opts := SweepOpts{Seed: 99, Txns: 20, RedoWorkers: 8, Logf: t.Logf}
-	if testing.Short() {
-		opts.Txns = 8
-	}
-	res, err := CrashSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Points != res.Records {
-		t.Fatalf("swept %d of %d boundaries", res.Points, res.Records)
-	}
-	if res.Points == 0 {
-		t.Fatal("sweep exercised no crash points")
-	}
-}

@@ -1,6 +1,13 @@
-package db
+// The crash-point sweep is the engine's crash-robustness test; the sweep itself lives in
+// internal/harness (which imports this package, hence the external test
+// package).
+package db_test
 
-import "testing"
+import (
+	"testing"
+
+	"ariesim/internal/harness"
+)
 
 // TestCrashSweepEveryBoundary is the tentpole robustness test: every log
 // record boundary of an SMO-heavy workload becomes a crash point, each
@@ -8,11 +15,11 @@ import "testing"
 // and the recovered state must exactly equal the covered committed
 // snapshot under full consistency verification.
 func TestCrashSweepEveryBoundary(t *testing.T) {
-	opts := SweepOpts{Seed: 42, Logf: t.Logf}
+	opts := harness.SweepOpts{Seed: 42, Logf: t.Logf}
 	if testing.Short() {
 		opts.Txns = 12
 	}
-	res, err := CrashSweep(opts)
+	res, err := harness.CrashSweep(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +54,11 @@ func TestCrashSweepEveryBoundary(t *testing.T) {
 // base table AND the index to the covered committed snapshot, after both
 // the offline double-recovery and the online (re-crashed) restart.
 func TestCrashSweepSecondaryIndex(t *testing.T) {
-	opts := SweepOpts{Seed: 43, Txns: 25, SecondaryIndex: true, Logf: t.Logf}
+	opts := harness.SweepOpts{Seed: 43, Txns: 25, SecondaryIndex: true, Logf: t.Logf}
 	if testing.Short() {
 		opts.Txns = 8
 	}
-	res, err := CrashSweep(opts)
+	res, err := harness.CrashSweep(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +79,8 @@ func TestCrashSweepSecondaryIndex(t *testing.T) {
 // expects identical shape — the substrate promise that lets a failing
 // crash point be replayed exactly.
 func TestCrashSweepDeterministic(t *testing.T) {
-	run := func() *SweepResult {
-		res, err := CrashSweep(SweepOpts{Seed: 7, Txns: 8})
+	run := func() *harness.SweepResult {
+		res, err := harness.CrashSweep(harness.SweepOpts{Seed: 7, Txns: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,5 +89,25 @@ func TestCrashSweepDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if *a != *b {
 		t.Fatalf("same seed, different sweeps:\n  %+v\n  %+v", *a, *b)
+	}
+}
+
+// TestCrashSweepParallelRedo re-runs the exhaustive crash-point sweep with
+// parallel redo on every fork: every boundary must still recover to the
+// exact covered committed snapshot under full consistency verification.
+func TestCrashSweepParallelRedo(t *testing.T) {
+	opts := harness.SweepOpts{Seed: 99, Txns: 20, RedoWorkers: 8, Logf: t.Logf}
+	if testing.Short() {
+		opts.Txns = 8
+	}
+	res, err := harness.CrashSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Points != res.Records {
+		t.Fatalf("swept %d of %d boundaries", res.Points, res.Records)
+	}
+	if res.Points == 0 {
+		t.Fatal("sweep exercised no crash points")
 	}
 }

@@ -1,13 +1,4 @@
-// Chaos sweep: the concurrent, adversarial counterpart of the serial
-// crash-point sweep. N goroutines run a mixed SMO-dense workload through
-// RunTxn — deadlocks, lock-wait timeouts, and engine crashes are repaired
-// by the retry layer, not the workload — while the driver injects disk
-// faults, plants silent corruption, and crashes the engine at random
-// points under live traffic. After every crash the committed state is
-// verified exactly against a model maintained at commit-ack time: every
-// acknowledged commit is durable, no aborted or in-flight effect is
-// visible, and the structural invariants hold.
-package db
+package harness
 
 import (
 	"errors"
@@ -18,11 +9,22 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ariesim/internal/db"
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
 	"ariesim/internal/workload"
 )
+
+// Chaos sweep: the concurrent, adversarial counterpart of the serial
+// crash-point sweep. N goroutines run a mixed SMO-dense workload through
+// RunTxn — deadlocks, lock-wait timeouts, and engine crashes are repaired
+// by the retry layer, not the workload — while the driver injects disk
+// faults, plants silent corruption, and crashes the engine at random
+// points under live traffic. After every crash the committed state is
+// verified exactly against a model maintained at commit-ack time: every
+// acknowledged commit is durable, no aborted or in-flight effect is
+// visible, and the structural invariants hold.
 
 // ChaosOpts configures a chaos sweep. The zero value is a full-size run;
 // every field has a default. The sweep is deterministic in Seed only up to
@@ -78,6 +80,11 @@ type ChaosOpts struct {
 	SecondaryIndex bool
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
+
+	// whileDown is a seam for this package's tests: it runs after every
+	// Crash, with the engine still down, and a non-nil error fails the sweep
+	// right there.
+	whileDown func(point int) error
 }
 
 func (o ChaosOpts) withDefaults() ChaosOpts {
@@ -205,20 +212,6 @@ type chaosSnapObs struct {
 	viaIndex bool
 }
 
-// chaosIndexName is the secondary index the SecondaryIndex option maintains.
-const chaosIndexName = "chaos_by_val"
-
-// chaosIndexExtract derives the secondary key from a row value: the first
-// two bytes. The workload's values collide heavily under it, so the
-// secondary tree exercises duplicate-key paths, and short control values
-// ("dl", "sep") stay legal.
-func chaosIndexExtract(value []byte) []byte {
-	if len(value) > 2 {
-		value = value[:2]
-	}
-	return append([]byte(nil), value...)
-}
-
 // chaosModel is the exact model of acked-committed state. Mutations happen
 // only inside RunTxn OnCommit callbacks — atomically with the commit ack —
 // so at any crash instant the model IS the set of durable transactions.
@@ -250,22 +243,6 @@ func (m *chaosModel) apply(commit wal.LSN, local map[string]*string) {
 	m.mu.Unlock()
 }
 
-// ackHooks returns the RunTxn callbacks that record a committed
-// transaction's staged writes — *local, filled by the body's last attempt —
-// in the snapshot ledger and, at the ack, in the model.
-func ackHooks(model *chaosModel, ledger *chaosSnapLedger, commits *atomic.Int64, local *map[string]*string) (onCommitted func(wal.LSN), onCommit func()) {
-	var commit wal.LSN
-	onCommitted = func(lsn wal.LSN) {
-		commit = lsn
-		ledger.record(lsn, *local)
-	}
-	onCommit = func() {
-		model.apply(commit, *local)
-		commits.Add(1)
-	}
-	return onCommitted, onCommit
-}
-
 func (m *chaosModel) snapshot() map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -276,32 +253,55 @@ func (m *chaosModel) snapshot() map[string]string {
 	return out
 }
 
-// chaosUpsert writes k=v regardless of prior existence and stages the
-// result. The insert/update race with concurrent deleters is looped over:
-// both ErrDuplicate and ErrNotFound are the other side of a race this
-// transaction can immediately retry in place.
-func chaosUpsert(tbl *Table, tx *txn.Tx, k, v []byte, local map[string]*string) error {
-	var err error
-	for i := 0; i < 4; i++ {
-		if err = tbl.Insert(tx, k, v); err == nil {
-			break
-		}
-		if !errors.Is(err, ErrDuplicate) {
-			return err
-		}
-		if err = tbl.Update(tx, k, v); err == nil {
-			break
-		}
-		if !errors.Is(err, ErrNotFound) {
-			return err
-		}
-	}
-	if err != nil {
+// chaosTable is the table the chaos sweep runs on.
+const chaosTable = "chaos"
+
+// chaosRun is what the sweep's writers share: the engine, the exact model of
+// acked commits, and — when snapshot readers run — the LSN-keyed ledger.
+type chaosRun struct {
+	d       *db.DB
+	model   *chaosModel
+	ledger  *chaosSnapLedger // nil unless the snapshot phase runs
+	commits atomic.Int64
+}
+
+// staged is one transaction attempt's writes: key → new value, nil = deleted.
+type staged map[string]*string
+
+// upsert is the package's upsert plus staging the result.
+func (st staged) upsert(tbl *db.Table, tx *txn.Tx, k, v []byte) error {
+	if err := upsert(tbl, tx, k, v); err != nil {
 		return err
 	}
 	s := string(v)
-	local[string(k)] = &s
+	st[string(k)] = &s
 	return nil
+}
+
+// write runs body as one RunTxn transaction on the chaos table. What the
+// body's last attempt staged is recorded in the ledger once the commit is
+// durable and applied to the model atomically with the ack.
+func (r *chaosRun) write(seed int64, body func(tbl *db.Table, tx *txn.Tx, st staged) error) error {
+	var st staged
+	var commit wal.LSN
+	return r.d.RunTxnWith(db.RunTxnOpts{
+		Seed: seed,
+		OnCommitted: func(lsn wal.LSN) {
+			commit = lsn
+			r.ledger.record(lsn, st)
+		},
+		OnCommit: func() {
+			r.model.apply(commit, st)
+			r.commits.Add(1)
+		},
+	}, func(tx *txn.Tx) error {
+		st = staged{} // fresh staging per attempt
+		tbl, err := r.d.TableFor(tx, chaosTable)
+		if err != nil {
+			return err
+		}
+		return body(tbl, tx, st)
+	})
 }
 
 // RunChaosSweep runs the concurrent crash-under-load chaos sweep and
@@ -309,41 +309,41 @@ func chaosUpsert(tbl *Table, tx *txn.Tx, k, v []byte, local map[string]*string) 
 // the first verification failure, livelock, or unexpected engine error.
 func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	o = o.withDefaults()
-	d := Open(Options{
+	d := db.Open(db.Options{
 		PageSize: o.PageSize, PoolSize: o.PoolSize,
 		LockWaitTimeout: o.LockWaitTimeout,
 		OnlineRestart:   o.OnlineRestart,
 		RedoWorkers:     o.RedoWorkers,
 	})
-	const tableName = "chaos"
-	tbl0, err := d.CreateTable(tableName)
+	tbl0, err := d.CreateTable(chaosTable)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: create table: %v", err)
 	}
 	if o.SecondaryIndex {
-		if err := tbl0.CreateIndex(chaosIndexName, chaosIndexExtract); err != nil {
+		if err := tbl0.CreateIndex(indexName, indexExtract); err != nil {
 			return nil, fmt.Errorf("chaos: create index: %v", err)
 		}
 	}
 	// verifyState checks an engine's visible rows (and, with SecondaryIndex,
 	// the index/base cross-consistency) against a model snapshot.
-	verifyState := func(vd *DB, want map[string]string) error {
-		if err := verifyAgainst(vd, tableName, want); err != nil {
+	verifyState := func(vd *db.DB, want map[string]string) error {
+		if err := verifyRows(vd, chaosTable, want); err != nil {
 			return err
 		}
+		if err := vd.VerifyConsistency(); err != nil {
+			return fmt.Errorf("consistency: %v", err)
+		}
 		if o.SecondaryIndex {
-			return verifyIndexAgainst(vd, tableName, chaosIndexName, want)
+			return verifyIndex(vd, chaosTable, want)
 		}
 		return nil
 	}
-	model := &chaosModel{rows: map[string]string{}, at: map[string]wal.LSN{}}
-	var commits atomic.Int64
+	run := &chaosRun{d: d, model: &chaosModel{rows: map[string]string{}, at: map[string]wal.LSN{}}}
+	if o.SnapshotReaders > 0 {
+		run.ledger = &chaosSnapLedger{entries: map[wal.LSN]map[string]*string{}}
+	}
 	var gaveUp atomic.Int64
 	res := &ChaosResult{}
-	var snapLedger *chaosSnapLedger // nil unless the snapshot phase runs
-	if o.SnapshotReaders > 0 {
-		snapLedger = &chaosSnapLedger{entries: map[wal.LSN]map[string]*string{}}
-	}
 
 	// Phase 1: deterministic contention. Guarantees both repair paths —
 	// deadlock victim and lock-wait timeout — are exercised and retried to
@@ -355,7 +355,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		if tries == 5 {
 			return nil, fmt.Errorf("chaos: forced deadlock phase aborted no victim in %d tries", tries)
 		}
-		if err := forceDeadlockRepair(d, tableName, model, &commits, snapLedger, o.Seed+int64(tries)); err != nil {
+		if err := forceDeadlockRepair(run, o.Seed+int64(tries)); err != nil {
 			return nil, err
 		}
 	}
@@ -363,7 +363,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		if tries == 5 {
 			return nil, fmt.Errorf("chaos: forced timeout phase timed nothing out in %d tries", tries)
 		}
-		if err := forceTimeoutRepair(d, tableName, model, &commits, snapLedger, o.Seed+int64(tries), o.LockWaitTimeout); err != nil {
+		if err := forceTimeoutRepair(run, o.Seed+int64(tries), o.LockWaitTimeout); err != nil {
 			return nil, err
 		}
 	}
@@ -398,6 +398,18 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		defer workerErrMu.Unlock()
 		return workerErr
 	}
+	// fail ends the run with err. With the engine down the workers are parked
+	// in AwaitUp inside RunTxn, which only a Restart releases: they are
+	// abandoned there, not waited for, so the failure is reported instead of
+	// the process dying with every goroutine asleep.
+	down := false
+	fail := func(err error) (*ChaosResult, error) {
+		close(stop)
+		if !down {
+			wg.Wait()
+		}
+		return nil, err
+	}
 
 	hot := [][]byte{[]byte("hot-0"), []byte("hot-1"), []byte("hot-2")}
 	for w := 0; w < o.Workers; w++ {
@@ -409,21 +421,13 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 				Seed: o.Seed + int64(w)*101,
 			})
 			rng := rand.New(rand.NewSource(o.Seed + int64(w)*977))
-			var local map[string]*string
 			for iter := 0; ; iter++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				opts := RunTxnOpts{Seed: o.Seed + int64(w)*1000003 + int64(iter)}
-				opts.OnCommitted, opts.OnCommit = ackHooks(model, snapLedger, &commits, &local)
-				err := d.RunTxnWith(opts, func(tx *txn.Tx) error {
-					local = map[string]*string{} // fresh staging per attempt
-					tbl, err := d.TableFor(tx, tableName)
-					if err != nil {
-						return err
-					}
+				err := run.write(o.Seed+int64(w)*1000003+int64(iter), func(tbl *db.Table, tx *txn.Tx, st staged) error {
 					val := []byte(fmt.Sprintf("w%d-i%d", w, iter))
 					switch {
 					case w < 2:
@@ -433,22 +437,22 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 						if w == 1 {
 							a, b = b, a
 						}
-						if err := chaosUpsert(tbl, tx, a, val, local); err != nil {
+						if err := st.upsert(tbl, tx, a, val); err != nil {
 							return err
 						}
-						if err := chaosUpsert(tbl, tx, b, val, local); err != nil {
+						if err := st.upsert(tbl, tx, b, val); err != nil {
 							return err
 						}
 					case w == 2 && iter%7 == 0:
 						// Slow holder: sits on a hot key past the lock-wait
 						// timeout so contenders time out and retry.
-						if err := chaosUpsert(tbl, tx, hot[2], val, local); err != nil {
+						if err := st.upsert(tbl, tx, hot[2], val); err != nil {
 							return err
 						}
 						time.Sleep(o.LockWaitTimeout * 3 / 2)
 					default:
 						if rng.Intn(4) == 0 {
-							if err := chaosUpsert(tbl, tx, hot[2], val, local); err != nil {
+							if err := st.upsert(tbl, tx, hot[2], val); err != nil {
 								return err
 							}
 						}
@@ -462,8 +466,8 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 							switch {
 							case err == nil:
 								v := string(op.Value)
-								local[string(op.Key)] = &v
-							case errors.Is(err, ErrDuplicate):
+								st[string(op.Key)] = &v
+							case errors.Is(err, db.ErrDuplicate):
 								// key exists; fine
 							default:
 								return err
@@ -472,13 +476,13 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 							err := tbl.Delete(tx, op.Key)
 							switch {
 							case err == nil:
-								local[string(op.Key)] = nil
-							case errors.Is(err, ErrNotFound):
+								st[string(op.Key)] = nil
+							case errors.Is(err, db.ErrNotFound):
 							default:
 								return err
 							}
 						default:
-							if _, err := tbl.Get(tx, op.Key); err != nil && !errors.Is(err, ErrNotFound) {
+							if _, err := tbl.Get(tx, op.Key); err != nil && !errors.Is(err, db.ErrNotFound) {
 								return err
 							}
 						}
@@ -492,7 +496,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					// The give-up error wraps its contention/crash cause, so
 					// ClassifyErr sees through it; anything genuinely fatal
 					// fails the run.
-					if ClassifyErr(err) == ClassFatal {
+					if db.ClassifyErr(err) == db.ClassFatal {
 						failWorker(fmt.Errorf("chaos: worker %d: %w", w, err))
 						return
 					}
@@ -520,13 +524,13 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 				}
 				var obs *chaosSnapObs
 				viaIndex := o.SecondaryIndex && iter%2 == 1
-				err := d.RunReadOnlyWith(RunTxnOpts{
+				err := d.RunReadOnlyWith(db.RunTxnOpts{
 					Seed:          o.Seed + int64(r)*7919 + int64(iter),
 					RetryDeadline: o.WatchdogPatience,
 				}, func(tx *txn.Tx) error {
 					obs = nil
 					snap := tx.Snapshot()
-					tbl, err := d.TableFor(tx, tableName)
+					tbl, err := d.TableFor(tx, chaosTable)
 					if err != nil {
 						return err
 					}
@@ -534,8 +538,8 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					if viaIndex && snap != nil {
 						// Index-order scan through the lock-free chain merge;
 						// the pair must agree with the extractor on the spot.
-						if err := tbl.ScanIndex(tx, chaosIndexName, func(sk []byte, row Row) (bool, error) {
-							if string(sk) != string(chaosIndexExtract(row.Value)) {
+						if err := tbl.ScanIndex(tx, indexName, func(sk []byte, row db.Row) (bool, error) {
+							if string(sk) != string(indexExtract(row.Value)) {
 								return false, fmt.Errorf("index scan pair %q / %q disagrees with extractor", sk, row.Value)
 							}
 							if _, dup := rows[string(row.Key)]; dup {
@@ -546,7 +550,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 						}); err != nil {
 							return err
 						}
-					} else if err := tbl.Scan(tx, nil, nil, func(row Row) (bool, error) {
+					} else if err := tbl.Scan(tx, nil, nil, func(row db.Row) (bool, error) {
 						rows[string(row.Key)] = string(row.Value)
 						return true, nil
 					}); err != nil {
@@ -558,7 +562,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					return nil
 				})
 				if err != nil {
-					if ClassifyErr(err) == ClassFatal {
+					if db.ClassifyErr(err) == db.ClassFatal {
 						failWorker(fmt.Errorf("chaos: snapshot reader %d: %w", r, err))
 						return
 					}
@@ -575,21 +579,57 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	}
 
 	crashRNG := rand.New(rand.NewSource(o.Seed * 31))
+	// crashRestart crashes the engine and snapshots the model — commits are
+	// acked under the same mutex Crash holds, so nothing can slip into the
+	// model after the crash instant — then forks the crashed stable state and
+	// restarts both. The workers resume traffic on the engine at once; the
+	// fork proves what a recovery of this exact crash instant yields.
+	crashRestart := func(c int, what string, corrupt bool) (*db.DB, map[string]string, error) {
+		d.Crash()
+		down = true
+		snap := run.model.snapshot()
+		if o.whileDown != nil {
+			if err := o.whileDown(c); err != nil {
+				return nil, nil, fmt.Errorf("chaos: crash %d: %w", c, err)
+			}
+		}
+		if corrupt {
+			// Both the fork and the restarted engine must heal it.
+			if ids := d.Disk().PageIDs(); len(ids) > 0 {
+				victim := ids[crashRNG.Intn(len(ids))]
+				d.Disk().CorruptBits(victim, crashRNG.Intn(o.PageSize-1)+1, byte(crashRNG.Intn(255)+1))
+			}
+		}
+		fork := d.Fork()
+		if _, err := fork.Restart(); err != nil {
+			return nil, nil, fmt.Errorf("chaos: crash %d: %sfork restart: %v", c, what, err)
+		}
+		if _, err := d.Restart(); err != nil {
+			return nil, nil, fmt.Errorf("chaos: crash %d: %srestart: %v", c, what, err)
+		}
+		down = false
+		return fork, snap, nil
+	}
+	checkFork := func(c int, what string, fork *db.DB, want map[string]string) error {
+		if _, err := fork.AwaitRecovered(); err != nil {
+			return fmt.Errorf("chaos: crash %d: %sfork await recovered: %v", c, what, err)
+		}
+		if err := verifyState(fork, want); err != nil {
+			return fmt.Errorf("chaos: crash %d: %s%v", c, what, err)
+		}
+		return nil
+	}
 	for c := 0; c < o.Crashes; c++ {
 		// Let traffic accumulate, with the livelock watchdog running.
-		target := commits.Load() + int64(o.CommitsPerPhase)
+		target := run.commits.Load() + int64(o.CommitsPerPhase)
 		deadline := time.Now().Add(o.WatchdogPatience)
-		for commits.Load() < target {
+		for run.commits.Load() < target {
 			if err := failed(); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, err
+				return fail(err)
 			}
 			if time.Now().After(deadline) {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("chaos: livelock: %d/%d commits after %v at crash point %d (retry throughput collapsed)",
-					commits.Load()-(target-int64(o.CommitsPerPhase)), o.CommitsPerPhase, o.WatchdogPatience, c)
+				return fail(fmt.Errorf("chaos: livelock: %d/%d commits after %v at crash point %d (retry throughput collapsed)",
+					run.commits.Load()-(target-int64(o.CommitsPerPhase)), o.CommitsPerPhase, o.WatchdogPatience, c))
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -604,33 +644,11 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 			_ = d.Pool().FlushAll()
 		}
 
-		// Crash under live traffic, then snapshot the model: commits are
-		// acked under the same mutex Crash holds, so nothing can slip into
-		// the model after the crash instant.
-		d.Crash()
-		snap := model.snapshot()
-		if o.Faults && c%2 == 1 {
-			// Plant silent corruption on the crashed stable state; both the
-			// verification fork and the restarted engine must heal it.
-			if ids := d.Disk().PageIDs(); len(ids) > 0 {
-				victim := ids[crashRNG.Intn(len(ids))]
-				d.Disk().CorruptBits(victim, crashRNG.Intn(o.PageSize-1)+1, byte(crashRNG.Intn(255)+1))
-			}
-		}
-
-		// Verify on a fork of the crashed stable state while the real
-		// engine restarts — the workers resume traffic immediately, and the
-		// fork proves what a recovery of this exact crash instant yields.
-		fork := d.Fork()
-		if _, err := fork.Restart(); err != nil {
-			close(stop)
-			wg.Wait()
-			return nil, fmt.Errorf("chaos: crash %d: fork restart: %v", c, err)
-		}
-		if _, err := d.Restart(); err != nil {
-			close(stop)
-			wg.Wait()
-			return nil, fmt.Errorf("chaos: crash %d: restart: %v", c, err)
+		// Crash under live traffic and verify a recovery of exactly that
+		// instant; plant silent corruption on alternate crashed states.
+		fork, snap, err := crashRestart(c, "", o.Faults && c%2 == 1)
+		if err != nil {
+			return fail(err)
 		}
 
 		// Under online restart the engine is already serving the workers
@@ -641,45 +659,21 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		// recovery of that instant too.
 		if o.OnlineRestart && c%3 == 2 {
 			time.Sleep(time.Duration(crashRNG.Intn(1500)+100) * time.Microsecond)
-			d.Crash()
-			snap2 := model.snapshot()
-			refork := d.Fork()
-			if _, err := refork.Restart(); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("chaos: crash %d: mid-recovery fork restart: %v", c, err)
+			refork, snap2, err := crashRestart(c, "mid-recovery: ", false)
+			if err == nil {
+				err = checkFork(c, "mid-recovery: ", refork, snap2)
 			}
-			if _, err := d.Restart(); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("chaos: crash %d: mid-recovery restart: %v", c, err)
-			}
-			if _, err := refork.AwaitRecovered(); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("chaos: crash %d: mid-recovery fork await: %v", c, err)
-			}
-			if err := verifyState(refork, snap2); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("chaos: crash %d: mid-recovery: %v", c, err)
+			if err != nil {
+				return fail(err)
 			}
 			res.MidRecoveryCrashes++
 		}
-
-		if _, err := fork.AwaitRecovered(); err != nil {
-			close(stop)
-			wg.Wait()
-			return nil, fmt.Errorf("chaos: crash %d: fork await recovered: %v", c, err)
-		}
-		if err := verifyState(fork, snap); err != nil {
-			close(stop)
-			wg.Wait()
-			return nil, fmt.Errorf("chaos: crash %d: %v", c, err)
+		if err := checkFork(c, "", fork, snap); err != nil {
+			return fail(err)
 		}
 		res.Crashes++
 		o.Logf("chaos: crash %2d survived: %4d commits acked, %4d rows verified",
-			c, commits.Load(), len(snap))
+			c, run.commits.Load(), len(snap))
 	}
 
 	close(stop)
@@ -693,7 +687,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	if _, err := d.AwaitRecovered(); err != nil {
 		return nil, fmt.Errorf("chaos: final await recovered: %v", err)
 	}
-	if err := verifyState(d, model.snapshot()); err != nil {
+	if err := verifyState(d, run.model.snapshot()); err != nil {
 		return nil, fmt.Errorf("chaos: final: %v", err)
 	}
 
@@ -709,7 +703,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 				via = "index scan"
 				indexObs++
 			}
-			want := snapLedger.applyThrough(obs.s)
+			want := run.ledger.applyThrough(obs.s)
 			if len(want) != len(obs.rows) {
 				return nil, fmt.Errorf("chaos: torn snapshot (%s) at LSN %d: observed %d rows, ledger has %d",
 					via, obs.s, len(obs.rows), len(want))
@@ -737,7 +731,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		res.SnapshotTooOld = sn.SnapshotTooOld
 		res.ReadOnlyLockCalls = sn.ReadOnlyLockCalls
 	}
-	res.Commits = int(commits.Load())
+	res.Commits = int(run.commits.Load())
 	res.GaveUp = int(gaveUp.Load())
 	res.Deadlocks = sn.Deadlocks
 	res.DeadlockVictims = sn.DeadlockVictims
@@ -766,114 +760,23 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	return res, nil
 }
 
-// verifyAgainst checks that the engine's visible rows are exactly want and
-// that every structural invariant holds.
-func verifyAgainst(d *DB, tableName string, want map[string]string) error {
-	tbl, err := d.Table(tableName)
-	if err != nil {
-		return err
-	}
-	got := map[string]string{}
-	tx, err := d.Begin()
-	if err != nil {
-		return err
-	}
-	if err := tbl.Scan(tx, []byte(""), nil, func(r Row) (bool, error) {
-		got[string(r.Key)] = string(r.Value)
-		return true, nil
-	}); err != nil {
-		return fmt.Errorf("verify scan: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	for k, v := range want {
-		gv, ok := got[k]
-		if !ok {
-			return fmt.Errorf("committed row %q missing after restart (want %q)", k, v)
-		}
-		if gv != v {
-			return fmt.Errorf("row %q = %q after restart, want %q", k, gv, v)
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			return fmt.Errorf("phantom row %q visible after restart (uncommitted effect?)", k)
-		}
-	}
-	if err := d.VerifyConsistency(); err != nil {
-		return fmt.Errorf("consistency: %v", err)
-	}
-	return nil
-}
-
-// verifyIndexAgainst cross-checks a secondary index against the committed
-// model: an index-order scan must yield every committed row exactly once,
-// under exactly the key the extractor derives from its committed value, and
-// nothing else — zero base/index divergence at this crash boundary.
-func verifyIndexAgainst(d *DB, tableName, indexName string, want map[string]string) error {
-	tbl, err := d.Table(tableName)
-	if err != nil {
-		return err
-	}
-	tx, err := d.Begin()
-	if err != nil {
-		return err
-	}
-	got := map[string]string{} // primary key → secondary key observed
-	if err := tbl.ScanIndex(tx, indexName, func(sk []byte, r Row) (bool, error) {
-		if prev, dup := got[string(r.Key)]; dup {
-			return false, fmt.Errorf("index %q: row %q indexed twice (%q and %q)", indexName, r.Key, prev, sk)
-		}
-		got[string(r.Key)] = string(sk)
-		wv, ok := want[string(r.Key)]
-		if !ok {
-			return false, fmt.Errorf("index %q: orphan entry %q → uncommitted row %q", indexName, sk, r.Key)
-		}
-		if string(r.Value) != wv {
-			return false, fmt.Errorf("index %q: row %q = %q through the index, committed value %q", indexName, r.Key, r.Value, wv)
-		}
-		return true, nil
-	}); err != nil {
-		return fmt.Errorf("index verify scan: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	for k, v := range want {
-		sk, ok := got[k]
-		if !ok {
-			return fmt.Errorf("index %q: committed row %q missing from index", indexName, k)
-		}
-		if wantSK := string(chaosIndexExtract([]byte(v))); sk != wantSK {
-			return fmt.Errorf("index %q: row %q indexed under %q, extractor derives %q", indexName, k, sk, wantSK)
-		}
-	}
-	return nil
-}
-
 // forceDeadlockRepair rendezvouses two RunTxn transactions so each holds
 // one of two keys before requesting the other's — a guaranteed waits-for
 // cycle. The victim selection aborts one; RunTxn retries it to success.
-// A committed separator key sits between the two so their initial inserts
-// are not next-key neighbors (adjacent inserts would couple through the
-// next-key lock before the rendezvous).
-func forceDeadlockRepair(d *DB, tableName string, model *chaosModel, commits *atomic.Int64, ledger *chaosSnapLedger, seed int64) error {
-	var sepLocal map[string]*string
-	opts := RunTxnOpts{Seed: seed + 17}
-	opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &sepLocal)
-	err := d.RunTxnWith(opts, func(tx *txn.Tx) error {
-		sepLocal = map[string]*string{}
-		tbl, err := d.TableFor(tx, tableName)
-		if err != nil {
-			return err
-		}
-		return chaosUpsert(tbl, tx, []byte("force-dl-ab-sep"), []byte("sep"), sepLocal)
+// A committed separator row sits between the two, by key and — for the
+// secondary index — by value, so their initial inserts are not next-key
+// neighbors in either tree (adjacent inserts would couple through the
+// next-key lock before the rendezvous, and the blocked one would time out
+// there until it gave up).
+func forceDeadlockRepair(run *chaosRun, seed int64) error {
+	err := run.write(seed+17, func(tbl *db.Table, tx *txn.Tx, st staged) error {
+		return st.upsert(tbl, tx, []byte("force-dl-ab-sep"), []byte("dl-m"))
 	})
 	if err != nil {
 		return fmt.Errorf("chaos: forced deadlock separator: %w", err)
 	}
 	keys := [2][]byte{[]byte("force-dl-a"), []byte("force-dl-b")}
+	vals := [2][]byte{[]byte("dl-a"), []byte("dl-z")}
 	var barrier sync.WaitGroup
 	barrier.Add(2)
 	var wg sync.WaitGroup
@@ -882,18 +785,10 @@ func forceDeadlockRepair(d *DB, tableName string, model *chaosModel, commits *at
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			first, second := keys[i], keys[1-i]
+			first, second, val := keys[i], keys[1-i], vals[i]
 			rendezvoused := false
-			var local map[string]*string
-			opts := RunTxnOpts{Seed: seed + int64(i) + 51}
-			opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &local)
-			errs[i] = d.RunTxnWith(opts, func(tx *txn.Tx) error {
-				local = map[string]*string{}
-				tbl, err := d.TableFor(tx, tableName)
-				if err != nil {
-					return err
-				}
-				if err := chaosUpsert(tbl, tx, first, []byte("dl"), local); err != nil {
+			errs[i] = run.write(seed+int64(i)+51, func(tbl *db.Table, tx *txn.Tx, st staged) error {
+				if err := st.upsert(tbl, tx, first, val); err != nil {
 					return err
 				}
 				if !rendezvoused {
@@ -904,8 +799,11 @@ func forceDeadlockRepair(d *DB, tableName string, model *chaosModel, commits *at
 					barrier.Done()
 					barrier.Wait()
 				}
-				return chaosUpsert(tbl, tx, second, []byte("dl"), local)
+				return st.upsert(tbl, tx, second, val)
 			})
+			if !rendezvoused {
+				barrier.Done() // gave up before the rendezvous: don't strand the partner there
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -920,7 +818,7 @@ func forceDeadlockRepair(d *DB, tableName string, model *chaosModel, commits *at
 // forceTimeoutRepair parks one transaction on a key well past the lock-wait
 // timeout while another requests it: the waiter must time out and RunTxn
 // must retry it to success once the holder commits.
-func forceTimeoutRepair(d *DB, tableName string, model *chaosModel, commits *atomic.Int64, ledger *chaosSnapLedger, seed int64, timeout time.Duration) error {
+func forceTimeoutRepair(run *chaosRun, seed int64, timeout time.Duration) error {
 	key := []byte("force-to")
 	holderHas := make(chan struct{})
 	var once sync.Once
@@ -929,16 +827,8 @@ func forceTimeoutRepair(d *DB, tableName string, model *chaosModel, commits *ato
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var local map[string]*string
-		opts := RunTxnOpts{Seed: seed + 97}
-		opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &local)
-		holderErr = d.RunTxnWith(opts, func(tx *txn.Tx) error {
-			local = map[string]*string{}
-			tbl, err := d.TableFor(tx, tableName)
-			if err != nil {
-				return err
-			}
-			if err := chaosUpsert(tbl, tx, key, []byte("held"), local); err != nil {
+		holderErr = run.write(seed+97, func(tbl *db.Table, tx *txn.Tx, st staged) error {
+			if err := st.upsert(tbl, tx, key, []byte("held")); err != nil {
 				return err
 			}
 			once.Do(func() { close(holderHas) })
@@ -947,16 +837,8 @@ func forceTimeoutRepair(d *DB, tableName string, model *chaosModel, commits *ato
 		})
 	}()
 	<-holderHas
-	var local map[string]*string
-	opts := RunTxnOpts{Seed: seed + 193}
-	opts.OnCommitted, opts.OnCommit = ackHooks(model, ledger, commits, &local)
-	waiterErr := d.RunTxnWith(opts, func(tx *txn.Tx) error {
-		local = map[string]*string{}
-		tbl, err := d.TableFor(tx, tableName)
-		if err != nil {
-			return err
-		}
-		return chaosUpsert(tbl, tx, key, []byte("won"), local)
+	waiterErr := run.write(seed+193, func(tbl *db.Table, tx *txn.Tx, st staged) error {
+		return st.upsert(tbl, tx, key, []byte("won"))
 	})
 	wg.Wait()
 	if holderErr != nil {

@@ -1,4 +1,4 @@
-package repl
+package harness
 
 import (
 	"errors"
@@ -11,6 +11,7 @@ import (
 
 	"ariesim/internal/db"
 	"ariesim/internal/recovery"
+	"ariesim/internal/repl"
 	"ariesim/internal/trace"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
@@ -32,8 +33,8 @@ import (
 //     that prefix — the standby is a correct crash point everywhere, not
 //     just where we happened to promote.
 
-// SweepOpts configures RunStandbySweep. The zero value is usable.
-type SweepOpts struct {
+// StandbySweepOpts configures RunStandbySweep. The zero value is usable.
+type StandbySweepOpts struct {
 	Seed    int64
 	Workers int // concurrent client goroutines (default 3)
 	// PreCrashCommits is how many acked commits to accumulate before the
@@ -44,7 +45,7 @@ type SweepOpts struct {
 	PostPromoteCommits int
 	Keys               int // hot-key space (default 40)
 	// Faults is the channel fault profile (zero = perfect channel).
-	Faults ChannelFaults
+	Faults repl.ChannelFaults
 	// SyncGate installs the semi-sync commit gate: commits ack only once
 	// standby-durable, making the zero-acked-loss assertion airtight.
 	// Without it shipping is asynchronous and the sweep only asserts the
@@ -62,7 +63,7 @@ type SweepOpts struct {
 	Logf           func(string, ...any)
 }
 
-func (o SweepOpts) withDefaults() SweepOpts {
+func (o StandbySweepOpts) withDefaults() StandbySweepOpts {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -93,8 +94,8 @@ func (o SweepOpts) withDefaults() SweepOpts {
 	return o
 }
 
-// SweepResult summarizes one standby sweep.
-type SweepResult struct {
+// StandbySweepResult summarizes one standby sweep.
+type StandbySweepResult struct {
 	CommitsAcked     int // commits acknowledged to clients (both nodes)
 	CommitsUnacked   int // ambiguous gate failures (ErrCommitUnacked)
 	ResolvedIn       int // ambiguous commits whose records reached the standby
@@ -108,7 +109,7 @@ type SweepResult struct {
 	Naks             uint64
 	Reseeds          uint64
 	ZombieRejected   uint64 // old-epoch segments rejected after promotion
-	Channel          ChannelCounts
+	Channel          repl.ChannelCounts
 	LagP50, LagP99   float64 // applied-lag percentiles, log bytes
 }
 
@@ -204,71 +205,30 @@ func modelRows(rows map[string]string, entries []*sweepEntry, commits map[wal.LS
 	return rows
 }
 
-// verifyRows checks that the engine's table is exactly want.
-func verifyRows(d *db.DB, table string, want map[string]string) error {
-	tbl, err := d.Table(table)
-	if err != nil {
+// apply performs op: an upsert, or a delete that treats an absent key as a
+// no-op mutation.
+func (op sweepOp) apply(tbl *db.Table, tx *txn.Tx) error {
+	if !op.del {
+		return upsert(tbl, tx, []byte(op.key), []byte(op.val))
+	}
+	if err := tbl.Delete(tx, []byte(op.key)); !errors.Is(err, db.ErrNotFound) {
 		return err
-	}
-	got := map[string]string{}
-	tx, err := d.Begin()
-	if err != nil {
-		return err
-	}
-	if err := tbl.Scan(tx, []byte(""), nil, func(r db.Row) (bool, error) {
-		got[string(r.Key)] = string(r.Value)
-		return true, nil
-	}); err != nil {
-		_ = tx.Rollback()
-		return fmt.Errorf("scan: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	for k, v := range want {
-		gv, ok := got[k]
-		if !ok {
-			return fmt.Errorf("committed row %q missing (want %q)", k, v)
-		}
-		if gv != v {
-			return fmt.Errorf("row %q = %q, want %q", k, gv, v)
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			return fmt.Errorf("phantom row %q (uncommitted effect?)", k)
-		}
 	}
 	return nil
 }
 
-func upsert(tbl *db.Table, tx *txn.Tx, op sweepOp) error {
-	if op.del {
-		err := tbl.Delete(tx, []byte(op.key))
-		if errors.Is(err, db.ErrNotFound) {
-			return nil // deleting an absent key is a no-op mutation
-		}
-		return err
-	}
-	err := tbl.Insert(tx, []byte(op.key), []byte(op.val))
-	if errors.Is(err, db.ErrDuplicate) {
-		return tbl.Update(tx, []byte(op.key), []byte(op.val))
-	}
-	return err
-}
+const standbyTable = "repl_kv"
 
-const sweepTable = "repl_kv"
-
-// RunStandbySweep drives the whole scenario. See the package comment and
-// the file comment for the verification contract.
-func RunStandbySweep(o SweepOpts) (*SweepResult, error) {
+// RunStandbySweep drives the whole scenario. See the comment at the top of
+// this file for the verification contract.
+func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	o = o.withDefaults()
-	res := &SweepResult{}
+	res := &StandbySweepResult{}
 
 	// ---- Build the primary, the channel, the standby, the shipper.
 	pOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers, Stats: &trace.Stats{}}
 	primary := db.Open(pOpts)
-	if _, err := primary.CreateTable(sweepTable); err != nil {
+	if _, err := primary.CreateTable(standbyTable); err != nil {
 		return nil, err
 	}
 	meta := primary.Disk().ReadMeta()
@@ -277,13 +237,13 @@ func RunStandbySweep(o SweepOpts) (*SweepResult, error) {
 	// truncated inside the setup prefix describes a half-built catalog.
 	setupLSN := primary.Log().StableLSN()
 
-	ch := NewChannel(o.Faults)
+	ch := repl.NewChannel(o.Faults)
 	sOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers,
 		OnlineRestart: o.OnlineRestart, Stats: &trace.Stats{}}
-	standby := NewStandby(ch, meta, StandbyOpts{DBOpts: sOpts, Epoch: 1, ApplyWorkers: o.RedoWorkers})
+	standby := repl.NewStandby(ch, meta, repl.StandbyOpts{DBOpts: sOpts, Epoch: 1, ApplyWorkers: o.RedoWorkers})
 	standby.Start()
 
-	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
+	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{
 		Epoch:      1,
 		Retransmit: 2 * time.Millisecond,
 		MetaFn:     func() []byte { return primary.Disk().ReadMeta() },
@@ -350,11 +310,11 @@ func RunStandbySweep(o SweepOpts) (*SweepResult, error) {
 						}
 					},
 				}, func(tx *txn.Tx) error {
-					tbl, err := d.TableFor(tx, sweepTable)
+					tbl, err := d.TableFor(tx, standbyTable)
 					if err != nil {
 						return err
 					}
-					return upsert(tbl, tx, op)
+					return op.apply(tbl, tx)
 				})
 				switch {
 				case err == nil:
@@ -483,7 +443,7 @@ func RunStandbySweep(o SweepOpts) (*SweepResult, error) {
 	// promoted base, then gen-2 entries by the promoted log.
 	want := modelRows(nil, gen1, preCommits)
 	want = modelRows(want, gen2, promotedCommits)
-	if err := verifyRows(promoted, sweepTable, want); err != nil {
+	if err := verifyRows(promoted, standbyTable, want); err != nil {
 		return nil, fmt.Errorf("repl sweep: promoted state: %v", err)
 	}
 	if err := promoted.VerifyConsistency(); err != nil {
@@ -503,7 +463,7 @@ func RunStandbySweep(o SweepOpts) (*SweepResult, error) {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): open: %v", i, L, err)
 		}
 		fw := modelRows(nil, gen1, commitSet(fork.Log()))
-		if err := verifyRows(fork, sweepTable, fw); err != nil {
+		if err := verifyRows(fork, standbyTable, fw); err != nil {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): %v", i, L, err)
 		}
 		res.Boundaries++

@@ -1,10 +1,11 @@
-package db
+package harness
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
 
+	"ariesim/internal/db"
 	"ariesim/internal/recovery"
 	"ariesim/internal/wal"
 )
@@ -79,6 +80,8 @@ type SweepResult struct {
 	OnlineRecrashes int
 }
 
+const sweepTable = "sweep"
+
 // committedState is the exact table contents after the commit that wrote
 // commitLSN; a crash at any boundary L with commitLSN ≤ L < nextCommitLSN
 // must recover to exactly rows.
@@ -112,13 +115,13 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &SweepResult{}
 
-	d := Open(Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize})
-	tbl, err := d.CreateTable("sweep")
+	d := db.Open(db.Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize})
+	tbl, err := d.CreateTable(sweepTable)
 	if err != nil {
 		return nil, err
 	}
 	if opts.SecondaryIndex {
-		if err := tbl.CreateIndex(sweepIndexName, sweepIndexExtract); err != nil {
+		if err := tbl.CreateIndex(indexName, indexExtract); err != nil {
 			return nil, err
 		}
 	}
@@ -219,6 +222,23 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 	opts.Logf("sweep: %d txns (%d committed, %d rolled back), %d crash points",
 		opts.Txns, res.Commits, res.Rollbacks, len(boundaries))
 
+	// verify checks a recovered fork against the committed snapshot its
+	// truncation point covers.
+	verify := func(fork *db.DB, want map[string]string) error {
+		if err := verifyRows(fork, sweepTable, want); err != nil {
+			return err
+		}
+		if opts.SecondaryIndex {
+			if err := verifyIndex(fork, sweepTable, want); err != nil {
+				return err
+			}
+		}
+		if err := fork.VerifyConsistency(); err != nil {
+			return fmt.Errorf("consistency: %w", err)
+		}
+		return nil
+	}
+
 	for i, L := range boundaries {
 		fork := d.Fork()
 		fork.SetRedoWorkers(opts.RedoWorkers)
@@ -240,16 +260,8 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		}
 
 		want := stateAt(history, L)
-		if err := verifyState(fork, want); err != nil {
+		if err := verify(fork, want); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): %w", i, L, err)
-		}
-		if opts.SecondaryIndex {
-			if err := verifySweepIndex(fork, want); err != nil {
-				return nil, fmt.Errorf("point %d (LSN %d): index: %w", i, L, err)
-			}
-		}
-		if err := fork.VerifyConsistency(); err != nil {
-			return nil, fmt.Errorf("point %d (LSN %d): consistency: %w", i, L, err)
 		}
 
 		// The same boundary again, recovered ONLINE: the engine opens after
@@ -274,16 +286,8 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		if _, err := ofork.AwaitRecovered(); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): await recovered: %w", i, L, err)
 		}
-		if err := verifyState(ofork, want); err != nil {
+		if err := verify(ofork, want); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): online: %w", i, L, err)
-		}
-		if opts.SecondaryIndex {
-			if err := verifySweepIndex(ofork, want); err != nil {
-				return nil, fmt.Errorf("point %d (LSN %d): online index: %w", i, L, err)
-			}
-		}
-		if err := ofork.VerifyConsistency(); err != nil {
-			return nil, fmt.Errorf("point %d (LSN %d): online consistency: %w", i, L, err)
 		}
 		res.OnlinePoints++
 		res.Points++
@@ -302,86 +306,4 @@ func stateAt(history []committedState, L wal.LSN) map[string]string {
 		return history[i].commitLSN > L
 	})
 	return history[i-1].rows
-}
-
-// sweepIndexName / sweepIndexExtract define the sweep's secondary index:
-// the value's trailing 4 bytes (the random digits), a non-unique key that
-// moves on every update so index maintenance rides along with every op.
-const sweepIndexName = "sweep_by_val"
-
-func sweepIndexExtract(v []byte) []byte {
-	if len(v) > 4 {
-		v = v[len(v)-4:]
-	}
-	return append([]byte(nil), v...)
-}
-
-// verifySweepIndex checks the recovered secondary index semantically
-// against the covered committed snapshot: a locked secondary-order scan
-// must return exactly want's rows, each under the key extracted from its
-// recovered value (structural base↔index cross-checks are
-// VerifyConsistency's job).
-func verifySweepIndex(fork *DB, want map[string]string) error {
-	tbl, err := fork.Table("sweep")
-	if err != nil {
-		return err
-	}
-	tx, err := fork.Begin()
-	if err != nil {
-		return err
-	}
-	defer tx.Commit()
-	got := map[string]string{}
-	err = tbl.ScanIndex(tx, sweepIndexName, func(sk []byte, r Row) (bool, error) {
-		if string(sk) != string(sweepIndexExtract(r.Value)) {
-			return false, fmt.Errorf("row %q under index key %q, want %q",
-				r.Key, sk, sweepIndexExtract(r.Value))
-		}
-		if _, dup := got[string(r.Key)]; dup {
-			return false, fmt.Errorf("row %q returned twice by index scan", r.Key)
-		}
-		got[string(r.Key)] = string(r.Value)
-		return true, nil
-	})
-	if err != nil {
-		return fmt.Errorf("index scan: %w", err)
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("index scan returned %d rows, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			return fmt.Errorf("index row %q: recovered %q, want %q", k, got[k], v)
-		}
-	}
-	return nil
-}
-
-func verifyState(fork *DB, want map[string]string) error {
-	tbl, err := fork.Table("sweep")
-	if err != nil {
-		return err
-	}
-	tx, err := fork.Begin()
-	if err != nil {
-		return err
-	}
-	defer tx.Commit()
-	got := map[string]string{}
-	err = tbl.Scan(tx, nil, nil, func(r Row) (bool, error) {
-		got[string(r.Key)] = string(r.Value)
-		return true, nil
-	})
-	if err != nil {
-		return fmt.Errorf("scan: %w", err)
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("recovered %d rows, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			return fmt.Errorf("row %q: recovered %q, want %q", k, got[k], v)
-		}
-	}
-	return nil
 }

@@ -402,8 +402,7 @@ func (o *Online) run() {
 // drain recovers every still-pending page front-to-back in first-redo
 // order, partitioned across workers by the pool's shard hash (the same
 // zero-sync split as offline parallel redo). Batches are prefetched so
-// miss reads overlap; under a serial-I/O pool Prefetch declines and the
-// per-page Fix below does the work.
+// miss reads overlap; the per-page Fix below does the recovery.
 func (o *Online) drain() error {
 	parts := make([][]storage.PageID, o.workers)
 	for _, pid := range o.order {

@@ -94,8 +94,8 @@ type Report struct {
 var ErrRestartInterrupted = errors.New("recovery: restart interrupted mid-undo")
 
 // DefaultRedoPrefetch is the prefetch read-ahead depth (pages in flight
-// beyond the apply cursor) used when parallel redo is on and the caller
-// did not choose one.
+// beyond the apply cursor) of parallel redo; the single-threaded pass does
+// not prefetch.
 const DefaultRedoPrefetch = 32
 
 // redoPrefetchBatch is how many page reads one prefetch call issues
@@ -116,11 +116,6 @@ type RestartOpts struct {
 	// partitions the dirty page table across N workers by page id. The
 	// effective count is clamped to the DPT size.
 	RedoWorkers int
-
-	// RedoPrefetch is the prefetcher's read-ahead depth in pages. Zero
-	// picks DefaultRedoPrefetch when RedoWorkers > 1 and disables
-	// prefetching for the serial baseline; negative disables it outright.
-	RedoPrefetch int
 }
 
 // Restart runs the three recovery passes. The caller supplies the freshly
@@ -295,14 +290,9 @@ func redo(log *wal.Log, pool *buffer.Pool, dpt map[storage.PageID]wal.LSN, rep *
 	}
 	rep.RedoWorkers = workers
 
-	prefetch := opts.RedoPrefetch
-	switch {
-	case prefetch < 0:
-		prefetch = 0
-	case prefetch == 0 && workers > 1:
+	prefetch := 0 // the single-threaded pass stays honestly serial
+	if workers > 1 {
 		prefetch = DefaultRedoPrefetch
-	case workers == 1:
-		prefetch = 0 // the serial baseline stays honestly serial
 	}
 
 	// Partition the DPT and, when prefetching, compute each worker's pages

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,7 +27,7 @@ func testDBOpts() db.Options {
 func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Shipper) {
 	t.Helper()
 	primary := db.Open(testDBOpts())
-	if _, err := primary.CreateTable(sweepTable); err != nil {
+	if _, err := primary.CreateTable(testTable); err != nil {
 		t.Fatalf("create table: %v", err)
 	}
 	ch := NewChannel(faults)
@@ -43,17 +45,59 @@ func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Ship
 	return primary, ch, standby, shipper
 }
 
+const testTable = "repl_kv"
+
 func put(t *testing.T, d *db.DB, k, v string) {
 	t.Helper()
 	if err := d.RunTxn(func(tx *txn.Tx) error {
-		tbl, err := d.TableFor(tx, sweepTable)
+		tbl, err := d.TableFor(tx, testTable)
 		if err != nil {
 			return err
 		}
-		return upsert(tbl, tx, sweepOp{key: k, val: v})
+		err = tbl.Insert(tx, []byte(k), []byte(v))
+		if errors.Is(err, db.ErrDuplicate) {
+			err = tbl.Update(tx, []byte(k), []byte(v))
+		}
+		return err
 	}); err != nil {
 		t.Fatalf("put %s=%s: %v", k, v, err)
 	}
+}
+
+// verifyRows checks that the engine's test table is exactly want.
+func verifyRows(d *db.DB, want map[string]string) error {
+	tbl, err := d.Table(testTable)
+	if err != nil {
+		return err
+	}
+	tx, err := d.Begin() // not RunTxn: a check must not count as an acked commit
+	if err != nil {
+		return err
+	}
+	defer tx.Rollback()
+	got := map[string]string{}
+	if err := tbl.Scan(tx, nil, nil, func(r db.Row) (bool, error) {
+		got[string(r.Key)] = string(r.Value)
+		return true, nil
+	}); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("rows = %v, want %v", got, want)
+	}
+	return nil
+}
+
+// commitSet collects the LSN of every commit record in the log.
+func commitSet(log *wal.Log) map[wal.LSN]bool {
+	set := map[wal.LSN]bool{}
+	log.Scan(1, func(r *wal.Record) bool {
+		if r.Type == wal.RecCommit {
+			set[r.LSN] = true
+		}
+		return true
+	})
+	return set
 }
 
 // TestShipApplyPromote covers the clean-channel round trip: commits
@@ -76,7 +120,7 @@ func TestShipApplyPromote(t *testing.T) {
 	// forces the log past it) but it never commits — ARIES/IM's headline
 	// assertion is that promotion's undo erases it.
 	tx := primary.MustBegin()
-	tbl, err := primary.TableFor(tx, sweepTable)
+	tbl, err := primary.TableFor(tx, testTable)
 	if err != nil {
 		t.Fatalf("table: %v", err)
 	}
@@ -101,7 +145,7 @@ func TestShipApplyPromote(t *testing.T) {
 		t.Fatalf("promote returned no recovery report")
 	}
 	shipper.Stop()
-	if err := verifyRows(promoted, sweepTable, want); err != nil {
+	if err := verifyRows(promoted, want); err != nil {
 		t.Fatalf("promoted state: %v", err)
 	}
 	if err := promoted.VerifyConsistency(); err != nil {
@@ -153,7 +197,7 @@ func TestLossyChannelCatchUp(t *testing.T) {
 		t.Fatalf("promote: %v", err)
 	}
 	shipper.Stop()
-	if err := verifyRows(promoted, sweepTable, want); err != nil {
+	if err := verifyRows(promoted, want); err != nil {
 		t.Fatalf("promoted state after lossy stream: %v", err)
 	}
 	t.Logf("channel: %+v; naks=%d resent=%d applied=%d rejected=%d",
@@ -167,7 +211,7 @@ func TestLossyChannelCatchUp(t *testing.T) {
 // then heals the standby completely.
 func TestReseedPath(t *testing.T) {
 	primary := db.Open(testDBOpts())
-	if _, err := primary.CreateTable(sweepTable); err != nil {
+	if _, err := primary.CreateTable(testTable); err != nil {
 		t.Fatalf("create table: %v", err)
 	}
 	want := map[string]string{}
@@ -253,7 +297,7 @@ func TestReseedPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if err := verifyRows(promoted, sweepTable, want); err != nil {
+	if err := verifyRows(promoted, want); err != nil {
 		t.Fatalf("post-reseed state: %v", err)
 	}
 }
@@ -282,7 +326,7 @@ func TestZombieFencing(t *testing.T) {
 	}
 	shipper.Stop()
 	// The zombie's post-promotion write must not exist on the new primary.
-	if err := verifyRows(promoted, sweepTable, map[string]string{"a": "1"}); err != nil {
+	if err := verifyRows(promoted, map[string]string{"a": "1"}); err != nil {
 		t.Fatalf("promoted state: %v", err)
 	}
 }
@@ -353,7 +397,7 @@ func TestPromotionRacesRetryLoop(t *testing.T) {
 						}
 					},
 				}, func(tx *txn.Tx) error {
-					tbl, err := d.TableFor(tx, sweepTable)
+					tbl, err := d.TableFor(tx, testTable)
 					if err != nil {
 						return err
 					}
@@ -443,7 +487,7 @@ func TestPromotionRacesRetryLoop(t *testing.T) {
 
 	got := -1
 	if err := promoted.RunTxn(func(tx *txn.Tx) error {
-		tbl, err := promoted.TableFor(tx, sweepTable)
+		tbl, err := promoted.TableFor(tx, testTable)
 		if err != nil {
 			return err
 		}
@@ -461,43 +505,4 @@ func TestPromotionRacesRetryLoop(t *testing.T) {
 	}
 	t.Logf("counter %d: gen1 acked %d, gen2 acked %d, pend1 %d, pend2 %d",
 		got, ackedGen1.Load(), ackedGen2.Load(), len(pend[1]), len(pend[2]))
-}
-
-// TestStandbySweepMini runs the full crash-promote sweep at race-friendly
-// scale: lossy channel, semi-sync gate, boundary forks, zombie fencing.
-func TestStandbySweepMini(t *testing.T) {
-	o := SweepOpts{
-		Seed:               7,
-		Workers:            2,
-		PreCrashCommits:    35,
-		PostPromoteCommits: 8,
-		Keys:               16,
-		Faults: ChannelFaults{
-			Seed: 7, DropProb: 0.15, DupProb: 0.08,
-			ReorderProb: 0.08, CorruptProb: 0.05, StallProb: 0.02,
-		},
-		SyncGate:       true,
-		RedoWorkers:    2,
-		BoundaryStride: 3,
-		Logf:           t.Logf,
-	}
-	if testing.Short() {
-		o.PreCrashCommits, o.PostPromoteCommits, o.BoundaryStride = 20, 5, 6
-	}
-	res, err := RunStandbySweep(o)
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if res.CommitsAcked < o.PreCrashCommits+o.PostPromoteCommits {
-		t.Fatalf("only %d acked commits", res.CommitsAcked)
-	}
-	if res.Boundaries == 0 {
-		t.Fatalf("no boundary forks verified")
-	}
-	if res.ZombieRejected == 0 {
-		t.Fatalf("zombie fencing never exercised")
-	}
-	if res.FailoverTTFC <= 0 {
-		t.Fatalf("no failover TTFC measured")
-	}
 }

@@ -430,7 +430,7 @@ func (t *Tx) Savepoint() wal.LSN {
 
 // Commit terminates the transaction: commit record, synchronous log force,
 // lock release, end record. The force is the group-commit path: concurrent
-// committers coalesce onto one in-flight flush (wal.Log.AppendForce), and Commit
+// committers coalesce onto one in-flight flush (wal.Log.Force), and Commit
 // returns only once the commit record's LSN is covered by the stable LSN —
 // a transaction is never acknowledged while its commit record is volatile.
 func (t *Tx) Commit() error {
@@ -449,52 +449,32 @@ func (t *Tx) Commit() error {
 	if hook != nil {
 		hook.EnterCommit(t.ID)
 	}
-	if t.mgr.log.GroupCommit() {
-		// Early lock release: append the commit record, drop locks, then
-		// wait for the force. Safe because a dependent transaction's
-		// commit record necessarily lands at a higher LSN, so any force
-		// that makes it stable makes ours stable first — no transaction
-		// can be acknowledged having read state that later rolls back.
-		// Releasing before the device wait keeps hot locks held only for
-		// the in-memory work, not the flush latency.
-		lsn := t.Log(&wal.Record{Type: wal.RecCommit})
-		t.mu.Lock()
-		t.commitLSN = lsn
-		t.mu.Unlock()
+	// Early lock release: append the commit record, drop locks, then wait
+	// for the force. Safe because a dependent transaction's commit record
+	// necessarily lands at a higher LSN, so any force that makes it stable
+	// makes ours stable first — no transaction can be acknowledged having
+	// read state that later rolls back. Releasing before the device wait
+	// keeps hot locks held only for the in-memory work, not the flush
+	// latency.
+	lsn := t.Log(&wal.Record{Type: wal.RecCommit})
+	t.mu.Lock()
+	t.commitLSN = lsn
+	t.mu.Unlock()
+	if hook != nil {
+		hook.CommitAt(t.ID, lsn)
+	}
+	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
+	if !t.mgr.log.Force(lsn) {
+		// A crash fenced the force: the commit record died with its epoch
+		// and must never be acknowledged. The transaction's locks and table
+		// entry die with the orphaned manager.
 		if hook != nil {
-			hook.CommitAt(t.ID, lsn)
+			hook.AbortCommit(t.ID)
 		}
-		t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
-		if !t.mgr.log.Force(lsn) {
-			// A crash fenced the force: the commit record died with its
-			// epoch and must never be acknowledged. The transaction's locks
-			// and table entry die with the orphaned manager.
-			if hook != nil {
-				hook.AbortCommit(t.ID)
-			}
-			return wal.ErrLogCrashed
-		}
-		if hook != nil {
-			hook.FinishCommit(t.ID, lsn)
-		}
-	} else {
-		// Serial baseline: the commit record is appended and flushed as
-		// one latched operation, locks held across the device write.
-		lsn, err := t.logForced(&wal.Record{Type: wal.RecCommit})
-		if err != nil {
-			if hook != nil {
-				hook.AbortCommit(t.ID)
-			}
-			return err
-		}
-		t.mu.Lock()
-		t.commitLSN = lsn
-		t.mu.Unlock()
-		if hook != nil {
-			hook.CommitAt(t.ID, lsn)
-			hook.FinishCommit(t.ID, lsn)
-		}
-		t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
+		return wal.ErrLogCrashed
+	}
+	if hook != nil {
+		hook.FinishCommit(t.ID, lsn)
 	}
 	t.Log(&wal.Record{Type: wal.RecEnd})
 	t.mgr.finish(t)

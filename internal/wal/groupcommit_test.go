@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,26 @@ import (
 // force delay) opens the windows these tests aim at — an in-flight flush
 // that concurrent forces must coalesce into, and a sleep during which
 // appends and crashes can race the force.
+
+// awaitFlushing returns once a flush is in flight on l's device, so a test
+// can land a crash inside the flush instead of sleeping toward it. want is
+// the LSN that flush hardens: seeing it stable first means the window was
+// missed, which fails the test rather than hanging it.
+func awaitFlushing(t *testing.T, l *Log, want LSN) {
+	t.Helper()
+	for {
+		l.mu.Lock()
+		flushing, stable := l.flushing, l.stable
+		l.mu.Unlock()
+		if flushing {
+			return
+		}
+		if stable >= want {
+			t.Fatalf("flush to LSN %d completed before it was seen in flight", want)
+		}
+		runtime.Gosched()
+	}
+}
 
 func appendN(l *Log, n int) []LSN {
 	lsns := make([]LSN, n)
@@ -28,7 +49,11 @@ func appendN(l *Log, n int) []LSN {
 func TestGroupCommitCoalesces(t *testing.T) {
 	stats := &trace.Stats{}
 	l := NewLog(stats)
-	l.SetForceDelay(2 * time.Millisecond)
+	// Long enough for all 16 callers to arrive while the first flush is in
+	// flight: one that arrives after it finds its LSN stable and is neither
+	// a force nor a grouped commit, which the accounting below cannot tell
+	// from a lost caller (at 2 ms a loaded box did that).
+	l.SetForceDelay(20 * time.Millisecond)
 	lsns := appendN(l, 16)
 
 	start := make(chan struct{})
@@ -60,26 +85,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	if stats.ForceWaiters.Load() == 0 {
 		t.Error("ForceWaiters = 0, want > 0: nobody parked behind the in-flight flush")
-	}
-}
-
-// TestNoGroupCommitFlushesSerially: with coalescing disabled each caller
-// whose LSN is not yet stable performs its own flush; forcing ascending
-// LSNs one by one pays one physical flush each.
-func TestNoGroupCommitFlushesSerially(t *testing.T) {
-	stats := &trace.Stats{}
-	l := NewLog(stats)
-	l.SetGroupCommit(false)
-	l.SetForceDelay(100 * time.Microsecond)
-	lsns := appendN(l, 5)
-	for _, lsn := range lsns {
-		l.Force(lsn)
-	}
-	if got := stats.LogForces.Load(); got != 5 {
-		t.Fatalf("LogForces = %d, want 5 (one per serial force)", got)
-	}
-	if got := stats.GroupCommits.Load(); got != 0 {
-		t.Fatalf("GroupCommits = %d, want 0 with group commit disabled", got)
 	}
 }
 
@@ -197,16 +202,17 @@ func TestStatsNeverLagLogState(t *testing.T) {
 // not let the flush resurrect the discarded tail when it wakes.
 func TestCrashFencesInflightFlush(t *testing.T) {
 	l := NewLog(nil)
-	l.SetForceDelay(5 * time.Millisecond)
+	l.SetForceDelay(0)
 	lsns := appendN(l, 3)
 	l.Force(lsns[0]) // stable prefix: record 0
+	l.SetForceDelay(20 * time.Millisecond)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		l.Force(lsns[2]) // flush takes flight for the full log
 	}()
-	time.Sleep(1 * time.Millisecond)
+	awaitFlushing(t, l, lsns[2])
 	l.Crash() // discards records 1..2 and bumps the flush generation
 	<-done    // the fenced force must unwind, not hang
 

@@ -46,17 +46,8 @@ type Log struct {
 	// shared side (non-serializing among themselves) across claim+publish;
 	// Crash, TruncateTo, and Clone hold it exclusively, so they only ever
 	// observe a log with no reservation mid-fill — truncation happens at
-	// the watermark, never mid-hole. Lock order: serialMu > crashMu > mu.
+	// the watermark, never mid-hole. Lock order: crashMu > mu.
 	crashMu sync.RWMutex
-
-	// serialMu is the append latch of the no-group-commit baseline: held
-	// across claim+publish by every append, and across the device flush by
-	// AppendForce, so each committer pays the full flush latency alone and
-	// every other append stalls behind it — the classic serial commit path
-	// the concurrency benchmark compares against. Unused (never locked)
-	// with group commit on.
-	serialMu sync.Mutex
-	groupOff atomic.Bool // group commit disabled (serial per-caller flushes)
 
 	mu     sync.Mutex
 	stable LSN // highest LSN whose record (entirely) is on stable storage
@@ -66,11 +57,9 @@ type Log struct {
 	// one physical flush (zero: instantaneous, the historical model).
 	// While a flush is in flight (flushing == true, only possible with a
 	// nonzero delay) the device is busy; concurrent Force callers park on
-	// flushCond. With group commit enabled, a flush hardens up to flushWant
-	// — the max LSN requested by every caller that arrived before the flush
-	// started — so parked callers usually wake already satisfied. With it
-	// disabled, a flush hardens only its leader's own LSN and each waiter
-	// re-flushes for itself: the serial force pipeline the old code modeled.
+	// flushCond. A flush hardens up to flushWant — the max LSN requested by
+	// every caller that arrived before the flush started — so parked callers
+	// usually wake already satisfied (group commit).
 	forceDelay time.Duration
 	flushing   bool
 	flushWant  LSN
@@ -128,19 +117,6 @@ func (l *Log) SetForceDelay(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// SetGroupCommit enables (default) or disables force coalescing. Disabled,
-// every Force caller whose LSN is not yet stable performs its own serial
-// flush, and the append path serializes on the append latch — the baseline
-// configuration the concurrency benchmark compares against.
-func (l *Log) SetGroupCommit(enabled bool) {
-	l.groupOff.Store(!enabled)
-}
-
-// GroupCommit reports whether force coalescing is enabled.
-func (l *Log) GroupCommit() bool {
-	return !l.groupOff.Load()
-}
-
 // SetStableNotify installs (or, with nil, removes) the stable-LSN watermark
 // callback: after any Force/ForceAll/AppendForce that advances the stable
 // LSN, fn is called with the new watermark, outside the log mutex. This is
@@ -189,83 +165,30 @@ func (l *Log) deliverNotify() {
 // Append assigns the next LSN to r and adds it to the log buffer. The
 // record is volatile until a Force covers it. Append returns the LSN.
 //
-// With group commit on this is the lock-free reservation path: one atomic
-// fetch-add claims the byte range and slot, and concurrent appenders never
-// serialize. With it off, appends take the serial append latch so they
-// stall behind a committer's latch-held flush — the baseline's defining
-// cost.
+// This is the lock-free reservation path: one atomic fetch-add claims the
+// byte range and slot, and concurrent appenders never serialize (the
+// ariesim-lint append-path check keeps exclusive mutexes off it).
 func (l *Log) Append(r *Record) LSN {
 	enc := len(r.Encode()) // realistic byte accounting, outside any lock
-	if l.groupOff.Load() {
-		l.serialMu.Lock()
-		defer l.serialMu.Unlock()
-	}
 	l.crashMu.RLock()
 	lsn := l.reserveFill(r, enc)
 	l.crashMu.RUnlock()
 	return lsn
 }
 
-// AppendForce appends r and hardens it — the commit-path combination.
-//
-// With group commit enabled it is a lock-free append followed by a
-// coalescing force: the flush sleeps outside the log latch, so concurrent
-// committers overlap their device waits and share flushes.
-//
-// Disabled, it models the classic serial commit path: the append latch is
-// held from the claim through the device flush, so each committer pays the
-// full flush latency alone and every other append stalls behind it.
-// (A mere stable-LSN check before flushing would let commits ride flushes
-// they never asked for — implicit batching — which is exactly the effect
-// the no-group-commit baseline must not get for free.)
+// AppendForce appends r and hardens it — the commit-path combination: a
+// lock-free append followed by a coalescing force. The flush sleeps outside
+// the log mutex, so concurrent committers overlap their device waits and
+// share flushes.
 //
 // If a crash lands while the record is being hardened, AppendForce returns
 // the dead record's LSN together with ErrLogCrashed: the record is gone
 // with its epoch and the caller must not acknowledge the commit.
 func (l *Log) AppendForce(r *Record) (LSN, error) {
-	enc := len(r.Encode())
-	if l.groupOff.Load() {
-		return l.appendForceSerial(r, enc)
-	}
-	l.crashMu.RLock()
-	lsn := l.reserveFill(r, enc)
-	l.crashMu.RUnlock()
+	lsn := l.Append(r)
 	if !l.Force(lsn) {
 		return lsn, ErrLogCrashed
 	}
-	return lsn, nil
-}
-
-// appendForceSerial is AppendForce's no-group-commit body: claim and fill
-// under the append latch, then flush with the latch still held. The log
-// mutex is NOT held across the device wait, so a crash can land mid-flush;
-// the generation check detects it and reports the zombie record instead of
-// silently returning a dead LSN.
-func (l *Log) appendForceSerial(r *Record, enc int) (LSN, error) {
-	l.serialMu.Lock()
-	defer l.serialMu.Unlock()
-	l.crashMu.RLock()
-	lsn := l.reserveFill(r, enc)
-	l.crashMu.RUnlock()
-	l.mu.Lock()
-	gen := l.flushGen.Load()
-	if l.forceDelay > 0 {
-		l.mu.Unlock()
-		storage.SpinWait(l.forceDelay) // append latch held across the device write
-		l.mu.Lock()
-	}
-	if l.flushGen.Load() != gen { // crashed under us: the record died with its epoch
-		l.mu.Unlock()
-		return lsn, ErrLogCrashed
-	}
-	if lsn > l.stable {
-		l.stable = lsn
-		if l.stats != nil {
-			l.stats.LogForces.Add(1)
-		}
-	}
-	l.mu.Unlock()
-	l.deliverNotify()
 	return lsn, nil
 }
 
@@ -388,9 +311,6 @@ func (l *Log) forceLocked(lsn LSN) bool {
 			continue
 		}
 		want := l.flushWant
-		if l.groupOff.Load() {
-			want = lsn // serial baseline: flush only what this caller needs
-		}
 		if l.forceDelay <= 0 {
 			// Instantaneous device: no in-flight window to coalesce into.
 			l.stable = want
@@ -779,7 +699,6 @@ func (l *Log) Clone(stats *trace.Stats) *Log {
 	out.master = l.master
 	out.truncates = l.truncates
 	out.forceDelay = l.forceDelay
-	out.groupOff.Store(l.groupOff.Load())
 	for lsn, spots := range l.damage {
 		out.damage[lsn] = append([]damageSpot(nil), spots...)
 	}

@@ -21,9 +21,6 @@ const (
 	Delete
 	// ScanShort reads a short range (16 keys).
 	ScanShort
-	// IndexScan reads a short secondary-key range through a secondary
-	// index (the driver defines the index and derives the range from Key).
-	IndexScan
 )
 
 func (k Kind) String() string {
@@ -34,8 +31,6 @@ func (k Kind) String() string {
 		return "insert"
 	case Delete:
 		return "delete"
-	case IndexScan:
-		return "index-scan"
 	default:
 		return "scan"
 	}
@@ -59,9 +54,9 @@ type Spec struct {
 	Keys int
 	// Dist selects the key distribution.
 	Dist Dist
-	// ReadFrac, InsertFrac, DeleteFrac, IndexScanFrac select the op mix;
-	// the remainder becomes short scans. They must sum to <= 1.
-	ReadFrac, InsertFrac, DeleteFrac, IndexScanFrac float64
+	// ReadFrac, InsertFrac, DeleteFrac select the op mix; the remainder
+	// becomes short scans. They must sum to <= 1.
+	ReadFrac, InsertFrac, DeleteFrac float64
 	// ValueSize is the payload size of inserts.
 	ValueSize int
 	// Seed makes the stream deterministic.
@@ -127,68 +122,10 @@ func (g *Generator) Next() Op {
 		op.Value = g.Value(n)
 	case r < g.spec.ReadFrac+g.spec.InsertFrac+g.spec.DeleteFrac:
 		op.Kind = Delete
-	case r < g.spec.ReadFrac+g.spec.InsertFrac+g.spec.DeleteFrac+g.spec.IndexScanFrac:
-		op.Kind = IndexScan
 	default:
 		op.Kind = ScanShort
 	}
 	return op
-}
-
-// Mix names a canonical operation mix shared by the bench and chaos
-// harnesses. A mix pins everything except the key space and seed, so runs
-// of different protocols over the same mix are directly comparable.
-type Mix string
-
-const (
-	// MixReadHeavy is 90/10 read/insert over uniform keys.
-	MixReadHeavy Mix = "read-heavy"
-	// MixWriteHeavy is 20/50/30 read/insert/delete over uniform keys.
-	MixWriteHeavy Mix = "write-heavy"
-	// MixHotKey is all inserts over zipfian keys: lock-conflict fodder.
-	MixHotKey Mix = "hot-key"
-	// MixScan is mostly short scans with a trickle of inserts.
-	MixScan Mix = "scan"
-	// MixMVCC is 95/4/1 read/insert/delete over zipfian keys: the
-	// snapshot-read benchmark mix — read-dominated with enough hot-key
-	// churn that versions actually chain.
-	MixMVCC Mix = "mvcc"
-	// MixIndex is 70% secondary-index range scans with a 20/10
-	// insert/delete write trickle over uniform keys: the secondary-index
-	// benchmark mix — scan-dominated with enough churn that index
-	// maintenance rides along in most transactions.
-	MixIndex Mix = "index"
-)
-
-// Mixes returns every named mix in stable order, for enumeration by tests
-// and tools.
-func Mixes() []Mix {
-	return []Mix{MixReadHeavy, MixWriteHeavy, MixHotKey, MixScan, MixMVCC, MixIndex}
-}
-
-// SpecFor returns the canonical Spec for a named mix over a key space with
-// a seed. Unknown names are an error, not a silent default — a bench run
-// against the wrong mix would produce a comparable-looking, wrong number.
-func SpecFor(m Mix, keys int, seed int64) (Spec, error) {
-	s := Spec{Keys: keys, Seed: seed}
-	switch m {
-	case MixReadHeavy:
-		s.ReadFrac, s.InsertFrac = 0.9, 0.1
-	case MixWriteHeavy:
-		s.ReadFrac, s.InsertFrac, s.DeleteFrac = 0.2, 0.5, 0.3
-	case MixHotKey:
-		s.Dist, s.InsertFrac = Zipf, 1
-	case MixScan:
-		s.InsertFrac = 0.05 // remainder (0.95) becomes short scans
-	case MixMVCC:
-		s.Dist = Zipf
-		s.ReadFrac, s.InsertFrac, s.DeleteFrac = 0.95, 0.04, 0.01
-	case MixIndex:
-		s.InsertFrac, s.DeleteFrac, s.IndexScanFrac = 0.2, 0.1, 0.7
-	default:
-		return Spec{}, fmt.Errorf("workload: unknown mix %q", m)
-	}
-	return s, nil
 }
 
 // Value builds a deterministic payload for key number n.

@@ -53,110 +53,3 @@ func TestKeyForOrdering(t *testing.T) {
 		t.Fatal("byte order != numeric order")
 	}
 }
-
-// TestNamedMixesDeterministic exercises every named mix generator under a
-// fixed seed: two generators over the same spec must produce identical
-// streams, and every generated op must be well-formed for its kind.
-func TestNamedMixesDeterministic(t *testing.T) {
-	for _, m := range Mixes() {
-		spec, err := SpecFor(m, 512, 42)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if sum := spec.ReadFrac + spec.InsertFrac + spec.DeleteFrac + spec.IndexScanFrac; sum > 1 {
-			t.Fatalf("%s: fractions sum to %v > 1", m, sum)
-		}
-		a, b := New(spec), New(spec)
-		counts := map[Kind]int{}
-		for i := 0; i < 2000; i++ {
-			oa, ob := a.Next(), b.Next()
-			if oa.Kind != ob.Kind || string(oa.Key) != string(ob.Key) || string(oa.Value) != string(ob.Value) {
-				t.Fatalf("%s: streams diverged at op %d", m, i)
-			}
-			if len(oa.Key) == 0 {
-				t.Fatalf("%s: empty key at op %d", m, i)
-			}
-			if oa.Kind == Insert && len(oa.Value) == 0 {
-				t.Fatalf("%s: insert without value at op %d", m, i)
-			}
-			counts[oa.Kind]++
-		}
-		// Each mix must actually produce its declared op kinds (and only
-		// those): a zero fraction must stay zero, a positive one must show
-		// up within 2000 draws.
-		fracs := map[Kind]float64{
-			Read: spec.ReadFrac, Insert: spec.InsertFrac, Delete: spec.DeleteFrac,
-			IndexScan: spec.IndexScanFrac,
-			ScanShort: 1 - spec.ReadFrac - spec.InsertFrac - spec.DeleteFrac - spec.IndexScanFrac,
-		}
-		for kind, frac := range fracs {
-			switch {
-			case frac == 0 && counts[kind] > 0:
-				t.Fatalf("%s: %v ops generated with zero fraction", m, kind)
-			case frac >= 0.01 && counts[kind] == 0:
-				t.Fatalf("%s: no %v ops generated with fraction %v", m, kind, frac)
-			}
-		}
-	}
-}
-
-// TestMVCCMixShape pins the snapshot-read mix's defining properties: read
-// domination (the snapshot path must dwarf the write traffic) and zipfian
-// skew (writers churn hot keys, so version chains actually form).
-func TestMVCCMixShape(t *testing.T) {
-	spec, err := SpecFor(MixMVCC, 2048, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Dist != Zipf {
-		t.Fatalf("mvcc mix dist = %v, want Zipf", spec.Dist)
-	}
-	g := New(spec)
-	reads, writes := 0, 0
-	for i := 0; i < 10000; i++ {
-		switch g.Next().Kind {
-		case Read, ScanShort:
-			reads++
-		default:
-			writes++
-		}
-	}
-	if reads < 9300 {
-		t.Fatalf("mvcc mix reads = %d/10000, want >= 9300", reads)
-	}
-	if writes == 0 {
-		t.Fatal("mvcc mix generated no writes; chains would never form")
-	}
-}
-
-// TestIndexMixShape pins the secondary-index mix's defining properties:
-// index-scan domination with a real write trickle, so index maintenance
-// and index reads contend in the same run.
-func TestIndexMixShape(t *testing.T) {
-	spec, err := SpecFor(MixIndex, 2048, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := New(spec)
-	scans, writes := 0, 0
-	for i := 0; i < 10000; i++ {
-		switch g.Next().Kind {
-		case IndexScan:
-			scans++
-		case Insert, Delete:
-			writes++
-		}
-	}
-	if scans < 6500 {
-		t.Fatalf("index mix scans = %d/10000, want >= 6500", scans)
-	}
-	if writes < 2000 {
-		t.Fatalf("index mix writes = %d/10000, want >= 2000", writes)
-	}
-}
-
-func TestSpecForUnknownMix(t *testing.T) {
-	if _, err := SpecFor(Mix("nope"), 10, 1); err == nil {
-		t.Fatal("unknown mix accepted")
-	}
-}
