@@ -10,7 +10,6 @@ package ariesim_test
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"ariesim"
@@ -364,42 +363,5 @@ func BenchmarkMediaRecovery(b *testing.B) {
 		if err := recovery.RecoverPage(d.Disk(), d.Log(), img, victim); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkTreeLatchVsTreeLock compares the default X tree latch against
-// the §5 extension (tree lock permitting concurrent SMO preparation)
-// under a split-heavy parallel insert load.
-func BenchmarkTreeLatchVsTreeLock(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		treeLock bool
-	}{{"tree-latch", false}, {"tree-lock", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			d := db.Open(db.Options{PageSize: 4096, PoolSize: 8192, UseTreeLock: mode.treeLock})
-			tbl, _ := d.CreateTable("bench")
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				base := int(seq.Add(1)) * 10_000_000
-				i := 0
-				for pb.Next() {
-					tx := d.MustBegin()
-					if err := tbl.Insert(tx, bkey(base+i), []byte("split-heavy")); err != nil {
-						if errors.Is(err, ariesim.ErrDeadlock) {
-							_ = tx.Rollback()
-							continue
-						}
-						b.Error(err)
-						return
-					}
-					i++
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
 	}
 }

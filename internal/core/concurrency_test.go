@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,51 +324,6 @@ func TestRollbackNeverDeadlocks(t *testing.T) {
 	e.checkTree(ix)
 }
 
-// TestConcurrentSMOTreeLock exercises the §5 extension: the tree latch
-// replaced by a tree lock. The workload forces many splits from several
-// transactions concurrently.
-func TestConcurrentSMOTreeLock(t *testing.T) {
-	e := newEnv(t, 512, 256)
-	ix := e.createIndex(Config{ID: 1, UseTreeLock: true})
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				tx := e.tm.Begin()
-				if err := ix.Insert(tx, key(w*100000+i)); err != nil {
-					if errors.Is(err, lock.ErrDeadlock) {
-						_ = tx.Rollback()
-						continue
-					}
-					t.Errorf("w%d: %v", w, err)
-					_ = tx.Rollback()
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					t.Errorf("w%d commit: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatal("tree-lock workload hung")
-	}
-	if t.Failed() {
-		return
-	}
-	if e.stats.LockCalls(int(lock.SpaceTree), int(lock.X), int(lock.Manual)) == 0 {
-		t.Fatal("tree lock never exercised")
-	}
-	e.checkTree(ix)
-}
-
 // TestTwoLatchMaximum asserts the paper's "not more than 2 index pages
 // latched simultaneously" by auditing latch holds through a custom probe:
 // we approximate by checking the pool never reports more than 3 pinned
@@ -413,81 +367,4 @@ func ExampleIndex_Fetch() {
 	_ = e
 	fmt.Println("see examples/quickstart for a runnable walkthrough")
 	// Output: see examples/quickstart for a runnable walkthrough
-}
-
-// TestTreeLockIXConcurrency asserts that the §5 extension actually starts
-// SMOs in IX (leaf-level concurrency) and upgrades to X only when the SMO
-// propagates into nonleaf structure.
-func TestTreeLockIXConcurrency(t *testing.T) {
-	e := newEnv(t, 512, 512)
-	ix := e.createIndex(Config{ID: 1, UseTreeLock: true})
-	tx := e.tm.Begin()
-	for i := 0; i < 400; i++ {
-		e.mustInsert(tx, ix, key(i))
-	}
-	e.commit(tx)
-	ixCalls := e.stats.LockCalls(int(lock.SpaceTree), int(lock.IX), int(lock.Manual))
-	xCalls := e.stats.LockCalls(int(lock.SpaceTree), int(lock.X), int(lock.Manual))
-	if ixCalls == 0 {
-		t.Fatal("no IX tree-lock acquisitions: SMOs not starting leaf-level")
-	}
-	if xCalls == 0 {
-		t.Fatal("no X upgrades despite multi-level splits")
-	}
-	if xCalls >= ixCalls {
-		t.Fatalf("X calls (%d) >= IX calls (%d): leaf-level SMOs not predominating", xCalls, ixCalls)
-	}
-	e.checkTree(ix)
-}
-
-// TestTreeLockUpgradeDeadlockResolves drives many transactions into
-// simultaneous multi-level splits: concurrent IX→X upgrades deadlock by
-// construction (§5 acknowledges this), the victim aborts its SMO, and the
-// workload still converges to a correct tree.
-func TestTreeLockUpgradeDeadlockResolves(t *testing.T) {
-	e := newEnv(t, 256, 1024) // tiny pages: splits propagate often
-	ix := e.createIndex(Config{ID: 1, UseTreeLock: true})
-	var wg sync.WaitGroup
-	var deadlocks atomic.Int64
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 250; i++ {
-				tx := e.tm.Begin()
-				err := ix.Insert(tx, key(w*100000+i))
-				if err != nil {
-					if errors.Is(err, lock.ErrDeadlock) {
-						deadlocks.Add(1)
-						_ = tx.Rollback()
-						i-- // retry the key
-						continue
-					}
-					t.Errorf("w%d: %v", w, err)
-					_ = tx.Rollback()
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					t.Errorf("w%d commit: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatal("upgrade-deadlock workload hung")
-	}
-	if t.Failed() {
-		return
-	}
-	e.checkTree(ix)
-	got, _ := ix.Dump()
-	if len(got) != 8*250 {
-		t.Fatalf("tree holds %d keys, want 2000", len(got))
-	}
-	t.Logf("upgrade deadlocks resolved: %d", deadlocks.Load())
 }

@@ -77,9 +77,7 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 		}
 		if restart {
 			ix.unfixLatched(leaf, latch.X)
-			if err := ix.treeWaitInstantS(tx); err != nil {
-				return err
-			}
+			ix.treeWaitInstantS()
 			continue
 		}
 		if ix.cfg.Protocol == KVL {
@@ -155,16 +153,12 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 		// the delete.
 		boundary := pos == 0 || pos == leaf.Page.NSlots()-1
 		if boundary && heldTree == nil {
-			if hold, ok := ix.treeTryS(tx); ok {
+			if hold, ok := ix.treeTryS(); ok {
 				heldTree = hold
 			} else {
 				// Never wait for the tree latch under a page latch.
 				ix.unfixLatched(leaf, latch.X)
-				hold, err := ix.treeAcquireS(tx)
-				if err != nil {
-					return err
-				}
-				heldTree = hold
+				heldTree = ix.treeAcquireS()
 				continue // revalidate with the POSC held
 			}
 			if ix.stats != nil {

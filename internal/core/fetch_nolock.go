@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/latch"
@@ -42,10 +41,8 @@ func (ix *Index) ResolveStaleSMBit(tx *txn.Tx, pid storage.PageID) {
 }
 
 // traverseNoLock descends to the leaf covering probe without a
-// transaction: descend never consults its tx argument, and with the
-// default tree latch the ambiguity wait is an instant latch acquisition.
-// Under the §5 tree-lock mode the wait degrades to a yield-and-retry —
-// correctness is unchanged (the retry re-descends), only politeness.
+// transaction: descend never consults its tx argument, and the ambiguity
+// wait is an instant acquisition of the tree latch.
 func (ix *Index) traverseNoLock(probe storage.Key) (*buffer.Frame, error) {
 	if ix.stats != nil {
 		ix.stats.Traversals.Add(1)
@@ -63,11 +60,7 @@ func (ix *Index) traverseNoLock(probe storage.Key) (*buffer.Frame, error) {
 		if ix.stats != nil {
 			ix.stats.AmbiguityRestarts.Add(1)
 		}
-		if !ix.cfg.UseTreeLock {
-			ix.treeLatch.AcquireInstant(latch.S)
-		} else {
-			runtime.Gosched()
-		}
+		ix.treeWaitInstantS()
 	}
 	return nil, &AmbiguityError{Page: ambiguous}
 }

@@ -110,7 +110,7 @@ func TestFigure2LockTable(t *testing.T) {
 		d := trace.Diff(before, e.stats.Snap())
 		e.commit(tx)
 		var out []cell
-		for s := lock.SpaceTable; s <= lock.SpaceTree; s++ {
+		for s := lock.SpaceTable; s <= lock.SpaceIndexPage; s++ {
 			for m := lock.ModeNone; m <= lock.X; m++ {
 				for dur := lock.Instant; dur <= lock.Commit; dur++ {
 					if n := d.LockCalls[int(s)][int(m)][int(dur)]; n > 0 {

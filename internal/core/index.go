@@ -62,11 +62,6 @@ type Config struct {
 	// Granularity of data locks (record vs data page); must match the
 	// record manager's setting so key locks and record locks coincide.
 	Granularity lock.Granularity
-	// UseTreeLock enables the §5 extension: SMOs serialize on a lock-
-	// manager tree lock (IX for leaf-level SMOs, upgraded to X for
-	// multi-level ones) instead of the X tree latch, permitting concurrent
-	// leaf-level SMOs on one index.
-	UseTreeLock bool
 }
 
 // Errors returned by index operations.
@@ -183,25 +178,17 @@ func (ix *Index) keyLockName(k storage.Key) lock.Name {
 // key-range operation runs past the highest key in the index (paper §2.2).
 func (ix *Index) eofLockName() lock.Name { return lock.EOFName(uint64(ix.cfg.ID)) }
 
-// Tree latch helpers. With UseTreeLock the tree latch becomes a lock
-// (paper §5); instant S acquisition is the traverser's "wait for the SMO
-// to finish" primitive (Fig 4, 6, 7).
+// Tree latch helpers (§2.1). Instant S acquisition is the traverser's
+// "wait for the SMO to finish" primitive (Fig 4, 6, 7).
 
-func (ix *Index) treeWaitInstantS(tx *txn.Tx) error {
-	if ix.cfg.UseTreeLock {
-		return tx.Lock(lock.TreeName(uint64(ix.cfg.ID)), lock.S, lock.Instant, false)
-	}
+func (ix *Index) treeWaitInstantS() {
 	ix.treeLatch.AcquireInstant(latch.S)
-	return nil
 }
 
 // treeTryInstantS attempts the instant S without blocking (used while a
 // page latch is held: the tree latch must never be waited for under a
 // page latch).
-func (ix *Index) treeTryInstantS(tx *txn.Tx) bool {
-	if ix.cfg.UseTreeLock {
-		return tx.Lock(lock.TreeName(uint64(ix.cfg.ID)), lock.S, lock.Instant, true) == nil
-	}
+func (ix *Index) treeTryInstantS() bool {
 	if ix.treeLatch.TryAcquire(latch.S) {
 		ix.treeLatch.Release(latch.S)
 		return true
@@ -209,103 +196,39 @@ func (ix *Index) treeTryInstantS(tx *txn.Tx) bool {
 	return false
 }
 
-// treeHold represents a held tree latch/lock that must be released.
+// treeHold represents a held tree latch that must be released.
 type treeHold struct {
-	ix       *Index
-	tx       *txn.Tx
-	mode     latch.Mode
-	lock     bool
-	lockMode lock.Mode
+	ix   *Index
+	mode latch.Mode
 }
 
 func (h *treeHold) release() {
-	if h == nil {
-		return
+	if h != nil {
+		h.ix.treeLatch.Release(h.mode)
 	}
-	if h.lock {
-		var name = lock.TreeName(uint64(h.ix.cfg.ID))
-		h.tx.Unlock(name)
-		return
-	}
-	h.ix.treeLatch.Release(h.mode)
-}
-
-// upgradeX strengthens an SMO's tree hold to X before any nonleaf-level
-// structure change (§5: "If a nonleaf-level SMO is required, then they
-// will upgrade the IX lock to an X lock"). Under the tree latch this is a
-// no-op (the latch is already exclusive). Concurrent upgrades can
-// deadlock; the victim's error aborts its SMO, which is rolled back
-// page-oriented and retried by the caller.
-func (h *treeHold) upgradeX() error {
-	if h == nil || !h.lock || h.lockMode == lock.X {
-		return nil
-	}
-	if err := h.tx.Lock(lock.TreeName(uint64(h.ix.cfg.ID)), lock.X, lock.Manual, false); err != nil {
-		return err
-	}
-	h.lockMode = lock.X
-	return nil
 }
 
 // treeAcquireS holds the tree latch in S for the duration of a boundary-
 // key delete (Fig 7).
-func (ix *Index) treeAcquireS(tx *txn.Tx) (*treeHold, error) {
-	if ix.cfg.UseTreeLock {
-		if err := tx.Lock(lock.TreeName(uint64(ix.cfg.ID)), lock.S, lock.Manual, false); err != nil {
-			return nil, err
-		}
-		return &treeHold{ix: ix, tx: tx, lock: true}, nil
-	}
+func (ix *Index) treeAcquireS() *treeHold {
 	ix.treeLatch.Acquire(latch.S)
-	return &treeHold{ix: ix, mode: latch.S}, nil
+	return &treeHold{ix: ix, mode: latch.S}
 }
 
 // treeTryS is the conditional variant, legal while page latches are held.
-func (ix *Index) treeTryS(tx *txn.Tx) (*treeHold, bool) {
-	if ix.cfg.UseTreeLock {
-		if tx.Lock(lock.TreeName(uint64(ix.cfg.ID)), lock.S, lock.Manual, true) == nil {
-			return &treeHold{ix: ix, tx: tx, lock: true}, true
-		}
-		return nil, false
-	}
+func (ix *Index) treeTryS() (*treeHold, bool) {
 	if ix.treeLatch.TryAcquire(latch.S) {
 		return &treeHold{ix: ix, mode: latch.S}, true
 	}
 	return nil, false
 }
 
-// treeAcquireX serializes an SMO exclusively. No page latches may be held.
-func (ix *Index) treeAcquireX(tx *txn.Tx) (*treeHold, error) {
-	if ix.cfg.UseTreeLock {
-		if err := tx.Lock(lock.TreeName(uint64(ix.cfg.ID)), lock.X, lock.Manual, false); err != nil {
-			return nil, err
-		}
-		return &treeHold{ix: ix, tx: tx, lock: true, lockMode: lock.X}, nil
-	}
+// treeAcquireSMO takes the serialization an SMO runs under: the tree
+// latch in X, so SMOs on one index are fully serialized (§2.1). No page
+// latches may be held.
+func (ix *Index) treeAcquireSMO() *treeHold {
 	ix.treeLatch.Acquire(latch.X)
-	return &treeHold{ix: ix, mode: latch.X}, nil
-}
-
-// treeAcquireSMO takes the serialization an SMO starts with. With the
-// default tree latch that is exclusive (SMOs fully serialized, §2.1).
-// With the §5 tree-lock extension, forward transactions begin leaf-level
-// SMOs in IX — concurrent leaf SMOs interleave, serialized only at shared
-// pages by page latches — and upgrade to X (upgradeX) before touching
-// nonleaf structure; rolling-back transactions take X outright so they
-// can never deadlock on the upgrade (§5).
-func (ix *Index) treeAcquireSMO(tx *txn.Tx) (*treeHold, error) {
-	if !ix.cfg.UseTreeLock {
-		ix.treeLatch.Acquire(latch.X)
-		return &treeHold{ix: ix, mode: latch.X}, nil
-	}
-	mode := lock.IX
-	if tx.IsRollingBack() {
-		mode = lock.X
-	}
-	if err := tx.Lock(lock.TreeName(uint64(ix.cfg.ID)), mode, lock.Manual, false); err != nil {
-		return nil, err
-	}
-	return &treeHold{ix: ix, tx: tx, lock: true, lockMode: mode}, nil
+	return &treeHold{ix: ix, mode: latch.X}
 }
 
 // Page-shape helpers (callers hold the page latch).

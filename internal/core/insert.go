@@ -138,9 +138,7 @@ func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
 		if restart {
 			spin.nextRestart++
 			ix.unfixLatched(leaf, latch.X)
-			if err := ix.treeWaitInstantS(tx); err != nil {
-				return err
-			}
+			ix.treeWaitInstantS()
 			continue
 		}
 		if ix.cfg.Protocol == KVL {

@@ -5,7 +5,6 @@ import (
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/latch"
-	"ariesim/internal/lock"
 	"ariesim/internal/space"
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
@@ -31,10 +30,7 @@ import (
 // a CLR compensating a forward insert); the page-delete records remain
 // regular undo-redo records in either case (§3 "Undo Processing").
 func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key storage.Key, asCLR *wal.Record) (done bool, err error) {
-	hold, err := ix.treeAcquireSMO(tx)
-	if err != nil {
-		return false, err
-	}
+	hold := ix.treeAcquireSMO()
 	defer hold.release()
 
 	f, err := ix.fixLatched(leafID, latch.X)
@@ -61,16 +57,10 @@ func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key stora
 	if f.Page.NSlots() > 1 || leafID == ix.root {
 		// No longer the emptying case (or the root, which is never
 		// deleted): perform a plain delete here. Under the exclusive tree
-		// hold a POSC is established, so the Delete_Bit can stay clear;
-		// under the §5 IX hold other SMOs may be in flight, so the bit is
-		// set exactly as a normal delete would (Fig 11 protection).
+		// latch a POSC is established, so the Delete_Bit can stay clear.
 		pre := f.Page.Flags()
-		post := pre | storage.FlagDeleteBit
-		if !hold.lock || hold.lockMode == lock.X {
-			post = pre &^ storage.FlagDeleteBit
-		}
 		pl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: pre,
-			PostFlags: post, Cell: storage.EncodeLeafCell(key)}
+			PostFlags: pre &^ storage.FlagDeleteBit, Cell: storage.EncodeLeafCell(key)}
 		mutate := func() error {
 			_, derr := f.Page.DeleteCellAt(pos)
 			f.Page.SetFlags(pl.PostFlags)
@@ -115,7 +105,7 @@ func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key stora
 
 	// The page-deletion SMO proper, as a nested top action.
 	tok := tx.BeginNTA()
-	ctx := &smoCtx{hold: hold}
+	ctx := &smoCtx{}
 	err = ix.deletePageLocked(tx, ctx, pageShell{
 		id: leafID, prev: prev, next: next, level: level, flags: flags, rightmost: rightmost,
 	}, key)
@@ -277,30 +267,17 @@ func (ix *Index) removeChild(tx *txn.Tx, ctx *smoCtx, shell pageShell, probe sto
 
 	switch {
 	case childless && isRoot:
-		// The tree is empty: the root reverts to an empty leaf. A root
-		// restructure is a nonleaf-level SMO (§5: upgrade first).
-		if err := ctx.hold.upgradeX(); err != nil {
-			ix.unfixLatched(parent, latch.X)
-			return err
-		}
+		// The tree is empty: the root reverts to an empty leaf.
 		return ix.replaceRoot(tx, ctx, parent, func(shadow *storage.Page) error {
 			shadow.Format(ix.root, storage.PageTypeIndex, 0)
 			return nil
 		})
 	case childless:
-		// Deleting the parent itself is a nonleaf-level SMO.
-		if err := ctx.hold.upgradeX(); err != nil {
-			ix.unfixLatched(parent, latch.X)
-			return err
-		}
+		// The parent itself is deleted next.
 		ix.unfixLatched(parent, latch.X)
 		return ix.deletePageLocked(tx, ctx, parentShell, probe)
 	case single && isRoot:
 		// Root collapse: pull the lone child's content into the root.
-		if err := ctx.hold.upgradeX(); err != nil {
-			ix.unfixLatched(parent, latch.X)
-			return err
-		}
 		return ix.collapseRoot(tx, ctx, parent)
 	default:
 		ix.unfixLatched(parent, latch.X)

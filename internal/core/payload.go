@@ -3,8 +3,7 @@
 // data-only (or index-specific) key locking, next-key locking for
 // repeatable reads, SM_Bit / Delete_Bit based interaction with structure
 // modification operations, SMOs as nested top actions serialized by a tree
-// latch (or, per §5, a tree lock), page-oriented redo, and page-oriented
-// undo with logical fallback.
+// latch, page-oriented redo, and page-oriented undo with logical fallback.
 //
 // This file defines the binary payloads of the index manager's log
 // records. Every payload leads with the owning index ID so that undo can

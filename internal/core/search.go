@@ -43,9 +43,7 @@ func (ix *Index) traverse(tx *txn.Tx, probe storage.Key, forUpdate bool) (*buffe
 		// crash leftover: Fig 8 marks resets optional) — clear it under
 		// the page X latch so the ambiguity does not recur forever.
 		ix.clearStaleSMBit(tx, ambiguous)
-		if err := ix.treeWaitInstantS(tx); err != nil {
-			return nil, err
-		}
+		ix.treeWaitInstantS()
 	}
 	return nil, fmt.Errorf("core: traversal of index %d did not stabilize", ix.cfg.ID)
 }
@@ -63,7 +61,7 @@ func (ix *Index) clearStaleSMBit(tx *txn.Tx, pid storage.PageID) {
 	if f.Page.Type() != storage.PageTypeIndex || !f.Page.SMBit() {
 		return
 	}
-	if ix.treeTryInstantS(tx) {
+	if ix.treeTryInstantS() {
 		ix.resetBits(tx, f, false)
 	}
 }
@@ -78,8 +76,8 @@ func (ix *Index) descend(tx *txn.Tx, probe storage.Key, forUpdate bool) (*buffer
 	}
 	for {
 		if cur.Page.Type() != storage.PageTypeIndex {
-			// A page freed by a racing page-deletion SMO (visible under
-			// the §5 concurrent-SMO mode): wait the SMO out and re-descend.
+			// A page freed by a racing page-deletion SMO: wait the SMO out
+			// and re-descend.
 			id := cur.ID()
 			ix.unfixLatched(cur, curMode)
 			return nil, id, nil
@@ -160,15 +158,13 @@ func (ix *Index) awaitLeafQuiescent(tx *txn.Tx, leaf *buffer.Frame, clearDeleteB
 	// Conditional instant S on the tree while holding the leaf latch: a
 	// grant proves no SMO is in progress, and none can reach this leaf
 	// past our X latch, so the bits can be reset (a POSC is established).
-	if ix.treeTryInstantS(tx) {
+	if ix.treeTryInstantS() {
 		ix.resetBits(tx, leaf, clearDeleteBit)
 		return true, nil
 	}
 	// Denied: release the latch (never wait on the tree latch while
 	// holding page latches, §2.1), wait unconditionally, re-traverse.
 	ix.unfixLatched(leaf, latch.X)
-	if err := ix.treeWaitInstantS(tx); err != nil {
-		return false, err
-	}
+	ix.treeWaitInstantS()
 	return false, nil
 }

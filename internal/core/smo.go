@@ -6,7 +6,6 @@ import (
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/latch"
-	"ariesim/internal/lock"
 	"ariesim/internal/space"
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
@@ -18,7 +17,7 @@ import (
 // An SMO is performed by the transaction that encountered the need for it,
 // as a nested top action: once its dummy CLR is on the log, the SMO is
 // permanent regardless of the transaction's fate. SMOs within one tree are
-// serialized by the X tree latch (or tree lock, §5); the latch is taken
+// serialized by the X tree latch; the latch is taken
 // only after the pages involved are fixed in the buffer pool, and no I/O
 // is done while holding it. Every page touched gets SM_Bit set; the bits
 // are reset (redo-only records) after the dummy CLR.
@@ -28,16 +27,14 @@ import (
 // undo-redo records) and the tree latch is released only after the
 // rollback completes.
 
-// errSMOConflict reports that a concurrent leaf-level SMO (possible only
-// under the §5 IX tree lock) changed a neighborhood this SMO was relying
-// on; the partial SMO is rolled back page-oriented and retried.
+// errSMOConflict reports that a sibling pointer this SMO was relying on no
+// longer holds the value it read — a guard the X tree latch should never
+// let fire; the partial SMO is rolled back page-oriented and retried.
 var errSMOConflict = errors.New("core: concurrent SMO changed the page neighborhood")
 
-// smoCtx tracks pages touched by an in-flight SMO for the SM_Bit sweep,
-// plus the tree hold for §5 IX→X upgrades.
+// smoCtx tracks pages touched by an in-flight SMO for the SM_Bit sweep.
 type smoCtx struct {
 	touched []storage.PageID
-	hold    *treeHold
 }
 
 func (c *smoCtx) touch(id storage.PageID) {
@@ -55,10 +52,7 @@ func (c *smoCtx) touch(id storage.PageID) {
 // (Fig 8's ordering: the insert that necessitated the split happens after
 // the dummy CLR).
 func (ix *Index) SplitForInsert(tx *txn.Tx, leafID storage.PageID, cellSize int) error {
-	hold, err := ix.treeAcquireSMO(tx)
-	if err != nil {
-		return err
-	}
+	hold := ix.treeAcquireSMO()
 	defer hold.release()
 	save := tx.Savepoint()
 
@@ -77,7 +71,7 @@ func (ix *Index) SplitForInsert(tx *txn.Tx, leafID storage.PageID, cellSize int)
 		ix.stats.PageSplits.Add(1)
 	}
 	tok := tx.BeginNTA()
-	ctx := &smoCtx{hold: hold}
+	ctx := &smoCtx{}
 	err = ix.splitLocked(tx, ctx, f) // consumes the latch
 	if err != nil {
 		// Process failure inside the SMO: undo its records page-oriented,
@@ -100,14 +94,6 @@ func (ix *Index) SplitForInsert(tx *txn.Tx, leafID storage.PageID, cellSize int)
 func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 	if f.ID() == ix.root {
 		return ix.rootSplitLocked(tx, ctx, f)
-	}
-	if !f.Page.IsLeaf() {
-		// Splitting a nonleaf page is a nonleaf-level SMO: under the §5
-		// tree lock, upgrade IX→X first (no-op for the tree latch).
-		if err := ctx.hold.upgradeX(); err != nil {
-			ix.unfixLatched(f, latch.X)
-			return err
-		}
 	}
 	if err := ix.smoPageLock(tx, f.ID()); err != nil {
 		ix.unfixLatched(f, latch.X)
@@ -227,10 +213,9 @@ func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 }
 
 // chainFix rewrites one sibling pointer under an X latch, setting SM_Bit.
-// It verifies the pointer still holds the expected old value: under
-// concurrent leaf SMOs (§5 IX mode) a neighbor may have been rewired
-// since this SMO read its headers, in which case the SMO must abort and
-// retry (errSMOConflict).
+// It verifies the pointer still holds the expected old value; if a
+// neighbor was rewired since this SMO read its headers, the SMO must abort
+// and retry (errSMOConflict).
 func (ix *Index) chainFix(tx *txn.Tx, ctx *smoCtx, pid storage.PageID, nextField bool, old, new storage.PageID) error {
 	if err := ix.smoPageLock(tx, pid); err != nil {
 		return err
@@ -381,11 +366,6 @@ func (ix *Index) parentOf(tx *txn.Tx, probe storage.Key, child storage.PageID, c
 // fresh children — the root page ID never changes (DESIGN.md §4). The
 // X latch on the root frame is consumed.
 func (ix *Index) rootSplitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
-	// Restructuring the root is a nonleaf-level SMO (§5).
-	if err := ctx.hold.upgradeX(); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
-	}
 	p := f.Page
 	isLeaf := p.IsLeaf()
 	cells := pageCells(p)
@@ -542,15 +522,8 @@ func splitPoint(p *storage.Page) int {
 
 // resetSMBits clears SM_Bit on every page the completed SMO touched
 // (Fig 8 marks this optional; doing it keeps later traversals from paying
-// instant tree-latch waits). Freed pages are skipped. Under the §5 IX
-// tree lock the sweep is skipped entirely: another SMO may hold a claim
-// on a shared page (e.g. the common parent), and its warning bit must
-// survive ours — lazy cleanup (Fig 6's instant-S path, which requires
-// full quiescence) clears stale bits instead.
+// instant tree-latch waits). Freed pages are skipped.
 func (ix *Index) resetSMBits(tx *txn.Tx, ctx *smoCtx) {
-	if ctx.hold != nil && ctx.hold.lock && ctx.hold.lockMode == lock.IX {
-		return
-	}
 	for _, pid := range ctx.touched {
 		f, err := ix.pool.Fix(pid)
 		if err != nil {

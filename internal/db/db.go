@@ -66,8 +66,6 @@ type Options struct {
 	// core.DataOnly (ARIES/IM, default), core.IndexSpecific, core.KVL or
 	// core.SystemR (baselines).
 	Protocol core.Protocol
-	// UseTreeLock enables the §5 concurrent-SMO extension.
-	UseTreeLock bool
 	// LockWaitTimeout bounds every unconditional lock wait; a request
 	// still queued after it fails with lock.ErrLockTimeout. Zero keeps
 	// waits unbounded (deadlock detection alone resolves cycles).
@@ -81,16 +79,17 @@ type Options struct {
 	// evictions find clean victims and checkpoint DPTs stay small. Zero
 	// (the default) disables it, preserving historical behavior.
 	CleanerInterval time.Duration
-	// RedoWorkers sets the restart redo parallelism: zero or one runs the
-	// classic single-threaded redo pass; N > 1 partitions the dirty page
-	// table across N workers by page id (see recovery.RestartOpts).
+	// RedoWorkers sets the redo parallelism of restart (and, on a replica,
+	// of standby apply): the pages to redo are split across N workers by
+	// page id; zero or one is a single worker (see recovery.RestartOpts).
 	RedoWorkers int
-	// OnlineRestart makes Restart open the engine right after the analysis
-	// pass: redo happens on demand at buffer-fix time (plus a background
-	// drain), and loser undo runs in the background under reinstated locks.
+	// OnlineRestart chooses when Restart opens the engine, not how it
+	// recovers: right after the analysis pass, with redo on demand at
+	// buffer-fix time beside a background drain and loser undo in the
+	// background under reinstated locks, instead of after all of it.
 	// Requires the default data-only protocol (lock reinstatement derives
 	// record locks from the log, which only ARIES/IM's "key lock IS the
-	// record lock" rule permits); other protocols restart offline.
+	// record lock" rule permits); other protocols open late.
 	OnlineRestart bool
 	// Stats receives instrumentation; one is created when nil.
 	Stats *trace.Stats
@@ -542,7 +541,7 @@ func (d *DB) CreateTable(name string) (*Table, error) {
 func (d *DB) indexConfig(id uint32, unique bool) core.Config {
 	return core.Config{
 		ID: id, Unique: unique, Protocol: d.opts.Protocol,
-		Granularity: d.opts.Granularity, UseTreeLock: d.opts.UseTreeLock,
+		Granularity: d.opts.Granularity,
 	}
 }
 
@@ -956,7 +955,7 @@ func (d *DB) reopenLocked() error {
 // engine is up the moment Restart returns — right after the analysis pass —
 // and redo/undo continue in the background: the returned report carries
 // only the open-time fields, and AwaitRecovered returns the completed one.
-// Otherwise Restart runs the classic offline three-pass recovery.
+// Otherwise the same restart coordinator runs to completion first.
 func (d *DB) Restart() (*recovery.Report, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -28,7 +28,6 @@ func TestSoakConcurrentWithCrashes(t *testing.T) {
 		{"aries-im-record", Options{PageSize: 512, PoolSize: 96}},
 		{"aries-im-pagegran", Options{PageSize: 512, PoolSize: 96, Granularity: lock.GranPage}},
 		{"aries-kvl", Options{PageSize: 512, PoolSize: 96, Protocol: core.KVL}},
-		{"tree-lock", Options{PageSize: 512, PoolSize: 96, UseTreeLock: true}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {

@@ -240,7 +240,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	ch := repl.NewChannel(o.Faults)
 	sOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers,
 		OnlineRestart: o.OnlineRestart, Stats: &trace.Stats{}}
-	standby := repl.NewStandby(ch, meta, repl.StandbyOpts{DBOpts: sOpts, Epoch: 1, ApplyWorkers: o.RedoWorkers})
+	standby := repl.NewStandby(ch, meta, repl.StandbyOpts{DBOpts: sOpts, Epoch: 1})
 	standby.Start()
 
 	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{

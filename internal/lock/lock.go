@@ -146,9 +146,6 @@ const (
 	SpaceKeyValue
 	// SpaceIndexPage holds index-page locks (System R-style baseline).
 	SpaceIndexPage
-	// SpaceTree holds the per-index tree lock (the §5 extension that
-	// replaces the tree latch to allow concurrent SMOs).
-	SpaceTree
 )
 
 func (s Space) String() string {
@@ -165,8 +162,6 @@ func (s Space) String() string {
 		return "keyvalue"
 	case SpaceIndexPage:
 		return "indexpage"
-	case SpaceTree:
-		return "tree"
 	default:
 		return fmt.Sprintf("space%d", uint8(s))
 	}
@@ -175,7 +170,7 @@ func (s Space) String() string {
 // RegisterTraceNames labels the trace dimensions with this package's
 // enums; called once by the engine.
 func RegisterTraceNames() {
-	for s := SpaceTable; s <= SpaceTree; s++ {
+	for s := SpaceTable; s <= SpaceIndexPage; s++ {
 		trace.RegisterSpaceName(int(s), s.String())
 	}
 	for m := ModeNone; m <= X; m++ {
@@ -988,6 +983,3 @@ func KeyValueName(indexID uint64, hash uint64) Name {
 func IndexPageName(indexID uint64, page uint64) Name {
 	return Name{Space: SpaceIndexPage, A: indexID, B: page}
 }
-
-// TreeName names the per-index tree lock (§5 concurrent-SMO extension).
-func TreeName(indexID uint64) Name { return Name{Space: SpaceTree, A: indexID} }

@@ -1,35 +1,35 @@
-// Online restart: open for business after analysis, recover on demand.
+// The restart coordinator. Redo is strictly page-oriented (paper §3): a
+// page's recovery depends only on its own log records, so any page can be
+// recovered the moment somebody needs it. Following Sauer & Härder's
+// instant-restart design (arXiv 1409.3682), every restart is:
 //
-// Offline ARIES restart keeps the engine dark for the whole redo+undo
-// span. But redo is strictly page-oriented (paper §3): a page's recovery
-// depends only on its own log records, so any page can be recovered the
-// moment somebody needs it. Following Sauer & Härder's instant-restart
-// design (arXiv 1409.3682), the online coordinator splits restart into
-// four phases:
+//  1. analysis: rebuild the transaction table and DPT;
+//  2. the plan: one pass over the log from the minimum recLSN groups every
+//     record at or above its page's recLSN by page (buildPlan), and the
+//     plan goes behind the buffer pool's recovery hook — a miss read of a
+//     planned page replays its records before any fixer sees the page, and
+//     the pool's loading-frame protocol makes N concurrent fixers cost one
+//     replay;
+//  3. lock reinstatement: prepared transactions reacquire the locks listed
+//     in their prepare records;
+//  4. the drain: workers walk the plan in first-redo order (prefetching
+//     batches so miss reads overlap) until every planned page is recovered;
+//  5. loser undo in the global reverse-LSN sweep (undoLosers);
+//  6. hook out, and the checkpoint that bounds the next restart.
 //
-//  1. analysis (synchronous): rebuild the transaction table and DPT,
-//     exactly as offline restart does;
-//  2. lock reinstatement + stabilization (synchronous): prepared
-//     transactions reacquire locks from their prepare records; losers are
-//     classified — a loser whose remaining undo chain is pure inserts
-//     (OpDataInsert / OpIdxInsertKey, with completed nested top actions
-//     bypassed via their dummy CLRs) can be undone *after* open under
-//     reinstated X record locks, while any loser holding structural work
-//     (incomplete SMOs, formats, chain fixes, FSM ops) or deletes (whose
-//     commit-duration next-key locks are not derivable from the log) is
-//     fully undone *before* open in the classic global reverse-LSN sweep.
-//     Pages touched by that sweep are recovered on demand by the hook, so
-//     the pre-open phase costs undo work only, not a full redo pass;
-//  3. on-demand redo (concurrent, after open): the DPT is installed as a
-//     per-page "replay this log suffix" plan behind the buffer pool's
-//     recovery hook — a miss read of a planned page replays its records
-//     before any fixer sees the page, and the pool's loading-frame
-//     protocol makes N concurrent fixers cost one replay;
-//  4. background drain + background undo (concurrent, after open):
-//     workers walk the remaining plan in first-redo order (prefetching
-//     batches so miss reads overlap) while a goroutine rolls back the
-//     insert-only losers; their reinstated record locks block readers and
-//     ghost purges exactly as a live rollback's locks would.
+// What differs between the two entry points is only when the engine opens.
+// RestartWith (offline) runs 1–6 in order and returns; nobody is let in
+// before 6. StartOnline opens between 3 and 4: losers are classified — a
+// loser whose remaining undo chain is pure inserts (OpDataInsert /
+// OpIdxInsertKey, with completed nested top actions bypassed via their
+// dummy CLRs) can be undone *after* open under reinstated X record locks,
+// which block readers and ghost purges exactly as a live rollback's locks
+// would, while any loser holding structural work (incomplete SMOs, formats,
+// chain fixes, FSM ops) or deletes (whose commit-duration next-key locks
+// are not derivable from the log) is fully undone *before* open, the pages
+// it touches recovered on demand by the hook. After open the drain and the
+// insert-only losers' undo run concurrently, beside foreground fixes that
+// recover their own pages on demand.
 //
 // Crash-fence invariants: no checkpoint may be taken while the plan is
 // non-empty (its DPT would miss the un-drained pages; db.Checkpoint is
@@ -78,18 +78,16 @@ type OnlineOpts struct {
 	replayGate func(storage.PageID)
 }
 
-// Online coordinates the concurrent phases of an online restart. It is
-// created by StartOnline (which runs the synchronous phases and installs
-// the recovery hook); the caller marks the engine up and the background
-// phases run until Wait returns.
+// Online is the restart coordinator. begin runs analysis, installs the
+// plan behind the pool's recovery hook and reinstates in-doubt locks;
+// RestartWith then drives the remaining phases itself, StartOnline opens
+// the engine and leaves them to background goroutines that run until Wait
+// returns.
 type Online struct {
-	log   *wal.Log
 	pool  *buffer.Pool
 	tm    *txn.Manager
 	stats *trace.Stats
 	rep   *Report
-
-	workers int
 
 	// mu guards the plan. pending maps each unrecovered DPT page to its
 	// redoable log suffix (in LSN order); draining marks pages the drain
@@ -105,8 +103,6 @@ type Online struct {
 	// order is every planned page in first-redo order — the drain's walk.
 	order []storage.PageID
 
-	bgLosers []*txn.Tx
-
 	replayGate func(storage.PageID)
 
 	applied  atomic.Int64
@@ -119,102 +115,94 @@ type Online struct {
 	err   error
 }
 
-// StartOnline runs the synchronous phases of an online restart — analysis,
-// plan construction, hook installation, lock reinstatement, and the
-// pre-open stabilization undo — then launches the background drain and
-// undo and returns. On return the engine is safe to open: every page a
-// caller can fix recovers on demand, and every loser either is already
-// undone or holds its locks again. The returned report has the open-time
-// fields (AnalyzedFrom, RedoFrom, walls, LocksRestored) filled in; the
-// redo/undo totals are written by the background phases and must be read
-// through Wait.
-func StartOnline(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.Manager, stats *trace.Stats, opts OnlineOpts) (*Online, error) {
-	start := time.Now()
-	rep := &Report{Online: true}
+// begin runs the phases every restart starts with — analysis, plan
+// construction, hook installation, in-doubt lock reinstatement — and
+// returns the coordinator with the losers (the transactions in flight at
+// the crash) analysis found. From here on every Fix recovers its page
+// before the caller sees it.
+func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats, opts OnlineOpts) (*Online, []*wal.TxTableEntry, error) {
+	rep := &Report{}
 	t := time.Now()
-	txTable, dpt, maxTx, err := analyze(log, rep)
-	if err != nil {
-		return nil, err
-	}
+	txTable, dpt, maxTx := analyze(log, rep)
 	rep.AnalysisWall = time.Since(t)
 	tm.SetNextID(maxTx + 1)
 
-	workers := opts.RedoWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	o := &Online{
-		log:      log,
-		pool:     pool,
-		tm:       tm,
-		stats:    stats,
-		rep:      rep,
-		workers:  workers,
-		pending:  make(map[storage.PageID][]*wal.Record, len(dpt)),
-		draining: make(map[storage.PageID]bool),
-		done:     make(chan struct{}),
-
-		replayGate: opts.replayGate,
-	}
-	rep.RedoWorkers = workers
-
-	// Build the per-page redo plan in one pass over the log suffix: the
-	// same records and the same per-page filter the offline redo pass
-	// applies, grouped by page instead of replayed.
-	if len(dpt) == 0 {
-		rep.RedoFrom = rep.AnalyzedFrom
-	} else {
-		redoFrom := wal.LSN(^uint64(0))
+	// Nothing to redo: report the analysis start rather than a bogus zero
+	// LSN, so "redo began at" is never before "analysis began at".
+	rep.RedoFrom = rep.AnalyzedFrom
+	var p plan
+	if len(dpt) > 0 {
+		rep.RedoFrom = wal.LSN(^uint64(0))
 		for _, l := range dpt {
-			if l < redoFrom {
-				redoFrom = l
+			if l < rep.RedoFrom {
+				rep.RedoFrom = l
 			}
 		}
-		rep.RedoFrom = redoFrom
-		for _, r := range log.SnapshotFrom(redoFrom) {
-			rep.RedoRecordsScanned++
-			if !r.Redoable() {
-				continue
-			}
-			rec, ok := dpt[r.Page]
-			if !ok || r.LSN < rec {
-				continue
-			}
-			if o.pending[r.Page] == nil {
-				o.order = append(o.order, r.Page)
-			}
-			o.pending[r.Page] = append(o.pending[r.Page], r)
-		}
+		recs := log.SnapshotFrom(rep.RedoFrom)
+		p = buildPlan(recs, func(r *wal.Record) bool {
+			recLSN, ok := dpt[r.Page]
+			return ok && r.LSN >= recLSN
+		})
 		if stats != nil {
-			stats.RedoRecordsScanned.Add(uint64(rep.RedoRecordsScanned))
+			stats.RedoRecordsScanned.Add(uint64(len(recs)))
 		}
 	}
-
-	// From here on every Fix recovers its page before the caller sees it —
-	// including the fixes issued by the stabilization undo below.
+	rep.RedoWorkers = max(1, min(opts.RedoWorkers, len(p.order)))
+	o := &Online{
+		pool:       pool,
+		tm:         tm,
+		stats:      stats,
+		rep:        rep,
+		pending:    p.recs,
+		draining:   make(map[storage.PageID]bool),
+		order:      p.order,
+		replayGate: opts.replayGate,
+		done:       make(chan struct{}),
+	}
 	pool.SetRecoveryHook(o.recoverPage)
+	if err := reacquireLocks(log, tm, txTable, rep); err != nil {
+		pool.SetRecoveryHook(nil)
+		return nil, nil, err
+	}
+	var losers []*wal.TxTableEntry
+	for _, e := range txTable {
+		if e.State == wal.TxActive || e.State == wal.TxRollingBack {
+			losers = append(losers, e)
+		}
+	}
+	return o, losers, nil
+}
+
+// StartOnline runs the synchronous phases of an online restart — begin,
+// loser classification and the pre-open stabilization undo — then launches
+// the background drain and undo and returns. On return the engine is safe
+// to open: every page a caller can fix recovers on demand, and every loser
+// either is already undone or holds its locks again. The returned report
+// has the open-time fields (AnalyzedFrom, RedoFrom, walls, LocksRestored)
+// filled in; the redo/undo totals are written by the background phases and
+// must be read through Wait.
+func StartOnline(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.Manager, stats *trace.Stats, opts OnlineOpts) (*Online, error) {
+	start := time.Now()
+	o, losers, err := begin(log, pool, tm, stats, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep := o.rep
+	rep.Online = true
 	fail := func(err error) (*Online, error) {
 		pool.SetRecoveryHook(nil)
 		return nil, err
 	}
 
-	// In-doubt (prepared) transactions: locks from their prepare records.
-	if err := reacquireLocks(log, tm, txTable, rep); err != nil {
-		return fail(err)
-	}
-
 	// Classify losers and reinstate the background-eligible ones' locks.
-	stab := map[wal.TxID]*wal.TxTableEntry{}
-	for id, e := range txTable {
-		if e.State != wal.TxActive && e.State != wal.TxRollingBack {
-			continue
-		}
+	var stab, bg []*txn.Tx
+	for _, e := range losers {
 		names, bgOK, err := classifyLoser(log, e, opts.Granularity)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("recovery: classify tx %d: %w", e.TxID, err))
 		}
 		if !bgOK {
-			stab[id] = e
+			stab = append(stab, tm.AdoptLoser(*e))
 			continue
 		}
 		for _, n := range names {
@@ -223,20 +211,21 @@ func StartOnline(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.M
 			}
 		}
 		rep.LocksRestored += len(names)
-		o.bgLosers = append(o.bgLosers, tm.AdoptLoser(*e))
+		bg = append(bg, tm.AdoptLoser(*e))
 	}
 
 	// Pre-open stabilization: the structural/delete losers are fully undone
-	// in the classic global reverse-LSN sweep before anyone else runs, so
-	// the tree the background losers' logical undos will traverse — and the
-	// tree new transactions see — is structurally consistent at open.
-	if err := undoLosers(tm, stab, rep, 0); err != nil {
+	// before anyone else runs, so the tree the background losers' logical
+	// undos will traverse — and the tree new transactions see — is
+	// structurally consistent at open.
+	if err := undoLosers(stab, 0, nil); err != nil {
 		return fail(err)
 	}
-	rep.LosersStabilized = rep.LosersUndone
+	rep.LosersStabilized = len(stab)
+	rep.LosersUndone = len(stab)
 
 	rep.OpenWall = time.Since(start)
-	go o.run()
+	go o.run(bg)
 	return o, nil
 }
 
@@ -257,7 +246,7 @@ func classifyLoser(log *wal.Log, e *wal.TxTableEntry, gran lock.Granularity) ([]
 	for lsn != wal.NilLSN {
 		r, err := log.Read(lsn)
 		if err != nil {
-			return nil, false, fmt.Errorf("recovery: classify tx %d: %w", e.TxID, err)
+			return nil, false, err
 		}
 		switch {
 		case r.IsCLR():
@@ -268,13 +257,13 @@ func classifyLoser(log *wal.Log, e *wal.TxTableEntry, gran lock.Granularity) ([]
 			case wal.OpDataInsert:
 				slot, err := data.SlotOfPayload(r.Payload)
 				if err != nil {
-					return nil, false, fmt.Errorf("recovery: classify tx %d: %w", e.TxID, err)
+					return nil, false, err
 				}
 				name = lock.DataLockName(gran, uint64(r.Page), slot)
 			case wal.OpIdxInsertKey:
 				info, err := core.DecodeKeyOpPayload(r.Payload)
 				if err != nil {
-					return nil, false, fmt.Errorf("recovery: classify tx %d: %w", e.TxID, err)
+					return nil, false, err
 				}
 				name = lock.DataLockName(gran, uint64(info.Key.RID.Page), info.Key.RID.Slot)
 			default:
@@ -296,168 +285,120 @@ func classifyLoser(log *wal.Log, e *wal.TxTableEntry, gran lock.Granularity) ([]
 // planned log suffix onto the freshly read page image. Runs under the
 // pool's loading-frame protocol, so one invocation at a time per planned
 // page; a failed one leaves the plan entry as it was and the next fix
-// retries (replay is idempotent because every record is page_LSN-guarded),
-// a successful one empties it.
+// retries (replay is idempotent), a successful one empties it.
 func (o *Online) recoverPage(pid storage.PageID, p *storage.Page) (bool, wal.LSN, error) {
 	o.mu.Lock()
 	recs := o.pending[pid]
-	if len(recs) == 0 {
-		o.mu.Unlock()
-		return false, wal.NilLSN, nil
-	}
 	byDrain := o.draining[pid]
 	o.mu.Unlock()
+	if len(recs) == 0 {
+		return false, wal.NilLSN, nil
+	}
 	if o.replayGate != nil {
 		o.replayGate(pid)
 	}
-
-	dirty := false
-	var recLSN wal.LSN
-	applied, skipped := 0, 0
-	for _, r := range recs {
-		if p.LSN() >= uint64(r.LSN) {
-			skipped++
-			continue
-		}
-		if err := routeRedo(p, r); err != nil {
-			return false, wal.NilLSN, fmt.Errorf("recovery: on-demand redo of %s: %w", r, err)
-		}
-		p.SetLSN(uint64(r.LSN))
-		if !dirty {
-			dirty = true
-			recLSN = r.LSN
-		}
-		applied++
+	applied, skipped, first, err := replay(p, recs)
+	if err != nil {
+		return false, wal.NilLSN, err
 	}
 	o.mu.Lock()
 	o.pending[pid] = recs[:0]
 	o.mu.Unlock()
 	o.applied.Add(int64(applied))
 	o.skipped.Add(int64(skipped))
+	countRedo(o.stats, applied, skipped)
 	if byDrain {
 		o.drained.Add(1)
 	} else {
 		o.onDemand.Add(1)
 	}
-	if o.stats != nil {
-		o.stats.RedoApplied.Add(uint64(applied))
-		o.stats.RedoSkipped.Add(uint64(skipped))
-		if byDrain {
-			o.stats.PagesRedoneByDrain.Add(1)
-		} else {
-			o.stats.PagesRedoneOnDemand.Add(1)
-		}
+	if o.stats != nil && byDrain {
+		o.stats.PagesRedoneByDrain.Add(1)
+	} else if o.stats != nil {
+		o.stats.PagesRedoneOnDemand.Add(1)
 	}
-	return dirty, recLSN, nil
+	return applied > 0, first, nil
 }
 
-// run drives the background phases: the DPT drain and the loser undo run
-// concurrently; when both finish the hook comes out, the bounding
-// checkpoint is taken, and Wait is released.
-func (o *Online) run() {
+// run drives the background phases of an online restart: the drain and the
+// undo of the insert-only losers run concurrently — the losers' reinstated
+// X record locks make each logical key-removal invisible to readers until
+// the loser ends, exactly a live rollback's contract — and when both
+// finish the restart completes and Wait is released.
+func (o *Online) run(bg []*txn.Tx) {
 	var wg sync.WaitGroup
 	var drainErr, undoErr error
-	var redoWall, undoWall time.Duration
 	start := time.Now()
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		drainErr = o.drain()
-		redoWall = time.Since(start)
+		drainErr = fanOut(o.order, o.rep.RedoWorkers, o.drainPart)
+		o.rep.RedoWall = time.Since(start)
 	}()
 	go func() {
 		defer wg.Done()
-		undoErr = o.undoBackground()
-		undoWall = time.Since(start)
+		undoErr = undoLosers(bg, 0, &o.abort)
+		o.rep.UndoWall = time.Since(start)
 	}()
 	wg.Wait()
-
-	o.rep.RedoWall = redoWall
-	o.rep.UndoWall = undoWall
-	o.rep.RedosApplied += int(o.applied.Load())
-	o.rep.RedosSkipped += int(o.skipped.Load())
-	o.rep.PagesOnDemand = int(o.onDemand.Load())
-	o.rep.PagesDrained = int(o.drained.Load())
-	o.rep.LosersBackground = len(o.bgLosers)
-	o.rep.LosersUndone += len(o.bgLosers)
-
-	switch {
-	case o.abort.Load():
-		o.err = ErrRecoveryAborted
-	case drainErr != nil:
-		o.err = drainErr
-	case undoErr != nil:
-		o.err = undoErr
-	default:
-		// Plan empty, losers gone: recovery is complete. Remove the hook
-		// (any in-flight invocation no-ops against the empty plan) and take
-		// the checkpoint that bounds the next restart's analysis — the
-		// checkpoint db.Checkpoint refused to take while we were pending.
-		o.pool.SetRecoveryHook(nil)
-		o.tm.Checkpoint(o.pool)
+	o.rep.LosersBackground = len(bg)
+	o.rep.LosersUndone += len(bg)
+	err := errors.Join(drainErr, undoErr)
+	if o.abort.Load() {
+		err = ErrRecoveryAborted
 	}
+	_, o.err = o.finish(err)
 	close(o.done)
 }
 
-// drain recovers every still-pending page front-to-back in first-redo
-// order, partitioned across workers by the pool's shard hash (the same
-// zero-sync split as offline parallel redo). Batches are prefetched so
-// miss reads overlap; the per-page Fix below does the recovery.
-func (o *Online) drain() error {
-	parts := make([][]storage.PageID, o.workers)
-	for _, pid := range o.order {
-		w := int(buffer.ShardHash(pid) % uint64(o.workers))
-		parts[w] = append(parts[w], pid)
+// finish closes a restart. With the plan empty and the losers gone,
+// recovery is complete: the hook comes out (any in-flight invocation
+// no-ops against the empty plan) and the checkpoint that bounds the next
+// restart's analysis — the one db.Checkpoint refuses to take while the
+// plan is pending — is taken. A failed offline restart drops its hook with
+// the rest of its volatile state; a failed online one keeps it, because
+// under an open engine no fixer may ever see an unrecovered page.
+func (o *Online) finish(err error) (*Report, error) {
+	o.rep.RedosApplied = int(o.applied.Load())
+	o.rep.RedosSkipped = int(o.skipped.Load())
+	o.rep.PagesOnDemand = int(o.onDemand.Load())
+	o.rep.PagesDrained = int(o.drained.Load())
+	if err == nil || !o.rep.Online {
+		o.pool.SetRecoveryHook(nil)
 	}
-	if o.workers == 1 {
-		return o.drainPart(parts[0])
+	if err == nil {
+		o.tm.Checkpoint(o.pool)
 	}
-	errs := make([]error, o.workers)
-	var wg sync.WaitGroup
-	for w := range parts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = o.drainPart(parts[w])
-		}(w)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return o.rep, err
 }
 
+// drainPart is one drain worker: it recovers its share of the plan
+// front-to-back in first-redo order. Batches are prefetched so miss reads
+// overlap; the per-page Fix in drainPage does the recovery.
 func (o *Online) drainPart(pages []storage.PageID) error {
-	for i := 0; i < len(pages); {
-		if o.abort.Load() {
-			return nil
-		}
-		end := i + redoPrefetchBatch
-		if end > len(pages) {
-			end = len(pages)
-		}
+	for len(pages) > 0 && !o.abort.Load() {
+		batch := pages[:min(redoPrefetchBatch, len(pages))]
+		pages = pages[len(batch):]
 		var live []storage.PageID
 		o.mu.Lock()
-		for _, pid := range pages[i:end] {
+		for _, pid := range batch {
 			if len(o.pending[pid]) > 0 {
 				o.draining[pid] = true
 				live = append(live, pid)
 			}
 		}
 		o.mu.Unlock()
-		batch := pages[i:end]
-		i = end
 		o.pool.Prefetch(live)
-		var err error
+		var errs []error
 		for _, pid := range batch {
-			if e := o.drainPage(pid); e != nil && err == nil {
-				err = e
-			}
+			errs = append(errs, o.drainPage(pid))
 		}
 		o.mu.Lock()
 		for _, pid := range live {
 			delete(o.draining, pid)
 		}
 		o.mu.Unlock()
-		if err != nil {
+		if err := errors.Join(errs...); err != nil {
 			return err
 		}
 	}
@@ -492,48 +433,12 @@ func (o *Online) drainPage(pid storage.PageID) error {
 		time.Sleep(time.Duration(attempt+1) * 50 * time.Microsecond)
 	}
 	o.mu.Lock()
-	if len(o.pending[pid]) == 0 {
-		delete(o.pending, pid)
+	defer o.mu.Unlock()
+	if len(o.pending[pid]) > 0 {
+		// The Fix was a hit on a frame no hook ever ran on.
+		return fmt.Errorf("recovery: page %d was in the pool before restart began", pid)
 	}
-	o.mu.Unlock()
-	return nil
-}
-
-// undoBackground rolls back the insert-only losers in the same
-// max-UndoNxtLSN order the offline sweep uses. Their reinstated X record
-// locks make each logical key-removal invisible to readers until the
-// loser ends — exactly a live rollback's contract.
-func (o *Online) undoBackground() error {
-	losers := map[wal.TxID]*txn.Tx{}
-	for _, t := range o.bgLosers {
-		losers[t.ID] = t
-	}
-	for len(losers) > 0 {
-		if o.abort.Load() {
-			return nil
-		}
-		var victim *txn.Tx
-		for _, t := range losers {
-			if t.UndoNxtLSN() == wal.NilLSN {
-				t.EndLoser()
-				delete(losers, t.ID)
-				continue
-			}
-			if victim == nil || t.UndoNxtLSN() > victim.UndoNxtLSN() {
-				victim = t
-			}
-		}
-		if victim == nil {
-			break
-		}
-		if err := victim.UndoStep(); err != nil {
-			return err
-		}
-		if victim.UndoNxtLSN() == wal.NilLSN {
-			victim.EndLoser()
-			delete(losers, victim.ID)
-		}
-	}
+	delete(o.pending, pid)
 	return nil
 }
 

@@ -1,14 +1,16 @@
 // Package recovery implements ARIES restart recovery (paper §1.2) and
 // page-oriented media recovery (§5) for ariesim.
 //
-// Restart makes three passes over the log:
+// Restart is the three ARIES passes:
 //
 //   - analysis: from the last checkpoint to the end of the log, rebuilding
 //     the transaction table and dirty page table;
 //   - redo: from the minimum recLSN, repeating history — every logged page
 //     action (including CLRs, including in-flight transactions' updates)
 //     whose effect is missing from its page (page_LSN < record LSN) is
-//     reapplied, strictly page-oriented;
+//     reapplied. Strictly page-oriented, so it is done a page at a time:
+//     the records are grouped per page and each page replayed when it is
+//     first read (replay.go; the coordinator in online.go);
 //   - undo: the losers' updates are rolled back in a single global
 //     reverse-LSN sweep, writing CLRs; this global order is what
 //     guarantees that an incomplete SMO is undone before any logical undo
@@ -22,35 +24,16 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ariesim/internal/buffer"
-	"ariesim/internal/core"
-	"ariesim/internal/data"
-	"ariesim/internal/latch"
 	"ariesim/internal/lock"
-	"ariesim/internal/space"
 	"ariesim/internal/storage"
 	"ariesim/internal/trace"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
 )
-
-// routeRedo dispatches one record's redo to its resource manager.
-func routeRedo(p *storage.Page, rec *wal.Record) error {
-	switch {
-	case rec.Op >= wal.OpIdxInsertKey && rec.Op <= wal.OpIdxUnfreePage:
-		return core.ApplyRedo(p, rec)
-	case rec.Op == wal.OpFSMAlloc || rec.Op == wal.OpFSMFree:
-		return space.ApplyRedo(p, rec)
-	case rec.Op >= wal.OpDataFormat && rec.Op <= wal.OpDataFree:
-		return data.ApplyRedo(p, rec)
-	default:
-		return fmt.Errorf("recovery: no resource manager for op %s", rec.Op)
-	}
-}
 
 // Report summarizes a restart for tests and the bench harness.
 type Report struct {
@@ -63,25 +46,28 @@ type Report struct {
 	InDoubt       []wal.TxID
 	LocksRestored int
 
-	// Parallel-redo observability.
-	RedoWorkers        int // effective worker count (after clamping to DPT size)
-	RedoRecordsScanned int // records examined across all redo workers
-	PagesPrefetched    int // pages pulled in by the DPT-driven prefetcher
+	// RedoWorkers is the effective drain parallelism (after clamping to the
+	// number of pages to redo).
+	RedoWorkers int
 
 	// Per-pass wall clocks.
 	AnalysisWall time.Duration
 	RedoWall     time.Duration
 	UndoWall     time.Duration
 
+	// Who recovered the planned pages: the drain, or somebody else's Fix
+	// (the undo pass, or foreground callers of an online restart).
+	PagesOnDemand int
+	PagesDrained  int
+
 	// Online-restart observability (zero for offline restarts). OpenWall is
 	// the time from restart start to the engine opening for business —
 	// analysis plus lock reinstatement plus the pre-open stabilization undo.
-	// The remaining fields are written by the background phases and are safe
-	// to read only after Online.Wait returns.
+	// Every field the phases after open write (the redo and undo totals
+	// and walls, the page counts, LosersBackground) is safe to read only
+	// after Online.Wait returns.
 	Online           bool
 	OpenWall         time.Duration
-	PagesOnDemand    int // DPT pages recovered at fix time by foreground callers
-	PagesDrained     int // DPT pages recovered by the background drain
 	LosersStabilized int // losers undone before open (structural/delete undo)
 	LosersBackground int // insert-only losers undone after open, under reinstated locks
 }
@@ -93,11 +79,6 @@ type Report struct {
 // partial undo repeatable without re-undoing compensated work.
 var ErrRestartInterrupted = errors.New("recovery: restart interrupted mid-undo")
 
-// DefaultRedoPrefetch is the prefetch read-ahead depth (pages in flight
-// beyond the apply cursor) of parallel redo; the single-threaded pass does
-// not prefetch.
-const DefaultRedoPrefetch = 32
-
 // redoPrefetchBatch is how many page reads one prefetch call issues
 // concurrently; small enough not to flood a shard with loading frames,
 // large enough to keep a costed device queue busy.
@@ -106,56 +87,55 @@ const redoPrefetchBatch = 8
 // RestartOpts tunes a restart run.
 type RestartOpts struct {
 	// MaxUndoSteps, when positive, crashes the restart after that many undo
-	// steps (each step writes one CLR or closes one loser) by returning
-	// ErrRestartInterrupted. Zero or negative means run to completion.
-	// Used by the crash-point sweep to exercise repeated restarts.
+	// steps (each step writes one CLR) by returning ErrRestartInterrupted.
+	// Zero or negative means run to completion. Used by the crash-point
+	// sweep to exercise repeated restarts.
 	MaxUndoSteps int
 
-	// RedoWorkers is the redo-pass parallelism. Zero or one runs the
-	// classic single-threaded pass (the measured baseline); N > 1
-	// partitions the dirty page table across N workers by page id. The
-	// effective count is clamped to the DPT size.
+	// RedoWorkers is the redo parallelism: the pages to redo are split
+	// across that many workers by page id. Zero or one is a single worker;
+	// the effective count is clamped to the number of pages.
 	RedoWorkers int
 }
 
-// Restart runs the three recovery passes. The caller supplies the freshly
-// constructed (post-crash) managers: an empty lock manager, a transaction
-// manager with its undoer wired to the reopened index/record managers, and
-// a buffer pool over the surviving disk. stats may be nil.
+// Restart runs restart recovery to completion. The caller supplies the
+// freshly constructed (post-crash) managers: an empty lock manager, a
+// transaction manager with its undoer wired to the reopened index/record
+// managers, and an empty buffer pool over the surviving disk. stats may be
+// nil.
 func Restart(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.Manager, stats *trace.Stats) (*Report, error) {
 	return RestartWith(log, pool, tm, locks, stats, RestartOpts{})
 }
 
-// RestartWith is Restart with options; see RestartOpts.
+// RestartWith is Restart with options; see RestartOpts. It is the restart
+// coordinator of online.go run to completion before anyone is let in:
+// analysis, the per-page redo plan behind the pool's recovery hook, the
+// drain of that plan, then every loser undone in one global reverse-LSN
+// sweep and the bounding checkpoint. StartOnline runs the same phases but
+// opens the engine before the drain.
 func RestartWith(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.Manager, stats *trace.Stats, opts RestartOpts) (*Report, error) {
-	rep := &Report{}
-	t := time.Now()
-	txTable, dpt, maxTx, err := analyze(log, rep)
+	o, losers, err := begin(log, pool, tm, stats, OnlineOpts{RestartOpts: opts})
 	if err != nil {
 		return nil, err
 	}
-	rep.AnalysisWall = time.Since(t)
-	tm.SetNextID(maxTx + 1)
-	t = time.Now()
-	if err := redo(log, pool, dpt, rep, stats, opts); err != nil {
-		return nil, err
+	t := time.Now()
+	err = fanOut(o.order, o.rep.RedoWorkers, o.drainPart)
+	o.rep.RedoWall = time.Since(t)
+	if err == nil {
+		adopted := make([]*txn.Tx, len(losers))
+		for i, e := range losers {
+			adopted[i] = tm.AdoptLoser(*e)
+		}
+		o.rep.LosersUndone = len(losers)
+		t = time.Now()
+		err = undoLosers(adopted, opts.MaxUndoSteps, nil)
+		o.rep.UndoWall = time.Since(t)
 	}
-	rep.RedoWall = time.Since(t)
-	if err := reacquireLocks(log, tm, txTable, rep); err != nil {
-		return nil, err
-	}
-	t = time.Now()
-	if err := undoLosers(tm, txTable, rep, opts.MaxUndoSteps); err != nil {
-		return rep, err
-	}
-	rep.UndoWall = time.Since(t)
-	// Post-restart checkpoint bounds the next restart's analysis pass.
-	tm.Checkpoint(pool)
-	return rep, nil
+	return o.finish(err)
 }
 
 // analyze rebuilds the transaction table and dirty page table.
-func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[storage.PageID]wal.LSN, wal.TxID, error) {
+func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[storage.PageID]wal.LSN, wal.TxID) {
 	txTable := map[wal.TxID]*wal.TxTableEntry{}
 	dpt := map[storage.PageID]wal.LSN{}
 	var maxTx wal.TxID
@@ -251,218 +231,7 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 			delete(txTable, id)
 		}
 	}
-	return txTable, dpt, maxTx, nil
-}
-
-// redo repeats history from the minimum recLSN.
-//
-// The pass is strictly page-oriented: a record's redo touches exactly one
-// page, and the only ordering ARIES requires is per-page LSN order (§1.2).
-// Partitioning the dirty page table by page id therefore needs zero
-// cross-worker synchronization — each worker replays only its own pages'
-// records, in log order, and no two workers ever fix the same page. The
-// partition function is the pool's Fibonacci shard hash, so a worker's
-// pages also spread across buffer shards. One log snapshot (SnapshotFrom)
-// is shared read-only by every worker.
-func redo(log *wal.Log, pool *buffer.Pool, dpt map[storage.PageID]wal.LSN, rep *Report, stats *trace.Stats, opts RestartOpts) error {
-	rep.RedoWorkers = 1
-	if len(dpt) == 0 {
-		// Nothing to redo. Report the analysis start rather than a bogus
-		// zero LSN so "redo began at" is never before "analysis began at".
-		rep.RedoFrom = rep.AnalyzedFrom
-		return nil
-	}
-	redoFrom := wal.LSN(^uint64(0))
-	for _, l := range dpt {
-		if l < redoFrom {
-			redoFrom = l
-		}
-	}
-	rep.RedoFrom = redoFrom
-	recs := log.SnapshotFrom(redoFrom)
-
-	workers := opts.RedoWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(dpt) {
-		workers = len(dpt)
-	}
-	rep.RedoWorkers = workers
-
-	prefetch := 0 // the single-threaded pass stays honestly serial
-	if workers > 1 {
-		prefetch = DefaultRedoPrefetch
-	}
-
-	// Partition the DPT and, when prefetching, compute each worker's pages
-	// in first-redo order — the order its apply cursor will demand them.
-	parts := make([]map[storage.PageID]wal.LSN, workers)
-	for i := range parts {
-		parts[i] = make(map[storage.PageID]wal.LSN)
-	}
-	for pid, rec := range dpt {
-		parts[int(buffer.ShardHash(pid)%uint64(workers))][pid] = rec
-	}
-	orders := make([][]storage.PageID, workers)
-	if prefetch > 0 {
-		seen := make(map[storage.PageID]bool, len(dpt))
-		for _, r := range recs {
-			if !r.Redoable() || seen[r.Page] {
-				continue
-			}
-			if rec, ok := dpt[r.Page]; !ok || r.LSN < rec {
-				continue
-			}
-			seen[r.Page] = true
-			w := int(buffer.ShardHash(r.Page) % uint64(workers))
-			orders[w] = append(orders[w], r.Page)
-		}
-	}
-
-	var abort atomic.Bool
-	results := make([]redoResult, workers)
-	if workers == 1 {
-		results[0] = redoPartition(pool, recs, parts[0], orders[0], prefetch, stats, &abort)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				results[w] = redoPartition(pool, recs, parts[w], orders[w], prefetch, stats, &abort)
-			}(w)
-		}
-		wg.Wait()
-	}
-	var redoErr error
-	for _, res := range results {
-		rep.RedosApplied += res.applied
-		rep.RedosSkipped += res.skipped
-		rep.RedoRecordsScanned += res.scanned
-		rep.PagesPrefetched += res.prefetched
-		if res.err != nil && redoErr == nil {
-			redoErr = res.err
-		}
-	}
-	if stats != nil {
-		stats.RedoRecordsScanned.Add(uint64(rep.RedoRecordsScanned))
-	}
-	return redoErr
-}
-
-// redoResult is one redo worker's tally.
-type redoResult struct {
-	applied    int
-	skipped    int
-	scanned    int
-	prefetched int
-	err        error
-}
-
-// redoPartition replays, in log order, every redoable record belonging to
-// the pages in part. It is the classic serial redo loop body; parallelism
-// comes entirely from running several partitions at once over the shared
-// record snapshot. A prefetcher goroutine (when enabled) pulls the
-// partition's pages into the pool ahead of the apply cursor so miss reads
-// overlap with apply work.
-func redoPartition(pool *buffer.Pool, recs []*wal.Record, part map[storage.PageID]wal.LSN, order []storage.PageID, prefetch int, stats *trace.Stats, abort *atomic.Bool) (res redoResult) {
-	if len(part) == 0 {
-		return res
-	}
-	// cursor counts distinct pages the apply loop has reached; the
-	// prefetcher throttles itself against it.
-	var cursor atomic.Int64
-	if prefetch > 0 && len(order) > 0 {
-		stop := make(chan struct{})
-		done := make(chan int, 1)
-		go prefetchAhead(pool, order, &cursor, prefetch, stop, done)
-		defer func() {
-			close(stop)
-			res.prefetched = <-done
-		}()
-	}
-	touched := make(map[storage.PageID]bool, len(part))
-	for _, r := range recs {
-		if abort.Load() {
-			return res
-		}
-		res.scanned++
-		if !r.Redoable() {
-			continue
-		}
-		rec, ok := part[r.Page]
-		if !ok || r.LSN < rec {
-			continue
-		}
-		if !touched[r.Page] {
-			touched[r.Page] = true
-			cursor.Add(1)
-		}
-		f, err := pool.Fix(r.Page)
-		if err != nil {
-			res.err = err
-			abort.Store(true)
-			return res
-		}
-		f.Latch.Acquire(latch.X)
-		if f.Page.LSN() < uint64(r.LSN) {
-			if err := routeRedo(f.Page, r); err != nil {
-				f.Latch.Release(latch.X)
-				pool.Unfix(f)
-				res.err = fmt.Errorf("recovery: redo of %s: %w", r, err)
-				abort.Store(true)
-				return res
-			}
-			f.Page.SetLSN(uint64(r.LSN))
-			pool.MarkDirty(f, r.LSN)
-			res.applied++
-			if stats != nil {
-				stats.RedoApplied.Add(1)
-			}
-		} else {
-			res.skipped++
-			if stats != nil {
-				stats.RedoSkipped.Add(1)
-			}
-		}
-		f.Latch.Release(latch.X)
-		pool.Unfix(f)
-	}
-	return res
-}
-
-// prefetchAhead batches the partition's pages into the pool in first-use
-// order, staying at most depth pages beyond the apply cursor so a huge DPT
-// cannot flood (or thrash) the pool. Throttling is a bounded sleep-poll
-// rather than a handshake: the apply loop never blocks on the prefetcher,
-// and a closed stop channel ends the read-ahead immediately.
-func prefetchAhead(pool *buffer.Pool, order []storage.PageID, cursor *atomic.Int64, depth int, stop <-chan struct{}, done chan<- int) {
-	total := 0
-	for i := 0; i < len(order); {
-		for int64(i)-cursor.Load() >= int64(depth) {
-			select {
-			case <-stop:
-				done <- total
-				return
-			default:
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-		end := i + redoPrefetchBatch
-		if end > len(order) {
-			end = len(order)
-		}
-		total += pool.Prefetch(order[i:end])
-		i = end
-		select {
-		case <-stop:
-			done <- total
-			return
-		default:
-		}
-	}
-	done <- total
+	return txTable, dpt, maxTx
 }
 
 // reacquireLocks restores the locks of in-doubt transactions from their
@@ -504,34 +273,34 @@ func reacquireLocks(log *wal.Log, tm *txn.Manager, txTable map[wal.TxID]*wal.TxT
 	return nil
 }
 
-// undoLosers rolls back every in-flight transaction in one global
-// reverse-LSN sweep, exactly as the ARIES undo pass prescribes. A positive
-// maxSteps budget interrupts the pass after that many steps (simulating a
-// crash during restart); the CLRs already written keep the rerun correct.
-func undoLosers(tm *txn.Manager, txTable map[wal.TxID]*wal.TxTableEntry, rep *Report, maxSteps int) error {
-	losers := map[wal.TxID]*txn.Tx{}
-	for _, e := range txTable {
-		if e.State == wal.TxActive || e.State == wal.TxRollingBack {
-			losers[e.TxID] = tm.AdoptLoser(*e)
+// undoLosers rolls the adopted losers back in one global reverse-LSN sweep
+// — always the step with the maximum UndoNxtLSN next — exactly as the
+// ARIES undo pass prescribes. A positive maxSteps budget interrupts the
+// pass after that many steps (simulating a crash during restart); the CLRs
+// already written keep the rerun correct. A set abort flag (a re-crash
+// under an open engine) ends it quietly.
+func undoLosers(losers []*txn.Tx, maxSteps int, abort *atomic.Bool) error {
+	live := append([]*txn.Tx(nil), losers...)
+	for steps := 0; ; steps++ {
+		if abort != nil && abort.Load() {
+			return nil
 		}
-	}
-	rep.LosersUndone = len(losers)
-	steps := 0
-	for len(losers) > 0 {
-		// Pick the loser with the maximum UndoNxtLSN.
 		var victim *txn.Tx
-		for _, t := range losers {
+		n := 0
+		for _, t := range live {
 			if t.UndoNxtLSN() == wal.NilLSN {
 				t.EndLoser()
-				delete(losers, t.ID)
 				continue
 			}
+			live[n] = t
+			n++
 			if victim == nil || t.UndoNxtLSN() > victim.UndoNxtLSN() {
 				victim = t
 			}
 		}
+		live = live[:n]
 		if victim == nil {
-			break
+			return nil
 		}
 		if maxSteps > 0 && steps >= maxSteps {
 			return ErrRestartInterrupted
@@ -539,13 +308,7 @@ func undoLosers(tm *txn.Manager, txTable map[wal.TxID]*wal.TxTableEntry, rep *Re
 		if err := victim.UndoStep(); err != nil {
 			return err
 		}
-		steps++
-		if victim.UndoNxtLSN() == wal.NilLSN {
-			victim.EndLoser()
-			delete(losers, victim.ID)
-		}
 	}
-	return nil
 }
 
 // ImageCopy is a fuzzy archive dump: a point-in-time copy of the disk
@@ -584,56 +347,31 @@ func RecoverPage(disk *storage.Disk, log *wal.Log, img *ImageCopy, pid storage.P
 }
 
 // RecoverPages rebuilds every page in pids from the image copy plus ONE
-// forward pass of the log, applying each record to the (at most one)
-// damaged page it names. Rebuilding N pages was previously N full log
-// scans — O(pages × records); batching makes a multi-page media failure
-// (a dying device corrupting a whole region) cost the same single scan as
-// one page. Only records on the stable log are applied: writing a page
-// whose page_LSN exceeded the stable LSN would violate the WAL protocol
-// (the disk may never be ahead of the log), and is also unnecessary —
-// every disk version the page ever had was forced-covered before it was
-// written. Returns the number of log records examined (tests assert the
-// single-scan bound with it). Pages are written back only after the whole
-// scan succeeds, in pid order.
+// forward pass of the log: the stable records naming a damaged page are
+// planned per page and replayed onto that page's image, so a multi-page
+// media failure (a dying device corrupting a whole region) costs the same
+// single scan as one page. Only records on the stable log are applied:
+// writing a page whose page_LSN exceeded the stable LSN would violate the
+// WAL protocol (the disk may never be ahead of the log), and is also
+// unnecessary — every disk version the page ever had was forced-covered
+// before it was written. Returns the number of log records examined (tests
+// assert the single-scan bound with it). Pages are written back only after
+// every replay succeeds, in pid order.
 func RecoverPages(disk *storage.Disk, log *wal.Log, img *ImageCopy, pids []storage.PageID) (int, error) {
 	if len(pids) == 0 {
 		return 0, nil
 	}
 	pages := make(map[storage.PageID]*storage.Page, len(pids))
 	for _, pid := range pids {
-		if _, ok := pages[pid]; ok {
-			continue
-		}
-		page := storage.NewPage(disk.PageSize())
-		if b, ok := img.Pages[pid]; ok {
-			copy(page.Bytes(), b)
-		}
-		pages[pid] = page
+		pages[pid] = storage.NewPage(disk.PageSize())
+		copy(pages[pid].Bytes(), img.Pages[pid]) // not in the image: rebuilt from nothing
 	}
-	stable := log.StableLSN()
-	scanned := 0
-	var applyErr error
-	log.Scan(wal.NilLSN+1, func(r *wal.Record) bool {
-		if r.LSN > stable {
-			return false
+	recs, _, _ := log.SnapshotStable(wal.NilLSN + 1)
+	p := buildPlan(recs, func(r *wal.Record) bool { return pages[r.Page] != nil })
+	for _, pid := range p.order {
+		if _, _, _, err := replay(pages[pid], p.recs[pid]); err != nil {
+			return len(recs), fmt.Errorf("recovery: media recovery of page %d: %w", pid, err)
 		}
-		scanned++
-		if !r.Redoable() {
-			return true
-		}
-		page, ok := pages[r.Page]
-		if !ok || page.LSN() >= uint64(r.LSN) {
-			return true
-		}
-		if err := routeRedo(page, r); err != nil {
-			applyErr = fmt.Errorf("recovery: media redo of %s: %w", r, err)
-			return false
-		}
-		page.SetLSN(uint64(r.LSN))
-		return true
-	})
-	if applyErr != nil {
-		return scanned, applyErr
 	}
 	ids := make([]storage.PageID, 0, len(pages))
 	for pid := range pages {
@@ -642,10 +380,10 @@ func RecoverPages(disk *storage.Disk, log *wal.Log, img *ImageCopy, pids []stora
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, pid := range ids {
 		if err := disk.Write(pid, pages[pid].Bytes()); err != nil {
-			return scanned, err
+			return len(recs), err
 		}
 	}
-	return scanned, nil
+	return len(recs), nil
 }
 
 // Boundaries returns the LSN of every log record strictly after `after`:
@@ -655,9 +393,7 @@ func RecoverPages(disk *storage.Disk, log *wal.Log, img *ImageCopy, pids []stora
 func Boundaries(log *wal.Log, after wal.LSN) []wal.LSN {
 	var out []wal.LSN
 	log.Scan(after+1, func(r *wal.Record) bool {
-		if r.LSN > after {
-			out = append(out, r.LSN)
-		}
+		out = append(out, r.LSN)
 		return true
 	})
 	return out

@@ -32,7 +32,7 @@ func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Ship
 	}
 	ch := NewChannel(faults)
 	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
-		DBOpts: testDBOpts(), Epoch: 1, ApplyWorkers: 2,
+		DBOpts: testDBOpts(), Epoch: 1,
 	})
 	standby.Start()
 	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
@@ -225,8 +225,7 @@ func TestReseedPath(t *testing.T) {
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
 	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
-		DBOpts: testDBOpts(), Epoch: 1, ApplyWorkers: 2,
-		NakBackoff: 50 * time.Microsecond,
+		DBOpts: testDBOpts(), Epoch: 1,
 	})
 	standby.Start()
 

@@ -18,6 +18,10 @@ import (
 // full re-seed.
 const maxNakRetries = 6
 
+// nakBackoff is the first gap-retry backoff; each further NAK for the same
+// gap doubles it.
+const nakBackoff = 500 * time.Microsecond
+
 // flushEvery is the segment cadence of the standby's background
 // FlushAll + master-record advance. Flushed pages and a fresh master
 // bound the redo work a promotion has to repeat, exactly as checkpoints
@@ -26,17 +30,12 @@ const flushEvery = 16
 
 // StandbyOpts tunes the standby.
 type StandbyOpts struct {
-	// DB options for the replica engine (pool size, redo workers, online
-	// restart for promotion, ...).
+	// DB options for the replica engine (pool size, online restart for
+	// promotion, ...). RedoWorkers is also the per-batch apply parallelism.
 	DBOpts db.Options
 	// Epoch the standby accepts; segments from any other epoch are
 	// rejected. Promote bumps it so the dead primary's stragglers fence.
 	Epoch uint64
-	// ApplyWorkers is the perpetual-redo parallelism per batch (default 1).
-	ApplyWorkers int
-	// NakBackoff is the first gap-retry backoff (default 500µs); each
-	// further NAK for the same gap doubles it.
-	NakBackoff time.Duration
 }
 
 // Standby owns a replica engine and drives it from a Channel: append each
@@ -68,12 +67,6 @@ type Standby struct {
 // NewStandby builds the replica engine (fresh disk seeded with the
 // primary's catalog blob) and wires it to the channel.
 func NewStandby(ch *Channel, catalogMeta []byte, opts StandbyOpts) *Standby {
-	if opts.ApplyWorkers < 1 {
-		opts.ApplyWorkers = 1
-	}
-	if opts.NakBackoff == 0 {
-		opts.NakBackoff = 500 * time.Microsecond
-	}
 	return &Standby{
 		ch:    ch,
 		opts:  opts,
@@ -198,7 +191,7 @@ func (s *Standby) appendApplyLocked(recs []*wal.Record, shipStable, shipMaster w
 	// Force before apply: the pool may steal/flush any replayed page, and
 	// the WAL rule demands its log records be stable first.
 	log.ForceAll()
-	if _, err := recovery.ApplyRecords(sdb.Pool(), recs, s.opts.ApplyWorkers, stats); err != nil {
+	if _, err := recovery.ApplyRecords(sdb.Pool(), recs, s.opts.DBOpts.RedoWorkers, stats); err != nil {
 		// Apply errors on a standby are unrecoverable locally (the pool
 		// saw an impossible record); ask for a clean slate.
 		s.reseedLocked()
@@ -253,7 +246,7 @@ func (s *Standby) nakLocked(expected wal.LSN) {
 	stats.ReplNaks.Add(1)
 	// Exponential backoff outside the lock: give the in-flight repair a
 	// chance before asking again, without blocking frame receipt.
-	backoff := s.opts.NakBackoff << uint(s.gapNaks-1)
+	backoff := nakBackoff << uint(s.gapNaks-1)
 	s.mu.Unlock()
 	time.Sleep(backoff)
 	s.mu.Lock()

@@ -102,8 +102,8 @@ func TestGroupCommitSatisfiesParkedCaller(t *testing.T) {
 		defer wg.Done()
 		l.Force(lsns[1])
 	}()
-	time.Sleep(1 * time.Millisecond) // let the leader's flush take flight
-	l.Force(lsns[0])                 // smaller LSN: covered by the in-flight want
+	awaitFlushing(t, l, lsns[1]) // the leader's flush is in flight
+	l.Force(lsns[0])             // smaller LSN: covered by the in-flight want
 	wg.Wait()
 
 	if got := l.StableLSN(); got != lsns[1] {
