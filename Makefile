@@ -42,12 +42,15 @@ test-2core:
 # free-space inventory is fed by Delete and by rollbacks under page latches
 # while inserts take from it under none, and compaction borrows a pooled
 # scratch page (-short keeps the single-goroutine count tests at one table
-# size; the concurrent ones run in full).
+# size; the concurrent ones run in full). And the update in place: it rewrites
+# a cell under the page X latch while snapshot readers fetch from the same
+# page under S and rollbacks shrink it back, on one page's worth of hot rows.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
 	$(GO) test -race -count=20 ./internal/mvcc
 	$(GO) test -race -short -count=10 ./internal/data ./internal/storage
+	$(GO) test -race -run 'TestUpdateInPlaceUnderSnapshotReaders$$' -count=20 ./internal/db
 
 # Crash-torture smoke under injected disk faults, torn log tails, and
 # planted silent corruption: every fault class must be absorbed.

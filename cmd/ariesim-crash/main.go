@@ -316,8 +316,8 @@ func runSweep(seed int64) {
 	if err != nil {
 		fail("sweep: %v", err)
 	}
-	fmt.Printf("\nPASS: %d/%d crash points verified (%d with interrupted restarts), %d commits, %d rollbacks\n",
-		res.Points, res.Records, res.DoubleRecoveries, res.Commits, res.Rollbacks)
+	fmt.Printf("\nPASS: %d/%d crash points verified (%d with interrupted restarts), %d commits, %d rollbacks, %d updates in place\n",
+		res.Points, res.Records, res.DoubleRecoveries, res.Commits, res.Rollbacks, res.InPlaceUpdates)
 }
 
 // runChaos drives the concurrent crash-under-load sweep: workers hammer
@@ -348,7 +348,8 @@ func runChaos(seed int64, workers, crashes int, faults, online bool, redoWorkers
 		res.Deadlocks, res.DeadlockVictims, res.LockTimeouts)
 	fmt.Printf("retry layer: %d retries (%d deadlock, %d timeout, %d crash-wait), %d retried txns committed\n",
 		res.TxnRetries, res.DeadlockRetries, res.TimeoutRetries, res.CrashWaits, res.RetrySuccesses)
-	fmt.Printf("recovery: %d redos, %d undo steps across restarts\n", res.RestartRedos, res.RestartUndos)
+	fmt.Printf("recovery: %d redos, %d undo steps across restarts, %d updates in place in the log\n",
+		res.RestartRedos, res.RestartUndos, res.InPlaceUpdates)
 	if online {
 		fmt.Printf("online restart: %d online restarts, %d mid-recovery crashes, %d recovering retries\n",
 			res.OnlineRestarts, res.MidRecoveryCrashes, res.RecoveringRetries)
@@ -390,8 +391,8 @@ func runStandby(seed int64, workers, commits int, faults, online bool, redoWorke
 	if err != nil {
 		fail("standby: %v", err)
 	}
-	fmt.Printf("\nPASS: failover verified — %d acked commits, zero acked loss, %d boundary forks\n",
-		res.CommitsAcked, res.Boundaries)
+	fmt.Printf("\nPASS: failover verified — %d acked commits, zero acked loss, %d boundary forks, %d updates in place replayed\n",
+		res.CommitsAcked, res.Boundaries, res.InPlaceUpdates)
 	fmt.Printf("ambiguity: %d gate-failed commits (%d resolved present, %d resolved lost)\n",
 		res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut)
 	fmt.Printf("shipping: %d segments shipped, %d resent, %d applied, %d rejected; %d naks, %d reseeds\n",

@@ -413,6 +413,57 @@ func (t *Table) Delete(tx *txn.Tx, rid storage.RID, locked bool) error {
 	return nil
 }
 
+// Update replaces the record at rid with rec in place: one undo-redo log
+// record carrying the bytes that differ, the RID unchanged, no index called.
+// If locked is false the record X lock is acquired here, as for Delete.
+//
+// It reports false, having changed and logged nothing, when the update must
+// move the record instead (the caller deletes and reinserts): when rec is
+// shorter than the record it replaces, or longer than the page has room for.
+// A record that shrank would hand its freed bytes to any inserter before the
+// updater ended, and the undo could then find no room to grow it back; the
+// undo of a grow is a shrink, which always fits.
+func (t *Table) Update(tx *txn.Tx, rid storage.RID, rec []byte, locked bool) (bool, error) {
+	if err := t.intentLock(tx, lock.IX); err != nil {
+		return false, err
+	}
+	if !locked {
+		if err := tx.Lock(t.m.LockName(rid), lock.X, lock.Commit, false); err != nil {
+			return false, err
+		}
+	}
+	f, err := t.m.pool.Fix(rid.Page)
+	if err != nil {
+		return false, err
+	}
+	defer t.m.pool.Unfix(f)
+	f.Latch.Acquire(latch.X)
+	defer f.Latch.Release(latch.X)
+	cell, ok := f.Page.Cell(int(rid.Slot))
+	if !ok {
+		return false, fmt.Errorf("%w: %s", ErrNotFound, rid)
+	}
+	ghost, old := unwrapCell(cell)
+	if ghost {
+		return false, fmt.Errorf("%w: %s (deleted)", ErrNotFound, rid)
+	}
+	grow := len(rec) - len(old)
+	if grow < 0 || (grow > 0 && f.Page.FreeSpace() < grow) {
+		return false, nil
+	}
+	pl := diffUpdate(rid.Slot, old, rec)
+	lsn := tx.LogUpdate(rid.Page, wal.OpDataUpdate, pl.encode(), false)
+	if err := f.Page.ReplaceCell(rid.Slot, wrapRecord(rec)); err != nil {
+		return false, fmt.Errorf("data: update apply on page %d slot %d: %w", rid.Page, rid.Slot, err)
+	}
+	f.Page.SetLSN(uint64(lsn))
+	t.m.pool.MarkDirty(f, lsn)
+	if grow > 0 {
+		t.notePage(f.Page) // the listed room shrank
+	}
+	return true, nil
+}
+
 // Fetch returns the record at rid. With lockIt the caller gets a
 // commit-duration S lock first (standalone reads); the index fetch path
 // passes false because ARIES/IM's index manager has already locked the key
@@ -537,6 +588,20 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		}
 		cell[0] |= cellGhost
 		return nil
+	case wal.OpDataUpdate:
+		pl, err := decodeUpdatePayload(rec.Payload)
+		if err != nil {
+			return err
+		}
+		cell, ok := p.Cell(int(pl.Slot))
+		if !ok {
+			return fmt.Errorf("data: redo update of missing slot %d on page %d", pl.Slot, rec.Page)
+		}
+		next, err := pl.apply(cell)
+		if err != nil {
+			return err
+		}
+		return p.ReplaceCell(pl.Slot, next)
 	case wal.OpDataPurge:
 		pl, err := decodePurgePayload(rec.Payload)
 		if err != nil {
@@ -564,7 +629,8 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 }
 
 // Undo compensates one data-manager record during rollback. Data undos are
-// always page-oriented: ghosting guarantees the space and slot survive.
+// always page-oriented: ghosting guarantees the space and slot survive, and
+// an update in place only ever grew its record.
 func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 	f, err := m.pool.Fix(rec.Page)
 	if err != nil {
@@ -605,6 +671,34 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		cell[0] &^= cellGhost
 		f.Page.SetLSN(uint64(lsn))
 		m.pool.MarkDirty(f, lsn)
+		return nil
+	case wal.OpDataUpdate:
+		pl, err := decodeUpdatePayload(rec.Payload)
+		if err != nil {
+			return err
+		}
+		cell, ok := f.Page.Cell(int(pl.Slot))
+		if !ok {
+			return fmt.Errorf("data: undo update: slot %d gone from page %d", pl.Slot, rec.Page)
+		}
+		inv := updatePayload{Slot: pl.Slot, Prefix: pl.Prefix, Suffix: pl.Suffix, After: pl.Before}
+		prev, err := inv.apply(cell)
+		if err != nil {
+			return fmt.Errorf("data: undo update: %w", err)
+		}
+		lsn := tx.LogCLR(rec.Page, wal.OpDataUpdate, inv.encode(), rec.PrevLSN)
+		// Never larger than the cell it replaces (Update only grows records),
+		// so this cannot fail for want of space.
+		if err := f.Page.ReplaceCell(pl.Slot, prev); err != nil {
+			return fmt.Errorf("data: undo update: %w", err)
+		}
+		f.Page.SetLSN(uint64(lsn))
+		m.pool.MarkDirty(f, lsn)
+		if len(prev) != len(cell) {
+			if t := m.tableOf(rec.Page); t != nil {
+				t.notePage(f.Page) // the grow's room is back
+			}
+		}
 		return nil
 	case wal.OpDataFormat:
 		// Undoing a table-extension format: the page reverts to a free

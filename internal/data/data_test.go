@@ -386,6 +386,66 @@ func TestOversizeRecordRejected(t *testing.T) {
 	_ = tx.Rollback()
 }
 
+// replayTwice rebuilds every data page from the log on virgin pages the way
+// restart redo does — a record is applied when the page's LSN is below its
+// own, and stamps it — and then offers the whole log again: the second pass
+// must apply nothing.
+func replayTwice(t *testing.T, e *env, pageSize int) map[storage.PageID]*storage.Page {
+	t.Helper()
+	rebuilt := map[storage.PageID]*storage.Page{}
+	for pass := 0; pass < 2; pass++ {
+		for _, r := range e.log.Records(1) {
+			if !r.Redoable() || r.Page == storage.FSMPageID {
+				continue
+			}
+			p := rebuilt[r.Page]
+			if p == nil {
+				p = storage.NewPage(pageSize)
+				rebuilt[r.Page] = p
+			}
+			if p.LSN() >= uint64(r.LSN) {
+				continue
+			}
+			if pass == 1 {
+				t.Fatalf("second pass applied %s", r)
+			}
+			if err := ApplyRedo(p, r); err != nil {
+				t.Fatalf("redo %s: %v", r, err)
+			}
+			p.SetLSN(uint64(r.LSN))
+		}
+	}
+	return rebuilt
+}
+
+// sameAsLive compares replayed pages with the flushed live ones, slot by
+// slot, ghost flags included.
+func sameAsLive(t *testing.T, e *env, rebuilt map[storage.PageID]*storage.Page) {
+	t.Helper()
+	if err := e.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for id, p := range rebuilt {
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("replayed page: %v", err)
+		}
+		live := make([]byte, p.Size())
+		_ = e.disk.Read(id, live)
+		lp := storage.PageFromBytes(live)
+		if lp.NSlots() != p.NSlots() || lp.LiveCells() != p.LiveCells() || lp.FreeSpace() != p.FreeSpace() {
+			t.Fatalf("page %d: slots %d/%d live %d/%d free %d/%d", id, lp.NSlots(), p.NSlots(),
+				lp.LiveCells(), p.LiveCells(), lp.FreeSpace(), p.FreeSpace())
+		}
+		for i := 0; i < lp.NSlots(); i++ {
+			lc, lok := lp.Cell(i)
+			rc, rok := p.Cell(i)
+			if lok != rok || !bytes.Equal(lc, rc) {
+				t.Fatalf("page %d slot %d: live %q, replayed %q", id, i, lc, rc)
+			}
+		}
+	}
+}
+
 func TestApplyRedoReconstructsPage(t *testing.T) {
 	// Run a workload, then replay its log onto virgin pages and compare
 	// against the live pages — the page-oriented redo contract.
@@ -399,40 +459,7 @@ func TestApplyRedoReconstructsPage(t *testing.T) {
 	}
 	_ = tbl.Delete(tx, rids[3], true)
 	_ = tx.Commit()
-
-	rebuilt := map[storage.PageID]*storage.Page{}
-	for _, r := range e.log.Records(1) {
-		if !r.Redoable() || r.Page == storage.FSMPageID {
-			continue
-		}
-		p := rebuilt[r.Page]
-		if p == nil {
-			p = storage.NewPage(512)
-			rebuilt[r.Page] = p
-		}
-		if err := ApplyRedo(p, r); err != nil {
-			t.Fatalf("redo %s: %v", r, err)
-		}
-	}
-	if err := e.pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	for id, p := range rebuilt {
-		live := make([]byte, 512)
-		_ = e.disk.Read(id, live)
-		lp := storage.PageFromBytes(live)
-		// Compare live cells (LSNs differ: replay doesn't set them).
-		if lp.NSlots() != p.NSlots() || lp.LiveCells() != p.LiveCells() {
-			t.Fatalf("page %d: slots %d/%d live %d/%d", id, lp.NSlots(), p.NSlots(), lp.LiveCells(), p.LiveCells())
-		}
-		for i := 0; i < lp.NSlots(); i++ {
-			lc, lok := lp.Cell(i)
-			rc, rok := p.Cell(i)
-			if lok != rok || !bytes.Equal(lc, rc) {
-				t.Fatalf("page %d slot %d differs after replay", id, i)
-			}
-		}
-	}
+	sameAsLive(t, e, replayTwice(t, e, 512))
 }
 
 func TestDataUndoErrorsOnForeignOp(t *testing.T) {

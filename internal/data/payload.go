@@ -1,6 +1,6 @@
 // Package data implements the record manager: data pages of records
 // addressed by stable RIDs, with commit-duration record locks and logged
-// insert/delete/purge operations.
+// insert/update/delete/purge operations.
 //
 // Deletes are "ghosted": the record stays on the page with a ghost flag so
 // the delete can always be undone page-oriented (no relocation — RIDs are
@@ -9,6 +9,12 @@
 // space and the ghost's record lock is free — i.e. the deleter committed.
 // This mirrors the "uncommitted delete leaves a tripping point" discipline
 // the paper builds its index protocols around (§2.6), applied to data.
+//
+// Updates rewrite a record where it lies, and only when that makes it no
+// shorter: the undo of a grow is a shrink, which needs no room, while the
+// bytes a shrink freed could be gone by the time it had to be undone. An
+// update that would shrink the record, or grow it beyond the page, is left
+// to the caller as a delete and an insert.
 package data
 
 import (
@@ -61,16 +67,89 @@ func decodeInsertPayload(b []byte) (insertPayload, error) {
 // image (needed to undo the ghosting and to verify redo).
 type deletePayload = insertPayload
 
-// SlotOfPayload extracts the target slot from an OpDataInsert or
-// OpDataDelete payload. Online restart uses it to derive the record lock
-// name — DataLockName(gran, record.Page, slot) — a loser transaction must
-// reacquire before the engine reopens.
+// SlotOfPayload extracts the target slot from an OpDataInsert, OpDataDelete
+// or OpDataUpdate payload (all three lead with it). Online restart uses it to
+// derive the record lock name — DataLockName(gran, record.Page, slot) — a
+// loser transaction must reacquire before the engine reopens.
 func SlotOfPayload(b []byte) (uint16, error) {
-	p, err := decodeInsertPayload(b)
-	if err != nil {
-		return 0, err
+	if len(b) < 2 {
+		return 0, fmt.Errorf("data: record payload %d bytes", len(b))
 	}
-	return p.Slot, nil
+	return binary.LittleEndian.Uint16(b), nil
+}
+
+// updatePayload is the body of OpDataUpdate: the two record images with
+// their common prefix and suffix stripped. Redo needs the record as the
+// previous log record left it — cur[:Prefix] + After + cur[len(cur)-Suffix:]
+// — which is what page-oriented redo replays onto, and what undo finds
+// because only the holder of the record's X lock can have changed it since.
+// The CLR that undoes an update is the same op with After = the forward
+// record's Before, and no Before of its own: it is never undone.
+type updatePayload struct {
+	Slot           uint16
+	Prefix, Suffix uint16
+	Before, After  []byte
+}
+
+const updateHeader = 8 // slot, prefix, suffix, len(Before)
+
+// diffUpdate trims old and new down to the bytes that differ.
+func diffUpdate(slot uint16, old, new []byte) updatePayload {
+	n := min(len(old), len(new))
+	p := 0
+	for p < n && old[p] == new[p] {
+		p++
+	}
+	s := 0
+	for s < n-p && old[len(old)-1-s] == new[len(new)-1-s] {
+		s++
+	}
+	return updatePayload{
+		Slot: slot, Prefix: uint16(p), Suffix: uint16(s),
+		Before: old[p : len(old)-s], After: new[p : len(new)-s],
+	}
+}
+
+func (p updatePayload) encode() []byte {
+	b := make([]byte, updateHeader+len(p.Before)+len(p.After))
+	binary.LittleEndian.PutUint16(b, p.Slot)
+	binary.LittleEndian.PutUint16(b[2:], p.Prefix)
+	binary.LittleEndian.PutUint16(b[4:], p.Suffix)
+	binary.LittleEndian.PutUint16(b[6:], uint16(len(p.Before)))
+	copy(b[updateHeader:], p.Before)
+	copy(b[updateHeader+len(p.Before):], p.After)
+	return b
+}
+
+func decodeUpdatePayload(b []byte) (updatePayload, error) {
+	if len(b) < updateHeader {
+		return updatePayload{}, fmt.Errorf("data: update payload %d bytes", len(b))
+	}
+	nb := int(binary.LittleEndian.Uint16(b[6:]))
+	if updateHeader+nb > len(b) {
+		return updatePayload{}, fmt.Errorf("data: update payload %d bytes, before-image %d", len(b), nb)
+	}
+	return updatePayload{
+		Slot:   binary.LittleEndian.Uint16(b),
+		Prefix: binary.LittleEndian.Uint16(b[2:]),
+		Suffix: binary.LittleEndian.Uint16(b[4:]),
+		Before: b[updateHeader : updateHeader+nb],
+		After:  b[updateHeader+nb:],
+	}, nil
+}
+
+// apply builds the cell the update leaves in place of cell: the flags byte
+// and the untouched prefix and suffix of the record in it, around After. The
+// result is a fresh buffer, as Page.ReplaceCell requires.
+func (p updatePayload) apply(cell []byte) ([]byte, error) {
+	rec := cell[1:]
+	if int(p.Prefix)+int(p.Suffix) > len(rec) {
+		return nil, fmt.Errorf("data: update keeps %d+%d bytes of a %d-byte record", p.Prefix, p.Suffix, len(rec))
+	}
+	out := make([]byte, 0, 1+int(p.Prefix)+len(p.After)+int(p.Suffix))
+	out = append(out, cell[:1+int(p.Prefix)]...)
+	out = append(out, p.After...)
+	return append(out, rec[len(rec)-int(p.Suffix):]...), nil
 }
 
 // purgePayload is the body of OpDataPurge (redo-only physical removal).

@@ -10,6 +10,7 @@
 package db
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -482,6 +483,10 @@ type Table struct {
 
 	mu          sync.Mutex
 	secondaries []*secondary
+
+	// scanHook, when set by a test, is called by a snapshot scan between a
+	// cursor step and the read of the chains in the gap it jumped.
+	scanHook func()
 }
 
 type secondary struct {
@@ -742,7 +747,7 @@ func (t *Table) Delete(tx *txn.Tx, key []byte) error {
 	}); err != nil {
 		return fail(err)
 	}
-	if err := t.data.Delete(tx, rid, false); err != nil { // X already held by the fetch
+	if err := t.data.Delete(tx, rid, !t.recordLockNeeded()); err != nil { // data-only: X already held by the fetch
 		return fail(err)
 	}
 	if err := t.primary.Delete(tx, storage.Key{Val: res.Key.Val, RID: rid}); err != nil {
@@ -759,12 +764,76 @@ func (t *Table) Delete(tx *txn.Tx, key []byte) error {
 	return nil
 }
 
-// Update replaces a row's value (delete + insert; the RID may change).
+// Update replaces a row's value in place: the positioning fetch X-locks the
+// key — under data-only locking that is the record's lock and the lock on
+// every index entry carrying its RID — the record manager rewrites the row
+// where it lies under one log record, and the RID, the primary tree and every
+// secondary index whose extracted key is unchanged are left alone. A value
+// shorter than the one it replaces, or one its page has no room for, moves
+// the row instead: delete + insert in the same transaction, under a new RID.
 func (t *Table) Update(tx *txn.Tx, key, value []byte) error {
-	if err := t.Delete(tx, key); err != nil {
+	if tx.Snapshot() != nil {
+		return fmt.Errorf("%w: update %q", ErrReadOnlyTxn, key)
+	}
+	save := tx.Savepoint()
+	res, _, err := t.primary.FetchForUpdate(tx, key, core.EQ)
+	if err != nil {
 		return err
 	}
-	return t.Insert(tx, key, value)
+	if !res.Found {
+		return fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	rid := res.Key.RID
+	_, old, err := t.fetchRow(tx, rid)
+	if err != nil {
+		return err
+	}
+	fail := func(err error) error {
+		if rbErr := tx.RollbackTo(save); rbErr != nil {
+			return fmt.Errorf("db: update failed (%v); rollback failed: %w", err, rbErr)
+		}
+		return err
+	}
+	if len(value) >= len(old) {
+		// Version push BEFORE the page changes, seeded like Delete's tombstone
+		// with the committed image the X lock lets us hold.
+		if err := t.pushVersion(tx, key, true, value, func() (bool, []byte, uint64, error) {
+			return true, old, t.vs.Seq(t.id), nil
+		}); err != nil {
+			return fail(err)
+		}
+		inPlace, err := t.data.Update(tx, rid, encodeRow(key, value), !t.recordLockNeeded())
+		if err != nil {
+			return fail(err)
+		}
+		if inPlace {
+			t.mu.Lock()
+			secs := append([]*secondary(nil), t.secondaries...)
+			t.mu.Unlock()
+			for _, s := range secs {
+				was, is := s.extract(old), s.extract(value)
+				if bytes.Equal(was, is) {
+					continue
+				}
+				if err := s.ix.Delete(tx, storage.Key{Val: was, RID: rid}); err != nil {
+					return fail(err)
+				}
+				if err := s.ix.Insert(tx, storage.Key{Val: is, RID: rid}); err != nil {
+					return fail(err)
+				}
+			}
+			return nil
+		}
+		// The version the refused grow pushed stays: the delete's tombstone
+		// and the insert's image follow it in this transaction and win.
+	}
+	if err := t.Delete(tx, key); err != nil {
+		return fail(err)
+	}
+	if err := t.Insert(tx, key, value); err != nil {
+		return fail(err)
+	}
+	return nil
 }
 
 // Row is one scan result.

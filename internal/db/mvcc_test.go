@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ariesim/internal/storage"
 	"ariesim/internal/trace"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
@@ -648,6 +649,133 @@ func TestSnapshotScanNoDuplicateUnderReinsert(t *testing.T) {
 	}
 	if len(emitted) != keys {
 		t.Fatalf("scan emitted %d rows, want %d: %q", len(emitted), keys, emitted)
+	}
+}
+
+// TestSnapshotScanKeepsRowOfRolledBackDelete: a scan pairs each cursor step
+// with the chains of the gap it jumped. A deleter in flight when the cursor
+// steps has taken its row's entry out of the tree, and its chain answers for
+// the row; if it rolls back before the gap's chains are read, the entry is
+// back — behind the cursor — and the chain is gone, and the committed row was
+// in neither. The delete is staged from the callback of the row before (no
+// latches held), the rollback from the hook between the step and the read of
+// the gap's chains; both ends of the range are tried, the last key's gap being the
+// one that closes the scan.
+func TestSnapshotScanKeepsRowOfRolledBackDelete(t *testing.T) {
+	const keys = 8
+	for _, victim := range []int{4, keys - 1} {
+		d := Open(Options{})
+		tbl, err := d.CreateTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RunTxn(func(tx *txn.Tx) error {
+			for i := 0; i < keys; i++ {
+				if err := tbl.Insert(tx, key8(i), []byte("seed")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var deleter *txn.Tx
+		tbl.scanHook = func() {
+			if deleter != nil {
+				if err := deleter.Rollback(); err != nil {
+					t.Error(err)
+				}
+				deleter = nil
+			}
+		}
+		var emitted []string
+		rtx, err := d.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Scan(rtx, nil, nil, func(r Row) (bool, error) {
+			emitted = append(emitted, string(r.Key))
+			if string(r.Key) == string(key8(victim-1)) {
+				deleter = d.MustBegin()
+				if err := tbl.Delete(deleter, key8(victim)); err != nil {
+					return false, err
+				}
+			}
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.EndReadOnly(rtx); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, keys)
+		for i := range want {
+			want[i] = string(key8(i))
+		}
+		if fmt.Sprint(emitted) != fmt.Sprint(want) {
+			t.Fatalf("deleter of key %d rolled back mid-step: scan emitted %q", victim, emitted)
+		}
+	}
+}
+
+// TestInsertSeedWaitsOutChainlessHolder: an inserter seeds its key's chain
+// from the page, trusting that whoever has uncommitted work there has a chain
+// already. A restart loser undone in the background after an online restart
+// has not — its rows are in the pages under reinstated X locks and the
+// version store was born empty — so a base seeded from its row would show
+// every later snapshot a row that never committed. The loser is played by a
+// transaction that puts a row and its index entry in place without pushing a
+// version; the inserter must not create the chain until it is gone.
+func TestInsertSeedWaitsOutChainlessHolder(t *testing.T) {
+	d := Open(Options{})
+	tbl, err := d.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("contested")
+	loser := d.MustBegin()
+	rid, err := tbl.data.Insert(loser, encodeRow(key, []byte("never committed")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.primary.Insert(loser, storage.Key{Val: key, RID: rid}); err != nil {
+		t.Fatal(err)
+	}
+	waits := d.Stats().LockWaits.Load()
+	w := d.MustBegin()
+	inserted := make(chan error, 1)
+	go func() { inserted <- tbl.Insert(w, key, []byte("mine")) }()
+	for deadline := time.Now().Add(5 * time.Second); d.Stats().LockWaits.Load() == waits; {
+		if time.Now().After(deadline) {
+			t.Fatal("the inserter never waited for the holder of its key's row")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := loser.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	// The inserter is still in flight: to a snapshot the key does not exist.
+	if err := d.RunReadOnly(func(tx *txn.Tx) error {
+		if v, err := tbl.Get(tx, key); !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("snapshot beside the uncommitted insert reads %q, %v", v, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunReadOnly(func(tx *txn.Tx) error {
+		if v, err := tbl.Get(tx, key); err != nil || string(v) != "mine" {
+			return fmt.Errorf("snapshot after the commit reads %q, %v", v, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"ariesim/internal/core"
+	"ariesim/internal/lock"
 	"ariesim/internal/mvcc"
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
@@ -219,26 +220,46 @@ func (t *Table) pushVersion(tx *txn.Tx, key []byte, present bool, value []byte, 
 // retries the probe if chain turnover raced it, and any in-flight writer
 // on the key implies a chain — in which case the probe is discarded and
 // the version appended instead.
+//
+// Any writer of this epoch, that is. A restart loser being undone in the
+// background after an online restart has its uncommitted rows in the pages
+// and no chain, only the reinstated X locks on their records; a base seeded
+// from one would show a snapshot taken after recovery a row that never
+// committed. So a row the probe finds is trusted only once an instant S lock
+// on its record has been granted — no loser holds it then, and none takes a
+// lock again — and the probe repeated after that.
 func (t *Table) insertSeed(tx *txn.Tx, key []byte) func() (bool, []byte, uint64, error) {
 	return func() (bool, []byte, uint64, error) {
-		seq := t.vs.Seq(t.id)
-		present, rec, err := t.probePage(key, func(pid storage.PageID) error {
-			// The writer has a real transaction: clear the stale SM_Bit
-			// in-line (a redo-only logged update, safe mid-operation).
-			t.primary.ResolveStaleSMBit(tx, pid)
-			return nil
-		})
-		if err != nil {
-			return false, nil, 0, err
+		var settled storage.RID // the record whose holders have been waited out
+		for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
+			seq := t.vs.Seq(t.id)
+			present, rid, rec, err := t.probePage(key, func(pid storage.PageID) error {
+				// The writer has a real transaction: clear the stale SM_Bit
+				// in-line (a redo-only logged update, safe mid-operation).
+				t.primary.ResolveStaleSMBit(tx, pid)
+				return nil
+			})
+			if err != nil {
+				return false, nil, 0, err
+			}
+			if !present {
+				return false, nil, seq, nil
+			}
+			if rid != settled {
+				name := lock.DataLockName(t.db.opts.Granularity, uint64(rid.Page), rid.Slot)
+				if err := tx.Lock(name, lock.S, lock.Instant, false); err != nil {
+					return false, nil, 0, err
+				}
+				settled = rid
+				continue
+			}
+			_, v, err := decodeRow(rec)
+			if err != nil {
+				return false, nil, 0, err
+			}
+			return true, v, seq, nil
 		}
-		if !present {
-			return false, nil, seq, nil
-		}
-		_, v, err := decodeRow(rec)
-		if err != nil {
-			return false, nil, 0, err
-		}
-		return true, v, seq, nil
+		return false, nil, 0, fmt.Errorf("db: insert of %q kept finding its key's row moved", key)
 	}
 }
 
@@ -251,34 +272,34 @@ const maxSnapshotRetries = 16
 // to the RID, then an unlocked heap fetch. resolve is called to clear a
 // stale SM_Bit when the lock-free traversal gives up on one (crash
 // leftover); the probe then retries.
-func (t *Table) probePage(key []byte, resolve func(storage.PageID) error) (present bool, rec []byte, err error) {
+func (t *Table) probePage(key []byte, resolve func(storage.PageID) error) (present bool, rid storage.RID, rec []byte, err error) {
 	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
 		res, _, err := t.primary.FetchNoLock(key, core.EQ)
 		var amb *core.AmbiguityError
 		if errors.As(err, &amb) {
 			if rerr := resolve(amb.Page); rerr != nil {
-				return false, nil, rerr
+				return false, storage.RID{}, nil, rerr
 			}
 			continue
 		}
 		if err != nil {
-			return false, nil, err
+			return false, storage.RID{}, nil, err
 		}
 		if !res.Found {
-			return false, nil, nil
+			return false, storage.RID{}, nil, nil
 		}
 		raw, ghost, ok, err := t.data.FetchNoLock(res.Key.RID)
 		if err != nil {
-			return false, nil, err
+			return false, storage.RID{}, nil, err
 		}
 		if !ok || ghost {
 			// The record vanished or is a ghost: with no chain this is a
 			// committed absence; with one, the caller's re-check rules.
-			return false, nil, nil
+			return false, storage.RID{}, nil, nil
 		}
-		return true, raw, nil
+		return true, res.Key.RID, raw, nil
 	}
-	return false, nil, fmt.Errorf("db: probe of %q kept hitting ambiguous pages", key)
+	return false, storage.RID{}, nil, fmt.Errorf("db: probe of %q kept hitting ambiguous pages", key)
 }
 
 // housekeepingResolve clears a stale SM_Bit on behalf of a lock-free
@@ -326,7 +347,7 @@ func (t *Table) snapshotRead(s wal.LSN, key []byte) ([]byte, bool, error) {
 			return r.Value, r.Present, nil
 		}
 		seq := vs.Seq(t.id)
-		present, rec, err := t.probePage(key, func(pid storage.PageID) error {
+		present, _, rec, err := t.probePage(key, func(pid storage.PageID) error {
 			return t.housekeepingResolve(t.primary, pid)
 		})
 		if err != nil {
@@ -379,28 +400,38 @@ func (t *Table) snapshotScan(s wal.LSN, from, to []byte, fn func(Row) (bool, err
 		}
 		return true, nil
 	}
+	// Each cursor step is paired with the chains of the gap it jumped, and
+	// the pair is only as good as the chains are stable between the two: a
+	// writer whose delete hid an entry from the step has a chain that answers
+	// for it, but if it rolls back before the window is read the entry is
+	// back behind the cursor and the chain is gone, and the row would be lost
+	// to both. Chain removals bump the table's removal sequence, so the step
+	// remembers it from before it looked and a window read under a different
+	// one is discarded and the step taken again from prev.
 	prev, prevIncl := string(from), true
-	res, cur, err := t.snapCursorStart(t.primary, from)
-	if err != nil {
+	var (
+		res core.FetchResult
+		cur *core.Cursor
+		seq uint64
+		err error
+	)
+	position := func(at []byte) error {
+		seq = vs.Seq(t.id)
+		res, cur, err = t.snapCursorStart(t.primary, at)
 		return err
 	}
-	for {
-		if res.EOF || (to != nil && string(res.Key.Val) > string(to)) {
-			// Close the range: chain-only keys past the last cursor key.
-			var rows []mvcc.Row
-			if to == nil {
-				rows, err = vs.RowsBetween(t.id, prev, prevIncl, "", false, true, s)
-			} else {
-				rows, err = vs.RowsBetween(t.id, prev, prevIncl, string(to), true, false, s)
-			}
-			if err != nil {
-				return err
-			}
-			_, err = emitWindow(rows)
-			return err
-		}
+	advance := func() error {
+		seq = vs.Seq(t.id)
+		res, err = t.snapCursorNext(t.primary, cur)
+		return err
+	}
+	if err := position(from); err != nil {
+		return err
+	}
+	for turnover := 0; ; {
+		end := res.EOF || (to != nil && string(res.Key.Val) > string(to))
 		k := string(res.Key.Val)
-		if !prevIncl && k == prev {
+		if !end && !prevIncl && k == prev {
 			// Tree keys are (value, RID) pairs and the cursor advances by
 			// RID past the entry it just returned, so a concurrent
 			// delete+reinsert of the same primary key at a higher RID puts
@@ -408,17 +439,39 @@ func (t *Table) snapshotScan(s wal.LSN, from, to []byte, fn func(Row) (bool, err
 			// answered for this key at s (chain answers are stable while
 			// the snapshot is registered; a validated no-chain page probe
 			// is provably the committed state at s) — skip the revisit.
-			res, err = t.snapCursorNext(t.primary, cur)
-			if err != nil {
+			if err := advance(); err != nil {
 				return err
 			}
 			continue
 		}
-		rows, err := vs.RowsBetween(t.id, prev, prevIncl, k, false, false, s)
+		if t.scanHook != nil {
+			t.scanHook()
+		}
+		// The gap: chain-only keys between the last key answered for and
+		// this one, or — closing the range — past the last cursor key.
+		var rows []mvcc.Row
+		switch {
+		case !end:
+			rows, err = vs.RowsBetween(t.id, prev, prevIncl, k, false, false, s)
+		case to == nil:
+			rows, err = vs.RowsBetween(t.id, prev, prevIncl, "", false, true, s)
+		default:
+			rows, err = vs.RowsBetween(t.id, prev, prevIncl, string(to), true, false, s)
+		}
 		if err != nil {
 			return err
 		}
-		if cont, err := emitWindow(rows); err != nil || !cont {
+		if vs.Seq(t.id) != seq {
+			if turnover++; turnover > maxSnapshotRetries {
+				return fmt.Errorf("db: snapshot scan past %q kept racing chain turnover", prev)
+			}
+			if err := position([]byte(prev)); err != nil {
+				return err
+			}
+			continue
+		}
+		turnover = 0
+		if cont, err := emitWindow(rows); err != nil || !cont || end {
 			return err
 		}
 		value, found, err := t.snapshotRead(s, res.Key.Val)
@@ -431,8 +484,7 @@ func (t *Table) snapshotScan(s wal.LSN, from, to []byte, fn func(Row) (bool, err
 			}
 		}
 		prev, prevIncl = k, false
-		res, err = t.snapCursorNext(t.primary, cur)
-		if err != nil {
+		if err := advance(); err != nil {
 			return err
 		}
 	}

@@ -119,6 +119,9 @@ func (o ChaosOpts) withDefaults() ChaosOpts {
 type ChaosResult struct {
 	Crashes int // crash/restart points survived
 	Commits int // transactions acked committed
+	// InPlaceUpdates counts the OpDataUpdate records in the final log; a run
+	// with none is an error.
+	InPlaceUpdates int
 
 	// Contention-repair counters (from trace.Stats at the end of the run).
 	Deadlocks       uint64 // waits-for cycles detected
@@ -241,6 +244,17 @@ func (m *chaosModel) apply(commit wal.LSN, local map[string]*string) {
 		}
 	}
 	m.mu.Unlock()
+}
+
+// tail returns the four bytes indexExtract keys on in k's last acked value,
+// or "" when the key is absent or its value shorter.
+func (m *chaosModel) tail(k string) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v := m.rows[k]; len(v) >= 4 {
+		return v[len(v)-4:]
+	}
+	return ""
 }
 
 func (m *chaosModel) snapshot() map[string]string {
@@ -428,7 +442,18 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 				default:
 				}
 				err := run.write(o.Seed+int64(w)*1000003+int64(iter), func(tbl *db.Table, tx *txn.Tx, st staged) error {
-					val := []byte(fmt.Sprintf("w%d-i%d", w, iter))
+					// Every third iteration a hot key's new value ends in the
+					// four bytes its last acked value ended in, so that the
+					// secondary index's key stays put and the update must
+					// leave that tree alone. (The model may be a commit
+					// behind; then the key moves, as on the other iterations.)
+					val := func(k []byte) []byte {
+						v := fmt.Sprintf("w%d-i%d", w, iter)
+						if iter%3 == 0 {
+							v += run.model.tail(string(k))
+						}
+						return []byte(v)
+					}
 					switch {
 					case w < 2:
 						// Adversary pair: the two hot keys in opposite
@@ -437,22 +462,22 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 						if w == 1 {
 							a, b = b, a
 						}
-						if err := st.upsert(tbl, tx, a, val); err != nil {
+						if err := st.upsert(tbl, tx, a, val(a)); err != nil {
 							return err
 						}
-						if err := st.upsert(tbl, tx, b, val); err != nil {
+						if err := st.upsert(tbl, tx, b, val(b)); err != nil {
 							return err
 						}
 					case w == 2 && iter%7 == 0:
 						// Slow holder: sits on a hot key past the lock-wait
 						// timeout so contenders time out and retry.
-						if err := st.upsert(tbl, tx, hot[2], val); err != nil {
+						if err := st.upsert(tbl, tx, hot[2], val(hot[2])); err != nil {
 							return err
 						}
 						time.Sleep(o.LockWaitTimeout * 3 / 2)
 					default:
 						if rng.Intn(4) == 0 {
-							if err := st.upsert(tbl, tx, hot[2], val); err != nil {
+							if err := st.upsert(tbl, tx, hot[2], val(hot[2])); err != nil {
 								return err
 							}
 						}
@@ -689,6 +714,10 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	}
 	if err := verifyState(d, run.model.snapshot()); err != nil {
 		return nil, fmt.Errorf("chaos: final: %v", err)
+	}
+
+	if res.InPlaceUpdates = inPlaceUpdates(d.Log()); res.InPlaceUpdates == 0 {
+		return nil, errNoInPlaceUpdate
 	}
 
 	sn := d.Stats().Snap()

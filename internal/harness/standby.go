@@ -101,6 +101,7 @@ type StandbySweepResult struct {
 	ResolvedIn       int // ambiguous commits whose records reached the standby
 	ResolvedOut      int // ambiguous commits lost with the primary
 	Boundaries       int // boundary forks verified
+	InPlaceUpdates   int // OpDataUpdate records the standby replayed (0 is an error)
 	FailoverTTFC     time.Duration
 	SegmentsShipped  uint64
 	SegmentsResent   uint64
@@ -452,6 +453,9 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 
 	// (c) Every-boundary forks over the received window: each prefix of
 	// the standby's log is a correct promotion point.
+	if res.InPlaceUpdates = inPlaceUpdates(preLog); res.InPlaceUpdates == 0 {
+		return nil, errNoInPlaceUpdate
+	}
 	boundaries := recovery.Boundaries(preLog, setupLSN)
 	for i := 0; i < len(boundaries); i += o.BoundaryStride {
 		L := boundaries[i]

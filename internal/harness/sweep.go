@@ -68,6 +68,9 @@ type SweepResult struct {
 	// Commits and Rollbacks count workload transactions by outcome.
 	Commits   int
 	Rollbacks int
+	// InPlaceUpdates counts the workload's OpDataUpdate records. A sweep
+	// that logged none is an error: it would say nothing about the op.
+	InPlaceUpdates int
 	// DoubleRecoveries counts the points whose first restart was genuinely
 	// interrupted mid-undo (losers existed and the undo-step budget hit),
 	// forcing the second restart to recover from a half-done recovery.
@@ -134,14 +137,32 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 	val := func() string {
 		return fmt.Sprintf("v%0*d", 20+rng.Intn(60), rng.Intn(1_000_000))
 	}
+	// newValue replaces old in one of three ways. Any length: a shorter value
+	// moves the row (delete + insert), a longer one is updated in place where
+	// its page has room. The same length: always in place, the secondary key
+	// (the last four bytes) moving. The same length and the same last four
+	// bytes: in place, and the secondary index must not be touched.
+	newValue := func(old string, kind int) string {
+		switch kind {
+		case 0:
+			return val()
+		case 1:
+			return fmt.Sprintf("v%0*d", len(old)-1, rng.Intn(1_000_000))
+		default:
+			return fmt.Sprintf("v%0*d", len(old)-5, rng.Intn(1_000_000)) + old[len(old)-4:]
+		}
+	}
 
 	model := map[string]string{}
 	history := []committedState{{commitLSN: setupLSN, rows: map[string]string{}}}
 	for t := 0; t < opts.Txns; t++ {
 		overlay := make(map[string]string, len(model))
+		committed := make([]string, 0, len(model))
 		for k, v := range model {
 			overlay[k] = v
+			committed = append(committed, k)
 		}
+		sort.Strings(committed)
 		willRollback := rng.Float64() < 0.15
 		tx, err := d.Begin()
 		if err != nil {
@@ -149,9 +170,19 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		}
 		for op := 0; op < opts.OpsPerTxn; op++ {
 			k := key(rng.Intn(keySpace))
+			// Every transaction first updates a committed row, the three
+			// kinds in turn, so that the smallest sweep has them all.
+			revisit := op == 0 && len(committed) > 0
+			if revisit {
+				k = committed[rng.Intn(len(committed))]
+			}
 			if old, ok := overlay[k]; ok {
-				if rng.Intn(2) == 0 || old == "" {
-					v := val()
+				if revisit || rng.Intn(2) == 0 {
+					kind := rng.Intn(3)
+					if revisit {
+						kind = t % 3
+					}
+					v := newValue(old, kind)
 					if err := tbl.Update(tx, []byte(k), []byte(v)); err != nil {
 						return nil, fmt.Errorf("txn %d update %s: %w", t, k, err)
 					}
@@ -219,6 +250,9 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 
 	boundaries := recovery.Boundaries(d.Log(), setupLSN)
 	res.Records = len(boundaries)
+	if res.InPlaceUpdates = inPlaceUpdates(d.Log()); res.InPlaceUpdates == 0 {
+		return nil, errNoInPlaceUpdate
+	}
 	opts.Logf("sweep: %d txns (%d committed, %d rolled back), %d crash points",
 		opts.Txns, res.Commits, res.Rollbacks, len(boundaries))
 

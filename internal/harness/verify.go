@@ -12,6 +12,7 @@ import (
 
 	"ariesim/internal/db"
 	"ariesim/internal/txn"
+	"ariesim/internal/wal"
 )
 
 // verifyRows checks that the rows of table visible in d are exactly want.
@@ -50,6 +51,23 @@ func verifyRows(d *db.DB, table string, want map[string]string) error {
 		}
 	}
 	return nil
+}
+
+// errNoInPlaceUpdate fails a sweep whose workload never updated a row in
+// place: every update having taken the delete + insert fallback, the sweep
+// would pass without redoing or undoing one OpDataUpdate.
+var errNoInPlaceUpdate = errors.New("harness: the workload logged no OpDataUpdate")
+
+// inPlaceUpdates counts the forward OpDataUpdate records in log.
+func inPlaceUpdates(log *wal.Log) int {
+	n := 0
+	log.Scan(1, func(r *wal.Record) bool {
+		if r.Type == wal.RecUpdate && r.Op == wal.OpDataUpdate {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // indexName is the secondary index the sweeps maintain when asked to.

@@ -20,15 +20,16 @@
 // What differs between the two entry points is only when the engine opens.
 // RestartWith (offline) runs 1–6 in order and returns; nobody is let in
 // before 6. StartOnline opens between 3 and 4: losers are classified — a
-// loser whose remaining undo chain is pure inserts (OpDataInsert /
-// OpIdxInsertKey, with completed nested top actions bypassed via their
-// dummy CLRs) can be undone *after* open under reinstated X record locks,
+// loser whose remaining undo chain is inserts and updates in place
+// (OpDataInsert / OpIdxInsertKey / OpDataUpdate, with completed nested top
+// actions bypassed via their dummy CLRs) can be undone *after* open under
+// reinstated X record locks,
 // which block readers and ghost purges exactly as a live rollback's locks
 // would, while any loser holding structural work (incomplete SMOs, formats,
 // chain fixes, FSM ops) or deletes (whose commit-duration next-key locks
 // are not derivable from the log) is fully undone *before* open, the pages
 // it touches recovered on demand by the hook. After open the drain and the
-// insert-only losers' undo run concurrently, beside foreground fixes that
+// background losers' undo run concurrently, beside foreground fixes that
 // recover their own pages on demand.
 //
 // Crash-fence invariants: no checkpoint may be taken while the plan is
@@ -231,14 +232,14 @@ func StartOnline(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.M
 
 // classifyLoser walks e's remaining undo chain (CLRs and dummy CLRs jump
 // via UndoNxtLSN, so bypassed nested top actions are not inspected) and
-// reports whether every record still to be undone is a pure insert — the
-// condition for undoing the loser after open. For an eligible loser it
-// returns the deduplicated commit-duration X record-lock names the loser
-// must hold at open: ARIES/IM data-only locking names the key lock and the
-// record lock identically (the RID), so the inserted record's lock covers
-// both the data slot and every index key carrying that RID. Deletes are
-// never eligible: their next-key locks are commit-duration but not
-// derivable from the log.
+// reports whether every record still to be undone is an insert or an update
+// in place — the condition for undoing the loser after open. For an eligible
+// loser it returns the deduplicated commit-duration X record-lock names the
+// loser must hold at open: ARIES/IM data-only locking names the key lock and
+// the record lock identically (the RID), so the inserted or updated record's
+// lock covers both the data slot and every index key carrying that RID, and
+// an update in place takes no other lock. Deletes are never eligible: their
+// next-key locks are commit-duration but not derivable from the log.
 func classifyLoser(log *wal.Log, e *wal.TxTableEntry, gran lock.Granularity) ([]lock.Name, bool, error) {
 	seen := map[lock.Name]bool{}
 	var names []lock.Name
@@ -254,7 +255,7 @@ func classifyLoser(log *wal.Log, e *wal.TxTableEntry, gran lock.Granularity) ([]
 		case r.Undoable():
 			var name lock.Name
 			switch r.Op {
-			case wal.OpDataInsert:
+			case wal.OpDataInsert, wal.OpDataUpdate:
 				slot, err := data.SlotOfPayload(r.Payload)
 				if err != nil {
 					return nil, false, err
@@ -321,7 +322,7 @@ func (o *Online) recoverPage(pid storage.PageID, p *storage.Page) (bool, wal.LSN
 }
 
 // run drives the background phases of an online restart: the drain and the
-// undo of the insert-only losers run concurrently — the losers' reinstated
+// undo of the background losers run concurrently — the losers' reinstated
 // X record locks make each logical key-removal invisible to readers until
 // the loser ends, exactly a live rollback's contract — and when both
 // finish the restart completes and Wait is released.

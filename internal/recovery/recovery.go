@@ -69,7 +69,7 @@ type Report struct {
 	Online           bool
 	OpenWall         time.Duration
 	LosersStabilized int // losers undone before open (structural/delete undo)
-	LosersBackground int // insert-only losers undone after open, under reinstated locks
+	LosersBackground int // insert/update-only losers undone after open, under reinstated locks
 }
 
 // ErrRestartInterrupted reports that a restart stopped early because its

@@ -6,6 +6,7 @@ import (
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/core"
+	"ariesim/internal/data"
 	"ariesim/internal/lock"
 	"ariesim/internal/storage"
 	"ariesim/internal/trace"
@@ -25,6 +26,7 @@ type env struct {
 	tm    *txn.Manager
 	pool  *buffer.Pool
 	im    *core.Manager
+	dm    *data.Manager
 	ix    *core.Index
 
 	cfg  core.Config
@@ -55,7 +57,22 @@ func (e *env) buildVolatile() {
 	e.tm = txn.NewManager(e.log, e.locks)
 	e.pool = buffer.NewPool(e.disk, e.log, 128, e.stats)
 	e.im = core.NewManager(e.pool, e.stats)
-	e.tm.SetUndoer(e.im)
+	e.dm = data.NewManager(e.pool, lock.GranRecord, e.stats)
+	e.tm.SetUndoer(undoRouter{e.im, e.dm})
+}
+
+// undoRouter sends heap records to the record manager and everything else
+// to the index manager, as the engine's does.
+type undoRouter struct {
+	im *core.Manager
+	dm *data.Manager
+}
+
+func (u undoRouter) Undo(tx *txn.Tx, rec *wal.Record) error {
+	if rec.Op >= wal.OpDataFormat && rec.Op <= wal.OpDataFree {
+		return u.dm.Undo(tx, rec)
+	}
+	return u.im.Undo(tx, rec)
 }
 
 // crash loses all volatile state (unforced log tail, buffer pool, locks,

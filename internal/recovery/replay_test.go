@@ -11,6 +11,7 @@ import (
 	"ariesim/internal/core"
 	"ariesim/internal/storage"
 	"ariesim/internal/trace"
+	"ariesim/internal/txn"
 	"ariesim/internal/wal"
 )
 
@@ -82,13 +83,31 @@ func (e *env) fork(L wal.LSN) *env {
 // flushed base (so the crash image and the DPT's recLSNs are not trivial),
 // then splits, page deletes, a rollback's CLRs, a fuzzy checkpoint with a
 // transaction in flight, and two trailing losers — one with deletes (undone
-// before an online restart opens) and one with inserts only (undone after).
-// Every record after the returned LSN is a legal crash boundary.
+// before an online restart opens) and one with inserts and updates only
+// (undone after). Beside the tree a few heap rows are updated in place by
+// each of them: same length, grown, rolled back, in the losers. Every record
+// after the returned LSN is a legal crash boundary.
 func buildSweepWorkload(t *testing.T) (*env, wal.LSN) {
 	t.Helper()
 	e := newEnv(t, core.Config{ID: 1})
 	base := e.tm.Begin()
 	e.insertRange(base, 0, 120)
+	heap, err := e.dm.CreateTable(base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rids := make([]storage.RID, 5)
+	for i := range rids {
+		if rids[i], err = heap.Insert(base, bytes.Repeat([]byte{byte('a' + i)}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func(tx *txn.Tx, row int, b byte, size int) {
+		t.Helper()
+		if ok, err := heap.Update(tx, rids[row], bytes.Repeat([]byte{b}, size), false); err != nil || !ok {
+			t.Fatalf("update of heap row %d in place: %v, %v", row, ok, err)
+		}
+	}
 	if err := base.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +117,16 @@ func buildSweepWorkload(t *testing.T) (*env, wal.LSN) {
 	setup, writes := e.log.MaxLSN(), e.disk.WriteCount()
 
 	grow := e.tm.Begin()
+	update(grow, 0, 'A', 40)
 	e.insertRange(grow, 120, 200)
+	update(grow, 1, 'B', 64)
 	if err := grow.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	undone := e.tm.Begin()
+	update(undone, 2, 'C', 72)
 	e.deleteRange(undone, 20, 60)
+	update(undone, 2, 'c', 72)
 	if err := undone.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +137,21 @@ func buildSweepWorkload(t *testing.T) (*env, wal.LSN) {
 	}
 	straddler := e.tm.Begin()
 	e.insertRange(straddler, 300, 320)
+	update(straddler, 3, 'D', 48)
 	e.tm.Checkpoint(e.pool)
 	e.insertRange(straddler, 320, 330)
+	update(straddler, 3, 'd', 56)
 	if err := straddler.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	deleter := e.tm.Begin()
 	e.insertRange(deleter, 400, 410)
 	e.deleteRange(deleter, 0, 8)
+	update(deleter, 4, 'E', 40)
 	inserter := e.tm.Begin()
 	e.insertRange(inserter, 500, 510)
+	update(inserter, 0, 'F', 80)
+	update(inserter, 1, 'G', 64)
 	e.log.ForceAll()
 	if e.disk.WriteCount() != writes {
 		t.Fatal("workload stole pages to disk; truncating the log under them would not be a crash")
@@ -143,6 +171,17 @@ func TestReplayMatchesSerialReference(t *testing.T) {
 	e, setup := buildSweepWorkload(t)
 	crashImage := e.disk.Snapshot()
 	recs := e.log.Records(1)
+	var updates, updateCLRs int
+	for _, r := range recs {
+		if r.Op == wal.OpDataUpdate && r.Type == wal.RecUpdate {
+			updates++
+		} else if r.Op == wal.OpDataUpdate {
+			updateCLRs++
+		}
+	}
+	if updates < 9 || updateCLRs < 2 {
+		t.Fatalf("the workload logged %d updates in place and %d of their CLRs", updates, updateCLRs)
+	}
 
 	restarts := []struct {
 		name string

@@ -81,6 +81,85 @@ func TestCompactStableSlotsAgainstModel(t *testing.T) {
 	}
 }
 
+// ReplaceCell among adds and removes on a nearly full page: the slot keeps its
+// number, every other cell its bytes, and the page's free space is exactly
+// what the model's cells leave — a shrink gives its bytes back as garbage, a
+// grow that needs them compacts, and one that does not fit changes nothing.
+func TestReplaceCellAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPage(512)
+		p.Format(9, PageTypeData, 0)
+		var model [][]byte // nil = freed slot
+		grows, shrinks, refused := 0, 0, 0
+		for step := 0; step < 6000; step++ {
+			slot := rng.Intn(len(model) + 1)
+			cell := make([]byte, rng.Intn(60)+1)
+			rng.Read(cell)
+			switch {
+			case slot == len(model) || model[slot] == nil:
+				if !p.HasRoomFor(len(cell)) {
+					continue
+				}
+				if err := p.AddCellAt(uint16(slot), cell); err != nil {
+					t.Fatalf("seed %d step %d: AddCellAt(%d): %v", seed, step, slot, err)
+				}
+				if slot == len(model) {
+					model = append(model, nil)
+				}
+				model[slot] = cell
+			case rng.Intn(4) == 0:
+				if _, err := p.RemoveCell(uint16(slot)); err != nil {
+					t.Fatalf("seed %d step %d: RemoveCell(%d): %v", seed, step, slot, err)
+				}
+				model[slot] = nil
+			default:
+				old := model[slot]
+				fits := p.contiguous()+p.garbage()+len(old) >= len(cell)
+				err := p.ReplaceCell(uint16(slot), cell)
+				switch {
+				case !fits:
+					if !errors.Is(err, ErrPageFull) {
+						t.Fatalf("seed %d step %d: replace of %d bytes by %d with %d free: %v",
+							seed, step, len(old), len(cell), p.FreeSpace(), err)
+					}
+					refused++
+				case err != nil:
+					t.Fatalf("seed %d step %d: ReplaceCell(%d): %v", seed, step, slot, err)
+				default:
+					if len(cell) > len(old) {
+						grows++
+					} else if len(cell) < len(old) {
+						shrinks++
+					}
+					model[slot] = cell
+				}
+			}
+			checkAgainst(t, step, p, model)
+			used := headerSize + 2*len(model)
+			for _, c := range model {
+				if c != nil {
+					used += 2 + len(c)
+				}
+			}
+			if want := max(0, len(p.b)-used-2); p.FreeSpace() != want {
+				t.Fatalf("seed %d step %d: FreeSpace %d, the cells leave %d", seed, step, p.FreeSpace(), want)
+			}
+		}
+		if grows < 100 || shrinks < 100 || refused < 100 {
+			t.Fatalf("seed %d: %d grows, %d shrinks, %d refused; the sequence does not exercise ReplaceCell", seed, grows, shrinks, refused)
+		}
+	}
+	p := NewPage(512)
+	p.Format(9, PageTypeData, 0)
+	_ = p.AddCellAt(1, []byte("x"))
+	for _, slot := range []uint16{0, 2} {
+		if err := p.ReplaceCell(slot, []byte("y")); !errors.Is(err, ErrBadSlot) {
+			t.Fatalf("ReplaceCell of slot %d (freed / out of range): %v", slot, err)
+		}
+	}
+}
+
 // The same for dense slots, where positions shift on every insert and delete.
 func TestCompactDenseSlotsAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {

@@ -426,6 +426,40 @@ func (p *Page) RemoveCell(slot uint16) ([]byte, error) {
 	return out, nil
 }
 
+// ReplaceCell overwrites the payload of a live stable slot; the slot number
+// does not change. A payload no longer than the old one is written over it
+// and the bytes left over become garbage. A longer one is placed afresh once
+// the old cell is released, compacting if it must, so payload must not alias
+// the page; when the page cannot hold it, ErrPageFull is returned and the
+// page is as it was.
+func (p *Page) ReplaceCell(slot uint16, payload []byte) error {
+	if int(slot) >= p.NSlots() {
+		return fmt.Errorf("%w: replace of slot %d (nslots=%d)", ErrBadSlot, slot, p.NSlots())
+	}
+	off := int(p.slot(int(slot)))
+	if uint16(off) == freeSlotMarker {
+		return fmt.Errorf("%w: replace of freed slot %d", ErrBadSlot, slot)
+	}
+	old := int(p.u16(off))
+	if len(payload) <= old {
+		p.setU16(off, uint16(len(payload)))
+		copy(p.b[off+2:], payload)
+		p.setGarbage(p.garbage() + old - len(payload))
+		return nil
+	}
+	if p.contiguous()+p.garbage()+old < len(payload) {
+		return ErrPageFull
+	}
+	p.setSlot(int(slot), freeSlotMarker)
+	p.setGarbage(p.garbage() + old + 2)
+	noff, err := p.placeCell(payload, 0)
+	if err != nil {
+		return err
+	}
+	p.setSlot(int(slot), noff)
+	return nil
+}
+
 // LiveCells returns the number of non-freed slots.
 func (p *Page) LiveCells() int {
 	live := 0

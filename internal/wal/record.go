@@ -121,6 +121,7 @@ const (
 	OpDataFormat   // format a fresh data page
 	OpDataInsert   // add a record at a stable slot (or revive its ghost)
 	OpDataDelete   // ghost a record in a stable slot
+	OpDataUpdate   // replace a record's bytes in its stable slot
 	OpDataPurge    // physically remove a committed ghost (redo-only)
 	OpDataChainFix // rewrite a data-page chain pointer
 	OpDataFree     // mark a data page free (undo of OpDataFormat)
@@ -134,7 +135,7 @@ func (o OpCode) String() string {
 		"idx-unsplit-left", "idx-unsplit-parent", "idx-undelete-child",
 		"idx-unfree-page",
 		"fsm-alloc", "fsm-free", "data-format", "data-insert", "data-delete",
-		"data-purge", "data-chain-fix", "data-free",
+		"data-update", "data-purge", "data-chain-fix", "data-free",
 	}
 	if int(o) < len(names) {
 		return names[o]
