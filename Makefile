@@ -45,12 +45,17 @@ test-2core:
 # size; the concurrent ones run in full). And the update in place: it rewrites
 # a cell under the page X latch while snapshot readers fetch from the same
 # page under S and rollbacks shrink it back, on one page's worth of hot rows.
+# The buffer pool's three stress tests repeat 20 times on pools every shard of
+# which evicts all the time: a miss rebinds its victim's frame, page buffer
+# and latch, so a *Frame or a slice of page bytes kept past Unfix is a data
+# race with the next miss's read, which one schedule may not produce.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
 	$(GO) test -race -count=20 ./internal/mvcc
 	$(GO) test -race -short -count=10 ./internal/data ./internal/storage
 	$(GO) test -race -run 'TestUpdateInPlaceUnderSnapshotReaders$$' -count=20 ./internal/db
+	$(GO) test -race -count=20 -run 'TestShardStress$$|TestConcurrentSameShardMix$$|TestCleanerConcurrentWithTraffic$$' ./internal/buffer
 
 # Crash-torture smoke under injected disk faults, torn log tails, and
 # planted silent corruption: every fault class must be absorbed.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ariesim/internal/latch"
 	"ariesim/internal/storage"
 	"ariesim/internal/wal"
 )
@@ -145,31 +146,35 @@ func TestStartStopCleanerLifecycle(t *testing.T) {
 	}
 	update(t, p, l, f, 0x55)
 	p.Unfix(f)
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.DPT()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background cleaner never flushed the dirty frame")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, "the background cleaner to flush the dirty frame", func() bool { return len(p.DPT()) == 0 })
 	if st.CleanerWrites.Load() == 0 {
 		t.Fatal("no cleaner writes counted")
 	}
 
+	// The loop closes done as it exits, after its last pass: StopCleaner and
+	// Crash must not return before that.
+	stopped := func(done chan struct{}) bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	done := p.cleanDone
 	p.StopCleaner()
 	p.StopCleaner() // idempotent
-	passes := st.CleanerPasses.Load()
-	time.Sleep(5 * time.Millisecond)
-	if st.CleanerPasses.Load() != passes {
+	if !stopped(done) {
 		t.Fatal("cleaner still running after StopCleaner")
 	}
 
 	// Crash() on a pool with a live cleaner stops it before dropping frames.
 	p.StartCleaner(time.Millisecond, 4)
+	passes := st.CleanerPasses.Load()
+	await(t, "the restarted cleaner's first pass", func() bool { return st.CleanerPasses.Load() > passes })
+	done = p.cleanDone
 	p.Crash()
-	passes = st.CleanerPasses.Load()
-	time.Sleep(5 * time.Millisecond)
-	if st.CleanerPasses.Load() != passes {
+	if !stopped(done) {
 		t.Fatal("cleaner survived Crash")
 	}
 	if p.NumBuffered() != 0 {
@@ -178,7 +183,9 @@ func TestStartStopCleanerLifecycle(t *testing.T) {
 }
 
 // TestCleanerConcurrentWithTraffic races the cleaner against foreground
-// updates: no pin leaks, no lost updates, and the pool drains clean.
+// updates and (48 pages over four 4-frame shards) continuous eviction: no
+// pin leaks, no lost updates, no page in another's frame, and the pool
+// drains clean.
 func TestCleanerConcurrentWithTraffic(t *testing.T) {
 	_, l, p, _ := newEnvCfg(Config{Capacity: 16, Shards: 4})
 	p.StartCleaner(100*time.Microsecond, 4)
@@ -194,11 +201,16 @@ func TestCleanerConcurrentWithTraffic(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				id := storage.PageID((g*13+i*5)%24 + 2)
+				id := storage.PageID((g*13+i*5)%48 + 2)
 				f, err := p.Fix(id)
 				if err != nil {
 					continue // exhaustion under churn is acceptable here
 				}
+				f.Latch.Acquire(latch.S)
+				if b := f.Page.Bytes()[100]; b != 0 && b != byte(id) {
+					t.Errorf("page %d carries foreign fill byte %#x", id, b)
+				}
+				f.Latch.Release(latch.S)
 				update(t, p, l, f, byte(id))
 				p.Unfix(f)
 			}

@@ -10,17 +10,24 @@
 //
 // Frames carry the per-page latch (physical consistency) and the dirty
 // page table entry (recLSN) that restart analysis/redo consume. Crash()
-// discards every frame, modeling loss of volatile state.
+// unbinds every frame, modeling loss of volatile state.
 //
-// The frame table is hash-sharded (Fibonacci multiplicative mixing, the
+// The frame table is fixed: a slot's Frame — struct, page buffer and latch —
+// is built the first time the slot is used and kept for the life of the
+// pool. A miss rebinds its victim's frame to the incoming page and reads
+// into the same bytes, so nothing is allocated per miss. What makes that
+// safe is one rule for every caller: a pin covers every latch hold and
+// every read of Frame.Page, and nothing read from the page outlives it.
+//
+// The table is hash-sharded (Fibonacci multiplicative mixing, the
 // same idiom as the lock manager) with per-shard clock-sweep replacement,
 // so concurrent fixes of different pages touch independent mutexes. Three
 // properties keep I/O out of every shard lock:
 //
-//   - miss reads run on a frame inserted in "loading" state: the reading
+//   - miss reads run on a frame rebound in "loading" state: the reading
 //     fixer holds only a pin, concurrent fixers of the same page park on
-//     the frame's ready channel (exactly one disk read per miss storm),
-//     and fixers of other pages proceed through the shard untouched;
+//     the frame's load state (exactly one disk read per miss storm), and
+//     fixers of other pages proceed through the shard untouched;
 //   - steal writebacks pin the victim and write outside the shard lock;
 //     a fixer arriving mid-writeback simply re-pins the (still resident)
 //     frame and the eviction is abandoned;
@@ -99,16 +106,20 @@ type MediaRecoverer func(storage.PageID) error
 // one replay.
 type RecoveryHook func(id storage.PageID, p *storage.Page) (dirty bool, recLSN wal.LSN, err error)
 
-// Frame is a buffered page: the page bytes, the page latch, and the pin /
-// dirty / recLSN bookkeeping. Callers mutate Page only while holding
-// Latch in X mode and must log the change and call MarkDirty before
-// releasing the latch.
+// Frame is one slot of the frame table and the page currently bound to it:
+// the page bytes, the page latch, and the pin / dirty / recLSN bookkeeping.
+// Callers mutate Page only while holding Latch in X mode and must log the
+// change and call MarkDirty before releasing the latch. A *Frame, its Page
+// and every slice of the page's bytes are the caller's only until Unfix:
+// the next miss may rebind all three to another page.
 type Frame struct {
 	Page  *storage.Page
 	Latch *latch.Latch
 
-	id   storage.PageID
-	slot int // index into the owning shard's slot array
+	// id is the bound page, InvalidPageID while the frame is unbound (its
+	// load failed, or a Crash dropped its page). Written only under the
+	// owning shard's mutex with no pin holder able to read it.
+	id storage.PageID
 
 	// pins is the pin count. Increments happen only under the owning
 	// shard's mutex (so an evictor that observes zero under that mutex
@@ -117,12 +128,13 @@ type Frame struct {
 	// ref is the clock-sweep reference bit, set on every Unfix.
 	ref atomic.Bool
 
-	// ready is closed when the frame's contents are valid (immediately for
-	// hits; after the miss read for loaders). Fixers that arrive while the
-	// read is in flight park here. loadErr is set before ready is closed
-	// and is non-nil when the read failed (the frame was withdrawn).
-	ready   chan struct{}
+	// loading is true from rebind until the miss read has finished; fixers
+	// that arrive meanwhile park on loaded. loadErr is written before
+	// loading goes false and is non-nil when the read failed (the frame
+	// was withdrawn); it is read only under a pin.
+	loading atomic.Bool
 	loadErr error
+	loaded  sync.Cond // on mu
 
 	// mu guards dirty and recLSN, so MarkDirty and DPT snapshots never
 	// touch a shard lock.
@@ -150,27 +162,54 @@ func (f *Frame) isDirty() bool {
 	return f.dirty
 }
 
-// poolShard is one partition of the frame table: a page→frame map plus a
-// fixed slot array the clock hand sweeps.
+// awaitLoad parks until the frame's miss read has finished. The caller
+// holds a pin, so the frame cannot go back to loading under it.
+func (f *Frame) awaitLoad() {
+	f.mu.Lock()
+	for f.loading.Load() {
+		f.loaded.Wait()
+	}
+	f.mu.Unlock()
+}
+
+// finishLoad publishes the outcome of the miss read and wakes the parked
+// fixers.
+func (f *Frame) finishLoad(err error) {
+	f.mu.Lock()
+	f.loadErr = err
+	f.loading.Store(false)
+	f.mu.Unlock()
+	f.loaded.Broadcast()
+}
+
+// poolShard is one partition of the frame table: a fixed slot array the
+// clock hand sweeps, plus the page→frame map of the bound frames.
 type poolShard struct {
 	mu     sync.Mutex
 	frames map[storage.PageID]*Frame
-	slots  []*Frame // len == shard capacity; nil entries are free
-	free   []int    // free slot indices
+	slots  []*Frame // len == shard capacity; nil until the slot is first used
 	hand   int      // clock hand position in slots
 }
 
-// removeLocked withdraws f from the shard. Identity-checked so a zombie
-// loader unwinding after Crash rebuilt the shard can never evict a
-// successor frame that reuses its page ID or slot.
-func (s *poolShard) removeLocked(f *Frame) {
-	if cur, ok := s.frames[f.id]; ok && cur == f {
+// rebind evicts whatever page f holds and binds f, pinned once and loading,
+// to id. Called with s.mu held on a victim victimLocked returned: the rule
+// that a pin covers every latch hold is checked here, where breaking it
+// would hand one goroutine another page's bytes.
+func (p *Pool) rebind(s *poolShard, f *Frame, id storage.PageID) {
+	if n := f.pins.Load(); n != 0 || f.Latch.Held() {
+		panic(fmt.Sprintf("buffer: rebind of page %d's frame to page %d with %d pins or its latch held", f.id, id, n))
+	}
+	if f.id != storage.InvalidPageID {
 		delete(s.frames, f.id)
+		if p.stats != nil {
+			p.stats.PageEvicted.Add(1)
+		}
 	}
-	if f.slot >= 0 && f.slot < len(s.slots) && s.slots[f.slot] == f {
-		s.slots[f.slot] = nil
-		s.free = append(s.free, f.slot)
-	}
+	f.id = id
+	f.loadErr = nil
+	f.loading.Store(true)
+	f.pins.Store(1)
+	s.frames[id] = f
 }
 
 // Config configures a pool beyond the defaults.
@@ -250,10 +289,6 @@ func NewPoolWith(disk *storage.Disk, log *wal.Log, cfg Config, stats *trace.Stat
 		s := &p.shards[i]
 		s.frames = make(map[storage.PageID]*Frame, c)
 		s.slots = make([]*Frame, c)
-		s.free = make([]int, c)
-		for j := range s.free {
-			s.free[j] = j
-		}
 	}
 	return p
 }
@@ -414,89 +449,85 @@ func (p *Pool) Fix(id storage.PageID) (*Frame, error) {
 		p.stats.PageFixes.Add(1)
 	}
 	s := p.shardOf(id)
-	stalls := 0
-	var f *Frame
-	for {
+	for stalls := 0; ; {
 		s.mu.Lock()
 		if hit, ok := s.frames[id]; ok {
 			hit.pins.Add(1)
 			hit.ref.Store(true)
 			s.mu.Unlock()
-			// Park until the frame's read (if any) completes. Closed
-			// channels make the hit path a single atomic load.
-			select {
-			case <-hit.ready:
-			default:
+			// Park until the frame's read (if any) completes; on a loaded
+			// frame this is a single atomic load.
+			if hit.loading.Load() {
 				if p.stats != nil {
 					p.stats.FixParks.Add(1)
 				}
-				<-hit.ready
+				hit.awaitLoad()
 			}
-			if hit.loadErr != nil {
-				// The loader withdrew the frame; surface its error.
+			if err := hit.loadErr; err != nil {
+				// The loader withdrew the frame; surface its error. The
+				// frame is not rebound before this pin is gone.
 				hit.pins.Add(-1)
-				return nil, hit.loadErr
+				return nil, err
 			}
 			return hit, nil
 		}
-		if len(s.free) > 0 {
-			// Claim a slot while still holding the shard lock.
+		f, err := p.victimLocked(s)
+		if err == nil {
+			if _, ok := s.frames[id]; ok {
+				// A steal write-back released the shard and another fixer
+				// brought id in meanwhile; the victim keeps its page.
+				s.mu.Unlock()
+				continue
+			}
 			if p.stats != nil {
 				p.stats.PageMisses.Add(1)
 			}
-			f = &Frame{
-				Page:  storage.NewPage(p.disk.PageSize()),
-				Latch: latch.New(p.stats),
-				id:    id,
-				ready: make(chan struct{}),
-			}
-			f.pins.Store(1)
-			f.slot = s.free[len(s.free)-1]
-			s.free = s.free[:len(s.free)-1]
-			s.slots[f.slot] = f
-			s.frames[id] = f
-			break
+			p.rebind(s, f, id)
+			s.mu.Unlock()
+			return p.load(s, f)
 		}
-		err := p.evictLocked(s)
 		s.mu.Unlock()
-		if err == nil {
-			continue // a slot was freed; re-check the map (it may have changed)
+		if !errors.Is(err, ErrPoolExhausted) || stalls >= maxStallRetries {
+			return nil, err
 		}
-		if errors.Is(err, ErrPoolExhausted) && stalls < maxStallRetries {
-			// Transient full-pin: every candidate was pinned at this
-			// instant. Wait out the pin holders and retry instead of
-			// failing the caller.
-			if p.stats != nil {
-				p.stats.EvictionStalls.Add(1)
-			}
-			wait := backoff(stalls)
-			if wait > maxStallBackoff {
-				wait = maxStallBackoff
-			}
-			time.Sleep(wait)
-			stalls++
-			continue
+		// Transient full-pin: every candidate was pinned at this instant.
+		// Wait out the pin holders and retry instead of failing the caller.
+		if p.stats != nil {
+			p.stats.EvictionStalls.Add(1)
 		}
-		return nil, err
+		wait := backoff(stalls)
+		if wait > maxStallBackoff {
+			wait = maxStallBackoff
+		}
+		time.Sleep(wait)
+		stalls++
 	}
+}
 
-	s.mu.Unlock()
+// load runs the miss read into f, just rebound in s and pinned by the
+// caller, and ends its loading state either way.
+func (p *Pool) load(s *poolShard, f *Frame) (*Frame, error) {
+	id := f.id
 	err := p.readPage(id, f.Page.Bytes())
 	if err == nil {
 		err = p.runRecoveryHook(f)
 	}
 	if err != nil {
 		// Withdraw the frame so parked fixers fail fast and a later Fix
-		// retries the read from scratch.
-		f.loadErr = err
+		// retries the read from scratch. It stays in its slot, unbound, and
+		// is rebound once the parked fixers' pins are gone. A frame that a
+		// Crash dropped mid-read is in no map: id may be a successor's.
 		s.mu.Lock()
-		s.removeLocked(f)
+		if s.frames[id] == f {
+			delete(s.frames, id)
+			f.id = storage.InvalidPageID
+		}
 		s.mu.Unlock()
-		close(f.ready)
+		f.finishLoad(err)
 		f.pins.Add(-1)
 		return nil, err
 	}
-	close(f.ready)
+	f.finishLoad(nil)
 	return f, nil
 }
 
@@ -522,37 +553,43 @@ func (p *Pool) MarkDirty(f *Frame, lsn wal.LSN) {
 	f.mu.Unlock()
 }
 
-// evictLocked frees one slot in s via a clock sweep. Called with s.mu
-// held; returns with it held. The sweep skips pinned frames and clears
-// reference bits (second chance), and runs in two passes: the first
-// accepts only CLEAN victims, so a dirty frame is stolen only when no
-// clean unpinned frame exists in the shard — with the page cleaner
-// running, the foreground Fix path almost never pays a steal writeback.
-// A clean victim is dropped in place; a dirty one (second pass) is pinned
-// and written back with the shard lock RELEASED, so fixes of other pages
-// in the shard proceed during the I/O. ErrPoolExhausted means every frame
-// stayed pinned across all passes.
-func (p *Pool) evictLocked(s *poolShard) error {
+// victimLocked picks the frame the next miss in s will be bound to, via a
+// clock sweep. Called with s.mu held; returns with it held, the victim
+// unpinned, clean and still bound to its old page (rebind evicts that). The
+// sweep builds the frame of a slot never used, takes an unbound frame as it
+// is, skips pinned frames and clears reference bits (second chance), and
+// runs in two passes: the first accepts only CLEAN victims, so a dirty
+// frame is stolen only when no clean unpinned frame exists in the shard —
+// with the page cleaner running, the foreground Fix path almost never pays
+// a steal writeback. A dirty victim (second pass) is pinned and written back
+// with the shard lock RELEASED, so fixes of other pages in the shard
+// proceed during the I/O. ErrPoolExhausted means every frame stayed pinned
+// across all passes.
+func (p *Pool) victimLocked(s *poolShard) (*Frame, error) {
 	n := len(s.slots)
 	for _, allowDirty := range [2]bool{false, true} {
 		for i := 0; i < 2*n; i++ {
-			f := s.slots[s.hand]
+			slot := s.hand
 			s.hand = (s.hand + 1) % n
+			f := s.slots[slot]
 			if f == nil {
-				return nil // a concurrent eviction already freed a slot
+				// First use of the slot: the only place a frame is built.
+				f = &Frame{Page: storage.NewPage(p.disk.PageSize()), Latch: latch.New(p.stats)}
+				f.loaded.L = &f.mu
+				s.slots[slot] = f
+				return f, nil
 			}
 			if f.pins.Load() != 0 {
-				continue
+				continue // in use, or withdrawn with fixers still parked on it
+			}
+			if f.id == storage.InvalidPageID {
+				return f, nil
 			}
 			if f.ref.Swap(false) {
 				continue // second chance
 			}
 			if !f.isDirty() {
-				s.removeLocked(f)
-				if p.stats != nil {
-					p.stats.PageEvicted.Add(1)
-				}
-				return nil
+				return f, nil
 			}
 			if !allowDirty {
 				continue // clean-preference pass: leave the steal for later
@@ -570,20 +607,17 @@ func (p *Pool) evictLocked(s *poolShard) error {
 			if err != nil {
 				// The frame stays resident, dirty, and in the DPT: nothing is
 				// lost, and a later evict or flush retries the write.
-				return err
+				return nil, err
 			}
-			if f.pins.Load() == 0 && !f.isDirty() && s.slots[f.slot] == f {
-				s.removeLocked(f)
-				if p.stats != nil {
-					p.stats.PageEvicted.Add(1)
-				}
-				return nil
+			if f.pins.Load() == 0 && !f.isDirty() && s.slots[slot] == f {
+				return f, nil
 			}
-			// A fixer re-pinned (or re-dirtied) the frame mid-writeback: the
-			// eviction is abandoned — the page is hot — and the sweep goes on.
+			// A fixer re-pinned (or re-dirtied) the frame mid-writeback, or a
+			// Crash dropped it: the steal is abandoned, the frame keeps its
+			// page, and the sweep goes on.
 		}
 	}
-	return ErrPoolExhausted
+	return nil, ErrPoolExhausted
 }
 
 // writeBack forces the log to the frame's page_LSN and writes the page,
@@ -625,7 +659,7 @@ func (p *Pool) FlushPage(id storage.PageID) error {
 	}
 	f.pins.Add(1) // hold the frame across the writeback
 	s.mu.Unlock()
-	<-f.ready
+	f.awaitLoad()
 	var err error
 	if f.loadErr == nil {
 		err = p.writeBack(f)
@@ -679,23 +713,32 @@ func (p *Pool) DPT() []wal.DPTEntry {
 	return out
 }
 
-// Crash discards every frame without writing anything: the volatile half
-// of the failure model. Dirty pages whose updates were not stolen to disk
-// are simply lost; restart redo brings them back from the log. The page
+// Crash discards every buffered page without writing anything: the volatile
+// half of the failure model. Dirty pages whose updates were not stolen to
+// disk are simply lost; restart redo brings them back from the log. The page
 // cleaner is stopped first and waited for, so no cleaner write can land
 // after Crash returns (the crash fence); the pool itself remains usable
-// (restart recovery refills it).
+// (restart recovery refills it). An unpinned frame stays in its slot,
+// unbound. A pinned one — a loader still inside its read, a fixer or a
+// steal that will finish after the crash — is dropped with its slot left
+// to be built again: whatever its holder still reads or writes, it is not a
+// buffer a successor page owns.
 func (p *Pool) Crash() {
 	p.StopCleaner()
 	p.SetRecoveryHook(nil) // any pending recovery plan died with the volatile state
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		s.frames = make(map[storage.PageID]*Frame)
-		s.free = s.free[:0]
-		for j := range s.slots {
-			s.slots[j] = nil
-			s.free = append(s.free, j)
+		clear(s.frames)
+		for j, f := range s.slots {
+			switch {
+			case f == nil:
+			case f.pins.Load() != 0:
+				s.slots[j] = nil
+			default:
+				f.id = storage.InvalidPageID
+				f.markClean()
+			}
 		}
 		s.hand = 0
 		s.mu.Unlock()

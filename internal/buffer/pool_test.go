@@ -121,9 +121,9 @@ func TestPinnedPagesAreNotEvicted(t *testing.T) {
 }
 
 // TestClockSweepSecondChance pins down the per-shard clock replacement on
-// a single two-frame shard. Slot assignment pops the free list from the
-// back (page 10 → slot 1, page 11 → slot 0) and the hand starts at slot 0,
-// which makes every sweep below deterministic.
+// a single two-frame shard. The hand builds the slots in order as they are
+// first used (page 10 → slot 0, page 11 → slot 1) and is back at slot 0 when
+// the shard is full, which makes every sweep below deterministic.
 func TestClockSweepSecondChance(t *testing.T) {
 	d, l, p, st := newEnvCfg(Config{Capacity: 2, Shards: 1})
 	fa, _ := p.Fix(10)
@@ -133,8 +133,8 @@ func TestClockSweepSecondChance(t *testing.T) {
 	p.Unfix(fb)
 
 	// First eviction: both frames carry a reference bit, so the sweep
-	// clears 11 (slot 0) and 10 (slot 1), laps back, and evicts 11 — the
-	// first cleared frame the hand re-reaches. The dirty page 10 survives.
+	// clears 10 (slot 0) and 11 (slot 1), laps back, passes the dirty 10 and
+	// evicts 11 — the first clean cleared frame the hand re-reaches.
 	fc, _ := p.Fix(12)
 	p.Unfix(fc)
 	if st.PageEvicted.Load() != 1 {

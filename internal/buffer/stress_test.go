@@ -14,7 +14,9 @@ import (
 // TestShardStress hammers Fix/Unfix/MarkDirty/eviction across every shard
 // from many goroutines, with a pin-leak and DPT-sanity invariant check
 // after every quiesced round. Run under -race this exercises the lock-free
-// Unfix/MarkDirty paths against concurrent sweeps and writebacks.
+// Unfix/MarkDirty paths against concurrent sweeps and writebacks, and —
+// each shard holding 4 frames for 12 pages, so it evicts all the time —
+// every frame's rebinding against its last holder.
 func TestShardStress(t *testing.T) {
 	_, l, p, st := newEnvCfg(Config{Capacity: 32, Shards: 8})
 	const (
@@ -44,15 +46,22 @@ func TestShardStress(t *testing.T) {
 					if f.ID() != id {
 						t.Errorf("fix %d returned frame for page %d", id, f.ID())
 					}
+					// Every page carries its own ID as a fill byte, so a frame
+					// rebound under a holder, or a read landing in a buffer
+					// another page owns, shows as a foreign byte (and under
+					// -race as a data race on the page).
 					if i%4 == 0 {
 						f.Latch.Acquire(latch.X)
 						lsn := l.Append(&wal.Record{Type: wal.RecUpdate, TxID: wal.TxID(g + 1), Page: id, Op: wal.OpIdxSetBits})
+						f.Page.Bytes()[128] = byte(id)
 						f.Page.SetLSN(uint64(lsn))
 						p.MarkDirty(f, lsn)
 						f.Latch.Release(latch.X)
 					} else {
 						f.Latch.Acquire(latch.S)
-						_ = f.Page.LSN()
+						if b := f.Page.Bytes()[128]; b != 0 && b != byte(id) {
+							t.Errorf("page %d carries foreign fill byte %#x", id, b)
+						}
 						f.Latch.Release(latch.S)
 					}
 					p.Unfix(f)
@@ -129,8 +138,8 @@ func TestMissStormSingleRead(t *testing.T) {
 }
 
 // TestMissReadDoesNotBlockOtherPages verifies I/O runs outside the shard
-// lock: while one fixer's miss read sleeps on a slow device, a fix of an
-// already-resident page in the same shard must complete immediately.
+// lock: while one fixer's miss read is parked inside the device, a fix of an
+// already-resident page in the same shard must complete.
 func TestMissReadDoesNotBlockOtherPages(t *testing.T) {
 	d, _, p, _ := newEnvCfg(Config{Capacity: 8, Shards: 1})
 	fa, err := p.Fix(5) // resident, hot
@@ -139,27 +148,25 @@ func TestMissReadDoesNotBlockOtherPages(t *testing.T) {
 	}
 	p.Unfix(fa)
 
-	d.SetIODelay(50 * time.Millisecond)
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		f, err := p.Fix(6) // slow miss holds no shard lock while reading
-		if err == nil {
-			p.Unfix(f)
+	g := newGate(6, false, nil)
+	d.SetInjector(g)
+	loader := fixAsync(p, 6) // the miss holds no shard lock while reading
+	<-g.entered
+	select {
+	case r := <-fixAsync(p, 5):
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-	}()
-	<-started
-	time.Sleep(time.Millisecond) // let the loader enter its read
-	t0 := time.Now()
-	fb, err := p.Fix(5)
-	if err != nil {
-		t.Fatal(err)
+		p.Unfix(r.f)
+	case <-time.After(5 * time.Second):
+		t.Fatal("hit stalled behind another page's miss read")
 	}
-	p.Unfix(fb)
-	if hitLatency := time.Since(t0); hitLatency > 25*time.Millisecond {
-		t.Fatalf("hit stalled %v behind another page's miss read", hitLatency)
+	close(g.release)
+	if r := <-loader; r.err != nil {
+		t.Fatal(r.err)
+	} else {
+		p.Unfix(r.f)
 	}
-	d.SetIODelay(0)
 }
 
 // TestFullPinBoundedRetry checks the transient-exhaustion path: a Fix that
@@ -171,18 +178,14 @@ func TestFullPinBoundedRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(200 * time.Microsecond)
-		p.Unfix(f)
-	}()
-	f2, err := p.Fix(6) // retries while 5 is pinned, then wins the frame
-	if err != nil {
-		t.Fatalf("fix did not ride out the transient full-pin: %v", err)
+	waiter := fixAsync(p, 6) // retries while 5 is pinned, then wins the frame
+	await(t, "the fix to stall on the pinned frame", func() bool { return st.EvictionStalls.Load() > 0 })
+	p.Unfix(f)
+	r := <-waiter
+	if r.err != nil {
+		t.Fatalf("fix did not ride out the transient full-pin: %v", r.err)
 	}
-	p.Unfix(f2)
-	if st.EvictionStalls.Load() == 0 {
-		t.Fatal("no EvictionStalls counted for the bounded wait")
-	}
+	p.Unfix(r.f)
 }
 
 // TestFlushAllJoinedError checks that FlushAll attempts every dirty page

@@ -247,6 +247,11 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		}
 	}
 	d.Log().ForceAll() // make every record a truncation candidate
+	// The log's byte accounting (and so every boundary below) rests on
+	// EncodedSize being what Encode produces, for each kind of record here.
+	if err := d.Log().CodecRoundTrip(); err != nil {
+		return nil, err
+	}
 
 	boundaries := recovery.Boundaries(d.Log(), setupLSN)
 	res.Records = len(boundaries)

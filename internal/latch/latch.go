@@ -167,10 +167,11 @@ func (l *Latch) AcquireInstant(m Mode) {
 	l.Release(m)
 }
 
-// HeldExclusively reports whether some goroutine holds the latch in X mode.
-// Used only by invariant assertions in tests.
-func (l *Latch) HeldExclusively() bool {
+// Held reports whether some goroutine holds the latch in either mode. Used
+// only by invariant assertions: the buffer pool refuses to rebind a frame
+// whose latch is held.
+func (l *Latch) Held() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.writer
+	return l.writer || l.readers > 0
 }

@@ -169,9 +169,8 @@ func (l *Log) deliverNotify() {
 // byte range and slot, and concurrent appenders never serialize (the
 // ariesim-lint append-path check keeps exclusive mutexes off it).
 func (l *Log) Append(r *Record) LSN {
-	enc := len(r.Encode()) // realistic byte accounting, outside any lock
 	l.crashMu.RLock()
-	lsn := l.reserveFill(r, enc)
+	lsn := l.reserveFill(r, r.EncodedSize()) // realistic byte accounting: what Encode would produce
 	l.crashMu.RUnlock()
 	return lsn
 }
@@ -709,12 +708,14 @@ func (l *Log) Clone(stats *trace.Stats) *Log {
 // on-log format end to end. Used by tests and the crash tool.
 func (l *Log) CodecRoundTrip() error {
 	for _, r := range l.Records(NilLSN + 1) {
-		got, n, err := DecodeRecord(r.Encode())
+		enc := r.Encode()
+		got, n, err := DecodeRecord(enc)
 		if err != nil {
 			return fmt.Errorf("LSN %d: %w", r.LSN, err)
 		}
-		if n != r.EncodedSize() {
-			return fmt.Errorf("LSN %d: size %d != %d", r.LSN, n, r.EncodedSize())
+		// Append sizes a record by EncodedSize without encoding it.
+		if len(enc) != r.EncodedSize() || n != len(enc) {
+			return fmt.Errorf("LSN %d: encoded %d bytes, decoded %d, EncodedSize %d", r.LSN, len(enc), n, r.EncodedSize())
 		}
 		got.LSN = r.LSN
 		if got.String() != r.String() {
