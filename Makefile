@@ -49,6 +49,12 @@ test-2core:
 # which evicts all the time: a miss rebinds its victim's frame, page buffer
 # and latch, so a *Frame or a slice of page bytes kept past Unfix is a data
 # race with the next miss's read, which one schedule may not produce.
+# The lock manager's tests repeat 20 times: an owner reads its own held-lock
+# table without a mutex, which is sound only because a granter writes it
+# while the owner is parked and the wake-up (or the shard mutex the timeout
+# and probe paths take) orders the owner's next read after that write — one
+# schedule may not show a violation. The two savepoint tests likewise, for
+# ReleaseSince popping the owner's list while contenders queue on its names.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
@@ -56,6 +62,8 @@ race:
 	$(GO) test -race -short -count=10 ./internal/data ./internal/storage
 	$(GO) test -race -run 'TestUpdateInPlaceUnderSnapshotReaders$$' -count=20 ./internal/db
 	$(GO) test -race -count=20 -run 'TestShardStress$$|TestConcurrentSameShardMix$$|TestCleanerConcurrentWithTraffic$$' ./internal/buffer
+	$(GO) test -race -count=20 ./internal/lock
+	$(GO) test -race -count=20 -run 'TestPartialRollbackToSavepoint$$|TestSavepointReleaseUnblocksContender$$' ./internal/txn
 
 # Crash-torture smoke under injected disk faults, torn log tails, and
 # planted silent corruption: every fault class must be absorbed.

@@ -219,9 +219,10 @@ type modeStep struct {
 }
 
 type holding struct {
-	owner Owner
+	owner *ownerLocks
+	head  *head // the head of name, which stays in the table while this is granted
+	name  Name
 	mode  Mode
-	count int
 	seq   uint64     // manager sequence at first grant
 	hist  []modeStep // mode upgrades since, oldest first
 }
@@ -243,7 +244,7 @@ func (g *holding) modeAt(tok uint64) Mode {
 }
 
 type request struct {
-	owner   Owner
+	owner   *ownerLocks
 	mode    Mode // target mode (post-conversion mode for conversions)
 	convert bool
 	name    Name
@@ -253,6 +254,87 @@ type request struct {
 type head struct {
 	granted []*holding
 	queue   []*request
+}
+
+// ownerIndexAt is the size up to which an owner's list lives in its record's
+// own array (record and list are one allocation) and is searched by scanning
+// it; past it (scans, reinstated losers holding thousands) the list moves to
+// the heap and a map is kept beside it.
+const ownerIndexAt = 32
+
+// ownerLocks is one owner's own lock table: what it holds and the one
+// request it may be blocked on. Every holding and request points back to
+// it, so the lock table proper carries no per-owner index.
+//
+// Concurrency contract. An owner is driven by one goroutine at a time
+// (calls for one Owner are ordered by happens-before) and has at most one
+// blocked request. Its record is written only under the shard mutex of the
+// name concerned — by the owner itself, or by a releaser granting to it
+// while it is parked in that request — and is therefore read
+//
+//   - lock-free by the owner alone (the park/wake channel receive, or the
+//     shard mutex the timeout and probe paths take, orders a parked owner's
+//     next read after the granter's write);
+//   - under every shard mutex by anyone else: the deadlock detector,
+//     LocksOf and NumLocks.
+//
+// A release that finds the owner blocked, or the holding already gone, panics
+// (remove, retireIfIdle): that is a second goroutine driving the owner.
+//
+// The record is entered in the registry by the owner's first request and
+// removed by the owner when it holds nothing and waits for nothing.
+type ownerLocks struct {
+	id    Owner
+	held  []*holding        // grant order, so ascending seq
+	index map[Name]*holding // the owner's own way into held past ownerIndexAt, else nil; no one else reads it
+	wait  *request          // the blocked request, if any
+	first [ownerIndexAt]*holding
+}
+
+func (o *ownerLocks) find(n Name) *holding {
+	if o.index != nil {
+		return o.index[n]
+	}
+	for _, g := range o.held {
+		if g.name == n {
+			return g
+		}
+	}
+	return nil
+}
+
+func (o *ownerLocks) add(g *holding) {
+	o.held = append(o.held, g)
+	if o.index != nil {
+		o.index[g.name] = g
+	} else if len(o.held) > ownerIndexAt {
+		o.index = make(map[Name]*holding, 2*len(o.held))
+		for _, g := range o.held {
+			o.index[g.name] = g
+		}
+	}
+}
+
+// remove takes g out of the list, searching from the tail: locks are
+// released in roughly the reverse of grant order. Caller holds the mutex of
+// the shard owning g.name. It panics on the two states only a second
+// goroutine driving the owner can produce: g already released, or the owner
+// parked in a request.
+func (o *ownerLocks) remove(g *holding) {
+	last := len(o.held) - 1
+	i := last
+	for i >= 0 && o.held[i] != g {
+		i--
+	}
+	if i < 0 || o.wait != nil {
+		panic(fmt.Sprintf("lock: owner %d released %v from two goroutines at once (blocked: %t)", o.id, g.name, o.wait != nil))
+	}
+	copy(o.held[i:], o.held[i+1:])
+	o.held[last] = nil
+	o.held = o.held[:last]
+	if o.index != nil {
+		delete(o.index, g.name)
+	}
 }
 
 // DefaultShards is the shard count NewManager uses: enough to spread a
@@ -269,15 +351,23 @@ const (
 	deadlockProbeMax   = 8 * time.Millisecond
 )
 
-// shard is one partition of the lock table. A name's head, its holders'
-// per-owner index entries, and any blocked request on it all live in the
-// shard the name hashes to, so every single-name operation touches exactly
-// one shard mutex.
+// maxFreeHeads bounds a shard's list of empty heads kept for reuse.
+const maxFreeHeads = 32
+
+// shard is one partition of the lock table: the heads of the names that
+// hash to it, each with its granted holdings and its queue. Every
+// single-name operation touches exactly one shard mutex.
 type shard struct {
 	mu    sync.Mutex
 	table map[Name]*head
-	held  map[Owner]map[Name]*holding // per-owner index for release-all
-	waits map[Owner]*request          // one blocked request per owner
+	free  []*head // emptied heads, so a name that comes and goes allocates once
+}
+
+// ownerShard is one partition of the owner registry. Its mutex is a leaf:
+// taken alone or under shard mutexes, never the other way round.
+type ownerShard struct {
+	mu     sync.Mutex
+	owners map[Owner]*ownerLocks
 }
 
 // Manager is the lock manager. All state is volatile: a crash empties the
@@ -285,19 +375,22 @@ type shard struct {
 //
 // The table is hash-sharded: grants, releases, and queue processing lock
 // only the shard owning the name, so disjoint transactions scale across
-// cores instead of convoying on one global mutex. Cross-shard state is
-// kept correct by construction: the grant sequence is a single atomic
-// (savepoint tokens stay globally ordered), an owner has at most one
-// blocked request (living in its name's shard), and the deadlock detector
-// pauses every shard — lockAll in ascending index order — to examine a
-// consistent waits-for graph before choosing a victim.
+// cores instead of convoying on one global mutex. What an owner holds lives
+// in the owner's own record (ownerLocks, which states who may touch it), so
+// a re-request of a held lock takes no shard mutex and ReleaseAll visits
+// only the shards of the names held. Cross-shard state is kept correct by
+// construction: the grant sequence is a single atomic (savepoint tokens
+// stay globally ordered), an owner has at most one blocked request, and the
+// deadlock detector pauses every shard — lockAll in ascending index order —
+// to examine a consistent waits-for graph before choosing a victim.
 type Manager struct {
-	shards  []shard
-	mask    uint64
-	seq     atomic.Uint64 // grant sequence, for savepoint tokens
-	timeout atomic.Int64  // default unconditional wait bound in ns (0 = none)
-	down    atomic.Bool   // shut down by crash; all requests fail
-	stats   *trace.Stats
+	shards   []shard
+	registry []ownerShard // by owner ID; as many as shards
+	mask     uint64
+	seq      atomic.Uint64 // grant sequence, for savepoint tokens
+	timeout  atomic.Int64  // default unconditional wait bound in ns (0 = none)
+	down     atomic.Bool   // shut down by crash; all requests fail
+	stats    *trace.Stats
 }
 
 // NewManager creates an empty lock manager reporting into stats (may be
@@ -307,19 +400,16 @@ func NewManager(stats *trace.Stats) *Manager {
 }
 
 // NewManagerSharded creates a lock manager with the given shard count,
-// rounded up to a power of two. One shard reproduces the historical
-// global-mutex behavior (the benchmark baseline).
+// rounded up to a power of two.
 func NewManagerSharded(stats *trace.Stats, shards int) *Manager {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	m := &Manager{shards: make([]shard, n), mask: uint64(n - 1), stats: stats}
+	m := &Manager{shards: make([]shard, n), registry: make([]ownerShard, n), mask: uint64(n - 1), stats: stats}
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.table = make(map[Name]*head)
-		s.held = make(map[Owner]map[Name]*holding)
-		s.waits = make(map[Owner]*request)
+		m.shards[i].table = make(map[Name]*head)
+		m.registry[i].owners = make(map[Owner]*ownerLocks)
 	}
 	return m
 }
@@ -333,6 +423,37 @@ func (m *Manager) shardOf(n Name) *shard {
 	h := n.A*0x9E3779B97F4A7C15 ^ n.B*0xC2B2AE3D27D4EB4F ^ uint64(n.Space)*0x165667B19E3779F9
 	h ^= h >> 29
 	return &m.shards[h&m.mask]
+}
+
+// ownerOf returns owner's record, entering a new one in the registry when
+// there is none and create is set.
+func (m *Manager) ownerOf(owner Owner, create bool) *ownerLocks {
+	r := &m.registry[uint64(owner)&m.mask]
+	r.mu.Lock()
+	o := r.owners[owner]
+	if o == nil && create {
+		o = &ownerLocks{id: owner}
+		o.held = o.first[:0]
+		r.owners[owner] = o
+	}
+	r.mu.Unlock()
+	return o
+}
+
+// retireIfIdle removes o from the registry once it holds nothing and waits
+// for nothing. Only the owner calls it, at the end of a call that may have
+// left it so.
+func (m *Manager) retireIfIdle(o *ownerLocks) {
+	if len(o.held) > 0 {
+		return
+	}
+	if o.wait != nil {
+		panic(fmt.Sprintf("lock: owner %d driven by two goroutines at once: one is blocked in Request", o.id))
+	}
+	r := &m.registry[uint64(o.id)&m.mask]
+	r.mu.Lock()
+	delete(r.owners, o.id)
+	r.mu.Unlock()
 }
 
 // lockAll acquires every shard mutex in ascending index order: the global
@@ -357,18 +478,35 @@ func (m *Manager) SetWaitTimeout(d time.Duration) {
 	m.timeout.Store(int64(d))
 }
 
-func (s *shard) headOf(n Name) *head {
-	h := s.table[n]
-	if h == nil {
+// newHead enters a head for n, which has none, reusing an emptied one.
+func (s *shard) newHead(n Name) *head {
+	var h *head
+	if last := len(s.free) - 1; last >= 0 {
+		h, s.free[last] = s.free[last], nil
+		s.free = s.free[:last]
+	} else {
 		h = &head{}
-		s.table[n] = h
 	}
+	s.table[n] = h
 	return h
+}
+
+// dropIfEmpty takes n's head out of the table once nothing is granted or
+// queued on it, keeping it (and its granted array) for the next new name.
+func (s *shard) dropIfEmpty(n Name, h *head) {
+	if len(h.granted) > 0 || len(h.queue) > 0 {
+		return
+	}
+	delete(s.table, n)
+	if len(s.free) < maxFreeHeads {
+		h.queue = nil
+		s.free = append(s.free, h)
+	}
 }
 
 // compatibleWithGranted reports whether owner may hold mode alongside all
 // *other* granted holders.
-func (h *head) compatibleWithGranted(owner Owner, mode Mode) bool {
+func (h *head) compatibleWithGranted(owner *ownerLocks, mode Mode) bool {
 	for _, g := range h.granted {
 		if g.owner != owner && !Compatible(g.mode, mode) {
 			return false
@@ -377,21 +515,16 @@ func (h *head) compatibleWithGranted(owner Owner, mode Mode) bool {
 	return true
 }
 
-func (h *head) holdingOf(owner Owner) *holding {
-	for _, g := range h.granted {
-		if g.owner == owner {
-			return g
-		}
-	}
-	return nil
-}
-
 // Request asks for a lock. Conditional requests never block: they return
 // ErrNotGranted when the lock is not immediately available. Unconditional
 // requests block until granted, until deadlock victim selection aborts
 // them (ErrDeadlock), or until the manager's lock-wait timeout expires
 // (ErrLockTimeout). Instant-duration locks are released as soon as they
 // are granted; their purpose is purely to observe grantability.
+//
+// A request for a lock the owner already holds in a sufficient mode is
+// answered from the owner's own table: one registry lookup, no shard mutex,
+// no allocation.
 func (m *Manager) Request(owner Owner, name Name, mode Mode, dur Duration, conditional bool) error {
 	return m.RequestWith(owner, name, mode, dur, conditional, 0)
 }
@@ -402,25 +535,13 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	if m.stats != nil {
 		m.stats.CountLock(int(name.Space), int(mode), int(dur))
 	}
-	if timeout == 0 {
-		timeout = time.Duration(m.timeout.Load())
-	}
-	s := m.shardOf(name)
-	s.mu.Lock()
 	if m.down.Load() {
-		s.mu.Unlock()
 		return ErrShutdown
 	}
-	h := s.headOf(name)
-	mine := h.holdingOf(owner)
-
+	o := m.ownerOf(owner, true)
+	mine := o.find(name)
 	if mine != nil && Supremum(mine.mode, mode) == mine.mode {
-		// Already held in a sufficient mode.
-		if dur != Instant {
-			mine.count++
-		}
-		s.mu.Unlock()
-		return nil
+		return nil // already held in a sufficient mode
 	}
 
 	target := mode
@@ -429,19 +550,35 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 		target = Supremum(mine.mode, mode)
 	}
 
-	canGrant := h.compatibleWithGranted(owner, target) &&
-		(convert || len(h.queue) == 0) // new requests honor FIFO; conversions may pass the queue
+	s := m.shardOf(name)
+	s.mu.Lock()
+	if m.down.Load() {
+		s.mu.Unlock()
+		m.retireIfIdle(o)
+		return ErrShutdown
+	}
+	h := s.table[name]
+	canGrant := h == nil || (h.compatibleWithGranted(o, target) &&
+		(convert || len(h.queue) == 0)) // new requests honor FIFO; conversions may pass the queue
 	if canGrant {
-		m.grantLocked(h, owner, name, target, mine, s)
-		if dur == Instant && mine == nil {
-			m.releaseLocked(s, name, owner)
+		// An instant lock on a name the owner does not hold is only the
+		// observation that it was grantable now: nothing is installed. An
+		// instant conversion keeps the conservative upgrade until the
+		// pre-existing (longer-duration) holding ends.
+		if dur != Instant || convert {
+			if h == nil {
+				h = s.newHead(name)
+			}
+			m.grantLocked(h, o, name, target, mine)
 		}
 		s.mu.Unlock()
+		m.retireIfIdle(o)
 		return nil
 	}
 
 	if conditional {
 		s.mu.Unlock()
+		m.retireIfIdle(o)
 		if m.stats != nil {
 			m.stats.LockDenials.Add(1)
 		}
@@ -449,7 +586,7 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	}
 
 	// Enqueue. Conversions go ahead of non-conversions.
-	req := &request{owner: owner, mode: target, convert: convert, name: name, granted: make(chan error, 1)}
+	req := &request{owner: o, mode: target, convert: convert, name: name, granted: make(chan error, 1)}
 	if convert {
 		i := 0
 		for i < len(h.queue) && h.queue[i].convert {
@@ -461,13 +598,31 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	} else {
 		h.queue = append(h.queue, req)
 	}
-	s.waits[owner] = req
+	o.wait = req
 	s.mu.Unlock()
 
 	if m.stats != nil {
 		m.stats.LockWaits.Add(1)
 	}
+	err := m.await(req, timeout)
+	if err != nil {
+		m.retireIfIdle(o)
+		return err
+	}
+	// A queued instant lock was installed by its granter; drop it — unless
+	// it was a conversion, as above.
+	if dur == Instant && !convert {
+		m.Release(owner, name)
+	}
+	return nil
+}
 
+// await parks the owner of the queued req until it is granted (nil),
+// aborted by a deadlock detector or Shutdown, or timed out.
+func (m *Manager) await(req *request, timeout time.Duration) error {
+	if timeout == 0 {
+		timeout = time.Duration(m.timeout.Load())
+	}
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
@@ -484,14 +639,12 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	probeIval := deadlockProbeAfter
 	probe := time.NewTimer(probeIval)
 	defer probe.Stop()
-	var err error
-waitLoop:
 	for {
 		select {
-		case err = <-req.granted:
-			break waitLoop
+		case err := <-req.granted:
+			return err
 		case <-probe.C:
-			if derr := m.resolveDeadlocks(owner, name, req); derr != nil {
+			if derr := m.resolveDeadlocks(req); derr != nil {
 				return derr
 			}
 			if probeIval *= 2; probeIval > deadlockProbeMax {
@@ -499,20 +652,17 @@ waitLoop:
 			}
 			probe.Reset(probeIval)
 		case <-timeoutC:
+			s := m.shardOf(req.name)
 			s.mu.Lock()
 			select {
-			case err = <-req.granted:
+			case err := <-req.granted:
 				// Resolved between the timer firing and us reacquiring the
 				// shard lock; honor the resolution.
 				s.mu.Unlock()
-				break waitLoop
+				return err
 			default:
-				if h := s.table[name]; h != nil {
-					m.removeRequestLocked(h, req)
-					// Waking grantable requests queued behind the abandoned one.
-					m.processQueueLocked(s, name, h)
-				}
-				delete(s.waits, owner)
+				// Waking grantable requests queued behind the abandoned one.
+				m.dequeueLocked(s, req)
 				s.mu.Unlock()
 				if m.stats != nil {
 					m.stats.LockTimeouts.Add(1)
@@ -521,30 +671,20 @@ waitLoop:
 			}
 		}
 	}
-	if err != nil {
-		return err
-	}
-	// An instant lock is released on grant — unless this was a conversion,
-	// where the pre-existing (longer-duration) holding must survive; the
-	// conservative upgrade is kept until transaction end.
-	if dur == Instant && !req.convert {
-		m.Release(owner, name)
-	}
-	return nil
 }
 
 // resolveDeadlocks pauses every shard and breaks each waits-for cycle the
-// new edge (owner blocked on name via req) closed: abort the cheapest
+// new edge (req, its owner blocked on its name) closed: abort the cheapest
 // blocked member of each cycle — the one holding the fewest locks, ties
 // toward the youngest — rather than blindly the requester. Aborting
 // another waiter may leave further cycles (or grant this request), so it
-// loops until the graph is clean. Returns ErrDeadlock if owner itself was
-// chosen as a victim.
-func (m *Manager) resolveDeadlocks(owner Owner, name Name, req *request) error {
+// loops until the graph is clean. Returns ErrDeadlock if the requester
+// itself was chosen as a victim.
+func (m *Manager) resolveDeadlocks(req *request) error {
 	m.lockAll()
 	defer m.unlockAll()
 	for {
-		cycle := m.findCycleAllLocked(owner)
+		cycle := m.findCycleAllLocked(req.owner)
 		if cycle == nil {
 			return nil
 		}
@@ -552,21 +692,19 @@ func (m *Manager) resolveDeadlocks(owner Owner, name Name, req *request) error {
 			m.stats.Deadlocks.Add(1)
 			m.stats.DeadlockVictims.Add(1)
 		}
-		victim := m.chooseVictimAllLocked(cycle)
-		if victim == owner {
-			s := m.shardOf(name)
-			if h := s.table[name]; h != nil {
-				m.removeRequestLocked(h, req)
-				// Removing the victim may unblock requests queued behind it.
-				m.processQueueLocked(s, name, h)
-			}
-			delete(s.waits, owner)
+		victim := chooseVictim(cycle)
+		if victim == req.owner {
+			// Removing the victim may unblock requests queued behind it.
+			m.dequeueLocked(m.shardOf(req.name), req)
 			return ErrDeadlock
 		}
 		if m.stats != nil {
 			m.stats.VictimsOther.Add(1)
 		}
-		m.abortWaiterAllLocked(victim, ErrDeadlock)
+		// Every member of a cycle is blocked, so victim.wait is set.
+		vreq := victim.wait
+		m.dequeueLocked(m.shardOf(vreq.name), vreq)
+		vreq.granted <- ErrDeadlock
 	}
 }
 
@@ -584,42 +722,35 @@ func (m *Manager) Token() uint64 {
 // a rolled-back transaction fragment does not keep the locks that made it
 // a deadlock victim. Returns the number of holdings released or reverted.
 //
-// The sweep visits shards one at a time; that is sound because an owner's
-// locks are only granted or upgraded by its own goroutine (or while it is
-// blocked, in which case it is not calling ReleaseSince).
+// The owner's list is in grant order and every grant takes the next value
+// of the one sequence, so the holdings first granted after tok are exactly
+// the list's tail; the survivors upgraded since are found by their history.
 func (m *Manager) ReleaseSince(owner Owner, tok uint64) int {
-	changed := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		byOwner := s.held[owner]
-		var drop, revert []Name
-		for n, g := range byOwner {
-			switch was := g.modeAt(tok); {
-			case was == ModeNone:
-				drop = append(drop, n)
-			case was != g.mode:
-				revert = append(revert, n)
-			}
-		}
-		for _, n := range drop {
-			m.releaseLocked(s, n, owner)
-		}
-		for _, n := range revert {
-			g := byOwner[n]
-			mode := g.modeAt(tok)
-			for len(g.hist) > 0 && g.hist[len(g.hist)-1].seq > tok {
-				g.hist = g.hist[:len(g.hist)-1]
-			}
-			g.mode = mode
-			if h := s.table[n]; h != nil {
-				// The weaker mode may admit waiters.
-				m.processQueueLocked(s, n, h)
-			}
-		}
-		changed += len(drop) + len(revert)
-		s.mu.Unlock()
+	o := m.ownerOf(owner, false)
+	if o == nil {
+		return 0
 	}
+	changed := 0
+	for n := len(o.held); n > 0 && o.held[n-1].seq > tok; n-- {
+		m.release(o.held[n-1])
+		changed++
+	}
+	for _, g := range o.held {
+		if n := len(g.hist); n == 0 || g.hist[n-1].seq <= tok {
+			continue
+		}
+		s := m.shardOf(g.name)
+		s.mu.Lock()
+		g.mode = g.modeAt(tok)
+		for len(g.hist) > 0 && g.hist[len(g.hist)-1].seq > tok {
+			g.hist = g.hist[:len(g.hist)-1]
+		}
+		// The weaker mode may admit waiters.
+		m.processQueueLocked(s, g.name, g.head)
+		s.mu.Unlock()
+		changed++
+	}
+	m.retireIfIdle(o)
 	if changed > 0 && m.stats != nil {
 		m.stats.SavepointLockReleases.Add(uint64(changed))
 	}
@@ -643,15 +774,13 @@ func (m *Manager) Shutdown() {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		for o, req := range s.waits {
-			delete(s.waits, o)
-			if h := s.table[req.name]; h != nil {
-				m.removeRequestLocked(h, req)
-				if len(h.granted) == 0 && len(h.queue) == 0 {
-					delete(s.table, req.name)
-				}
+		for n, h := range s.table {
+			for _, req := range h.queue {
+				req.owner.wait = nil
+				waiting = append(waiting, req)
 			}
-			waiting = append(waiting, req)
+			h.queue = nil
+			s.dropIfEmpty(n, h)
 		}
 		s.mu.Unlock()
 	}
@@ -660,111 +789,77 @@ func (m *Manager) Shutdown() {
 	}
 }
 
-// waitOfAllLocked finds owner's blocked request (caller holds all shards).
-func (m *Manager) waitOfAllLocked(owner Owner) (*shard, *request) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		if req := s.waits[owner]; req != nil {
-			return s, req
-		}
-	}
-	return nil, nil
-}
-
-// abortWaiterAllLocked removes owner's blocked request and resolves it
-// with err, waking every request queued behind it that became grantable.
-// Caller holds every shard mutex.
-func (m *Manager) abortWaiterAllLocked(owner Owner, err error) {
-	s, req := m.waitOfAllLocked(owner)
-	if req == nil {
+// dequeueLocked abandons the queued req — timed out, or chosen as a
+// deadlock victim — and grants whatever was queued behind it that thereby
+// became grantable. A no-op if req was resolved first (Shutdown drains a
+// shard before it wakes the waiters). Caller holds s.mu, the shard owning
+// req.name.
+func (m *Manager) dequeueLocked(s *shard, req *request) {
+	if req.owner.wait != req {
 		return
 	}
-	delete(s.waits, owner)
-	if h := s.table[req.name]; h != nil {
-		m.removeRequestLocked(h, req)
-		m.processQueueLocked(s, req.name, h)
+	req.owner.wait = nil
+	h := s.table[req.name]
+	for i, r := range h.queue {
+		if r == req {
+			h.queue = append(h.queue[:i], h.queue[i+1:]...)
+			break
+		}
 	}
-	req.granted <- err
+	m.processQueueLocked(s, req.name, h)
 }
 
-// heldCountAllLocked sums owner's holdings across shards (caller holds
-// all shard mutexes).
-func (m *Manager) heldCountAllLocked(o Owner) int {
-	n := 0
-	for i := range m.shards {
-		n += len(m.shards[i].held[o])
-	}
-	return n
-}
-
-// chooseVictimAllLocked picks the cheapest member of a waits-for cycle to
-// abort: the owner holding the fewest locks (least rollback and
-// reacquisition work), ties broken toward the youngest (highest owner ID —
-// IDs are assigned in begin order). Caller holds every shard mutex.
-func (m *Manager) chooseVictimAllLocked(cycle []Owner) Owner {
+// chooseVictim picks the cheapest member of a waits-for cycle to abort: the
+// owner holding the fewest locks (least rollback and reacquisition work),
+// ties broken toward the youngest (highest owner ID — IDs are assigned in
+// begin order). Caller holds every shard mutex.
+func chooseVictim(cycle []*ownerLocks) *ownerLocks {
 	victim := cycle[0]
-	cv := m.heldCountAllLocked(victim)
 	for _, o := range cycle[1:] {
-		co := m.heldCountAllLocked(o)
-		if co < cv || (co == cv && o > victim) {
-			victim, cv = o, co
+		if co, cv := len(o.held), len(victim.held); co < cv || (co == cv && o.id > victim.id) {
+			victim = o
 		}
 	}
 	return victim
 }
 
-// grantLocked installs or upgrades owner's holding, stamping the grant
-// sequence consumed by savepoint tokens (Token/ReleaseSince). Caller
-// holds s.mu, the shard owning name.
-func (m *Manager) grantLocked(h *head, owner Owner, name Name, mode Mode, mine *holding, s *shard) {
+// grantLocked installs owner's holding on name, or upgrades it (mine, the
+// holding it already has), stamping the grant sequence consumed by
+// savepoint tokens (Token/ReleaseSince). Caller holds the mutex of the
+// shard owning name.
+func (m *Manager) grantLocked(h *head, o *ownerLocks, name Name, mode Mode, mine *holding) {
 	seq := m.seq.Add(1)
 	if mine != nil {
 		if mine.mode != mode {
 			mine.hist = append(mine.hist, modeStep{seq: seq, prev: mine.mode})
 			mine.mode = mode
 		}
-		mine.count++
 		return
 	}
-	g := &holding{owner: owner, mode: mode, count: 1, seq: seq}
+	g := &holding{owner: o, head: h, name: name, mode: mode, seq: seq}
 	h.granted = append(h.granted, g)
-	byOwner := s.held[owner]
-	if byOwner == nil {
-		byOwner = make(map[Name]*holding)
-		s.held[owner] = byOwner
-	}
-	byOwner[name] = g
+	o.add(g)
 }
 
-func (m *Manager) removeRequestLocked(h *head, req *request) {
-	for i, r := range h.queue {
-		if r == req {
-			h.queue = append(h.queue[:i], h.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-// releaseLocked removes owner's holding on name and processes the queue.
-// Caller holds s.mu, the shard owning name.
-func (m *Manager) releaseLocked(s *shard, name Name, owner Owner) {
-	h := s.table[name]
-	if h == nil {
-		return
-	}
-	for i, g := range h.granted {
-		if g.owner == owner {
-			h.granted = append(h.granted[:i], h.granted[i+1:]...)
+// release drops the holding g — from its owner's list and from its name's
+// head — and processes the queue, under the mutex of the one shard that
+// owns the name.
+func (m *Manager) release(g *holding) {
+	s := m.shardOf(g.name)
+	s.mu.Lock()
+	g.owner.remove(g)
+	h := g.head
+	last := len(h.granted) - 1
+	for i, x := range h.granted {
+		if x == g {
+			h.granted[i] = h.granted[last]
 			break
 		}
 	}
-	if byOwner := s.held[owner]; byOwner != nil {
-		delete(byOwner, name)
-		if len(byOwner) == 0 {
-			delete(s.held, owner)
-		}
-	}
-	m.processQueueLocked(s, name, h)
+	h.granted[last] = nil
+	h.granted = h.granted[:last]
+	m.processQueueLocked(s, g.name, h)
+	s.mu.Unlock()
 }
 
 // processQueueLocked grants queued requests in order; it stops at the
@@ -774,18 +869,19 @@ func (m *Manager) releaseLocked(s *shard, name Name, owner Owner) {
 func (m *Manager) processQueueLocked(s *shard, name Name, h *head) {
 	for len(h.queue) > 0 {
 		req := h.queue[0]
-		mine := h.holdingOf(req.owner)
 		if !h.compatibleWithGranted(req.owner, req.mode) {
 			return
 		}
 		h.queue = h.queue[1:]
-		m.grantLocked(h, req.owner, name, req.mode, mine, s)
-		delete(s.waits, req.owner)
+		var mine *holding
+		if req.convert {
+			mine = req.owner.find(name) // its owner is parked: nothing else reads or writes its table
+		}
+		m.grantLocked(h, req.owner, name, req.mode, mine)
+		req.owner.wait = nil
 		req.granted <- nil
 	}
-	if len(h.granted) == 0 && len(h.queue) == 0 {
-		delete(s.table, name)
-	}
+	s.dropIfEmpty(name, h)
 }
 
 // Reinstate re-grants a loser transaction's lock at restart, before the
@@ -811,38 +907,38 @@ func (m *Manager) Reinstate(owner Owner, name Name, mode Mode) error {
 
 // Release drops owner's holding on name (manual-duration unlock).
 func (m *Manager) Release(owner Owner, name Name) {
-	s := m.shardOf(name)
-	s.mu.Lock()
-	m.releaseLocked(s, name, owner)
-	s.mu.Unlock()
-}
-
-// ReleaseAll drops every lock owner holds: commit or rollback completion.
-// Shards are swept one at a time; new locks are never granted to owner
-// concurrently (the owner is the one releasing), so the sweep is complete.
-func (m *Manager) ReleaseAll(owner Owner) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		names := make([]Name, 0, len(s.held[owner]))
-		for n := range s.held[owner] {
-			names = append(names, n)
-		}
-		for _, n := range names {
-			m.releaseLocked(s, n, owner)
-		}
-		s.mu.Unlock()
+	o := m.ownerOf(owner, false)
+	if o == nil {
+		return
+	}
+	if g := o.find(name); g != nil {
+		m.release(g)
+		m.retireIfIdle(o)
 	}
 }
 
+// ReleaseAll drops every lock owner holds: commit or rollback completion.
+// It pops the owner's own list, newest first, taking the shard of each name
+// held and no other.
+func (m *Manager) ReleaseAll(owner Owner) {
+	o := m.ownerOf(owner, false)
+	if o == nil {
+		return
+	}
+	o.index = nil // popping the tail needs no map
+	for n := len(o.held); n > 0; n-- {
+		m.release(o.held[n-1])
+	}
+	m.retireIfIdle(o)
+}
+
 // HoldsAtLeast reports whether owner currently holds name in mode or
-// stronger (verification and debugging).
+// stronger. It reads the owner's own table without a shard mutex, so like
+// Request it is the owner's call to make (or that of a goroutine ordered
+// after the owner's last call: tests, verification).
 func (m *Manager) HoldsAtLeast(owner Owner, name Name, mode Mode) bool {
-	s := m.shardOf(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if byOwner := s.held[owner]; byOwner != nil {
-		if g, ok := byOwner[name]; ok {
+	if o := m.ownerOf(owner, false); o != nil {
+		if g := o.find(name); g != nil {
 			return Supremum(g.mode, mode) == g.mode
 		}
 	}
@@ -855,30 +951,33 @@ type Held struct {
 	Mode Mode
 }
 
-// LocksOf returns the locks owner currently holds.
+// LocksOf returns the locks owner currently holds, in grant order.
 func (m *Manager) LocksOf(owner Owner) []Held {
-	var out []Held
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for n, g := range s.held[owner] {
-			out = append(out, Held{Name: n, Mode: g.mode})
-		}
-		s.mu.Unlock()
+	m.lockAll()
+	defer m.unlockAll()
+	o := m.ownerOf(owner, false)
+	if o == nil {
+		return nil
+	}
+	out := make([]Held, len(o.held))
+	for i, g := range o.held {
+		out[i] = Held{Name: g.name, Mode: g.mode}
 	}
 	return out
 }
 
 // NumLocks returns the number of distinct (name, owner) holdings.
 func (m *Manager) NumLocks() int {
+	m.lockAll()
+	defer m.unlockAll()
 	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for _, byOwner := range s.held {
-			n += len(byOwner)
+	for i := range m.registry {
+		r := &m.registry[i]
+		r.mu.Lock()
+		for _, o := range r.owners {
+			n += len(o.held)
 		}
-		s.mu.Unlock()
+		r.mu.Unlock()
 	}
 	return n
 }
@@ -890,22 +989,19 @@ func (m *Manager) NumLocks() int {
 // incompatible with its target mode and (2) every request queued ahead of
 // it. Every member of a cycle has an outgoing edge and is therefore itself
 // blocked, which is what makes any member abortable via its wait channel.
-func (m *Manager) findCycleAllLocked(start Owner) []Owner {
-	visited := map[Owner]bool{}
-	var path []Owner
-	var dfs func(o Owner) []Owner
-	dfs = func(o Owner) []Owner {
-		_, req := m.waitOfAllLocked(o)
+func (m *Manager) findCycleAllLocked(start *ownerLocks) []*ownerLocks {
+	visited := map[*ownerLocks]bool{}
+	var path []*ownerLocks
+	var dfs func(o *ownerLocks) []*ownerLocks
+	dfs = func(o *ownerLocks) []*ownerLocks {
+		req := o.wait
 		if req == nil {
 			return nil
 		}
 		h := m.shardOf(req.name).table[req.name]
-		if h == nil {
-			return nil
-		}
 		path = append(path, o)
 		defer func() { path = path[:len(path)-1] }()
-		var successors []Owner
+		var successors []*ownerLocks
 		for _, g := range h.granted {
 			if g.owner != o && !Compatible(g.mode, req.mode) {
 				successors = append(successors, g.owner)
@@ -921,7 +1017,7 @@ func (m *Manager) findCycleAllLocked(start Owner) []Owner {
 		}
 		for _, s := range successors {
 			if s == start {
-				return append([]Owner(nil), path...)
+				return append([]*ownerLocks(nil), path...)
 			}
 			if !visited[s] {
 				visited[s] = true

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,47 @@ func mustGrant(t *testing.T, m *Manager, o Owner, n Name, mode Mode, d Duration)
 	if err := m.Request(o, n, mode, d, false); err != nil {
 		t.Fatalf("Request(%d, %v, %v): %v", o, n, mode, err)
 	}
+}
+
+// awaitQueued returns once n requests are queued on name: the goroutines
+// the test started have blocked. It polls the queue under the name's shard
+// mutex — a handful of yields; the deadline turns a request that never
+// queues into a failure instead of a hang.
+func awaitQueued(t *testing.T, m *Manager, name Name, n int) {
+	t.Helper()
+	s := m.shardOf(name)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		queued := 0
+		if h := s.table[name]; h != nil {
+			queued = len(h.queue)
+		}
+		s.mu.Unlock()
+		if queued >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued on %v", queued, n, name)
+		}
+		runtime.Gosched()
+	}
+}
+
+// queueByHand blocks owner (which holds something) on name (which is held)
+// the way Request does, but with no goroutine parked on the request: nothing
+// probes for deadlocks or times out on its behalf, and its resolution is
+// read from the returned request's channel.
+func queueByHand(m *Manager, owner Owner, name Name, mode Mode) *request {
+	o := m.ownerOf(owner, false)
+	req := &request{owner: o, mode: mode, name: name, granted: make(chan error, 1)}
+	s := m.shardOf(name)
+	s.mu.Lock()
+	h := s.table[name]
+	h.queue = append(h.queue, req)
+	o.wait = req
+	s.mu.Unlock()
+	return req
 }
 
 func TestCompatibilityMatrix(t *testing.T) {
@@ -137,12 +179,12 @@ func TestConversionJumpsQueue(t *testing.T) {
 	// Owner 3 queues for X.
 	o3got := make(chan error, 1)
 	go func() { o3got <- m.Request(3, rec(1, 1), X, Commit, false) }()
-	time.Sleep(10 * time.Millisecond)
+	awaitQueued(t, m, rec(1, 1), 1)
 	// Owner 2 converts S→X: must pass owner 3 in the queue, blocked only
 	// by owner 1's S.
 	o2got := make(chan error, 1)
 	go func() { o2got <- m.Request(2, rec(1, 1), X, Commit, false) }()
-	time.Sleep(10 * time.Millisecond)
+	awaitQueued(t, m, rec(1, 1), 2)
 	m.ReleaseAll(1)
 	select {
 	case err := <-o2got:
@@ -180,7 +222,7 @@ func TestFIFOFairness(t *testing.T) {
 			order <- o
 			m.ReleaseAll(o)
 		}()
-		time.Sleep(15 * time.Millisecond) // establish queue order
+		awaitQueued(t, m, rec(1, 1), int(o)-1) // establish queue order
 	}
 	enqueue(2)
 	enqueue(3)
@@ -197,7 +239,7 @@ func TestDeadlockDetected(t *testing.T) {
 	mustGrant(t, m, 2, rec(2, 2), X, Commit)
 	errCh := make(chan error, 1)
 	go func() { errCh <- m.Request(1, rec(2, 2), X, Commit, false) }()
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(t, m, rec(2, 2), 1)
 	// Owner 2 now closes the cycle: 2 waits for 1 waits for 2.
 	err := m.Request(2, rec(1, 1), X, Commit, false)
 	if !errors.Is(err, ErrDeadlock) {
@@ -220,17 +262,26 @@ func TestThreeWayDeadlock(t *testing.T) {
 	mustGrant(t, m, 1, rec(1, 1), X, Commit)
 	mustGrant(t, m, 2, rec(2, 2), X, Commit)
 	mustGrant(t, m, 3, rec(3, 3), X, Commit)
-	go m.Request(1, rec(2, 2), X, Commit, false)
-	time.Sleep(10 * time.Millisecond)
-	go m.Request(2, rec(3, 3), X, Commit, false)
-	time.Sleep(10 * time.Millisecond)
+	got1, got2 := make(chan error, 1), make(chan error, 1)
+	go func() { got1 <- m.Request(1, rec(2, 2), X, Commit, false) }()
+	awaitQueued(t, m, rec(2, 2), 1)
+	go func() { got2 <- m.Request(2, rec(3, 3), X, Commit, false) }()
+	awaitQueued(t, m, rec(3, 3), 1)
 	err := m.Request(3, rec(1, 1), X, Commit, false)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
+	// The victim's rollback lets owner 2 through, and owner 2's end owner 1:
+	// an owner's locks are released by whoever drives it, once it has returned.
 	m.ReleaseAll(3)
-	m.ReleaseAll(1)
+	if err := <-got2; err != nil {
+		t.Fatal(err)
+	}
 	m.ReleaseAll(2)
+	if err := <-got1; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(1)
 }
 
 func TestConversionDeadlock(t *testing.T) {
@@ -238,14 +289,17 @@ func TestConversionDeadlock(t *testing.T) {
 	m := NewManager(nil)
 	mustGrant(t, m, 1, rec(1, 1), S, Commit)
 	mustGrant(t, m, 2, rec(1, 1), S, Commit)
-	go m.Request(1, rec(1, 1), X, Commit, false)
-	time.Sleep(20 * time.Millisecond)
+	got1 := make(chan error, 1)
+	go func() { got1 <- m.Request(1, rec(1, 1), X, Commit, false) }()
+	awaitQueued(t, m, rec(1, 1), 1)
 	err := m.Request(2, rec(1, 1), X, Commit, false)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("want ErrDeadlock on conversion cycle, got %v", err)
 	}
 	m.ReleaseAll(2) // victim rollback unblocks the other conversion
-	time.Sleep(20 * time.Millisecond)
+	if err := <-got1; err != nil {
+		t.Fatal(err)
+	}
 	if !m.HoldsAtLeast(1, rec(1, 1), X) {
 		t.Fatal("survivor conversion not granted")
 	}
@@ -257,7 +311,7 @@ func TestNoFalseDeadlock(t *testing.T) {
 	mustGrant(t, m, 2, rec(1, 1), S, Commit)
 	done := make(chan error, 1)
 	go func() { done <- m.Request(3, rec(1, 1), X, Commit, false) }()
-	time.Sleep(10 * time.Millisecond)
+	awaitQueued(t, m, rec(1, 1), 1)
 	m.ReleaseAll(1)
 	m.ReleaseAll(2)
 	if err := <-done; err != nil {
@@ -280,7 +334,8 @@ func TestReleaseAllWakesWaiters(t *testing.T) {
 			}
 		}(o)
 	}
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(t, m, rec(1, 1), 2)
+	awaitQueued(t, m, rec(2, 2), 2)
 	m.ReleaseAll(1)
 	wg.Wait()
 }
@@ -401,9 +456,9 @@ func TestVictimFewestLocks(t *testing.T) {
 	mustGrant(t, m, 1, rec(10, 3), X, Commit)
 	mustGrant(t, m, 2, rec(2, 2), X, Commit)
 
-	victim := make(chan error, 1)
-	go func() { victim <- m.Request(2, rec(1, 1), X, Commit, false) }()
-	time.Sleep(20 * time.Millisecond)
+	// Owner 2 blocks on rec(1,1) with nothing probing on its behalf: the one
+	// detector is owner 1's.
+	victim := queueByHand(m, 2, rec(1, 1), X)
 
 	// Owner 1 closes the cycle. It holds 4 locks vs owner 2's 1, so
 	// owner 2 is aborted and owner 1 keeps waiting for rec(2,2).
@@ -411,7 +466,7 @@ func TestVictimFewestLocks(t *testing.T) {
 	go func() { survivor <- m.Request(1, rec(2, 2), X, Commit, false) }()
 
 	select {
-	case err := <-victim:
+	case err := <-victim.granted:
 		if !errors.Is(err, ErrDeadlock) {
 			t.Fatalf("victim got %v, want ErrDeadlock", err)
 		}
@@ -442,7 +497,7 @@ func TestVictimTieBreakYoungest(t *testing.T) {
 	mustGrant(t, m, 5, rec(2, 2), X, Commit)
 	victim := make(chan error, 1)
 	go func() { victim <- m.Request(5, rec(1, 1), X, Commit, false) }()
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(t, m, rec(1, 1), 1)
 	// Both hold exactly one lock; owner 5 is younger and must lose even
 	// though owner 1 is the requester that completes the cycle.
 	survivor := make(chan error, 1)
@@ -522,7 +577,7 @@ func TestShutdownWakesWaiters(t *testing.T) {
 	for o := Owner(2); o <= 4; o++ {
 		go func(o Owner) { errs <- m.Request(o, rec(1, 1), S, Commit, false) }(o)
 	}
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(t, m, rec(1, 1), 3)
 	m.Shutdown()
 	for i := 0; i < 3; i++ {
 		select {
@@ -548,7 +603,7 @@ func TestTimeoutRemovalWakesGrantable(t *testing.T) {
 	// Owner 2 queues X (conflicts with the held S), bounded wait.
 	xgot := make(chan error, 1)
 	go func() { xgot <- m.RequestWith(2, rec(1, 1), X, Commit, false, 50*time.Millisecond) }()
-	time.Sleep(15 * time.Millisecond)
+	awaitQueued(t, m, rec(1, 1), 1)
 	// Owners 3 and 4 queue S behind the X: compatible with owner 1, but
 	// FIFO keeps them waiting while the X sits ahead.
 	sgot := make(chan error, 2)

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,7 +109,7 @@ func TestQuickTimeoutRemovalWakesAllGrantable(t *testing.T) {
 		}
 		xdone := make(chan error, 1)
 		go func() { xdone <- m.RequestWith(2, name, X, Commit, false, 25*time.Millisecond) }()
-		time.Sleep(5 * time.Millisecond) // let the X reach the queue head
+		awaitQueued(t, m, name, 1) // the X is at the queue head
 		granted := make(chan Owner, waiters)
 		var wg sync.WaitGroup
 		for i := 0; i < waiters; i++ {
@@ -222,5 +223,159 @@ func TestQuickReleaseAllAlwaysEmpties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// modelLock is the reference model's holding: its first grant and every
+// upgrade since, as (grant sequence, mode reached).
+type modelLock []modelStep
+
+type modelStep struct {
+	seq  uint64
+	mode Mode
+}
+
+func (l modelLock) mode() Mode { return l[len(l)-1].mode }
+
+// lockModel is a map-of-maps reference for what each owner holds. It knows
+// Gray's two tables and nothing of shards, heads, queues or owner records.
+type lockModel map[Owner]map[Name]modelLock
+
+// request mirrors a conditional Request: whether it is granted, and the mode
+// the grant installs or upgrades a holding to (ModeNone: it leaves the table
+// as it was; otherwise the caller stamps the step with the grant sequence).
+func (lm lockModel) request(o Owner, n Name, mode Mode, dur Duration) (granted bool, install Mode) {
+	cur := ModeNone
+	if l, ok := lm[o][n]; ok {
+		cur = l.mode()
+	}
+	target := Supremum(cur, mode)
+	if target == cur {
+		return true, ModeNone
+	}
+	for p, held := range lm {
+		if l, ok := held[n]; ok && p != o && !Compatible(l.mode(), target) {
+			return false, ModeNone
+		}
+	}
+	if dur == Instant && cur == ModeNone {
+		return true, ModeNone
+	}
+	return true, target
+}
+
+// releaseSince mirrors ReleaseSince: forget every step after tok.
+func (lm lockModel) releaseSince(o Owner, tok uint64) (changed int) {
+	for n, l := range lm[o] {
+		keep := len(l)
+		for keep > 0 && l[keep-1].seq > tok {
+			keep--
+		}
+		if keep < len(l) {
+			changed++
+		}
+		if lm[o][n] = l[:keep]; keep == 0 {
+			delete(lm[o], n)
+		}
+	}
+	return changed
+}
+
+// TestQuickMatchesReferenceModel drives random conditional requests (all
+// modes and durations), Release, ReleaseAll, ReleaseSince to a random earlier
+// token and owner-ID reuse through one goroutine, and after every step holds
+// LocksOf, NumLocks and HoldsAtLeast to the reference model. Owner 1 mostly
+// takes intention locks over a wide name range, so its table passes the
+// inline size and comes back under it.
+func TestQuickMatchesReferenceModel(t *testing.T) {
+	var grew, shrank bool
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := NewManager(nil)
+		lm := lockModel{}
+		toks := []uint64{0}
+		peak := 0
+		for step := 0; step < 2000; step++ {
+			o := Owner(r.Intn(4)/2 + 1) // owner 1 half the time
+			n := Name{Space: SpaceRecord, A: uint64(r.Intn(6))}
+			mode := Mode(r.Intn(5) + 1)
+			if o == 1 {
+				n.A, mode = uint64(r.Intn(3*ownerIndexAt)), Mode(r.Intn(2)+1)
+			}
+			if lm[o] == nil {
+				lm[o] = map[Name]modelLock{}
+			}
+			switch op := r.Intn(100); {
+			case op < 85:
+				dur := Duration(r.Intn(3))
+				granted, install := lm.request(o, n, mode, dur)
+				err := m.Request(o, n, mode, dur, true)
+				if granted != (err == nil) || !granted && !errors.Is(err, ErrNotGranted) {
+					t.Errorf("seed %d step %d: Request(%d, %v, %v, %v) = %v, model granted=%v", seed, step, o, n, mode, dur, err, granted)
+					return false
+				}
+				if install != ModeNone {
+					lm[o][n] = append(lm[o][n], modelStep{m.Token(), install})
+				}
+			case op < 92:
+				m.Release(o, n)
+				delete(lm[o], n)
+			case op < 95:
+				tok := toks[r.Intn(len(toks))]
+				if got, want := m.ReleaseSince(o, tok), lm.releaseSince(o, tok); got != want {
+					t.Errorf("seed %d step %d: ReleaseSince(%d, %d) = %d, model %d", seed, step, o, tok, got, want)
+					return false
+				}
+			case op < 96:
+				m.ReleaseAll(o)
+				delete(lm, o)
+			default:
+				toks = append(toks, m.Token())
+			}
+
+			total := 0
+			for p, held := range lm {
+				total += len(held)
+				locks := m.LocksOf(p)
+				if len(locks) != len(held) {
+					t.Errorf("seed %d step %d: owner %d holds %d locks, model %d", seed, step, p, len(locks), len(held))
+					return false
+				}
+				for _, l := range locks {
+					if ml, ok := held[l.Name]; !ok || ml.mode() != l.Mode {
+						t.Errorf("seed %d step %d: owner %d holds %v in %v, model %v", seed, step, p, l.Name, l.Mode, ml)
+						return false
+					}
+				}
+			}
+			if got := m.NumLocks(); got != total {
+				t.Errorf("seed %d step %d: NumLocks = %d, model %d", seed, step, got, total)
+				return false
+			}
+			for q := IS; q <= X; q++ {
+				want := false
+				if l, ok := lm[o][n]; ok {
+					want = Supremum(l.mode(), q) == l.mode()
+				}
+				if m.HoldsAtLeast(o, n, q) != want {
+					t.Errorf("seed %d step %d: HoldsAtLeast(%d, %v, %v) = %v", seed, step, o, n, q, !want)
+					return false
+				}
+			}
+			if k := len(lm[1]); k > ownerIndexAt {
+				grew, peak = true, k
+			} else if peak > ownerIndexAt && k > 0 && k < ownerIndexAt {
+				shrank = true
+			}
+		}
+		return true
+	}
+	// Fixed seeds: whether the mix crosses the inline size is then a property
+	// of this file, not of the day.
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+	if !grew || !shrank {
+		t.Fatalf("owner 1 never crossed %d holdings in both directions (grew %v, shrank %v): the mix no longer covers the map", ownerIndexAt, grew, shrank)
 	}
 }

@@ -68,10 +68,17 @@ func TestCrossShardDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each owner is driven by its own goroutine to its end: the victim's
+	// rollback frees its holdings, which grants the survivor's request.
 	errs := make(chan error, 2)
-	go func() { errs <- m.Request(1, n2, X, Commit, false) }() // 1 waits for 2
-	time.Sleep(20 * time.Millisecond)                          // let owner 1 block
-	go func() { errs <- m.Request(2, n1, X, Commit, false) }() // closes the cycle
+	drive := func(o Owner, n Name) {
+		err := m.Request(o, n, X, Commit, false)
+		m.ReleaseAll(o)
+		errs <- err
+	}
+	go drive(1, n2)          // 1 waits for 2
+	awaitQueued(t, m, n2, 1) // owner 1 has blocked
+	go drive(2, n1)          // closes the cycle
 
 	var deadlocks, grants int
 	for i := 0; i < 2; i++ {
@@ -82,10 +89,6 @@ func TestCrossShardDeadlock(t *testing.T) {
 				grants++
 			case errors.Is(err, ErrDeadlock):
 				deadlocks++
-				// A real victim rolls back and frees its holdings; do that
-				// here so the survivor's queued request is granted.
-				m.ReleaseAll(1)
-				m.ReleaseAll(2)
 			default:
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -110,11 +113,16 @@ func TestCrossShardThreeWayDeadlock(t *testing.T) {
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		i := i
-		go func() { errs <- m.Request(Owner(i+1), names[(i+1)%3], X, Commit, false) }()
-		time.Sleep(20 * time.Millisecond)
+		go func() {
+			err := m.Request(Owner(i+1), names[(i+1)%3], X, Commit, false)
+			m.ReleaseAll(Owner(i + 1)) // victim or not, its end lets its predecessor through
+			errs <- err
+		}()
+		if i < 2 { // the third closes the cycle and may be aborted at once
+			awaitQueued(t, m, names[(i+1)%3], 1)
+		}
 	}
-	// Exactly one member of the cycle must be aborted; on its abort, free
-	// every lock table entry so the survivors drain.
+	// Exactly one member of the cycle must be aborted.
 	gotDeadlock := false
 	for i := 0; i < 3; i++ {
 		select {
@@ -124,9 +132,6 @@ func TestCrossShardThreeWayDeadlock(t *testing.T) {
 					t.Fatal("more than one deadlock victim in a single cycle")
 				}
 				gotDeadlock = true
-				for o := Owner(1); o <= 3; o++ {
-					m.ReleaseAll(o)
-				}
 			} else if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -163,17 +168,20 @@ func TestReleaseSinceAcrossShards(t *testing.T) {
 		}
 	}
 
-	// Waiters blocked on post-token names, spread across shards.
+	// Waiters blocked on post-token names, spread across shards: one owner
+	// each, because an owner has at most one blocked request.
 	granted := make(chan Name, len(post))
-	for _, n := range post {
-		n := n
+	for i, n := range post {
+		i, n := i, n
 		go func() {
-			if err := m.Request(99, n, S, Commit, false); err == nil {
+			if err := m.Request(Owner(99+i), n, S, Commit, false); err == nil {
 				granted <- n
 			}
 		}()
 	}
-	time.Sleep(50 * time.Millisecond)
+	for _, n := range post {
+		awaitQueued(t, m, n, 1)
+	}
 
 	changed := m.ReleaseSince(7, tok)
 	if want := len(post) + 1; changed != want { // post-token grants + one upgrade revert
@@ -217,7 +225,9 @@ func TestShutdownFencesEveryShard(t *testing.T) {
 		i, n := i, n
 		go func() { errs <- m.Request(Owner(200+i), n, S, Commit, false) }()
 	}
-	time.Sleep(50 * time.Millisecond)
+	for _, n := range names {
+		awaitQueued(t, m, n, 1)
+	}
 	m.Shutdown()
 	for i := 0; i < waiters; i++ {
 		select {
