@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -87,8 +89,11 @@ func TestFigure1LogicalUndo(t *testing.T) {
 }
 
 // TestFigure2LockTable regenerates the paper's Figure 2 locking summary
-// from observed lock calls, for both data-only and index-specific
-// protocols.
+// from observed lock calls — every arm of every protocol: which lock, in
+// which mode, for which duration, how many times. A row's cells are written
+// in request order; the counters cannot see order, so they are compared as a
+// set, and the commit-duration requests (the ones that leave a holding
+// behind) are checked against the lock manager's grant order.
 func TestFigure2LockTable(t *testing.T) {
 	type cell struct {
 		space lock.Space
@@ -96,95 +101,238 @@ func TestFigure2LockTable(t *testing.T) {
 		dur   lock.Duration
 		count uint64
 	}
-	measure := func(proto Protocol, op func(*env, *Index, *txn.Tx)) []cell {
-		e := newEnv(t, 512, 64)
-		ix := e.createIndex(Config{ID: 1, Protocol: proto})
-		setup := e.tm.Begin()
-		for i := 0; i < 10; i++ {
+	const (
+		rec  = lock.SpaceRecord
+		eof  = lock.SpaceEOF
+		kv   = lock.SpaceKeyValue
+		page = lock.SpaceIndexPage
+	)
+	// dup is a second instance of key(50)'s value, sorting right after it.
+	dup := storage.Key{Val: key(50).Val, RID: storage.RID{Page: 5000, Slot: 1}}
+
+	fetch := func(val []byte, found, eof bool) func(*env, *Index, *txn.Tx) {
+		return func(e *env, ix *Index, tx *txn.Tx) {
+			res, _, err := ix.Fetch(tx, val, EQ)
+			if err != nil || res.Found != found || res.EOF != eof {
+				t.Fatalf("fetch %q: %+v %v", val, res, err)
+			}
+		}
+	}
+	fetchFound := fetch(key(50).Val, true, false)
+	fetchEOF := fetch([]byte("zzz"), false, true)
+	fetchCS := func(e *env, ix *Index, tx *txn.Tx) {
+		if res, err := ix.FetchCS(tx, key(50).Val, EQ); err != nil || !res.Found {
+			t.Fatalf("CS fetch: %+v %v", res, err)
+		}
+	}
+	insert := func(k storage.Key) func(*env, *Index, *txn.Tx) {
+		return func(e *env, ix *Index, tx *txn.Tx) { e.mustInsert(tx, ix, k) }
+	}
+	del := func(k storage.Key) func(*env, *Index, *txn.Tx) {
+		return func(e *env, ix *Index, tx *txn.Tx) { e.mustDelete(tx, ix, k) }
+	}
+	insertDuplicate := func(e *env, ix *Index, tx *txn.Tx) {
+		if err := ix.Insert(tx, dup); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("unique insert of an existing value: %v", err)
+		}
+	}
+	seedDup := func(e *env, ix *Index, setup *txn.Tx) { e.mustInsert(setup, ix, dup) }
+	// Forty more keys split the root leaf; boundary is then the last key of
+	// the leftmost leaf, and the FetchNext under measurement crosses from it
+	// to the first key of the next leaf.
+	var boundary storage.Key
+	seedTwoLeaves := func(e *env, ix *Index, setup *txn.Tx) {
+		for i := 10; i < 50; i++ {
 			e.mustInsert(setup, ix, key(i*10))
 		}
-		e.commit(setup)
-		tx := e.tm.Begin()
-		before := e.stats.Snap()
-		op(e, ix, tx)
-		d := trace.Diff(before, e.stats.Snap())
-		e.commit(tx)
-		var out []cell
-		for s := lock.SpaceTable; s <= lock.SpaceIndexPage; s++ {
-			for m := lock.ModeNone; m <= lock.X; m++ {
-				for dur := lock.Instant; dur <= lock.Commit; dur++ {
-					if n := d.LockCalls[int(s)][int(m)][int(dur)]; n > 0 {
-						out = append(out, cell{s, m, dur, n})
+		first, _, err := ix.LeafOf(key(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; ; i++ {
+			pid, present, err := ix.LeafOf(key(i * 10))
+			if err != nil || !present {
+				t.Fatalf("seed key %d: present=%v %v", i*10, present, err)
+			}
+			if pid != first {
+				boundary = key((i - 1) * 10)
+				return
+			}
+		}
+	}
+	var cur *Cursor
+	openAtBoundary := func(e *env, ix *Index, tx *txn.Tx) {
+		res, c, err := ix.Fetch(tx, boundary.Val, EQ)
+		if err != nil || !res.Found {
+			t.Fatalf("fetch boundary key: %+v %v", res, err)
+		}
+		cur = c
+	}
+	fetchNext := func(e *env, ix *Index, tx *txn.Tx) {
+		before, _, _ := ix.LeafOf(cur.Key())
+		res, err := ix.FetchNext(tx, cur)
+		if err != nil || !res.Found {
+			t.Fatalf("fetch next: %+v %v", res, err)
+		}
+		if after, _, _ := ix.LeafOf(res.Key); after == before {
+			t.Fatalf("fetch next stayed on leaf %d", before)
+		}
+	}
+
+	for _, row := range []struct {
+		name   string
+		cfg    Config
+		seed   func(*env, *Index, *txn.Tx) // extra committed keys, beside key(0), key(10) … key(90)
+		prep   func(*env, *Index, *txn.Tx) // inside the measured transaction, before the counters are read
+		op     func(*env, *Index, *txn.Tx)
+		want   []cell
+		noHold bool // nothing the operation took is held once it returns
+	}{
+		// ARIES/IM, data-only (Fig 2's left column). FETCH and FETCH NEXT: S
+		// commit on the current key — one lock, nothing else; past the end the
+		// EOF lock stands in for the next key. INSERT: X instant on the next
+		// key, nothing on the current key (the record manager's lock covers
+		// it). DELETE: X commit on the next key only.
+		{name: "fetch/data-only", op: fetchFound, want: []cell{{rec, lock.S, lock.Commit, 1}}},
+		{name: "fetch-eof/data-only", op: fetchEOF, want: []cell{{eof, lock.S, lock.Commit, 1}}},
+		{name: "fetch-next/data-only", seed: seedTwoLeaves, prep: openAtBoundary, op: fetchNext,
+			want: []cell{{rec, lock.S, lock.Commit, 1}}},
+		{name: "fetch-cs/data-only", op: fetchCS, noHold: true, want: []cell{{rec, lock.S, lock.Manual, 1}}},
+		{name: "insert/data-only", op: insert(key(55)), want: []cell{{rec, lock.X, lock.Instant, 1}}},
+		{name: "delete/data-only", op: del(key(50)), want: []cell{{rec, lock.X, lock.Commit, 1}}},
+		// Unique index (§2.4): a new value costs what any insert costs; an
+		// existing one is S-locked for commit duration so the violation is
+		// repeatable.
+		{name: "insert-unique/data-only", cfg: Config{Unique: true}, op: insert(key(55)),
+			want: []cell{{rec, lock.X, lock.Instant, 1}}},
+		{name: "insert-unique-dup/data-only", cfg: Config{Unique: true}, op: insertDuplicate,
+			want: []cell{{rec, lock.S, lock.Commit, 1}}},
+
+		// Index-specific locking (Fig 2's right column): the same, on key-value
+		// names, plus X commit on the inserted key and X instant on the
+		// deleted one.
+		{name: "fetch/index-specific", cfg: Config{Protocol: IndexSpecific}, op: fetchFound,
+			want: []cell{{kv, lock.S, lock.Commit, 1}}},
+		{name: "fetch-eof/index-specific", cfg: Config{Protocol: IndexSpecific}, op: fetchEOF,
+			want: []cell{{eof, lock.S, lock.Commit, 1}}},
+		{name: "fetch-next/index-specific", cfg: Config{Protocol: IndexSpecific}, seed: seedTwoLeaves, prep: openAtBoundary, op: fetchNext,
+			want: []cell{{kv, lock.S, lock.Commit, 1}}},
+		{name: "fetch-cs/index-specific", cfg: Config{Protocol: IndexSpecific}, op: fetchCS, noHold: true,
+			want: []cell{{kv, lock.S, lock.Manual, 1}}},
+		{name: "insert/index-specific", cfg: Config{Protocol: IndexSpecific}, op: insert(key(55)),
+			want: []cell{{kv, lock.X, lock.Instant, 1}, {kv, lock.X, lock.Commit, 1}}},
+		{name: "delete/index-specific", cfg: Config{Protocol: IndexSpecific}, op: del(key(50)),
+			want: []cell{{kv, lock.X, lock.Commit, 1}, {kv, lock.X, lock.Instant, 1}}},
+
+		// ARIES/KVL: S commit on the fetched value. Insert of a new value: IX
+		// instant on the next value, X commit on the new one; of another
+		// instance of an existing value: IX commit on it alone. Delete of a
+		// value's last instance: X commit on the next value and on the deleted
+		// one; of one of several: IX commit on the value alone.
+		{name: "fetch/aries-kvl", cfg: Config{Protocol: KVL}, op: fetchFound,
+			want: []cell{{kv, lock.S, lock.Commit, 1}}},
+		{name: "fetch-eof/aries-kvl", cfg: Config{Protocol: KVL}, op: fetchEOF,
+			want: []cell{{eof, lock.S, lock.Commit, 1}}},
+		{name: "fetch-next/aries-kvl", cfg: Config{Protocol: KVL}, seed: seedTwoLeaves, prep: openAtBoundary, op: fetchNext,
+			want: []cell{{kv, lock.S, lock.Commit, 1}}},
+		{name: "fetch-cs/aries-kvl", cfg: Config{Protocol: KVL}, op: fetchCS, noHold: true,
+			want: []cell{{kv, lock.S, lock.Manual, 1}}},
+		{name: "insert-new-value/aries-kvl", cfg: Config{Protocol: KVL}, op: insert(key(55)),
+			want: []cell{{kv, lock.IX, lock.Instant, 1}, {kv, lock.X, lock.Commit, 1}}},
+		{name: "insert-existing-value/aries-kvl", cfg: Config{Protocol: KVL}, op: insert(dup),
+			want: []cell{{kv, lock.IX, lock.Commit, 1}}},
+		{name: "delete-last-instance/aries-kvl", cfg: Config{Protocol: KVL}, op: del(key(50)),
+			want: []cell{{kv, lock.X, lock.Commit, 2}}},
+		{name: "delete-one-of-several/aries-kvl", cfg: Config{Protocol: KVL}, seed: seedDup, op: del(key(50)),
+			want: []cell{{kv, lock.IX, lock.Commit, 1}}},
+
+		// System R: index-specific locking plus a commit-duration lock on the
+		// leaf page — S after the key lock for a reader that found a key (none
+		// at EOF, none under cursor stability), X before everything else for
+		// an insert or a delete, whatever the value's other instances.
+		{name: "fetch/system-r", cfg: Config{Protocol: SystemR}, op: fetchFound,
+			want: []cell{{kv, lock.S, lock.Commit, 1}, {page, lock.S, lock.Commit, 1}}},
+		{name: "fetch-eof/system-r", cfg: Config{Protocol: SystemR}, op: fetchEOF,
+			want: []cell{{eof, lock.S, lock.Commit, 1}}},
+		{name: "fetch-next/system-r", cfg: Config{Protocol: SystemR}, seed: seedTwoLeaves, prep: openAtBoundary, op: fetchNext,
+			want: []cell{{kv, lock.S, lock.Commit, 1}, {page, lock.S, lock.Commit, 1}}},
+		{name: "fetch-cs/system-r", cfg: Config{Protocol: SystemR}, op: fetchCS, noHold: true,
+			want: []cell{{kv, lock.S, lock.Manual, 1}}},
+		{name: "insert-new-value/system-r", cfg: Config{Protocol: SystemR}, op: insert(key(55)),
+			want: []cell{{page, lock.X, lock.Commit, 1}, {kv, lock.X, lock.Instant, 1}, {kv, lock.X, lock.Commit, 1}}},
+		{name: "insert-existing-value/system-r", cfg: Config{Protocol: SystemR}, op: insert(dup),
+			want: []cell{{page, lock.X, lock.Commit, 1}, {kv, lock.X, lock.Instant, 1}, {kv, lock.X, lock.Commit, 1}}},
+		{name: "delete-last-instance/system-r", cfg: Config{Protocol: SystemR}, op: del(key(50)),
+			want: []cell{{page, lock.X, lock.Commit, 1}, {kv, lock.X, lock.Commit, 1}, {kv, lock.X, lock.Instant, 1}}},
+		{name: "delete-one-of-several/system-r", cfg: Config{Protocol: SystemR}, seed: seedDup, op: del(key(50)),
+			want: []cell{{page, lock.X, lock.Commit, 1}, {kv, lock.X, lock.Commit, 1}, {kv, lock.X, lock.Instant, 1}}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e := newEnv(t, 512, 64)
+			row.cfg.ID = 1
+			ix := e.createIndex(row.cfg)
+			setup := e.tm.Begin()
+			for i := 0; i < 10; i++ {
+				e.mustInsert(setup, ix, key(i*10))
+			}
+			if row.seed != nil {
+				row.seed(e, ix, setup)
+			}
+			e.commit(setup)
+			tx := e.tm.Begin()
+			if row.prep != nil {
+				row.prep(e, ix, tx)
+			}
+			heldBefore := len(e.locks.LocksOf(lock.Owner(tx.ID)))
+			before := e.stats.Snap()
+			row.op(e, ix, tx)
+			d := trace.Diff(before, e.stats.Snap())
+			held := e.locks.LocksOf(lock.Owner(tx.ID))[heldBefore:]
+			e.commit(tx)
+
+			var got []cell
+			for s := lock.SpaceTable; s <= lock.SpaceIndexPage; s++ {
+				for m := lock.ModeNone; m <= lock.X; m++ {
+					for dur := lock.Instant; dur <= lock.Commit; dur++ {
+						if n := d.LockCalls[int(s)][int(m)][int(dur)]; n > 0 {
+							got = append(got, cell{s, m, dur, n})
+						}
 					}
 				}
 			}
-		}
-		return out
-	}
-	expect := func(name string, got []cell, want []cell) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d lock cells %v, want %d %v", name, len(got), got, len(want), want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: cell %d = %+v, want %+v", name, i, got[i], want[i])
+			sorted := append([]cell(nil), row.want...)
+			sort.Slice(sorted, func(i, j int) bool {
+				a, b := sorted[i], sorted[j]
+				if a.space != b.space {
+					return a.space < b.space
+				}
+				if a.mode != b.mode {
+					return a.mode < b.mode
+				}
+				return a.dur < b.dur
+			})
+			if !reflect.DeepEqual(got, sorted) {
+				t.Fatalf("lock cells %+v, want %+v", got, sorted)
 			}
-		}
-	}
-
-	// FETCH: S commit on the current key — one lock, nothing else.
-	expect("fetch/data-only",
-		measure(DataOnly, func(e *env, ix *Index, tx *txn.Tx) {
-			if res, _, err := ix.Fetch(tx, key(50).Val, EQ); err != nil || !res.Found {
-				t.Fatalf("fetch: %+v %v", res, err)
+			// Grant order of what stayed held = request order of the
+			// commit-duration cells.
+			var wantHeld []lock.Held
+			for _, c := range row.want {
+				for n := uint64(0); c.dur == lock.Commit && !row.noHold && n < c.count; n++ {
+					wantHeld = append(wantHeld, lock.Held{Name: lock.Name{Space: c.space}, Mode: c.mode})
+				}
 			}
-		}),
-		[]cell{{lock.SpaceRecord, lock.S, lock.Commit, 1}})
-
-	// INSERT, data-only: X instant on the next key — and nothing on the
-	// current key (the record manager's lock covers it).
-	expect("insert/data-only",
-		measure(DataOnly, func(e *env, ix *Index, tx *txn.Tx) {
-			e.mustInsert(tx, ix, key(55))
-		}),
-		[]cell{{lock.SpaceRecord, lock.X, lock.Instant, 1}})
-
-	// DELETE, data-only: X commit on the next key only.
-	expect("delete/data-only",
-		measure(DataOnly, func(e *env, ix *Index, tx *txn.Tx) {
-			e.mustDelete(tx, ix, key(50))
-		}),
-		[]cell{{lock.SpaceRecord, lock.X, lock.Commit, 1}})
-
-	// INSERT, index-specific: X instant next key + X commit current key.
-	expect("insert/index-specific",
-		measure(IndexSpecific, func(e *env, ix *Index, tx *txn.Tx) {
-			e.mustInsert(tx, ix, key(55))
-		}),
-		[]cell{
-			{lock.SpaceKeyValue, lock.X, lock.Instant, 1},
-			{lock.SpaceKeyValue, lock.X, lock.Commit, 1},
+			if len(held) != len(wantHeld) {
+				t.Fatalf("holds %v afterwards, want %d locks", held, len(wantHeld))
+			}
+			for i, h := range held {
+				if h.Name.Space != wantHeld[i].Name.Space || h.Mode != wantHeld[i].Mode {
+					t.Fatalf("holding %d is %v %v, want %v %v (grant order %v)",
+						i, h.Name, h.Mode, wantHeld[i].Name.Space, wantHeld[i].Mode, held)
+				}
+			}
 		})
-
-	// DELETE, index-specific: X instant current key + X commit next key.
-	expect("delete/index-specific",
-		measure(IndexSpecific, func(e *env, ix *Index, tx *txn.Tx) {
-			e.mustDelete(tx, ix, key(50))
-		}),
-		[]cell{
-			{lock.SpaceKeyValue, lock.X, lock.Instant, 1},
-			{lock.SpaceKeyValue, lock.X, lock.Commit, 1},
-		})
-
-	// FETCH past the end: the EOF lock stands in for the next key.
-	expect("fetch-eof/data-only",
-		measure(DataOnly, func(e *env, ix *Index, tx *txn.Tx) {
-			if res, _, err := ix.Fetch(tx, []byte("zzz"), EQ); err != nil || !res.EOF {
-				t.Fatalf("eof fetch: %+v %v", res, err)
-			}
-		}),
-		[]cell{{lock.SpaceEOF, lock.S, lock.Commit, 1}})
+	}
 }
 
 // TestFigure3SMOInsertInteraction reproduces Figure 3's hazard: a leaf
