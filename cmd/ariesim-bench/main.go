@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -33,27 +34,41 @@ import (
 func main() {
 	table := flag.String("table", "all", "which table/figure to regenerate: fig2|lockcounts|smo|recovery|media|all")
 	flag.Parse()
-	lock.RegisterTraceNames()
-	run := map[string]func(){
-		"fig2":       fig2,
-		"lockcounts": lockCounts,
-		"smo":        smoConcurrency,
-		"recovery":   restartReport,
-		"media":      mediaRecovery,
-	}
-	if *table == "all" {
-		for _, name := range []string{"fig2", "lockcounts", "smo", "recovery", "media"} {
-			run[name]()
-			fmt.Println()
-		}
-		return
-	}
-	fn, ok := run[*table]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
+	if err := run(os.Stdout, *table); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fn()
+}
+
+var tables = []struct {
+	name  string
+	print func(io.Writer)
+}{
+	{"fig2", fig2},
+	{"lockcounts", lockCounts},
+	{"smo", smoConcurrency},
+	{"recovery", restartReport},
+	{"media", mediaRecovery},
+}
+
+// run prints the named table — or, for "all", every table with a blank line
+// after each — to w.
+func run(w io.Writer, table string) error {
+	lock.RegisterTraceNames()
+	found := false
+	for _, t := range tables {
+		if table == "all" || table == t.name {
+			found = true
+			t.print(w)
+			if table == "all" {
+				fmt.Fprintln(w)
+			}
+		}
+	}
+	if !found {
+		return fmt.Errorf("unknown table %q", table)
+	}
+	return nil
 }
 
 // engine builds a core-level stack for single-op lock measurements.
@@ -135,65 +150,65 @@ var singleOps = []struct {
 }
 
 // fig2 regenerates the paper's Figure 2 from observed lock calls.
-func fig2() {
-	fmt.Println("=== Figure 2: Summary of Locking in ARIES/IM (observed lock calls) ===")
+func fig2(w io.Writer) {
+	fmt.Fprintln(w, "=== Figure 2: Summary of Locking in ARIES/IM (observed lock calls) ===")
 	for _, proto := range []core.Protocol{core.DataOnly, core.IndexSpecific} {
-		fmt.Printf("\n--- %s locking ---\n", proto)
+		fmt.Fprintf(w, "\n--- %s locking ---\n", proto)
 		for _, sop := range singleOps {
 			cells, err := measure(proto, sop.op)
 			if err != nil {
-				fmt.Printf("%-18s ERROR %v\n", sop.name, err)
+				fmt.Fprintf(w, "%-18s ERROR %v\n", sop.name, err)
 				continue
 			}
-			fmt.Printf("%-18s", sop.name)
+			fmt.Fprintf(w, "%-18s", sop.name)
 			if len(cells) == 0 {
-				fmt.Print(" (no index locks: the record manager's data lock covers the key)")
+				fmt.Fprint(w, " (no index locks: the record manager's data lock covers the key)")
 			}
 			for _, c := range cells {
-				fmt.Printf("  [%s %s %s x%d]", c.Space, c.Mode, c.Duration, c.Count)
+				fmt.Fprintf(w, "  [%s %s %s x%d]", c.Space, c.Mode, c.Duration, c.Count)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Println("\npaper Fig 2: fetch=S/commit current; insert=X/instant next (+X/commit current if index-specific);")
-	fmt.Println("             delete=X/commit next (+X/instant current if index-specific)")
+	fmt.Fprintln(w, "\npaper Fig 2: fetch=S/commit current; insert=X/instant next (+X/commit current if index-specific);")
+	fmt.Fprintln(w, "             delete=X/commit next (+X/instant current if index-specific)")
 }
 
 // lockCounts regenerates the §1/§5 comparison: locks per single-record op.
-func lockCounts() {
-	fmt.Println("=== Locks acquired per single-record operation (index locks only) ===")
-	fmt.Printf("%-18s %10s %10s %10s\n", "operation", "ARIES/IM", "ARIES/KVL", "System R")
+func lockCounts(w io.Writer) {
+	fmt.Fprintln(w, "=== Locks acquired per single-record operation (index locks only) ===")
+	fmt.Fprintf(w, "%-18s %10s %10s %10s\n", "operation", "ARIES/IM", "ARIES/KVL", "System R")
 	for _, sop := range singleOps {
-		fmt.Printf("%-18s", sop.name)
+		fmt.Fprintf(w, "%-18s", sop.name)
 		for _, proto := range []core.Protocol{core.DataOnly, core.KVL, core.SystemR} {
 			cells, err := measure(proto, sop.op)
 			if err != nil {
-				fmt.Printf(" %10s", "ERR")
+				fmt.Fprintf(w, " %10s", "ERR")
 				continue
 			}
 			var n uint64
 			for _, c := range cells {
 				n += c.Count
 			}
-			fmt.Printf(" %10d", n)
+			fmt.Fprintf(w, " %10d", n)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\npaper claim (§1, §5): ARIES/IM acquires the minimal number of locks;")
-	fmt.Println("KVL adds key-value locks; System R adds key-value AND index page locks.")
+	fmt.Fprintln(w, "\npaper claim (§1, §5): ARIES/IM acquires the minimal number of locks;")
+	fmt.Fprintln(w, "KVL adds key-value locks; System R adds key-value AND index page locks.")
 }
 
 // smoConcurrency quantifies §2.1: readers proceed during SMOs under
 // ARIES/IM; under System R they block on the splitter's page locks.
-func smoConcurrency() {
-	fmt.Println("=== Reader progress while a writer splits pages (500ms window) ===")
-	fmt.Printf("%-12s %14s %14s %12s\n", "protocol", "reader ops", "writer ops", "splits")
+func smoConcurrency(w io.Writer) {
+	fmt.Fprintln(w, "=== Reader progress while a writer splits pages (500ms window) ===")
+	fmt.Fprintf(w, "%-12s %14s %14s %12s\n", "protocol", "reader ops", "writer ops", "splits")
 	for _, proto := range []core.Protocol{core.DataOnly, core.SystemR} {
 		readers, writers, splits := runSMOWindow(proto, 500*time.Millisecond)
-		fmt.Printf("%-12s %14d %14d %12d\n", proto, readers, writers, splits)
+		fmt.Fprintf(w, "%-12s %14d %14d %12d\n", proto, readers, writers, splits)
 	}
-	fmt.Println("\npaper claim (§2.1): retrievals, inserts and deletes go on concurrently with SMOs;")
-	fmt.Println("System R-style commit-duration page locks serialize readers behind uncommitted splits.")
+	fmt.Fprintln(w, "\npaper claim (§2.1): retrievals, inserts and deletes go on concurrently with SMOs;")
+	fmt.Fprintln(w, "System R-style commit-duration page locks serialize readers behind uncommitted splits.")
 }
 
 func runSMOWindow(proto core.Protocol, window time.Duration) (readerOps, writerOps int64, splits uint64) {
@@ -271,8 +286,8 @@ func runSMOWindow(proto core.Protocol, window time.Duration) (readerOps, writerO
 }
 
 // restartReport quantifies §3: restart passes are page-oriented.
-func restartReport() {
-	fmt.Println("=== Restart recovery on a 5000-op workload (nothing flushed) ===")
+func restartReport(w io.Writer) {
+	fmt.Fprintln(w, "=== Restart recovery on a 5000-op workload (nothing flushed) ===")
 	d := db.Open(db.Options{PageSize: 1024, PoolSize: 4096})
 	tbl, err := d.CreateTable("t")
 	if err != nil {
@@ -314,19 +329,19 @@ func restartReport() {
 	if err := d.VerifyConsistency(); err != nil {
 		panic(err)
 	}
-	fmt.Printf("log records:        %d (%d KiB)\n", records, d.Log().Bytes()/1024)
-	fmt.Printf("restart time:       %v\n", elapsed.Round(time.Microsecond))
-	fmt.Printf("analysis records:   %d\n", rep.RecordsSeen)
-	fmt.Printf("redo applied:       %d (skipped: %d)\n", rep.RedosApplied, rep.RedosSkipped)
-	fmt.Printf("losers undone:      %d\n", rep.LosersUndone)
-	fmt.Printf("tree traversals during redo+undo: %d (redo itself: always 0 — page-oriented)\n",
+	fmt.Fprintf(w, "log records:        %d (%d KiB)\n", records, d.Log().Bytes()/1024)
+	fmt.Fprintf(w, "restart time:       %v\n", elapsed.Round(time.Microsecond))
+	fmt.Fprintf(w, "analysis records:   %d\n", rep.RecordsSeen)
+	fmt.Fprintf(w, "redo applied:       %d (skipped: %d)\n", rep.RedosApplied, rep.RedosSkipped)
+	fmt.Fprintf(w, "losers undone:      %d\n", rep.LosersUndone)
+	fmt.Fprintf(w, "tree traversals during redo+undo: %d (redo itself: always 0 — page-oriented)\n",
 		d.Stats().Traversals.Load()-travBefore)
 }
 
 // mediaRecovery quantifies §5: a damaged page is rebuilt from the dump
 // plus one pass of the log.
-func mediaRecovery() {
-	fmt.Println("=== Page-oriented media recovery ===")
+func mediaRecovery(w io.Writer) {
+	fmt.Fprintln(w, "=== Page-oriented media recovery ===")
 	d := db.Open(db.Options{PageSize: 1024, PoolSize: 1024})
 	tbl, err := d.CreateTable("t")
 	if err != nil {
@@ -377,8 +392,8 @@ func mediaRecovery() {
 	if err := d.VerifyConsistency(); err != nil {
 		panic(err)
 	}
-	fmt.Printf("index pages destroyed & rebuilt: %d\n", len(damaged))
-	fmt.Printf("log passes per page: 1 (LSN-guarded roll-forward, no traversal)\n")
-	fmt.Printf("total rebuild time:  %v (%v/page)\n",
+	fmt.Fprintf(w, "index pages destroyed & rebuilt: %d\n", len(damaged))
+	fmt.Fprintf(w, "log passes per page: 1 (LSN-guarded roll-forward, no traversal)\n")
+	fmt.Fprintf(w, "total rebuild time:  %v (%v/page)\n",
 		elapsed.Round(time.Microsecond), (elapsed / time.Duration(len(damaged))).Round(time.Microsecond))
 }

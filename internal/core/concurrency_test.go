@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,8 +182,12 @@ func TestConcurrentConflictingWorkload(t *testing.T) {
 
 // TestReadersRunDuringSMOs keeps a reader population scanning while
 // writers force continuous splits; with ARIES/IM readers never touch the
-// tree latch unless they trip an ambiguity, so scans proceed throughout.
+// tree latch unless they trip an ambiguity, so scans proceed throughout. The
+// workload runs until splits, reads and inserts have each passed a
+// threshold — or the writers run out of inserts, which with readers still
+// short of theirs is starvation.
 func TestReadersRunDuringSMOs(t *testing.T) {
+	const wantSplits, wantOps = 10, 500
 	e := newEnv(t, 512, 512)
 	ix := e.createIndex(Config{ID: 1})
 	setup := e.tm.Begin()
@@ -191,8 +197,7 @@ func TestReadersRunDuringSMOs(t *testing.T) {
 	e.commit(setup)
 
 	stop := make(chan struct{})
-	var readerOps, writerOps int64
-	var mu sync.Mutex
+	var readerOps, writerOps, writersLeft atomic.Int64
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -213,54 +218,49 @@ func TestReadersRunDuringSMOs(t *testing.T) {
 					return
 				}
 				_ = tx.Commit()
-				mu.Lock()
-				readerOps++
-				mu.Unlock()
+				readerOps.Add(1)
 			}
 		}(r)
 	}
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
+		writersLeft.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			i := 0
+			defer writersLeft.Add(-1)
 			// Bounded so a fast machine cannot exhaust the 512-byte-page
-			// FSM before the timer stops the workload.
-			for i < 5000 {
+			// FSM before the readers have had their share.
+			for i := 0; i < 5000; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
 				tx := e.tm.Begin()
-				k := key(1000000 + w*1000000 + i)
-				i++
-				if err := ix.Insert(tx, k); err != nil {
+				if err := ix.Insert(tx, key(1000000+w*1000000+i)); err != nil {
 					t.Errorf("writer: %v", err)
 					_ = tx.Rollback()
 					return
 				}
 				_ = tx.Commit()
-				mu.Lock()
-				writerOps++
-				mu.Unlock()
+				writerOps.Add(1)
 			}
 		}(w)
 	}
-	time.Sleep(400 * time.Millisecond)
+	for !t.Failed() && writersLeft.Load() > 0 &&
+		(e.stats.PageSplits.Load() < wantSplits || readerOps.Load() < wantOps || writerOps.Load() < wantOps) {
+		runtime.Gosched()
+	}
 	close(stop)
 	wg.Wait()
 	if t.Failed() {
 		return
 	}
-	if e.stats.PageSplits.Load() == 0 {
-		t.Fatal("writers caused no splits")
+	if n := e.stats.PageSplits.Load(); n < wantSplits {
+		t.Fatalf("writers caused %d splits, want %d", n, wantSplits)
 	}
-	mu.Lock()
-	ro, wo := readerOps, writerOps
-	mu.Unlock()
-	if ro == 0 || wo == 0 {
-		t.Fatalf("starved: readers=%d writers=%d", ro, wo)
+	if ro, wo := readerOps.Load(), writerOps.Load(); ro < wantOps || wo < wantOps {
+		t.Fatalf("starved: readers=%d writers=%d, want %d each", ro, wo, wantOps)
 	}
 	e.checkTree(ix)
 }
@@ -345,7 +345,7 @@ func TestTwoLatchMaximum(t *testing.T) {
 			if n := len(e.pool.PinnedPages()); n > maxPinned {
 				maxPinned = n
 			}
-			time.Sleep(50 * time.Microsecond)
+			runtime.Gosched()
 		}
 	}()
 	for i := 0; i < 500; i++ {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"ariesim/internal/latch"
-	"ariesim/internal/lock"
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
@@ -14,8 +12,9 @@ import (
 // Delete removes key from the index (Fig 7):
 //
 //  1. traverse (X-latching the leaf), waiting out SM_Bit;
-//  2. X-lock the next key for commit duration — the "tripping point" other
-//     transactions hit to discover the uncommitted delete (§2.6);
+//  2. take Figure 2's DELETE row (deleteLocks: the next key X for commit
+//     duration) under the latch, revalidating if a lock had to be waited
+//     for;
 //  3. boundary keys (smallest/largest on the page): establish a point of
 //     structural consistency by holding the tree latch in S across the
 //     delete, so a restart-time logical undo never meets a tree made
@@ -24,9 +23,6 @@ import (
 //     (the key delete is logged first, outside the nested top action);
 //  5. otherwise delete, log (setting Delete_Bit — cleared instead when a
 //     POSC was just established), bump the page LSN.
-//
-// Under data-only locking the deleted key itself is not locked: the
-// caller's record-manager X lock on the key's RID covers it.
 func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 	var heldTree *treeHold
 	releaseTree := func() {
@@ -50,26 +46,14 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 			continue
 		}
 
-		pos, err := leafLowerBound(leaf.Page, key)
+		pos, present, err := leafFind(leaf.Page, key)
+		if err == nil && !present {
+			err = fmt.Errorf("%w: %s", ErrKeyNotFound, key)
+		}
 		if err != nil {
 			ix.unfixLatched(leaf, latch.X)
 			return err
 		}
-		if pos >= leaf.Page.NSlots() {
-			ix.unfixLatched(leaf, latch.X)
-			return fmt.Errorf("%w: %s", ErrKeyNotFound, key)
-		}
-		k, err := leafKeyAt(leaf.Page, pos)
-		if err != nil {
-			ix.unfixLatched(leaf, latch.X)
-			return err
-		}
-		if k.Compare(key) != 0 {
-			ix.unfixLatched(leaf, latch.X)
-			return fmt.Errorf("%w: %s", ErrKeyNotFound, key)
-		}
-
-		// Next-key lock: X for commit duration (Fig 2).
 		target, restart, err := ix.nextKeyFrom(leaf, pos+1)
 		if err != nil {
 			ix.unfixLatched(leaf, latch.X)
@@ -80,52 +64,23 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 			ix.treeWaitInstantS()
 			continue
 		}
-		if ix.cfg.Protocol == KVL {
-			retry, err := ix.kvlDeleteLocks(tx, leaf, pos, key, target, target.val)
-			if err != nil {
-				return err
-			}
-			if retry {
-				continue
-			}
+		unlatch := func() {
 			ix.releaseTarget(target)
-		} else {
-			// System R additionally X-locks the leaf page to commit.
-			if ix.cfg.Protocol == SystemR {
-				name := ix.pageLockName(leaf.ID())
-				if err := tx.Lock(name, lock.X, lock.Commit, true); err != nil {
-					ix.releaseTarget(target)
-					ix.unfixLatched(leaf, latch.X)
-					if err := tx.Lock(name, lock.X, lock.Commit, false); err != nil {
-						return err
-					}
-					continue
-				}
-			}
-			if err := tx.Lock(target.name, lock.X, lock.Commit, true); err != nil {
-				ix.releaseTarget(target)
-				ix.unfixLatched(leaf, latch.X)
-				if err := tx.Lock(target.name, lock.X, lock.Commit, false); err != nil {
-					return err
-				}
-				continue
-			}
-			ix.releaseTarget(target)
-
-			// Index-specific locking: instant X on the deleted key itself.
-			if ix.cfg.Protocol == IndexSpecific || ix.cfg.Protocol == SystemR {
-				own := ix.keyLockName(key)
-				if err := tx.Lock(own, lock.X, lock.Instant, true); err != nil {
-					ix.unfixLatched(leaf, latch.X)
-					// Retained on the fallback path (see Insert): an
-					// instant grant would evaporate before the retry.
-					if err := tx.Lock(own, lock.X, lock.Commit, false); err != nil {
-						return err
-					}
-					continue
-				}
-			}
+			ix.unfixLatched(leaf, latch.X)
 		}
+		locks, err := ix.deleteLocks(leaf, pos, key, target)
+		if err != nil {
+			unlatch()
+			return err
+		}
+		waited, err := locks.take(tx, unlatch)
+		if err != nil {
+			return err
+		}
+		if waited {
+			continue
+		}
+		ix.releaseTarget(target)
 
 		// Page-emptying delete: page deletion SMO (under the tree X
 		// latch, so any tree-S hold must go first).
@@ -134,14 +89,8 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 			ix.unfixLatched(leaf, latch.X)
 			releaseTree()
 			finished, err := ix.deleteEmptyingLeaf(tx, leafID, key, nil)
-			if err != nil {
-				if !errors.Is(err, errSMOConflict) {
-					retried, err := ix.handleSMOLockDenial(tx, err)
-					if !retried {
-						return err
-					}
-				}
-				continue
+			if err := ix.retryAfterSMO(tx, err); err != nil {
+				return err
 			}
 			if finished {
 				return nil
@@ -173,7 +122,7 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 			post = pre &^ storage.FlagDeleteBit
 		}
 		pl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: pre, PostFlags: post,
-			Cell: storage.EncodeLeafCell(k)}
+			Cell: storage.EncodeLeafCell(key)}
 		if _, err := ix.applyLogged(tx, leaf, wal.OpIdxDeleteKey, pl.encode(), false, func() error {
 			if _, derr := leaf.Page.DeleteCellAt(pos); derr != nil {
 				return derr
@@ -190,30 +139,3 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 	}
 	return fmt.Errorf("core: delete from index %d did not stabilize", ix.cfg.ID)
 }
-
-// InsertKeyOpPayloadForTest exposes the key-op codec to white-box tests in
-// sibling packages (log-sequence assertions for Figs 9 and 10).
-type KeyOpInfo struct {
-	Index     uint32
-	Pos       uint16
-	PreFlags  uint8
-	PostFlags uint8
-	Key       storage.Key
-}
-
-// DecodeKeyOpPayload decodes an OpIdxInsertKey/OpIdxDeleteKey payload.
-func DecodeKeyOpPayload(b []byte) (KeyOpInfo, error) {
-	pl, err := decodeKeyOp(b)
-	if err != nil {
-		return KeyOpInfo{}, err
-	}
-	k, err := storage.DecodeLeafCell(pl.Cell)
-	if err != nil {
-		return KeyOpInfo{}, err
-	}
-	return KeyOpInfo{Index: pl.Index, Pos: pl.Pos, PreFlags: pl.PreFlags, PostFlags: pl.PostFlags, Key: k}, nil
-}
-
-// IndexIDOfPayload extracts the index ID from any core payload (undo
-// routing and tests).
-func IndexIDOfPayload(rec *wal.Record) (uint32, error) { return indexIDOf(rec.Payload) }

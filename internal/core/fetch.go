@@ -108,15 +108,6 @@ func (ix *Index) findFrom(leaf *buffer.Frame, probe storage.Key) (found, error) 
 	return found{}, fmt.Errorf("core: leaf chain walk did not terminate")
 }
 
-// lockNameForFound names the S lock protecting the positioning outcome:
-// the found key's lock, or the EOF lock past the right edge.
-func (ix *Index) lockNameForFound(f found) lock.Name {
-	if f.eof {
-		return ix.eofLockName()
-	}
-	return ix.keyLockName(f.key)
-}
-
 // probeFor maps (value, op) to the full-key search probe.
 func probeFor(val []byte, op SearchOp) storage.Key {
 	if op == GT {
@@ -143,7 +134,7 @@ func probeAfter(k storage.Key) storage.Key {
 // re-descending), and report found / not-found / EOF. The returned cursor
 // supports FetchNext range scans.
 func (ix *Index) Fetch(tx *txn.Tx, val []byte, op SearchOp) (FetchResult, *Cursor, error) {
-	return ix.fetchFrom(tx, probeFor(val, op), lock.S, acceptFor(val, op))
+	return ix.fetchFrom(tx, probeFor(val, op), lock.S, lock.Commit, acceptFor(val, op))
 }
 
 // FetchForUpdate is Fetch with the located key locked X for commit
@@ -152,7 +143,7 @@ func (ix *Index) Fetch(tx *txn.Tx, val []byte, op SearchOp) (FetchResult, *Curso
 // avoids the classic conversion deadlock where two updaters of the same
 // key both hold S and each waits for the other to release it.
 func (ix *Index) FetchForUpdate(tx *txn.Tx, val []byte, op SearchOp) (FetchResult, *Cursor, error) {
-	return ix.fetchFrom(tx, probeFor(val, op), lock.X, acceptFor(val, op))
+	return ix.fetchFrom(tx, probeFor(val, op), lock.X, lock.Commit, acceptFor(val, op))
 }
 
 // acceptFor decides whether a located key satisfies (val, op).
@@ -166,8 +157,8 @@ func acceptFor(val []byte, op SearchOp) func(storage.Key) bool {
 }
 
 // fetchFrom positions at the first key >= probe and locks the outcome in
-// mode. accept decides whether the located key counts as "found".
-func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, accept func(storage.Key) bool) (FetchResult, *Cursor, error) {
+// mode for dur. accept decides whether the located key counts as "found".
+func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, dur lock.Duration, accept func(storage.Key) bool) (FetchResult, *Cursor, error) {
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		leaf, err := ix.traverse(tx, probe, false)
 		if err != nil {
@@ -177,7 +168,7 @@ func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, accept
 		if err != nil {
 			return FetchResult{}, nil, err
 		}
-		res, cur, done, err := ix.lockPositioned(tx, fnd, mode, accept)
+		res, cur, done, err := ix.lockPositioned(tx, fnd, mode, dur, accept)
 		if err != nil {
 			return FetchResult{}, nil, err
 		}
@@ -188,30 +179,25 @@ func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, accept
 	return FetchResult{}, nil, fmt.Errorf("core: fetch on index %d did not stabilize", ix.cfg.ID)
 }
 
-// lockPositioned runs the conditional-then-unconditional lock protocol on
-// a positioning outcome. done=false means the latch was dropped for an
-// unconditional wait and the caller must reposition.
-func (ix *Index) lockPositioned(tx *txn.Tx, fnd found, mode lock.Mode, accept func(storage.Key) bool) (FetchResult, *Cursor, bool, error) {
-	names := []lock.Name{ix.lockNameForFound(fnd)}
-	if ix.cfg.Protocol == SystemR && !fnd.eof {
-		// System R readers also lock the index page to commit.
-		names = append(names, ix.pageLockName(fnd.frame.ID()))
+// lockPositioned takes Figure 2's FETCH row (fetchLocks) on a positioning
+// outcome while its leaf is latched, then seals the outcome. done=false
+// means a lock had to be waited for with the latch dropped and the caller
+// must reposition (the lock waited for is retained; §2.2). A manual-duration
+// lock — cursor stability — is given back before returning either way,
+// unless the transaction held the name already (a key it wrote stays
+// locked).
+func (ix *Index) lockPositioned(tx *txn.Tx, fnd found, mode lock.Mode, dur lock.Duration, accept func(storage.Key) bool) (FetchResult, *Cursor, bool, error) {
+	locks := ix.fetchLocks(fnd, mode, dur)
+	if name := locks.req[0].name; dur == lock.Manual && !tx.HoldsLock(name) {
+		defer tx.Unlock(name)
 	}
-	for i, name := range names {
-		if err := tx.Lock(name, mode, lock.Commit, true); err == nil {
-			continue
-		}
-		// Denied while latched: release every latch, wait unconditionally,
-		// then revalidate by repositioning (the conservative extra locks
-		// are retained; §2.2).
-		_ = i
+	waited, err := locks.take(tx, func() {
 		if !fnd.eof {
 			ix.unfixLatched(fnd.frame, latch.S)
 		}
-		if err := tx.Lock(name, mode, lock.Commit, false); err != nil {
-			return FetchResult{}, nil, false, err
-		}
-		return FetchResult{}, nil, false, nil
+	})
+	if waited || err != nil {
+		return FetchResult{}, nil, false, err
 	}
 	res, cur := ix.sealFound(fnd, accept)
 	return res, cur, true, nil
@@ -265,7 +251,7 @@ func (ix *Index) FetchNext(tx *txn.Tx, c *Cursor) (FetchResult, error) {
 		if err != nil {
 			return FetchResult{}, err
 		}
-		res, ncur, done, err := ix.lockPositioned(tx, fnd, lock.S, func(storage.Key) bool { return true })
+		res, ncur, done, err := ix.lockPositioned(tx, fnd, lock.S, lock.Commit, func(storage.Key) bool { return true })
 		if err != nil {
 			return FetchResult{}, err
 		}
@@ -282,7 +268,7 @@ func (ix *Index) FetchNext(tx *txn.Tx, c *Cursor) (FetchResult, error) {
 // when such a key exists; otherwise the next higher key (or EOF) is locked
 // exactly as in Fetch, so the absence is repeatable.
 func (ix *Index) FetchPrefix(tx *txn.Tx, prefix []byte) (FetchResult, *Cursor, error) {
-	return ix.fetchFrom(tx, storage.MinKeyFor(prefix), lock.S, func(k storage.Key) bool {
+	return ix.fetchFrom(tx, storage.MinKeyFor(prefix), lock.S, lock.Commit, func(k storage.Key) bool {
 		return len(k.Val) >= len(prefix) && string(k.Val[:len(prefix)]) == string(prefix)
 	})
 }
@@ -292,37 +278,6 @@ func (ix *Index) FetchPrefix(tx *txn.Tx, prefix []byte) (FetchResult, *Cursor, e
 // read observes only committed data but does not inhibit later writers.
 // Keys the transaction itself wrote (already X-locked) stay locked.
 func (ix *Index) FetchCS(tx *txn.Tx, val []byte, op SearchOp) (FetchResult, error) {
-	for attempt := 0; attempt < maxRestarts; attempt++ {
-		probe := probeFor(val, op)
-		leaf, err := ix.traverse(tx, probe, false)
-		if err != nil {
-			return FetchResult{}, err
-		}
-		fnd, err := ix.findFrom(leaf, probe)
-		if err != nil {
-			return FetchResult{}, err
-		}
-		name := ix.lockNameForFound(fnd)
-		hadLock := tx.HoldsLock(name)
-		if err := tx.Lock(name, lock.S, lock.Manual, true); err != nil {
-			if !fnd.eof {
-				ix.unfixLatched(fnd.frame, latch.S)
-			}
-			if err := tx.Lock(name, lock.S, lock.Manual, false); err != nil {
-				return FetchResult{}, err
-			}
-			if !hadLock {
-				tx.Unlock(name)
-			}
-			continue // reposition
-		}
-		res, _ := ix.sealFound(fnd, func(k storage.Key) bool {
-			return op != EQ || string(k.Val) == string(val)
-		})
-		if !hadLock {
-			tx.Unlock(name)
-		}
-		return res, nil
-	}
-	return FetchResult{}, fmt.Errorf("core: CS fetch on index %d did not stabilize", ix.cfg.ID)
+	res, _, err := ix.fetchFrom(tx, probeFor(val, op), lock.S, lock.Manual, acceptFor(val, op))
+	return res, err
 }

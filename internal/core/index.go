@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"ariesim/internal/buffer"
@@ -15,44 +14,6 @@ import (
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
 )
-
-// Protocol selects how index keys are locked (paper §2.1).
-type Protocol uint8
-
-const (
-	// DataOnly is ARIES/IM's headline design: the lock of a key is the
-	// lock on the corresponding record (the RID inside the key). Key
-	// inserts/deletes need no current-key lock because the record manager
-	// already holds the record X lock, and fetches lock the key so the
-	// record manager need not re-lock the record.
-	DataOnly Protocol = iota
-	// IndexSpecific locks key values within the index (Fig 2's "if
-	// index-specific locking is used" column): slightly more concurrency
-	// in some interleavings, strictly more lock calls.
-	IndexSpecific
-	// KVL is the ARIES/KVL baseline (Moha90a): commit-duration key-value
-	// locks on current values, instant IX on next values — more lock
-	// calls per operation and coarser conflicts on duplicate values.
-	KVL
-	// SystemR is the System R-style baseline: key-value locks plus
-	// commit-duration index page locks, including on every page an SMO
-	// touches — readers and SMOs block each other until end of
-	// transaction (§1, §5).
-	SystemR
-)
-
-func (p Protocol) String() string {
-	switch p {
-	case IndexSpecific:
-		return "index-specific"
-	case KVL:
-		return "aries-kvl"
-	case SystemR:
-		return "system-r"
-	default:
-		return "data-only"
-	}
-}
 
 // Config describes an index at creation/open time.
 type Config struct {
@@ -158,26 +119,6 @@ func (ix *Index) Unique() bool { return ix.cfg.Unique }
 // Protocol returns the locking protocol in force.
 func (ix *Index) Protocol() Protocol { return ix.cfg.Protocol }
 
-func hashVal(val []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(val)
-	return h.Sum64()
-}
-
-// keyLockName names the lock protecting key k. Under data-only locking it
-// is the record lock (the paper's central trick); under every other
-// protocol it is a key-value lock within this index.
-func (ix *Index) keyLockName(k storage.Key) lock.Name {
-	if ix.cfg.Protocol != DataOnly {
-		return lock.KeyValueName(uint64(ix.cfg.ID), hashVal(k.Val))
-	}
-	return lock.DataLockName(ix.cfg.Granularity, uint64(k.RID.Page), k.RID.Slot)
-}
-
-// eofLockName names the end-of-file lock used as the "next key" when a
-// key-range operation runs past the highest key in the index (paper §2.2).
-func (ix *Index) eofLockName() lock.Name { return lock.EOFName(uint64(ix.cfg.ID)) }
-
 // Tree latch helpers (§2.1). Instant S acquisition is the traverser's
 // "wait for the SMO to finish" primitive (Fig 4, 6, 7).
 
@@ -254,6 +195,17 @@ func leafLowerBound(p *storage.Page, k storage.Key) (int, error) {
 // leafKeyAt decodes the leaf cell at pos.
 func leafKeyAt(p *storage.Page, pos int) (storage.Key, error) {
 	return storage.DecodeLeafCell(p.MustCell(pos))
+}
+
+// leafFind probes a latched leaf for the exact key k: pos is where k sits,
+// or where it would go (the first key >= k), present whether it is there.
+func leafFind(p *storage.Page, k storage.Key) (pos int, present bool, err error) {
+	pos, err = leafLowerBound(p, k)
+	if err != nil || pos >= p.NSlots() {
+		return pos, false, err
+	}
+	at, err := leafKeyAt(p, pos)
+	return pos, err == nil && at.Compare(k) == 0, err
 }
 
 // nodeChildFor returns the child to descend into for key k: the child of

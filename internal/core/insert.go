@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"ariesim/internal/buffer"
@@ -68,22 +67,18 @@ func (ix *Index) releaseTarget(t nextKeyTarget) {
 //     duration — a grant with the value still present is a repeatable
 //     unique-violation; a denial means an uncommitted insert/delete, so
 //     wait and revalidate;
-//  3. X-lock the next key for instant duration (phantom protection and,
-//     for unique indexes, detection of an uncommitted delete of the same
-//     value) — conditionally under the latch, else the release/wait/
-//     revalidate protocol;
+//  3. take Figure 2's INSERT row (insertLocks: the next key X for instant
+//     duration) under the latch, revalidating if a lock had to be waited
+//     for;
 //  4. split if there is no room (the insert resumes only after the split
 //     SMO has fully propagated and its dummy CLR is logged);
 //  5. insert the key, log it (undo-redo), bump the page LSN.
-//
-// Under data-only locking the key itself is not locked here: the caller's
-// record-manager X lock on the RID inside the key is the key lock.
 func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
 	cell := storage.EncodeLeafCell(key)
 	if len(cell) > storage.PageCapacity(ix.pool.PageSize())/4 {
 		return fmt.Errorf("core: key of %d bytes exceeds the quarter-page bound", len(key.Val))
 	}
-	var spin struct{ quiesce, unique, nextRestart, nextLock, ownLock, split, pageLock int }
+	var spin struct{ quiesce, unique, nextRestart, lock, split int }
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		leaf, err := ix.traverse(tx, key, true)
 		if err != nil {
@@ -112,24 +107,14 @@ func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
 			}
 		}
 
-		pos, err := leafLowerBound(leaf.Page, key)
+		pos, present, err := leafFind(leaf.Page, key)
+		if err == nil && present {
+			err = fmt.Errorf("%w: full key %s already present", ErrDuplicate, key)
+		}
 		if err != nil {
 			ix.unfixLatched(leaf, latch.X)
 			return err
 		}
-		if pos < leaf.Page.NSlots() {
-			k, err := leafKeyAt(leaf.Page, pos)
-			if err != nil {
-				ix.unfixLatched(leaf, latch.X)
-				return err
-			}
-			if k.Compare(key) == 0 {
-				ix.unfixLatched(leaf, latch.X)
-				return fmt.Errorf("%w: full key %s already present", ErrDuplicate, key)
-			}
-		}
-
-		// Next-key lock: X for instant duration (Fig 2).
 		target, restart, err := ix.nextKeyFrom(leaf, pos)
 		if err != nil {
 			ix.unfixLatched(leaf, latch.X)
@@ -141,73 +126,30 @@ func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
 			ix.treeWaitInstantS()
 			continue
 		}
-		if ix.cfg.Protocol == KVL {
-			retry, err := ix.kvlInsertLocks(tx, leaf, pos, key, target, target.val)
-			if err != nil {
-				return err
-			}
-			if retry {
-				spin.nextLock++
-				continue
-			}
+		unlatch := func() {
 			ix.releaseTarget(target)
-		} else {
-			// System R additionally X-locks the leaf page to commit.
-			if ix.cfg.Protocol == SystemR {
-				name := ix.pageLockName(leaf.ID())
-				if err := tx.Lock(name, lock.X, lock.Commit, true); err != nil {
-					ix.releaseTarget(target)
-					ix.unfixLatched(leaf, latch.X)
-					if err := tx.Lock(name, lock.X, lock.Commit, false); err != nil {
-						return err
-					}
-					spin.pageLock++
-					continue
-				}
-			}
-			if err := tx.Lock(target.name, lock.X, lock.Instant, true); err != nil {
-				ix.releaseTarget(target)
-				ix.unfixLatched(leaf, latch.X)
-				// The unconditional fallback RETAINS the lock (commit
-				// duration): an instant grant would evaporate before the
-				// revalidation retry, and under sustained contention the
-				// conditional retry could lose the race forever. Holding
-				// the lock is conservative and makes the retry converge —
-				// the next iteration's conditional request is satisfied by
-				// our own holding if the next key is unchanged.
-				if err := tx.Lock(target.name, lock.X, lock.Commit, false); err != nil {
-					return err
-				}
-				spin.nextLock++
-				continue // revalidate: the next key may have changed meanwhile
-			}
-			ix.releaseTarget(target)
-
-			// Index-specific locking also X-locks the inserted key itself
-			// for commit duration (Fig 2's right column).
-			if ix.cfg.Protocol == IndexSpecific || ix.cfg.Protocol == SystemR {
-				own := ix.keyLockName(key)
-				if err := tx.Lock(own, lock.X, lock.Commit, true); err != nil {
-					ix.unfixLatched(leaf, latch.X)
-					if err := tx.Lock(own, lock.X, lock.Commit, false); err != nil {
-						return err
-					}
-					spin.ownLock++
-					continue
-				}
-			}
+			ix.unfixLatched(leaf, latch.X)
 		}
+		locks, err := ix.insertLocks(leaf, pos, key, target)
+		if err != nil {
+			unlatch()
+			return err
+		}
+		waited, err := locks.take(tx, unlatch)
+		if err != nil {
+			return err
+		}
+		if waited {
+			spin.lock++
+			continue // revalidate: the next key may have changed meanwhile
+		}
+		ix.releaseTarget(target)
 
 		if !leaf.Page.HasRoomFor(len(cell)) {
 			leafID := leaf.ID()
 			ix.unfixLatched(leaf, latch.X)
-			if err := ix.SplitForInsert(tx, leafID, len(cell)); err != nil {
-				if !errors.Is(err, errSMOConflict) {
-					retried, err := ix.handleSMOLockDenial(tx, err)
-					if !retried {
-						return err
-					}
-				}
+			if err := ix.retryAfterSMO(tx, ix.SplitForInsert(tx, leafID, len(cell))); err != nil {
+				return err
 			}
 			spin.split++
 			continue // Fig 8: the insert happens only after the SMO completes
@@ -224,8 +166,8 @@ func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
 		ix.unfixLatched(leaf, latch.X)
 		return nil
 	}
-	return fmt.Errorf("core: insert into index %d did not stabilize (retries: quiesce=%d unique=%d nextRestart=%d nextLock=%d ownLock=%d split=%d pageLock=%d)",
-		ix.cfg.ID, spin.quiesce, spin.unique, spin.nextRestart, spin.nextLock, spin.ownLock, spin.split, spin.pageLock)
+	return fmt.Errorf("core: insert into index %d did not stabilize (retries: quiesce=%d unique=%d nextRestart=%d lock=%d split=%d)",
+		ix.cfg.ID, spin.quiesce, spin.unique, spin.nextRestart, spin.lock, spin.split)
 }
 
 // uniqueCheck looks for an existing instance of key's value. It returns
@@ -276,22 +218,18 @@ func (ix *Index) uniqueCheck(tx *txn.Tx, leaf *buffer.Frame, key storage.Key) (d
 	if !have {
 		return false, false, nil
 	}
-	name := ix.keyLockName(existing)
-	if err := tx.Lock(name, lock.S, lock.Commit, true); err == nil {
+	// S commit on the instance: granted at once, the violation is repeatable;
+	// denied, it is an uncommitted insert (or delete) by another transaction
+	// — wait, then re-traverse and re-check whether it survived.
+	unlatch := func() {
 		if extra != nil {
 			ix.unfixLatched(extra, latch.S)
 		}
 		ix.unfixLatched(leaf, latch.X)
-		return true, false, nil
 	}
-	// The instance is locked (uncommitted insert by another transaction):
-	// wait, then re-traverse and re-check whether it survived.
-	if extra != nil {
-		ix.unfixLatched(extra, latch.S)
+	waited, err := tx.LockLatched(ix.keyLockName(existing), lock.S, lock.Commit, unlatch)
+	if !waited {
+		unlatch()
 	}
-	ix.unfixLatched(leaf, latch.X)
-	if err := tx.Lock(name, lock.S, lock.Commit, false); err != nil {
-		return false, false, err
-	}
-	return false, true, nil
+	return !waited, waited && err == nil, err
 }

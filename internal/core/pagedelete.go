@@ -41,16 +41,8 @@ func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key stora
 		ix.unfixLatched(f, latch.X)
 		return false, nil
 	}
-	pos, err := leafLowerBound(f.Page, key)
-	if err != nil {
-		ix.unfixLatched(f, latch.X)
-		return false, err
-	}
-	if pos >= f.Page.NSlots() {
-		ix.unfixLatched(f, latch.X)
-		return false, nil
-	}
-	if k, err := leafKeyAt(f.Page, pos); err != nil || k.Compare(key) != 0 {
+	pos, present, err := leafFind(f.Page, key)
+	if err != nil || !present {
 		ix.unfixLatched(f, latch.X)
 		return false, err
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ariesim/internal/storage"
+	"ariesim/internal/wal"
 )
 
 type payloadWriter struct{ b []byte }
@@ -400,3 +401,34 @@ func indexIDOf(b []byte) (uint32, error) {
 	}
 	return binary.LittleEndian.Uint32(b), nil
 }
+
+// The exported face of the codec. KeyOpInfo and DecodeKeyOpPayload open a
+// key insert/delete record to sibling packages — restart's lock
+// reinstatement reads the key's RID out of a loser's records, and tests
+// assert the log sequences of Figs 9 and 10 — and IndexIDOfPayload names
+// the index any core record belongs to.
+
+// KeyOpInfo is a decoded OpIdxInsertKey/OpIdxDeleteKey payload.
+type KeyOpInfo struct {
+	Index     uint32
+	Pos       uint16
+	PreFlags  uint8
+	PostFlags uint8
+	Key       storage.Key
+}
+
+// DecodeKeyOpPayload decodes an OpIdxInsertKey/OpIdxDeleteKey payload.
+func DecodeKeyOpPayload(b []byte) (KeyOpInfo, error) {
+	pl, err := decodeKeyOp(b)
+	if err != nil {
+		return KeyOpInfo{}, err
+	}
+	k, err := storage.DecodeLeafCell(pl.Cell)
+	if err != nil {
+		return KeyOpInfo{}, err
+	}
+	return KeyOpInfo{Index: pl.Index, Pos: pl.Pos, PreFlags: pl.PreFlags, PostFlags: pl.PostFlags, Key: k}, nil
+}
+
+// IndexIDOfPayload extracts the index ID from any core payload.
+func IndexIDOfPayload(rec *wal.Record) (uint32, error) { return indexIDOf(rec.Payload) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -239,4 +241,132 @@ func TestKVLWorkloadCorrectness(t *testing.T) {
 	if len(got) != 150+10 {
 		t.Fatalf("index holds %d keys, want 160", len(got))
 	}
+}
+
+// TestLadderFallbackEveryProtocol drives every caller of the §2.2 ladder
+// (txn.Tx.LockLatched) down its fallback under every protocol: a holder owns
+// the name one of the operation's conditional requests will hit, so the
+// operation must drop its latches and queue, finish once the holder commits,
+// and — the denied request having been waited for unconditionally — hold
+// that name afterwards even where Figure 2 asks for it only instantly. A
+// cursor-stability fetch alone gives it back.
+func TestLadderFallbackEveryProtocol(t *testing.T) {
+	k50, k60 := key(50), key(60)
+	dup := storage.Key{Val: k50.Val, RID: storage.RID{Page: 5000, Slot: 1}}
+	next := func(ix *Index) lock.Name { return ix.keyLockName(k60) }
+	cur := func(ix *Index) lock.Name { return ix.keyLockName(k50) }
+	// The request of DELETE's row that index-specific locking and System R
+	// make instant is the deleted key's own; the others have only the next
+	// key's, for commit.
+	delName := func(ix *Index) lock.Name {
+		if p := ix.Protocol(); p == IndexSpecific || p == SystemR {
+			return ix.kvName(k50.Val)
+		}
+		return next(ix)
+	}
+	for _, op := range []struct {
+		name    string
+		unique  bool
+		blocker func(*Index) lock.Name // what the holder owns
+		run     func(*Index, *txn.Tx) error
+		wantErr error
+		giveUp  bool // the operation releases the lock itself
+	}{
+		{name: "fetch", blocker: cur, run: func(ix *Index, tx *txn.Tx) error {
+			res, _, err := ix.Fetch(tx, k50.Val, EQ)
+			if err == nil && !res.Found {
+				err = errors.New("key not found")
+			}
+			return err
+		}},
+		{name: "fetch-cs", blocker: cur, giveUp: true, run: func(ix *Index, tx *txn.Tx) error {
+			res, err := ix.FetchCS(tx, k50.Val, EQ)
+			if err == nil && !res.Found {
+				err = errors.New("key not found")
+			}
+			return err
+		}},
+		// The next-key request is instant under every protocol.
+		{name: "insert", blocker: next, run: func(ix *Index, tx *txn.Tx) error { return ix.Insert(tx, key(55)) }},
+		{name: "delete", blocker: delName, run: func(ix *Index, tx *txn.Tx) error { return ix.Delete(tx, k50) }},
+		{name: "unique-insert", unique: true, blocker: cur, wantErr: ErrDuplicate,
+			run: func(ix *Index, tx *txn.Tx) error { return ix.Insert(tx, dup) }},
+	} {
+		for _, proto := range []Protocol{DataOnly, IndexSpecific, KVL, SystemR} {
+			t.Run(op.name+"/"+proto.String(), func(t *testing.T) {
+				e := newEnv(t, 512, 64)
+				ix := e.createIndex(Config{ID: 1, Protocol: proto, Unique: op.unique})
+				setup := e.tm.Begin()
+				for i := 0; i < 10; i++ {
+					e.mustInsert(setup, ix, key(i*10))
+				}
+				e.commit(setup)
+
+				name := op.blocker(ix)
+				holder := e.tm.Begin()
+				if err := holder.Lock(name, lock.X, lock.Commit, false); err != nil {
+					t.Fatal(err)
+				}
+				tx := e.tm.Begin()
+				waits := e.stats.LockWaits.Load()
+				done := make(chan error, 1)
+				go func() { done <- op.run(ix, tx) }()
+				for e.stats.LockWaits.Load() == waits {
+					select {
+					case err := <-done:
+						t.Fatalf("finished without queueing behind the holder of %v: %v", name, err)
+					default:
+						runtime.Gosched()
+					}
+				}
+				e.commit(holder)
+				if err := <-done; !errors.Is(err, op.wantErr) {
+					t.Fatalf("after the holder committed: %v, want %v", err, op.wantErr)
+				}
+				held := false
+				for _, h := range e.locks.LocksOf(lock.Owner(tx.ID)) {
+					held = held || h.Name == name
+				}
+				if held == op.giveUp {
+					t.Fatalf("holds %v afterwards: %v (locks %v)", name, held, e.locks.LocksOf(lock.Owner(tx.ID)))
+				}
+				e.commit(tx)
+				e.checkTree(ix)
+			})
+		}
+	}
+}
+
+// TestDataOnlyAllocations pins what one data-only Fetch, Insert and Delete
+// allocate on a resident tree, so that the lock table and the ladder in
+// protocol.go stay on the stack.
+func TestDataOnlyAllocations(t *testing.T) {
+	e := newEnv(t, 16384, 64)
+	ix := e.createIndex(Config{ID: 1})
+	setup := e.tm.Begin()
+	for i := 0; i < 100; i++ {
+		e.mustInsert(setup, ix, key(i*10))
+	}
+	e.commit(setup)
+	var tx *txn.Tx
+	read := func(name string, limit float64, op func()) {
+		tx = e.tm.Begin()
+		n := testing.AllocsPerRun(200, op)
+		e.commit(tx)
+		t.Logf("%s: %.1f allocations", name, n)
+		if n > limit {
+			t.Errorf("%s allocates %.1f times, limit %.0f", name, n, limit)
+		}
+	}
+	read("fetch", 4, func() {
+		if res, _, err := ix.Fetch(tx, key(500).Val, EQ); err != nil || !res.Found {
+			t.Fatalf("fetch: %+v %v", res, err)
+		}
+	})
+	// Every run takes a new key, and the deletes take them back, so no run
+	// meets a duplicate, a missing key or (on a 16 KiB page) a split.
+	n := 0
+	read("insert", 9, func() { n++; e.mustInsert(tx, ix, key(10*n+5)) })
+	n = 0
+	read("delete", 13, func() { n++; e.mustDelete(tx, ix, key(10*n+5)) })
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"ariesim/internal/latch"
@@ -115,31 +114,24 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 	}
 	f.Latch.Acquire(latch.X)
 	if f.Page.Type() == storage.PageTypeIndex && f.Page.IsLeaf() {
-		pos, perr := leafLowerBound(f.Page, key)
+		pos, present, perr := leafFind(f.Page, key)
 		if perr != nil {
 			ix.unfixLatched(f, latch.X)
 			return perr
 		}
-		if pos < f.Page.NSlots() {
-			k, kerr := leafKeyAt(f.Page, pos)
-			if kerr != nil {
-				ix.unfixLatched(f, latch.X)
-				return kerr
+		if present && (f.Page.NSlots() > 1 || rec.Page == ix.root) {
+			if ix.stats != nil {
+				ix.stats.UndoPageOriented.Add(1)
 			}
-			if k.Compare(key) == 0 && (f.Page.NSlots() > 1 || rec.Page == ix.root) {
-				if ix.stats != nil {
-					ix.stats.UndoPageOriented.Add(1)
-				}
-				flags := f.Page.Flags()
-				cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos),
-					PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
-				ix.applyCLR(tx, f, wal.OpIdxDeleteKey, cpl.encode(), rec.PrevLSN, func() error {
-					_, derr := f.Page.DeleteCellAt(pos)
-					return derr
-				})
-				ix.unfixLatched(f, latch.X)
-				return nil
-			}
+			flags := f.Page.Flags()
+			cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos),
+				PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
+			ix.applyCLR(tx, f, wal.OpIdxDeleteKey, cpl.encode(), rec.PrevLSN, func() error {
+				_, derr := f.Page.DeleteCellAt(pos)
+				return derr
+			})
+			ix.unfixLatched(f, latch.X)
+			return nil
 		}
 	}
 	ix.unfixLatched(f, latch.X)
@@ -160,21 +152,12 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 		if !done {
 			continue
 		}
-		pos, err := leafLowerBound(leaf.Page, key)
+		pos, present, err := leafFind(leaf.Page, key)
+		if err == nil && !present {
+			err = fmt.Errorf("core: undo-insert cannot find key %s", key)
+		}
 		if err != nil {
 			ix.unfixLatched(leaf, latch.X)
-			return err
-		}
-		if pos >= leaf.Page.NSlots() {
-			ix.unfixLatched(leaf, latch.X)
-			return fmt.Errorf("core: undo-insert cannot find key %s", key)
-		}
-		k, err := leafKeyAt(leaf.Page, pos)
-		if err != nil || k.Compare(key) != 0 {
-			ix.unfixLatched(leaf, latch.X)
-			if err == nil {
-				err = fmt.Errorf("core: undo-insert cannot find key %s", key)
-			}
 			return err
 		}
 		if leaf.Page.NSlots() == 1 && leaf.ID() != ix.root {
@@ -183,10 +166,7 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 			leafID := leaf.ID()
 			ix.unfixLatched(leaf, latch.X)
 			finished, err := ix.deleteEmptyingLeaf(tx, leafID, key, rec)
-			if err != nil {
-				if errors.Is(err, errSMOConflict) {
-					continue
-				}
+			if err := ix.retryAfterSMO(tx, err); err != nil {
 				return err
 			}
 			if finished {
@@ -270,23 +250,18 @@ func (ix *Index) undoDelete(tx *txn.Tx, rec *wal.Record) error {
 			// records inside an NTA, then retry the reinsertion.
 			leafID := leaf.ID()
 			ix.unfixLatched(leaf, latch.X)
-			if err := ix.SplitForInsert(tx, leafID, len(pl.Cell)); err != nil {
-				if !errors.Is(err, errSMOConflict) {
-					return err
-				}
+			if err := ix.retryAfterSMO(tx, ix.SplitForInsert(tx, leafID, len(pl.Cell))); err != nil {
+				return err
 			}
 			continue
 		}
-		pos, err := leafLowerBound(leaf.Page, key)
+		pos, present, err := leafFind(leaf.Page, key)
+		if err == nil && present {
+			err = fmt.Errorf("core: undo-delete found key %s already present", key)
+		}
 		if err != nil {
 			ix.unfixLatched(leaf, latch.X)
 			return err
-		}
-		if pos < leaf.Page.NSlots() {
-			if k, kerr := leafKeyAt(leaf.Page, pos); kerr == nil && k.Compare(key) == 0 {
-				ix.unfixLatched(leaf, latch.X)
-				return fmt.Errorf("core: undo-delete found key %s already present", key)
-			}
 		}
 		flags := leaf.Page.Flags()
 		cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: flags, PostFlags: flags, Cell: pl.Cell}

@@ -191,19 +191,9 @@ func (ix *Index) LeafOf(key storage.Key) (storage.PageID, bool, error) {
 			return 0, false, err
 		}
 		if f.Page.IsLeaf() {
-			pos, err := leafLowerBound(f.Page, key)
-			if err != nil {
-				ix.unfixLatched(f, latch.S)
-				return 0, false, err
-			}
-			present := false
-			if pos < f.Page.NSlots() {
-				if k, kerr := leafKeyAt(f.Page, pos); kerr == nil && k.Compare(key) == 0 {
-					present = true
-				}
-			}
+			_, present, err := leafFind(f.Page, key)
 			ix.unfixLatched(f, latch.S)
-			return pid, present, nil
+			return pid, present, err
 		}
 		child, _, err := nodeChildFor(f.Page, key)
 		ix.unfixLatched(f, latch.S)

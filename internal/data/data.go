@@ -246,16 +246,14 @@ func (t *Table) tryInsertOn(tx *txn.Tx, pid storage.PageID, rec, cell []byte) (_
 		}
 		slot := t.freeSlot(f.Page)
 		rid := storage.RID{Page: pid, Slot: slot}
-		name := t.m.LockName(rid)
-		// Lock the new record conditionally while holding the latch; on
-		// denial (a rare reused slot whose old lock lingers), fall back to
-		// the unconditional protocol: unlatch, wait, revalidate.
-		if err := tx.Lock(name, lock.X, lock.Commit, true); err != nil {
-			t.unlatch(f)
-			if err := tx.Lock(name, lock.X, lock.Commit, false); err != nil {
-				return storage.RID{}, 0, false, err
-			}
-			// Revalidate from scratch; the page may have changed shape.
+		// Lock the new record under the latch; if that had to be waited for
+		// (a rare reused slot whose old lock lingers), revalidate from
+		// scratch: the page may have changed shape.
+		waited, err := tx.LockLatched(t.m.LockName(rid), lock.X, lock.Commit, func() { t.unlatch(f) })
+		if err != nil {
+			return storage.RID{}, 0, false, err
+		}
+		if waited {
 			continue
 		}
 		lsn := tx.LogUpdate(pid, wal.OpDataInsert, insertPayload{Slot: slot, Record: rec}.encode(), false)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ariesim/internal/buffer"
@@ -339,6 +340,62 @@ func TestGhostOfUncommittedDeleteNotPurged(t *testing.T) {
 		t.Fatalf("undone delete lost its record: %v", err)
 	}
 	_ = check.Commit()
+}
+
+// TestInsertWaitsOutLingeringSlotLock takes Insert down the fallback of the
+// §2.2 ladder: someone still holds the lock of the slot the insert picks, so
+// the insert must unlatch the page, queue, and finish — on a revalidated
+// page, holding the lock — once the holder ends.
+func TestInsertWaitsOutLingeringSlotLock(t *testing.T) {
+	e := newEnv(t, 512, lock.GranRecord)
+	tbl := e.createTable(t)
+	setup := e.mgr.Begin()
+	first, err := tbl.Insert(setup, []byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = setup.Commit()
+
+	slot := storage.RID{Page: first.Page, Slot: first.Slot + 1} // the next insert's
+	holder := e.mgr.Begin()
+	if err := holder.Lock(e.dm.LockName(slot), lock.X, lock.Commit, false); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.mgr.Begin()
+	waits := e.stats.LockWaits.Load()
+	type result struct {
+		rid storage.RID
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rid, err := tbl.Insert(tx, []byte("second"))
+		done <- result{rid, err}
+	}()
+	for e.stats.LockWaits.Load() == waits {
+		select {
+		case r := <-done:
+			t.Fatalf("insert did not queue behind the slot's lock: %+v", r)
+		default:
+			runtime.Gosched()
+		}
+	}
+	// The page is unlatched while the insert waits: a reader gets its latch.
+	if got, err := tbl.Fetch(holder, first, false); err != nil || string(got) != "first" {
+		t.Fatalf("Fetch beside the waiter = %q, %v", got, err)
+	}
+	_ = holder.Commit()
+	r := <-done
+	if r.err != nil || r.rid != slot {
+		t.Fatalf("insert after the holder ended: %+v, want slot %v", r, slot)
+	}
+	if !e.locks.HoldsAtLeast(lock.Owner(tx.ID), e.dm.LockName(slot), lock.X) {
+		t.Fatal("inserted record not X-locked")
+	}
+	if got, err := tbl.Fetch(tx, slot, false); err != nil || string(got) != "second" {
+		t.Fatalf("Fetch = %q, %v", got, err)
+	}
+	_ = tx.Commit()
 }
 
 func TestPageGranularityLocking(t *testing.T) {

@@ -71,14 +71,14 @@ type Options struct {
 	// still queued after it fails with lock.ErrLockTimeout. Zero keeps
 	// waits unbounded (deadlock detection alone resolves cycles).
 	LockWaitTimeout time.Duration
-	// LogForceDelay simulates the latency of one physical log flush.
-	// Zero (the default) keeps forces instantaneous, preserving historical
-	// behavior; a realistic value (50–500µs) makes group commit measurable.
+	// LogForceDelay simulates the latency of one physical log flush. Zero
+	// (the default) keeps forces instantaneous; a realistic value
+	// (50–500µs) makes group commit measurable.
 	LogForceDelay time.Duration
 	// CleanerInterval enables the background page cleaner, which flushes
 	// dirty frames ahead of the clock hand every interval so foreground
 	// evictions find clean victims and checkpoint DPTs stay small. Zero
-	// (the default) disables it, preserving historical behavior.
+	// (the default) disables it.
 	CleanerInterval time.Duration
 	// RedoWorkers sets the redo parallelism of restart (and, on a replica,
 	// of standby apply): the pages to redo are split across N workers by
@@ -675,7 +675,7 @@ func (t *Table) Insert(tx *txn.Tx, key, value []byte) error {
 // (including the baselines) "the record manager would have to do that
 // locking also" (§2.1).
 func (t *Table) recordLockNeeded() bool {
-	return t.db.opts.Protocol != core.DataOnly
+	return !t.db.opts.Protocol.KeyLockIsRecordLock()
 }
 
 // fetchRow is the single locked read-path call site: every repeatable-read
@@ -1031,7 +1031,7 @@ func (d *DB) Restart() (*recovery.Report, error) {
 	if err := d.reopenLocked(); err != nil {
 		return nil, err
 	}
-	if d.opts.OnlineRestart && d.opts.Protocol == core.DataOnly {
+	if d.opts.OnlineRestart && d.opts.Protocol.KeyLockIsRecordLock() {
 		o, err := recovery.StartOnline(d.log, d.pool, d.tm, d.locks, d.stats,
 			recovery.OnlineOpts{
 				RestartOpts: d.restartOptsLocked(0),

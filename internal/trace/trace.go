@@ -287,6 +287,100 @@ type Snapshot struct {
 	ReadOnlyLockCalls                                         uint64
 }
 
+// counter ties one live scalar counter to its field in a Snapshot. A gauge is
+// a high-water mark, not a count: subtracting two readings of it is
+// meaningless, so a Diff carries the "after" reading.
+type counter struct {
+	live  *atomic.Uint64
+	snap  *uint64
+	gauge bool
+}
+
+// counters is the one list of the scalar counters, as pairs of (field of s,
+// field of n), in Stats' order. Snap and Diff walk it; a counter added to
+// Stats and Snapshot is added here, and TestSnapshotDiff fails until it is.
+func counters(s *Stats, n *Snapshot) []counter {
+	return []counter{
+		{&s.LockWaits, &n.LockWaits, false},
+		{&s.LockDenials, &n.LockDenials, false},
+		{&s.Deadlocks, &n.Deadlocks, false},
+		{&s.DeadlockVictims, &n.DeadlockVictims, false},
+		{&s.VictimsOther, &n.VictimsOther, false},
+		{&s.LockTimeouts, &n.LockTimeouts, false},
+		{&s.SavepointLockReleases, &n.SavepointLockReleases, false},
+		{&s.TxnRetries, &n.TxnRetries, false},
+		{&s.TxnDeadlockRetries, &n.TxnDeadlockRetries, false},
+		{&s.TxnTimeoutRetries, &n.TxnTimeoutRetries, false},
+		{&s.TxnCrashWaits, &n.TxnCrashWaits, false},
+		{&s.TxnStepRetries, &n.TxnStepRetries, false},
+		{&s.TxnRetrySuccesses, &n.TxnRetrySuccesses, false},
+		{&s.TxnRecoveringRetries, &n.TxnRecoveringRetries, false},
+		{&s.LatchAcquires, &n.LatchAcquires, false},
+		{&s.LatchWaits, &n.LatchWaits, false},
+		{&s.LatchTryFailures, &n.LatchTryFailures, false},
+		{&s.TreeLatchAcquires, &n.TreeLatchAcquires, false},
+		{&s.TreeLatchWaits, &n.TreeLatchWaits, false},
+		{&s.PageFixes, &n.PageFixes, false},
+		{&s.PageMisses, &n.PageMisses, false},
+		{&s.PageWrites, &n.PageWrites, false},
+		{&s.PageEvicted, &n.PageEvicted, false},
+		{&s.EvictionsDirty, &n.EvictionsDirty, false},
+		{&s.EvictionStalls, &n.EvictionStalls, false},
+		{&s.FixParks, &n.FixParks, false},
+		{&s.CleanerPasses, &n.CleanerPasses, false},
+		{&s.CleanerWrites, &n.CleanerWrites, false},
+		{&s.PagesPrefetched, &n.PagesPrefetched, false},
+		{&s.LogRecords, &n.LogRecords, false},
+		{&s.LogBytes, &n.LogBytes, false},
+		{&s.LogForces, &n.LogForces, false},
+		{&s.ForceWaiters, &n.ForceWaiters, false},
+		{&s.GroupCommits, &n.GroupCommits, false},
+		{&s.AppendReservations, &n.AppendReservations, false},
+		{&s.WatermarkStalls, &n.WatermarkStalls, false},
+		{&s.IORetries, &n.IORetries, false},
+		{&s.CorruptPages, &n.CorruptPages, false},
+		{&s.MediaRecoveries, &n.MediaRecoveries, false},
+		{&s.TornTailTruncations, &n.TornTailTruncations, false},
+		{&s.Traversals, &n.Traversals, false},
+		{&s.LeafReposition, &n.LeafReposition, false},
+		{&s.SMOs, &n.SMOs, false},
+		{&s.PageSplits, &n.PageSplits, false},
+		{&s.PageDeletes, &n.PageDeletes, false},
+		{&s.UndoPageOriented, &n.UndoPageOriented, false},
+		{&s.UndoLogical, &n.UndoLogical, false},
+		{&s.RedoApplied, &n.RedoApplied, false},
+		{&s.RedoSkipped, &n.RedoSkipped, false},
+		{&s.RedoRecordsScanned, &n.RedoRecordsScanned, false},
+		{&s.OnlineRestarts, &n.OnlineRestarts, false},
+		{&s.LocksReinstated, &n.LocksReinstated, false},
+		{&s.PagesRedoneOnDemand, &n.PagesRedoneOnDemand, false},
+		{&s.PagesRedoneByDrain, &n.PagesRedoneByDrain, false},
+		{&s.CheckpointsSkippedRecovering, &n.CheckpointsSkippedRecovering, false},
+		{&s.SegmentsShipped, &n.SegmentsShipped, false},
+		{&s.SegmentsResent, &n.SegmentsResent, false},
+		{&s.SegmentsApplied, &n.SegmentsApplied, false},
+		{&s.SegmentsRejected, &n.SegmentsRejected, false},
+		{&s.ReplNaks, &n.ReplNaks, false},
+		{&s.ReplReseeds, &n.ReplReseeds, false},
+		{&s.ReplCommitsAcked, &n.ReplCommitsAcked, false},
+		{&s.Promotions, &n.Promotions, false},
+		{&s.AmbiguityRestarts, &n.AmbiguityRestarts, false},
+		{&s.SMBitWaits, &n.SMBitWaits, false},
+		{&s.DeleteBitPOSCs, &n.DeleteBitPOSCs, false},
+		{&s.SnapshotBegins, &n.SnapshotBegins, false},
+		{&s.SnapshotReads, &n.SnapshotReads, false},
+		{&s.SnapshotChainHits, &n.SnapshotChainHits, false},
+		{&s.SnapshotTooOld, &n.SnapshotTooOld, false},
+		{&s.VersionsPushed, &n.VersionsPushed, false},
+		{&s.VersionsPruned, &n.VersionsPruned, false},
+		{&s.ChainsCreated, &n.ChainsCreated, false},
+		{&s.ChainsRemoved, &n.ChainsRemoved, false},
+		{&s.ChainsScanned, &n.ChainsScanned, false},
+		{&s.VersionChainPeak, &n.VersionChainPeak, true}, // max versions ever held by one chain
+		{&s.ReadOnlyLockCalls, &n.ReadOnlyLockCalls, false},
+	}
+}
+
 // Snap copies the current counter values.
 func (s *Stats) Snap() Snapshot {
 	var out Snapshot
@@ -300,175 +394,32 @@ func (s *Stats) Snap() Snapshot {
 			}
 		}
 	}
-	out.LockWaits = s.LockWaits.Load()
-	out.LockDenials = s.LockDenials.Load()
-	out.Deadlocks = s.Deadlocks.Load()
-	out.DeadlockVictims = s.DeadlockVictims.Load()
-	out.VictimsOther = s.VictimsOther.Load()
-	out.LockTimeouts = s.LockTimeouts.Load()
-	out.SavepointLockReleases = s.SavepointLockReleases.Load()
-	out.TxnRetries = s.TxnRetries.Load()
-	out.TxnDeadlockRetries = s.TxnDeadlockRetries.Load()
-	out.TxnTimeoutRetries = s.TxnTimeoutRetries.Load()
-	out.TxnCrashWaits = s.TxnCrashWaits.Load()
-	out.TxnStepRetries = s.TxnStepRetries.Load()
-	out.TxnRetrySuccesses = s.TxnRetrySuccesses.Load()
-	out.TxnRecoveringRetries = s.TxnRecoveringRetries.Load()
-	out.LatchAcquires = s.LatchAcquires.Load()
-	out.LatchWaits = s.LatchWaits.Load()
-	out.LatchTryFailures = s.LatchTryFailures.Load()
-	out.TreeLatchAcquires = s.TreeLatchAcquires.Load()
-	out.TreeLatchWaits = s.TreeLatchWaits.Load()
-	out.PageFixes = s.PageFixes.Load()
-	out.PageMisses = s.PageMisses.Load()
-	out.PageWrites = s.PageWrites.Load()
-	out.PageEvicted = s.PageEvicted.Load()
-	out.EvictionsDirty = s.EvictionsDirty.Load()
-	out.EvictionStalls = s.EvictionStalls.Load()
-	out.FixParks = s.FixParks.Load()
-	out.CleanerPasses = s.CleanerPasses.Load()
-	out.CleanerWrites = s.CleanerWrites.Load()
-	out.PagesPrefetched = s.PagesPrefetched.Load()
-	out.LogRecords = s.LogRecords.Load()
-	out.LogBytes = s.LogBytes.Load()
-	out.LogForces = s.LogForces.Load()
-	out.ForceWaiters = s.ForceWaiters.Load()
-	out.GroupCommits = s.GroupCommits.Load()
-	out.AppendReservations = s.AppendReservations.Load()
-	out.WatermarkStalls = s.WatermarkStalls.Load()
-	out.IORetries = s.IORetries.Load()
-	out.CorruptPages = s.CorruptPages.Load()
-	out.MediaRecoveries = s.MediaRecoveries.Load()
-	out.TornTailTruncations = s.TornTailTruncations.Load()
-	out.Traversals = s.Traversals.Load()
-	out.LeafReposition = s.LeafReposition.Load()
-	out.SMOs = s.SMOs.Load()
-	out.PageSplits = s.PageSplits.Load()
-	out.PageDeletes = s.PageDeletes.Load()
-	out.UndoPageOriented = s.UndoPageOriented.Load()
-	out.UndoLogical = s.UndoLogical.Load()
-	out.RedoApplied = s.RedoApplied.Load()
-	out.RedoSkipped = s.RedoSkipped.Load()
-	out.RedoRecordsScanned = s.RedoRecordsScanned.Load()
-	out.OnlineRestarts = s.OnlineRestarts.Load()
-	out.LocksReinstated = s.LocksReinstated.Load()
-	out.PagesRedoneOnDemand = s.PagesRedoneOnDemand.Load()
-	out.PagesRedoneByDrain = s.PagesRedoneByDrain.Load()
-	out.CheckpointsSkippedRecovering = s.CheckpointsSkippedRecovering.Load()
-	out.SegmentsShipped = s.SegmentsShipped.Load()
-	out.SegmentsResent = s.SegmentsResent.Load()
-	out.SegmentsApplied = s.SegmentsApplied.Load()
-	out.SegmentsRejected = s.SegmentsRejected.Load()
-	out.ReplNaks = s.ReplNaks.Load()
-	out.ReplReseeds = s.ReplReseeds.Load()
-	out.ReplCommitsAcked = s.ReplCommitsAcked.Load()
-	out.Promotions = s.Promotions.Load()
-	out.AmbiguityRestarts = s.AmbiguityRestarts.Load()
-	out.SMBitWaits = s.SMBitWaits.Load()
-	out.DeleteBitPOSCs = s.DeleteBitPOSCs.Load()
-	out.SnapshotBegins = s.SnapshotBegins.Load()
-	out.SnapshotReads = s.SnapshotReads.Load()
-	out.SnapshotChainHits = s.SnapshotChainHits.Load()
-	out.SnapshotTooOld = s.SnapshotTooOld.Load()
-	out.VersionsPushed = s.VersionsPushed.Load()
-	out.VersionsPruned = s.VersionsPruned.Load()
-	out.ChainsCreated = s.ChainsCreated.Load()
-	out.ChainsRemoved = s.ChainsRemoved.Load()
-	out.ChainsScanned = s.ChainsScanned.Load()
-	out.VersionChainPeak = s.VersionChainPeak.Load()
-	out.ReadOnlyLockCalls = s.ReadOnlyLockCalls.Load()
+	for _, c := range counters(s, &out) {
+		*c.snap = c.live.Load()
+	}
 	return out
 }
 
-// Diff returns after - before, cell-wise.
+// idle is a Stats nobody counts into: Diff pairs snapshots with it to walk
+// their fields in the list's order.
+var idle Stats
+
+// Diff returns after - before, cell-wise (a gauge: after's reading).
 func Diff(before, after Snapshot) Snapshot {
-	var d Snapshot
+	d := after
 	for i := range d.LockCalls {
 		for j := range d.LockCalls[i] {
 			for k := range d.LockCalls[i][j] {
-				d.LockCalls[i][j][k] = after.LockCalls[i][j][k] - before.LockCalls[i][j][k]
+				d.LockCalls[i][j][k] -= before.LockCalls[i][j][k]
 			}
 		}
 	}
-	d.LockWaits = after.LockWaits - before.LockWaits
-	d.LockDenials = after.LockDenials - before.LockDenials
-	d.Deadlocks = after.Deadlocks - before.Deadlocks
-	d.DeadlockVictims = after.DeadlockVictims - before.DeadlockVictims
-	d.VictimsOther = after.VictimsOther - before.VictimsOther
-	d.LockTimeouts = after.LockTimeouts - before.LockTimeouts
-	d.SavepointLockReleases = after.SavepointLockReleases - before.SavepointLockReleases
-	d.TxnRetries = after.TxnRetries - before.TxnRetries
-	d.TxnDeadlockRetries = after.TxnDeadlockRetries - before.TxnDeadlockRetries
-	d.TxnTimeoutRetries = after.TxnTimeoutRetries - before.TxnTimeoutRetries
-	d.TxnCrashWaits = after.TxnCrashWaits - before.TxnCrashWaits
-	d.TxnStepRetries = after.TxnStepRetries - before.TxnStepRetries
-	d.TxnRetrySuccesses = after.TxnRetrySuccesses - before.TxnRetrySuccesses
-	d.TxnRecoveringRetries = after.TxnRecoveringRetries - before.TxnRecoveringRetries
-	d.LatchAcquires = after.LatchAcquires - before.LatchAcquires
-	d.LatchWaits = after.LatchWaits - before.LatchWaits
-	d.LatchTryFailures = after.LatchTryFailures - before.LatchTryFailures
-	d.TreeLatchAcquires = after.TreeLatchAcquires - before.TreeLatchAcquires
-	d.TreeLatchWaits = after.TreeLatchWaits - before.TreeLatchWaits
-	d.PageFixes = after.PageFixes - before.PageFixes
-	d.PageMisses = after.PageMisses - before.PageMisses
-	d.PageWrites = after.PageWrites - before.PageWrites
-	d.PageEvicted = after.PageEvicted - before.PageEvicted
-	d.EvictionsDirty = after.EvictionsDirty - before.EvictionsDirty
-	d.EvictionStalls = after.EvictionStalls - before.EvictionStalls
-	d.FixParks = after.FixParks - before.FixParks
-	d.CleanerPasses = after.CleanerPasses - before.CleanerPasses
-	d.CleanerWrites = after.CleanerWrites - before.CleanerWrites
-	d.PagesPrefetched = after.PagesPrefetched - before.PagesPrefetched
-	d.LogRecords = after.LogRecords - before.LogRecords
-	d.LogBytes = after.LogBytes - before.LogBytes
-	d.LogForces = after.LogForces - before.LogForces
-	d.ForceWaiters = after.ForceWaiters - before.ForceWaiters
-	d.GroupCommits = after.GroupCommits - before.GroupCommits
-	d.AppendReservations = after.AppendReservations - before.AppendReservations
-	d.WatermarkStalls = after.WatermarkStalls - before.WatermarkStalls
-	d.IORetries = after.IORetries - before.IORetries
-	d.CorruptPages = after.CorruptPages - before.CorruptPages
-	d.MediaRecoveries = after.MediaRecoveries - before.MediaRecoveries
-	d.TornTailTruncations = after.TornTailTruncations - before.TornTailTruncations
-	d.Traversals = after.Traversals - before.Traversals
-	d.LeafReposition = after.LeafReposition - before.LeafReposition
-	d.SMOs = after.SMOs - before.SMOs
-	d.PageSplits = after.PageSplits - before.PageSplits
-	d.PageDeletes = after.PageDeletes - before.PageDeletes
-	d.UndoPageOriented = after.UndoPageOriented - before.UndoPageOriented
-	d.UndoLogical = after.UndoLogical - before.UndoLogical
-	d.RedoApplied = after.RedoApplied - before.RedoApplied
-	d.RedoSkipped = after.RedoSkipped - before.RedoSkipped
-	d.RedoRecordsScanned = after.RedoRecordsScanned - before.RedoRecordsScanned
-	d.OnlineRestarts = after.OnlineRestarts - before.OnlineRestarts
-	d.LocksReinstated = after.LocksReinstated - before.LocksReinstated
-	d.PagesRedoneOnDemand = after.PagesRedoneOnDemand - before.PagesRedoneOnDemand
-	d.PagesRedoneByDrain = after.PagesRedoneByDrain - before.PagesRedoneByDrain
-	d.CheckpointsSkippedRecovering = after.CheckpointsSkippedRecovering - before.CheckpointsSkippedRecovering
-	d.SegmentsShipped = after.SegmentsShipped - before.SegmentsShipped
-	d.SegmentsResent = after.SegmentsResent - before.SegmentsResent
-	d.SegmentsApplied = after.SegmentsApplied - before.SegmentsApplied
-	d.SegmentsRejected = after.SegmentsRejected - before.SegmentsRejected
-	d.ReplNaks = after.ReplNaks - before.ReplNaks
-	d.ReplReseeds = after.ReplReseeds - before.ReplReseeds
-	d.ReplCommitsAcked = after.ReplCommitsAcked - before.ReplCommitsAcked
-	d.Promotions = after.Promotions - before.Promotions
-	d.AmbiguityRestarts = after.AmbiguityRestarts - before.AmbiguityRestarts
-	d.SMBitWaits = after.SMBitWaits - before.SMBitWaits
-	d.DeleteBitPOSCs = after.DeleteBitPOSCs - before.DeleteBitPOSCs
-	d.SnapshotBegins = after.SnapshotBegins - before.SnapshotBegins
-	d.SnapshotReads = after.SnapshotReads - before.SnapshotReads
-	d.SnapshotChainHits = after.SnapshotChainHits - before.SnapshotChainHits
-	d.SnapshotTooOld = after.SnapshotTooOld - before.SnapshotTooOld
-	d.VersionsPushed = after.VersionsPushed - before.VersionsPushed
-	d.VersionsPruned = after.VersionsPruned - before.VersionsPruned
-	d.ChainsCreated = after.ChainsCreated - before.ChainsCreated
-	d.ChainsRemoved = after.ChainsRemoved - before.ChainsRemoved
-	d.ChainsScanned = after.ChainsScanned - before.ChainsScanned
-	// VersionChainPeak is an epoch-global high-water gauge; subtracting
-	// snapshots is meaningless, so a diff carries the "after" reading.
-	d.VersionChainPeak = after.VersionChainPeak
-	d.ReadOnlyLockCalls = after.ReadOnlyLockCalls - before.ReadOnlyLockCalls
+	was := counters(&idle, &before)
+	for i, c := range counters(&idle, &d) {
+		if !c.gauge {
+			*c.snap -= *was[i].snap
+		}
+	}
 	return d
 }
 

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -26,23 +28,57 @@ func TestLockTableClamping(t *testing.T) {
 	}
 }
 
+// TestSnapshotDiff sets every scalar counter of Stats — found by reflection,
+// so one added to the struct and forgotten in the counters list fails here —
+// to a value of its own and requires Snap and Diff to report each in the
+// Snapshot field of the same name.
 func TestSnapshotDiff(t *testing.T) {
 	s := &Stats{}
 	s.CountLock(1, 3, 2)
-	s.Traversals.Add(5)
+	scalars := func(add uint64) map[string]uint64 {
+		set := map[string]uint64{}
+		v := reflect.ValueOf(s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				if c, ok := v.Field(i).Addr().Interface().(*atomic.Uint64); ok {
+					set[f.Name] = c.Add(add + uint64(i))
+				}
+			}
+		}
+		return set
+	}
+	first := scalars(100)
 	before := s.Snap()
 	s.CountLock(1, 3, 2)
 	s.CountLock(2, 5, 0)
-	s.Traversals.Add(2)
-	d := Diff(before, s.Snap())
-	if d.LockCalls[1][3][2] != 1 || d.LockCalls[2][5][0] != 1 {
-		t.Fatalf("diff cells wrong: %+v", d.LockCalls[1][3][2])
+	second := scalars(1000)
+	after := s.Snap()
+	d := Diff(before, after)
+
+	if len(first) < 70 {
+		t.Fatalf("reflection found only %d counters", len(first))
 	}
-	if d.Traversals != 2 {
-		t.Fatalf("diff traversals = %d", d.Traversals)
+	for name := range first {
+		field := func(sn Snapshot) uint64 {
+			f := reflect.ValueOf(sn).FieldByName(name)
+			if !f.IsValid() {
+				t.Fatalf("Snapshot has no field %s", name)
+			}
+			return f.Uint()
+		}
+		if field(before) != first[name] || field(after) != second[name] {
+			t.Errorf("%s: Snap read %d then %d, want %d then %d", name, field(before), field(after), first[name], second[name])
+		}
+		want := second[name] - first[name]
+		if name == "VersionChainPeak" {
+			want = second[name] // a gauge: the diff carries the later reading
+		}
+		if field(d) != want {
+			t.Errorf("%s: Diff = %d, want %d", name, field(d), want)
+		}
 	}
-	if d.TotalLocks() != 2 {
-		t.Fatalf("diff total = %d", d.TotalLocks())
+	if d.LockCalls[1][3][2] != 1 || d.LockCalls[2][5][0] != 1 || d.TotalLocks() != 2 {
+		t.Fatalf("diff cells wrong: %d %d, total %d", d.LockCalls[1][3][2], d.LockCalls[2][5][0], d.TotalLocks())
 	}
 }
 

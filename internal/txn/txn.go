@@ -306,6 +306,27 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode, dur lock.Duration, conditional
 	return t.mgr.locks.Request(lock.Owner(t.ID), name, mode, dur, conditional)
 }
 
+// LockLatched is the rule for taking a lock while holding latches (paper
+// §2.2): request it conditionally; if that is denied, release every latch
+// (unlatch), wait for the lock unconditionally, and report waited=true so
+// the caller revalidates whatever the latches were protecting. The wait
+// RETAINS an instant lock to commit: an instant grant would evaporate before
+// the caller's retry, whose conditional request could then lose the race
+// again, forever under sustained contention; held, it answers the retry's
+// request from the owner's own table if the name is still the one wanted, so
+// the retry converges. Conservative, never unsafe. err is the wait's outcome
+// (deadlock victim, timeout, shutdown); the latches are gone by then.
+func (t *Tx) LockLatched(name lock.Name, mode lock.Mode, dur lock.Duration, unlatch func()) (waited bool, err error) {
+	if t.Lock(name, mode, dur, true) == nil {
+		return false, nil
+	}
+	unlatch()
+	if dur == lock.Instant {
+		dur = lock.Commit
+	}
+	return true, t.Lock(name, mode, dur, false)
+}
+
 // Unlock releases one manual-duration lock.
 func (t *Tx) Unlock(name lock.Name) { t.mgr.locks.Release(lock.Owner(t.ID), name) }
 
@@ -338,11 +359,10 @@ func (t *Tx) appendPlain(rec *wal.Record) (wal.LSN, error) {
 
 // logForced is Log through wal.AppendForce: the record is durable when it
 // returns nil. Commit-scope records (commit, prepare) go through this so
-// their force takes the group-commit path — or, with group commit disabled,
-// the serial append-latch flush the benchmark baselines against. A non-nil
-// error (wal.ErrLogCrashed) means a crash landed during the flush: the
-// record's LSN was assigned but the record died with its epoch, and the
-// caller must not acknowledge whatever depended on it.
+// their force takes the group-commit path. A non-nil error
+// (wal.ErrLogCrashed) means a crash landed during the flush: the record's
+// LSN was assigned but the record died with its epoch, and the caller must
+// not acknowledge whatever depended on it.
 func (t *Tx) logForced(rec *wal.Record) (wal.LSN, error) {
 	return t.logVia(t.mgr.log.AppendForce, rec)
 }

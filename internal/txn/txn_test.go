@@ -2,12 +2,14 @@ package txn
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/lock"
 	"ariesim/internal/storage"
+	"ariesim/internal/trace"
 	"ariesim/internal/wal"
 )
 
@@ -481,4 +483,73 @@ func (u *smoDuringUndoUndoer) Undo(tx *Tx, rec *wal.Record) error {
 	}
 	tx.LogCLR(rec.Page, rec.Op, rec.Payload, rec.PrevLSN)
 	return nil
+}
+
+// TestLockLatched walks the §2.2 ladder: a grantable lock is taken with the
+// latches kept; a denied one makes LockLatched unlatch — once, before it
+// waits — and wait, and keeps an instant lock it had to wait for until
+// commit; a failed wait comes back as the error, latches gone.
+func TestLockLatched(t *testing.T) {
+	stats := &trace.Stats{}
+	locks := lock.NewManager(stats)
+	m := NewManager(wal.NewLog(nil), locks)
+	name := lock.Name{Space: lock.SpaceRecord, A: 7, B: 1}
+	unlatched := 0
+	unlatch := func() { unlatched++ }
+	type result struct {
+		waited bool
+		err    error
+	}
+	done := make(chan result, 1)
+	// contend requests name for tx under "latches" and returns once the
+	// request is queued.
+	contend := func(tx *Tx, mode lock.Mode, dur lock.Duration) {
+		t.Helper()
+		waits := stats.LockWaits.Load()
+		go func() {
+			waited, err := tx.LockLatched(name, mode, dur, unlatch)
+			done <- result{waited, err}
+		}()
+		for stats.LockWaits.Load() == waits {
+			select {
+			case r := <-done:
+				t.Fatalf("did not queue: %+v", r)
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+
+	tx := m.Begin()
+	if waited, err := tx.LockLatched(name, lock.X, lock.Instant, unlatch); waited || err != nil || unlatched != 0 {
+		t.Fatalf("free lock: waited=%v err=%v unlatched=%d", waited, err, unlatched)
+	}
+	if tx.HoldsLock(name) {
+		t.Fatal("an instant lock granted at once was kept")
+	}
+
+	holder := m.Begin()
+	if err := holder.Lock(name, lock.S, lock.Commit, false); err != nil {
+		t.Fatal(err)
+	}
+	contend(tx, lock.X, lock.Instant)
+	if unlatched != 1 {
+		t.Fatalf("queued with the latches held (unlatched=%d)", unlatched)
+	}
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-done; !r.waited || r.err != nil || unlatched != 1 {
+		t.Fatalf("held lock: %+v unlatched=%d", r, unlatched)
+	}
+	if !locks.HoldsAtLeast(lock.Owner(tx.ID), name, lock.X) {
+		t.Fatal("the instant lock waited for was not retained")
+	}
+
+	// A wait that fails: the lock manager goes down under the waiter.
+	contend(m.Begin(), lock.S, lock.Commit)
+	locks.Shutdown()
+	if r := <-done; !r.waited || !errors.Is(r.err, lock.ErrShutdown) || unlatched != 2 {
+		t.Fatalf("failed wait: %+v unlatched=%d", r, unlatched)
+	}
 }
