@@ -55,6 +55,9 @@ test-2core:
 # and probe paths take) orders the owner's next read after that write — one
 # schedule may not show a violation. The two savepoint tests likewise, for
 # ReleaseSince popping the owner's list while contenders queue on its names.
+# The paper tables repeat 5 times: -table smo parks reader goroutines behind
+# an uncommitted split, so a race or a schedule-dependent count shows up as a
+# golden diff.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
@@ -64,6 +67,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestShardStress$$|TestConcurrentSameShardMix$$|TestCleanerConcurrentWithTraffic$$' ./internal/buffer
 	$(GO) test -race -count=20 ./internal/lock
 	$(GO) test -race -count=20 -run 'TestPartialRollbackToSavepoint$$|TestSavepointReleaseUnblocksContender$$' ./internal/txn
+	$(GO) test -race -count=5 ./cmd/ariesim-bench
 
 # Crash-torture smoke under injected disk faults, torn log tails, and
 # planted silent corruption: every fault class must be absorbed.

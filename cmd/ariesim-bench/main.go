@@ -1,9 +1,10 @@
-// Command ariesim-bench regenerates the paper's figures and tables as
-// printed reports (see DESIGN.md §3 for the experiment index):
+// Command ariesim-bench regenerates the paper's quantitative claims as
+// tables of counts — no timings, so every table is deterministic and
+// main_test.go holds each to testdata/<table>.golden (see DESIGN.md §3):
 //
 //	ariesim-bench -table fig2       # Figure 2: locking summary, observed
 //	ariesim-bench -table lockcounts # §1/§5: locks/op, IM vs KVL vs System R
-//	ariesim-bench -table smo        # §2.1: reader progress during SMOs
+//	ariesim-bench -table smo        # §2.1: readers beside an uncommitted split
 //	ariesim-bench -table recovery   # §3: restart passes, page-oriented redo
 //	ariesim-bench -table media      # §5: page-oriented media recovery
 //	ariesim-bench -table all
@@ -13,22 +14,21 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
+	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/core"
 	"ariesim/internal/db"
+	"ariesim/internal/latch"
 	"ariesim/internal/lock"
 	"ariesim/internal/recovery"
 	"ariesim/internal/storage"
 	"ariesim/internal/trace"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
-	"ariesim/internal/workload"
 )
 
 func main() {
@@ -46,7 +46,7 @@ var tables = []struct {
 }{
 	{"fig2", fig2},
 	{"lockcounts", lockCounts},
-	{"smo", smoConcurrency},
+	{"smo", smoReaders},
 	{"recovery", restartReport},
 	{"media", mediaRecovery},
 }
@@ -81,9 +81,9 @@ type engine struct {
 	im    *core.Manager
 }
 
-func newEngine() *engine {
+func newEngine(pageSize int) *engine {
 	e := &engine{stats: &trace.Stats{}}
-	disk := storage.NewDisk(4096)
+	disk := storage.NewDisk(pageSize)
 	e.log = wal.NewLog(e.stats)
 	e.pool = buffer.NewPool(disk, e.log, 256, e.stats)
 	e.locks = lock.NewManager(e.stats)
@@ -93,30 +93,41 @@ func newEngine() *engine {
 	return e
 }
 
+// keyVal formats key number i; the fixed width keeps byte order equal to
+// numeric order.
+func keyVal(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
+
 func key(i int) storage.Key {
-	return storage.Key{Val: workload.KeyFor(i), RID: storage.RID{Page: storage.PageID(1000 + i), Slot: 1}}
+	return storage.Key{Val: keyVal(i), RID: storage.RID{Page: storage.PageID(1000 + i), Slot: 1}}
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// primed returns a core-level engine whose index (ID 1) holds the committed
+// keys key(0), key(10), …, key(10·(n-1)).
+func primed(proto core.Protocol, pageSize, n int) (*engine, *core.Index) {
+	e := newEngine(pageSize)
+	tx := e.tm.Begin()
+	ix, err := e.im.CreateIndex(tx, core.Config{ID: 1, Protocol: proto})
+	must(err)
+	for i := 0; i < n; i++ {
+		must(ix.Insert(tx, key(i*10)))
+	}
+	must(tx.Commit())
+	return e, ix
 }
 
 // measure runs op once in a fresh transaction on a primed index and
 // returns the lock-call cells it added.
-func measure(proto core.Protocol, op func(*engine, *core.Index, *txn.Tx) error) ([]trace.LockCell, error) {
-	e := newEngine()
-	tx := e.tm.Begin()
-	ix, err := e.im.CreateIndex(tx, core.Config{ID: 1, Protocol: proto})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 20; i++ {
-		if err := ix.Insert(tx, key(i*10)); err != nil {
-			return nil, err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
+func measure(proto core.Protocol, op func(*core.Index, *txn.Tx) error) ([]trace.LockCell, error) {
+	e, ix := primed(proto, 4096, 20)
 	mtx := e.tm.Begin()
 	before := e.stats.Snap()
-	if err := op(e, ix, mtx); err != nil {
+	if err := op(ix, mtx); err != nil {
 		return nil, err
 	}
 	cells := trace.Diff(before, e.stats.Snap()).NonzeroLockCells()
@@ -131,20 +142,20 @@ func measure(proto core.Protocol, op func(*engine, *core.Index, *txn.Tx) error) 
 
 var singleOps = []struct {
 	name string
-	op   func(*engine, *core.Index, *txn.Tx) error
+	op   func(*core.Index, *txn.Tx) error
 }{
-	{"FETCH (found)", func(e *engine, ix *core.Index, tx *txn.Tx) error {
+	{"FETCH (found)", func(ix *core.Index, tx *txn.Tx) error {
 		_, _, err := ix.Fetch(tx, key(50).Val, core.EQ)
 		return err
 	}},
-	{"FETCH (not found)", func(e *engine, ix *core.Index, tx *txn.Tx) error {
+	{"FETCH (not found)", func(ix *core.Index, tx *txn.Tx) error {
 		_, _, err := ix.Fetch(tx, key(55).Val, core.EQ)
 		return err
 	}},
-	{"INSERT", func(e *engine, ix *core.Index, tx *txn.Tx) error {
+	{"INSERT", func(ix *core.Index, tx *txn.Tx) error {
 		return ix.Insert(tx, key(55))
 	}},
-	{"DELETE", func(e *engine, ix *core.Index, tx *txn.Tx) error {
+	{"DELETE", func(ix *core.Index, tx *txn.Tx) error {
 		return ix.Delete(tx, key(50))
 	}},
 }
@@ -198,180 +209,146 @@ func lockCounts(w io.Writer) {
 	fmt.Fprintln(w, "KVL adds key-value locks; System R adds key-value AND index page locks.")
 }
 
-// smoConcurrency quantifies §2.1: readers proceed during SMOs under
-// ARIES/IM; under System R they block on the splitter's page locks.
-func smoConcurrency(w io.Writer) {
-	fmt.Fprintln(w, "=== Reader progress while a writer splits pages (500ms window) ===")
-	fmt.Fprintf(w, "%-12s %14s %14s %12s\n", "protocol", "reader ops", "writer ops", "splits")
-	for _, proto := range []core.Protocol{core.DataOnly, core.SystemR} {
-		readers, writers, splits := runSMOWindow(proto, 500*time.Millisecond)
-		fmt.Fprintf(w, "%-12s %14d %14d %12d\n", proto, readers, writers, splits)
+// smoKeys is how many keys the smo table's index holds before the split.
+const smoKeys = 60
+
+// smoReaders quantifies §2.1: with one writer's split complete but
+// uncommitted, every key the index held before the split is fetched once,
+// each by its own transaction. Whether a reader waited is the lock
+// manager's answer (it queued the request: trace.Stats.LockWaits moved),
+// not a timer's.
+func smoReaders(w io.Writer) {
+	fmt.Fprintln(w, "=== Readers of the pre-split keys while a split is complete but uncommitted ===")
+	fmt.Fprintf(w, "%-12s %8s %15s %10s %7s\n", "protocol", "readers", "on split pages", "completed", "waited")
+	for _, proto := range []core.Protocol{core.DataOnly, core.KVL, core.SystemR} {
+		onSplit, waited := runSMOReaders(proto)
+		fmt.Fprintf(w, "%-12s %8d %15d %10d %7d\n", proto, smoKeys, onSplit, smoKeys-waited, waited)
 	}
-	fmt.Fprintln(w, "\npaper claim (§2.1): retrievals, inserts and deletes go on concurrently with SMOs;")
-	fmt.Fprintln(w, "System R-style commit-duration page locks serialize readers behind uncommitted splits.")
+	fmt.Fprintln(w, "\npaper claim (§2.1): retrievals go on concurrently with SMOs; System R-style")
+	fmt.Fprintln(w, "commit-duration page locks hold every reader of a page the split touched until it commits.")
 }
 
-func runSMOWindow(proto core.Protocol, window time.Duration) (readerOps, writerOps int64, splits uint64) {
-	d := db.Open(db.Options{PageSize: 512, PoolSize: 512, Protocol: proto})
-	tbl, err := d.CreateTable("t")
-	if err != nil {
-		panic(err)
+// runSMOReaders returns how many of the pre-split keys sit on a leaf the
+// writer modified, and how many of their readers waited.
+func runSMOReaders(proto core.Protocol) (onSplit, waited int) {
+	e, ix := primed(proto, 512, smoKeys)
+	mark := e.log.MaxLSN()
+	splits := e.stats.PageSplits.Load()
+	writer := e.tm.Begin()
+	for i := 0; e.stats.PageSplits.Load() == splits; i++ {
+		// Values between key(200) and key(210): all land on key(200)'s leaf.
+		k := storage.Key{Val: fmt.Appendf(keyVal(200), "w%03d", i), RID: storage.RID{Page: storage.PageID(5000 + i), Slot: 1}}
+		must(ix.Insert(writer, k))
 	}
-	setup := d.MustBegin()
-	for i := 0; i < 200; i++ {
-		if err := tbl.Insert(setup, workload.KeyFor(i*100), []byte("seed")); err != nil {
-			panic(err)
+	var parked []chan error
+	for i := 0; i < smoKeys; i++ {
+		leaf, _, err := ix.LeafOf(key(i * 10))
+		must(err)
+		f, err := e.pool.Fix(leaf)
+		must(err)
+		f.Latch.Acquire(latch.S)
+		if wal.LSN(f.Page.LSN()) > mark {
+			onSplit++
 		}
-	}
-	if err := setup.Commit(); err != nil {
-		panic(err)
-	}
-	splitsBefore := d.Stats().PageSplits.Load()
+		f.Latch.Release(latch.S)
+		e.pool.Unfix(f)
 
-	stop := make(chan struct{})
-	var ro, wo atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			g := workload.New(workload.Spec{Keys: 20000, ReadFrac: 1, Seed: int64(r)})
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tx := d.MustBegin()
-				_, _ = tbl.Get(tx, g.Next().Key)
-				_ = tx.Commit()
-				ro.Add(1)
+		waitsBefore := e.stats.LockWaits.Load()
+		done := make(chan error, 1)
+		go func(k storage.Key) {
+			tx := e.tm.Begin()
+			_, _, err := ix.Fetch(tx, k.Val, core.EQ)
+			if err == nil {
+				err = tx.Commit()
 			}
-		}(r)
-	}
-	// One writer splitting the same pages the readers fetch from; it
-	// commits only every 50 inserts, so System R's commit-duration page
-	// locks (on the leaves it updates and on every page its SMOs touch)
-	// linger across many reader attempts.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		i := 0
-		tx := d.MustBegin()
+			done <- err
+		}(key(i * 10))
+	poll:
 		for {
 			select {
-			case <-stop:
-				_ = tx.Rollback()
-				return
+			case err := <-done:
+				must(err)
+				break poll
 			default:
 			}
-			k := append(workload.KeyFor((i*37)%20000), byte('w'), byte('0'+i%10), byte('0'+(i/10)%10))
-			if err := tbl.Insert(tx, k, []byte("split-fodder")); err != nil {
-				_ = tx.Rollback()
-				tx = d.MustBegin()
-				continue
+			if e.stats.LockWaits.Load() > waitsBefore {
+				waited++
+				parked = append(parked, done)
+				break poll
 			}
-			i++
-			wo.Add(1)
-			if i%50 == 0 {
-				_ = tx.Commit()
-				tx = d.MustBegin()
-			}
+			runtime.Gosched()
 		}
-	}()
-	time.Sleep(window)
-	close(stop)
-	wg.Wait()
-	return ro.Load(), wo.Load(), d.Stats().PageSplits.Load() - splitsBefore
+	}
+	must(writer.Commit())
+	for _, done := range parked {
+		must(<-done)
+	}
+	return onSplit, waited
 }
 
-// restartReport quantifies §3: restart passes are page-oriented.
+// restartReport quantifies §3: restart is page-oriented — redo replays
+// records onto the pages they name and traverses no tree.
 func restartReport(w io.Writer) {
-	fmt.Fprintln(w, "=== Restart recovery on a 5000-op workload (nothing flushed) ===")
+	fmt.Fprintln(w, "=== Restart after 5000 operations, nothing flushed, one loser in flight ===")
 	d := db.Open(db.Options{PageSize: 1024, PoolSize: 4096})
 	tbl, err := d.CreateTable("t")
-	if err != nil {
-		panic(err)
-	}
-	g := workload.New(workload.Spec{Keys: 3000, InsertFrac: 0.7, DeleteFrac: 0.3, Seed: 9})
-	live := map[string]bool{}
+	must(err)
+	rng := rand.New(rand.NewSource(9))
+	live := map[int]bool{}
 	tx := d.MustBegin()
 	for i := 0; i < 5000; i++ {
-		op := g.Next()
-		if op.Kind == workload.Insert && !live[string(op.Key)] {
-			if err := tbl.Insert(tx, op.Key, op.Value); err != nil {
-				panic(err)
-			}
-			live[string(op.Key)] = true
-		} else if op.Kind == workload.Delete && live[string(op.Key)] {
-			if err := tbl.Delete(tx, op.Key); err != nil {
-				panic(err)
-			}
-			delete(live, string(op.Key))
+		n := rng.Intn(3000)
+		if live[n] {
+			must(tbl.Delete(tx, keyVal(n)))
+		} else {
+			must(tbl.Insert(tx, keyVal(n), []byte("recover-me")))
 		}
-		if i%500 == 499 {
-			if err := tx.Commit(); err != nil {
-				panic(err)
-			}
+		live[n] = !live[n]
+		// The last 500 operations stay uncommitted: the loser.
+		if i%500 == 499 && i < 4500 {
+			must(tx.Commit())
 			tx = d.MustBegin()
 		}
 	}
-	_ = tx.Rollback()
+	// The loser's records reach the stable log, as a later commit's force
+	// would take them there.
+	d.Log().ForceAll()
 	records := d.Log().NumRecords()
-	travBefore := d.Stats().Traversals.Load()
+	before := d.Stats().Snap()
 	d.Crash()
-	start := time.Now()
 	rep, err := d.Restart()
-	if err != nil {
-		panic(err)
-	}
-	elapsed := time.Since(start)
-	if err := d.VerifyConsistency(); err != nil {
-		panic(err)
-	}
+	must(err)
+	must(d.VerifyConsistency())
+	st := trace.Diff(before, d.Stats().Snap())
 	fmt.Fprintf(w, "log records:        %d (%d KiB)\n", records, d.Log().Bytes()/1024)
-	fmt.Fprintf(w, "restart time:       %v\n", elapsed.Round(time.Microsecond))
 	fmt.Fprintf(w, "analysis records:   %d\n", rep.RecordsSeen)
 	fmt.Fprintf(w, "redo applied:       %d (skipped: %d)\n", rep.RedosApplied, rep.RedosSkipped)
-	fmt.Fprintf(w, "losers undone:      %d\n", rep.LosersUndone)
-	fmt.Fprintf(w, "tree traversals during redo+undo: %d (redo itself: always 0 — page-oriented)\n",
-		d.Stats().Traversals.Load()-travBefore)
+	fmt.Fprintf(w, "losers undone:      %d (index undos: %d page-oriented, %d logical)\n",
+		rep.LosersUndone, st.UndoPageOriented, st.UndoLogical)
+	fmt.Fprintf(w, "tree traversals during restart: %d\n", st.Traversals)
+	fmt.Fprintln(w, "\npaper claim (§3): redo is page-oriented — it traverses no tree; undo traverses")
+	fmt.Fprintln(w, "only for a logical undo, when the key has moved off the page its record names.")
 }
 
-// mediaRecovery quantifies §5: a damaged page is rebuilt from the dump
-// plus one pass of the log.
+// mediaRecovery quantifies §5: every destroyed index page is rebuilt from
+// a fuzzy image copy plus one pass over the stable log, shared by all of
+// them.
 func mediaRecovery(w io.Writer) {
-	fmt.Fprintln(w, "=== Page-oriented media recovery ===")
+	fmt.Fprintln(w, "=== Page-oriented media recovery: every index page destroyed ===")
 	d := db.Open(db.Options{PageSize: 1024, PoolSize: 1024})
 	tbl, err := d.CreateTable("t")
-	if err != nil {
-		panic(err)
-	}
-	tx := d.MustBegin()
-	for i := 0; i < 2000; i++ {
-		if err := tbl.Insert(tx, workload.KeyFor(i), []byte("media")); err != nil {
-			panic(err)
+	must(err)
+	insert := func(from, to int, val string) {
+		tx := d.MustBegin()
+		for i := from; i < to; i++ {
+			must(tbl.Insert(tx, keyVal(i), []byte(val)))
 		}
+		must(tx.Commit())
+		must(d.Pool().FlushAll())
 	}
-	if err := tx.Commit(); err != nil {
-		panic(err)
-	}
-	if err := d.Pool().FlushAll(); err != nil {
-		panic(err)
-	}
+	insert(0, 2000, "media")
 	img := recovery.TakeImageCopy(d.Disk(), d.Log())
-	tx2 := d.MustBegin()
-	for i := 2000; i < 2500; i++ {
-		if err := tbl.Insert(tx2, workload.KeyFor(i), []byte("post-dump")); err != nil {
-			panic(err)
-		}
-	}
-	if err := tx2.Commit(); err != nil {
-		panic(err)
-	}
-	if err := d.Pool().FlushAll(); err != nil {
-		panic(err)
-	}
+	insert(2000, 2500, "post-dump")
 	d.Pool().Crash()
 	var damaged []storage.PageID
 	buf := make([]byte, 1024)
@@ -382,18 +359,13 @@ func mediaRecovery(w io.Writer) {
 			d.Disk().Corrupt(pid)
 		}
 	}
-	start := time.Now()
-	for _, pid := range damaged {
-		if err := recovery.RecoverPage(d.Disk(), d.Log(), img, pid); err != nil {
-			panic(err)
-		}
-	}
-	elapsed := time.Since(start)
-	if err := d.VerifyConsistency(); err != nil {
-		panic(err)
-	}
-	fmt.Fprintf(w, "index pages destroyed & rebuilt: %d\n", len(damaged))
-	fmt.Fprintf(w, "log passes per page: 1 (LSN-guarded roll-forward, no traversal)\n")
-	fmt.Fprintf(w, "total rebuild time:  %v (%v/page)\n",
-		elapsed.Round(time.Microsecond), (elapsed / time.Duration(len(damaged))).Round(time.Microsecond))
+	stable, _, _ := d.Log().SnapshotStable(wal.NilLSN + 1)
+	examined, err := recovery.RecoverPages(d.Disk(), d.Log(), img, damaged)
+	must(err)
+	must(d.VerifyConsistency())
+	fmt.Fprintf(w, "index pages destroyed & rebuilt:           %d\n", len(damaged))
+	fmt.Fprintf(w, "stable log records:                        %d\n", len(stable))
+	fmt.Fprintf(w, "records examined by one RecoverPages call: %d\n", examined)
+	fmt.Fprintln(w, "\npaper claim (§5): index pages are recovered page-oriented, like data pages —")
+	fmt.Fprintln(w, "an image copy plus one LSN-guarded log pass, no tree traversal.")
 }

@@ -48,7 +48,6 @@ import (
 	"ariesim/internal/lock"
 	"ariesim/internal/repl"
 	"ariesim/internal/storage"
-	"ariesim/internal/workload"
 )
 
 func main() {
@@ -117,7 +116,7 @@ func main() {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				gen := workload.New(workload.Spec{
+				gen := harness.NewOps(harness.Mix{
 					Keys: 600, InsertFrac: 0.5, DeleteFrac: 0.3, ReadFrac: 0.2,
 					Seed: *seed + int64(round*1000+w),
 				})
@@ -135,7 +134,7 @@ func main() {
 						op := gen.Next()
 						i++
 						switch op.Kind {
-						case workload.Insert:
+						case harness.OpInsert:
 							err := tbl.Insert(tx, op.Key, op.Value)
 							switch {
 							case err == nil:
@@ -148,7 +147,7 @@ func main() {
 							default:
 								fail("insert: %v", err)
 							}
-						case workload.Delete:
+						case harness.OpDelete:
 							err := tbl.Delete(tx, op.Key)
 							switch {
 							case err == nil:

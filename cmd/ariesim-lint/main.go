@@ -193,7 +193,7 @@ var readOnlyPath = pathCheck{
 	},
 	stops: map[string]bool{
 		"Get": true, "Scan": true, "ScanPrefix": true,
-		"ScanIndex": true, "ScanIndexRange": true, "ScanSecondary": true,
+		"ScanIndex": true, "ScanIndexRange": true,
 	},
 	finding: lockManagerCall,
 	rule:    "the read-only snapshot path (via %s); snapshot readers must stay zero-lock",

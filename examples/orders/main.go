@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := orders.AddSecondaryIndex("by_customer", customerOf); err != nil {
+	if err := orders.CreateIndex("by_customer", customerOf); err != nil {
 		log.Fatal(err)
 	}
 
@@ -64,7 +64,7 @@ func main() {
 	// Secondary scan: all of globex's orders, in one index range.
 	fmt.Println("globex's orders via secondary index:")
 	n := 0
-	_ = orders.ScanSecondary(tx, "by_customer", []byte("globex"), []byte("globex"),
+	_ = orders.ScanIndexRange(tx, "by_customer", []byte("globex"), []byte("globex"),
 		func(sk []byte, r ariesim.Row) (bool, error) {
 			n++
 			if n <= 3 {

@@ -169,7 +169,9 @@ func TestSystemRReadersBlockOnUncommittedSMO(t *testing.T) {
 			}
 		}
 		// The split is complete but the writer has not committed. A reader
-		// now fetches a key from the original (pre-split) population.
+		// now fetches a key from the original (pre-split) population; it is
+		// blocked iff the lock manager queued its request.
+		waitsBefore := e.stats.LockWaits.Load()
 		reader := e.tm.Begin()
 		done := make(chan struct{})
 		go func() {
@@ -178,11 +180,18 @@ func TestSystemRReadersBlockOnUncommittedSMO(t *testing.T) {
 			}
 			close(done)
 		}()
-		select {
-		case <-done:
-			blocked = false
-		case <-time.After(100 * time.Millisecond):
-			blocked = true
+	outcome:
+		for {
+			select {
+			case <-done:
+				break outcome
+			default:
+			}
+			if e.stats.LockWaits.Load() > waitsBefore {
+				blocked = true
+				break
+			}
+			runtime.Gosched()
 		}
 		e.commit(writer)
 		<-done

@@ -579,15 +579,6 @@ func (d *DB) TableFor(tx *txn.Tx, name string) (*Table, error) {
 	return t, nil
 }
 
-// AddSecondaryIndex creates a non-unique secondary index over extract(value).
-// It is CreateIndex under its historical name: the index is backfilled from
-// any existing rows in one transaction. The extractor is code, not data:
-// after Restart it must be re-registered with the same name via
-// OpenSecondaryIndex.
-func (t *Table) AddSecondaryIndex(name string, extract func(value []byte) []byte) error {
-	return t.CreateIndex(name, extract)
-}
-
 // OpenSecondaryIndex re-binds a secondary index's extractor after restart.
 // The binding is also remembered process-wide, so later restarts of this
 // engine (and its forks) re-bind automatically.
@@ -680,7 +671,7 @@ func (t *Table) recordLockNeeded() bool {
 
 // fetchRow is the single locked read-path call site: every repeatable-read
 // and cursor-stability record fetch (Get, Delete's positioning read, Scan,
-// ScanSecondary, GetCS, ScanPrefix) resolves its RID through here, so the
+// ScanIndexRange, GetCS, ScanPrefix) resolves its RID through here, so the
 // lock-or-not decision — and its divergence from the lock-free snapshot
 // path, which replaces this call entirely — lives in exactly one place.
 func (t *Table) fetchRow(tx *txn.Tx, rid storage.RID) (key, value []byte, err error) {
@@ -872,13 +863,6 @@ func (t *Table) Scan(tx *txn.Tx, from, to []byte, fn func(Row) (bool, error)) er
 			return err
 		}
 	}
-}
-
-// ScanSecondary iterates (secondaryKey, row) pairs in secondary-key order.
-// It is ScanIndexRange under its historical name; snapshot transactions are
-// served by the lock-free chain merge like any other index scan.
-func (t *Table) ScanSecondary(tx *txn.Tx, name string, from, to []byte, fn func(secKey []byte, r Row) (bool, error)) error {
-	return t.ScanIndexRange(tx, name, from, to, fn)
 }
 
 // Name returns the table name.

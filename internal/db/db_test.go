@@ -10,6 +10,8 @@ import (
 
 	"ariesim/internal/core"
 	"ariesim/internal/lock"
+	"ariesim/internal/trace"
+	"ariesim/internal/txn"
 )
 
 func openSmall(t *testing.T) *DB {
@@ -136,7 +138,7 @@ func TestSecondaryIndex(t *testing.T) {
 	tbl, _ := d.CreateTable("orders")
 	// Secondary on the first 4 bytes of the value ("customer id").
 	byCustomer := func(value []byte) []byte { return value[:4] }
-	if err := tbl.AddSecondaryIndex("by_customer", byCustomer); err != nil {
+	if err := tbl.CreateIndex("by_customer", byCustomer); err != nil {
 		t.Fatal(err)
 	}
 	tx := d.MustBegin()
@@ -149,7 +151,7 @@ func TestSecondaryIndex(t *testing.T) {
 	_ = tx.Commit()
 	rtx := d.MustBegin()
 	n := 0
-	err := tbl.ScanSecondary(rtx, "by_customer", []byte("c001"), []byte("c001"), func(sk []byte, r Row) (bool, error) {
+	err := tbl.ScanIndexRange(rtx, "by_customer", []byte("c001"), []byte("c001"), func(sk []byte, r Row) (bool, error) {
 		if string(sk) != "c001" {
 			t.Fatalf("wrong secondary key %q", sk)
 		}
@@ -272,7 +274,7 @@ func TestRestartReopensSecondary(t *testing.T) {
 	d := openSmall(t)
 	tbl, _ := d.CreateTable("t")
 	ext := func(value []byte) []byte { return value[:2] }
-	_ = tbl.AddSecondaryIndex("s", ext)
+	_ = tbl.CreateIndex("s", ext)
 	tx := d.MustBegin()
 	for i := 0; i < 20; i++ {
 		_ = tbl.Insert(tx, k(i), []byte(fmt.Sprintf("%02d-rest", i%4)))
@@ -288,7 +290,7 @@ func TestRestartReopensSecondary(t *testing.T) {
 	}
 	rtx := d.MustBegin()
 	n := 0
-	if err := tbl.ScanSecondary(rtx, "s", []byte("01"), []byte("01"), func([]byte, Row) (bool, error) {
+	if err := tbl.ScanIndexRange(rtx, "s", []byte("01"), []byte("01"), func([]byte, Row) (bool, error) {
 		n++
 		return true, nil
 	}); err != nil {
@@ -476,5 +478,61 @@ func TestPageGranularityEngine(t *testing.T) {
 	// Page locks recorded in the page space.
 	if d.Stats().LockCalls(int(lock.SpacePage), int(lock.X), int(lock.Commit)) == 0 {
 		t.Fatal("no page-granularity locks recorded")
+	}
+}
+
+// TestLockTotalsPerProtocol pins the engine-level lock calls — the record
+// manager's and the index manager's together, Begin to Commit — of one Get,
+// one Insert that splits nothing and one Delete, on a table of 5,000 rows,
+// under ARIES/IM and both baselines. Under data-only locking the index
+// fetch's key lock is the record lock, so the record manager takes none of
+// its own (§2.1); KVL adds value locks and System R page locks on top.
+func TestLockTotalsPerProtocol(t *testing.T) {
+	want := []struct {
+		proto            core.Protocol
+		get, ins, delete uint64
+	}{
+		{core.DataOnly, 2, 3, 4},
+		{core.KVL, 3, 4, 7},
+		{core.SystemR, 4, 5, 9},
+	}
+	for _, w := range want {
+		d := Open(Options{Protocol: w.proto})
+		tbl, err := d.CreateTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup := d.MustBegin()
+		for i := 0; i < 5000; i++ {
+			if err := tbl.Insert(setup, k(i*2), v(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		count := func(op func(tx *txn.Tx) error) uint64 {
+			t.Helper()
+			before := d.Stats().Snap()
+			tx := d.MustBegin()
+			if err := op(tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			diff := trace.Diff(before, d.Stats().Snap())
+			if diff.PageSplits != 0 {
+				t.Fatalf("%s: the measured operation split a page", w.proto)
+			}
+			return diff.TotalLocks()
+		}
+		get := count(func(tx *txn.Tx) error { _, err := tbl.Get(tx, k(5000)); return err })
+		ins := count(func(tx *txn.Tx) error { return tbl.Insert(tx, k(5001), v(0)) })
+		del := count(func(tx *txn.Tx) error { return tbl.Delete(tx, k(3000)) })
+		if get != w.get || ins != w.ins || del != w.delete {
+			t.Errorf("%s: lock calls per get / insert / delete = %d / %d / %d, want %d / %d / %d",
+				w.proto, get, ins, del, w.get, w.ins, w.delete)
+		}
 	}
 }

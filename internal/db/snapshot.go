@@ -50,12 +50,6 @@ var ErrSnapshotTooOld = mvcc.ErrSnapshotTooOld
 // transaction.
 var ErrReadOnlyTxn = errors.New("db: write attempted in a read-only snapshot transaction")
 
-// ErrSnapshotUnsupported reports an operation a snapshot transaction
-// cannot serve. Secondary-order scans, its original occupant, are now
-// served by the chain merge (snapshotScanIndex); the sentinel remains for
-// callers that still classify it.
-var ErrSnapshotUnsupported = errors.New("db: operation not supported under a snapshot read")
-
 // BeginReadOnly starts a read-only transaction. Normally it is a detached,
 // non-logging transaction carrying a snapshot of the visibility watermark:
 // its Get/Scan route to the lock-free MVCC path and it must be ended with

@@ -1,16 +1,16 @@
-package db
+package db_test
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"ariesim/internal/core"
+	"ariesim/internal/db"
+	"ariesim/internal/harness"
 	"ariesim/internal/lock"
-	"ariesim/internal/workload"
 )
 
 // TestSoakConcurrentWithCrashes is the long-haul exercise: several rounds
@@ -23,11 +23,11 @@ func TestSoakConcurrentWithCrashes(t *testing.T) {
 	}
 	for _, cfg := range []struct {
 		name string
-		opts Options
+		opts db.Options
 	}{
-		{"aries-im-record", Options{PageSize: 512, PoolSize: 96}},
-		{"aries-im-pagegran", Options{PageSize: 512, PoolSize: 96, Granularity: lock.GranPage}},
-		{"aries-kvl", Options{PageSize: 512, PoolSize: 96, Protocol: core.KVL}},
+		{"aries-im-record", db.Options{PageSize: 512, PoolSize: 96}},
+		{"aries-im-pagegran", db.Options{PageSize: 512, PoolSize: 96, Granularity: lock.GranPage}},
+		{"aries-kvl", db.Options{PageSize: 512, PoolSize: 96, Protocol: core.KVL}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
@@ -36,9 +36,9 @@ func TestSoakConcurrentWithCrashes(t *testing.T) {
 	}
 }
 
-func soak(t *testing.T, opts Options, rounds, workers, opsPerWorker int) {
+func soak(t *testing.T, opts db.Options, rounds, workers, opsPerWorker int) {
 	t.Helper()
-	d := Open(opts)
+	d := db.Open(opts)
 	tbl, err := d.CreateTable("soak")
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func soak(t *testing.T, opts Options, rounds, workers, opsPerWorker int) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				gen := workload.New(workload.Spec{
+				gen := harness.NewOps(harness.Mix{
 					Keys: 400, ReadFrac: 0.3, InsertFrac: 0.4, DeleteFrac: 0.2,
 					Seed: int64(round*100 + w),
 				})
@@ -65,34 +65,34 @@ func soak(t *testing.T, opts Options, rounds, workers, opsPerWorker int) {
 						op := gen.Next()
 						i++
 						switch op.Kind {
-						case workload.Insert:
+						case harness.OpInsert:
 							err := tbl.Insert(tx, op.Key, op.Value)
 							switch {
 							case err == nil:
 								s := string(op.Value)
 								staged[string(op.Key)] = &s
-							case errors.Is(err, ErrDuplicate):
+							case errors.Is(err, db.ErrDuplicate):
 							case errors.Is(err, lock.ErrDeadlock):
 								aborted = true
 							default:
 								t.Errorf("insert: %v", err)
 								aborted = true
 							}
-						case workload.Delete:
+						case harness.OpDelete:
 							err := tbl.Delete(tx, op.Key)
 							switch {
 							case err == nil:
 								staged[string(op.Key)] = nil
-							case errors.Is(err, ErrNotFound):
+							case errors.Is(err, db.ErrNotFound):
 							case errors.Is(err, lock.ErrDeadlock):
 								aborted = true
 							default:
 								t.Errorf("delete: %v", err)
 								aborted = true
 							}
-						case workload.ScanShort:
+						case harness.OpScan:
 							n := 0
-							err := tbl.Scan(tx, op.Key, nil, func(Row) (bool, error) {
+							err := tbl.Scan(tx, op.Key, nil, func(db.Row) (bool, error) {
 								n++
 								return n < 16, nil
 							})
@@ -104,7 +104,7 @@ func soak(t *testing.T, opts Options, rounds, workers, opsPerWorker int) {
 							}
 						default:
 							if _, err := tbl.Get(tx, op.Key); err != nil &&
-								!errors.Is(err, ErrNotFound) && !errors.Is(err, lock.ErrDeadlock) {
+								!errors.Is(err, db.ErrNotFound) && !errors.Is(err, lock.ErrDeadlock) {
 								t.Errorf("get: %v", err)
 							}
 						}
@@ -156,7 +156,7 @@ func soak(t *testing.T, opts Options, rounds, workers, opsPerWorker int) {
 		}
 		rows := map[string]string{}
 		r := d.MustBegin()
-		_ = tbl.Scan(r, []byte(""), nil, func(row Row) (bool, error) {
+		_ = tbl.Scan(r, []byte(""), nil, func(row db.Row) (bool, error) {
 			rows[string(row.Key)] = string(row.Value)
 			return true, nil
 		})
@@ -173,5 +173,4 @@ func soak(t *testing.T, opts Options, rounds, workers, opsPerWorker int) {
 	if d.Stats().PageSplits.Load() == 0 {
 		t.Error("soak caused no splits; workload too small")
 	}
-	_ = fmt.Sprintf
 }

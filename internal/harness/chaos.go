@@ -13,7 +13,6 @@ import (
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
-	"ariesim/internal/workload"
 )
 
 // Chaos sweep: the concurrent, adversarial counterpart of the serial
@@ -430,7 +429,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			gen := workload.New(workload.Spec{
+			gen := NewOps(Mix{
 				Keys: 500, InsertFrac: 0.45, DeleteFrac: 0.35, ReadFrac: 0.2,
 				Seed: o.Seed + int64(w)*101,
 			})
@@ -486,7 +485,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					for j := 0; j < n; j++ {
 						op := gen.Next()
 						switch op.Kind {
-						case workload.Insert:
+						case OpInsert:
 							err := tbl.Insert(tx, op.Key, op.Value)
 							switch {
 							case err == nil:
@@ -497,7 +496,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 							default:
 								return err
 							}
-						case workload.Delete:
+						case OpDelete:
 							err := tbl.Delete(tx, op.Key)
 							switch {
 							case err == nil:

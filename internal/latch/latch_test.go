@@ -1,6 +1,7 @@
 package latch
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,17 +76,14 @@ func TestWriterPreference(t *testing.T) {
 		close(xGot)
 	}()
 	// Wait for the writer to queue.
-	for i := 0; ; i++ {
+	for {
 		l.mu.Lock()
 		q := l.wWait
 		l.mu.Unlock()
 		if q == 1 {
 			break
 		}
-		if i > 1000 {
-			t.Fatal("writer never queued")
-		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	// A new reader must now be refused (writer preference).
 	if l.TryAcquire(S) {

@@ -400,17 +400,21 @@ func TestPromotionRacesRetryLoop(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					n := 0
-					cur, err := tbl.Get(tx, []byte(key))
-					switch {
-					case err == nil:
-						n, _ = strconv.Atoi(string(cur))
-						n++
-						return tbl.Update(tx, []byte(key), []byte(strconv.Itoa(n)))
-					case errors.Is(err, db.ErrNotFound):
-						return tbl.Insert(tx, []byte(key), []byte("1"))
-					default:
-						return err
+					// An upsert loop: both workers can find no row, and the one
+					// whose Insert loses that race reads the winner's row and
+					// increments it instead of failing the transaction.
+					for {
+						cur, err := tbl.Get(tx, []byte(key))
+						if err == nil {
+							n, _ := strconv.Atoi(string(cur))
+							return tbl.Update(tx, []byte(key), []byte(strconv.Itoa(n+1)))
+						}
+						if !errors.Is(err, db.ErrNotFound) {
+							return err
+						}
+						if err := tbl.Insert(tx, []byte(key), []byte("1")); !errors.Is(err, db.ErrDuplicate) {
+							return err
+						}
 					}
 				})
 				switch {
@@ -419,6 +423,11 @@ func TestPromotionRacesRetryLoop(t *testing.T) {
 					// Ambiguous — the pend entry resolves it; do NOT retry,
 					// a blind retry is exactly the double-apply this test
 					// exists to catch.
+				case db.ClassifyErr(err) == db.ClassContention:
+					// RunTxn gave up on a run of deadlocks (both workers read
+					// the counter under S, then upgrade): its last attempt
+					// rolled back, so it committed nothing and left no pend
+					// entry.
 				case db.ClassifyErr(err) == db.ClassCrash:
 					// The retry loop under test: crash-class errors park the
 					// client until failover completes, then it retries
