@@ -51,9 +51,10 @@ test-2core:
 # race with the next miss's read, which one schedule may not produce.
 # The lock manager's tests repeat 20 times: an owner reads its own held-lock
 # table without a mutex, which is sound only because a granter writes it
-# while the owner is parked and the wake-up (or the shard mutex the timeout
-# and probe paths take) orders the owner's next read after that write — one
-# schedule may not show a violation. The two savepoint tests likewise, for
+# while the owner waits and the receive from its request's channel (or the
+# shard mutex the timeout and probe paths take) orders the owner's next read
+# after that write — one schedule may not show a violation. The two
+# savepoint tests likewise, for
 # ReleaseSince popping the owner's list while contenders queue on its names.
 # The paper tables repeat 5 times: -table smo parks reader goroutines behind
 # an uncommitted split, so a race or a schedule-dependent count shows up as a

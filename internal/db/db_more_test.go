@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -293,9 +294,15 @@ func TestDeadlockSurfacesToCaller(t *testing.T) {
 	// t1 wants k2 X (delete), t2 wants k1 X. t1 queues first, so the
 	// detector makes t2 — the requester that closes the cycle — the
 	// victim; its rollback releases the S lock t1's upgrade waits on.
+	// LockWaits moves only once t1's request is queued.
+	waits := d.Stats().LockWaits.Load()
 	errCh := make(chan error, 1)
 	go func() { errCh <- tbl.Delete(t1, k(2)) }()
-	time.Sleep(30 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); d.Stats().LockWaits.Load() == waits; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("t1 never queued for k2")
+		}
+	}
 	err2 := tbl.Delete(t2, k(1))
 	if !errors.Is(err2, lock.ErrDeadlock) {
 		t.Fatalf("victim did not get ErrDeadlock: %v", err2)

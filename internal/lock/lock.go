@@ -26,6 +26,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -270,11 +271,11 @@ const ownerIndexAt = 32
 // (calls for one Owner are ordered by happens-before) and has at most one
 // blocked request. Its record is written only under the shard mutex of the
 // name concerned — by the owner itself, or by a releaser granting to it
-// while it is parked in that request — and is therefore read
+// while it waits in that request — and is therefore read
 //
-//   - lock-free by the owner alone (the park/wake channel receive, or the
-//     shard mutex the timeout and probe paths take, orders a parked owner's
-//     next read after the granter's write);
+//   - lock-free by the owner alone (the receive from its request's channel,
+//     polled or parked, or the shard mutex the timeout and probe paths take,
+//     orders a waiting owner's next read after the granter's write);
 //   - under every shard mutex by anyone else: the deadlock detector,
 //     LocksOf and NumLocks.
 //
@@ -319,7 +320,7 @@ func (o *ownerLocks) add(g *holding) {
 // released in roughly the reverse of grant order. Caller holds the mutex of
 // the shard owning g.name. It panics on the two states only a second
 // goroutine driving the owner can produce: g already released, or the owner
-// parked in a request.
+// waiting in a request.
 func (o *ownerLocks) remove(g *holding) {
 	last := len(o.held) - 1
 	i := last
@@ -350,6 +351,17 @@ const (
 	deadlockProbeAfter = 500 * time.Microsecond
 	deadlockProbeMax   = 8 * time.Millisecond
 )
+
+// waitSpin is how long after enqueue a waiter polls its request, yielding
+// between polls, before it parks. A lock waited for under ARIES/IM is held
+// across no latch and no I/O, so most waits end within a few microseconds;
+// a waiter still awake when its grant arrives runs at once instead of
+// leaving the lock idle — and its releaser's next request queued behind it
+// — until the scheduler wakes it. The bound is far below deadlockProbeAfter,
+// so the detector's timing is unchanged. Each poll yields the P, so under
+// GOMAXPROCS=1 the holder runs between polls. Chosen by a sweep on
+// hot-update (EXPERIMENTS); not a knob.
+const waitSpin = 20 * time.Microsecond
 
 // maxFreeHeads bounds a shard's list of empty heads kept for reuse.
 const maxFreeHeads = 32
@@ -600,11 +612,12 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	}
 	o.wait = req
 	s.mu.Unlock()
+	enqueued := time.Now()
 
 	if m.stats != nil {
 		m.stats.LockWaits.Add(1)
 	}
-	err := m.await(req, timeout)
+	err := m.await(req, enqueued, timeout)
 	if err != nil {
 		m.retireIfIdle(o)
 		return err
@@ -617,15 +630,36 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	return nil
 }
 
-// await parks the owner of the queued req until it is granted (nil),
-// aborted by a deadlock detector or Shutdown, or timed out.
-func (m *Manager) await(req *request, timeout time.Duration) error {
+// await holds the owner of req, queued at enqueued, until the request is
+// granted (nil), aborted by a deadlock detector or Shutdown, or timed out.
+// It polls req for waitSpin first, then parks. Whether it is polling or
+// parked, req stays queued the same way: granters, the detector and Shutdown
+// resolve it through its channel either way. The timeout and the first
+// deadlock probe are counted from enqueued.
+func (m *Manager) await(req *request, enqueued time.Time, timeout time.Duration) error {
+	if m.stats != nil {
+		defer func() { m.stats.LockWaitNanos.Add(uint64(time.Since(enqueued))) }()
+	}
+	for {
+		select {
+		case err := <-req.granted:
+			return err
+		default:
+		}
+		if time.Since(enqueued) >= waitSpin {
+			break
+		}
+		runtime.Gosched()
+	}
+	if m.stats != nil {
+		m.stats.LockWaitsParked.Add(1)
+	}
 	if timeout == 0 {
 		timeout = time.Duration(m.timeout.Load())
 	}
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
+		timer := time.NewTimer(timeout - time.Since(enqueued))
 		defer timer.Stop()
 		timeoutC = timer.C
 	}
@@ -637,7 +671,7 @@ func (m *Manager) await(req *request, timeout time.Duration) error {
 	// probe that finds the request already granted sees no wait edge for
 	// owner and reports no cycle, which is exactly right.
 	probeIval := deadlockProbeAfter
-	probe := time.NewTimer(probeIval)
+	probe := time.NewTimer(probeIval - time.Since(enqueued))
 	defer probe.Stop()
 	for {
 		select {
@@ -875,7 +909,7 @@ func (m *Manager) processQueueLocked(s *shard, name Name, h *head) {
 		h.queue = h.queue[1:]
 		var mine *holding
 		if req.convert {
-			mine = req.owner.find(name) // its owner is parked: nothing else reads or writes its table
+			mine = req.owner.find(name) // its owner is in await: nothing else reads or writes its table
 		}
 		m.grantLocked(h, req.owner, name, req.mode, mine)
 		req.owner.wait = nil

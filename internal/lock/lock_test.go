@@ -45,9 +45,9 @@ func awaitQueued(t *testing.T, m *Manager, name Name, n int) {
 }
 
 // queueByHand blocks owner (which holds something) on name (which is held)
-// the way Request does, but with no goroutine parked on the request: nothing
-// probes for deadlocks or times out on its behalf, and its resolution is
-// read from the returned request's channel.
+// the way Request does, but with no goroutine waiting on the request: nothing
+// probes for deadlocks or times out on its behalf until a test calls await
+// on it, and its resolution is otherwise read from the request's channel.
 func queueByHand(m *Manager, owner Owner, name Name, mode Mode) *request {
 	o := m.ownerOf(owner, false)
 	req := &request{owner: o, mode: mode, name: name, granted: make(chan error, 1)}
@@ -532,8 +532,12 @@ func TestLockWaitTimeout(t *testing.T) {
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Fatalf("timed out after %v, before the deadline", d)
 	}
-	if st.LockTimeouts.Load() != 1 {
-		t.Errorf("LockTimeouts = %d, want 1", st.LockTimeouts.Load())
+	if st.LockTimeouts.Load() != 1 || st.LockWaits.Load() != 1 || st.LockWaitsParked.Load() != 1 {
+		t.Errorf("LockTimeouts = %d, LockWaits = %d, LockWaitsParked = %d, want 1 each",
+			st.LockTimeouts.Load(), st.LockWaits.Load(), st.LockWaitsParked.Load())
+	}
+	if w := time.Duration(st.LockWaitNanos.Load()); w < 25*time.Millisecond {
+		t.Errorf("LockWaitNanos = %v, want at least the 25ms bound", w)
 	}
 	// The timed-out request must be fully dequeued: release and re-grant.
 	m.ReleaseAll(1)

@@ -41,6 +41,8 @@ type Stats struct {
 	DeadlockVictims       atomic.Uint64 // waiters aborted to break a cycle (requester or other)
 	VictimsOther          atomic.Uint64 // victims that were NOT the requester (cost-based choice)
 	LockTimeouts          atomic.Uint64 // waits abandoned at the lock-wait timeout
+	LockWaitNanos         atomic.Uint64 // time queued requests waited, enqueue to grant or abort
+	LockWaitsParked       atomic.Uint64 // waits that outlived the spin and parked
 	SavepointLockReleases atomic.Uint64 // locks released early by partial rollback
 
 	// Transaction retry layer (db.RunTxn).
@@ -256,6 +258,7 @@ type Snapshot struct {
 
 	LockWaits, LockDenials, Deadlocks                         uint64
 	DeadlockVictims, VictimsOther, LockTimeouts               uint64
+	LockWaitNanos, LockWaitsParked                            uint64
 	SavepointLockReleases                                     uint64
 	TxnRetries, TxnDeadlockRetries, TxnTimeoutRetries         uint64
 	TxnCrashWaits, TxnStepRetries, TxnRetrySuccesses          uint64
@@ -307,6 +310,8 @@ func counters(s *Stats, n *Snapshot) []counter {
 		{&s.DeadlockVictims, &n.DeadlockVictims, false},
 		{&s.VictimsOther, &n.VictimsOther, false},
 		{&s.LockTimeouts, &n.LockTimeouts, false},
+		{&s.LockWaitNanos, &n.LockWaitNanos, false},
+		{&s.LockWaitsParked, &n.LockWaitsParked, false},
 		{&s.SavepointLockReleases, &n.SavepointLockReleases, false},
 		{&s.TxnRetries, &n.TxnRetries, false},
 		{&s.TxnDeadlockRetries, &n.TxnDeadlockRetries, false},

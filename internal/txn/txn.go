@@ -345,35 +345,21 @@ func (t *Tx) HoldsLock(name lock.Name) bool {
 }
 
 // Log appends a record stamped with this transaction's ID and PrevLSN
-// chain, updating LastLSN and UndoNxtLSN per ARIES rules.
+// chain, updating LastLSN and UndoNxtLSN per ARIES rules. The append and
+// the update are one critical section under t.mu, which the fuzzy
+// checkpointer (Manager.Active) takes to read them: a record whose LSN is
+// below a checkpoint's begin record is therefore in the checkpoint's entry
+// for t, and restart analysis, which starts at that begin record, loses no
+// record of t. Appending outside t.mu would let a checkpoint read the entry
+// between the append and the update, and analysis would miss that record:
+// a forward update never undone, or a CLR whose undo runs twice. A plain
+// append never waits on the device, so t.mu is held for no I/O.
 func (t *Tx) Log(rec *wal.Record) wal.LSN {
-	lsn, _ := t.logVia(t.appendPlain, rec)
-	return lsn
-}
-
-// appendPlain adapts wal.Log.Append (which cannot fail: a plain append
-// never waits on the device) to logVia's fallible signature.
-func (t *Tx) appendPlain(rec *wal.Record) (wal.LSN, error) {
-	return t.mgr.log.Append(rec), nil
-}
-
-// logForced is Log through wal.AppendForce: the record is durable when it
-// returns nil. Commit-scope records (commit, prepare) go through this so
-// their force takes the group-commit path. A non-nil error
-// (wal.ErrLogCrashed) means a crash landed during the flush: the record's
-// LSN was assigned but the record died with its epoch, and the caller must
-// not acknowledge whatever depended on it.
-func (t *Tx) logForced(rec *wal.Record) (wal.LSN, error) {
-	return t.logVia(t.mgr.log.AppendForce, rec)
-}
-
-func (t *Tx) logVia(append func(*wal.Record) (wal.LSN, error), rec *wal.Record) (wal.LSN, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	rec.TxID = t.ID
 	rec.PrevLSN = t.lastLSN
-	t.mu.Unlock()
-	lsn, err := append(rec)
-	t.mu.Lock()
+	lsn := t.mgr.log.Append(rec)
 	t.lastLSN = lsn
 	switch {
 	case rec.IsCLR():
@@ -386,11 +372,22 @@ func (t *Tx) logVia(append func(*wal.Record) (wal.LSN, error), rec *wal.Record) 
 	default:
 		t.undoNxtLSN = lsn
 	}
-	t.mu.Unlock()
-	// On error the chain bookkeeping above still ran: the transaction is a
-	// zombie inside a crashed epoch and its state dies with the orphaned
-	// manager, but the caller needs the error to refuse acknowledgement.
-	return lsn, err
+	return lsn
+}
+
+// logForced is Log followed by a force through the group-commit path: the
+// record is durable when it returns nil. A non-nil error
+// (wal.ErrLogCrashed) means a crash landed during the flush: the record's
+// LSN was assigned but the record died with its epoch, and the caller must
+// not acknowledge whatever depended on it. (Log's bookkeeping has run
+// either way; a crashed transaction's state dies with its orphaned
+// manager.)
+func (t *Tx) logForced(rec *wal.Record) (wal.LSN, error) {
+	lsn := t.Log(rec)
+	if !t.mgr.log.Force(lsn) {
+		return lsn, wal.ErrLogCrashed
+	}
+	return lsn, nil
 }
 
 // LogUpdate logs a forward page action (undo-redo unless redoOnly).

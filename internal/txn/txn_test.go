@@ -441,6 +441,60 @@ func TestCheckpointCapturesTables(t *testing.T) {
 	}
 }
 
+// TestCheckpointEntryCoversRecordsBelowBegin: restart analysis starts at a
+// checkpoint's begin record and takes each transaction's LastLSN and
+// UndoNxtLSN from the checkpoint's entry, so the entry must cover every
+// record the transaction logged below that begin record. A transaction logs
+// in a loop while checkpoints are taken beside it, and every checkpoint's
+// entry is checked against the log. When Log appended outside the Tx mutex,
+// about one checkpoint in five read the entry between an append and its
+// bookkeeping (two parallel goroutines; with one P they never overlap, and
+// the test passes trivially).
+func TestCheckpointEntryCoversRecordsBelowBegin(t *testing.T) {
+	for round := 0; round < 4; round++ {
+		m, log, _, _ := newEnv()
+		pool := buffer.NewPool(storage.NewDisk(512), log, 4, nil)
+		tx := m.Begin()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 20000; i++ {
+				tx.LogUpdate(5, wal.OpIdxInsertKey, nil, false)
+			}
+		}()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			m.Checkpoint(pool)
+		}
+		last := wal.NilLSN // tx's last record so far in the scan
+		atBegin := map[wal.LSN]wal.LSN{}
+		for _, r := range log.Records(1) {
+			switch {
+			case r.TxID == tx.ID:
+				last = r.LSN
+			case r.Type == wal.RecBeginCkpt:
+				atBegin[r.LSN] = last
+			case r.Type == wal.RecEndCkpt:
+				data, err := wal.DecodeCheckpointData(r.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				below := atBegin[r.PrevLSN]
+				for _, e := range data.Txs {
+					if e.TxID == tx.ID && (e.LastLSN < below || e.UndoNxtLSN < below) {
+						t.Fatalf("checkpoint at %d: entry LastLSN %d, UndoNxtLSN %d; tx logged %d below the begin record",
+							r.PrevLSN, e.LastLSN, e.UndoNxtLSN, below)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNTATokenDuringRollbackResumesAtUndoneRecord(t *testing.T) {
 	// During rollback (logical undo needing an SMO), the dummy CLR must
 	// point at the record being undone — not at LastLSN (a CLR).
