@@ -117,7 +117,7 @@ chaos-index:
 	$(GO) run ./cmd/ariesim-crash -chaos -online -workers 8 -crashes 20 -seed 1 -faults -redo 8 -mvcc 4 -index
 
 microbench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # Everything a change may claim about speed comes from the repository's
 # benchmark (BENCHMARK.json, benchmark/README.md): bash benchmark/run.sh.

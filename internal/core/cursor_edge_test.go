@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ariesim/internal/storage"
@@ -167,4 +168,105 @@ func TestCursorAccessors(t *testing.T) {
 	}
 	e.commit(r)
 	_ = storage.Key{}
+}
+
+// TestFetchNextAcrossSplitOfCursorLeaf: a cursor steps by slot only while its
+// leaf's LSN is the one it remembered. Splitting that leaf between two steps
+// moves keys to another page and renumbers slots (the leaf is not the root,
+// so it stays a leaf under the same page ID), so the next step must
+// reposition through the root — once — and go on with the key after the
+// cursor's, skipping and repeating nothing: keys inserted behind the cursor
+// stay behind it, keys inserted ahead of it are returned in order. Locked,
+// the scanning transaction makes the inserts itself (its S locks would hold
+// another inserter off); latch-only, another transaction does.
+func TestFetchNextAcrossSplitOfCursorLeaf(t *testing.T) {
+	for _, latchOnly := range []bool{false, true} {
+		name := "locked"
+		if latchOnly {
+			name = "latch-only"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, 512, 64)
+			ix := e.createIndex(Config{ID: 1})
+			setup := e.tm.Begin()
+			for i := 0; i < 400; i += 2 {
+				e.mustInsert(setup, ix, key(i))
+			}
+			e.commit(setup)
+			if h, _ := ix.Height(); h < 2 {
+				t.Fatalf("setup tree has height %d, want the leaves below a root", h)
+			}
+
+			scan := e.tm.Begin()
+			next := func(cur *Cursor) FetchResult {
+				t.Helper()
+				var res FetchResult
+				var err error
+				if latchOnly {
+					res, err = ix.FetchNextNoLock(cur)
+				} else {
+					res, err = ix.FetchNext(scan, cur)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			var res FetchResult
+			var cur *Cursor
+			var err error
+			if latchOnly {
+				res, cur, err = ix.FetchNoLock(key(0).Val, GE)
+			} else {
+				res, cur, err = ix.Fetch(scan, key(0).Val, GE)
+			}
+			if err != nil || !res.Found {
+				t.Fatal(res, err)
+			}
+			got := []string{string(res.Key.Val)}
+			for len(got) < 3 {
+				got = append(got, string(next(cur).Key.Val))
+			}
+
+			// The cursor is on key 4. Insert 1 and 3 behind it and the odd
+			// keys from 5 to 59 ahead of it.
+			writer := scan
+			if latchOnly {
+				writer = e.tm.Begin()
+			}
+			splits, repositions := e.stats.PageSplits.Load(), e.stats.LeafReposition.Load()
+			for i := 1; i < 60; i += 2 {
+				e.lockRecord(writer, ix, key(i))
+				e.mustInsert(writer, ix, key(i))
+			}
+			if e.stats.PageSplits.Load() == splits {
+				t.Fatal("the inserts did not split the cursor's leaf")
+			}
+
+			for {
+				res := next(cur)
+				if res.EOF {
+					break
+				}
+				got = append(got, string(res.Key.Val))
+			}
+			if n := e.stats.LeafReposition.Load() - repositions; n != 1 {
+				t.Fatalf("the scan repositioned %d times across one batch of splits, want 1", n)
+			}
+			want := []string{string(key(0).Val), string(key(2).Val), string(key(4).Val)}
+			for i := 5; i < 400; i++ {
+				if i%2 == 0 || i < 60 {
+					want = append(want, string(key(i).Val))
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("scan across the split returned\n%q\nwant\n%q", got, want)
+			}
+			if writer != scan {
+				e.commit(writer)
+			}
+			e.commit(scan)
+			e.checkTree(ix)
+		})
+	}
 }

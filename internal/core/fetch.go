@@ -46,7 +46,8 @@ type FetchResult struct {
 
 // Cursor is an open range scan position: the leaf, its LSN at positioning
 // time, the slot, and the (cloned) current key. FetchNext revalidates via
-// the LSN and repositions through the root when the leaf changed (§2.3).
+// the LSN: unchanged, the next key is the next slot; changed, the scan
+// repositions through the root (§2.3).
 type Cursor struct {
 	ix   *Index
 	leaf storage.PageID
@@ -159,6 +160,7 @@ func acceptFor(val []byte, op SearchOp) func(storage.Key) bool {
 // fetchFrom positions at the first key >= probe and locks the outcome in
 // mode for dur. accept decides whether the located key counts as "found".
 func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, dur lock.Duration, accept func(storage.Key) bool) (FetchResult, *Cursor, error) {
+	cur := &Cursor{}
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		leaf, err := ix.traverse(tx, probe, false)
 		if err != nil {
@@ -168,7 +170,7 @@ func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, dur lo
 		if err != nil {
 			return FetchResult{}, nil, err
 		}
-		res, cur, done, err := ix.lockPositioned(tx, fnd, mode, dur, accept)
+		res, done, err := ix.lockPositioned(tx, fnd, mode, dur, accept, cur)
 		if err != nil {
 			return FetchResult{}, nil, err
 		}
@@ -180,13 +182,13 @@ func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, dur lo
 }
 
 // lockPositioned takes Figure 2's FETCH row (fetchLocks) on a positioning
-// outcome while its leaf is latched, then seals the outcome. done=false
+// outcome while its leaf is latched, then seals the outcome into c. done=false
 // means a lock had to be waited for with the latch dropped and the caller
-// must reposition (the lock waited for is retained; §2.2). A manual-duration
-// lock — cursor stability — is given back before returning either way,
-// unless the transaction held the name already (a key it wrote stays
-// locked).
-func (ix *Index) lockPositioned(tx *txn.Tx, fnd found, mode lock.Mode, dur lock.Duration, accept func(storage.Key) bool) (FetchResult, *Cursor, bool, error) {
+// must reposition (the lock waited for is retained; §2.2); c is then
+// untouched. A manual-duration lock — cursor stability — is given back
+// before returning either way, unless the transaction held the name already
+// (a key it wrote stays locked).
+func (ix *Index) lockPositioned(tx *txn.Tx, fnd found, mode lock.Mode, dur lock.Duration, accept func(storage.Key) bool, c *Cursor) (FetchResult, bool, error) {
 	locks := ix.fetchLocks(fnd, mode, dur)
 	if name := locks.req[0].name; dur == lock.Manual && !tx.HoldsLock(name) {
 		defer tx.Unlock(name)
@@ -197,28 +199,63 @@ func (ix *Index) lockPositioned(tx *txn.Tx, fnd found, mode lock.Mode, dur lock.
 		}
 	})
 	if waited || err != nil {
-		return FetchResult{}, nil, false, err
+		return FetchResult{}, false, err
 	}
-	res, cur := ix.sealFound(fnd, accept)
-	return res, cur, true, nil
+	return ix.sealFound(fnd, accept, c), true, nil
 }
 
-// sealFound clones the outcome into a result + cursor and releases the
-// latch.
-func (ix *Index) sealFound(fnd found, accept func(storage.Key) bool) (FetchResult, *Cursor) {
+// sealFound clones the outcome into a result and the cursor c, and
+// releases the latch.
+func (ix *Index) sealFound(fnd found, accept func(storage.Key) bool, c *Cursor) FetchResult {
 	if fnd.eof {
-		return FetchResult{EOF: true}, &Cursor{ix: ix, eof: true}
+		*c = Cursor{ix: ix, eof: true}
+		return FetchResult{EOF: true}
 	}
 	k := fnd.key.Clone()
-	cur := &Cursor{ix: ix, leaf: fnd.frame.ID(), lsn: fnd.frame.Page.LSN(), pos: fnd.pos, key: k}
+	*c = Cursor{ix: ix, leaf: fnd.frame.ID(), lsn: fnd.frame.Page.LSN(), pos: fnd.pos, key: k}
 	ix.unfixLatched(fnd.frame, latch.S)
-	return FetchResult{Key: k, Found: accept(k)}, cur
+	return FetchResult{Key: k, Found: accept(k)}
 }
 
-// FetchNext advances an open scan to the next key (§2.3): if the leaf's
-// LSN still matches the cursor, the next candidate is adjacent; otherwise
-// the scan repositions (possibly through the root) at the first key
-// greater than the cursor's. The located key is locked like a Fetch.
+// acceptAny counts every located key as found: a scan's next key.
+func acceptAny(storage.Key) bool { return true }
+
+// step positions past the cursor's key (§2.3). If the remembered leaf's LSN
+// still matches, nothing on it has moved: the next key is the next slot,
+// or — past the leaf's last slot — the first key of a right neighbour.
+// Otherwise the leaf changed under the cursor and descend repositions from
+// the root. The returned frame is S-latched unless the outcome is eof.
+func (ix *Index) step(c *Cursor, descend func(probe storage.Key) (*buffer.Frame, error)) (found, error) {
+	f, err := ix.fixLatched(c.leaf, latch.S)
+	if err != nil {
+		return found{}, err
+	}
+	if f.Page.Type() == storage.PageTypeIndex && f.Page.IsLeaf() && f.Page.LSN() == c.lsn {
+		if pos := c.pos + 1; pos < f.Page.NSlots() {
+			k, err := leafKeyAt(f.Page, pos)
+			if err != nil {
+				ix.unfixLatched(f, latch.S)
+				return found{}, err
+			}
+			return found{frame: f, pos: pos, key: k}, nil
+		}
+		return ix.findFrom(f, probeAfter(c.key))
+	}
+	if ix.stats != nil {
+		ix.stats.LeafReposition.Add(1)
+	}
+	ix.unfixLatched(f, latch.S)
+	probe := probeAfter(c.key)
+	leaf, err := descend(probe)
+	if err != nil {
+		return found{}, err
+	}
+	return ix.findFrom(leaf, probe)
+}
+
+// FetchNext advances an open scan to the next key (§2.3) — the adjacent
+// slot when the cursor's leaf is unchanged, else the first key greater than
+// the cursor's after a descent — and locks it like a Fetch.
 func (ix *Index) FetchNext(tx *txn.Tx, c *Cursor) (FetchResult, error) {
 	if c.ix != ix {
 		return FetchResult{}, fmt.Errorf("core: cursor belongs to index %d", c.ix.cfg.ID)
@@ -226,37 +263,17 @@ func (ix *Index) FetchNext(tx *txn.Tx, c *Cursor) (FetchResult, error) {
 	if c.eof {
 		return FetchResult{EOF: true}, nil
 	}
-	probe := probeAfter(c.key)
+	descend := func(probe storage.Key) (*buffer.Frame, error) { return ix.traverse(tx, probe, false) }
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		f, err := ix.fixLatched(c.leaf, latch.S)
+		fnd, err := ix.step(c, descend)
 		if err != nil {
 			return FetchResult{}, err
 		}
-		var fnd found
-		if f.Page.Type() == storage.PageTypeIndex && f.Page.IsLeaf() && f.Page.LSN() == c.lsn {
-			fnd, err = ix.findFrom(f, probe)
-		} else {
-			// The leaf changed under the cursor: reposition from the root.
-			if ix.stats != nil {
-				ix.stats.LeafReposition.Add(1)
-			}
-			ix.unfixLatched(f, latch.S)
-			var leaf *buffer.Frame
-			leaf, err = ix.traverse(tx, probe, false)
-			if err != nil {
-				return FetchResult{}, err
-			}
-			fnd, err = ix.findFrom(leaf, probe)
-		}
-		if err != nil {
-			return FetchResult{}, err
-		}
-		res, ncur, done, err := ix.lockPositioned(tx, fnd, lock.S, lock.Commit, func(storage.Key) bool { return true })
+		res, done, err := ix.lockPositioned(tx, fnd, lock.S, lock.Commit, acceptAny, c)
 		if err != nil {
 			return FetchResult{}, err
 		}
 		if done {
-			*c = *ncur
 			return res, nil
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"ariesim/internal/buffer"
-	"ariesim/internal/latch"
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
 )
@@ -75,8 +74,8 @@ func (ix *Index) fetchFromNoLock(probe storage.Key, accept func(storage.Key) boo
 	if err != nil {
 		return FetchResult{}, nil, err
 	}
-	res, cur := ix.sealFound(fnd, accept)
-	return res, cur, nil
+	cur := &Cursor{}
+	return ix.sealFound(fnd, accept, cur), cur, nil
 }
 
 // FetchNoLock is Fetch without locks: position at (val, op), report the
@@ -87,8 +86,8 @@ func (ix *Index) FetchNoLock(val []byte, op SearchOp) (FetchResult, *Cursor, err
 	return ix.fetchFromNoLock(probeFor(val, op), acceptFor(val, op))
 }
 
-// FetchNextNoLock advances a latch-only scan, revalidating the cached
-// leaf by LSN exactly like FetchNext.
+// FetchNextNoLock advances a latch-only scan exactly like FetchNext: the
+// next slot of an unchanged leaf, else a lock-free descent.
 func (ix *Index) FetchNextNoLock(c *Cursor) (FetchResult, error) {
 	if c.ix != ix {
 		return FetchResult{}, fmt.Errorf("core: cursor belongs to index %d", c.ix.cfg.ID)
@@ -96,33 +95,11 @@ func (ix *Index) FetchNextNoLock(c *Cursor) (FetchResult, error) {
 	if c.eof {
 		return FetchResult{EOF: true}, nil
 	}
-	probe := probeAfter(c.key)
-	f, err := ix.fixLatched(c.leaf, latch.S)
+	fnd, err := ix.step(c, ix.traverseNoLock)
 	if err != nil {
 		return FetchResult{}, err
 	}
-	var fnd found
-	if f.Page.Type() == storage.PageTypeIndex && f.Page.IsLeaf() && f.Page.LSN() == c.lsn {
-		fnd, err = ix.findFrom(f, probe)
-	} else {
-		// The leaf changed under the cursor: reposition from the root.
-		if ix.stats != nil {
-			ix.stats.LeafReposition.Add(1)
-		}
-		ix.unfixLatched(f, latch.S)
-		var leaf *buffer.Frame
-		leaf, err = ix.traverseNoLock(probe)
-		if err != nil {
-			return FetchResult{}, err
-		}
-		fnd, err = ix.findFrom(leaf, probe)
-	}
-	if err != nil {
-		return FetchResult{}, err
-	}
-	res, ncur := ix.sealFound(fnd, func(storage.Key) bool { return true })
-	*c = *ncur
-	return res, nil
+	return ix.sealFound(fnd, acceptAny, c), nil
 }
 
 // FetchPrefixNoLock is FetchPrefix without locks.

@@ -606,6 +606,8 @@ func encodeRow(key, value []byte) []byte {
 	return b
 }
 
+// decodeRow splits a row into slices of rec. The key's capacity ends where
+// the value begins, so appending to the key cannot overwrite the value.
 func decodeRow(rec []byte) (key, value []byte, err error) {
 	if len(rec) < 2 {
 		return nil, nil, fmt.Errorf("db: row too short")
@@ -614,7 +616,7 @@ func decodeRow(rec []byte) (key, value []byte, err error) {
 	if len(rec) < 2+kl {
 		return nil, nil, fmt.Errorf("db: row truncated")
 	}
-	return rec[2 : 2+kl], rec[2+kl:], nil
+	return rec[2 : 2+kl : 2+kl], rec[2+kl:], nil
 }
 
 // Insert stores a row. The record manager X-locks the new record for
@@ -674,6 +676,8 @@ func (t *Table) recordLockNeeded() bool {
 // ScanIndexRange, GetCS, ScanPrefix) resolves its RID through here, so the
 // lock-or-not decision — and its divergence from the lock-free snapshot
 // path, which replaces this call entirely — lives in exactly one place.
+// key and value are slices of a private copy of the record: a scan hands
+// them to its caller as they are.
 func (t *Table) fetchRow(tx *txn.Tx, rid storage.RID) (key, value []byte, err error) {
 	rec, err := t.data.Fetch(tx, rid, t.recordLockNeeded())
 	if err != nil {
@@ -827,7 +831,9 @@ func (t *Table) Update(tx *txn.Tx, key, value []byte) error {
 	return nil
 }
 
-// Row is one scan result.
+// Row is one scan result. Its slices are the caller's to keep: no later
+// step of the scan reads or writes them, and appending to Key cannot reach
+// Value.
 type Row struct {
 	Key   []byte
 	Value []byte
@@ -854,7 +860,7 @@ func (t *Table) Scan(tx *txn.Tx, from, to []byte, fn func(Row) (bool, error)) er
 		if err != nil {
 			return err
 		}
-		cont, err := fn(Row{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
+		cont, err := fn(Row{Key: k, Value: v})
 		if err != nil || !cont {
 			return err
 		}
@@ -1335,7 +1341,7 @@ func (t *Table) ScanPrefix(tx *txn.Tx, prefix []byte, fn func(Row) (bool, error)
 		if err != nil {
 			return err
 		}
-		cont, err := fn(Row{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
+		cont, err := fn(Row{Key: k, Value: v})
 		if err != nil || !cont {
 			return err
 		}

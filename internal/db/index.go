@@ -187,7 +187,7 @@ func (t *Table) ScanIndexRange(tx *txn.Tx, name string, from, to []byte, fn func
 		if err != nil {
 			return err
 		}
-		cont, err := fn(append([]byte(nil), res.Key.Val...), Row{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
+		cont, err := fn(append([]byte(nil), res.Key.Val...), Row{Key: k, Value: v})
 		if err != nil || !cont {
 			return err
 		}

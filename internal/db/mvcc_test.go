@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -375,6 +377,7 @@ func TestMVCCSnapshotOracle(t *testing.T) {
 	ledger := &oracleLedger{entries: map[wal.LSN][]oracleOp{}}
 	var writerWg, readerWg sync.WaitGroup
 	stop := make(chan struct{})
+	var acked atomic.Int64 // writer commits acknowledged so far
 
 	for w := 0; w < writers; w++ {
 		writerWg.Add(1)
@@ -386,7 +389,10 @@ func TestMVCCSnapshotOracle(t *testing.T) {
 				err := d.RunTxnWith(RunTxnOpts{
 					Seed:          seed*1000 + int64(i) + 1,
 					RetryDeadline: 20 * time.Second,
-					OnCommitted:   func(lsn wal.LSN) { ledger.record(lsn, ops) },
+					OnCommitted: func(lsn wal.LSN) {
+						ledger.record(lsn, ops)
+						acked.Add(1)
+					},
 				}, func(tx *txn.Tx) error {
 					ops = ops[:0]
 					tbl, err := d.TableFor(tx, "t")
@@ -481,8 +487,26 @@ func TestMVCCSnapshotOracle(t *testing.T) {
 		}(int64(r))
 	}
 
+	// Crash after each further share of the writers' commits is acknowledged,
+	// so every epoch carries traffic whatever the box's speed; writers that
+	// all stopped early (their errors are reported) end the wait.
+	writersDone := make(chan struct{})
+	go func() {
+		writerWg.Wait()
+		close(writersDone)
+	}()
+	awaitAcked := func(n int64) {
+		for acked.Load() < n {
+			select {
+			case <-writersDone:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
 	for c := 0; c < crashes; c++ {
-		time.Sleep(40 * time.Millisecond)
+		awaitAcked(int64((c + 1) * writers * iters / (crashes + 1)))
 		d.Crash()
 		if _, err := d.Restart(); err != nil {
 			t.Fatal(err)
@@ -749,7 +773,7 @@ func TestInsertSeedWaitsOutChainlessHolder(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the inserter never waited for the holder of its key's row")
 		}
-		time.Sleep(100 * time.Microsecond)
+		runtime.Gosched()
 	}
 	if err := loser.Rollback(); err != nil {
 		t.Fatal(err)
@@ -780,7 +804,7 @@ func TestInsertSeedWaitsOutChainlessHolder(t *testing.T) {
 }
 
 // loadRows inserts keys key8(0..n-1) in transactions of 500 rows.
-func loadRows(t *testing.T, d *DB, tbl *Table, n int) {
+func loadRows(t testing.TB, d *DB, tbl *Table, n int) {
 	t.Helper()
 	for lo := 0; lo < n; lo += 500 {
 		if err := d.RunTxn(func(tx *txn.Tx) error {

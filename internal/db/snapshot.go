@@ -22,6 +22,11 @@
 //     while the snapshot is registered — so "no chain across the whole
 //     probe window" proves the page carried only commits <= snapshot.
 //
+// A scan runs the same protocol per cursor key without a second descent:
+// it captures the sequence before each cursor step, the step is the probe's
+// index half, and the heap is read at the RID the step returned
+// (snapshotReadAt).
+//
 // During online restart recovery the store is empty while loser data may
 // still sit in pages, so BeginReadOnly falls back to an ordinary locked
 // transaction: the reinstated loser locks supply the isolation until the
@@ -29,6 +34,7 @@
 package db
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -330,8 +336,13 @@ func (t *Table) snapshotGet(s wal.LSN, key []byte) ([]byte, error) {
 // snapshotRead resolves one key under snapshot s via the per-key protocol
 // documented at the top of this file.
 func (t *Table) snapshotRead(s wal.LSN, key []byte) ([]byte, bool, error) {
-	vs := t.vs
 	t.db.stats.SnapshotReads.Add(1)
+	return t.resolveKey(s, key)
+}
+
+// resolveKey is snapshotRead without the count.
+func (t *Table) resolveKey(s wal.LSN, key []byte) ([]byte, bool, error) {
+	vs := t.vs
 	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
 		r, err := vs.Read(t.id, key, s)
 		if err != nil {
@@ -360,13 +371,54 @@ func (t *Table) snapshotRead(s wal.LSN, key []byte) ([]byte, bool, error) {
 		if !present {
 			return nil, false, nil
 		}
-		_, v, err := decodeRow(rec)
+		_, v, err := decodeRow(rec) // rec is the probe's private copy
 		if err != nil {
 			return nil, false, err
 		}
-		return append([]byte(nil), v...), true, nil
+		return v, true, nil
 	}
 	return nil, false, fmt.Errorf("db: snapshot read of %q kept racing chain turnover", key)
+}
+
+// snapshotReadAt resolves the key a scan's cursor step just returned, at
+// the RID the step found it with. The step is the per-key protocol's index
+// descent, and seq — captured before the step — its removal sequence, so
+// what is left of the protocol is the chain check, the heap read and the
+// chain re-check. A ghost, a missing slot, a row of another key at that RID
+// or a moved sequence says the step's answer may be stale, and the key is
+// read through the whole protocol instead. The row's slices are private:
+// the heap read's copy, or a copy of the cursor's key beside the chain's
+// value.
+func (t *Table) snapshotReadAt(s wal.LSN, at storage.Key, seq uint64) (Row, bool, error) {
+	vs := t.vs
+	t.db.stats.SnapshotReads.Add(1)
+	withKey := func(value []byte, present bool, err error) (Row, bool, error) {
+		if err != nil || !present {
+			return Row{}, false, err
+		}
+		return Row{Key: append([]byte(nil), at.Val...), Value: value}, true, nil
+	}
+	r, err := vs.Read(t.id, at.Val, s)
+	if err != nil || r.Chain {
+		return withKey(r.Value, r.Present, err)
+	}
+	raw, ghost, ok, err := t.data.FetchNoLock(at.RID)
+	if err != nil {
+		return Row{}, false, err
+	}
+	if r, err = vs.Read(t.id, at.Val, s); err != nil || r.Chain {
+		return withKey(r.Value, r.Present, err)
+	}
+	if ok && !ghost && vs.Seq(t.id) == seq {
+		k, v, err := decodeRow(raw)
+		if err != nil {
+			return Row{}, false, err
+		}
+		if bytes.Equal(k, at.Val) {
+			return Row{Key: k, Value: v}, true, nil
+		}
+	}
+	return withKey(t.resolveKey(s, at.Val))
 }
 
 // snapshotScan is Scan under a snapshot: a latch-only page cursor walk
@@ -374,21 +426,19 @@ func (t *Table) snapshotRead(s wal.LSN, key []byte) ([]byte, bool, error) {
 // every key currently in the index; each gap between consecutive cursor
 // keys is filled from the chains (keys visible at s whose index entry a
 // later committed delete removed), and each cursor key itself resolves
-// through the per-key protocol (so an entry from an in-flight or
-// post-snapshot insert reads as absent, and a post-snapshot delete's
-// pre-image comes back from its chain).
+// through the per-key protocol, the step standing in for its descent
+// (snapshotReadAt; so an entry from an in-flight or post-snapshot insert
+// reads as absent, and a post-snapshot delete's pre-image comes back from
+// its chain).
 func (t *Table) snapshotScan(s wal.LSN, from, to []byte, fn func(Row) (bool, error)) error {
 	vs := t.vs
-	emit := func(k string, v []byte) (bool, error) {
-		return fn(Row{Key: []byte(k), Value: v})
-	}
 	emitWindow := func(rows []mvcc.Row) (bool, error) {
 		for _, r := range rows {
 			if !r.Present {
 				continue
 			}
 			t.db.stats.SnapshotReads.Add(1)
-			if cont, err := emit(r.Key, r.Value); err != nil || !cont {
+			if cont, err := fn(Row{Key: []byte(r.Key), Value: r.Value}); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -468,12 +518,12 @@ func (t *Table) snapshotScan(s wal.LSN, from, to []byte, fn func(Row) (bool, err
 		if cont, err := emitWindow(rows); err != nil || !cont || end {
 			return err
 		}
-		value, found, err := t.snapshotRead(s, res.Key.Val)
+		row, found, err := t.snapshotReadAt(s, res.Key, seq)
 		if err != nil {
 			return err
 		}
 		if found {
-			if cont, err := emit(k, value); err != nil || !cont {
+			if cont, err := fn(row); err != nil || !cont {
 				return err
 			}
 		}

@@ -461,7 +461,10 @@ func (st *Store) advanceLocked() {
 // retire folds each chain's history up to the horizon and drops the
 // chains that leaves empty. Runs of chains of one table share a hold of
 // its mutex (at most retireBatch of them) and one removal-sequence bump.
-// Called without st.mu; h may be stale, which only retires less.
+// Called without st.mu. h may be older than the bound, which retires less,
+// but it must be read after the caller's own change to the chains: a chain
+// the caller drains is retired by nobody else once a racing End has popped
+// its queue entries, so a bound from before that End would strand it.
 func (st *Store) retire(chains []*chain, h horizon) {
 	for len(chains) > 0 {
 		tc := chains[0].tc
@@ -546,7 +549,6 @@ func (st *Store) DropTxSince(tx wal.TxID, save wal.LSN) {
 func (st *Store) dropTx(tx wal.TxID, save wal.LSN) {
 	st.mu.Lock()
 	refs := st.touched[tx]
-	h := st.horizonLocked()
 	st.mu.Unlock()
 	var kept []*chain
 	for _, c := range refs {
@@ -568,14 +570,18 @@ func (st *Store) dropTx(tx wal.TxID, save wal.LSN) {
 			kept = append(kept, c)
 		}
 	}
-	st.retire(refs, h)
+	// The horizon is read after the drop, as retire requires: an End between
+	// an earlier read and the drop pops the chains' queue entries while tx's
+	// versions still hold them.
 	st.mu.Lock()
+	h := st.horizonLocked()
 	if len(kept) > 0 {
 		st.touched[tx] = kept
 	} else {
 		delete(st.touched, tx)
 	}
 	st.mu.Unlock()
+	st.retire(refs, h)
 }
 
 // ReadResult is a snapshot resolution for one key.

@@ -3,6 +3,7 @@ package mvcc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -736,5 +737,69 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	rg.Wait()
 	if liveChains(stats) != 0 || len(st.retireQ) != 0 {
 		t.Fatalf("%d chains live, %d queued after every writer and reader finished", liveChains(stats), len(st.retireQ))
+	}
+}
+
+// TestStalledReaderChainsRetire stalls one reader through maxChainVersions+1
+// commits of one key, so the forced fold raises that chain's floor above the
+// reader's snapshot, and leaves a writer's version on the key in flight. Once
+// the reader has ended and the writer rolled back, in either order or with
+// the rollback straddling the end, no chain and no queue entry may be left.
+//
+// The straddle is the case that stranded a chain: a rollback that read the
+// horizon before the reader ended kept the raised floor above its bound, and
+// the reader's End had already popped the chain's entries while the writer's
+// version still held it. The writer's first version is on a chain of another
+// table whose mutex the test holds, so the rollback stops between reading
+// its refs and dropping the stalled key's version while End runs.
+func TestStalledReaderChainsRetire(t *testing.T) {
+	const otherTable = testTable + 1
+	const writer = wal.TxID(1000)
+	for _, order := range []string{"end-then-rollback", "rollback-then-end", "rollback-straddles-end"} {
+		t.Run(order, func(t *testing.T) {
+			st, stats := newTestStore()
+			old, pin := st.Begin()
+			lsn := wal.LSN(epochStart)
+			for i := 0; i <= maxChainVersions; i++ {
+				lsn += 10
+				pushAbsent(t, st, "hot", fmt.Sprintf("v%d", i), wal.TxID(i+1), lsn-5)
+				commit(st, wal.TxID(i+1), lsn)
+			}
+			if _, err := st.Read(testTable, []byte("hot"), old); !errors.Is(err, ErrSnapshotTooOld) {
+				t.Fatalf("after %d commits the stalled reader reads %v, want ErrSnapshotTooOld", maxChainVersions+1, err)
+			}
+			absent := func() (bool, []byte, uint64, error) { return false, nil, st.Seq(otherTable), nil }
+			if err := st.Push(otherTable, []byte("gate"), true, []byte("w"), writer, lsn+1, absent); err != nil {
+				t.Fatal(err)
+			}
+			pushAbsent(t, st, "hot", "w", writer, lsn+2)
+			switch order {
+			case "end-then-rollback":
+				st.End(pin)
+				st.DropTx(writer)
+			case "rollback-then-end":
+				st.DropTx(writer)
+				st.End(pin)
+			default:
+				gate := st.table(otherTable)
+				gate.mu.Lock()
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					st.DropTx(writer)
+				}()
+				// Give the rollback its chance to reach the gate; the test
+				// holds with any schedule, the old defect showed on most.
+				for i := 0; i < 1000; i++ {
+					runtime.Gosched()
+				}
+				st.End(pin) // retires nothing of otherTable, so the held gate cannot block it
+				gate.mu.Unlock()
+				<-done
+			}
+			if liveChains(stats) != 0 || len(st.retireQ) != 0 {
+				t.Fatalf("%d chains live, %d queued after the reader ended and the writer rolled back", liveChains(stats), len(st.retireQ))
+			}
+		})
 	}
 }
