@@ -3,7 +3,9 @@ package db
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,6 +113,7 @@ func TestAckedCommitsSurviveCrashes(t *testing.T) {
 
 	var ackedMu sync.Mutex
 	acked := make(map[string]bool)
+	var acks atomic.Int64
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -134,6 +137,7 @@ func TestAckedCommitsSurviveCrashes(t *testing.T) {
 						ackedMu.Lock()
 						acked[key] = true
 						ackedMu.Unlock()
+						acks.Add(1)
 					},
 				}, func(tx *txn.Tx) error {
 					tb, err := d.TableFor(tx, "t")
@@ -152,8 +156,12 @@ func TestAckedCommitsSurviveCrashes(t *testing.T) {
 		}(w)
 	}
 
+	// Crash after set counts of acknowledged commits, so every epoch acks
+	// some transactions whatever the box's speed.
 	for c := 0; c < crashes; c++ {
-		time.Sleep(time.Duration(3+c) * time.Millisecond)
+		for target := acks.Load() + int64(8+4*c); acks.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
 		d.Crash()
 		if _, err := d.Restart(); err != nil {
 			t.Fatalf("restart %d: %v", c, err)

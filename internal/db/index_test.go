@@ -120,13 +120,16 @@ func TestCreateIndexDuringWrites(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			// At most 1,000 rows per writer: a build slowed by a loaded box
+			// could otherwise outlast enough inserts to fill the 512-byte-page
+			// disk. Each writer's keys are its own range.
+			for i := 0; i < 1000; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				key := k(1000 + w*1000 + i)
+				key := k(1000 + w*100000 + i)
 				err := d.RunTxn(func(tx *txn.Tx) error {
 					return tbl.Insert(tx, key, idxVal(key, i%5, i))
 				})

@@ -42,6 +42,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,7 +125,7 @@ type Online struct {
 func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats, opts OnlineOpts) (*Online, []*wal.TxTableEntry, error) {
 	rep := &Report{}
 	t := time.Now()
-	txTable, dpt, maxTx := analyze(log, rep)
+	txTable, dpt, maxTx, recs := analyze(log, rep)
 	rep.AnalysisWall = time.Since(t)
 	tm.SetNextID(maxTx + 1)
 
@@ -139,7 +140,7 @@ func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats,
 				rep.RedoFrom = l
 			}
 		}
-		recs := log.SnapshotFrom(rep.RedoFrom)
+		recs = recs[sort.Search(len(recs), func(i int) bool { return recs[i].LSN >= rep.RedoFrom }):]
 		p = buildPlan(recs, func(r *wal.Record) bool {
 			recLSN, ok := dpt[r.Page]
 			return ok && r.LSN >= recLSN

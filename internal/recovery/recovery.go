@@ -134,13 +134,17 @@ func RestartWith(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.M
 	return o.finish(err)
 }
 
-// analyze rebuilds the transaction table and dirty page table.
-func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[storage.PageID]wal.LSN, wal.TxID) {
+// analyze rebuilds the transaction table and dirty page table. It also
+// returns the decoded log from the lowest LSN redo can need — the smaller of
+// the analysis start and the checkpoint DPT's oldest recLSN — so restart
+// decodes the suffix it analyzes and redoes once.
+func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[storage.PageID]wal.LSN, wal.TxID, []*wal.Record) {
 	txTable := map[wal.TxID]*wal.TxTableEntry{}
 	dpt := map[storage.PageID]wal.LSN{}
 	var maxTx wal.TxID
 
 	start := wal.NilLSN + 1
+	from := start
 	if master := log.Master(); master != wal.NilLSN {
 		// Prime the tables from the checkpoint's end record.
 		var primed bool
@@ -173,7 +177,10 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 			return true
 		})
 		if primed {
-			start = master
+			start, from = master, master
+			for _, recLSN := range dpt {
+				from = min(from, recLSN)
+			}
 		}
 		// Not primed: the crash tore the fuzzy checkpoint apart — the
 		// begin-ckpt the master record points at is stable but its
@@ -187,7 +194,8 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 	}
 	rep.AnalyzedFrom = start
 
-	log.Scan(start, func(r *wal.Record) bool {
+	recs := log.SnapshotFrom(from)
+	for _, r := range recs[sort.Search(len(recs), func(i int) bool { return recs[i].LSN >= start }):] {
 		rep.RecordsSeen++
 		if r.TxID != 0 {
 			if r.TxID > maxTx {
@@ -223,15 +231,14 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 				dpt[r.Page] = r.LSN
 			}
 		}
-		return true
-	})
+	}
 	// Committed-but-not-ended transactions need only their end record.
 	for id, e := range txTable {
 		if e.State == wal.TxCommitted {
 			delete(txTable, id)
 		}
 	}
-	return txTable, dpt, maxTx
+	return txTable, dpt, maxTx, recs
 }
 
 // reacquireLocks restores the locks of in-doubt transactions from their

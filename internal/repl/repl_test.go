@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -287,7 +288,7 @@ func TestReseedPath(t *testing.T) {
 		if time.Now().After(wait) {
 			t.Fatalf("reseed never applied: at %d, want %d", standby.AppliedLSN(), stable)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	if got := standby.DB().Stats().ReplNaks.Load(); got != uint64(maxNakRetries) {
 		t.Fatalf("standby counted %d naks, want %d", got, maxNakRetries)
@@ -321,7 +322,7 @@ func TestZombieFencing(t *testing.T) {
 		if time.Now().After(wait) {
 			t.Fatalf("zombie segment never rejected")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	shipper.Stop()
 	// The zombie's post-promotion write must not exist on the new primary.
@@ -453,7 +454,7 @@ func TestPromotionRacesRetryLoop(t *testing.T) {
 				wg.Wait()
 				t.Fatalf("stalled waiting for %s (%d/%d)", what, c.Load(), n)
 			}
-			time.Sleep(time.Millisecond)
+			runtime.Gosched()
 		}
 	}
 	waitCount(&ackedGen1, preTarget, "pre-crash increments")

@@ -208,20 +208,13 @@ func (s *Shipper) ship(from wal.LSN, force bool) {
 	} else if from < s.nextShip {
 		s.nextShip = from // NAK rewind
 	}
-	recs, stable, master := s.log.SnapshotStable(from)
-	if len(recs) == 0 && from > stable && !force {
+	seg := s.log.ShipFrom(from, s.opts.Epoch, s.seq+1, from-1)
+	recs := seg.Records
+	if len(recs) == 0 && from > seg.Stable && !force {
 		s.mu.Unlock()
 		return // nothing stable beyond the cursor; heartbeats aren't needed
 	}
 	s.seq++
-	seg := &wal.Segment{
-		Epoch:   s.opts.Epoch,
-		Seq:     s.seq,
-		PrevLSN: from - 1,
-		Stable:  stable,
-		Master:  master,
-		Records: recs,
-	}
 	if s.opts.MetaFn != nil {
 		if meta := s.opts.MetaFn(); len(meta) > 0 && !bytes.Equal(meta, s.lastMeta) {
 			seg.Meta = append([]byte(nil), meta...)

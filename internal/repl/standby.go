@@ -180,12 +180,13 @@ func (s *Standby) appendApplyLocked(recs []*wal.Record, shipStable, shipMaster w
 	stats := sdb.Stats()
 	log := sdb.Log()
 	for _, r := range recs {
-		if got := log.Append(cloneRecord(r)); got != r.LSN {
+		want := r.LSN
+		if got := log.Append(r); got != want {
 			// An LSN is 1 + the record's byte offset, and the caller
 			// verified the run starts exactly at our next offset, so an
 			// identical byte stream must reproduce identical LSNs. A
 			// mismatch is a codec invariant violation, not channel damage.
-			panic(fmt.Sprintf("repl: shipped record LSN %d appended at %d", r.LSN, got))
+			panic(fmt.Sprintf("repl: shipped record LSN %d appended at %d", want, got))
 		}
 	}
 	// Force before apply: the pool may steal/flush any replayed page, and
@@ -340,14 +341,4 @@ func (s *Standby) Promote() (*db.DB, *recovery.Report, error) {
 		return nil, nil, err
 	}
 	return sdb, rep, nil
-}
-
-// cloneRecord copies a record so the standby's log owns its storage (the
-// decoded segment's records share the frame buffer's payload bytes).
-func cloneRecord(r *wal.Record) *wal.Record {
-	c := *r
-	if r.Payload != nil {
-		c.Payload = append([]byte(nil), r.Payload...)
-	}
-	return &c
 }

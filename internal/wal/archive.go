@@ -15,9 +15,10 @@ import (
 // incrementally. Archive serializes the stable prefix with the on-log
 // record codec, ReadArchive reconstructs a Log from an archive stream, and
 // Segment frames a resumable slice of that stream (sequence number, epoch,
-// per-segment CRC) for continuous shipping over a lossy channel. Every
-// record round-trips through Encode/DecodeRecord — the same codec a
-// file-backed log would use — so the wire format is pinned by tests.
+// per-segment CRC) for continuous shipping over a lossy channel. Archive
+// writes the log's stored record bytes as they are and Segment.Encode
+// re-encodes its records — the same codec a file-backed log would use, read
+// back with DecodeRecord — so the wire format is pinned by tests.
 
 const (
 	archiveMagic = uint32(0x41524C47) // "ARLG"
@@ -54,7 +55,7 @@ var (
 // excluded, nothing before it is ever missing, and the header's stable LSN
 // always equals the LSN of the last archived record.
 func (l *Log) Archive(w io.Writer) (int, error) {
-	recs, stable, master := l.SnapshotStable(NilLSN + 1)
+	v, stable, master := l.stableView()
 
 	bw := bufio.NewWriter(w)
 	var hdr [20]byte
@@ -64,12 +65,12 @@ func (l *Log) Archive(w io.Writer) (int, error) {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return 0, err
 	}
-	for _, r := range recs {
-		if _, err := bw.Write(r.Encode()); err != nil {
+	for _, b := range v.span(0, v.n) {
+		if _, err := bw.Write(b); err != nil {
 			return 0, err
 		}
 	}
-	return len(recs), bw.Flush()
+	return int(v.n), bw.Flush()
 }
 
 // ReadArchive reconstructs a Log from an archive stream. The returned log
@@ -227,7 +228,8 @@ func (s *Segment) Encode() []byte {
 	off := segHeaderSize
 	off += copy(b[off:], s.Meta)
 	for _, r := range s.Records {
-		off += copy(b[off:], r.Encode())
+		r.encodeTo(b[off : off+r.EncodedSize()])
+		off += r.EncodedSize()
 	}
 	binary.LittleEndian.PutUint32(b[64:68], crc32.Checksum(b, recCRCTable))
 	return b
@@ -289,11 +291,10 @@ func DecodeSegment(b []byte) (*Segment, error) {
 
 // ShipFrom builds the segment covering every stable record with
 // LSN >= from, stamped with the given epoch, sequence number, and
-// previous-segment tail. The record slice is the log's own backing array
-// (zero copy; records are immutable), and the watermarks are captured in
-// the same instant as the records — the Archive snapshot contract applied
-// to a suffix. An empty result (nothing new hardened) is a valid heartbeat
-// segment.
+// previous-segment tail. The records are decoded like SnapshotStable's, and
+// the watermarks are captured in the same instant as the records — the
+// Archive snapshot contract applied to a suffix. An empty result (nothing
+// new hardened) is a valid heartbeat segment.
 func (l *Log) ShipFrom(from LSN, epoch, seq uint64, prev LSN) *Segment {
 	recs, stable, master := l.SnapshotStable(from)
 	return &Segment{

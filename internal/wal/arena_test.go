@@ -1,0 +1,293 @@
+package wal
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+)
+
+// Tests of the byte arena the log keeps its records in (reserve.go): what it
+// costs in memory and allocations, records that span chunks, and the
+// copy-on-write rule that keeps decoded records valid after the log moves on.
+
+// hotUpdateTxn returns fresh records of one hot-update transaction: one
+// in-place update with a 16-byte payload, its commit and its end record.
+func hotUpdateTxn() []*Record {
+	return []*Record{
+		{Type: RecUpdate, TxID: 7, Page: 42, Op: OpDataUpdate, Payload: make([]byte, 16)},
+		{Type: RecCommit, TxID: 7, PrevLSN: 1},
+		{Type: RecEnd, TxID: 7, PrevLSN: 2},
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go). The two
+// counting tests below skip there: they run one goroutine, so the detector
+// has nothing to find, and its instrumentation makes them the slowest tests
+// of the package's -count=20 race loop.
+var raceEnabled bool
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestLogRetainsEncodedBytes: after GC, the heap a log grows by per appended
+// record is its encoded size plus the 8-byte slot, within 1 %. The records
+// are fresh objects, as the engine's are, so a log that kept them (or their
+// payloads) would be caught. The growth is measured between two sizes of
+// the same log, so fixed heap (the log itself, whatever earlier tests left
+// live) cancels out.
+func TestLogRetainsEncodedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine count; skipped under the race detector")
+	}
+	const txns = 100_000
+	enc := 0
+	for _, r := range hotUpdateTxn() {
+		enc += r.EncodedSize()
+	}
+	l := NewLog(nil)
+	appendTxns := func() {
+		for i := 0; i < txns; i++ {
+			for _, r := range hotUpdateTxn() {
+				l.Append(r)
+			}
+		}
+	}
+	appendTxns()
+	before := liveHeap()
+	appendTxns()
+	grown := float64(liveHeap()) - float64(before)
+	runtime.KeepAlive(l)
+	n := float64(3 * txns)
+	perRecord := grown / n
+	limit := (float64(enc)/3 + 8) * 1.01
+	t.Logf("%.2f B retained per record (encoded %.2f B + 8 B slot; limit %.2f)", perRecord, float64(enc)/3, limit)
+	if perRecord > limit {
+		t.Fatalf("log retains %.2f B per record, want <= %.2f", perRecord, limit)
+	}
+}
+
+// TestAppendAllocatesNothing: appending allocates only when a slot segment
+// or an arena chunk fills, well under one allocation per hundred records.
+func TestAppendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine count; skipped under the race detector")
+	}
+	const perRun = 300
+	l := NewLog(nil)
+	recs := hotUpdateTxn()
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < perRun; i++ {
+			l.Append(recs[i%3])
+		}
+	})
+	if per := allocs / perRun; per >= 0.01 {
+		t.Fatalf("%.4f allocations per append, want < 0.01", per)
+	}
+}
+
+// sameRecord fails unless got and want agree on every field but LSN, and
+// got.LSN is lsn.
+func sameRecord(t *testing.T, what string, got, want *Record, lsn LSN) {
+	t.Helper()
+	if got.LSN != lsn || got.Type != want.Type || got.TxID != want.TxID || got.PrevLSN != want.PrevLSN ||
+		got.Page != want.Page || got.Op != want.Op || !bytes.Equal(got.Payload, want.Payload) {
+		t.Fatalf("%s: got %v, want %v at LSN %d", what, got, want, lsn)
+	}
+}
+
+// TestRecordsSpanningChunks: a record whose length field straddles a chunk
+// boundary, one whose payload does, and one longer than two chunks read back
+// intact through every reader and both wire formats.
+func TestRecordsSpanningChunks(t *testing.T) {
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	want := []*Record{
+		{Type: RecUpdate, TxID: 1, Page: 3, Op: OpIdxFormat, Payload: fill(chunkSize-2-recHeaderSize, 1)},
+		{Type: RecUpdate, TxID: 1, Page: 4, Op: OpDataInsert, Payload: fill(50, 2)}, // header straddles
+		{Type: RecEndCkpt, Payload: fill(2*chunkSize+7, 3)},                         // spans three chunks
+		{Type: RecCommit, TxID: 1},
+	}
+	l := NewLog(nil)
+	var lsns []LSN
+	for _, r := range want {
+		c := *r
+		lsns = append(lsns, l.Append(&c))
+	}
+	if lsns[1] != chunkSize-1 {
+		t.Fatalf("second record at LSN %d, want %d (straddling the first chunk boundary)", lsns[1], chunkSize-1)
+	}
+	l.ForceAll()
+	check := func(what string, got []*Record) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			sameRecord(t, what, got[i], want[i], lsns[i])
+		}
+	}
+	for i, lsn := range lsns {
+		r, err := l.Read(lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRecord(t, "Read", r, want[i], lsn)
+	}
+	check("SnapshotFrom", l.SnapshotFrom(1))
+	stable, _, _ := l.SnapshotStable(1)
+	check("SnapshotStable", stable)
+	var scanned []*Record
+	l.Scan(1, func(r *Record) bool { scanned = append(scanned, r); return true })
+	check("Scan", scanned)
+	if err := l.CodecRoundTrip(); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if n, err := l.Archive(&buf); err != nil || n != len(want) {
+		t.Fatalf("Archive = %d, %v", n, err)
+	}
+	archived := append([]byte(nil), buf.Bytes()...)
+	restored, err := ReadArchive(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ReadArchive", restored.Records(1))
+	if err := restored.CodecRoundTrip(); err != nil {
+		t.Fatal(err)
+	}
+
+	seg := l.ShipFrom(lsns[1], 1, 1, lsns[0])
+	frame := seg.Encode()
+	// The archive holds the stored bytes after its 20-byte header; the
+	// segment's body re-encodes the same records and must match them.
+	if !bytes.Equal(frame[segHeaderSize:], archived[20+lsns[1]-1:]) {
+		t.Fatal("segment body differs from the log's stored bytes")
+	}
+	got, err := DecodeSegment(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DecodeSegment", append([]*Record{l.Records(1)[0]}, got.Records...))
+}
+
+// TestCloneThenAppendToBoth: a clone taken mid-chunk and mid-segment shares
+// the prefix with its original, and appends to either side never show in
+// the other.
+func TestCloneThenAppendToBoth(t *testing.T) {
+	l := NewLog(nil)
+	for i := 0; i < segSize+10; i++ {
+		l.Append(&Record{Type: RecUpdate, TxID: 1, Op: OpDataInsert, Page: 9, Payload: []byte{byte(i)}})
+	}
+	l.ForceAll()
+	c := l.Clone(nil)
+	prefix := l.NumRecords()
+	for i := 0; i < 3*segSize; i++ {
+		l.Append(&Record{Type: RecUpdate, TxID: 2, Payload: []byte("original")})
+		c.Append(&Record{Type: RecUpdate, TxID: 3, Payload: []byte("the clone")})
+	}
+	for _, side := range []struct {
+		log  *Log
+		tx   TxID
+		body string
+	}{{l, 2, "original"}, {c, 3, "the clone"}} {
+		recs := side.log.Records(1)
+		if len(recs) != prefix+3*segSize {
+			t.Fatalf("%s: %d records, want %d", side.body, len(recs), prefix+3*segSize)
+		}
+		for i, r := range recs {
+			if i < prefix && (r.TxID != 1 || r.Payload[0] != byte(i)) {
+				t.Fatalf("%s: shared record %d is %v", side.body, i, r)
+			}
+			if i >= prefix && (r.TxID != side.tx || string(r.Payload) != side.body) {
+				t.Fatalf("%s: record %d is %v (%q)", side.body, i, r, r.Payload)
+			}
+		}
+		if err := side.log.CodecRoundTrip(); err != nil {
+			t.Fatalf("%s: %v", side.body, err)
+		}
+	}
+}
+
+// TestDecodedPayloadSurvivesCrashRewind: a record decoded before a crash —
+// its payload aliasing the stored bytes — keeps its bytes after the crash
+// discards it and the successor log appends different records at the same
+// LSNs.
+func TestDecodedPayloadSurvivesCrashRewind(t *testing.T) {
+	l := NewLog(nil)
+	l.AppendForce(&Record{Type: RecCommit, TxID: 1})
+	lsn := l.Append(&Record{Type: RecUpdate, TxID: 2, Payload: []byte("zombie payload")})
+	zombie, err := l.Read(lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := l.SnapshotFrom(lsn)
+	l.Crash()
+	if got := l.Append(&Record{Type: RecUpdate, TxID: 3, Payload: []byte("successor bytes")}); got != lsn {
+		t.Fatalf("successor appended at LSN %d, want %d", got, lsn)
+	}
+	l.Append(&Record{Type: RecUpdate, TxID: 3, Payload: []byte("more successor bytes")})
+	for _, r := range []*Record{zombie, scanned[0]} {
+		if r.TxID != 2 || string(r.Payload) != "zombie payload" {
+			t.Fatalf("zombie's record changed under it: %v %q", r, r.Payload)
+		}
+	}
+	r, err := l.Read(lsn)
+	if err != nil || r.TxID != 3 || string(r.Payload) != "successor bytes" {
+		t.Fatalf("successor's record at LSN %d: %v %v", lsn, r, err)
+	}
+}
+
+// BenchmarkAppend prices one append of hot-update's record mix (update,
+// commit, end): ns and allocations per record.
+func BenchmarkAppend(b *testing.B) {
+	recs := hotUpdateTxn()
+	l := NewLog(nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%(1<<20) == 0 {
+			l = NewLog(nil) // stay far below the claim word's record cap
+		}
+		l.Append(recs[i%3])
+	}
+}
+
+// BenchmarkScanFrom prices decoding a 400k-record suffix of hot-update's
+// record mix, per record: Scan one fresh record at a time, SnapshotFrom into
+// one backing array (what restart does).
+func BenchmarkScanFrom(b *testing.B) {
+	const suffix = 400_000
+	l := NewLog(nil)
+	recs := hotUpdateTxn()
+	for i := 0; i < 1000; i++ {
+		l.Append(recs[i%3])
+	}
+	from := l.NextLSN()
+	for i := 0; i < suffix; i++ {
+		l.Append(recs[i%3])
+	}
+	b.Run("Scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			l.Scan(from, func(*Record) bool { n++; return true })
+			if n != suffix {
+				b.Fatalf("scanned %d records, want %d", n, suffix)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suffix), "ns/record")
+	})
+	b.Run("SnapshotFrom", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if n := len(l.SnapshotFrom(from)); n != suffix {
+				b.Fatalf("decoded %d records, want %d", n, suffix)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*suffix), "ns/record")
+	})
+}

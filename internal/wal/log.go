@@ -1,10 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +20,10 @@ var ErrLogCrashed = errors.New("wal: log crashed during append-force")
 
 // Log is the write-ahead log manager. Records live in a single virtual
 // byte address space; a record's LSN is one plus its byte offset, so LSNs
-// are monotonically increasing and directly comparable with page_LSNs.
+// are monotonically increasing and directly comparable with page_LSNs. The
+// log keeps each record as its encoded bytes at that offset (reserve.go);
+// every *Record it hands out is a freshly decoded, read-only copy whose
+// Payload may alias the stored bytes.
 //
 // The log models the volatile log buffer + stable log file split that
 // ARIES depends on: Append places a record in the buffer, Force hardens
@@ -39,7 +42,8 @@ var ErrLogCrashed = errors.New("wal: log crashed during append-force")
 type Log struct {
 	// Reservation pipeline (lock-free append path; see reserve.go).
 	resv   atomic.Uint64             // packed claim word: records<<40 | bytes
-	dir    atomic.Pointer[[]*logSeg] // slot directory, grown by CAS
+	dir    atomic.Pointer[[]*logSeg] // slot directory (slot i: LSN of record i), grown by CAS
+	chunks atomic.Pointer[[]*chunk]  // byte arena: record LSN n at offset n-1, grown by CAS
 	filled atomic.Uint64             // contiguity watermark: slots [0,filled) published
 
 	// crashMu fences appends against crash truncation: appenders hold the
@@ -162,15 +166,16 @@ func (l *Log) deliverNotify() {
 	}
 }
 
-// Append assigns the next LSN to r and adds it to the log buffer. The
-// record is volatile until a Force covers it. Append returns the LSN.
+// Append assigns the next LSN to r (setting r.LSN) and adds its encoding to
+// the log buffer. The record is volatile until a Force covers it. Append
+// returns the LSN. The log keeps r's bytes, not r: the caller may reuse r.
 //
 // This is the lock-free reservation path: one atomic fetch-add claims the
 // byte range and slot, and concurrent appenders never serialize (the
 // ariesim-lint append-path check keeps exclusive mutexes off it).
 func (l *Log) Append(r *Record) LSN {
 	l.crashMu.RLock()
-	lsn := l.reserveFill(r, r.EncodedSize()) // realistic byte accounting: what Encode would produce
+	lsn := l.reserveFill(r, r.EncodedSize())
 	l.crashMu.RUnlock()
 	return lsn
 }
@@ -375,12 +380,8 @@ func (l *Log) MaxLSN() LSN {
 func (l *Log) Bytes() uint64 {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
-	f := l.filled.Load()
-	if f == 0 {
-		return 0
-	}
-	r := l.slotAt(f - 1)
-	return uint64(r.LSN) - 1 + uint64(r.EncodedSize())
+	v := l.view()
+	return v.end(v.n)
 }
 
 // NumRecords returns the number of appended records under the contiguity
@@ -410,7 +411,7 @@ func (l *Log) Master() LSN {
 	return l.master
 }
 
-// Read returns the record at lsn.
+// Read returns a freshly decoded copy of the record at lsn.
 //
 // Appends publish out of slot order: a record can sit published at slot i
 // while an earlier reservation (slot j < i, another appender) is still
@@ -430,25 +431,16 @@ func (l *Log) Read(lsn LSN) (*Record, error) {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
 	for {
-		i, n := l.searchFilled(lsn)
-		if i < n {
-			if r := l.slotAt(i); r.LSN == lsn {
-				return r, nil
-			}
+		v := l.view()
+		if i := v.search(lsn); i < v.n && v.lsn(i) == lsn {
+			r := &Record{}
+			decodeStored(r, v.stored(lsn), lsn)
+			return r, nil
 		}
 		count, off := unpackResv(l.resv.Load())
-		if lsn > off {
-			// Beyond every claimed byte: no reservation can hold this LSN.
-			break
-		}
-		if l.filled.Load() >= count {
-			// Every claimed reservation has published and the watermark
-			// covers the frontier; one fresh search is authoritative.
-			if i, n := l.searchFilled(lsn); i < n {
-				if r := l.slotAt(i); r.LSN == lsn {
-					return r, nil
-				}
-			}
+		if lsn > off || v.n >= count {
+			// Beyond every claimed byte, or every claimed reservation had
+			// published when the search ran: no record holds this LSN.
 			break
 		}
 		runtime.Gosched()
@@ -457,52 +449,60 @@ func (l *Log) Read(lsn LSN) (*Record, error) {
 }
 
 // Scan invokes fn on every record with LSN >= from, in order, until fn
-// returns false. It snapshots the record list so fn may use the log.
+// returns false. It decodes one record at a time, each a fresh read-only
+// copy like Read's, so stopping early decodes nothing past the stop. The
+// records are those under the watermark at the call; fn may use the log.
 func (l *Log) Scan(from LSN, fn func(*Record) bool) {
-	for _, r := range l.SnapshotFrom(from) {
+	v := l.snapshot()
+	for i := v.search(from); i < v.n; i++ {
+		lsn := v.lsn(i)
+		r := &Record{}
+		decodeStored(r, v.stored(lsn), lsn)
 		if !fn(r) {
 			return
 		}
 	}
 }
 
-// SnapshotFrom returns a read-only view of every record with LSN >= from,
-// in order, up to the contiguity watermark. The records are shared (they
-// are immutable once appended) and only the pointer slice is materialized,
-// so ONE log scan can still be fanned out across many consumers (restart
-// redo workers) cheaply. Callers must not modify the returned records.
+// SnapshotFrom returns every record with LSN >= from, in order, up to the
+// contiguity watermark, decoded into one backing array — so ONE log scan can
+// be fanned out across many consumers (restart redo workers) cheaply. The
+// records are the caller's copies but read-only: their payloads may alias
+// the log's stored bytes.
 func (l *Log) SnapshotFrom(from LSN) []*Record {
-	l.crashMu.RLock()
-	defer l.crashMu.RUnlock()
-	lo, n := l.searchFilled(from)
-	return l.prefix(lo, n)
+	v := l.snapshot()
+	return v.records(v.search(from), v.n)
 }
 
-// SnapshotStable returns a read-only view of every record with
-// from <= LSN <= stable, together with the stable and master LSNs — the
+// SnapshotStable returns every record with from <= LSN <= stable, decoded
+// like SnapshotFrom, together with the stable and master LSNs — the
 // consistent stable-prefix snapshot the archive and the log shipper are
 // defined against. The stable mark can only cover watermarked records
 // (Force awaits the watermark before advancing it), so the snapshot is
 // hole-free by construction; concurrent appends and forces racing the call
 // can only land strictly after the returned prefix.
 func (l *Log) SnapshotStable(from LSN) (recs []*Record, stable, master LSN) {
+	v, stable, master := l.stableView()
+	return v.records(v.search(from), v.n), stable, master
+}
+
+// stableView returns a view cut at the stable mark, with the stable and
+// master LSNs captured in the same instant.
+func (l *Log) stableView() (v view, stable, master LSN) {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
 	l.mu.Lock()
 	stable, master = l.stable, l.master
 	l.mu.Unlock()
-	lo, n := l.searchFilled(from)
-	hi := lo + uint64(sort.Search(int(n-lo), func(i int) bool {
-		return l.slotAt(lo+uint64(i)).LSN > stable
-	}))
-	return l.prefix(lo, hi), stable, master
+	v = l.view()
+	v.n = v.search(stable + 1)
+	return v, stable, master
 }
 
-// Records returns all records from LSN from onward (test/verification aid).
+// Records returns all records from LSN from onward (test/verification aid),
+// decoded like SnapshotFrom.
 func (l *Log) Records(from LSN) []*Record {
-	var out []*Record
-	l.Scan(from, func(r *Record) bool { out = append(out, r); return true })
-	return out
+	return l.SnapshotFrom(from)
 }
 
 // Crash simulates loss of volatile state: every record after the stable
@@ -557,43 +557,34 @@ func (l *Log) TruncateTo(lsn LSN) {
 
 // crashLocked is the crash body. Caller holds crashMu exclusively and l.mu:
 // no appender is between claim and publish, so the watermark can be dragged
-// to the claimed frontier and the record list materialized without holes —
-// the crash-truncation rule "truncate at the watermark, never mid-hole"
-// holds by construction. Unfilled reservations cannot exist here; claimed
-// records above the surviving prefix are discarded and their slots cleared,
-// and the reservation word is rewound so the address space continues from
-// the survivor.
+// to the claimed frontier — the crash-truncation rule "truncate at the
+// watermark, never mid-hole" holds by construction. Unfilled reservations
+// cannot exist here; the survivors are found by binary search on the slots,
+// records above them are discarded by cutting the directories at the new
+// frontier (copy-on-write: a zombie's decoded records keep their bytes), and
+// the reservation word is rewound so the address space continues from the
+// survivor.
 func (l *Log) crashLocked(extra int, tear bool) {
 	l.advanceFilled()
-	claimed, _ := unpackResv(l.resv.Load())
-	recs := l.prefix(0, claimed)
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].LSN > l.stable })
-	keep := i + extra
-	if keep > len(recs) {
-		keep = len(recs)
-	}
+	v := l.view()
+	i := v.search(l.stable + 1)
+	keep := min(i+uint64(extra), v.n)
 	if tear && keep > i && keep > 0 {
 		// Tear the last survivor: its trailing half never hit the platter.
-		last := recs[keep-1]
-		l.damage[last.LSN] = append(l.damage[last.LSN],
-			damageSpot{off: last.EncodedSize() / 2, xor: 0xA5})
+		last := v.lsn(keep - 1)
+		l.damage[last] = append(l.damage[last], damageSpot{off: v.size(last) / 2, xor: 0xA5})
 	}
-	recs = l.sweepDamaged(recs[:keep])
-	n := uint64(len(recs))
-	var nextOff LSN
+	n := l.sweepDamaged(&v, keep)
+	l.stable = NilLSN
 	if n > 0 {
-		last := recs[n-1]
-		nextOff = last.LSN - 1 + LSN(last.EncodedSize())
-		l.stable = last.LSN
-	} else {
-		nextOff = 0
-		l.stable = NilLSN
+		l.stable = v.lsn(n - 1)
 	}
+	nextOff := v.end(n)
+	segs, chunks := v.cut(n, nextOff)
+	l.dir.Store(segs)
+	l.chunks.Store(chunks)
 	l.filled.Store(n)
-	for j := n; j < claimed; j++ {
-		l.clearSlot(j)
-	}
-	l.resv.Store(packResv(n, nextOff))
+	l.resv.Store(packResv(n, LSN(nextOff)))
 	if l.master > l.stable {
 		l.master = NilLSN
 	}
@@ -613,20 +604,18 @@ func (l *Log) crashLocked(extra int, tear bool) {
 	l.notifyDone = l.stable
 }
 
-// sweepDamaged re-reads every damaged surviving record the way a restart
-// reads the stable log — encoded bytes, with planted corruption applied —
-// and truncates the list at the first record that fails to decode.
-func (l *Log) sweepDamaged(recs []*Record) []*Record {
-	if len(l.damage) == 0 {
-		return recs
-	}
-	cut := -1
-	for i, r := range recs {
-		spots, ok := l.damage[r.LSN]
-		if !ok {
+// sweepDamaged re-reads every damaged record among the first keep slots of
+// v the way a restart reads the stable log — stored bytes, with planted
+// corruption applied — and returns the number of slots before the first
+// record that fails to decode. It visits only the damaged LSNs.
+func (l *Log) sweepDamaged(v *view, keep uint64) uint64 {
+	cut := keep
+	for lsn, spots := range l.damage {
+		i := v.search(lsn)
+		if i >= cut || v.lsn(i) != lsn {
 			continue
 		}
-		b := r.Encode()
+		b := append([]byte(nil), v.stored(lsn)...)
 		for _, s := range spots {
 			if s.off >= 0 && s.off < len(b) {
 				b[s.off] ^= s.xor
@@ -634,20 +623,21 @@ func (l *Log) sweepDamaged(recs []*Record) []*Record {
 		}
 		if _, _, err := DecodeRecord(b); err != nil {
 			cut = i
-			break
 		}
 	}
-	if cut < 0 {
-		return recs
+	if cut == keep {
+		return keep
 	}
-	for _, r := range recs[cut:] {
-		delete(l.damage, r.LSN)
+	for lsn := range l.damage {
+		if i := v.search(lsn); i >= cut && i < keep && v.lsn(i) == lsn {
+			delete(l.damage, lsn)
+		}
 	}
 	l.truncates++
 	if l.stats != nil {
 		l.stats.TornTailTruncations.Add(1)
 	}
-	return recs[:cut]
+	return cut
 }
 
 // CorruptStored plants byte-level corruption (XOR of mask at byte off) in
@@ -657,8 +647,8 @@ func (l *Log) sweepDamaged(recs []*Record) []*Record {
 func (l *Log) CorruptStored(lsn LSN, off int, mask byte) error {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
-	i, n := l.searchFilled(lsn)
-	if i >= n || l.slotAt(i).LSN != lsn {
+	v := l.view()
+	if i := v.search(lsn); i >= v.n || v.lsn(i) != lsn {
 		return fmt.Errorf("wal: no record at LSN %d", lsn)
 	}
 	l.mu.Lock()
@@ -675,10 +665,11 @@ func (l *Log) TornTailTruncations() uint64 {
 	return l.truncates
 }
 
-// Clone deep-copies the log's state into a new Log reporting into stats.
-// Records are shared (they are immutable once appended); the slot
-// directory, marks, and planted damage are copied. Clone holds the crash
-// fence exclusively, so no reservation is mid-fill and the copy is
+// Clone copies the log's state into a new Log reporting into stats. Every
+// arena chunk and slot segment wholly below the frontier is shared (nothing
+// there is ever rewritten); the frontier's own chunk and segment, the marks,
+// and planted damage are copied — O(chunks), not O(records). Clone holds the
+// crash fence exclusively, so no reservation is mid-fill and the copy is
 // hole-free. Used to fork an engine for crash-point sweeps without
 // disturbing the original.
 func (l *Log) Clone(stats *trace.Stats) *Log {
@@ -689,9 +680,10 @@ func (l *Log) Clone(stats *trace.Stats) *Log {
 	l.advanceFilled()
 	count, off := unpackResv(l.resv.Load())
 	out := NewLog(stats)
-	for i := uint64(0); i < count; i++ {
-		out.setSlot(i, l.slotAt(i))
-	}
+	v := l.view()
+	segs, chunks := v.cut(count, uint64(off))
+	out.dir.Store(segs)
+	out.chunks.Store(chunks)
 	out.filled.Store(count)
 	out.resv.Store(packResv(count, off))
 	out.stable = l.stable
@@ -704,22 +696,25 @@ func (l *Log) Clone(stats *trace.Stats) *Log {
 	return out
 }
 
-// CodecRoundTrip re-encodes and decodes every stable record, verifying the
-// on-log format end to end. Used by tests and the crash tool.
+// CodecRoundTrip checks every record under the watermark end to end: its
+// stored bytes decode with their CRC intact, re-encoding the decoded record
+// reproduces them byte for byte, and the next record starts where this one
+// ends. Used by tests and the crash tool.
 func (l *Log) CodecRoundTrip() error {
-	for _, r := range l.Records(NilLSN + 1) {
-		enc := r.Encode()
-		got, n, err := DecodeRecord(enc)
+	v := l.snapshot()
+	for i := uint64(0); i < v.n; i++ {
+		lsn := v.lsn(i)
+		b := v.stored(lsn)
+		got, n, err := DecodeRecord(b)
 		if err != nil {
-			return fmt.Errorf("LSN %d: %w", r.LSN, err)
+			return fmt.Errorf("LSN %d: %w", lsn, err)
 		}
-		// Append sizes a record by EncodedSize without encoding it.
-		if len(enc) != r.EncodedSize() || n != len(enc) {
-			return fmt.Errorf("LSN %d: encoded %d bytes, decoded %d, EncodedSize %d", r.LSN, len(enc), n, r.EncodedSize())
+		got.LSN = lsn
+		if enc := got.Encode(); n != len(b) || !bytes.Equal(enc, b) {
+			return fmt.Errorf("LSN %d: stored %d bytes, decoded %d, re-encoded %d differ: %s", lsn, len(b), n, len(enc), got)
 		}
-		got.LSN = r.LSN
-		if got.String() != r.String() {
-			return fmt.Errorf("LSN %d: round trip mismatch:\n  %s\n  %s", r.LSN, r, got)
+		if i+1 < v.n && v.lsn(i+1) != lsn+LSN(len(b)) {
+			return fmt.Errorf("LSN %d: %d bytes, but the next record is at LSN %d", lsn, len(b), v.lsn(i+1))
 		}
 	}
 	return nil

@@ -189,8 +189,15 @@ func (r *Record) EncodedSize() int { return recHeaderSize + len(r.Payload) }
 // Encode serializes the record (excluding its LSN, which is its address).
 func (r *Record) Encode() []byte {
 	b := make([]byte, r.EncodedSize())
+	r.encodeTo(b)
+	return b
+}
+
+// encodeTo serializes the record into b, which is exactly EncodedSize long.
+func (r *Record) encodeTo(b []byte) {
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)))
 	b[8] = uint8(r.Type)
+	b[9] = 0
 	if r.RedoOnly {
 		b[9] = 1
 	}
@@ -201,7 +208,6 @@ func (r *Record) Encode() []byte {
 	binary.LittleEndian.PutUint16(b[34:36], uint16(r.Op))
 	copy(b[recHeaderSize:], r.Payload)
 	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[8:], recCRCTable))
-	return b
 }
 
 var recCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -219,7 +225,20 @@ func DecodeRecord(b []byte) (*Record, int, error) {
 	if crc := binary.LittleEndian.Uint32(b[4:8]); crc != crc32.Checksum(b[8:total], recCRCTable) {
 		return nil, 0, ErrBadRecordCRC
 	}
-	r := &Record{
+	r := &Record{}
+	decodeStored(r, b[:total], NilLSN)
+	if r.Payload != nil {
+		r.Payload = append([]byte(nil), r.Payload...)
+	}
+	return r, total, nil
+}
+
+// decodeStored fills r from b, one record's stored image (already known to
+// be intact), at address lsn. The payload aliases b, capped so an append to
+// it cannot write into whatever follows.
+func decodeStored(r *Record, b []byte, lsn LSN) {
+	*r = Record{
+		LSN:        lsn,
 		Type:       RecType(b[8]),
 		RedoOnly:   b[9] == 1,
 		TxID:       TxID(binary.LittleEndian.Uint32(b[10:14])),
@@ -228,11 +247,9 @@ func DecodeRecord(b []byte) (*Record, int, error) {
 		Page:       storage.PageID(binary.LittleEndian.Uint32(b[30:34])),
 		Op:         OpCode(binary.LittleEndian.Uint16(b[34:36])),
 	}
-	if total > recHeaderSize {
-		r.Payload = make([]byte, total-recHeaderSize)
-		copy(r.Payload, b[recHeaderSize:total])
+	if len(b) > recHeaderSize {
+		r.Payload = b[recHeaderSize:len(b):len(b)]
 	}
-	return r, total, nil
 }
 
 func (r *Record) String() string {
