@@ -12,8 +12,9 @@ vet:
 
 # Blocking static analysis. The in-repo std-lib linter always runs: gofmt
 # cleanliness, a handful of AST checks, and two path gates staticcheck has
-# no notion of — no lock-manager call on the snapshot read path, and no
-# exclusive mutex on the log append path (wal.Append / reserveFill).
+# no notion of — no lock-manager call and no Commit on the snapshot read
+# path (db, mvcc and core), and no exclusive mutex on the log append path
+# (wal.Append / reserveFill).
 # staticcheck runs as well where it is installed.
 staticcheck:
 	$(GO) run ./cmd/ariesim-lint ./...
@@ -59,6 +60,10 @@ test-2core:
 # The log's tests repeat 20 times: an appender writes a record's bytes before
 # it publishes the record's slot, and a broken order is a data race the
 # detector sees only on the schedules where a reader lands in between.
+# The ambiguity tests repeat 20 times: locked and latch-only readers share
+# one traverse, which decides under a page latch whether a set SM_Bit
+# belongs to a live SMO by trying the tree latch, so a wrong answer shows only
+# on the schedules where an SMO holds or releases it in between.
 # The paper tables repeat 5 times: -table smo parks reader goroutines behind
 # an uncommitted split, so a race or a schedule-dependent count shows up as a
 # golden diff.
@@ -71,6 +76,8 @@ race:
 	$(GO) test -race -count=20 -run 'TestShardStress$$|TestConcurrentSameShardMix$$|TestCleanerConcurrentWithTraffic$$' ./internal/buffer
 	$(GO) test -race -count=20 ./internal/lock
 	$(GO) test -race -count=20 -run 'TestPartialRollbackToSavepoint$$|TestSavepointReleaseUnblocksContender$$' ./internal/txn
+	$(GO) test -race -count=20 -run 'TestStaleSMBitIsSteppedOver$$|TestTraversalAmbiguityWaits$$' ./internal/core
+	$(GO) test -race -count=20 -run 'TestSnapshotReadPastStaleSMBit$$' ./internal/db
 	$(GO) test -race -count=5 ./cmd/ariesim-bench
 	$(GO) test -race -count=20 ./internal/wal
 

@@ -7,10 +7,11 @@
 //   - self-assignment (x = x)
 //   - time.Now().Sub(t), which should be time.Since(t)
 //   - empty else branches (else {})
-//   - lock-manager calls reachable from the snapshot read-only path in
-//     package db and, through it, in package mvcc (the MVCC contract:
-//     readers are zero-lock, so a locked fetch or lock.Manager request
-//     anywhere the snapshot path can reach is a bug, not a style problem)
+//   - lock-manager calls and transaction commits reachable from the
+//     snapshot read-only path in package db and, through it, in packages
+//     mvcc and core (the MVCC contract: readers take no locks and write no
+//     log, so a locked fetch, a lock.Manager request or a Commit anywhere
+//     the snapshot path can reach is a bug, not a style problem)
 //   - exclusive mutex acquisitions reachable from the log append path in
 //     package wal (the append path is a lock-free reservation pipeline:
 //     appenders share crashMu's read side and must never serialize)
@@ -174,29 +175,30 @@ type pathCheck struct {
 	rule string
 }
 
-// readOnlyPath keeps the snapshot read path zero-lock. Package db holds its
-// roots (the read-only entry points and their helpers), and the version
-// store's lookups (Read, RowsBetween and whatever cursor or index they walk)
-// are reached from them by name, so a lock-manager call added in mvcc is
-// flagged like one in db. The stops are dual-path dispatchers: they branch
-// on tx.Snapshot() between the locked path (legitimate for ordinary
-// transactions) and the snapshot path, whose branches re-enter through the
-// snapshot* helpers, which are roots — so the locked arms don't
-// false-positive the gate.
+// readOnlyPath keeps the snapshot read path zero-lock and log-free. Package
+// db holds its roots (the read-only entry points and their helpers), and
+// the version store's lookups (Read, RowsBetween and whatever cursor or
+// index they walk) and the index manager's latch-only fetches (FetchNoLock,
+// FetchNextNoLock and the traverse they share with the locked fetches) are
+// reached from them by name, so a lock-manager call or a Commit added in
+// mvcc or core is flagged like one in db. The stops are dual-path
+// dispatchers: they branch on tx.Snapshot() between the locked path
+// (legitimate for ordinary transactions) and the snapshot path, whose
+// branches re-enter through the snapshot* helpers, which are roots — so the
+// locked arms don't false-positive the gate.
 var readOnlyPath = pathCheck{
-	packages: map[string]bool{"db": true, "mvcc": true},
+	packages: map[string]bool{"db": true, "mvcc": true, "core": true},
 	roots: []string{
 		"BeginReadOnly", "EndReadOnly", "RunReadOnly", "RunReadOnlyWith",
 		"SnapshotBackup", "snapshotGet", "snapshotRead", "snapshotScan",
 		"snapshotScanPrefix", "snapshotScanIndex", "probePage",
-		"snapCursorStart", "snapCursorNext",
 	},
 	stops: map[string]bool{
 		"Get": true, "Scan": true, "ScanPrefix": true,
 		"ScanIndex": true, "ScanIndexRange": true,
 	},
-	finding: lockManagerCall,
-	rule:    "the read-only snapshot path (via %s); snapshot readers must stay zero-lock",
+	finding: snapshotReaderCall,
+	rule:    "the read-only snapshot path (via %s); snapshot readers take no locks and write no log",
 }
 
 // appendPath keeps the log append path free of exclusive mutexes: Append
@@ -282,6 +284,17 @@ func exclusiveLockCall(call *ast.CallExpr) (bool, string) {
 		return true, "exclusive mutex Lock"
 	}
 	return false, ""
+}
+
+// snapshotReaderCall reports whether call is something a snapshot reader
+// must never do: lock-manager traffic, or a Commit — a reader has nothing
+// to commit, so one on its path is a logging transaction begun inside a
+// read.
+func snapshotReaderCall(call *ast.CallExpr) (bool, string) {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Commit" {
+		return true, "transaction Commit"
+	}
+	return lockManagerCall(call)
 }
 
 // lockManagerCall reports whether call is lock-manager traffic: the

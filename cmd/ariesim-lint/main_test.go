@@ -130,6 +130,115 @@ func (st *Store) auditUnderLock() error {
 	}
 }
 
+// TestReadOnlyPathFlagsCommit: a snapshot read that begins and commits a
+// transaction of its own — here to clear a page bit it tripped over — writes
+// the log from inside a read, and must be flagged like a lock call.
+func TestReadOnlyPathFlagsCommit(t *testing.T) {
+	src := `package db
+
+func (t *Table) snapshotRead(s uint64, key []byte) ([]byte, bool, error) {
+	return t.resolveKey(s, key)
+}
+
+func (t *Table) resolveKey(s uint64, key []byte) ([]byte, bool, error) {
+	if err := t.housekeeping(); err != nil {
+		return nil, false, err
+	}
+	return nil, false, nil
+}
+
+func (t *Table) housekeeping() error {
+	tx, err := t.db.Begin()
+	if err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+`
+	if n := readOnlyPath.lint([]parsedFile{parseSrc(t, "bad.go", src)}); n == 0 {
+		t.Fatal("Commit reachable from snapshotRead was not flagged")
+	}
+}
+
+// latchOnlyScan is a snapshotScan that positions its cursor with the index
+// manager's latch-only fetch, as package db's does.
+const latchOnlyScan = `package db
+
+func (t *Table) snapshotScan(s, from, to any) error {
+	_, _, err := t.primary.FetchNoLock(nil, 0)
+	return err
+}
+
+func (d *DB) EndReadOnly(tx *txn.Tx) error {
+	return tx.Rollback()
+}
+`
+
+// TestReadOnlyPathFlagsLockCallInTraverse: the walk crosses from package db
+// into package core, so a traversal the latch-only fetch shares with the
+// locked ones is held to the snapshot rules although no db function names
+// it.
+func TestReadOnlyPathFlagsLockCallInTraverse(t *testing.T) {
+	index := `package core
+
+func (ix *Index) FetchNoLock(val []byte, op SearchOp) (FetchResult, *Cursor, error) {
+	leaf, err := ix.traverse(probeFor(val, op), false)
+	return ix.seal(leaf), nil, err
+}
+
+func (ix *Index) traverse(probe storage.Key, forUpdate bool) (*buffer.Frame, error) {
+	return ix.descend(probe, forUpdate)
+}
+
+func (ix *Index) descend(probe storage.Key, forUpdate bool) (*buffer.Frame, error) {
+	ix.tx.Lock(ix.treeName, 0, 0, false) // a tree lock on the way down
+	return nil, nil
+}
+`
+	pkg := []parsedFile{parseSrc(t, "scan.go", latchOnlyScan), parseSrc(t, "index.go", index)}
+	if n := readOnlyPath.lint(pkg); n == 0 {
+		t.Fatal("lock-manager call in core's traverse reachable from snapshotScan was not flagged")
+	}
+}
+
+// TestReadOnlyPathAllowsLatchOnlyTraverse is the matching positive case: a
+// traverse that tries and waits on the tree latch passes clean, and core's
+// locked fetch and its logging insert, which no snapshot root reaches, are
+// not held against it; nor is the Rollback that ends a locked fallback
+// reader.
+func TestReadOnlyPathAllowsLatchOnlyTraverse(t *testing.T) {
+	index := `package core
+
+func (ix *Index) FetchNoLock(val []byte, op SearchOp) (FetchResult, *Cursor, error) {
+	leaf, err := ix.traverse(probeFor(val, op), false)
+	return ix.seal(leaf), nil, err
+}
+
+func (ix *Index) traverse(probe storage.Key, forUpdate bool) (*buffer.Frame, error) {
+	for {
+		if ix.treeLatch.TryAcquire(latch.S) {
+			ix.treeLatch.Release(latch.S)
+			return nil, nil
+		}
+		ix.treeLatch.AcquireInstant(latch.S)
+	}
+}
+
+func (ix *Index) Fetch(tx *txn.Tx, val []byte, op SearchOp) (FetchResult, *Cursor, error) {
+	tx.Lock(ix.keyName(val), 0, 0, false)
+	return FetchResult{}, nil, nil
+}
+
+func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
+	return tx.Commit()
+}
+`
+	pkg := []parsedFile{parseSrc(t, "scan.go", latchOnlyScan), parseSrc(t, "index.go", index)}
+	if n := readOnlyPath.lint(pkg); n != 0 {
+		t.Fatalf("latch-only traverse flagged %d finding(s); want 0", n)
+	}
+}
+
 // TestAppendPathFlagsExclusiveLock is the append gate's negative test: a
 // serializing latch on Append — directly or in a helper reserveFill calls —
 // must be flagged.

@@ -34,7 +34,7 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 	defer releaseTree()
 
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		leaf, err := ix.traverse(tx, key, true)
+		leaf, err := ix.traverse(key, true)
 		if err != nil {
 			return err
 		}

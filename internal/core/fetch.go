@@ -162,7 +162,7 @@ func acceptFor(val []byte, op SearchOp) func(storage.Key) bool {
 func (ix *Index) fetchFrom(tx *txn.Tx, probe storage.Key, mode lock.Mode, dur lock.Duration, accept func(storage.Key) bool) (FetchResult, *Cursor, error) {
 	cur := &Cursor{}
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		leaf, err := ix.traverse(tx, probe, false)
+		leaf, err := ix.traverse(probe, false)
 		if err != nil {
 			return FetchResult{}, nil, err
 		}
@@ -223,9 +223,9 @@ func acceptAny(storage.Key) bool { return true }
 // step positions past the cursor's key (§2.3). If the remembered leaf's LSN
 // still matches, nothing on it has moved: the next key is the next slot,
 // or — past the leaf's last slot — the first key of a right neighbour.
-// Otherwise the leaf changed under the cursor and descend repositions from
-// the root. The returned frame is S-latched unless the outcome is eof.
-func (ix *Index) step(c *Cursor, descend func(probe storage.Key) (*buffer.Frame, error)) (found, error) {
+// Otherwise the leaf changed under the cursor and a traverse repositions
+// from the root. The returned frame is S-latched unless the outcome is eof.
+func (ix *Index) step(c *Cursor) (found, error) {
 	f, err := ix.fixLatched(c.leaf, latch.S)
 	if err != nil {
 		return found{}, err
@@ -246,7 +246,7 @@ func (ix *Index) step(c *Cursor, descend func(probe storage.Key) (*buffer.Frame,
 	}
 	ix.unfixLatched(f, latch.S)
 	probe := probeAfter(c.key)
-	leaf, err := descend(probe)
+	leaf, err := ix.traverse(probe, false)
 	if err != nil {
 		return found{}, err
 	}
@@ -263,9 +263,8 @@ func (ix *Index) FetchNext(tx *txn.Tx, c *Cursor) (FetchResult, error) {
 	if c.eof {
 		return FetchResult{EOF: true}, nil
 	}
-	descend := func(probe storage.Key) (*buffer.Frame, error) { return ix.traverse(tx, probe, false) }
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		fnd, err := ix.step(c, descend)
+		fnd, err := ix.step(c)
 		if err != nil {
 			return FetchResult{}, err
 		}

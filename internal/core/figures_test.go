@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -667,7 +668,8 @@ func TestFetchNextRepositionsAfterLeafChange(t *testing.T) {
 }
 
 // TestTraversalAmbiguityWaits: a traverser whose probe exceeds a nonleaf
-// page's high keys while SM_Bit=1 must wait for the SMO (Fig 4).
+// page's high keys while SM_Bit=1 must wait for the SMO (Fig 4) — locked
+// and latch-only readers alike, since they share one traverse.
 func TestTraversalAmbiguityWaits(t *testing.T) {
 	e := newEnv(t, 512, 64)
 	ix := e.createIndex(Config{ID: 1})
@@ -686,28 +688,91 @@ func TestTraversalAmbiguityWaits(t *testing.T) {
 	f.Page.SetSMBit(true)
 	ix.unfixLatched(f, latch.X)
 
+	// Probes beyond every high key hit the ambiguity test.
 	t1 := e.tm.Begin()
-	done := make(chan error, 1)
+	locked, latchOnly := make(chan error, 1), make(chan error, 1)
 	go func() {
-		// A probe beyond every high key hits the ambiguity test.
 		_, _, err := ix.Fetch(t1, []byte("zzzzzz"), EQ)
-		done <- err
+		locked <- err
 	}()
-	select {
-	case err := <-done:
-		t.Fatalf("ambiguous traversal proceeded: %v", err)
-	case <-time.After(50 * time.Millisecond):
+	go func() {
+		_, _, err := ix.FetchNoLock([]byte("zzzzzz"), EQ)
+		latchOnly <- err
+	}()
+	// A traverser counts its restart and then waits on the tree latch,
+	// which is held X until the "SMO" below finishes: once both restarts
+	// are counted, neither fetch can complete before the release.
+	for e.stats.AmbiguityRestarts.Load() < 2 {
+		select {
+		case err := <-locked:
+			t.Fatalf("ambiguous locked traversal proceeded: %v", err)
+		case err := <-latchOnly:
+			t.Fatalf("ambiguous latch-only traversal proceeded: %v", err)
+		default:
+			runtime.Gosched()
+		}
 	}
 	// Finish the "SMO": clear the bit, release the latch.
 	f2, _ := ix.fixLatched(ix.Root(), latch.X)
 	f2.Page.SetSMBit(false)
 	ix.unfixLatched(f2, latch.X)
 	ix.treeLatch.Release(latch.X)
-	if err := <-done; err != nil {
+	if err := <-locked; err != nil {
 		t.Fatal(err)
 	}
-	if e.stats.AmbiguityRestarts.Load() == 0 {
-		t.Fatal("ambiguity restart not recorded")
+	if err := <-latchOnly; err != nil {
+		t.Fatal(err)
+	}
+	if n := e.stats.AmbiguityRestarts.Load(); n != 2 {
+		t.Fatalf("%d ambiguity restarts recorded, want 2", n)
 	}
 	e.commit(t1)
+}
+
+// TestStaleSMBitIsSteppedOver: an SM_Bit on a nonleaf page with no SMO in
+// progress is a crash leftover (Fig 8 makes resets optional). A conditional
+// instant S on the tree latch, granted while the page is latched, proves
+// it, so locked and latch-only fetches past every high key go down the
+// rightmost child without a restart, and neither logs a bit reset: the bit
+// stays for the next SMO on the page to reset.
+func TestStaleSMBitIsSteppedOver(t *testing.T) {
+	e := newEnv(t, 512, 64)
+	ix := e.createIndex(Config{ID: 1})
+	setup := e.tm.Begin()
+	for i := 0; i < 300; i++ {
+		e.mustInsert(setup, ix, key(i))
+	}
+	e.commit(setup)
+	if h, _ := ix.Height(); h < 2 {
+		t.Fatal("tree too short for the scenario")
+	}
+	f, _ := ix.fixLatched(ix.Root(), latch.X)
+	f.Page.SetSMBit(true)
+	ix.unfixLatched(f, latch.X)
+
+	last := key(299)
+	from := e.log.NextLSN()
+	res, _, err := ix.FetchNoLock(last.Val, EQ)
+	if err != nil || !res.Found || res.Key.Compare(last) != 0 {
+		t.Fatalf("FetchNoLock(last) = %+v, %v", res, err)
+	}
+	tx := e.tm.Begin()
+	res, _, err = ix.Fetch(tx, last.Val, EQ)
+	if err != nil || !res.Found || res.Key.Compare(last) != 0 {
+		t.Fatalf("Fetch(last) = %+v, %v", res, err)
+	}
+	e.commit(tx)
+	if n := e.stats.AmbiguityRestarts.Load(); n != 0 {
+		t.Fatalf("%d ambiguity restarts past a stale SM_Bit, want 0", n)
+	}
+	for _, r := range e.log.Records(from) {
+		if r.Op == wal.OpIdxSetBits {
+			t.Fatalf("a fetch logged a bit reset on page %d", r.Page)
+		}
+	}
+	f, _ = ix.fixLatched(ix.Root(), latch.S)
+	defer ix.unfixLatched(f, latch.S)
+	if !f.Page.SMBit() {
+		t.Fatal("a fetch reset the root's SM_Bit")
+	}
 }

@@ -80,7 +80,7 @@ func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
 	}
 	var spin struct{ quiesce, unique, nextRestart, lock, split int }
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		leaf, err := ix.traverse(tx, key, true)
+		leaf, err := ix.traverse(key, true)
 		if err != nil {
 			return err
 		}

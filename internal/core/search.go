@@ -17,70 +17,46 @@ const maxRestarts = 10000
 // traverse descends from the root to the leaf that covers probe,
 // implementing the Fig 4 search logic: latch coupling parent→child, and
 // the ambiguity test — when the probe falls past every high key of a
-// nonleaf page whose SM_Bit is set, an in-progress split may have grown
-// the page's range, so the traverser waits for the SMO (instant S tree
-// latch) and re-descends.
+// nonleaf page whose SM_Bit is set while an SMO is in progress, the SMO
+// may have grown the page's range, so the traverser waits for it (instant
+// S tree latch) and re-descends. Nothing on the way down locks or logs, so
+// locked and latch-only callers share it.
 //
 // The returned frame is latched S for reads and X for updates (forUpdate).
-func (ix *Index) traverse(tx *txn.Tx, probe storage.Key, forUpdate bool) (*buffer.Frame, error) {
+func (ix *Index) traverse(probe storage.Key, forUpdate bool) (*buffer.Frame, error) {
 	if ix.stats != nil {
 		ix.stats.Traversals.Add(1)
 	}
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		f, ambiguous, err := ix.descend(tx, probe, forUpdate)
-		if err != nil {
-			return nil, err
-		}
-		if ambiguous == storage.InvalidPageID {
-			return f, nil
+		f, ambiguous, err := ix.descend(probe, forUpdate)
+		if err != nil || !ambiguous {
+			return f, err
 		}
 		if ix.stats != nil {
 			ix.stats.AmbiguityRestarts.Add(1)
 		}
 		// Wait for the unfinished SMO to complete, then go down again
 		// (Fig 4 "unwind recursion ... and go down again"; we re-descend
-		// from the root). If no SMO is in progress, the bit is stale (a
-		// crash leftover: Fig 8 marks resets optional) — clear it under
-		// the page X latch so the ambiguity does not recur forever.
-		ix.clearStaleSMBit(tx, ambiguous)
+		// from the root).
 		ix.treeWaitInstantS()
 	}
 	return nil, fmt.Errorf("core: traversal of index %d did not stabilize", ix.cfg.ID)
 }
 
-// clearStaleSMBit resets a page's SM_Bit if provably no SMO is in
-// progress: while the page X latch is held, a conditional instant S grant
-// on the tree latch proves quiescence, and any SMO starting afterwards
-// must queue behind our X latch to touch this page.
-func (ix *Index) clearStaleSMBit(tx *txn.Tx, pid storage.PageID) {
-	f, err := ix.fixLatched(pid, latch.X)
-	if err != nil {
-		return
-	}
-	defer ix.unfixLatched(f, latch.X)
-	if f.Page.Type() != storage.PageTypeIndex || !f.Page.SMBit() {
-		return
-	}
-	if ix.treeTryInstantS() {
-		ix.resetBits(tx, f, false)
-	}
-}
-
-// descend performs one root-to-leaf pass. A nonzero ambiguous page ID
-// requests an ambiguity wait + retry centered on that page.
-func (ix *Index) descend(tx *txn.Tx, probe storage.Key, forUpdate bool) (*buffer.Frame, storage.PageID, error) {
+// descend performs one root-to-leaf pass. ambiguous requests an ambiguity
+// wait and a retry; no latch is held then.
+func (ix *Index) descend(probe storage.Key, forUpdate bool) (*buffer.Frame, bool, error) {
 	curMode := latch.S
 	cur, err := ix.fixLatched(ix.root, curMode)
 	if err != nil {
-		return nil, storage.InvalidPageID, err
+		return nil, false, err
 	}
 	for {
 		if cur.Page.Type() != storage.PageTypeIndex {
 			// A page freed by a racing page-deletion SMO: wait the SMO out
 			// and re-descend.
-			id := cur.ID()
 			ix.unfixLatched(cur, curMode)
-			return nil, id, nil
+			return nil, true, nil
 		}
 		if cur.Page.IsLeaf() {
 			if forUpdate && curMode == latch.S {
@@ -89,33 +65,37 @@ func (ix *Index) descend(tx *txn.Tx, probe storage.Key, forUpdate bool) (*buffer
 				ix.unfixLatched(cur, curMode)
 				cur, err = ix.fixLatched(ix.root, latch.X)
 				if err != nil {
-					return nil, storage.InvalidPageID, err
+					return nil, false, err
 				}
 				curMode = latch.X
 				if !cur.Page.IsLeaf() {
 					continue
 				}
 			}
-			return cur, storage.InvalidPageID, nil
+			return cur, false, nil
 		}
 
 		// Nonleaf: Fig 4 ambiguity test. The path is trustworthy when the
 		// probe is bounded by some high key, or when it is unbounded but
-		// no structure modification is pending on this page.
+		// no structure modification is in progress. A set SM_Bit alone
+		// does not say one is: every SMO holds the tree latch in X from
+		// setting its bits until resetting them, and none can post to this
+		// page past our latch, so a conditional instant S granted now
+		// proves the bit a crash leftover (Fig 8 makes resets optional) and
+		// the rightmost child the right way down.
 		child, unbounded, err := nodeChildFor(cur.Page, probe)
 		if err != nil {
 			ix.unfixLatched(cur, curMode)
-			return nil, storage.InvalidPageID, err
+			return nil, false, err
 		}
-		if unbounded && cur.Page.SMBit() {
-			id := cur.ID()
+		if unbounded && cur.Page.SMBit() && !ix.treeTryInstantS() {
 			ix.unfixLatched(cur, curMode)
-			return nil, id, nil
+			return nil, true, nil
 		}
 		if child == storage.InvalidPageID {
 			id := cur.ID()
 			ix.unfixLatched(cur, curMode)
-			return nil, storage.InvalidPageID, fmt.Errorf("core: nonleaf page %d has no child for probe", id)
+			return nil, false, fmt.Errorf("core: nonleaf page %d has no child for probe", id)
 		}
 		childIsLeaf := cur.Page.Level() == 1
 		childMode := latch.S
@@ -127,7 +107,7 @@ func (ix *Index) descend(tx *txn.Tx, probe storage.Key, forUpdate bool) (*buffer
 		nf, err := ix.fixLatched(child, childMode)
 		if err != nil {
 			ix.unfixLatched(cur, curMode)
-			return nil, storage.InvalidPageID, err
+			return nil, false, err
 		}
 		ix.unfixLatched(cur, curMode)
 		cur, curMode = nf, childMode

@@ -141,7 +141,7 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 		ix.stats.UndoLogical.Add(1)
 	}
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		leaf, err := ix.traverse(tx, key, true)
+		leaf, err := ix.traverse(key, true)
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ func (ix *Index) undoDelete(tx *txn.Tx, rec *wal.Record) error {
 		ix.stats.UndoLogical.Add(1)
 	}
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		leaf, err := ix.traverse(tx, key, true)
+		leaf, err := ix.traverse(key, true)
 		if err != nil {
 			return err
 		}

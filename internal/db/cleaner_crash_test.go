@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func TestCleanerCrashFence(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("cleaner never wrote a page under insert traffic")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 
 	d.Crash()
@@ -68,12 +69,19 @@ func TestCleanerCrashFence(t *testing.T) {
 	if n := d.Disk().WriteCount(); n != 0 {
 		t.Fatalf("post-crash disk already has %d writes", n)
 	}
-	time.Sleep(20 * time.Millisecond) // window for any unfenced cleaner pass
-	if n := d.Disk().WriteCount(); n != 0 {
-		t.Fatalf("cleaner leaked %d writes past the crash fence", n)
-	}
+	// Crash stopped the cleaner with StopCleaner, which returns only after
+	// the pass in flight has finished, and no pool starts one again before
+	// Restart. So the pass count is final here, whatever the workers do
+	// until they have all seen the crash.
+	passes := d.Stats().CleanerPasses.Load()
 	close(stop)
 	wg.Wait()
+	if n := d.Stats().CleanerPasses.Load() - passes; n != 0 {
+		t.Fatalf("%d cleaner passes ran past the crash fence", n)
+	}
+	if n := d.Disk().WriteCount(); n != 0 {
+		t.Fatalf("%d writes leaked onto the post-crash disk", n)
+	}
 
 	if _, err := d.Restart(); err != nil {
 		t.Fatal(err)
@@ -103,7 +111,7 @@ func TestCleanerCrashFence(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("cleaner did not resume after restart")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
@@ -183,7 +191,10 @@ func TestCleanerOptionsWiring(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	// StopCleaner waits out a pass in flight, so a cleaner started by
+	// mistake has either run during the load above or never will, and
+	// neither the pass count nor the DPT can move under the checks below.
+	plain.Pool().StopCleaner()
 	if plain.Stats().CleanerPasses.Load() != 0 {
 		t.Fatal("cleaner ran without CleanerInterval set")
 	}

@@ -149,12 +149,13 @@ func TestScanUnderConcurrentSplits(t *testing.T) {
 	}
 	_ = setup.Commit()
 
-	stop := make(chan struct{})
+	// Each scan step waits for one more writer commit, so splits land
+	// between the scan's steps on every schedule.
+	stop, committed := make(chan struct{}), make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		rng := rand.New(rand.NewSource(4))
-		i := 0
 		for {
 			select {
 			case <-stop:
@@ -170,8 +171,14 @@ func TestScanUnderConcurrentSplits(t *testing.T) {
 				_ = tx.Rollback()
 				continue
 			}
-			_ = tx.Commit()
-			i++
+			if tx.Commit() != nil {
+				continue
+			}
+			select {
+			case committed <- struct{}{}:
+			case <-stop:
+				return
+			}
 		}
 	}()
 
@@ -179,7 +186,7 @@ func TestScanUnderConcurrentSplits(t *testing.T) {
 	var seen []string
 	err := tbl.Scan(scan, k(0), k(rows*10-1), func(r Row) (bool, error) {
 		seen = append(seen, string(r.Key))
-		time.Sleep(100 * time.Microsecond) // let splits interleave
+		<-committed
 		return true, nil
 	})
 	close(stop)

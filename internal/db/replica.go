@@ -78,12 +78,7 @@ func (d *DB) Promote() (*recovery.Report, error) {
 	if err := pool.FlushAll(); err != nil {
 		return nil, fmt.Errorf("db: promote flush: %w", err)
 	}
-	rep, err := d.Restart()
-	if err != nil {
-		return nil, err
-	}
-	d.stats.Promotions.Add(1)
-	return rep, nil
+	return d.Restart()
 }
 
 // SetCommitGate installs the semi-synchronous replication gate: after a

@@ -233,12 +233,7 @@ func (t *Table) insertSeed(tx *txn.Tx, key []byte) func() (bool, []byte, uint64,
 		var settled storage.RID // the record whose holders have been waited out
 		for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
 			seq := t.vs.Seq(t.id)
-			present, rid, rec, err := t.probePage(key, func(pid storage.PageID) error {
-				// The writer has a real transaction: clear the stale SM_Bit
-				// in-line (a redo-only logged update, safe mid-operation).
-				t.primary.ResolveStaleSMBit(tx, pid)
-				return nil
-			})
+			present, rid, rec, err := t.probePage(key)
 			if err != nil {
 				return false, nil, 0, err
 			}
@@ -269,56 +264,19 @@ func (t *Table) insertSeed(tx *txn.Tx, key []byte) func() (bool, []byte, uint64,
 const maxSnapshotRetries = 16
 
 // probePage resolves key's current page state latch-only: index descent
-// to the RID, then an unlocked heap fetch. resolve is called to clear a
-// stale SM_Bit when the lock-free traversal gives up on one (crash
-// leftover); the probe then retries.
-func (t *Table) probePage(key []byte, resolve func(storage.PageID) error) (present bool, rid storage.RID, rec []byte, err error) {
-	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
-		res, _, err := t.primary.FetchNoLock(key, core.EQ)
-		var amb *core.AmbiguityError
-		if errors.As(err, &amb) {
-			if rerr := resolve(amb.Page); rerr != nil {
-				return false, storage.RID{}, nil, rerr
-			}
-			continue
-		}
-		if err != nil {
-			return false, storage.RID{}, nil, err
-		}
-		if !res.Found {
-			return false, storage.RID{}, nil, nil
-		}
-		raw, ghost, ok, err := t.data.FetchNoLock(res.Key.RID)
-		if err != nil {
-			return false, storage.RID{}, nil, err
-		}
-		if !ok || ghost {
-			// The record vanished or is a ghost: with no chain this is a
-			// committed absence; with one, the caller's re-check rules.
-			return false, storage.RID{}, nil, nil
-		}
-		return true, res.Key.RID, raw, nil
+// to the RID, then an unlocked heap fetch.
+func (t *Table) probePage(key []byte) (present bool, rid storage.RID, rec []byte, err error) {
+	res, _, err := t.primary.FetchNoLock(key, core.EQ)
+	if err != nil || !res.Found {
+		return false, storage.RID{}, nil, err
 	}
-	return false, storage.RID{}, nil, fmt.Errorf("db: probe of %q kept hitting ambiguous pages", key)
-}
-
-// housekeepingResolve clears a stale SM_Bit on behalf of a lock-free
-// reader, which has no transaction to log the reset with: a short-lived
-// ordinary transaction performs the redo-only update (Fig 8's "optional"
-// reset, done by whoever trips over the bit after a crash) and commits.
-// The reader itself stays zero-lock — the housekeeping write is a
-// separate transaction, not part of the snapshot read.
-func (t *Table) housekeepingResolve(ix *core.Index, pid storage.PageID) error {
-	tx, err := t.db.Begin()
-	if err != nil {
-		return err
+	raw, ghost, ok, err := t.data.FetchNoLock(res.Key.RID)
+	if err != nil || !ok || ghost {
+		// A vanished record or a ghost: with no chain this is a committed
+		// absence; with one, the caller's re-check rules.
+		return false, storage.RID{}, nil, err
 	}
-	ix.ResolveStaleSMBit(tx, pid)
-	if err := tx.Commit(); err != nil {
-		_ = tx.Rollback()
-		return err
-	}
-	return nil
+	return true, res.Key.RID, raw, nil
 }
 
 // snapshotGet is Get under a snapshot.
@@ -352,9 +310,7 @@ func (t *Table) resolveKey(s wal.LSN, key []byte) ([]byte, bool, error) {
 			return r.Value, r.Present, nil
 		}
 		seq := vs.Seq(t.id)
-		present, _, rec, err := t.probePage(key, func(pid storage.PageID) error {
-			return t.housekeepingResolve(t.primary, pid)
-		})
+		present, _, rec, err := t.probePage(key)
 		if err != nil {
 			return nil, false, err
 		}
@@ -461,12 +417,12 @@ func (t *Table) snapshotScan(s wal.LSN, from, to []byte, fn func(Row) (bool, err
 	)
 	position := func(at []byte) error {
 		seq = vs.Seq(t.id)
-		res, cur, err = t.snapCursorStart(t.primary, at)
+		res, cur, err = t.primary.FetchNoLock(at, core.GE)
 		return err
 	}
 	advance := func() error {
 		seq = vs.Seq(t.id)
-		res, err = t.snapCursorNext(t.primary, cur)
+		res, err = t.primary.FetchNextNoLock(cur)
 		return err
 	}
 	if err := position(from); err != nil {
@@ -545,39 +501,4 @@ func (t *Table) snapshotScanPrefix(s wal.LSN, prefix []byte, fn func(Row) (bool,
 		}
 		return fn(r)
 	})
-}
-
-// snapCursorStart positions a latch-only cursor on ix at the first key >=
-// from, resolving stale SM_Bits via housekeeping transactions. ix is the
-// table's primary or one of its secondary trees.
-func (t *Table) snapCursorStart(ix *core.Index, from []byte) (core.FetchResult, *core.Cursor, error) {
-	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
-		res, cur, err := ix.FetchNoLock(from, core.GE)
-		var amb *core.AmbiguityError
-		if errors.As(err, &amb) {
-			if rerr := t.housekeepingResolve(ix, amb.Page); rerr != nil {
-				return core.FetchResult{}, nil, rerr
-			}
-			continue
-		}
-		return res, cur, err
-	}
-	return core.FetchResult{}, nil, fmt.Errorf("db: snapshot scan start kept hitting ambiguous pages")
-}
-
-// snapCursorNext advances a latch-only cursor on ix, resolving stale
-// SM_Bits.
-func (t *Table) snapCursorNext(ix *core.Index, cur *core.Cursor) (core.FetchResult, error) {
-	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
-		res, err := ix.FetchNextNoLock(cur)
-		var amb *core.AmbiguityError
-		if errors.As(err, &amb) {
-			if rerr := t.housekeepingResolve(ix, amb.Page); rerr != nil {
-				return core.FetchResult{}, rerr
-			}
-			continue
-		}
-		return res, err
-	}
-	return core.FetchResult{}, fmt.Errorf("db: snapshot scan kept hitting ambiguous pages")
 }

@@ -207,17 +207,10 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 			}
 			res.Rollbacks++
 		} else {
-			before := d.Log().MaxLSN()
 			if err := tx.Commit(); err != nil {
 				return nil, fmt.Errorf("txn %d commit: %w", t, err)
 			}
-			commitLSN := wal.NilLSN
-			for _, r := range d.Log().Records(before + 1) {
-				if r.Type == wal.RecCommit && r.TxID == tx.ID {
-					commitLSN = r.LSN
-					break
-				}
-			}
+			commitLSN := tx.CommitLSN()
 			if commitLSN == wal.NilLSN {
 				return nil, fmt.Errorf("txn %d: commit record not found", t)
 			}

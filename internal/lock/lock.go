@@ -591,9 +591,6 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	if conditional {
 		s.mu.Unlock()
 		m.retireIfIdle(o)
-		if m.stats != nil {
-			m.stats.LockDenials.Add(1)
-		}
 		return ErrNotGranted
 	}
 
@@ -785,9 +782,6 @@ func (m *Manager) ReleaseSince(owner Owner, tok uint64) int {
 		changed++
 	}
 	m.retireIfIdle(o)
-	if changed > 0 && m.stats != nil {
-		m.stats.SavepointLockReleases.Add(uint64(changed))
-	}
 	return changed
 }
 

@@ -145,9 +145,6 @@ func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats,
 			recLSN, ok := dpt[r.Page]
 			return ok && r.LSN >= recLSN
 		})
-		if stats != nil {
-			stats.RedoRecordsScanned.Add(uint64(len(recs)))
-		}
 	}
 	rep.RedoWorkers = max(1, min(opts.RedoWorkers, len(p.order)))
 	o := &Online{
@@ -308,7 +305,7 @@ func (o *Online) recoverPage(pid storage.PageID, p *storage.Page) (bool, wal.LSN
 	o.mu.Unlock()
 	o.applied.Add(int64(applied))
 	o.skipped.Add(int64(skipped))
-	countRedo(o.stats, applied, skipped)
+	countRedo(o.stats, applied)
 	if byDrain {
 		o.drained.Add(1)
 	} else {

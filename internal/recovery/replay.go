@@ -151,7 +151,7 @@ func ApplyRecords(pool *buffer.Pool, recs []*wal.Record, workers int, stats *tra
 			}
 			f.Latch.Release(latch.X)
 			pool.Unfix(f)
-			countRedo(stats, applied, skipped)
+			countRedo(stats, applied)
 			mu.Lock()
 			bs.Applied += applied
 			bs.Skipped += skipped
@@ -166,9 +166,8 @@ func ApplyRecords(pool *buffer.Pool, recs []*wal.Record, workers int, stats *tra
 }
 
 // countRedo feeds one replay's tally to the engine counters.
-func countRedo(stats *trace.Stats, applied, skipped int) {
+func countRedo(stats *trace.Stats, applied int) {
 	if stats != nil {
 		stats.RedoApplied.Add(uint64(applied))
-		stats.RedoSkipped.Add(uint64(skipped))
 	}
 }

@@ -178,13 +178,7 @@ func (s *Shipper) WaitAcked(lsn wal.LSN, timeout time.Duration) error {
 // replication acks a commit only once the standby holds its record.
 func (s *Shipper) Gate(timeout time.Duration) func(wal.LSN) error {
 	return func(lsn wal.LSN) error {
-		if err := s.WaitAcked(lsn, timeout); err != nil {
-			return err
-		}
-		if s.opts.Stats != nil {
-			s.opts.Stats.ReplCommitsAcked.Add(1)
-		}
-		return nil
+		return s.WaitAcked(lsn, timeout)
 	}
 }
 

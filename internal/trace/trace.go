@@ -34,16 +34,14 @@ const (
 // instrumented unconditionally.
 type Stats struct {
 	// Lock manager.
-	lockCalls             [MaxSpaces][MaxModes][MaxDurations]atomic.Uint64
-	LockWaits             atomic.Uint64 // requests that could not be granted immediately
-	LockDenials           atomic.Uint64 // conditional requests denied
-	Deadlocks             atomic.Uint64 // waits-for cycles detected
-	DeadlockVictims       atomic.Uint64 // waiters aborted to break a cycle (requester or other)
-	VictimsOther          atomic.Uint64 // victims that were NOT the requester (cost-based choice)
-	LockTimeouts          atomic.Uint64 // waits abandoned at the lock-wait timeout
-	LockWaitNanos         atomic.Uint64 // time queued requests waited, enqueue to grant or abort
-	LockWaitsParked       atomic.Uint64 // waits that outlived the spin and parked
-	SavepointLockReleases atomic.Uint64 // locks released early by partial rollback
+	lockCalls       [MaxSpaces][MaxModes][MaxDurations]atomic.Uint64
+	LockWaits       atomic.Uint64 // requests that could not be granted immediately
+	Deadlocks       atomic.Uint64 // waits-for cycles detected
+	DeadlockVictims atomic.Uint64 // waiters aborted to break a cycle (requester or other)
+	VictimsOther    atomic.Uint64 // victims that were NOT the requester (cost-based choice)
+	LockTimeouts    atomic.Uint64 // waits abandoned at the lock-wait timeout
+	LockWaitNanos   atomic.Uint64 // time queued requests waited, enqueue to grant or abort
+	LockWaitsParked atomic.Uint64 // waits that outlived the spin and parked
 
 	// Transaction retry layer (db.RunTxn).
 	TxnRetries           atomic.Uint64 // transaction bodies re-executed after rollback
@@ -89,16 +87,14 @@ type Stats struct {
 	TornTailTruncations atomic.Uint64 // crash sweeps that cut a bad-CRC log tail
 
 	// Index manager.
-	Traversals         atomic.Uint64 // root-to-leaf tree traversals
-	LeafReposition     atomic.Uint64 // fetch-next repositionings after LSN change
-	SMOs               atomic.Uint64 // page splits + page deletions
-	PageSplits         atomic.Uint64
-	PageDeletes        atomic.Uint64
-	UndoPageOriented   atomic.Uint64 // undos applied without a traversal
-	UndoLogical        atomic.Uint64 // undos that retraversed the tree
-	RedoApplied        atomic.Uint64 // log records redone at restart
-	RedoSkipped        atomic.Uint64 // redo candidates already on the page
-	RedoRecordsScanned atomic.Uint64 // log records examined by restart redo (all workers)
+	Traversals       atomic.Uint64 // root-to-leaf tree traversals
+	LeafReposition   atomic.Uint64 // fetch-next repositionings after LSN change
+	SMOs             atomic.Uint64 // page splits + page deletions
+	PageSplits       atomic.Uint64
+	PageDeletes      atomic.Uint64
+	UndoPageOriented atomic.Uint64 // undos applied without a traversal
+	UndoLogical      atomic.Uint64 // undos that retraversed the tree
+	RedoApplied      atomic.Uint64 // log records redone at restart
 
 	// Online restart.
 	OnlineRestarts               atomic.Uint64 // restarts that opened after analysis (online mode)
@@ -114,8 +110,6 @@ type Stats struct {
 	SegmentsRejected atomic.Uint64 // segments the standby discarded (corrupt, stale epoch, duplicate)
 	ReplNaks         atomic.Uint64 // gap re-requests sent by the standby
 	ReplReseeds      atomic.Uint64 // full-archive re-seeds after unrecoverable gaps
-	ReplCommitsAcked atomic.Uint64 // commits confirmed standby-durable through the commit gate
-	Promotions       atomic.Uint64 // standbys promoted to serving primary
 
 	AmbiguityRestarts atomic.Uint64 // Fig 4 "unwind recursion" events
 	SMBitWaits        atomic.Uint64 // operations delayed by SM_Bit
@@ -256,10 +250,9 @@ func (s *Stats) Inc(c *atomic.Uint64) {
 type Snapshot struct {
 	LockCalls [MaxSpaces][MaxModes][MaxDurations]uint64
 
-	LockWaits, LockDenials, Deadlocks                         uint64
+	LockWaits, Deadlocks                                      uint64
 	DeadlockVictims, VictimsOther, LockTimeouts               uint64
 	LockWaitNanos, LockWaitsParked                            uint64
-	SavepointLockReleases                                     uint64
 	TxnRetries, TxnDeadlockRetries, TxnTimeoutRetries         uint64
 	TxnCrashWaits, TxnStepRetries, TxnRetrySuccesses          uint64
 	TxnRecoveringRetries                                      uint64
@@ -274,14 +267,12 @@ type Snapshot struct {
 	IORetries, CorruptPages                                   uint64
 	MediaRecoveries, TornTailTruncations                      uint64
 	Traversals, LeafReposition, SMOs, PageSplits, PageDeletes uint64
-	UndoPageOriented, UndoLogical, RedoApplied, RedoSkipped   uint64
-	RedoRecordsScanned                                        uint64
+	UndoPageOriented, UndoLogical, RedoApplied                uint64
 	OnlineRestarts, LocksReinstated                           uint64
 	PagesRedoneOnDemand, PagesRedoneByDrain                   uint64
 	CheckpointsSkippedRecovering                              uint64
 	SegmentsShipped, SegmentsResent, SegmentsApplied          uint64
 	SegmentsRejected, ReplNaks, ReplReseeds                   uint64
-	ReplCommitsAcked, Promotions                              uint64
 	AmbiguityRestarts, SMBitWaits, DeleteBitPOSCs             uint64
 	SnapshotBegins, SnapshotReads, SnapshotChainHits          uint64
 	SnapshotTooOld, VersionsPushed, VersionsPruned            uint64
@@ -305,14 +296,12 @@ type counter struct {
 func counters(s *Stats, n *Snapshot) []counter {
 	return []counter{
 		{&s.LockWaits, &n.LockWaits, false},
-		{&s.LockDenials, &n.LockDenials, false},
 		{&s.Deadlocks, &n.Deadlocks, false},
 		{&s.DeadlockVictims, &n.DeadlockVictims, false},
 		{&s.VictimsOther, &n.VictimsOther, false},
 		{&s.LockTimeouts, &n.LockTimeouts, false},
 		{&s.LockWaitNanos, &n.LockWaitNanos, false},
 		{&s.LockWaitsParked, &n.LockWaitsParked, false},
-		{&s.SavepointLockReleases, &n.SavepointLockReleases, false},
 		{&s.TxnRetries, &n.TxnRetries, false},
 		{&s.TxnDeadlockRetries, &n.TxnDeadlockRetries, false},
 		{&s.TxnTimeoutRetries, &n.TxnTimeoutRetries, false},
@@ -354,8 +343,6 @@ func counters(s *Stats, n *Snapshot) []counter {
 		{&s.UndoPageOriented, &n.UndoPageOriented, false},
 		{&s.UndoLogical, &n.UndoLogical, false},
 		{&s.RedoApplied, &n.RedoApplied, false},
-		{&s.RedoSkipped, &n.RedoSkipped, false},
-		{&s.RedoRecordsScanned, &n.RedoRecordsScanned, false},
 		{&s.OnlineRestarts, &n.OnlineRestarts, false},
 		{&s.LocksReinstated, &n.LocksReinstated, false},
 		{&s.PagesRedoneOnDemand, &n.PagesRedoneOnDemand, false},
@@ -367,8 +354,6 @@ func counters(s *Stats, n *Snapshot) []counter {
 		{&s.SegmentsRejected, &n.SegmentsRejected, false},
 		{&s.ReplNaks, &n.ReplNaks, false},
 		{&s.ReplReseeds, &n.ReplReseeds, false},
-		{&s.ReplCommitsAcked, &n.ReplCommitsAcked, false},
-		{&s.Promotions, &n.Promotions, false},
 		{&s.AmbiguityRestarts, &n.AmbiguityRestarts, false},
 		{&s.SMBitWaits, &n.SMBitWaits, false},
 		{&s.DeleteBitPOSCs, &n.DeleteBitPOSCs, false},
