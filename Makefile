@@ -60,6 +60,9 @@ test-2core:
 # The log's tests repeat 20 times: an appender writes a record's bytes before
 # it publishes the record's slot, and a broken order is a data race the
 # detector sees only on the schedules where a reader lands in between.
+# The chain-list tests repeat 20 times: a transaction's list of the chains
+# holding its versions is written by db's push and read by mvcc's commit and
+# drop paths, with no mutex, while snapshot readers retire the same chains.
 # The ambiguity tests repeat 20 times: locked and latch-only readers share
 # one traverse, which decides under a page latch whether a set SM_Bit
 # belongs to a live SMO by trying the tree latch, so a wrong answer shows only
@@ -78,6 +81,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestPartialRollbackToSavepoint$$|TestSavepointReleaseUnblocksContender$$' ./internal/txn
 	$(GO) test -race -count=20 -run 'TestStaleSMBitIsSteppedOver$$|TestTraversalAmbiguityWaits$$' ./internal/core
 	$(GO) test -race -count=20 -run 'TestSnapshotReadPastStaleSMBit$$' ./internal/db
+	$(GO) test -race -count=20 -run 'TestVersionStoreFootprintBounded$$|TestChainListSurvivesSavepointRollback$$' ./internal/db
 	$(GO) test -race -count=5 ./cmd/ariesim-bench
 	$(GO) test -race -count=20 ./internal/wal
 

@@ -292,7 +292,7 @@ func TestFigure2LockTable(t *testing.T) {
 			e.commit(tx)
 
 			var got []cell
-			for s := lock.SpaceTable; s <= lock.SpaceIndexPage; s++ {
+			for s := lock.SpaceRecord; s <= lock.SpaceIndexPage; s++ {
 				for m := lock.ModeNone; m <= lock.X; m++ {
 					for dur := lock.Instant; dur <= lock.Commit; dur++ {
 						if n := d.LockCalls[int(s)][int(m)][int(dur)]; n > 0 {

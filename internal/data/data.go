@@ -119,10 +119,6 @@ func (m *Manager) OpenTable(id uint64, firstPage storage.PageID) *Table {
 	return &Table{ID: id, FirstPage: firstPage, m: m, inv: newInventory(firstPage)}
 }
 
-func (t *Table) intentLock(tx *txn.Tx, mode lock.Mode) error {
-	return tx.Lock(lock.TableName(t.ID), mode, lock.Commit, false)
-}
-
 // notePage reports p to the inventory. The caller holds p's latch.
 func (t *Table) notePage(p *storage.Page) {
 	ghost := false
@@ -175,9 +171,6 @@ func (t *Table) buildInventory() error {
 // this insert — its deleter is still running, most often this transaction
 // itself, and younger ghosts are no likelier to be free.
 func (t *Table) Insert(tx *txn.Tx, rec []byte) (storage.RID, error) {
-	if err := t.intentLock(tx, lock.IX); err != nil {
-		return storage.RID{}, err
-	}
 	if 1+len(rec) > storage.PageCapacity(t.m.pool.PageSize()) {
 		return storage.RID{}, fmt.Errorf("data: record of %d bytes exceeds page capacity", len(rec))
 	}
@@ -378,9 +371,6 @@ func (t *Table) extend(tx *txn.Tx, tail storage.PageID) (storage.PageID, error) 
 // acquired here; the index manager passes true when the lock is already
 // held (data-only locking acquires it once per record operation).
 func (t *Table) Delete(tx *txn.Tx, rid storage.RID, locked bool) error {
-	if err := t.intentLock(tx, lock.IX); err != nil {
-		return err
-	}
 	if !locked {
 		if err := tx.Lock(t.m.LockName(rid), lock.X, lock.Commit, false); err != nil {
 			return err
@@ -422,9 +412,6 @@ func (t *Table) Delete(tx *txn.Tx, rid storage.RID, locked bool) error {
 // updater ended, and the undo could then find no room to grow it back; the
 // undo of a grow is a shrink, which always fits.
 func (t *Table) Update(tx *txn.Tx, rid storage.RID, rec []byte, locked bool) (bool, error) {
-	if err := t.intentLock(tx, lock.IX); err != nil {
-		return false, err
-	}
 	if !locked {
 		if err := tx.Lock(t.m.LockName(rid), lock.X, lock.Commit, false); err != nil {
 			return false, err
@@ -467,9 +454,6 @@ func (t *Table) Update(tx *txn.Tx, rid storage.RID, rec []byte, locked bool) (bo
 // passes false because ARIES/IM's index manager has already locked the key
 // (= the record) during the index access (paper §2.1).
 func (t *Table) Fetch(tx *txn.Tx, rid storage.RID, lockIt bool) ([]byte, error) {
-	if err := t.intentLock(tx, lock.IS); err != nil {
-		return nil, err
-	}
 	if lockIt {
 		if err := tx.Lock(t.m.LockName(rid), lock.S, lock.Commit, false); err != nil {
 			return nil, err
@@ -493,11 +477,11 @@ func (t *Table) Fetch(tx *txn.Tx, rid storage.RID, lockIt bool) ([]byte, error) 
 	return append([]byte(nil), rec...), nil
 }
 
-// FetchNoLock reads the record at rid with latches only: no intent lock,
-// no record lock, no transaction. Snapshot readers call it after the
-// index positioned them; ghost records are reported (not skipped) so the
-// caller can distinguish "deleted on the page" from "missing slot" when
-// it consults the version store. A missing or reused slot returns
+// FetchNoLock reads the record at rid with latches only: no record lock,
+// no transaction. Snapshot readers call it after the index positioned
+// them; ghost records are reported (not skipped) so the caller can
+// distinguish "deleted on the page" from "missing slot" when it consults
+// the version store. A missing or reused slot returns
 // ok=false rather than an error — on the lock-free path that is a benign
 // race with a purge, resolved by the caller's chain re-check.
 func (t *Table) FetchNoLock(rid storage.RID) (rec []byte, ghost, ok bool, err error) {

@@ -492,9 +492,9 @@ func TestLockTotalsPerProtocol(t *testing.T) {
 		proto            core.Protocol
 		get, ins, delete uint64
 	}{
-		{core.DataOnly, 2, 3, 4},
-		{core.KVL, 3, 4, 7},
-		{core.SystemR, 4, 5, 9},
+		{core.DataOnly, 1, 2, 2},
+		{core.KVL, 2, 3, 5},
+		{core.SystemR, 3, 4, 7},
 	}
 	for _, w := range want {
 		d := Open(Options{Protocol: w.proto})

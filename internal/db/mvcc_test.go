@@ -862,6 +862,85 @@ func TestVersionStoreFootprintBounded(t *testing.T) {
 	}
 }
 
+// TestChainListSurvivesSavepointRollback: a writer's chain list loses the
+// chain a savepoint rollback empties of its versions and takes the same
+// chain back when the writer writes its key again. A reader pins b's chain
+// through the rollback with another writer's commit, so the chain that
+// leaves the list is the one that rejoins it; each chain is on the list
+// once at commit, so each is stamped once.
+func TestChainListSurvivesSavepointRollback(t *testing.T) {
+	d := Open(Options{})
+	tbl, err := d.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, d, tbl, 2)
+	a, b := key8(0), key8(1)
+	pin, err := d.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunTxn(func(tx *txn.Tx) error { return tbl.Update(tx, b, []byte("t0")) }); err != nil {
+		t.Fatal(err)
+	}
+	w, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := func(step string, want int) {
+		t.Helper()
+		if got := len(*w.Versions()); got != want {
+			t.Fatalf("%s: %d chains on the writer's list, want %d", step, got, want)
+		}
+	}
+	if err := tbl.Update(w, a, []byte("a1")); err != nil {
+		t.Fatal(err)
+	}
+	save := w.Savepoint()
+	if err := tbl.Update(w, b, []byte("b1")); err != nil {
+		t.Fatal(err)
+	}
+	listed("after a and b", 2)
+	if err := w.RollbackTo(save); err != nil {
+		t.Fatal(err)
+	}
+	listed("after the rollback", 1)
+	if got := liveChains(d); got != 2 {
+		t.Fatalf("%d chains live after the rollback, want a's and the pinned b's", got)
+	}
+	for _, u := range []struct{ k, v []byte }{{b, []byte("b2")}, {a, []byte("a2")}} {
+		if err := tbl.Update(w, u.k, u.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listed("after b and a again", 2)
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	listed("after the commit", 0)
+	for _, want := range []struct{ k, v string }{{string(a), "v0"}, {string(b), "v0"}} {
+		if v, err := tbl.Get(pin, []byte(want.k)); err != nil || string(v) != want.v {
+			t.Fatalf("pinned snapshot: Get(%s) = %q, %v, want %q", want.k, v, err, want.v)
+		}
+	}
+	if err := d.EndReadOnly(pin); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunReadOnly(func(tx *txn.Tx) error {
+		for _, want := range []struct{ k, v string }{{string(a), "a2"}, {string(b), "b2"}} {
+			if v, err := tbl.Get(tx, []byte(want.k)); err != nil || string(v) != want.v {
+				return fmt.Errorf("later snapshot: Get(%s) = %q, %v, want %q", want.k, v, err, want.v)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveChains(d); got != 0 {
+		t.Fatalf("%d chains live with no reader and no commit in flight", got)
+	}
+}
+
 // TestSnapshotScanCostTracksWindow: with one snapshot pinning a chain on
 // every one of N rows, a 16-row snapshot scan looks at the chains in its
 // 17 windows plus a seek per window, not at all N per window.

@@ -202,15 +202,11 @@ func (d *DB) SnapshotBackup(table string) ([]Row, error) {
 	return rows, nil
 }
 
-// pushVersion records one mutation of key in the version store and marks
-// tx versioned so its commit/rollback drive the store's hooks. seed
-// supplies the committed pre-state if a chain must be created.
+// pushVersion records one mutation of key in the version store, on tx's
+// chain list so its commit/rollback drive the store's hooks. seed supplies
+// the committed pre-state if a chain must be created.
 func (t *Table) pushVersion(tx *txn.Tx, key []byte, present bool, value []byte, seed func() (bool, []byte, uint64, error)) error {
-	if err := t.vs.Push(t.id, key, present, value, tx.ID, tx.LastLSN(), seed); err != nil {
-		return err
-	}
-	tx.MarkVersioned()
-	return nil
+	return t.vs.PushTo(t.id, key, present, value, tx.ID, tx.LastLSN(), tx.Versions(), seed)
 }
 
 // insertSeed builds the committed-state probe for an insert's version

@@ -132,11 +132,9 @@ func (d Duration) String() string {
 type Space uint8
 
 const (
-	// SpaceTable holds table-level intention locks.
-	SpaceTable Space = iota
 	// SpaceRecord holds record (RID) locks — ARIES/IM data-only locking
 	// names its key locks here.
-	SpaceRecord
+	SpaceRecord Space = iota
 	// SpacePage holds data-page locks (page-granularity locking).
 	SpacePage
 	// SpaceEOF holds the per-index end-of-file lock used when next-key
@@ -151,8 +149,6 @@ const (
 
 func (s Space) String() string {
 	switch s {
-	case SpaceTable:
-		return "table"
 	case SpaceRecord:
 		return "record"
 	case SpacePage:
@@ -171,7 +167,7 @@ func (s Space) String() string {
 // RegisterTraceNames labels the trace dimensions with this package's
 // enums; called once by the engine.
 func RegisterTraceNames() {
-	for s := SpaceTable; s <= SpaceIndexPage; s++ {
+	for s := SpaceRecord; s <= SpaceIndexPage; s++ {
 		trace.RegisterSpaceName(int(s), s.String())
 	}
 	for m := ModeNone; m <= X; m++ {
@@ -1089,9 +1085,6 @@ func DataLockName(g Granularity, page uint64, slot uint16) Name {
 	}
 	return Name{Space: SpaceRecord, A: page, B: uint64(slot)}
 }
-
-// TableName names a table's intention lock.
-func TableName(tableID uint64) Name { return Name{Space: SpaceTable, A: tableID} }
 
 // EOFName names the per-index end-of-file lock (paper §2.2).
 func EOFName(indexID uint64) Name { return Name{Space: SpaceEOF, A: indexID} }

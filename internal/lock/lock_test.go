@@ -342,7 +342,7 @@ func TestReleaseAllWakesWaiters(t *testing.T) {
 
 func TestLocksOfAndSpaces(t *testing.T) {
 	m := NewManager(nil)
-	mustGrant(t, m, 1, Name{Space: SpaceTable, A: 9}, IX, Commit)
+	mustGrant(t, m, 1, KeyValueName(9, 1), IX, Commit)
 	mustGrant(t, m, 1, rec(1, 1), X, Commit)
 	mustGrant(t, m, 1, Name{Space: SpaceEOF, A: 3}, S, Commit)
 	locks := m.LocksOf(1)
@@ -353,7 +353,7 @@ func TestLocksOfAndSpaces(t *testing.T) {
 	for _, l := range locks {
 		spaces[l.Name.Space] = true
 	}
-	if !spaces[SpaceTable] || !spaces[SpaceRecord] || !spaces[SpaceEOF] {
+	if !spaces[SpaceKeyValue] || !spaces[SpaceRecord] || !spaces[SpaceEOF] {
 		t.Fatalf("spaces missing: %v", spaces)
 	}
 }

@@ -10,13 +10,15 @@ import (
 // lock, an instant request and ReleaseAll no longer touch, and that the
 // owner registry and the shards keep nothing once the owners are gone.
 
-var tbl = TableName(9)
+// kv is a key-value lock name: the space whose locks ARIES/KVL takes in
+// intention modes (IX on a value, converted to SIX).
+var kv = KeyValueName(9, 1)
 
 // TestRerequestTakesNoShardMutex: a request the owner's own table can answer
 // returns while every shard mutex is held by someone else.
 func TestRerequestTakesNoShardMutex(t *testing.T) {
 	m := NewManager(nil)
-	mustGrant(t, m, 1, tbl, IX, Commit)
+	mustGrant(t, m, 1, kv, IX, Commit)
 	mustGrant(t, m, 1, rec(1, 1), X, Commit)
 
 	m.lockAll()
@@ -26,7 +28,7 @@ func TestRerequestTakesNoShardMutex(t *testing.T) {
 			for _, r := range []struct {
 				n    Name
 				mode Mode
-			}{{tbl, IS}, {tbl, IX}, {rec(1, 1), S}, {rec(1, 1), X}} {
+			}{{kv, IS}, {kv, IX}, {rec(1, 1), S}, {rec(1, 1), X}} {
 				if err := m.Request(1, r.n, r.mode, dur, false); err != nil {
 					done <- err
 					return
@@ -58,15 +60,15 @@ func TestRerequestTakesNoShardMutex(t *testing.T) {
 // head and no granted array per name in steady state.
 func TestLockPathAllocations(t *testing.T) {
 	m := NewManager(nil)
-	mustGrant(t, m, 1, tbl, IX, Commit)
+	mustGrant(t, m, 1, kv, IX, Commit)
 	mustGrant(t, m, 1, rec(1, 1), X, Commit)
 	if n := testing.AllocsPerRun(100, func() {
-		_ = m.Request(1, tbl, IX, Commit, false)
+		_ = m.Request(1, kv, IX, Commit, false)
 		_ = m.Request(1, rec(1, 1), S, Commit, true)
 	}); n != 0 {
 		t.Errorf("re-requests of held locks: %v allocations, want 0", n)
 	}
-	// The owner holds the table lock, as an insert does (Fig 2) when it makes
+	// The owner holds another lock, as an insert does (Fig 2) when it makes
 	// its instant next-key request.
 	if n := testing.AllocsPerRun(100, func() {
 		_ = m.Request(1, rec(2, 2), X, Instant, false)
@@ -80,12 +82,12 @@ func TestLockPathAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		owner++
 		for i := uint64(0); i < k; i++ {
-			_ = m.Request(owner, tbl, IX, Commit, false)
+			_ = m.Request(owner, kv, IX, Commit, false)
 			_ = m.Request(owner, rec(7, i), X, Commit, false)
 		}
 		m.ReleaseAll(owner)
 	}); n > k+2 {
-		t.Errorf("%d record locks, %d requests of one table lock, ReleaseAll: %v allocations, want <= %d", k, k, n, k+2)
+		t.Errorf("%d record locks, %d requests of one key-value lock, ReleaseAll: %v allocations, want <= %d", k, k, n, k+2)
 	}
 	if n := m.NumLocks(); n != 0 {
 		t.Fatalf("%d locks left", n)

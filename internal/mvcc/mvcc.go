@@ -35,8 +35,8 @@
 // Retirement. The bound min(visible, every active snapshot) only rises.
 // A commit whose LSN is at or below it folds and drops its chains on the
 // spot; otherwise (a snapshot is registered, or a lower commit is still
-// in flight) FinishCommit queues each chain under the commit's LSN, and
-// whichever FinishCommit, AbortCommit or End next raises the bound pops
+// in flight) StampCommit queues each chain under the commit's LSN, and
+// whichever StampCommit, AbortCommit or End next raises the bound pops
 // the queue's ready prefix and retires those chains outside the store
 // mutex. So a chain lives exactly as long as some reader or in-flight
 // commit can need it, whether or not its key is ever written again.
@@ -146,10 +146,9 @@ type Store struct {
 	mu         sync.Mutex
 	visible    wal.LSN
 	stampedMax wal.LSN
-	tickets    map[wal.TxID]wal.LSN  // open commits; 0 = LSN not yet assigned
-	snaps      map[uint64]wal.LSN    // active snapshot registry
-	touched    map[wal.TxID][]*chain // chains holding in-flight versions per tx
-	retireQ    []retireEntry         // stamped chains awaiting the bound, ascending lsn
+	tickets    map[wal.TxID]wal.LSN // open commits; 0 = LSN not yet assigned
+	snaps      map[uint64]wal.LSN   // active snapshot registry
+	retireQ    []retireEntry        // stamped chains awaiting the bound, ascending lsn
 
 	tmu    sync.RWMutex
 	tables map[uint64]*tableChains
@@ -164,7 +163,6 @@ func NewStore(stats *trace.Stats) *Store {
 		stats:   stats,
 		tickets: make(map[wal.TxID]wal.LSN),
 		snaps:   make(map[uint64]wal.LSN),
-		touched: make(map[wal.TxID][]*chain),
 		tables:  make(map[uint64]*tableChains),
 	}
 }
@@ -276,12 +274,20 @@ func (st *Store) popReadyLocked(bound wal.LSN) []*chain {
 	return ready
 }
 
-// Push records a version for (table, key) on behalf of writer tx. seed
-// supplies the committed state of the key and is consulted only when a
-// new chain must be materialized; it may be retried if chain removals
-// race the probe, and its error aborts the push (the caller's operation
-// fails before any page mutation, so nothing is torn).
-func (st *Store) Push(tableID uint64, key []byte, present bool, value []byte, tx wal.TxID, pushLSN wal.LSN, seed func() (bool, []byte, uint64, error)) error {
+// Chains lists the chains that hold a transaction's in-flight versions,
+// each once. The transaction keeps it: PushTo adds to it, and StampCommit,
+// AbortCommit, DropTx and DropTxSince read and shrink it. Like the
+// transaction, it is driven by one goroutine at a time and has no mutex.
+type Chains []*chain
+
+// PushTo records a version for (table, key) on behalf of writer tx and
+// adds the chain to touched, tx's chain list, unless tx already holds an
+// in-flight version there. seed supplies the committed state of the key
+// and is consulted only when a new chain must be materialized; it may be
+// retried if chain removals race the probe, and its error aborts the push
+// (the caller's operation fails before any page mutation, so nothing is
+// torn).
+func (st *Store) PushTo(tableID uint64, key []byte, present bool, value []byte, tx wal.TxID, pushLSN wal.LSN, touched *Chains, seed func() (bool, []byte, uint64, error)) error {
 	tc := st.table(tableID)
 	k := string(key)
 	v := version{present: present, txID: tx, commitLSN: 0, pushLSN: pushLSN}
@@ -291,8 +297,10 @@ func (st *Store) Push(tableID uint64, key []byte, present bool, value []byte, tx
 	for {
 		tc.mu.Lock()
 		if c := tc.index.get(k); c != nil {
+			if !c.holds(tx) {
+				*touched = append(*touched, c)
+			}
 			c.versions = append(c.versions, v)
-			st.noteTouched(tx, c)
 			st.stats.MaxGauge(&st.stats.VersionChainPeak, uint64(len(c.versions)))
 			tc.mu.Unlock()
 			trace.Add(&st.stats.VersionsPushed, 1)
@@ -321,7 +329,7 @@ func (st *Store) Push(tableID uint64, key []byte, present bool, value []byte, tx
 			c.baseValue = append([]byte(nil), baseValue...)
 		}
 		tc.index.insertAfter(&path, c)
-		st.noteTouched(tx, c)
+		*touched = append(*touched, c)
 		st.stats.MaxGauge(&st.stats.VersionChainPeak, 1)
 		tc.mu.Unlock()
 		trace.Add(&st.stats.ChainsCreated, 1)
@@ -330,19 +338,17 @@ func (st *Store) Push(tableID uint64, key []byte, present bool, value []byte, tx
 	}
 }
 
-// noteTouched remembers that tx holds an in-flight version on c. Caller
-// holds the chain's table lock; st.mu nests inside it.
-func (st *Store) noteTouched(tx wal.TxID, c *chain) {
-	st.mu.Lock()
-	refs := st.touched[tx]
-	for _, r := range refs {
-		if r == c {
-			st.mu.Unlock()
-			return
+// holds reports whether tx has an in-flight version on c, that is whether
+// c is on tx's chain list already. In-flight versions follow every stamped
+// one (stamp keeps them last), so the walk back from the tail stops at the
+// first stamped version. Caller holds the table lock.
+func (c *chain) holds(tx wal.TxID) bool {
+	for i := len(c.versions) - 1; i >= 0 && c.versions[i].commitLSN == 0; i-- {
+		if c.versions[i].txID == tx {
+			return true
 		}
 	}
-	st.touched[tx] = append(refs, c)
-	st.mu.Unlock()
+	return false
 }
 
 // EnterCommit opens the writer's commit ticket before its commit record
@@ -362,16 +368,39 @@ func (st *Store) CommitAt(tx wal.TxID, lsn wal.LSN) {
 	st.mu.Unlock()
 }
 
-// FinishCommit runs after the commit record is durable: stamp every
-// version the transaction pushed, retire the ticket, advance the
-// watermark, and retire what the new bound allows — the touched chains
-// if it already covers this commit (else they queue for it), and any
-// queued chains it has now reached.
+// Push is PushTo for a writer that keeps no chain list; FinishCommit
+// commits it.
+func (st *Store) Push(tableID uint64, key []byte, present bool, value []byte, tx wal.TxID, pushLSN wal.LSN, seed func() (bool, []byte, uint64, error)) error {
+	var touched Chains
+	return st.PushTo(tableID, key, present, value, tx, pushLSN, &touched, seed)
+}
+
+// FinishCommit is StampCommit for a writer that keeps no chain list: it
+// finds tx's chains by walking every chain of the store.
 func (st *Store) FinishCommit(tx wal.TxID, lsn wal.LSN) {
-	st.mu.Lock()
-	refs := st.touched[tx]
-	delete(st.touched, tx)
-	st.mu.Unlock()
+	var touched Chains
+	st.tmu.RLock()
+	for _, tc := range st.tables {
+		tc.mu.Lock()
+		for c := tc.index.head[0]; c != nil; c = c.next[0] {
+			if c.holds(tx) {
+				touched = append(touched, c)
+			}
+		}
+		tc.mu.Unlock()
+	}
+	st.tmu.RUnlock()
+	st.StampCommit(tx, lsn, &touched)
+}
+
+// StampCommit runs after the commit record is durable: stamp every
+// version the transaction pushed on the chains of touched, empty the list,
+// retire the ticket, advance the watermark, and retire what the new bound
+// allows — the touched chains if it already covers this commit (else they
+// queue for it), and any queued chains it has now reached.
+func (st *Store) StampCommit(tx wal.TxID, lsn wal.LSN, touched *Chains) {
+	refs := *touched
+	*touched = nil
 	for _, c := range refs {
 		c.tc.mu.Lock()
 		c.stamp(tx, lsn)
@@ -431,7 +460,7 @@ func commitsBefore(a, b wal.LSN) bool {
 
 // AbortCommit retires the ticket of a commit whose log force failed (the
 // record died with its epoch) and drops the transaction's versions.
-func (st *Store) AbortCommit(tx wal.TxID) {
+func (st *Store) AbortCommit(tx wal.TxID, touched *Chains) {
 	st.mu.Lock()
 	delete(st.tickets, tx)
 	st.advanceLocked()
@@ -439,7 +468,7 @@ func (st *Store) AbortCommit(tx wal.TxID) {
 	ready := st.popReadyLocked(h.bound())
 	st.mu.Unlock()
 	st.retire(ready, h)
-	st.DropTx(tx)
+	st.DropTx(tx, touched)
 }
 
 // advanceLocked recomputes the visibility watermark. Caller holds st.mu.
@@ -528,29 +557,25 @@ func (tc *tableChains) removeIfRetired(c *chain, h horizon) bool {
 	return tc.index.remove(c)
 }
 
-// DropTx discards every in-flight version tx pushed (rollback, restart
-// loser undo). Chains left empty are retired.
-func (st *Store) DropTx(tx wal.TxID) {
-	st.dropTx(tx, 0)
+// DropTx discards every in-flight version tx pushed on the chains of
+// touched (rollback, restart loser undo) and empties the list. Chains left
+// empty are retired.
+func (st *Store) DropTx(tx wal.TxID, touched *Chains) {
+	st.DropTxSince(tx, 0, touched)
 }
 
 // DropTxSince discards tx's in-flight versions pushed at or after the
-// savepoint LSN (partial rollback); earlier versions survive. The bound
-// is inclusive because an operation may push before it writes its first
-// log record (a delete pushes its tombstone before the ghosting update),
-// leaving pushLSN equal to the savepoint taken at operation entry; the
-// converse confusion cannot arise because every completed operation logs
-// at least one record after its push, so a pre-savepoint push always has
-// pushLSN strictly below the savepoint.
-func (st *Store) DropTxSince(tx wal.TxID, save wal.LSN) {
-	st.dropTx(tx, save)
-}
-
-func (st *Store) dropTx(tx wal.TxID, save wal.LSN) {
-	st.mu.Lock()
-	refs := st.touched[tx]
-	st.mu.Unlock()
-	var kept []*chain
+// savepoint LSN (partial rollback); earlier versions survive, and touched
+// keeps the chains that still hold one. The bound is inclusive because an
+// operation may push before it writes its first log record (a delete
+// pushes its tombstone before the ghosting update), leaving pushLSN equal
+// to the savepoint taken at operation entry; the converse confusion cannot
+// arise because every completed operation logs at least one record after
+// its push, so a pre-savepoint push always has pushLSN strictly below the
+// savepoint.
+func (st *Store) DropTxSince(tx wal.TxID, save wal.LSN, touched *Chains) {
+	refs := *touched
+	var kept Chains
 	for _, c := range refs {
 		remains := false
 		c.tc.mu.Lock()
@@ -573,13 +598,9 @@ func (st *Store) dropTx(tx wal.TxID, save wal.LSN) {
 	// The horizon is read after the drop, as retire requires: an End between
 	// an earlier read and the drop pops the chains' queue entries while tx's
 	// versions still hold them.
+	*touched = kept
 	st.mu.Lock()
 	h := st.horizonLocked()
-	if len(kept) > 0 {
-		st.touched[tx] = kept
-	} else {
-		delete(st.touched, tx)
-	}
 	st.mu.Unlock()
 	st.retire(refs, h)
 }

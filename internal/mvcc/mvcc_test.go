@@ -29,20 +29,30 @@ func liveChains(stats *trace.Stats) int {
 	return int(stats.ChainsCreated.Load()) - int(stats.ChainsRemoved.Load())
 }
 
+// chainLists keeps each test writer's chain list, as a txn.Tx keeps its own.
+type chainLists map[wal.TxID]*Chains
+
+func (cl chainLists) of(tx wal.TxID) *Chains {
+	if cl[tx] == nil {
+		cl[tx] = new(Chains)
+	}
+	return cl[tx]
+}
+
 // pushAbsent pushes value for key with a seed that says the key had no
 // committed row before.
-func pushAbsent(t *testing.T, st *Store, key, value string, tx wal.TxID, pushLSN wal.LSN) {
+func pushAbsent(t *testing.T, st *Store, cl chainLists, key, value string, tx wal.TxID, pushLSN wal.LSN) {
 	t.Helper()
 	seed := func() (bool, []byte, uint64, error) { return false, nil, st.Seq(testTable), nil }
-	if err := st.Push(testTable, []byte(key), true, []byte(value), tx, pushLSN, seed); err != nil {
+	if err := st.PushTo(testTable, []byte(key), true, []byte(value), tx, pushLSN, cl.of(tx), seed); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func commit(st *Store, tx wal.TxID, lsn wal.LSN) {
+func commit(st *Store, cl chainLists, tx wal.TxID, lsn wal.LSN) {
 	st.EnterCommit(tx)
 	st.CommitAt(tx, lsn)
-	st.FinishCommit(tx, lsn)
+	st.StampCommit(tx, lsn, cl.of(tx))
 }
 
 // wantRead checks one Read answer; value "" with chain means absent.
@@ -63,14 +73,15 @@ func wantRead(t *testing.T, st *Store, key string, s wal.LSN, chain bool, value 
 // removal-sequence bump, the moment the last reason goes.
 func TestRemovalInvariant(t *testing.T) {
 	st, stats := newTestStore()
+	cl := chainLists{}
 
 	// No reader, no other commit: retired inside its own FinishCommit.
 	seq := st.Seq(testTable)
-	pushAbsent(t, st, "a", "a1", 1, 101)
+	pushAbsent(t, st, cl, "a", "a1", 1, 101)
 	if liveChains(stats) != 1 {
 		t.Fatalf("in-flight chain missing: %d live", liveChains(stats))
 	}
-	commit(st, 1, 110)
+	commit(st, cl, 1, 110)
 	if liveChains(stats) != 0 || st.Seq(testTable) == seq {
 		t.Fatalf("unpinned commit left %d chains, seq %d -> %d", liveChains(stats), seq, st.Seq(testTable))
 	}
@@ -79,8 +90,8 @@ func TestRemovalInvariant(t *testing.T) {
 	// A registered snapshot below the commit pins the chain, and the
 	// chain answers that snapshot with the pre-commit state.
 	s, id := st.Begin()
-	pushAbsent(t, st, "b", "b1", 2, 111)
-	commit(st, 2, 120)
+	pushAbsent(t, st, cl, "b", "b1", 2, 111)
+	commit(st, cl, 2, 120)
 	if liveChains(stats) != 1 {
 		t.Fatalf("chain a snapshot still needs was dropped: %d live", liveChains(stats))
 	}
@@ -93,7 +104,7 @@ func TestRemovalInvariant(t *testing.T) {
 		t.Fatal("seed consulted for an existing chain")
 		return false, nil, 0, nil
 	}
-	if err := st.Push(testTable, []byte("b"), false, nil, 3, 121, seed); err != nil {
+	if err := st.PushTo(testTable, []byte("b"), false, nil, 3, 121, cl.of(3), seed); err != nil {
 		t.Fatal(err)
 	}
 	seq = st.Seq(testTable)
@@ -102,7 +113,7 @@ func TestRemovalInvariant(t *testing.T) {
 		t.Fatalf("chain with an in-flight version was dropped (%d live)", liveChains(stats))
 	}
 	wantRead(t, st, "b", st.Visible(), true, "b1") // folded into the base, tombstone in flight
-	st.DropTx(3)
+	st.DropTx(3, cl.of(3))
 	if liveChains(stats) != 0 || st.Seq(testTable) == seq {
 		t.Fatalf("rollback left %d chains, seq %d -> %d", liveChains(stats), seq, st.Seq(testTable))
 	}
@@ -110,20 +121,20 @@ func TestRemovalInvariant(t *testing.T) {
 	// A lower commit still in flight holds the watermark, hence the chain
 	// of a higher commit that finished first; the lower commit's finish
 	// retires both.
-	pushAbsent(t, st, "c", "c1", 4, 122)
-	pushAbsent(t, st, "d", "d1", 5, 123)
+	pushAbsent(t, st, cl, "c", "c1", 4, 122)
+	pushAbsent(t, st, cl, "d", "d1", 5, 123)
 	st.EnterCommit(4)
 	st.EnterCommit(5)
 	st.CommitAt(4, 130)
 	st.CommitAt(5, 140)
-	st.FinishCommit(5, 140)
+	st.StampCommit(5, 140, cl.of(5))
 	if got := st.Visible(); got != 129 {
 		t.Fatalf("watermark %d passed an unfinished commit at 130", got)
 	}
 	if liveChains(stats) != 2 {
 		t.Fatalf("%d chains live with commit 130 in flight, want 2", liveChains(stats))
 	}
-	st.FinishCommit(4, 130)
+	st.StampCommit(4, 130, cl.of(4))
 	if st.Visible() != 140 || liveChains(stats) != 0 {
 		t.Fatalf("after both finishes: visible %d, %d chains live", st.Visible(), liveChains(stats))
 	}
@@ -135,23 +146,24 @@ func TestRemovalInvariant(t *testing.T) {
 // order, not finish order.
 func TestRetireQueueOrdersByCommitLSN(t *testing.T) {
 	st, stats := newTestStore()
+	cl := chainLists{}
 	_, pin := st.Begin() // at 100
-	pushAbsent(t, st, "a", "a1", 1, 101)
-	pushAbsent(t, st, "b", "b1", 2, 102)
-	pushAbsent(t, st, "c", "c1", 3, 103)
+	pushAbsent(t, st, cl, "a", "a1", 1, 101)
+	pushAbsent(t, st, cl, "b", "b1", 2, 102)
+	pushAbsent(t, st, cl, "c", "c1", 3, 103)
 	for tx := wal.TxID(1); tx <= 3; tx++ {
 		st.EnterCommit(tx)
 	}
 	st.CommitAt(1, 110)
 	st.CommitAt(2, 120)
 	st.CommitAt(3, 115)
-	st.FinishCommit(2, 120) // visible stays 109
-	st.FinishCommit(1, 110) // visible 114: commit 115 is open
+	st.StampCommit(2, 120, cl.of(2)) // visible stays 109
+	st.StampCommit(1, 110, cl.of(1)) // visible 114: commit 115 is open
 	s2, mid := st.Begin()
 	if s2 != 114 {
 		t.Fatalf("second snapshot at %d, want 114", s2)
 	}
-	st.FinishCommit(3, 115) // visible 120
+	st.StampCommit(3, 115, cl.of(3)) // visible 120
 	var queued []wal.LSN
 	for _, e := range st.retireQ {
 		queued = append(queued, e.lsn)
@@ -179,11 +191,18 @@ func TestRetireQueueOrdersByCommitLSN(t *testing.T) {
 // TestStampRestoresCommitOrder: an inserter pushes before it holds the
 // key's lock, so the deleter of the prior incarnation, which pushed
 // later, can commit first. Each snapshot must see the commits in LSN
-// order, and a transaction's own same-LSN pushes in push order.
+// order, and a transaction's own same-LSN pushes in push order. The
+// writers keep no chain lists (Push, FinishCommit), so each commit finds
+// its own versions among another writer's on the shared chain.
 func TestStampRestoresCommitOrder(t *testing.T) {
 	st, _ := newTestStore()
 	_, pin := st.Begin()
 	defer st.End(pin)
+	commit := func(tx wal.TxID, lsn wal.LSN) {
+		st.EnterCommit(tx)
+		st.CommitAt(tx, lsn)
+		st.FinishCommit(tx, lsn)
+	}
 	seed := func() (bool, []byte, uint64, error) { return true, []byte("old"), st.Seq(testTable), nil }
 	if err := st.Push(testTable, []byte("k"), true, []byte("reinserted"), 1, 101, seed); err != nil {
 		t.Fatal(err)
@@ -191,10 +210,10 @@ func TestStampRestoresCommitOrder(t *testing.T) {
 	if err := st.Push(testTable, []byte("k"), false, nil, 2, 102, seed); err != nil {
 		t.Fatal(err)
 	}
-	commit(st, 2, 110) // the delete commits first
+	commit(2, 110) // the delete commits first
 	wantRead(t, st, "k", 109, true, "old")
 	wantRead(t, st, "k", 110, true, "")
-	commit(st, 1, 120)
+	commit(1, 120)
 	wantRead(t, st, "k", 119, true, "")
 	wantRead(t, st, "k", 120, true, "reinserted")
 
@@ -203,7 +222,7 @@ func TestStampRestoresCommitOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	commit(st, 3, 130)
+	commit(3, 130)
 	wantRead(t, st, "k", 129, true, "reinserted")
 	wantRead(t, st, "k", 130, true, "final")
 }
@@ -212,20 +231,21 @@ func TestStampRestoresCommitOrder(t *testing.T) {
 // belongs to the operation being rolled back.
 func TestDropTxSinceInclusiveBound(t *testing.T) {
 	st, stats := newTestStore()
-	pushAbsent(t, st, "a", "a1", 1, 110)
-	pushAbsent(t, st, "b", "b1", 1, 120) // pushed before its operation's first record
-	pushAbsent(t, st, "c", "c1", 1, 121)
-	st.DropTxSince(1, 121)
+	cl := chainLists{}
+	pushAbsent(t, st, cl, "a", "a1", 1, 110)
+	pushAbsent(t, st, cl, "b", "b1", 1, 120) // pushed before its operation's first record
+	pushAbsent(t, st, cl, "c", "c1", 1, 121)
+	st.DropTxSince(1, 121, cl.of(1))
 	if liveChains(stats) != 2 {
 		t.Fatalf("savepoint 121 left %d chains, want a and b", liveChains(stats))
 	}
-	st.DropTxSince(1, 120)
+	st.DropTxSince(1, 120, cl.of(1))
 	if liveChains(stats) != 1 {
 		t.Fatalf("savepoint 120 left %d chains, want only a (the bound is inclusive)", liveChains(stats))
 	}
 	_, pin := st.Begin()
 	defer st.End(pin)
-	commit(st, 1, 130)
+	commit(st, cl, 1, 130)
 	wantRead(t, st, "a", 130, true, "a1")
 	wantRead(t, st, "b", 130, false, "")
 }
@@ -235,13 +255,14 @@ func TestDropTxSinceInclusiveBound(t *testing.T) {
 // error from both read paths while a fresh one reads on.
 func TestForcedFoldSnapshotTooOld(t *testing.T) {
 	st, stats := newTestStore()
+	cl := chainLists{}
 	old, pin := st.Begin()
 	defer st.End(pin)
 	lsn := wal.LSN(epochStart)
 	for i := 0; i <= maxChainVersions; i++ {
 		lsn += 10
-		pushAbsent(t, st, "hot", fmt.Sprintf("v%d", i), wal.TxID(i+1), lsn-5)
-		commit(st, wal.TxID(i+1), lsn)
+		pushAbsent(t, st, cl, "hot", fmt.Sprintf("v%d", i), wal.TxID(i+1), lsn-5)
+		commit(st, cl, wal.TxID(i+1), lsn)
 		if _, err := st.Read(testTable, []byte("hot"), old); (err != nil) != (i == maxChainVersions) {
 			t.Fatalf("after %d versions: Read under the old snapshot: %v", i+1, err)
 		}
@@ -268,9 +289,10 @@ func TestRowsBetweenBounds(t *testing.T) {
 	s, pin := st.Begin()
 	defer st.End(pin)
 	keys := []string{"b", "d", "f", "h", "j"}
+	cl := chainLists{}
 	for i, k := range keys {
-		pushAbsent(t, st, k, "v-"+k, wal.TxID(i+1), wal.LSN(101+i))
-		commit(st, wal.TxID(i+1), wal.LSN(110+i))
+		pushAbsent(t, st, cl, k, "v-"+k, wal.TxID(i+1), wal.LSN(101+i))
+		commit(st, cl, wal.TxID(i+1), wal.LSN(110+i))
 	}
 	after := st.Visible()
 	bounds := []string{"", "a", "b", "c", "d", "h", "i", "j", "k"}
@@ -328,10 +350,11 @@ func TestRowsBetweenExaminesWindowNotTable(t *testing.T) {
 	st, stats := newTestStore()
 	_, pin := st.Begin()
 	defer st.End(pin)
+	cl := chainLists{}
 	for i := 0; i < n; i++ {
 		// Multiplying by a unit mod n visits every key once, out of order.
-		pushAbsent(t, st, fmt.Sprintf("k%08d", i*7919%n), "v", wal.TxID(i+1), wal.LSN(epochStart+1+2*i))
-		commit(st, wal.TxID(i+1), wal.LSN(epochStart+2+2*i))
+		pushAbsent(t, st, cl, fmt.Sprintf("k%08d", i*7919%n), "v", wal.TxID(i+1), wal.LSN(epochStart+1+2*i))
+		commit(st, cl, wal.TxID(i+1), wal.LSN(epochStart+2+2*i))
 	}
 	if liveChains(stats) != n {
 		t.Fatalf("%d chains live, want %d", liveChains(stats), n)
@@ -369,6 +392,7 @@ type modelTx struct {
 	entered bool
 	lsn     wal.LSN // commit LSN once assigned
 	pushes  []wal.LSN
+	chains  Chains // the store's list, as a txn.Tx keeps it
 }
 
 type model struct {
@@ -439,6 +463,18 @@ func (m *model) at(k string, s wal.LSN) (bool, string) {
 		}
 	}
 	return present, value
+}
+
+// inFlight says whether tx holds an in-flight version of k.
+func (m *model) inFlight(k string, tx wal.TxID) bool {
+	if mk := m.keys[k]; mk != nil {
+		for _, v := range mk.versions {
+			if v.tx == tx && v.commitLSN == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (m *model) inFlightWriter(k string) wal.TxID {
@@ -547,7 +583,7 @@ func runModelSchedule(t *testing.T, seed uint64, steps int) {
 			}
 			hadChain := m.chained(k)
 			seeded := false
-			err := st.Push(testTable, []byte(k), v.present, []byte(v.value), tx.id, v.pushLSN, func() (bool, []byte, uint64, error) {
+			err := st.PushTo(testTable, []byte(k), v.present, []byte(v.value), tx.id, v.pushLSN, &tx.chains, func() (bool, []byte, uint64, error) {
 				seeded = true
 				present, value := m.at(k, ^wal.LSN(0))
 				return present, []byte(value), st.Seq(testTable), nil
@@ -568,7 +604,7 @@ func runModelSchedule(t *testing.T, seed uint64, steps int) {
 			}
 			at := rnd(len(tx.pushes))
 			save := tx.pushes[at] // inclusive: drops this push too
-			st.DropTxSince(tx.id, save)
+			st.DropTxSince(tx.id, save, &tx.chains)
 			m.drop(tx.id, save)
 			tx.pushes = tx.pushes[:at]
 		case op < 70 && len(m.txs) > 0:
@@ -576,7 +612,7 @@ func runModelSchedule(t *testing.T, seed uint64, steps int) {
 			if tx.entered {
 				continue
 			}
-			st.DropTx(tx.id)
+			st.DropTx(tx.id, &tx.chains)
 			m.drop(tx.id, 0)
 			m.removeTx(tx)
 		case op < 80 && len(m.txs) > 0:
@@ -601,10 +637,10 @@ func runModelSchedule(t *testing.T, seed uint64, steps int) {
 			}
 			m.removeTx(tx)
 			if rnd(8) == 0 {
-				st.AbortCommit(tx.id)
+				st.AbortCommit(tx.id, &tx.chains)
 				m.drop(tx.id, 0)
 			} else {
-				st.FinishCommit(tx.id, tx.lsn)
+				st.StampCommit(tx.id, tx.lsn, &tx.chains)
 				m.stamp(tx.id, tx.lsn)
 				m.stampedMax = max(m.stampedMax, tx.lsn)
 			}
@@ -624,6 +660,21 @@ func runModelSchedule(t *testing.T, seed uint64, steps int) {
 		}
 		if got := liveChains(stats); got != live {
 			fail(step, "%d chains live, model needs %d", got, live)
+		}
+		for _, tx := range m.txs {
+			var got, want []string
+			for _, c := range tx.chains {
+				got = append(got, c.key)
+			}
+			for _, k := range keys {
+				if m.inFlight(k, tx.id) {
+					want = append(want, k)
+				}
+			}
+			sort.Strings(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				fail(step, "tx %d lists chains %v, holds in-flight versions on %v", tx.id, got, want)
+			}
 		}
 		for _, snap := range m.snaps {
 			s := snap.lsn
@@ -689,22 +740,23 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			last := []byte("v0") // committed state: this writer alone writes the pair
 			for i := 1; i <= commits; i++ {
 				tx := wal.TxID(txIDs.Add(1))
+				var touched Chains
 				value := []byte(fmt.Sprintf("v%d", i))
 				seed := func() (bool, []byte, uint64, error) { return true, last, st.Seq(testTable), nil }
 				for _, k := range [][]byte{a, b} {
-					if err := st.Push(testTable, k, true, value, tx, wal.LSN(logEnd.Add(1)), seed); err != nil {
+					if err := st.PushTo(testTable, k, true, value, tx, wal.LSN(logEnd.Add(1)), &touched, seed); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				if i%16 == 0 {
-					st.DropTx(tx)
+					st.DropTx(tx, &touched)
 					continue
 				}
 				st.EnterCommit(tx)
 				lsn := wal.LSN(logEnd.Add(1))
 				st.CommitAt(tx, lsn)
-				st.FinishCommit(tx, lsn)
+				st.StampCommit(tx, lsn, &touched)
 				last = value
 			}
 		}(w)
@@ -758,27 +810,28 @@ func TestStalledReaderChainsRetire(t *testing.T) {
 	for _, order := range []string{"end-then-rollback", "rollback-then-end", "rollback-straddles-end"} {
 		t.Run(order, func(t *testing.T) {
 			st, stats := newTestStore()
+			cl := chainLists{}
 			old, pin := st.Begin()
 			lsn := wal.LSN(epochStart)
 			for i := 0; i <= maxChainVersions; i++ {
 				lsn += 10
-				pushAbsent(t, st, "hot", fmt.Sprintf("v%d", i), wal.TxID(i+1), lsn-5)
-				commit(st, wal.TxID(i+1), lsn)
+				pushAbsent(t, st, cl, "hot", fmt.Sprintf("v%d", i), wal.TxID(i+1), lsn-5)
+				commit(st, cl, wal.TxID(i+1), lsn)
 			}
 			if _, err := st.Read(testTable, []byte("hot"), old); !errors.Is(err, ErrSnapshotTooOld) {
 				t.Fatalf("after %d commits the stalled reader reads %v, want ErrSnapshotTooOld", maxChainVersions+1, err)
 			}
 			absent := func() (bool, []byte, uint64, error) { return false, nil, st.Seq(otherTable), nil }
-			if err := st.Push(otherTable, []byte("gate"), true, []byte("w"), writer, lsn+1, absent); err != nil {
+			if err := st.PushTo(otherTable, []byte("gate"), true, []byte("w"), writer, lsn+1, cl.of(writer), absent); err != nil {
 				t.Fatal(err)
 			}
-			pushAbsent(t, st, "hot", "w", writer, lsn+2)
+			pushAbsent(t, st, cl, "hot", "w", writer, lsn+2)
 			switch order {
 			case "end-then-rollback":
 				st.End(pin)
-				st.DropTx(writer)
+				st.DropTx(writer, cl.of(writer))
 			case "rollback-then-end":
-				st.DropTx(writer)
+				st.DropTx(writer, cl.of(writer))
 				st.End(pin)
 			default:
 				gate := st.table(otherTable)
@@ -786,7 +839,7 @@ func TestStalledReaderChainsRetire(t *testing.T) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					st.DropTx(writer)
+					st.DropTx(writer, cl.of(writer))
 				}()
 				// Give the rollback its chance to reach the gate; the test
 				// holds with any schedule, the old defect showed on most.

@@ -20,28 +20,30 @@ import (
 
 	"ariesim/internal/buffer"
 	"ariesim/internal/lock"
+	"ariesim/internal/mvcc"
 	"ariesim/internal/storage"
 	"ariesim/internal/trace"
 	"ariesim/internal/wal"
 )
 
 // VersionHook is the MVCC version store's view of transaction lifecycle
-// events. Only versioned transactions (those that pushed at least one
-// record version) invoke it, so version-less commits pay nothing.
+// events. A transaction passes it the list of chains that hold its
+// in-flight versions (Tx.Versions), and only one whose list is not empty
+// invokes it, so version-less commits pay nothing.
 //
 // Commit sequencing: EnterCommit before the commit record is appended
 // (freezing the visibility watermark), CommitAt once the record's LSN is
-// known, then FinishCommit after the log force succeeds — or AbortCommit
+// known, then StampCommit after the log force succeeds — or AbortCommit
 // if it does not — so the watermark only ever covers durable commits.
 type VersionHook interface {
 	EnterCommit(wal.TxID)
 	CommitAt(wal.TxID, wal.LSN)
-	FinishCommit(wal.TxID, wal.LSN)
-	AbortCommit(wal.TxID)
+	StampCommit(wal.TxID, wal.LSN, *mvcc.Chains)
+	AbortCommit(wal.TxID, *mvcc.Chains)
 	// DropTx discards the transaction's in-flight versions (rollback);
 	// DropTxSince discards those pushed after the savepoint LSN.
-	DropTx(wal.TxID)
-	DropTxSince(wal.TxID, wal.LSN)
+	DropTx(wal.TxID, *mvcc.Chains)
+	DropTxSince(wal.TxID, wal.LSN, *mvcc.Chains)
 }
 
 // Snapshot is a read-only transaction's captured visibility point plus
@@ -74,8 +76,12 @@ type Tx struct {
 	undoNxtLSN  wal.LSN
 	commitLSN   wal.LSN
 	rollingBack bool
-	versioned   bool        // pushed >= 1 version into the MVCC store
 	saves       []savepoint // Savepoint history, oldest first
+
+	// versions lists the chains holding the transaction's in-flight
+	// versions. Only the transaction's own goroutine touches it (the
+	// version store's PushTo, then commit or rollback), hence not under mu.
+	versions mvcc.Chains
 
 	// snap is non-nil for a snapshot-mode read-only transaction. It is set
 	// once, before the transaction is used, and read on every lock request
@@ -213,19 +219,13 @@ func (t *Tx) SetSnapshot(s Snapshot) { t.snap.Store(&s) }
 // transactions.
 func (t *Tx) Snapshot() *Snapshot { return t.snap.Load() }
 
-// MarkVersioned records that t pushed a version into the MVCC store, so
-// its commit/rollback must run the version hook.
-func (t *Tx) MarkVersioned() {
-	t.mu.Lock()
-	t.versioned = true
-	t.mu.Unlock()
-}
+// Versions is t's chain list, for the version store's PushTo to add to.
+func (t *Tx) Versions() *mvcc.Chains { return &t.versions }
 
-// hookFor returns the version hook if t must drive it.
+// hookFor returns the version hook if t must drive it: if some chain holds
+// an in-flight version of t.
 func (t *Tx) hookFor() VersionHook {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.versioned {
+	if len(t.versions) == 0 {
 		return nil
 	}
 	return t.mgr.hook
@@ -480,12 +480,12 @@ func (t *Tx) Commit() error {
 		// and must never be acknowledged. The transaction's locks and table
 		// entry die with the orphaned manager.
 		if hook != nil {
-			hook.AbortCommit(t.ID)
+			hook.AbortCommit(t.ID, &t.versions)
 		}
 		return wal.ErrLogCrashed
 	}
 	if hook != nil {
-		hook.FinishCommit(t.ID, lsn)
+		hook.StampCommit(t.ID, lsn, &t.versions)
 	}
 	t.Log(&wal.Record{Type: wal.RecEnd})
 	t.mgr.finish(t)
@@ -527,7 +527,7 @@ func (t *Tx) Rollback() error {
 		return err
 	}
 	if hook := t.hookFor(); hook != nil {
-		hook.DropTx(t.ID)
+		hook.DropTx(t.ID, &t.versions)
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})
@@ -568,7 +568,7 @@ func (t *Tx) RollbackTo(save wal.LSN) error {
 	t.mu.Unlock()
 	if err == nil {
 		if hook := t.hookFor(); hook != nil {
-			hook.DropTxSince(t.ID, save)
+			hook.DropTxSince(t.ID, save, &t.versions)
 		}
 	}
 	if err == nil && sp != nil {
@@ -639,7 +639,7 @@ func (t *Tx) undoTo(stopAfter wal.LSN) error {
 // removed.
 func (t *Tx) EndLoser() {
 	if hook := t.hookFor(); hook != nil {
-		hook.DropTx(t.ID)
+		hook.DropTx(t.ID, &t.versions)
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})
@@ -657,7 +657,7 @@ func (t *Tx) UndoAll() error {
 		return err
 	}
 	if hook := t.hookFor(); hook != nil {
-		hook.DropTx(t.ID)
+		hook.DropTx(t.ID, &t.versions)
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})
