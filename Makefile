@@ -38,7 +38,7 @@ test-2core:
 # is the regression gate for that fix: any reintroduced window resurfaces
 # as a flake well within 1000 schedules. The version store's own tests
 # (retire queue vs. concurrent committers and snapshot readers) repeat 20
-# times: its races are between FinishCommit, End and RowsBetween, which a
+# times: its races are between StampCommit, End and RowsBetween, which a
 # single pass schedules only one way. Heap placement likewise: the
 # free-space inventory is fed by Delete and by rollbacks under page latches
 # while inserts take from it under none, and compaction borrows a pooled
@@ -85,10 +85,11 @@ race:
 	$(GO) test -race -count=5 ./cmd/ariesim-bench
 	$(GO) test -race -count=20 ./internal/wal
 
-# Crash-torture smoke under injected disk faults, torn log tails, and
-# planted silent corruption: every fault class must be absorbed.
+# A short chaos sweep under injected disk faults, planted silent corruption,
+# voluntary rollbacks and a torn log tail: the sweep fails unless each of the
+# last three happened and every fault class was absorbed.
 smoke:
-	$(GO) run ./cmd/ariesim-crash -rounds 3 -workers 2 -ops 120 -faults -torn -bitflip
+	$(GO) run ./cmd/ariesim-crash -workers 4 -crashes 3 -seed 1 -faults
 
 # Exhaustive crash-point sweep: every log record boundary, double recovery.
 # This and the chaos targets below run internal/harness through
@@ -100,13 +101,13 @@ sweep:
 # faults, crashes at random points under live traffic, exact verification
 # after every restart. Deterministic seed so CI failures reproduce.
 chaos:
-	$(GO) run ./cmd/ariesim-crash -chaos -workers 8 -crashes 20 -seed 1 -faults
+	$(GO) run ./cmd/ariesim-crash -workers 8 -crashes 20 -seed 1 -faults
 
 # The same sweep with online restarts: the engine reopens the moment
 # analysis finishes, workers race the background drain and loser undo,
 # and a rotating subset of points re-crashes mid-recovery.
 chaos-online:
-	$(GO) run ./cmd/ariesim-crash -chaos -online -workers 8 -crashes 20 -seed 1 -faults -redo 8
+	$(GO) run ./cmd/ariesim-crash -online -workers 8 -crashes 20 -seed 1 -faults -redo 8
 
 # Hot-standby failover sweep under the race detector: live replicated
 # traffic over a seeded lossy channel through the semi-sync gate, primary
@@ -119,9 +120,9 @@ chaos-standby:
 # Chaos sweep with lock-free snapshot readers racing the writers and the
 # crash schedule: every reader observation must be exactly the committed
 # state at some commit boundary (zero torn reads), verified against the
-# LSN-keyed acked-commit ledger, with zero lock-manager calls by readers.
+# LSN-keyed commit ledger, with zero lock-manager calls by readers.
 chaos-mvcc:
-	$(GO) run ./cmd/ariesim-crash -chaos -online -workers 8 -crashes 20 -seed 1 -faults -redo 8 -mvcc 4
+	$(GO) run ./cmd/ariesim-crash -online -workers 8 -crashes 20 -seed 1 -faults -redo 8 -mvcc 4
 
 # Chaos sweep with a secondary index maintained through the whole run:
 # every transaction updates both trees, snapshot readers alternate between
@@ -129,12 +130,12 @@ chaos-mvcc:
 # secondary index is cross-verified entry-by-entry against the base table
 # (no orphan entries, no missing entries, keys match the extractor).
 chaos-index:
-	$(GO) run ./cmd/ariesim-crash -chaos -online -workers 8 -crashes 20 -seed 1 -faults -redo 8 -mvcc 4 -index
+	$(GO) run ./cmd/ariesim-crash -online -workers 8 -crashes 20 -seed 1 -faults -redo 8 -mvcc 4 -index
 
 # The same secondary-index sweep with offline restarts: every restart
 # finishes redo and undo before the workers come back.
 chaos-index-offline:
-	$(GO) run ./cmd/ariesim-crash -chaos -workers 8 -crashes 20 -seed 1 -faults -mvcc 4 -index
+	$(GO) run ./cmd/ariesim-crash -workers 8 -crashes 20 -seed 1 -faults -mvcc 4 -index
 
 microbench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...

@@ -3,6 +3,7 @@ package db_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"ariesim/internal/db"
 	"ariesim/internal/harness"
 	"ariesim/internal/lock"
+	"ariesim/internal/wal"
 )
 
 // TestSoakConcurrentWithCrashes is the long-haul exercise: several rounds
@@ -43,7 +45,9 @@ func soak(t *testing.T, opts db.Options, rounds, workers, opsPerWorker int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := map[string]string{}
+	// Each commit's writes keyed by its commit LSN, folded in LSN order at
+	// verification: goroutines get here in no particular order.
+	commits := map[wal.LSN]map[string]*string{}
 	var mu sync.Mutex
 
 	for round := 0; round < rounds; round++ {
@@ -113,19 +117,12 @@ func soak(t *testing.T, opts db.Options, rounds, workers, opsPerWorker int) {
 						_ = tx.Rollback()
 						continue
 					}
-					mu.Lock()
 					if err := tx.Commit(); err != nil {
-						mu.Unlock()
 						t.Errorf("commit: %v", err)
 						return
 					}
-					for key, val := range staged {
-						if val == nil {
-							delete(committed, key)
-						} else {
-							committed[key] = *val
-						}
-					}
+					mu.Lock()
+					commits[tx.CommitLSN()] = staged
 					mu.Unlock()
 					if rng.Intn(40) == 0 {
 						d.Checkpoint()
@@ -153,6 +150,21 @@ func soak(t *testing.T, opts db.Options, rounds, workers, opsPerWorker int) {
 		}
 		if err := d.VerifyConsistency(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		lsns := make([]wal.LSN, 0, len(commits))
+		for lsn := range commits {
+			lsns = append(lsns, lsn)
+		}
+		slices.Sort(lsns)
+		committed := map[string]string{}
+		for _, lsn := range lsns {
+			for key, val := range commits[lsn] {
+				if val == nil {
+					delete(committed, key)
+				} else {
+					committed[key] = *val
+				}
+			}
 		}
 		rows := map[string]string{}
 		r := d.MustBegin()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +20,9 @@ import (
 // by the retry layer, not the workload — while the driver injects disk
 // faults, plants silent corruption, and crashes the engine at random
 // points under live traffic. After every crash the committed state is
-// verified exactly against a model maintained at commit-ack time: every
-// acknowledged commit is durable, no aborted or in-flight effect is
-// visible, and the structural invariants hold.
+// verified exactly against the ledger of commits: every acknowledged commit
+// is durable, no aborted (some writers roll back on purpose) or in-flight
+// effect is visible, and the structural invariants hold.
 
 // ChaosOpts configures a chaos sweep. The zero value is a full-size run;
 // every field has a default. The sweep is deterministic in Seed only up to
@@ -44,7 +43,10 @@ type ChaosOpts struct {
 	// PoolSize in frames (default 64) — small pools force steals, so
 	// uncommitted pages reach disk and restart must undo them.
 	PoolSize int
-	// Faults injects seeded disk faults and plants silent corruption.
+	// Faults injects seeded disk faults, plants silent corruption, and
+	// tears the log tail at one last crash once the workers have stopped.
+	// The sweep then fails unless some page was healed by media recovery, a
+	// torn record was cut, and a writer rolled back (which takes Workers ≥ 3).
 	Faults bool
 	// LockWaitTimeout bounds lock waits (default 20ms); the retry layer
 	// absorbs the resulting ErrLockTimeouts.
@@ -137,6 +139,11 @@ type ChaosResult struct {
 	RestartRedos    uint64 // redo records applied across all restarts
 	RestartUndos    uint64 // undo steps driven across all restarts
 	GaveUp          int    // transactions that exhausted their retries (no effect committed)
+	Rollbacks       int    // writer bodies that asked RunTxn to roll their work back
+
+	// TornTailTruncations counts restarts that cut a torn log record
+	// (nonzero exactly when Faults is set).
+	TornTailTruncations uint64
 
 	// Online-restart counters (zero unless ChaosOpts.OnlineRestart).
 	OnlineRestarts     uint64 // restarts that opened after analysis
@@ -154,56 +161,6 @@ type ChaosResult struct {
 	ReadOnlyLockCalls uint64 // lock-manager calls by snapshot readers (must be 0)
 }
 
-// chaosSnapLedger keys every acked commit's staged rows by commit-record
-// LSN so a snapshot observed at LSN s replays exactly: apply all entries
-// with LSN <= s in LSN order. Methods are nil-safe so the writer paths can
-// record unconditionally; the ledger only exists when SnapshotReaders > 0.
-type chaosSnapLedger struct {
-	mu      sync.Mutex
-	entries map[wal.LSN]map[string]*string
-}
-
-func (l *chaosSnapLedger) record(lsn wal.LSN, local map[string]*string) {
-	if l == nil {
-		return
-	}
-	cp := make(map[string]*string, len(local))
-	for k, v := range local {
-		if v == nil {
-			cp[k] = nil
-		} else {
-			s := *v
-			cp[k] = &s
-		}
-	}
-	l.mu.Lock()
-	l.entries[lsn] = cp
-	l.mu.Unlock()
-}
-
-func (l *chaosSnapLedger) applyThrough(s wal.LSN) map[string]string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lsns := make([]wal.LSN, 0, len(l.entries))
-	for lsn := range l.entries {
-		if lsn <= s {
-			lsns = append(lsns, lsn)
-		}
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-	model := map[string]string{}
-	for _, lsn := range lsns {
-		for k, v := range l.entries[lsn] {
-			if v == nil {
-				delete(model, k)
-			} else {
-				model[k] = *v
-			}
-		}
-	}
-	return model
-}
-
 // chaosSnapObs is one snapshot reader observation: the full table as seen
 // at snapshot LSN s, keyed by primary key. viaIndex marks observations
 // gathered through a secondary-index-order scan (same verification: the
@@ -214,72 +171,18 @@ type chaosSnapObs struct {
 	viaIndex bool
 }
 
-// chaosModel is the exact model of acked-committed state. Mutations happen
-// only inside RunTxn OnCommit callbacks — atomically with the commit ack —
-// so at any crash instant the model IS the set of durable transactions.
-//
-// Acks do not arrive in commit order: with early lock release a transaction
-// can take a lock its predecessor has just dropped, commit behind it and be
-// acknowledged before it (both forces done, the predecessor's goroutine not
-// yet run). Each key therefore remembers the commit LSN of the write that
-// set it, and a write older than that is already overwritten.
-type chaosModel struct {
-	mu   sync.Mutex
-	rows map[string]string
-	at   map[string]wal.LSN // commit LSN of each key's last write, deletes included
-}
-
-func (m *chaosModel) apply(commit wal.LSN, local map[string]*string) {
-	m.mu.Lock()
-	for k, v := range local {
-		if m.at[k] > commit {
-			continue
-		}
-		m.at[k] = commit
-		if v == nil {
-			delete(m.rows, k)
-		} else {
-			m.rows[k] = *v
-		}
-	}
-	m.mu.Unlock()
-}
-
-// tail returns the four bytes indexExtract keys on in k's last acked value,
-// or "" when the key is absent or its value shorter.
-func (m *chaosModel) tail(k string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v := m.rows[k]; len(v) >= 4 {
-		return v[len(v)-4:]
-	}
-	return ""
-}
-
-func (m *chaosModel) snapshot() map[string]string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]string, len(m.rows))
-	for k, v := range m.rows {
-		out[k] = v
-	}
-	return out
-}
-
 // chaosTable is the table the chaos sweep runs on.
 const chaosTable = "chaos"
 
-// chaosRun is what the sweep's writers share: the engine, the exact model of
-// acked commits, and — when snapshot readers run — the LSN-keyed ledger.
+// chaosRun is what the sweep's writers share: the engine and the ledger of
+// its commits.
 type chaosRun struct {
-	d       *db.DB
-	model   *chaosModel
-	ledger  *chaosSnapLedger // nil unless the snapshot phase runs
-	commits atomic.Int64
+	d   *db.DB
+	led *ledger
 }
 
-// staged is one transaction attempt's writes: key → new value, nil = deleted.
-type staged map[string]*string
+// errRollback is what a writer body returns to roll its completed work back.
+var errRollback = errors.New("chaos: voluntary rollback")
 
 // upsert is the package's upsert plus staging the result.
 func (st staged) upsert(tbl *db.Table, tx *txn.Tx, k, v []byte) error {
@@ -293,20 +196,14 @@ func (st staged) upsert(tbl *db.Table, tx *txn.Tx, k, v []byte) error {
 
 // write runs body as one RunTxn transaction on the chaos table. What the
 // body's last attempt staged is recorded in the ledger once the commit is
-// durable and applied to the model atomically with the ack.
+// durable and acknowledged with the ack, under the same crash fence.
 func (r *chaosRun) write(seed int64, body func(tbl *db.Table, tx *txn.Tx, st staged) error) error {
 	var st staged
 	var commit wal.LSN
 	return r.d.RunTxnWith(db.RunTxnOpts{
-		Seed: seed,
-		OnCommitted: func(lsn wal.LSN) {
-			commit = lsn
-			r.ledger.record(lsn, st)
-		},
-		OnCommit: func() {
-			r.model.apply(commit, st)
-			r.commits.Add(1)
-		},
+		Seed:        seed,
+		OnCommitted: func(lsn wal.LSN) { commit = lsn; r.led.record(lsn, st) },
+		OnCommit:    func() { r.led.ack(commit) },
 	}, func(tx *txn.Tx) error {
 		st = staged{} // fresh staging per attempt
 		tbl, err := r.d.TableFor(tx, chaosTable)
@@ -351,11 +248,8 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		}
 		return nil
 	}
-	run := &chaosRun{d: d, model: &chaosModel{rows: map[string]string{}, at: map[string]wal.LSN{}}}
-	if o.SnapshotReaders > 0 {
-		run.ledger = &chaosSnapLedger{entries: map[wal.LSN]map[string]*string{}}
-	}
-	var gaveUp atomic.Int64
+	run := &chaosRun{d: d, led: newLedger()}
+	var gaveUp, rollbacks atomic.Int64
 	res := &ChaosResult{}
 
 	// Phase 1: deterministic contention. Guarantees both repair paths —
@@ -440,16 +334,19 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					return
 				default:
 				}
+				holder := w == 2 && iter%7 == 0
 				err := run.write(o.Seed+int64(w)*1000003+int64(iter), func(tbl *db.Table, tx *txn.Tx, st staged) error {
 					// Every third iteration a hot key's new value ends in the
-					// four bytes its last acked value ended in, so that the
-					// secondary index's key stays put and the update must
-					// leave that tree alone. (The model may be a commit
+					// four bytes its last committed value ended in, so that
+					// the secondary index's key stays put and the update must
+					// leave that tree alone. (The ledger may be a commit
 					// behind; then the key moves, as on the other iterations.)
 					val := func(k []byte) []byte {
 						v := fmt.Sprintf("w%d-i%d", w, iter)
 						if iter%3 == 0 {
-							v += run.model.tail(string(k))
+							if old := run.led.latest(string(k)); len(old) >= 4 {
+								v += old[len(old)-4:]
+							}
 						}
 						return []byte(v)
 					}
@@ -467,9 +364,10 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 						if err := st.upsert(tbl, tx, b, val(b)); err != nil {
 							return err
 						}
-					case w == 2 && iter%7 == 0:
+					case holder:
 						// Slow holder: sits on a hot key past the lock-wait
-						// timeout so contenders time out and retry.
+						// timeout so contenders time out and retry, and in
+						// the end rolls all its work back.
 						if err := st.upsert(tbl, tx, hot[2], val(hot[2])); err != nil {
 							return err
 						}
@@ -511,9 +409,14 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 							}
 						}
 					}
+					if holder {
+						return errRollback // RunTxn rolls the work above back
+					}
 					return nil
 				})
-				if err != nil {
+				if errors.Is(err, errRollback) {
+					rollbacks.Add(1)
+				} else if err != nil {
 					// A transaction that exhausted its retries committed
 					// nothing — a legal (if sad) outcome under extreme
 					// contention; the watchdog catches systemic collapse.
@@ -603,15 +506,15 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	}
 
 	crashRNG := rand.New(rand.NewSource(o.Seed * 31))
-	// crashRestart crashes the engine and snapshots the model — commits are
-	// acked under the same mutex Crash holds, so nothing can slip into the
-	// model after the crash instant — then forks the crashed stable state and
+	// crashRestart crashes the engine and snapshots the ledger — commits are
+	// recorded and acked under the same mutex Crash holds, so nothing can slip
+	// into it after the crash instant — then forks the crashed stable state and
 	// restarts both. The workers resume traffic on the engine at once; the
 	// fork proves what a recovery of this exact crash instant yields.
 	crashRestart := func(c int, what string, corrupt bool) (*db.DB, map[string]string, error) {
 		d.Crash()
 		down = true
-		snap := run.model.snapshot()
+		snap := run.led.state()
 		if o.whileDown != nil {
 			if err := o.whileDown(c); err != nil {
 				return nil, nil, fmt.Errorf("chaos: crash %d: %w", c, err)
@@ -645,15 +548,15 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	}
 	for c := 0; c < o.Crashes; c++ {
 		// Let traffic accumulate, with the livelock watchdog running.
-		target := run.commits.Load() + int64(o.CommitsPerPhase)
+		target := run.led.ackedCount() + o.CommitsPerPhase
 		deadline := time.Now().Add(o.WatchdogPatience)
-		for run.commits.Load() < target {
+		for run.led.ackedCount() < target {
 			if err := failed(); err != nil {
 				return fail(err)
 			}
 			if time.Now().After(deadline) {
 				return fail(fmt.Errorf("chaos: livelock: %d/%d commits after %v at crash point %d (retry throughput collapsed)",
-					run.commits.Load()-(target-int64(o.CommitsPerPhase)), o.CommitsPerPhase, o.WatchdogPatience, c))
+					run.led.ackedCount()-(target-o.CommitsPerPhase), o.CommitsPerPhase, o.WatchdogPatience, c))
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -697,7 +600,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		}
 		res.Crashes++
 		o.Logf("chaos: crash %2d survived: %4d commits acked, %4d rows verified",
-			c, run.commits.Load(), len(snap))
+			c, run.led.ackedCount(), len(snap))
 	}
 
 	close(stop)
@@ -711,8 +614,23 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	if _, err := d.AwaitRecovered(); err != nil {
 		return nil, fmt.Errorf("chaos: final await recovered: %v", err)
 	}
-	if err := verifyState(d, run.model.snapshot()); err != nil {
+	want := run.led.state()
+	if err := verifyState(d, want); err != nil {
 		return nil, fmt.Errorf("chaos: final: %v", err)
+	}
+	if o.Faults {
+		// Tear the log tail only now: under live traffic an unforced commit
+		// record could survive without its ack, and a log crash ahead of the
+		// engine's would let running transactions append past the rewound
+		// frontier. An uncommitted loser puts records past the forced
+		// prefix; the crash keeps some and tears the last, and restart must
+		// cut that one at its bad CRC and undo the rest.
+		if err := tearLogTail(d, 1+crashRNG.Intn(3)); err != nil {
+			return nil, fmt.Errorf("chaos: torn tail: %v", err)
+		}
+		if err := verifyState(d, want); err != nil {
+			return nil, fmt.Errorf("chaos: torn tail: %v", err)
+		}
 	}
 
 	if res.InPlaceUpdates = inPlaceUpdates(d.Log()); res.InPlaceUpdates == 0 {
@@ -731,7 +649,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 				via = "index scan"
 				indexObs++
 			}
-			want := run.ledger.applyThrough(obs.s)
+			want := run.led.through(obs.s)
 			if len(want) != len(obs.rows) {
 				return nil, fmt.Errorf("chaos: torn snapshot (%s) at LSN %d: observed %d rows, ledger has %d",
 					via, obs.s, len(obs.rows), len(want))
@@ -759,8 +677,10 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		res.SnapshotTooOld = sn.SnapshotTooOld
 		res.ReadOnlyLockCalls = sn.ReadOnlyLockCalls
 	}
-	res.Commits = int(run.commits.Load())
+	res.Commits = run.led.ackedCount()
 	res.GaveUp = int(gaveUp.Load())
+	res.Rollbacks = int(rollbacks.Load())
+	res.TornTailTruncations = sn.TornTailTruncations
 	res.Deadlocks = sn.Deadlocks
 	res.DeadlockVictims = sn.DeadlockVictims
 	res.LockTimeouts = sn.LockTimeouts
@@ -785,7 +705,37 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		return res, fmt.Errorf("chaos: repair paths under-exercised: %d deadlock retries, %d timeout retries, %d retry successes",
 			res.DeadlockRetries, res.TimeoutRetries, res.RetrySuccesses)
 	}
+	if o.Faults && (res.Rollbacks == 0 || res.TornTailTruncations == 0 || res.MediaRecoveries == 0) {
+		return res, fmt.Errorf("chaos: fault paths under-exercised: %d voluntary rollbacks, %d torn-tail truncations, %d media recoveries",
+			res.Rollbacks, res.TornTailTruncations, res.MediaRecoveries)
+	}
 	return res, nil
+}
+
+// tearLogTail leaves an uncommitted loser's records past the forced log
+// prefix, crashes the log keeping extra of them with the last one torn, then
+// crashes and restarts the engine.
+func tearLogTail(d *db.DB, extra int) error {
+	tx, err := d.Begin()
+	if err != nil {
+		return err
+	}
+	tbl, err := d.TableFor(tx, chaosTable)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < 3; i++ {
+		if err := tbl.Insert(tx, []byte(fmt.Sprintf("torn-%d", i)), []byte("never-committed")); err != nil {
+			return err
+		}
+	}
+	d.Log().CrashWithTornTail(extra)
+	d.Crash()
+	if _, err := d.Restart(); err != nil {
+		return err
+	}
+	_, err = d.AwaitRecovered()
+	return err
 }
 
 // forceDeadlockRepair rendezvouses two RunTxn transactions so each holds

@@ -4,24 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"ariesim/internal/wal"
 )
-
-// Acks can arrive against commit order (early lock release lets a
-// transaction commit behind the one whose lock it took and be acknowledged
-// first); the model must end with what the later commit wrote.
-func TestChaosModelFollowsCommitOrder(t *testing.T) {
-	m := &chaosModel{rows: map[string]string{}, at: map[string]wal.LSN{}}
-	val := func(s string) *string { return &s }
-	m.apply(20, map[string]*string{"k": val("second"), "gone": nil})
-	m.apply(10, map[string]*string{"k": val("first"), "gone": val("inserted before the delete")})
-	m.apply(30, map[string]*string{"other": val("x")})
-	got := m.snapshot()
-	if len(got) != 2 || got["k"] != "second" || got["other"] != "x" {
-		t.Fatalf("model = %v, want k=second, other=x", got)
-	}
-}
 
 // A failure found while the engine is down — between a crash point's Crash
 // and its Restart — must come back as RunChaosSweep's error. The workers are

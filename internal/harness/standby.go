@@ -114,96 +114,18 @@ type StandbySweepResult struct {
 	LagP50, LagP99   float64 // applied-lag percentiles, log bytes
 }
 
-// sweepOp is one ledger mutation: a single-key upsert or delete.
+// sweepOp is one client transaction: a single-key upsert or delete.
 type sweepOp struct {
 	key, val string
 	del      bool
 }
 
-// sweepEntry is one commit in the ledger, keyed by its commit-record LSN
-// and the generation (1 = old primary, 2 = promoted node) whose log that
-// LSN addresses — the two logs share an address space, so the generation
-// disambiguates.
-type sweepEntry struct {
-	lsn   wal.LSN
-	gen   int
-	op    sweepOp
-	acked bool
-}
-
-// sweepLedger is the exact model of what clients were told.
-type sweepLedger struct {
-	mu      sync.Mutex
-	entries map[int]map[wal.LSN]*sweepEntry // gen → commit LSN → entry
-	acked   int64
-}
-
-func newSweepLedger() *sweepLedger {
-	return &sweepLedger{entries: map[int]map[wal.LSN]*sweepEntry{1: {}, 2: {}}}
-}
-
-func (l *sweepLedger) pend(gen int, lsn wal.LSN, op sweepOp) {
-	l.mu.Lock()
-	l.entries[gen][lsn] = &sweepEntry{lsn: lsn, gen: gen, op: op}
-	l.mu.Unlock()
-}
-
-func (l *sweepLedger) ack(gen int, lsn wal.LSN) {
-	l.mu.Lock()
-	if e := l.entries[gen][lsn]; e != nil {
-		e.acked = true
-		l.acked++
+// staged is op's write as the ledger records it.
+func (op sweepOp) staged() staged {
+	if op.del {
+		return staged{op.key: nil}
 	}
-	l.mu.Unlock()
-}
-
-func (l *sweepLedger) ackedCount() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.acked
-}
-
-// genEntries returns generation gen's entries sorted by commit LSN.
-func (l *sweepLedger) genEntries(gen int) []*sweepEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*sweepEntry, 0, len(l.entries[gen]))
-	for _, e := range l.entries[gen] {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })
-	return out
-}
-
-// commitSet collects the LSN of every commit record in the log.
-func commitSet(log *wal.Log) map[wal.LSN]bool {
-	set := map[wal.LSN]bool{}
-	log.Scan(1, func(r *wal.Record) bool {
-		if r.Type == wal.RecCommit {
-			set[r.LSN] = true
-		}
-		return true
-	})
-	return set
-}
-
-// modelRows folds entries (already LSN-sorted) whose commit LSN is in the
-// set into the final key→value state.
-func modelRows(rows map[string]string, entries []*sweepEntry, commits map[wal.LSN]bool) map[string]string {
-	if rows == nil {
-		rows = map[string]string{}
-	}
-	for _, e := range entries {
-		if !commits[e.lsn] {
-			continue
-		}
-		if e.op.del {
-			delete(rows, e.op.key)
-		} else {
-			rows[e.op.key] = e.op.val
-		}
-	}
-	return rows
+	return staged{op.key: &op.val}
 }
 
 // apply performs op: an upsert, or a delete that treats an absent key as a
@@ -255,8 +177,9 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 		primary.SetCommitGate(shipper.Gate(o.GateTimeout))
 	}
 
-	// ---- Live traffic.
-	led := newSweepLedger()
+	// ---- Live traffic. Each generation (1 = old primary, 2 = promoted
+	// node) keeps its own ledger: the two logs share an address space.
+	leds := [3]*ledger{nil, newLedger(), newLedger()}
 	var curDB atomic.Pointer[db.DB]
 	var curGen atomic.Int64
 	curDB.Store(primary)
@@ -302,9 +225,9 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 				err := d.RunTxnWith(db.RunTxnOpts{
 					Seed:          o.Seed*10000 + int64(w)*100 + int64(i) + 1,
 					RetryDeadline: 150 * time.Millisecond,
-					OnCommitted:   func(l wal.LSN) { lsn = l; led.pend(gen, l, op) },
+					OnCommitted:   func(l wal.LSN) { lsn = l; leds[gen].record(l, op.staged()) },
 					OnCommit: func() {
-						led.ack(gen, lsn)
+						leds[gen].ack(lsn)
 						if gen == 2 {
 							postCommits.Add(1)
 							ttfcOnce.Do(func() { ttfc = time.Since(crashedAt) })
@@ -359,7 +282,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	}
 
 	// ---- Phase 1: accumulate acked commits, then crash mid-traffic.
-	if err := waitFor(func() bool { return led.ackedCount() >= int64(o.PreCrashCommits) }, "pre-crash commits"); err != nil {
+	if err := waitFor(func() bool { return leds[1].ackedCount() >= o.PreCrashCommits }, "pre-crash commits"); err != nil {
 		close(stopCh)
 		wg.Wait()
 		return nil, err
@@ -367,7 +290,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	crashedAt = time.Now()
 	primary.Crash() // workers are live; the shipper keeps running as a zombie
 	o.Logf("repl: primary crashed after %d acked commits (lag %d bytes)",
-		led.ackedCount(), shipper.Lag())
+		leds[1].ackedCount(), shipper.Lag())
 
 	// ---- Phase 2: fence, capture the promoted base, promote.
 	standby.Fence()
@@ -413,37 +336,21 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	if _, err := promoted.AwaitRecovered(); err != nil {
 		return nil, fmt.Errorf("repl sweep: promoted recovery: %w", err)
 	}
-	promotedCommits := commitSet(promoted.Log())
-	preCommits := commitSet(preLog)
-	gen1 := led.genEntries(1)
-	gen2 := led.genEntries(2)
 
 	// (a) Zero acked loss under the gate; resolution accounting either way.
-	for _, e := range gen1 {
-		switch {
-		case preCommits[e.lsn]:
-			if !e.acked {
-				res.ResolvedIn++
-			}
-		case e.acked:
-			if o.SyncGate {
-				return nil, fmt.Errorf("repl sweep: ACKED commit LSN %d lost in failover", e.lsn)
-			}
-		default:
-			res.ResolvedOut++
-		}
-	}
 	// Post-promote commits landed on the serving node itself.
-	for _, e := range gen2 {
-		if e.acked && !promotedCommits[e.lsn] {
-			return nil, fmt.Errorf("repl sweep: post-promote commit LSN %d missing from promoted log", e.lsn)
-		}
+	var lost wal.LSN
+	res.ResolvedIn, res.ResolvedOut, lost = leds[1].resolve(preLog)
+	if lost != wal.NilLSN && o.SyncGate {
+		return nil, fmt.Errorf("repl sweep: ACKED commit LSN %d lost in failover", lost)
+	}
+	if _, _, lost := leds[2].resolve(promoted.Log()); lost != wal.NilLSN {
+		return nil, fmt.Errorf("repl sweep: post-promote commit LSN %d missing from promoted log", lost)
 	}
 
 	// (b) Exact state: promoted rows = gen-1 entries resolved by the
 	// promoted base, then gen-2 entries by the promoted log.
-	want := modelRows(nil, gen1, preCommits)
-	want = modelRows(want, gen2, promotedCommits)
+	want := leds[2].heldBy(leds[1].heldBy(nil, preLog), promoted.Log())
 	if err := verifyRows(promoted, standbyTable, want); err != nil {
 		return nil, fmt.Errorf("repl sweep: promoted state: %v", err)
 	}
@@ -466,8 +373,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): open: %v", i, L, err)
 		}
-		fw := modelRows(nil, gen1, commitSet(fork.Log()))
-		if err := verifyRows(fork, standbyTable, fw); err != nil {
+		if err := verifyRows(fork, standbyTable, leds[1].heldBy(nil, fork.Log())); err != nil {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): %v", i, L, err)
 		}
 		res.Boundaries++
@@ -476,7 +382,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	// ---- Bookkeeping.
 	psn := primary.Stats().Snap()
 	ssn := promoted.Stats().Snap()
-	res.CommitsAcked = int(led.ackedCount())
+	res.CommitsAcked = leds[1].ackedCount() + leds[2].ackedCount()
 	res.CommitsUnacked = int(unacked.Load())
 	res.SegmentsShipped = psn.SegmentsShipped
 	res.SegmentsResent = psn.SegmentsResent

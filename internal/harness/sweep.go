@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ariesim/internal/db"
 	"ariesim/internal/recovery"
@@ -85,14 +85,6 @@ type SweepResult struct {
 
 const sweepTable = "sweep"
 
-// committedState is the exact table contents after the commit that wrote
-// commitLSN; a crash at any boundary L with commitLSN ≤ L < nextCommitLSN
-// must recover to exactly rows.
-type committedState struct {
-	commitLSN wal.LSN
-	rows      map[string]string
-}
-
 // CrashSweep is the tentpole robustness harness: it runs a scripted
 // multi-transaction workload dense with page splits/deletes (SMOs as
 // nested top actions), commits, rollbacks, a fuzzy checkpoint and a
@@ -153,16 +145,15 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		}
 	}
 
-	model := map[string]string{}
-	history := []committedState{{commitLSN: setupLSN, rows: map[string]string{}}}
+	led := newLedger()
 	for t := 0; t < opts.Txns; t++ {
-		overlay := make(map[string]string, len(model))
-		committed := make([]string, 0, len(model))
-		for k, v := range model {
-			overlay[k] = v
+		overlay := led.state()
+		committed := make([]string, 0, len(overlay))
+		for k := range overlay {
 			committed = append(committed, k)
 		}
-		sort.Strings(committed)
+		slices.Sort(committed)
+		st := staged{}
 		willRollback := rng.Float64() < 0.15
 		tx, err := d.Begin()
 		if err != nil {
@@ -186,19 +177,20 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 					if err := tbl.Update(tx, []byte(k), []byte(v)); err != nil {
 						return nil, fmt.Errorf("txn %d update %s: %w", t, k, err)
 					}
-					overlay[k] = v
+					overlay[k], st[k] = v, &v
 				} else {
 					if err := tbl.Delete(tx, []byte(k)); err != nil {
 						return nil, fmt.Errorf("txn %d delete %s: %w", t, k, err)
 					}
 					delete(overlay, k)
+					st[k] = nil
 				}
 			} else {
 				v := val()
 				if err := tbl.Insert(tx, []byte(k), []byte(v)); err != nil {
 					return nil, fmt.Errorf("txn %d insert %s: %w", t, k, err)
 				}
-				overlay[k] = v
+				overlay[k], st[k] = v, &v
 			}
 		}
 		if willRollback {
@@ -214,12 +206,7 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 			if commitLSN == wal.NilLSN {
 				return nil, fmt.Errorf("txn %d: commit record not found", t)
 			}
-			model = overlay
-			snap := make(map[string]string, len(model))
-			for k, v := range model {
-				snap[k] = v
-			}
-			history = append(history, committedState{commitLSN: commitLSN, rows: snap})
+			led.record(commitLSN, st)
 			res.Commits++
 		}
 		if t == opts.Txns/2 {
@@ -291,7 +278,7 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 			return nil, fmt.Errorf("point %d (LSN %d): final restart: %w", i, L, err)
 		}
 
-		want := stateAt(history, L)
+		want := led.through(L)
 		if err := verify(fork, want); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): %w", i, L, err)
 		}
@@ -329,13 +316,4 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// stateAt returns the committed rows a crash at boundary L must recover:
-// the snapshot of the latest commit whose commit record is ≤ L.
-func stateAt(history []committedState, L wal.LSN) map[string]string {
-	i := sort.Search(len(history), func(i int) bool {
-		return history[i].commitLSN > L
-	})
-	return history[i-1].rows
 }

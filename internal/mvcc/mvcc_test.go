@@ -75,7 +75,7 @@ func TestRemovalInvariant(t *testing.T) {
 	st, stats := newTestStore()
 	cl := chainLists{}
 
-	// No reader, no other commit: retired inside its own FinishCommit.
+	// No reader, no other commit: retired inside its own StampCommit.
 	seq := st.Seq(testTable)
 	pushAbsent(t, st, cl, "a", "a1", 1, 101)
 	if liveChains(stats) != 1 {
