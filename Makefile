@@ -67,6 +67,10 @@ test-2core:
 # one traverse, which decides under a page latch whether a set SM_Bit
 # belongs to a live SMO by trying the tree latch, so a wrong answer shows only
 # on the schedules where an SMO holds or releases it in between.
+# The replication tests repeat 10 times: a gap NAKs only once, so the
+# loss-repair tests rest on the shipper's retransmit ticker, and when the
+# stream heals depends on the ticker's schedule against the channel's
+# faults, which one pass samples only once.
 # The paper tables repeat 5 times: -table smo parks reader goroutines behind
 # an uncommitted split, so a race or a schedule-dependent count shows up as a
 # golden diff.
@@ -84,6 +88,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestVersionStoreFootprintBounded$$|TestChainListSurvivesSavepointRollback$$' ./internal/db
 	$(GO) test -race -count=5 ./cmd/ariesim-bench
 	$(GO) test -race -count=20 ./internal/wal
+	$(GO) test -race -count=10 ./internal/repl
 
 # A short chaos sweep under injected disk faults, planted silent corruption,
 # voluntary rollbacks and a torn log tail: the sweep fails unless each of the

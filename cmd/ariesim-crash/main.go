@@ -164,9 +164,8 @@ func runStandby(seed int64, workers, commits int, faults, online bool, redoWorke
 		res.CommitsAcked, res.Boundaries, res.InPlaceUpdates)
 	fmt.Printf("ambiguity: %d gate-failed commits (%d resolved present, %d resolved lost)\n",
 		res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut)
-	fmt.Printf("shipping: %d segments shipped, %d resent, %d applied, %d rejected; %d naks, %d reseeds\n",
-		res.SegmentsShipped, res.SegmentsResent, res.SegmentsApplied, res.SegmentsRejected,
-		res.Naks, res.Reseeds)
+	fmt.Printf("shipping: %d segments shipped, %d resent, %d applied, %d rejected; %d naks\n",
+		res.SegmentsShipped, res.SegmentsResent, res.SegmentsApplied, res.SegmentsRejected, res.Naks)
 	fmt.Printf("channel faults: %+v\n", res.Channel)
 	fmt.Printf("failover: TTFC %v, zombie segments fenced %d, lag p50 %.0f / p99 %.0f log bytes\n",
 		res.FailoverTTFC, res.ZombieRejected, res.LagP50, res.LagP99)

@@ -201,18 +201,29 @@ type DB struct {
 // Open creates a fresh engine on a new simulated disk.
 func Open(opts Options) *DB {
 	opts = opts.withDefaults()
+	return newDB(opts, storage.NewDisk(opts.PageSize), wal.NewLog(opts.Stats), true)
+}
+
+// newDB is the one engine constructor: the volatile machinery for opts
+// (defaults applied) over the given disk and log. An engine built down
+// accepts no transactions until Restart (or, for a replica, Promote)
+// opens it.
+func newDB(opts Options, disk *storage.Disk, log *wal.Log, up bool) *DB {
 	d := &DB{
 		opts:  opts,
 		stats: opts.Stats,
-		disk:  storage.NewDisk(opts.PageSize),
-		log:   wal.NewLog(opts.Stats),
+		disk:  disk,
+		log:   log,
 		cat:   catalog{NextTableID: 1, NextIndexID: 1},
+		upCh:  make(chan struct{}),
 	}
-	d.log.SetForceDelay(opts.LogForceDelay)
+	log.SetForceDelay(opts.LogForceDelay)
 	lock.RegisterTraceNames()
-	d.upCh = make(chan struct{})
-	close(d.upCh)
+	if up {
+		close(d.upCh)
+	}
 	d.buildVolatile()
+	d.downed = !up
 	return d
 }
 
@@ -1123,25 +1134,15 @@ func (d *DB) RestartInterrupted(maxUndoSteps int, forceTail bool) (interrupted b
 func (d *DB) Fork() *DB {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	stats := &trace.Stats{}
 	opts := d.opts
-	opts.Stats = stats
-	nd := &DB{
-		opts:  opts,
-		stats: stats,
-		disk:  d.disk.Clone(),
-		log:   d.log.Clone(stats),
-		cat:   catalog{NextTableID: 1, NextIndexID: 1},
-	}
-	nd.upCh = make(chan struct{})
+	opts.Stats = &trace.Stats{}
+	nd := newDB(opts, d.disk.Clone(), d.log.Clone(opts.Stats), false)
 	if len(d.extractors) > 0 {
 		nd.extractors = make(map[string]func(value []byte) []byte, len(d.extractors))
 		for k, fn := range d.extractors {
 			nd.extractors[k] = fn
 		}
 	}
-	nd.buildVolatile()
-	nd.downed = true // stable state only; Restart brings it up
 	d.imgMu.Lock()
 	nd.img = d.img // image pages are immutable; safe to share
 	d.imgMu.Unlock()
@@ -1369,17 +1370,9 @@ func (d *DB) ArchiveLog(w io.Writer) (int, error) { return d.Log().Archive(w) }
 // extractors must be re-bound via OpenSecondaryIndex, as after any restart.
 func OpenStandby(opts Options, shipped *wal.Log, catalogMeta []byte) (*DB, *recovery.Report, error) {
 	opts = opts.withDefaults()
-	d := &DB{
-		opts:  opts,
-		stats: opts.Stats,
-		disk:  storage.NewDisk(opts.PageSize),
-		log:   shipped,
-		cat:   catalog{NextTableID: 1, NextIndexID: 1},
-	}
-	lock.RegisterTraceNames()
-	d.upCh = make(chan struct{})
-	d.disk.WriteMeta(catalogMeta)
-	d.buildVolatile()
+	disk := storage.NewDisk(opts.PageSize)
+	disk.WriteMeta(catalogMeta)
+	d := newDB(opts, disk, shipped, false)
 	rep, err := d.Restart()
 	if err != nil {
 		return nil, nil, err

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"ariesim/internal/recovery"
+	"ariesim/internal/storage"
 	"ariesim/internal/wal"
 )
 
@@ -36,13 +37,11 @@ var ErrCommitUnacked = errors.New("db: commit not acknowledged by standby")
 // offset), forces them, and replays them into Pool() via
 // recovery.ApplyRecords. Promote opens it.
 func OpenReplica(opts Options, catalogMeta []byte) *DB {
-	d := Open(opts)
-	d.mu.Lock()
+	opts = opts.withDefaults()
+	disk := storage.NewDisk(opts.PageSize)
+	disk.WriteMeta(catalogMeta)
+	d := newDB(opts, disk, wal.NewLog(opts.Stats), false)
 	d.replica = true
-	d.downed = true // no transactions until Promote
-	d.upCh = make(chan struct{})
-	d.disk.WriteMeta(catalogMeta)
-	d.mu.Unlock()
 	return d
 }
 

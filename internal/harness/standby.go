@@ -108,7 +108,6 @@ type StandbySweepResult struct {
 	SegmentsApplied  uint64
 	SegmentsRejected uint64
 	Naks             uint64
-	Reseeds          uint64
 	ZombieRejected   uint64 // old-epoch segments rejected after promotion
 	Channel          repl.ChannelCounts
 	LagP50, LagP99   float64 // applied-lag percentiles, log bytes
@@ -389,7 +388,6 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	res.SegmentsApplied = ssn.SegmentsApplied
 	res.SegmentsRejected = ssn.SegmentsRejected
 	res.Naks = ssn.ReplNaks
-	res.Reseeds = ssn.ReplReseeds
 	res.Channel = ch.Counts()
 	if lags := standby.LagSamples(); len(lags) > 0 {
 		sort.Float64s(lags)
@@ -397,9 +395,9 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 		res.LagP99 = lags[len(lags)*99/100]
 	}
 	o.Logf("repl: %d acked (%d ambiguous: %d resolved in, %d out), TTFC %v, %d boundaries, "+
-		"%d shipped/%d resent/%d applied/%d rejected, %d naks, %d reseeds, zombie %d, channel %+v",
+		"%d shipped/%d resent/%d applied/%d rejected, %d naks, zombie %d, channel %+v",
 		res.CommitsAcked, res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut, res.FailoverTTFC,
 		res.Boundaries, res.SegmentsShipped, res.SegmentsResent, res.SegmentsApplied,
-		res.SegmentsRejected, res.Naks, res.Reseeds, res.ZombieRejected, res.Channel)
+		res.SegmentsRejected, res.Naks, res.ZombieRejected, res.Channel)
 	return res, nil
 }

@@ -4,27 +4,25 @@
 // continuously with the page-partitioned parallel redo — "a restart that
 // never ends" — until Promote turns it into the serving primary.
 //
-// Wire model. Data frames (wal.Segment encodings and re-seed archives)
-// travel over the lossy path: each send may be dropped, duplicated,
-// reordered, corrupted, or stalled by the injector, mirroring
-// storage.FaultInjector's philosophy (seeded, reproducible, with a
-// consecutive-fault cap so progress is guaranteed). Control messages
-// (ACK / NAK / RESEED, standby → primary) travel over a reliable in-order
-// path, the moral equivalent of the TCP connection a real system would
-// keep for its feedback channel; the bulk data path is where loss hurts
-// and where the protocol must defend itself.
+// Wire model. Data frames (one wal.Segment encoding each) travel over the
+// lossy path: each send may be dropped, duplicated, reordered, corrupted,
+// or stalled by the injector, mirroring storage.FaultInjector's philosophy
+// (seeded, reproducible, with a consecutive-fault cap so progress is
+// guaranteed). Control messages (ACK / NAK, standby → primary) travel over
+// a reliable in-order path, the moral equivalent of the TCP connection a
+// real system would keep for its feedback channel; the data path is where
+// loss hurts and where the protocol must defend itself. Loss is repaired
+// in two tiers: the shipper re-ships its unacked window whenever acks
+// stall for one retransmit interval (the only tier liveness rests on,
+// since the fault cap lets some re-ship through), and a standby that sees
+// a gap NAKs its expected LSN once, so the common loss heals without
+// waiting for the ticker.
 package repl
 
 import (
 	"math/rand"
 	"sync"
 	"time"
-)
-
-// frameData and frameReseed tag the two payload kinds on the data path.
-const (
-	frameData   = byte(0)
-	frameReseed = byte(1)
 )
 
 // ControlKind enumerates the standby→primary feedback messages.
@@ -35,11 +33,9 @@ const (
 	// appended, forced, and applied on the standby.
 	CtlAck ControlKind = iota
 	// CtlNak reports a gap: the standby needs shipping to resume from
-	// Control.LSN (its next expected record).
+	// Control.LSN (its next expected record). It is a hint, sent once per
+	// gap; the retransmit ticker covers a lost re-ship.
 	CtlNak
-	// CtlReseed asks for a full log archive: the standby has given up on
-	// closing a gap incrementally (bounded NAK retries exhausted).
-	CtlReseed
 )
 
 // Control is one feedback message.
@@ -206,30 +202,6 @@ func (c *Channel) Send(frame []byte) {
 		c.mu.Lock()
 	}
 }
-
-// SendReliable bypasses the injector: used for re-seed payloads, which
-// model an out-of-band bulk copy (scp of a base backup) rather than the
-// streaming path.
-func (c *Channel) SendReliable(frame []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.counts.Sent++
-	select {
-	case c.frames <- frame:
-	default:
-		// The buffer is full of lossy traffic; a real bulk copy would
-		// block, and so do we — briefly, outside the lock.
-		c.mu.Unlock()
-		c.frames <- frame
-		c.mu.Lock()
-	}
-}
-
-// Recv returns the next data frame, or nil after Close.
-func (c *Channel) Recv() []byte { return <-c.frames }
 
 // RecvCh exposes the data path for select loops.
 func (c *Channel) RecvCh() <-chan []byte { return c.frames }

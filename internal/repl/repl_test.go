@@ -1,13 +1,12 @@
 package repl
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,11 +205,11 @@ func TestLossyChannelCatchUp(t *testing.T) {
 		promoted.Stats().SegmentsApplied.Load(), promoted.Stats().SegmentsRejected.Load())
 }
 
-// TestReseedPath drives the standby's gap escalation by hand: a segment
-// starting beyond its tail is NAKed with backoff exactly maxNakRetries
-// times, the next repeat escalates to CtlReseed, and a full archive frame
-// then heals the standby completely.
-func TestReseedPath(t *testing.T) {
+// TestGapNaksOnce drives the standby's gap handling by hand: a segment
+// starting beyond its tail, sent several times, is rejected every time and
+// NAKed exactly once, nothing is applied across the gap, and a segment
+// from the expected LSN then heals the standby completely.
+func TestGapNaksOnce(t *testing.T) {
 	primary := db.Open(testDBOpts())
 	if _, err := primary.CreateTable(testTable); err != nil {
 		t.Fatalf("create table: %v", err)
@@ -229,76 +228,175 @@ func TestReseedPath(t *testing.T) {
 		DBOpts: testDBOpts(), Epoch: 1,
 	})
 	standby.Start()
+	sstats := standby.DB().Stats()
+	expected := standby.DB().Log().NextLSN()
 
-	// Ship only a mid-log suffix: the standby (at LSN 1) sees a gap.
+	// Ship only a mid-log suffix, several times: the standby sees a gap.
 	recs := primary.Log().Records(1)
 	if len(recs) < 4 {
 		t.Fatalf("need a few records, have %d", len(recs))
 	}
 	from := recs[len(recs)/2].LSN
-	var seq uint64
-	gapped := func() []byte {
-		seq++
-		seg := primary.Log().ShipFrom(from, 1, seq, from-1)
-		return append([]byte{frameData}, seg.Encode()...)
+	const repeats = 5
+	for i := 0; i < repeats; i++ {
+		ch.Send(primary.Log().ShipFrom(from, 1).Encode())
 	}
-	for i := 0; i < maxNakRetries+1; i++ {
-		ch.Send(gapped())
-	}
-
-	// The control stream must carry exactly maxNakRetries NAKs (all for
-	// the standby's unmoved tail) and then the escalation.
-	naks := 0
-	deadline := time.After(10 * time.Second)
-	for {
-		var m Control
-		select {
-		case m = <-ch.ControlCh():
-		case <-deadline:
-			t.Fatalf("no reseed after %d naks", naks)
-		}
-		if m.Kind == CtlNak {
-			naks++
-			continue
-		}
-		if m.Kind == CtlReseed {
-			break
-		}
-	}
-	if naks != maxNakRetries {
-		t.Fatalf("got %d naks before reseed, want %d", naks, maxNakRetries)
-	}
-
-	// Answer the reseed the way the shipper would: catalog blob + the full
-	// stable archive over the reliable path.
-	meta := primary.Disk().ReadMeta()
-	var buf bytes.Buffer
-	buf.WriteByte(frameReseed)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(meta)))
-	buf.Write(hdr[:])
-	buf.Write(meta)
-	if _, err := primary.Log().Archive(&buf); err != nil {
-		t.Fatalf("archive: %v", err)
-	}
-	ch.SendReliable(buf.Bytes())
-
-	stable := primary.Log().StableLSN()
-	for wait := time.Now().Add(10 * time.Second); standby.AppliedLSN() < stable; {
+	for wait := time.Now().Add(10 * time.Second); sstats.SegmentsRejected.Load() < repeats; {
 		if time.Now().After(wait) {
-			t.Fatalf("reseed never applied: at %d, want %d", standby.AppliedLSN(), stable)
+			t.Fatalf("%d of %d gapped segments rejected", sstats.SegmentsRejected.Load(), repeats)
 		}
 		runtime.Gosched()
 	}
-	if got := standby.DB().Stats().ReplNaks.Load(); got != uint64(maxNakRetries) {
-		t.Fatalf("standby counted %d naks, want %d", got, maxNakRetries)
+	if got := standby.AppliedLSN(); got != wal.NilLSN || sstats.SegmentsApplied.Load() != 0 {
+		t.Fatalf("applied across the gap: at %d after %d segments", got, sstats.SegmentsApplied.Load())
+	}
+
+	// The segment the NAK asks for heals the gap.
+	ch.Send(primary.Log().ShipFrom(expected, 1).Encode())
+	stable := primary.Log().StableLSN()
+	for wait := time.Now().Add(10 * time.Second); standby.AppliedLSN() < stable; {
+		if time.Now().After(wait) {
+			t.Fatalf("gap never healed: at %d, want %d", standby.AppliedLSN(), stable)
+		}
+		runtime.Gosched()
+	}
+
+	// The control stream carries exactly one NAK, for the standby's tail,
+	// before the ack of the healing segment.
+	var naks []Control
+	for acked := false; !acked; {
+		m := <-ch.ControlCh()
+		switch m.Kind {
+		case CtlNak:
+			naks = append(naks, m)
+		case CtlAck:
+			acked = wal.LSN(m.LSN) == stable
+		}
+	}
+	if len(naks) != 1 || naks[0].LSN != uint64(expected) {
+		t.Fatalf("naks = %+v, want one for LSN %d", naks, expected)
+	}
+	if got := sstats.ReplNaks.Load(); got != 1 {
+		t.Fatalf("standby counted %d naks, want 1", got)
 	}
 	promoted, _, err := standby.Promote()
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
 	if err := verifyRows(promoted, want); err != nil {
-		t.Fatalf("post-reseed state: %v", err)
+		t.Fatalf("healed state: %v", err)
+	}
+}
+
+// TestRedoFailureStopsStandby: a shipped record the standby cannot redo
+// stops it. It applies and acknowledges nothing more, and Promote returns
+// the failure instead of opening a replica that lacks the record.
+func TestRedoFailureStopsStandby(t *testing.T) {
+	ch := NewChannel(ChannelFaults{})
+	defer ch.Close()
+	standby := NewStandby(ch, nil, StandbyOpts{DBOpts: testDBOpts(), Epoch: 1})
+	standby.Start()
+	sstats := standby.DB().Stats()
+
+	// A record no resource manager owns: appended and forced like any
+	// other, then refused by redo.
+	bad := wal.NewLog(nil)
+	bad.Force(bad.Append(&wal.Record{Type: wal.RecUpdate, TxID: 1, Op: wal.OpCode(250), Page: 1}))
+	ch.Send(bad.ShipFrom(wal.NilLSN+1, 1).Encode())
+	// A heartbeat a running standby would acknowledge; a stopped one
+	// rejects it.
+	ch.Send(bad.ShipFrom(bad.StableLSN()+1, 1).Encode())
+	for wait := time.Now().Add(10 * time.Second); sstats.SegmentsRejected.Load() == 0; {
+		if time.Now().After(wait) {
+			t.Fatalf("heartbeat after the failed segment never rejected")
+		}
+		runtime.Gosched()
+	}
+	if got := standby.AppliedLSN(); got != wal.NilLSN || sstats.SegmentsApplied.Load() != 0 {
+		t.Fatalf("failed segment counted as applied: at %d", got)
+	}
+	select {
+	case m := <-ch.ControlCh():
+		t.Fatalf("stopped standby sent %+v", m)
+	default:
+	}
+	promoted, _, err := standby.Promote()
+	if err == nil || promoted != nil {
+		t.Fatalf("promote = %v, %v; want the redo failure", promoted, err)
+	}
+	if !strings.Contains(err.Error(), "redo") {
+		t.Fatalf("promote error %q does not name the redo failure", err)
+	}
+}
+
+// TestLostCatalogUpdateRepaired: the only frame that first carries a
+// mid-stream table's catalog blob is lost before the standby reads it.
+// The retransmit repair that follows must carry the blob too, or the
+// promoted node lacks the table whose rows it replayed.
+func TestLostCatalogUpdateRepaired(t *testing.T) {
+	primary := db.Open(testDBOpts())
+	if _, err := primary.CreateTable(testTable); err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	put(t, primary, "a", "1")
+	ch := NewChannel(ChannelFaults{})
+	defer ch.Close()
+	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
+		DBOpts: testDBOpts(), Epoch: 1,
+	})
+	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
+		Epoch:      1,
+		Retransmit: 2 * time.Millisecond,
+		MetaFn:     func() []byte { return primary.Disk().ReadMeta() },
+		Stats:      primary.Stats(),
+	})
+	shipper.Start()
+	defer shipper.Stop()
+
+	const second = "repl_kv2"
+	if _, err := primary.CreateTable(second); err != nil {
+		t.Fatalf("create %s: %v", second, err)
+	}
+	if err := primary.RunTxn(func(tx *txn.Tx) error {
+		tbl, err := primary.TableFor(tx, second)
+		if err != nil {
+			return err
+		}
+		return tbl.Insert(tx, []byte("b"), []byte("2"))
+	}); err != nil {
+		t.Fatalf("insert into %s: %v", second, err)
+	}
+
+	// Lose every frame up to the first that reaches the insert's commit:
+	// the first frame shipped after the CreateTable is among them.
+	stable := primary.Log().StableLSN()
+	for reached := false; !reached; {
+		select {
+		case frame := <-ch.RecvCh():
+			if seg, err := wal.DecodeSegment(frame); err == nil && len(seg.Records) > 0 {
+				reached = seg.Records[len(seg.Records)-1].LSN >= stable
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no frame reached LSN %d", stable)
+		}
+	}
+
+	standby.Start()
+	if err := shipper.WaitAcked(stable, 10*time.Second); err != nil {
+		t.Fatalf("stream never repaired: %v", err)
+	}
+	promoted, _, err := standby.Promote()
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	tbl, err := promoted.Table(second)
+	if err != nil {
+		t.Fatalf("promoted node lacks %s: %v", second, err)
+	}
+	tx := promoted.MustBegin()
+	defer tx.Rollback()
+	if v, err := tbl.Get(tx, []byte("b")); err != nil || string(v) != "2" {
+		t.Fatalf("%s[b] = %q, %v; want 2", second, v, err)
 	}
 }
 

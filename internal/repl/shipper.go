@@ -1,8 +1,6 @@
 package repl
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,12 +25,13 @@ type ShipperOpts struct {
 	Epoch uint64
 	// Retransmit is how long shipped-but-unacked records may age before
 	// the shipper re-ships from the acked watermark (default 5ms). This is
-	// the loss-repair backstop: a dropped frame is re-sent after at most
-	// one retransmit interval, keeping the commit gate live.
+	// the loss repair the stream's liveness rests on: a dropped frame (or
+	// a dropped NAK re-ship) is re-sent after at most one retransmit
+	// interval, keeping the commit gate live.
 	Retransmit time.Duration
 	// MetaFn, when set, supplies the primary's current catalog blob; the
-	// shipper embeds it in a segment whenever it changes, so mid-stream
-	// DDL reaches the standby.
+	// shipper embeds it in every segment, so mid-stream DDL reaches the
+	// standby whichever of its segments gets through.
 	MetaFn func() []byte
 	// Stats receives shipping counters (may be nil).
 	Stats *trace.Stats
@@ -42,8 +41,7 @@ type ShipperOpts struct {
 // segments. Start it once; it wakes on the log's stable-notify hook
 // (wal.Log.SetStableNotify), ships everything newly hardened, and
 // services the control path: ACKs advance the acked watermark (and
-// release commit-gate waiters), NAKs rewind the ship cursor, RESEEDs
-// answer with a full archive over the reliable path.
+// release commit-gate waiters), NAKs rewind the ship cursor.
 type Shipper struct {
 	log  *wal.Log
 	ch   *Channel
@@ -52,9 +50,7 @@ type Shipper struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	nextShip wal.LSN // first LSN not yet shipped
-	seq      uint64
 	acked    wal.LSN // highest standby-acked LSN
-	lastMeta []byte  // last catalog blob shipped
 	stopped  bool
 
 	notify   chan struct{} // stable-notify doorbell (coalesced)
@@ -202,26 +198,21 @@ func (s *Shipper) ship(from wal.LSN, force bool) {
 	} else if from < s.nextShip {
 		s.nextShip = from // NAK rewind
 	}
-	seg := s.log.ShipFrom(from, s.opts.Epoch, s.seq+1, from-1)
+	seg := s.log.ShipFrom(from, s.opts.Epoch)
 	recs := seg.Records
 	if len(recs) == 0 && from > seg.Stable && !force {
 		s.mu.Unlock()
 		return // nothing stable beyond the cursor; heartbeats aren't needed
 	}
-	s.seq++
 	if s.opts.MetaFn != nil {
-		if meta := s.opts.MetaFn(); len(meta) > 0 && !bytes.Equal(meta, s.lastMeta) {
-			seg.Meta = append([]byte(nil), meta...)
-			s.lastMeta = seg.Meta
-		}
+		seg.Meta = s.opts.MetaFn()
 	}
 	if len(recs) > 0 {
 		last := recs[len(recs)-1]
 		s.nextShip = last.LSN + wal.LSN(last.EncodedSize())
 	}
 	s.mu.Unlock()
-	frame := append([]byte{frameData}, seg.Encode()...)
-	s.ch.Send(frame)
+	s.ch.Send(seg.Encode())
 	if s.opts.Stats != nil {
 		s.opts.Stats.SegmentsShipped.Add(1)
 	}
@@ -288,31 +279,6 @@ func (s *Shipper) controlLoop() {
 				s.opts.Stats.SegmentsResent.Add(1)
 			}
 			s.shipFrom(wal.LSN(m.LSN))
-		case CtlReseed:
-			s.sendReseed()
 		}
 	}
-}
-
-// sendReseed answers an unrecoverable gap with the full stable archive
-// plus the current catalog blob, over the reliable path (modeling an
-// out-of-band base copy).
-func (s *Shipper) sendReseed() {
-	var meta []byte
-	if s.opts.MetaFn != nil {
-		meta = s.opts.MetaFn()
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(frameReseed)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(meta)))
-	buf.Write(hdr[:])
-	buf.Write(meta)
-	if _, err := s.log.Archive(&buf); err != nil {
-		return // archiving an in-memory log cannot fail; defensive
-	}
-	if s.opts.Stats != nil {
-		s.opts.Stats.ReplReseeds.Add(1)
-	}
-	s.ch.SendReliable(buf.Bytes())
 }

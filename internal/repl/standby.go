@@ -1,26 +1,13 @@
 package repl
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"ariesim/internal/db"
 	"ariesim/internal/recovery"
 	"ariesim/internal/wal"
 )
-
-// maxNakRetries bounds how many NAKs the standby sends for the same
-// expected LSN before declaring the gap unrecoverable and asking for a
-// full re-seed.
-const maxNakRetries = 6
-
-// nakBackoff is the first gap-retry backoff; each further NAK for the same
-// gap doubles it.
-const nakBackoff = 500 * time.Microsecond
 
 // flushEvery is the segment cadence of the standby's background
 // FlushAll + master-record advance. Flushed pages and a fresh master
@@ -41,8 +28,8 @@ type StandbyOpts struct {
 // Standby owns a replica engine and drives it from a Channel: append each
 // in-order segment to the local log, force it, replay it into the pool
 // with the page-partitioned parallel redo, acknowledge, repeat — forever,
-// until Promote. Gaps NAK with exponential backoff; hopeless gaps re-seed
-// from a full archive.
+// until Promote. A gap NAKs once; the shipper's retransmit ticker repairs
+// whatever that NAK's re-ship loses.
 type Standby struct {
 	ch   *Channel
 	opts StandbyOpts
@@ -52,11 +39,12 @@ type Standby struct {
 	epoch    uint64
 	applied  wal.LSN // tail LSN of the last appended-and-applied record
 	promoted bool
-
-	// Gap bookkeeping: the expected LSN the current NAK run is trying to
-	// fill, how many times it was NAKed, and the backoff step.
-	gapExpected wal.LSN
-	gapNaks     int
+	// naked is the expected LSN of the last NAK sent: every gap frame for
+	// the same expected LSN after the first is ignored.
+	naked wal.LSN
+	// err is the first redo failure. The standby applies nothing after it
+	// and Promote returns it.
+	err error
 
 	// lag samples (stable-at-ship minus applied, in log bytes), bounded.
 	lagSamples []float64
@@ -110,15 +98,7 @@ func (s *Standby) Wait() { <-s.done }
 func (s *Standby) recvLoop() {
 	defer close(s.done)
 	for frame := range s.ch.RecvCh() {
-		if len(frame) == 0 {
-			continue
-		}
-		switch frame[0] {
-		case frameData:
-			s.handleSegment(frame[1:])
-		case frameReseed:
-			s.handleReseed(frame[1:])
-		}
+		s.handleSegment(frame)
 	}
 }
 
@@ -132,8 +112,8 @@ func (s *Standby) handleSegment(frame []byte) {
 	seg, err := wal.DecodeSegment(frame)
 	if err != nil {
 		// The channel mangled the frame. We cannot even trust its window
-		// bounds, so treat it as silence: the shipper's retransmit (or our
-		// next gap NAK) repairs whatever it carried.
+		// bounds, so NAK our tail (once) and let the shipper's retransmit
+		// repair whatever else it carried.
 		stats.SegmentsRejected.Add(1)
 		s.nakLocked(s.nextLSNLocked())
 		return
@@ -144,7 +124,7 @@ func (s *Standby) handleSegment(frame []byte) {
 		stats.SegmentsRejected.Add(1)
 		return
 	}
-	if s.promoted {
+	if s.promoted || s.err != nil {
 		stats.SegmentsRejected.Add(1)
 		return
 	}
@@ -170,12 +150,12 @@ func (s *Standby) handleSegment(frame []byte) {
 		s.nakLocked(next)
 		return
 	}
-	s.appendApplyLocked(recs, seg.Stable, seg.Master, seg.Meta)
+	s.appendApplyLocked(seg, recs)
 }
 
-// appendApplyLocked appends a contiguous record run starting exactly at
-// the local log's next LSN, forces it, replays it, and acks.
-func (s *Standby) appendApplyLocked(recs []*wal.Record, shipStable, shipMaster wal.LSN, meta []byte) {
+// appendApplyLocked appends recs, seg's records from exactly the local
+// log's next LSN on, forces them, replays them, and acks.
+func (s *Standby) appendApplyLocked(seg *wal.Segment, recs []*wal.Record) {
 	sdb := s.db
 	stats := sdb.Stats()
 	log := sdb.Log()
@@ -193,23 +173,24 @@ func (s *Standby) appendApplyLocked(recs []*wal.Record, shipStable, shipMaster w
 	// the WAL rule demands its log records be stable first.
 	log.ForceAll()
 	if _, err := recovery.ApplyRecords(sdb.Pool(), recs, s.opts.DBOpts.RedoWorkers, stats); err != nil {
-		// Apply errors on a standby are unrecoverable locally (the pool
-		// saw an impossible record); ask for a clean slate.
-		s.reseedLocked()
+		// The pool saw a record it cannot redo, and the record is already
+		// in the local log, so no re-ship can apply it again: stop here and
+		// leave the error to Promote.
+		s.err = fmt.Errorf("repl: standby stopped at LSN %d: %w", recs[0].LSN, err)
 		return
 	}
 	s.applied = recs[len(recs)-1].LSN
-	if meta != nil {
-		sdb.Disk().WriteMeta(meta)
+	if seg.Meta != nil {
+		sdb.Disk().WriteMeta(seg.Meta)
 	}
 	// Advance the master record (clamped to our stable prefix) so a
 	// promotion's analysis starts at the primary's last checkpoint rather
 	// than LSN 1.
-	if shipMaster != wal.NilLSN && shipMaster <= log.StableLSN() && shipMaster > log.Master() {
-		log.SetMaster(shipMaster)
+	if seg.Master != wal.NilLSN && seg.Master <= log.StableLSN() && seg.Master > log.Master() {
+		log.SetMaster(seg.Master)
 	}
 	stats.SegmentsApplied.Add(1)
-	if lag := float64(shipStable) - float64(s.applied); lag >= 0 && len(s.lagSamples) < 1<<16 {
+	if lag := float64(seg.Stable) - float64(s.applied); lag >= 0 && len(s.lagSamples) < 1<<16 {
 		s.lagSamples = append(s.lagSamples, lag)
 	}
 	if stats.SegmentsApplied.Load()%flushEvery == 0 {
@@ -218,7 +199,6 @@ func (s *Standby) appendApplyLocked(recs []*wal.Record, shipStable, shipMaster w
 		// holds for every flushed page.
 		_ = sdb.Pool().FlushAll()
 	}
-	s.gapExpected, s.gapNaks = 0, 0 // progress resets the gap bookkeeping
 	s.ackLocked()
 }
 
@@ -232,85 +212,15 @@ func (s *Standby) ackLocked() {
 	s.ch.SendControl(Control{Kind: CtlAck, LSN: uint64(s.applied)})
 }
 
-// nakLocked requests re-shipping from expected, with bounded retries and
-// exponential backoff; past the bound it escalates to a full re-seed.
+// nakLocked requests re-shipping from expected, once per expected LSN. A
+// fenced or stopped standby asks for nothing.
 func (s *Standby) nakLocked(expected wal.LSN) {
-	stats := s.db.Stats()
-	if expected != s.gapExpected {
-		s.gapExpected, s.gapNaks = expected, 0
-	}
-	s.gapNaks++
-	if s.gapNaks > maxNakRetries {
-		s.reseedLocked()
+	if expected == s.naked || s.promoted || s.err != nil {
 		return
 	}
-	stats.ReplNaks.Add(1)
-	// Exponential backoff outside the lock: give the in-flight repair a
-	// chance before asking again, without blocking frame receipt.
-	backoff := nakBackoff << uint(s.gapNaks-1)
-	s.mu.Unlock()
-	time.Sleep(backoff)
-	s.mu.Lock()
-	if s.promoted {
-		return
-	}
+	s.naked = expected
+	s.db.Stats().ReplNaks.Add(1)
 	s.ch.SendControl(Control{Kind: CtlNak, LSN: uint64(expected)})
-}
-
-// reseedLocked gives up on incremental repair and asks for the full
-// archive.
-func (s *Standby) reseedLocked() {
-	s.gapExpected, s.gapNaks = 0, 0
-	s.ch.SendControl(Control{Kind: CtlReseed})
-}
-
-// handleReseed consumes a full-archive frame: catalog blob, then the
-// primary's whole stable log. Everything we already hold is trimmed
-// (dedup by LSN); the remainder is appended and replayed as one giant
-// segment — the log never rewinds, it only extends.
-func (s *Standby) handleReseed(frame []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stats := s.db.Stats()
-	if s.promoted {
-		stats.SegmentsRejected.Add(1)
-		return
-	}
-	if len(frame) < 4 {
-		stats.SegmentsRejected.Add(1)
-		return
-	}
-	metaLen := int(binary.LittleEndian.Uint32(frame[:4]))
-	if 4+metaLen > len(frame) {
-		stats.SegmentsRejected.Add(1)
-		return
-	}
-	meta := frame[4 : 4+metaLen]
-	shipped, err := wal.ReadArchive(bytes.NewReader(frame[4+metaLen:]))
-	if err != nil && !errors.Is(err, wal.ErrArchiveTorn) {
-		// A corrupt re-seed (reliable path, so only in adversarial tests):
-		// ask again.
-		stats.SegmentsRejected.Add(1)
-		s.reseedLocked()
-		return
-	}
-	next := s.nextLSNLocked()
-	recs := shipped.Records(next)
-	if len(recs) == 0 {
-		s.ackLocked() // archive adds nothing; we were already ahead
-		return
-	}
-	if recs[0].LSN != next {
-		// The archive itself starts beyond our tail — cannot happen with
-		// whole-log archives; reject.
-		stats.SegmentsRejected.Add(1)
-		return
-	}
-	var m []byte
-	if metaLen > 0 {
-		m = append([]byte(nil), meta...)
-	}
-	s.appendApplyLocked(recs, shipped.StableLSN(), shipped.Master(), m)
 }
 
 // Fence stops segment application and bumps the epoch: anything the dead
@@ -330,12 +240,16 @@ func (s *Standby) Fence() {
 // (db.Promote: flush, restart recovery over the shipped log, undo of the
 // dead primary's in-flight transactions). The receive loop keeps running,
 // rejecting — and counting — every late segment from the old epoch, until
-// the channel closes.
+// the channel closes. A standby stopped by a redo failure does not open;
+// Promote returns that failure.
 func (s *Standby) Promote() (*db.DB, *recovery.Report, error) {
 	s.Fence()
 	s.mu.Lock()
-	sdb := s.db
+	sdb, err := s.db, s.err
 	s.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
 	rep, err := sdb.Promote()
 	if err != nil {
 		return nil, nil, err

@@ -107,9 +107,8 @@ type Stats struct {
 	SegmentsShipped  atomic.Uint64 // segments the shipper framed and sent
 	SegmentsResent   atomic.Uint64 // segments re-shipped after NAK or ack stall
 	SegmentsApplied  atomic.Uint64 // segments the standby appended and replayed
-	SegmentsRejected atomic.Uint64 // segments the standby discarded (corrupt, stale epoch, duplicate)
+	SegmentsRejected atomic.Uint64 // segments the standby discarded (corrupt, stale epoch, duplicate, gapped, after a redo failure)
 	ReplNaks         atomic.Uint64 // gap re-requests sent by the standby
-	ReplReseeds      atomic.Uint64 // full-archive re-seeds after unrecoverable gaps
 
 	AmbiguityRestarts atomic.Uint64 // Fig 4 "unwind recursion" events
 	SMBitWaits        atomic.Uint64 // operations delayed by SM_Bit
@@ -272,7 +271,7 @@ type Snapshot struct {
 	PagesRedoneOnDemand, PagesRedoneByDrain                   uint64
 	CheckpointsSkippedRecovering                              uint64
 	SegmentsShipped, SegmentsResent, SegmentsApplied          uint64
-	SegmentsRejected, ReplNaks, ReplReseeds                   uint64
+	SegmentsRejected, ReplNaks                                uint64
 	AmbiguityRestarts, SMBitWaits, DeleteBitPOSCs             uint64
 	SnapshotBegins, SnapshotReads, SnapshotChainHits          uint64
 	SnapshotTooOld, VersionsPushed, VersionsPruned            uint64
@@ -353,7 +352,6 @@ func counters(s *Stats, n *Snapshot) []counter {
 		{&s.SegmentsApplied, &n.SegmentsApplied, false},
 		{&s.SegmentsRejected, &n.SegmentsRejected, false},
 		{&s.ReplNaks, &n.ReplNaks, false},
-		{&s.ReplReseeds, &n.ReplReseeds, false},
 		{&s.AmbiguityRestarts, &n.AmbiguityRestarts, false},
 		{&s.SMBitWaits, &n.SMBitWaits, false},
 		{&s.DeleteBitPOSCs, &n.DeleteBitPOSCs, false},

@@ -14,7 +14,7 @@ import (
 // offline storage, and a hot standby consumes the same byte stream
 // incrementally. Archive serializes the stable prefix with the on-log
 // record codec, ReadArchive reconstructs a Log from an archive stream, and
-// Segment frames a resumable slice of that stream (sequence number, epoch,
+// Segment frames a resumable slice of that stream (epoch, watermarks,
 // per-segment CRC) for continuous shipping over a lossy channel. Archive
 // writes the log's stored record bytes as they are and Segment.Encode
 // re-encodes its records — the same codec a file-backed log would use, read
@@ -30,8 +30,8 @@ var (
 	// ErrArchiveTorn reports an archive stream that ends mid-record — the
 	// tail was torn off in transit or on the media, exactly like a torn WAL
 	// tail. It is RECOVERABLE: ReadArchive returns the intact prefix
-	// alongside this error, and a shipper treats the loss as a gap to
-	// re-request.
+	// alongside this error, and the caller decides whether the lost
+	// suffix matters.
 	ErrArchiveTorn = errors.New("wal: archive tail torn")
 	// ErrArchiveCorrupt reports corruption in the middle of an archive
 	// stream: a record fails its CRC (or carries a garbage length) while
@@ -82,8 +82,7 @@ func (l *Log) Archive(w io.Writer) (int, error) {
 //   - A torn tail — the stream simply stops mid-record — is recoverable,
 //     exactly like a torn WAL tail: the intact prefix is returned as a
 //     usable log TOGETHER with ErrArchiveTorn, so the caller can decide
-//     whether the loss matters (media recovery shrugs; a shipper
-//     re-requests the missing suffix).
+//     whether the loss matters (media recovery shrugs).
 //   - Mid-stream corruption — a record that fails its CRC or carries a
 //     garbage length while more bytes follow — is unrecoverable: nothing
 //     at or beyond the damage can be trusted to re-frame, so ReadArchive
@@ -151,61 +150,36 @@ func ReadArchive(r io.Reader) (*Log, error) {
 }
 
 // Segment is one resumable slice of the stable log stream: the unit a
-// shipper sends and a standby applies. Segments carry enough framing to
-// survive a lossy channel — a sequence number and the previous segment's
-// last LSN for gap/reorder detection, an epoch for zombie-primary fencing,
-// the shipper's stable and master watermarks, an optional catalog-meta
-// snapshot, and a whole-frame CRC.
+// shipper sends and a standby applies. Its framing is what a receiver
+// reads: an epoch for zombie-primary fencing, the shipper's stable and
+// master watermarks, the catalog blob, and a whole-frame CRC. A receiver
+// finds gaps and duplicates from the records' own LSNs.
 type Segment struct {
 	// Epoch is the cluster generation the sender believes it leads. A
 	// receiver that has promoted past this epoch rejects the segment: the
 	// sender is a zombie of a dead primacy.
 	Epoch uint64
-	// Seq numbers segments within an epoch, starting at 1. Duplicates and
-	// reorderings show up as non-monotonic sequence numbers.
-	Seq uint64
-	// PrevLSN is the LSN of the last record of the previous segment
-	// (NilLSN for the first). A receiver whose applied tail does not match
-	// has a gap and must NAK.
-	PrevLSN LSN
 	// Stable and Master are the sender's watermarks at ship time.
 	Stable LSN
 	Master LSN
-	// Meta, when non-nil, is the primary's current catalog blob; the
-	// standby persists it so a promotion sees every table the shipped log
-	// references (DDL can happen mid-stream).
+	// Meta is the primary's current catalog blob; the standby persists it
+	// so a promotion sees every table the shipped log references (DDL can
+	// happen mid-stream).
 	Meta []byte
 	// Records is the shipped log slice, contiguous and in LSN order.
 	Records []*Record
 }
 
-// FirstLSN returns the LSN of the segment's first record (NilLSN if empty).
-func (s *Segment) FirstLSN() LSN {
-	if len(s.Records) == 0 {
-		return NilLSN
-	}
-	return s.Records[0].LSN
-}
-
-// LastLSN returns the LSN of the segment's last record (PrevLSN if empty:
-// an empty segment — a heartbeat — extends nothing).
-func (s *Segment) LastLSN() LSN {
-	if len(s.Records) == 0 {
-		return s.PrevLSN
-	}
-	return s.Records[len(s.Records)-1].LSN
-}
-
 // segment frame layout, all little-endian:
 //
-//	magic u32 | epoch u64 | seq u64 | prev u64 | stable u64 | master u64 |
-//	firstLSN u64 | metaLen u32 | count u32 | bodyLen u32 | crc u32 |
+//	magic u32 | epoch u64 | stable u64 | master u64 | firstLSN u64 |
+//	metaLen u32 | count u32 | bodyLen u32 | crc u32 |
 //	meta bytes | body (count × encoded records)
 //
 // The CRC is CRC32-Castagnoli over the entire frame with the crc field
-// zeroed — header fields included, so a flipped sequence number or epoch is
-// as detectable as a flipped payload byte.
-const segHeaderSize = 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4
+// zeroed — header fields included, so a flipped epoch or LSN is as
+// detectable as a flipped payload byte.
+const segHeaderSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4
 
 // Encode serializes the segment into one self-checking frame.
 func (s *Segment) Encode() []byte {
@@ -216,22 +190,22 @@ func (s *Segment) Encode() []byte {
 	b := make([]byte, segHeaderSize+len(s.Meta)+bodyLen)
 	binary.LittleEndian.PutUint32(b[0:4], segmentMagic)
 	binary.LittleEndian.PutUint64(b[4:12], s.Epoch)
-	binary.LittleEndian.PutUint64(b[12:20], s.Seq)
-	binary.LittleEndian.PutUint64(b[20:28], uint64(s.PrevLSN))
-	binary.LittleEndian.PutUint64(b[28:36], uint64(s.Stable))
-	binary.LittleEndian.PutUint64(b[36:44], uint64(s.Master))
-	binary.LittleEndian.PutUint64(b[44:52], uint64(s.FirstLSN()))
-	binary.LittleEndian.PutUint32(b[52:56], uint32(len(s.Meta)))
-	binary.LittleEndian.PutUint32(b[56:60], uint32(len(s.Records)))
-	binary.LittleEndian.PutUint32(b[60:64], uint32(bodyLen))
-	// crc at [64:68] stays zero while hashing.
+	binary.LittleEndian.PutUint64(b[12:20], uint64(s.Stable))
+	binary.LittleEndian.PutUint64(b[20:28], uint64(s.Master))
+	if len(s.Records) > 0 {
+		binary.LittleEndian.PutUint64(b[28:36], uint64(s.Records[0].LSN))
+	}
+	binary.LittleEndian.PutUint32(b[36:40], uint32(len(s.Meta)))
+	binary.LittleEndian.PutUint32(b[40:44], uint32(len(s.Records)))
+	binary.LittleEndian.PutUint32(b[44:48], uint32(bodyLen))
+	// crc at [48:52] stays zero while hashing.
 	off := segHeaderSize
 	off += copy(b[off:], s.Meta)
 	for _, r := range s.Records {
 		r.encodeTo(b[off : off+r.EncodedSize()])
 		off += r.EncodedSize()
 	}
-	binary.LittleEndian.PutUint32(b[64:68], crc32.Checksum(b, recCRCTable))
+	binary.LittleEndian.PutUint32(b[48:52], crc32.Checksum(b, recCRCTable))
 	return b
 }
 
@@ -239,7 +213,7 @@ func (s *Segment) Encode() []byte {
 // magic, bad frame CRC, bad lengths, a record that fails its own codec, or
 // a record stream that is not contiguous in LSN — returns ErrSegmentCorrupt
 // (wrapped with detail): the channel mangled the frame and the receiver
-// should discard it and NAK.
+// should discard it.
 func DecodeSegment(b []byte) (*Segment, error) {
 	if len(b) < segHeaderSize {
 		return nil, fmt.Errorf("%w: frame %d bytes", ErrSegmentCorrupt, len(b))
@@ -247,32 +221,29 @@ func DecodeSegment(b []byte) (*Segment, error) {
 	if binary.LittleEndian.Uint32(b[0:4]) != segmentMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSegmentCorrupt)
 	}
-	metaLen := int(binary.LittleEndian.Uint32(b[52:56]))
-	count := int(binary.LittleEndian.Uint32(b[56:60]))
-	bodyLen := int(binary.LittleEndian.Uint32(b[60:64]))
+	metaLen := int(binary.LittleEndian.Uint32(b[36:40]))
+	count := int(binary.LittleEndian.Uint32(b[40:44]))
+	bodyLen := int(binary.LittleEndian.Uint32(b[44:48]))
 	if metaLen < 0 || bodyLen < 0 || segHeaderSize+metaLen+bodyLen != len(b) {
 		return nil, fmt.Errorf("%w: frame length mismatch", ErrSegmentCorrupt)
 	}
-	stored := binary.LittleEndian.Uint32(b[64:68])
+	stored := binary.LittleEndian.Uint32(b[48:52])
 	check := make([]byte, len(b))
 	copy(check, b)
-	binary.LittleEndian.PutUint32(check[64:68], 0)
+	binary.LittleEndian.PutUint32(check[48:52], 0)
 	if stored != crc32.Checksum(check, recCRCTable) {
 		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrSegmentCorrupt)
 	}
 	s := &Segment{
-		Epoch:   binary.LittleEndian.Uint64(b[4:12]),
-		Seq:     binary.LittleEndian.Uint64(b[12:20]),
-		PrevLSN: LSN(binary.LittleEndian.Uint64(b[20:28])),
-		Stable:  LSN(binary.LittleEndian.Uint64(b[28:36])),
-		Master:  LSN(binary.LittleEndian.Uint64(b[36:44])),
+		Epoch:  binary.LittleEndian.Uint64(b[4:12]),
+		Stable: LSN(binary.LittleEndian.Uint64(b[12:20])),
+		Master: LSN(binary.LittleEndian.Uint64(b[20:28])),
 	}
-	firstLSN := LSN(binary.LittleEndian.Uint64(b[44:52]))
 	if metaLen > 0 {
 		s.Meta = append([]byte(nil), b[segHeaderSize:segHeaderSize+metaLen]...)
 	}
 	body := b[segHeaderSize+metaLen:]
-	lsn := firstLSN
+	lsn := LSN(binary.LittleEndian.Uint64(b[28:36]))
 	for i := 0; i < count; i++ {
 		rec, n, err := DecodeRecord(body)
 		if err != nil {
@@ -290,19 +261,11 @@ func DecodeSegment(b []byte) (*Segment, error) {
 }
 
 // ShipFrom builds the segment covering every stable record with
-// LSN >= from, stamped with the given epoch, sequence number, and
-// previous-segment tail. The records are decoded like SnapshotStable's, and
-// the watermarks are captured in the same instant as the records — the
-// Archive snapshot contract applied to a suffix. An empty result (nothing
-// new hardened) is a valid heartbeat segment.
-func (l *Log) ShipFrom(from LSN, epoch, seq uint64, prev LSN) *Segment {
+// LSN >= from, stamped with the given epoch. The records are decoded like
+// SnapshotStable's, and the watermarks are captured in the same instant as
+// the records — the Archive snapshot contract applied to a suffix. An
+// empty result (nothing new hardened) is a valid heartbeat segment.
+func (l *Log) ShipFrom(from LSN, epoch uint64) *Segment {
 	recs, stable, master := l.SnapshotStable(from)
-	return &Segment{
-		Epoch:   epoch,
-		Seq:     seq,
-		PrevLSN: prev,
-		Stable:  stable,
-		Master:  master,
-		Records: recs,
-	}
+	return &Segment{Epoch: epoch, Stable: stable, Master: master, Records: recs}
 }

@@ -191,17 +191,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 		prev = l.Append(upd(TxID(i%3+1), prev, storage.PageID(i%5), "segment payload"))
 	}
 	l.Force(prev)
-	seg := l.ShipFrom(NilLSN+1, 7, 1, NilLSN)
+	seg := l.ShipFrom(NilLSN+1, 7)
 	seg.Meta = []byte(`{"tables":["t"]}`)
-	if seg.LastLSN() != l.StableLSN() {
-		t.Fatalf("segment tail %d != stable %d", seg.LastLSN(), l.StableLSN())
+	if last := seg.Records[len(seg.Records)-1].LSN; last != l.StableLSN() {
+		t.Fatalf("segment tail %d != stable %d", last, l.StableLSN())
 	}
 	got, err := DecodeSegment(seg.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 7 || got.Seq != 1 || got.PrevLSN != NilLSN ||
-		got.Stable != seg.Stable || got.Master != seg.Master {
+	if got.Epoch != 7 || got.Stable != seg.Stable || got.Master != seg.Master {
 		t.Fatalf("header mismatch: %+v vs %+v", got, seg)
 	}
 	if string(got.Meta) != string(seg.Meta) {
@@ -218,17 +217,17 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	// Resumable: ship only the suffix after an already-applied point.
 	mid := seg.Records[10].LSN
-	suffix := l.ShipFrom(mid, 7, 2, seg.Records[9].LSN)
-	if suffix.FirstLSN() != mid || len(suffix.Records) != 10 {
-		t.Fatalf("suffix ships from %d with %d records", suffix.FirstLSN(), len(suffix.Records))
+	suffix := l.ShipFrom(mid, 7)
+	if len(suffix.Records) != 10 || suffix.Records[0].LSN != mid {
+		t.Fatalf("suffix ships %d records, want 10 from %d", len(suffix.Records), mid)
 	}
-	if _, err := DecodeSegment(suffix.Encode()); err != nil {
-		t.Fatal(err)
+	if got, err := DecodeSegment(suffix.Encode()); err != nil || got.Records[0].LSN != mid {
+		t.Fatalf("suffix decodes: %v", err)
 	}
 	// Empty segment (heartbeat) round-trips too.
-	hb := l.ShipFrom(l.StableLSN()+1, 7, 3, seg.LastLSN())
-	if len(hb.Records) != 0 || hb.LastLSN() != seg.LastLSN() {
-		t.Fatalf("heartbeat: %d records, tail %d", len(hb.Records), hb.LastLSN())
+	hb := l.ShipFrom(l.StableLSN()+1, 7)
+	if len(hb.Records) != 0 {
+		t.Fatalf("heartbeat: %d records", len(hb.Records))
 	}
 	if _, err := DecodeSegment(hb.Encode()); err != nil {
 		t.Fatal(err)
@@ -242,9 +241,10 @@ func TestSegmentDetectsCorruption(t *testing.T) {
 		prev = l.Append(upd(1, prev, storage.PageID(i), "corrupt-me"))
 	}
 	l.Force(prev)
-	clean := l.ShipFrom(NilLSN+1, 3, 5, NilLSN).Encode()
-	// Every single-byte flip anywhere in the frame must be caught.
-	for _, pos := range []int{0, 5, 13, 21, 29, 37, 45, 53, 57, 61, 65, segHeaderSize + 1, len(clean) / 2, len(clean) - 1} {
+	clean := l.ShipFrom(NilLSN+1, 3).Encode()
+	// Every single-byte flip anywhere in the frame must be caught: one in
+	// each header field, then the body.
+	for _, pos := range []int{0, 5, 13, 21, 29, 37, 41, 45, 49, segHeaderSize + 1, len(clean) / 2, len(clean) - 1} {
 		b := append([]byte(nil), clean...)
 		b[pos] ^= 0x01
 		if _, err := DecodeSegment(b); !errors.Is(err, ErrSegmentCorrupt) {

@@ -161,7 +161,7 @@ func TestRecordsSpanningChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seg := l.ShipFrom(lsns[1], 1, 1, lsns[0])
+	seg := l.ShipFrom(lsns[1], 1)
 	frame := seg.Encode()
 	// The archive holds the stored bytes after its 20-byte header; the
 	// segment's body re-encodes the same records and must match them.
