@@ -31,6 +31,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -168,7 +169,7 @@ func lintFile(path string) (int, parsedFile) {
 type pathCheck struct {
 	packages map[string]bool
 	roots    []string
-	stops    map[string]bool
+	stops    []string
 	// finding reports whether call breaks the path's rule, and names it.
 	finding func(call *ast.CallExpr) (bad bool, what string)
 	// rule completes the message "<what> reachable from <rule>".
@@ -190,13 +191,10 @@ var readOnlyPath = pathCheck{
 	packages: map[string]bool{"db": true, "mvcc": true, "core": true},
 	roots: []string{
 		"BeginReadOnly", "EndReadOnly", "RunReadOnly", "RunReadOnlyWith",
-		"SnapshotBackup", "snapshotGet", "snapshotRead", "snapshotScan",
-		"snapshotScanPrefix", "snapshotScanIndex", "probePage",
+		"SnapshotBackup", "snapshotGet", "snapshotScan", "snapshotScanIndex",
+		"probePage",
 	},
-	stops: map[string]bool{
-		"Get": true, "Scan": true, "ScanPrefix": true,
-		"ScanIndex": true, "ScanIndexRange": true,
-	},
+	stops:   []string{"Get", "Scan", "ScanPrefix", "ScanIndex", "ScanIndexRange"},
 	finding: snapshotReaderCall,
 	rule:    "the read-only snapshot path (via %s); snapshot readers take no locks and write no log",
 }
@@ -208,23 +206,37 @@ var readOnlyPath = pathCheck{
 var appendPath = pathCheck{
 	packages: map[string]bool{"wal": true},
 	roots:    []string{"Append", "reserveFill"},
-	stops:    map[string]bool{"Force": true},
+	stops:    []string{"Force"},
 	finding:  exclusiveLockCall,
 	rule:     "the log append path (via %s); appenders must never serialize",
 }
 
-// lint runs the check over the files of its packages among parsed.
+// lint runs the check over the files of its packages among parsed. When
+// every one of those packages is among them, a root or stop that names no
+// function is a finding too: a renamed root would otherwise silently leave
+// the gate.
 func (c pathCheck) lint(parsed []parsedFile) int {
 	decls := map[string][]parsedFile{}
 	bodies := map[string][]*ast.FuncDecl{}
+	linted := map[string]bool{}
 	for _, pf := range parsed {
 		if !c.packages[pf.file.Name.Name] {
 			continue
 		}
+		linted[pf.file.Name.Name] = true
 		for _, d := range pf.file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				decls[fd.Name.Name] = append(decls[fd.Name.Name], pf)
 				bodies[fd.Name.Name] = append(bodies[fd.Name.Name], fd)
+			}
+		}
+	}
+	n := 0
+	if len(linted) == len(c.packages) {
+		for _, name := range append(slices.Clone(c.roots), c.stops...) {
+			if bodies[name] == nil {
+				report(token.Position{Filename: "ariesim-lint"}, "path gate root or stop %q names no function in its packages", name)
+				n++
 			}
 		}
 	}
@@ -233,7 +245,7 @@ func (c pathCheck) lint(parsed []parsedFile) int {
 	for len(queue) > 0 {
 		name := queue[0]
 		queue = queue[1:]
-		if reached[name] || bodies[name] == nil || c.stops[name] {
+		if reached[name] || bodies[name] == nil || slices.Contains(c.stops, name) {
 			reached[name] = true
 			continue
 		}
@@ -254,9 +266,8 @@ func (c pathCheck) lint(parsed []parsedFile) int {
 			})
 		}
 	}
-	n := 0
 	for name := range reached {
-		if c.stops[name] {
+		if slices.Contains(c.stops, name) {
 			continue
 		}
 		for i, fd := range bodies[name] {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"testing"
@@ -136,7 +137,7 @@ func (st *Store) auditUnderLock() error {
 func TestReadOnlyPathFlagsCommit(t *testing.T) {
 	src := `package db
 
-func (t *Table) snapshotRead(s uint64, key []byte) ([]byte, bool, error) {
+func (t *Table) snapshotGet(s uint64, key []byte) ([]byte, bool, error) {
 	return t.resolveKey(s, key)
 }
 
@@ -156,7 +157,7 @@ func (t *Table) housekeeping() error {
 }
 `
 	if n := readOnlyPath.lint([]parsedFile{parseSrc(t, "bad.go", src)}); n == 0 {
-		t.Fatal("Commit reachable from snapshotRead was not flagged")
+		t.Fatal("Commit reachable from snapshotGet was not flagged")
 	}
 }
 
@@ -310,5 +311,37 @@ func (p *Pool) reserveFill() {
 	pkg := []parsedFile{parseSrc(t, "good.go", src), parseSrc(t, "pool.go", other)}
 	if n := appendPath.lint(pkg); n != 0 {
 		t.Fatalf("lock-free append path flagged %d finding(s); want 0", n)
+	}
+}
+
+// TestPathCheckFlagsNameWithNoFunction: a root or stop that no function of
+// the check's packages declares is a finding once all of them are linted
+// (a renamed root would otherwise leave the gate), while a call the walk
+// reaches into another package is not.
+func TestPathCheckFlagsNameWithNoFunction(t *testing.T) {
+	check := pathCheck{
+		packages: map[string]bool{"p": true},
+		roots:    []string{"Root", "Renamed"},
+		stops:    []string{"Stop", "Gone"},
+		finding:  func(*ast.CallExpr) (bool, string) { return false, "" },
+		rule:     "a test path (via %s)",
+	}
+	src := `package p
+
+func Root() { Stop(); other.Call() }
+
+func Stop() {}
+`
+	pkg := []parsedFile{parseSrc(t, "p.go", src)}
+	if n := check.lint(pkg); n != 2 {
+		t.Fatalf("%d finding(s) for one missing root and one missing stop; want 2", n)
+	}
+	check.roots = []string{"Root"}
+	check.stops = []string{"Stop"}
+	if n := check.lint(pkg); n != 0 {
+		t.Fatalf("%d finding(s) with every name declared; want 0", n)
+	}
+	if n := check.lint([]parsedFile{parseSrc(t, "q.go", "package q\n")}); n != 0 {
+		t.Fatalf("%d finding(s) with the check's package not linted; want 0", n)
 	}
 }

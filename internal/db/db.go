@@ -683,12 +683,12 @@ func (t *Table) recordLockNeeded() bool {
 }
 
 // fetchRow is the single locked read-path call site: every repeatable-read
-// and cursor-stability record fetch (Get, Delete's positioning read, Scan,
-// ScanIndexRange, GetCS, ScanPrefix) resolves its RID through here, so the
-// lock-or-not decision — and its divergence from the lock-free snapshot
-// path, which replaces this call entirely — lives in exactly one place.
-// key and value are slices of a private copy of the record: a scan hands
-// them to its caller as they are.
+// and cursor-stability record fetch — the point reads and the positioning
+// reads of Delete and Update, and every row of the table's locked walk —
+// resolves its RID through here, so the lock-or-not decision — and its
+// divergence from the lock-free snapshot path, which replaces this call
+// entirely — lives in exactly one place. key and value are slices of a
+// private copy of the record: a scan hands them to its caller as they are.
 func (t *Table) fetchRow(tx *txn.Tx, rid storage.RID) (key, value []byte, err error) {
 	rec, err := t.data.Fetch(tx, rid, t.recordLockNeeded())
 	if err != nil {
@@ -863,23 +863,32 @@ func (t *Table) Scan(tx *txn.Tx, from, to []byte, fn func(Row) (bool, error)) er
 	if err != nil {
 		return err
 	}
-	for {
-		if res.EOF || (to != nil && string(res.Key.Val) > string(to)) {
-			return nil
-		}
+	return t.walk(tx, t.primary, res, cur,
+		func(key []byte) bool { return to != nil && string(key) > string(to) },
+		func(_ storage.Key, r Row) (bool, error) { return fn(r) })
+}
+
+// walk is the table's locked walk (§2.3): from res, the position of cur on
+// ix, Fetch Next runs until EOF or until past reports a key beyond the
+// range, and every key on the way stays S-locked to commit. past is tested
+// before fetchRow, so the lock on the first key beyond the range ends the
+// range and that key's record is never read. visit gets each index key
+// (for its RID) with its row, and stops the walk by returning false.
+func (t *Table) walk(tx *txn.Tx, ix *core.Index, res core.FetchResult, cur *core.Cursor,
+	past func(key []byte) bool, visit func(at storage.Key, r Row) (bool, error)) error {
+	for !res.EOF && !past(res.Key.Val) {
 		k, v, err := t.fetchRow(tx, res.Key.RID)
 		if err != nil {
 			return err
 		}
-		cont, err := fn(Row{Key: k, Value: v})
-		if err != nil || !cont {
+		if cont, err := visit(res.Key, Row{Key: k, Value: v}); err != nil || !cont {
 			return err
 		}
-		res, err = t.primary.FetchNext(tx, cur)
-		if err != nil {
+		if res, err = ix.FetchNext(tx, cur); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // Name returns the table name.
@@ -1184,75 +1193,74 @@ func (d *DB) VerifyConsistency() error {
 	}
 	d.mu.Unlock()
 	for _, t := range tables {
-		if err := t.primary.CheckStructure(); err != nil {
-			return fmt.Errorf("table %q primary: %w", t.name, err)
-		}
 		records, err := t.data.ScanAll()
 		if err != nil {
 			return err
 		}
-		keys, err := t.primary.Dump()
-		if err != nil {
-			return err
-		}
-		if len(keys) != len(records) {
-			return fmt.Errorf("table %q: %d index keys vs %d records", t.name, len(keys), len(records))
-		}
-		for _, k := range keys {
-			rec, ok := records[k.RID]
-			if !ok {
-				return fmt.Errorf("table %q: index key %s references missing record", t.name, k)
-			}
-			rk, _, err := decodeRow(rec)
-			if err != nil {
-				return err
-			}
-			if string(rk) != string(k.Val) {
-				return fmt.Errorf("table %q: index key %q vs record key %q at %s", t.name, k.Val, rk, k.RID)
-			}
+		if err := checkMirror(t.primary, records, func(rec []byte) ([]byte, error) {
+			key, _, err := decodeRow(rec)
+			return key, err
+		}); err != nil {
+			return fmt.Errorf("table %q primary: %w", t.name, err)
 		}
 		t.mu.Lock()
 		secs := append([]*secondary(nil), t.secondaries...)
 		t.mu.Unlock()
 		for _, s := range secs {
-			if err := s.ix.CheckStructure(); err != nil {
+			var keyOf func(rec []byte) ([]byte, error) // unbound: RIDs only
+			if s.bound {
+				keyOf = func(rec []byte) ([]byte, error) {
+					_, value, err := decodeRow(rec)
+					if err != nil {
+						return nil, err
+					}
+					return s.extract(value), nil
+				}
+			}
+			if err := checkMirror(s.ix, records, keyOf); err != nil {
 				return fmt.Errorf("table %q secondary %q: %w", t.name, s.name, err)
 			}
-			skeys, err := s.ix.Dump()
-			if err != nil {
-				return err
-			}
-			if len(skeys) != len(records) {
-				return fmt.Errorf("table %q secondary %q: %d keys vs %d records", t.name, s.name, len(skeys), len(records))
-			}
-			// Entry-by-entry cross-check: every entry references a live
-			// record (under the RID it was built for, at most once), and —
-			// when the extractor is bound — carries exactly the key the
-			// extractor derives from that record's value. Together with the
-			// count equality this proves the mirror in both directions:
-			// injective entry→record plus equal cardinality means every
-			// record is indexed exactly once.
-			indexed := make(map[storage.RID]bool, len(skeys))
-			for _, sk := range skeys {
-				if indexed[sk.RID] {
-					return fmt.Errorf("table %q secondary %q: record %s indexed twice", t.name, s.name, sk.RID)
-				}
-				indexed[sk.RID] = true
-				rec, ok := records[sk.RID]
-				if !ok {
-					return fmt.Errorf("table %q secondary %q: entry %q references missing record %s", t.name, s.name, sk.Val, sk.RID)
-				}
-				if !s.bound {
-					continue
-				}
-				_, value, err := decodeRow(rec)
-				if err != nil {
-					return err
-				}
-				if want := s.extract(value); string(want) != string(sk.Val) {
-					return fmt.Errorf("table %q secondary %q: entry %q at %s, extractor derives %q", t.name, s.name, sk.Val, sk.RID, want)
-				}
-			}
+		}
+	}
+	return nil
+}
+
+// checkMirror checks ix's tree invariants and that ix and the heap's
+// records are exact mirrors. Every entry references a live record, under
+// the RID it was built for, at most once; with equal counts, that injective
+// entry→record map means every record is indexed exactly once. When keyOf
+// is set, every entry also carries exactly the key keyOf derives from its
+// record.
+func checkMirror(ix *core.Index, records map[storage.RID][]byte, keyOf func(rec []byte) ([]byte, error)) error {
+	if err := ix.CheckStructure(); err != nil {
+		return err
+	}
+	keys, err := ix.Dump()
+	if err != nil {
+		return err
+	}
+	if len(keys) != len(records) {
+		return fmt.Errorf("%d index keys vs %d records", len(keys), len(records))
+	}
+	indexed := make(map[storage.RID]bool, len(keys))
+	for _, k := range keys {
+		if indexed[k.RID] {
+			return fmt.Errorf("record %s indexed twice", k.RID)
+		}
+		indexed[k.RID] = true
+		rec, ok := records[k.RID]
+		if !ok {
+			return fmt.Errorf("entry %q references missing record %s", k.Val, k.RID)
+		}
+		if keyOf == nil {
+			continue
+		}
+		want, err := keyOf(rec)
+		if err != nil {
+			return err
+		}
+		if string(want) != string(k.Val) {
+			return fmt.Errorf("entry %q at %s, record derives %q", k.Val, k.RID, want)
 		}
 	}
 	return nil
@@ -1327,34 +1335,22 @@ func (t *Table) GetCS(tx *txn.Tx, key []byte) ([]byte, error) {
 // ScanPrefix iterates all rows whose key starts with prefix, in key order,
 // at repeatable-read isolation (§1.1's partial-key starting condition).
 func (t *Table) ScanPrefix(tx *txn.Tx, prefix []byte, fn func(Row) (bool, error)) error {
+	past := func(key []byte) bool { return !bytes.HasPrefix(key, prefix) }
 	if s := tx.Snapshot(); s != nil {
-		return t.snapshotScanPrefix(s.LSN, prefix, fn)
+		// Emission is in key order, so the first row past the prefix ends
+		// the unbounded snapshot scan exactly.
+		return t.snapshotScan(s.LSN, prefix, nil, func(r Row) (bool, error) {
+			if past(r.Key) {
+				return false, nil
+			}
+			return fn(r)
+		})
 	}
 	res, cur, err := t.primary.FetchPrefix(tx, prefix)
 	if err != nil {
 		return err
 	}
-	for {
-		if res.EOF || !res.Found {
-			return nil
-		}
-		k, v, err := t.fetchRow(tx, res.Key.RID)
-		if err != nil {
-			return err
-		}
-		cont, err := fn(Row{Key: k, Value: v})
-		if err != nil || !cont {
-			return err
-		}
-		res, err = t.primary.FetchNext(tx, cur)
-		if err != nil {
-			return err
-		}
-		if res.EOF || len(res.Key.Val) < len(prefix) || string(res.Key.Val[:len(prefix)]) != string(prefix) {
-			return nil
-		}
-		res.Found = true
-	}
+	return t.walk(tx, t.primary, res, cur, past, func(_ storage.Key, r Row) (bool, error) { return fn(r) })
 }
 
 // ArchiveLog streams the stable log prefix to w (offline log archiving,

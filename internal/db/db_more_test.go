@@ -8,40 +8,77 @@ import (
 	"testing"
 	"time"
 
+	"ariesim/internal/core"
 	"ariesim/internal/lock"
+	"ariesim/internal/trace"
 )
 
+// TestScanPrefix pins ScanPrefix's rows and its lock calls under every
+// protocol and both granularities: a prefix holding rows locks each of them
+// and the first key past it (§1.1's partial-key starting condition, §2.3's
+// stopping condition), and an empty prefix locks only the key that proves
+// the absence. The stopping key's record is never read: it costs a key lock
+// and no record lock.
 func TestScanPrefix(t *testing.T) {
-	d := openSmall(t)
-	tbl, _ := d.CreateTable("t")
-	tx := d.MustBegin()
-	for _, key := range []string{"eu/de/berlin", "eu/de/munich", "eu/fr/paris", "us/ny/nyc"} {
-		if err := tbl.Insert(tx, []byte(key), []byte("city")); err != nil {
-			t.Fatal(err)
+	scans := []struct {
+		prefix string
+		rows   []string
+	}{
+		{"b/", []string{"b/1", "b/2", "b/3"}},
+		{"a/", []string{"a/1", "a/2"}},
+		{"c/", []string{"c/1"}},
+		{"bb", nil},
+		{"zz", nil},
+	}
+	for _, p := range []struct {
+		proto core.Protocol
+		locks [5]uint64 // per scan above
+	}{
+		{core.DataOnly, [5]uint64{4, 3, 2, 1, 1}},
+		{core.IndexSpecific, [5]uint64{7, 5, 3, 1, 1}},
+		{core.KVL, [5]uint64{7, 5, 3, 1, 1}},
+		{core.SystemR, [5]uint64{11, 8, 4, 2, 1}},
+	} {
+		for _, gran := range []lock.Granularity{lock.GranRecord, lock.GranPage} {
+			t.Run(fmt.Sprintf("%s/%s", p.proto, gran), func(t *testing.T) {
+				d := Open(Options{Protocol: p.proto, Granularity: gran})
+				tbl, err := d.CreateTable("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				tx := d.MustBegin()
+				for _, key := range []string{"a/1", "a/2", "b/1", "b/2", "b/3", "c/1"} {
+					if err := tbl.Insert(tx, []byte(key), []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				for i, sc := range scans {
+					r := d.MustBegin()
+					before := d.Stats().Snap()
+					var got []string
+					if err := tbl.ScanPrefix(r, []byte(sc.prefix), func(row Row) (bool, error) {
+						got = append(got, string(row.Key))
+						return true, nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					locks := trace.Diff(before, d.Stats().Snap()).TotalLocks()
+					if fmt.Sprint(got) != fmt.Sprint(sc.rows) {
+						t.Errorf("ScanPrefix(%q) = %v, want %v", sc.prefix, got, sc.rows)
+					}
+					if locks != p.locks[i] {
+						t.Errorf("ScanPrefix(%q) made %d lock calls, want %d", sc.prefix, locks, p.locks[i])
+					}
+					if err := r.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
 		}
 	}
-	_ = tx.Commit()
-
-	r := d.MustBegin()
-	var got []string
-	if err := tbl.ScanPrefix(r, []byte("eu/de/"), func(row Row) (bool, error) {
-		got = append(got, string(row.Key))
-		return true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "eu/de/berlin" || got[1] != "eu/de/munich" {
-		t.Fatalf("prefix scan = %v", got)
-	}
-	// Empty prefix result.
-	n := 0
-	if err := tbl.ScanPrefix(r, []byte("asia/"), func(Row) (bool, error) { n++; return true, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("asia scan hit %d rows", n)
-	}
-	_ = r.Commit()
 }
 
 func TestGetCSDoesNotBlockWriters(t *testing.T) {

@@ -2,16 +2,17 @@
 // same transaction as the base row.
 //
 // CreateIndex builds the tree and backfills it from the existing rows in
-// one internal transaction whose locked scan (commit-duration S locks plus
-// next-key locks on every gap) freezes the table's key population: any
-// writer whose primary-index operation would change the row set blocks
-// until the backfill commits, and by then the new index is published on the
-// table handle — writers copy the secondary list only AFTER their primary
-// index operation, so every row the backfill could not see is maintained by
-// its own writer. From then on Insert/Update/Delete log entries into both
-// trees under one transaction, rollback undoes the pair through the normal
-// PrevLSN chain (index-op undo routes through core.Manager.Undo), and
-// restart redo/undo drive both trees with no index-specific code.
+// one internal transaction whose pass over the table is the locked walk
+// Scan runs (commit-duration S locks plus next-key locks on every gap), so
+// it freezes the table's key population: any writer whose primary-index
+// operation would change the row set blocks until the backfill commits,
+// and by then the new index is published on the table handle — writers
+// copy the secondary list only AFTER their primary index operation, so
+// every row the backfill could not see is maintained by its own writer.
+// From then on Insert/Update/Delete log entries into both trees under one
+// transaction, rollback undoes the pair through the normal PrevLSN chain
+// (index-op undo routes through core.Manager.Undo), and restart redo/undo
+// drive both trees with no index-specific code.
 //
 // ScanIndex/ScanIndexRange read in secondary-key order with the same
 // key-range (next-key) protocol as primary scans: every entry touched stays
@@ -91,17 +92,11 @@ func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) erro
 	if err != nil {
 		return fail(err)
 	}
-	for !res.EOF {
-		_, value, err := t.fetchRow(tx, res.Key.RID)
-		if err != nil {
-			return fail(err)
-		}
-		if err := ix.Insert(tx, storage.Key{Val: extract(value), RID: res.Key.RID}); err != nil {
-			return fail(err)
-		}
-		if res, err = t.primary.FetchNext(tx, cur); err != nil {
-			return fail(err)
-		}
+	if err := t.walk(tx, t.primary, res, cur, func([]byte) bool { return false },
+		func(at storage.Key, r Row) (bool, error) {
+			return true, ix.Insert(tx, storage.Key{Val: extract(r.Value), RID: at.RID})
+		}); err != nil {
+		return fail(err)
 	}
 	// Publish before commit: a writer blocked on the backfill's locks
 	// resumes only after the commit releases them, re-reads the secondary
@@ -179,23 +174,9 @@ func (t *Table) ScanIndexRange(tx *txn.Tx, name string, from, to []byte, fn func
 	if err != nil {
 		return err
 	}
-	for {
-		if res.EOF || (to != nil && string(res.Key.Val) > string(to)) {
-			return nil
-		}
-		k, v, err := t.fetchRow(tx, res.Key.RID)
-		if err != nil {
-			return err
-		}
-		cont, err := fn(append([]byte(nil), res.Key.Val...), Row{Key: k, Value: v})
-		if err != nil || !cont {
-			return err
-		}
-		res, err = sec.ix.FetchNext(tx, cur)
-		if err != nil {
-			return err
-		}
-	}
+	return t.walk(tx, sec.ix, res, cur,
+		func(key []byte) bool { return to != nil && string(key) > string(to) },
+		func(at storage.Key, r Row) (bool, error) { return fn(append([]byte(nil), at.Val...), r) })
 }
 
 // snapshotScanIndex is ScanIndexRange under a snapshot: the primary-order

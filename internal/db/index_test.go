@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"ariesim/internal/storage"
 	"ariesim/internal/trace"
 	"ariesim/internal/txn"
+	"ariesim/internal/wal"
 )
 
 // idxVal builds a row value that embeds its own primary key and a payload
@@ -113,6 +116,13 @@ func TestCreateIndexDuringWrites(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// committed maps every committed key to its commit LSN, for the
+	// diagnosis of a count mismatch.
+	var mu sync.Mutex
+	committed := map[string]wal.LSN{}
+	for i := 0; i < 40; i++ {
+		committed[string(k(i))] = tx.CommitLSN()
+	}
 	var wg sync.WaitGroup
 	var inserted atomic.Int64
 	stop := make(chan struct{})
@@ -130,7 +140,12 @@ func TestCreateIndexDuringWrites(t *testing.T) {
 				default:
 				}
 				key := k(1000 + w*100000 + i)
-				err := d.RunTxn(func(tx *txn.Tx) error {
+				onCommitted := func(lsn wal.LSN) {
+					mu.Lock()
+					committed[string(key)] = lsn
+					mu.Unlock()
+				}
+				err := d.RunTxnWith(RunTxnOpts{OnCommitted: onCommitted}, func(tx *txn.Tx) error {
 					return tbl.Insert(tx, key, idxVal(key, i%5, i))
 				})
 				if err != nil {
@@ -141,29 +156,115 @@ func TestCreateIndexDuringWrites(t *testing.T) {
 			}
 		}(w)
 	}
+	before := d.Log().MaxLSN()
 	if err := tbl.CreateIndex("by_group", idxExtract); err != nil {
 		t.Fatal(err)
 	}
+	after := d.Log().MaxLSN()
 	close(stop)
 	wg.Wait()
 	rtx := d.MustBegin()
 	n := 0
+	seen := map[string]int{}
 	err := tbl.ScanIndex(rtx, "by_group", func(sk []byte, r Row) (bool, error) {
 		if string(sk) != string(idxExtract(r.Value)) {
 			t.Fatalf("row %q under key %q, want %q", r.Key, sk, idxExtract(r.Value))
 		}
 		n++
+		seen[string(r.Key)]++
 		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 40 + int(inserted.Load()); n != want {
+		diagnoseIndexCount(t, tbl, seen, committed, before, after)
 		t.Fatalf("index scan found %d rows, want %d", n, want)
 	}
 	_ = rtx.Commit()
 	if err := d.VerifyConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// diagnoseIndexCount logs why TestCreateIndexDuringWrites's index scan
+// returned the wrong number of rows. For every committed key the scan did not
+// return exactly once it logs the key's RID; whether the primary tree, the
+// heap and the secondary tree hold it, which tells a build that lost the
+// entry from a scan that skipped one the tree has; its commit LSN against
+// the log's end just before and just after CreateIndex; and the secondary
+// leaves holding the entries beside its place.
+func diagnoseIndexCount(t *testing.T, tbl *Table, seen map[string]int, committed map[string]wal.LSN, before, after wal.LSN) {
+	t.Helper()
+	sec := tbl.lookupSecondary("by_group").ix
+	primKeys, err := tbl.primary.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secKeys, err := sec.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := tbl.data.ScanAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPrimary := map[string]storage.RID{}
+	for _, pk := range primKeys {
+		inPrimary[string(pk.Val)] = pk.RID
+	}
+	type heapRow struct {
+		rid   storage.RID
+		value []byte
+	}
+	inHeap := map[string]heapRow{}
+	for rid, rec := range records {
+		key, value, err := decodeRow(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inHeap[string(key)] = heapRow{rid, value}
+	}
+	leafOf := func(at storage.Key) string {
+		leaf, _, err := sec.LeafOf(at)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(leaf)
+	}
+	t.Logf("log end: %d before CreateIndex, %d after", before, after)
+	keys := make([]string, 0, len(committed))
+	for key := range committed {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if seen[key] == 1 {
+			continue
+		}
+		rid, primOK := inPrimary[key]
+		row, heapOK := inHeap[key]
+		if !primOK {
+			rid = row.rid
+		}
+		msg := fmt.Sprintf("key %q at %s, committed at LSN %d, scanned %d times: in primary %v, in heap %v",
+			key, rid, committed[key], seen[key], primOK, heapOK)
+		if heapOK {
+			at := storage.Key{Val: idxExtract(row.value), RID: rid}
+			pos := sort.Search(len(secKeys), func(i int) bool { return secKeys[i].Compare(at) >= 0 })
+			next, present := pos, pos < len(secKeys) && secKeys[pos].Compare(at) == 0
+			if present {
+				next++
+			}
+			msg += fmt.Sprintf(", in secondary %v", present)
+			if pos > 0 {
+				msg += fmt.Sprintf(", previous entry %s on leaf %s", secKeys[pos-1], leafOf(secKeys[pos-1]))
+			}
+			if next < len(secKeys) {
+				msg += fmt.Sprintf(", next entry %s on leaf %s", secKeys[next], leafOf(secKeys[next]))
+			}
+		}
+		t.Log(msg)
 	}
 }
 

@@ -135,20 +135,41 @@ func (d *DB) RunTxn(fn func(*txn.Tx) error) error {
 
 // RunTxnWith is RunTxn with explicit retry options.
 func (d *DB) RunTxnWith(opts RunTxnOpts, fn func(*txn.Tx) error) error {
+	return d.retry(opts, d.Begin, fn, func(tx *txn.Tx, err error) error {
+		if err == nil {
+			if err = d.commitAcked(tx, opts.OnCommitted, opts.OnCommit); err == nil {
+				return nil
+			}
+		}
+		// A crash casualty belongs to the crashed epoch: its rollback is
+		// best-effort against the orphaned structures (equivalent to work
+		// lost at the power cut), and it re-executes after the restart.
+		if rbErr := tx.Rollback(); rbErr != nil && ClassifyErr(err) != ClassCrash &&
+			!errors.Is(rbErr, txn.ErrTxDone) && ClassifyErr(rbErr) == ClassFatal {
+			return fmt.Errorf("db: rollback after %v: %w", err, rbErr)
+		}
+		return err
+	})
+}
+
+// retry is the one repair-and-retry loop behind RunTxnWith and
+// RunReadOnlyWith. Each attempt waits until the engine is up, begins, runs
+// fn and hands fn's error to end, which finishes the transaction and
+// returns the attempt's error. Contention backs off with capped, jittered
+// exponential delay and is counted by its cause; a crash waits for the
+// restart; ErrRecovering retries at once; a fatal error surfaces. The retry
+// deadline bounds every wait.
+func (d *DB) retry(opts RunTxnOpts, begin func() (*txn.Tx, error), fn func(*txn.Tx) error, end func(*txn.Tx, error) error) error {
 	opts = opts.withDefaults()
 	rng := &lazyRNG{seed: opts.Seed}
 	backoff := opts.BaseBackoff
-	var lastErr error
+	lastErr := ErrCrashed // until an attempt has run
 	var deadline time.Time
 	if opts.RetryDeadline > 0 {
 		deadline = time.Now().Add(opts.RetryDeadline)
 	}
 	deadlineErr := func() error {
-		cause := lastErr
-		if cause == nil {
-			cause = ErrCrashed
-		}
-		return fmt.Errorf("db: retry deadline %v exceeded: %w", opts.RetryDeadline, cause)
+		return fmt.Errorf("db: retry deadline %v exceeded: %w", opts.RetryDeadline, lastErr)
 	}
 	awaitUp := func() bool {
 		if deadline.IsZero() {
@@ -161,7 +182,7 @@ func (d *DB) RunTxnWith(opts RunTxnOpts, fn func(*txn.Tx) error) error {
 		if !awaitUp() {
 			return deadlineErr()
 		}
-		tx, err := d.Begin()
+		tx, err := begin()
 		if err != nil {
 			if errors.Is(err, ErrCrashed) {
 				// Raced a fresh crash; wait out the restart and try again.
@@ -169,27 +190,20 @@ func (d *DB) RunTxnWith(opts RunTxnOpts, fn func(*txn.Tx) error) error {
 			}
 			return err
 		}
-		err = fn(tx)
-		if err == nil {
-			err = d.commitAcked(tx, opts.OnCommitted, opts.OnCommit)
-			if err == nil {
-				if attempt > 0 {
-					d.stats.TxnRetrySuccesses.Add(1)
-				}
-				return nil
+		if err = end(tx, fn(tx)); err == nil {
+			if attempt > 0 {
+				d.stats.TxnRetrySuccesses.Add(1)
 			}
+			return nil
 		}
 		lastErr = err
 		switch ClassifyErr(err) {
 		case ClassContention:
-			if rbErr := tx.Rollback(); rbErr != nil && !errors.Is(rbErr, txn.ErrTxDone) &&
-				ClassifyErr(rbErr) == ClassFatal {
-				return fmt.Errorf("db: rollback after %v: %w", err, rbErr)
-			}
 			d.stats.TxnRetries.Add(1)
-			if errors.Is(err, lock.ErrDeadlock) {
+			switch {
+			case errors.Is(err, lock.ErrDeadlock):
 				d.stats.TxnDeadlockRetries.Add(1)
-			} else {
+			case errors.Is(err, lock.ErrLockTimeout):
 				d.stats.TxnTimeoutRetries.Add(1)
 			}
 			time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff)+1)))
@@ -197,10 +211,6 @@ func (d *DB) RunTxnWith(opts RunTxnOpts, fn func(*txn.Tx) error) error {
 				backoff = opts.MaxBackoff
 			}
 		case ClassCrash:
-			// The transaction belongs to the crashed epoch; unwind it
-			// best-effort against the orphaned structures (equivalent to
-			// work lost at the power cut) and re-execute after restart.
-			_ = tx.Rollback()
 			d.stats.TxnRetries.Add(1)
 			if errors.Is(err, ErrRecovering) {
 				// The engine is UP — only background recovery is pending,
@@ -218,10 +228,6 @@ func (d *DB) RunTxnWith(opts RunTxnOpts, fn func(*txn.Tx) error) error {
 			// the fresh epoch in lockstep and collide all over again.
 			time.Sleep(time.Duration(rng.Int63n(int64(opts.BaseBackoff) + 1)))
 		default:
-			if rbErr := tx.Rollback(); rbErr != nil && !errors.Is(rbErr, txn.ErrTxDone) &&
-				ClassifyErr(rbErr) == ClassFatal {
-				return fmt.Errorf("db: rollback after %v: %w", err, rbErr)
-			}
 			return err
 		}
 	}

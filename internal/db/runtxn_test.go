@@ -37,6 +37,8 @@ func TestClassifyErr(t *testing.T) {
 
 // TestRunTxnRetriesContention: a body that loses to contention on its first
 // executions is re-executed until it wins; the caller sees only success.
+// Each retry is counted by its cause, and a stale snapshot is neither a
+// deadlock nor a lock-wait timeout.
 func TestRunTxnRetriesContention(t *testing.T) {
 	d := Open(Options{})
 	var calls int
@@ -47,22 +49,44 @@ func TestRunTxnRetriesContention(t *testing.T) {
 			return fmt.Errorf("insert: %w", lock.ErrDeadlock)
 		case 2:
 			return fmt.Errorf("get: %w", lock.ErrLockTimeout)
+		case 3:
+			return ErrSnapshotTooOld
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("body ran %d times, want 3", calls)
+	if calls != 4 {
+		t.Fatalf("body ran %d times, want 4", calls)
 	}
 	sn := d.Stats().Snap()
-	if sn.TxnRetries != 2 || sn.TxnDeadlockRetries != 1 || sn.TxnTimeoutRetries != 1 {
-		t.Errorf("retries = %d (deadlock %d, timeout %d), want 2/1/1",
+	if sn.TxnRetries != 3 || sn.TxnDeadlockRetries != 1 || sn.TxnTimeoutRetries != 1 {
+		t.Errorf("retries = %d (deadlock %d, timeout %d), want 3/1/1",
 			sn.TxnRetries, sn.TxnDeadlockRetries, sn.TxnTimeoutRetries)
 	}
 	if sn.TxnRetrySuccesses != 1 {
 		t.Errorf("retry successes = %d, want 1", sn.TxnRetrySuccesses)
+	}
+}
+
+// TestRunReadOnlyCountsDeadlockRetry: a read-only transaction is a locked
+// one while online recovery is pending, so it can be a deadlock victim, and
+// RunReadOnly counts that retry by its cause like RunTxn does.
+func TestRunReadOnlyCountsDeadlockRetry(t *testing.T) {
+	d := Open(Options{})
+	calls := 0
+	if err := d.RunReadOnly(func(tx *txn.Tx) error {
+		if calls++; calls == 1 {
+			return lock.ErrDeadlock
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sn := d.Stats().Snap()
+	if sn.TxnRetries != 1 || sn.TxnDeadlockRetries != 1 {
+		t.Errorf("retries = %d (deadlock %d), want 1/1", sn.TxnRetries, sn.TxnDeadlockRetries)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"ariesim/internal/core"
 	"ariesim/internal/lock"
@@ -111,72 +110,12 @@ func (d *DB) RunReadOnly(fn func(*txn.Tx) error) error {
 // RunReadOnlyWith is RunReadOnly with explicit retry options (OnCommit /
 // OnCommitted do not apply and are ignored).
 func (d *DB) RunReadOnlyWith(opts RunTxnOpts, fn func(*txn.Tx) error) error {
-	opts = opts.withDefaults()
-	rng := &lazyRNG{seed: opts.Seed}
-	backoff := opts.BaseBackoff
-	var lastErr error
-	var deadline time.Time
-	if opts.RetryDeadline > 0 {
-		deadline = time.Now().Add(opts.RetryDeadline)
-	}
-	awaitUp := func() bool {
-		if deadline.IsZero() {
-			d.AwaitUp()
-			return true
-		}
-		return d.AwaitUpFor(time.Until(deadline))
-	}
-	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
-		if !awaitUp() {
-			break
-		}
-		tx, err := d.BeginReadOnly()
-		if err != nil {
-			if errors.Is(err, ErrCrashed) {
-				continue // raced a fresh crash; wait out the restart
-			}
-			return err
-		}
-		err = fn(tx)
+	return d.retry(opts, d.BeginReadOnly, fn, func(tx *txn.Tx, err error) error {
 		if endErr := d.EndReadOnly(tx); err == nil {
 			err = endErr
 		}
-		if err == nil {
-			if attempt > 0 {
-				d.stats.TxnRetrySuccesses.Add(1)
-			}
-			return nil
-		}
-		lastErr = err
-		switch ClassifyErr(err) {
-		case ClassContention:
-			d.stats.TxnRetries.Add(1)
-			time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff)+1)))
-			if backoff *= 2; backoff > opts.MaxBackoff {
-				backoff = opts.MaxBackoff
-			}
-		case ClassCrash:
-			d.stats.TxnRetries.Add(1)
-			if errors.Is(err, ErrRecovering) {
-				d.stats.TxnRecoveringRetries.Add(1)
-				continue
-			}
-			d.stats.TxnCrashWaits.Add(1)
-			if !awaitUp() {
-				return fmt.Errorf("db: retry deadline %v exceeded: %w", opts.RetryDeadline, lastErr)
-			}
-			time.Sleep(time.Duration(rng.Int63n(int64(opts.BaseBackoff) + 1)))
-		default:
-			return err
-		}
-	}
-	if lastErr == nil {
-		lastErr = ErrCrashed
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		return fmt.Errorf("db: retry deadline %v exceeded: %w", opts.RetryDeadline, lastErr)
-	}
-	return fmt.Errorf("db: read-only transaction gave up after %d attempts: %w", opts.MaxAttempts, lastErr)
+		return err
+	})
 }
 
 // SnapshotBackup reads an entire table at one consistent snapshot — the
@@ -277,7 +216,8 @@ func (t *Table) probePage(key []byte) (present bool, rid storage.RID, rec []byte
 
 // snapshotGet is Get under a snapshot.
 func (t *Table) snapshotGet(s wal.LSN, key []byte) ([]byte, error) {
-	value, found, err := t.snapshotRead(s, key)
+	t.db.stats.SnapshotReads.Add(1)
+	value, found, err := t.resolveKey(s, key)
 	if err != nil {
 		return nil, err
 	}
@@ -287,14 +227,8 @@ func (t *Table) snapshotGet(s wal.LSN, key []byte) ([]byte, error) {
 	return value, nil
 }
 
-// snapshotRead resolves one key under snapshot s via the per-key protocol
+// resolveKey resolves one key under snapshot s via the per-key protocol
 // documented at the top of this file.
-func (t *Table) snapshotRead(s wal.LSN, key []byte) ([]byte, bool, error) {
-	t.db.stats.SnapshotReads.Add(1)
-	return t.resolveKey(s, key)
-}
-
-// resolveKey is snapshotRead without the count.
 func (t *Table) resolveKey(s wal.LSN, key []byte) ([]byte, bool, error) {
 	vs := t.vs
 	for attempt := 0; attempt < maxSnapshotRetries; attempt++ {
@@ -484,17 +418,4 @@ func (t *Table) snapshotScan(s wal.LSN, from, to []byte, fn func(Row) (bool, err
 			return err
 		}
 	}
-}
-
-// snapshotScanPrefix is ScanPrefix under a snapshot: an unbounded
-// snapshot scan from the prefix that stops at the first key past it
-// (emission is in key order, so the cut is exact).
-func (t *Table) snapshotScanPrefix(s wal.LSN, prefix []byte, fn func(Row) (bool, error)) error {
-	p := string(prefix)
-	return t.snapshotScan(s, prefix, nil, func(r Row) (bool, error) {
-		if len(r.Key) < len(p) || string(r.Key[:len(p)]) != p {
-			return false, nil
-		}
-		return fn(r)
-	})
 }

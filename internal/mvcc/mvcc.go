@@ -497,10 +497,10 @@ func (st *Store) advanceLocked() {
 func (st *Store) retire(chains []*chain, h horizon) {
 	for len(chains) > 0 {
 		tc := chains[0].tc
-		n, pruned, removed := 0, uint64(0), uint64(0)
+		n, removed := 0, uint64(0)
 		tc.mu.Lock()
 		for ; n < len(chains) && n < retireBatch && chains[n].tc == tc; n++ {
-			pruned += chains[n].fold(h)
+			chains[n].fold(h)
 			if tc.removeIfRetired(chains[n], h) {
 				removed++
 			}
@@ -510,19 +510,16 @@ func (st *Store) retire(chains []*chain, h horizon) {
 		}
 		tc.mu.Unlock()
 		chains = chains[n:]
-		if pruned > 0 {
-			trace.Add(&st.stats.VersionsPruned, pruned)
-		}
 		if removed > 0 {
 			trace.Add(&st.stats.ChainsRemoved, removed)
 		}
 	}
 }
 
-// fold moves fully-visible history into the base and reports how many
-// versions that was. Past the version cap it folds even a commit some
-// live reader cannot see yet. Caller holds the table lock.
-func (c *chain) fold(h horizon) (pruned uint64) {
+// fold moves fully-visible history into the base. Past the version cap it
+// folds even a commit some live reader cannot see yet. Caller holds the
+// table lock.
+func (c *chain) fold(h horizon) {
 	for len(c.versions) > 0 {
 		v := &c.versions[0]
 		if v.commitLSN == 0 || v.commitLSN > h.visible {
@@ -539,9 +536,7 @@ func (c *chain) fold(h horizon) (pruned uint64) {
 		}
 		c.basePresent, c.baseValue = v.present, v.value
 		c.versions = c.versions[1:]
-		pruned++
 	}
-	return pruned
 }
 
 // removeIfRetired drops a drained chain per the removal invariant: no

@@ -120,7 +120,6 @@ type Stats struct {
 	SnapshotChainHits atomic.Uint64 // snapshot reads answered by a version chain (not the page)
 	SnapshotTooOld    atomic.Uint64 // reads aborted because the needed version was pruned
 	VersionsPushed    atomic.Uint64 // record versions appended to chains by writers
-	VersionsPruned    atomic.Uint64 // obsolete versions discarded from chains
 	ChainsCreated     atomic.Uint64 // version chains materialized
 	ChainsRemoved     atomic.Uint64 // version chains fully retired
 	ChainsScanned     atomic.Uint64 // chains whose key a scan-window lookup (RowsBetween) examined
@@ -274,7 +273,7 @@ type Snapshot struct {
 	SegmentsRejected, ReplNaks                                uint64
 	AmbiguityRestarts, SMBitWaits, DeleteBitPOSCs             uint64
 	SnapshotBegins, SnapshotReads, SnapshotChainHits          uint64
-	SnapshotTooOld, VersionsPushed, VersionsPruned            uint64
+	SnapshotTooOld, VersionsPushed                            uint64
 	ChainsCreated, ChainsRemoved, ChainsScanned               uint64
 	VersionChainPeak                                          uint64
 	ReadOnlyLockCalls                                         uint64
@@ -360,7 +359,6 @@ func counters(s *Stats, n *Snapshot) []counter {
 		{&s.SnapshotChainHits, &n.SnapshotChainHits, false},
 		{&s.SnapshotTooOld, &n.SnapshotTooOld, false},
 		{&s.VersionsPushed, &n.VersionsPushed, false},
-		{&s.VersionsPruned, &n.VersionsPruned, false},
 		{&s.ChainsCreated, &n.ChainsCreated, false},
 		{&s.ChainsRemoved, &n.ChainsRemoved, false},
 		{&s.ChainsScanned, &n.ChainsScanned, false},
