@@ -98,14 +98,14 @@ func TestUpdateInPlaceCounts(t *testing.T) {
 
 	// The secondary key (tag 17) stays.
 	diff, ops, recs := update(tailVal(key, 1, 100, 17))
-	if got := fmt.Sprint(ops); got != "[data-update commit end]" {
+	if got := fmt.Sprint(ops); got != "[data-update commit]" {
 		t.Fatalf("a non-key update logged %s", got)
 	}
 	if recs[0].Page != rid.Page || len(recs[0].Payload) > 8+2*4 {
 		t.Fatalf("update record on page %d with a %d-byte payload; the row is on page %d and one digit changed",
 			recs[0].Page, len(recs[0].Payload), rid.Page)
 	}
-	if diff.LogRecords != 3 || diff.Traversals != 1 || diff.TreeLatchAcquires != 0 || diff.SMBitWaits != 0 ||
+	if diff.LogRecords != 2 || diff.Traversals != 1 || diff.TreeLatchAcquires != 0 || diff.SMBitWaits != 0 ||
 		diff.VersionsPushed != 1 || diff.DeleteBitPOSCs != 0 {
 		t.Fatalf("a non-key update cost %d log records, %d traversals, %d tree-latch acquisitions, %d SM_Bit waits, %d POSCs, %d versions",
 			diff.LogRecords, diff.Traversals, diff.TreeLatchAcquires, diff.SMBitWaits, diff.DeleteBitPOSCs, diff.VersionsPushed)

@@ -235,13 +235,17 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		}
 	}
 	// verifyState checks an engine's visible rows (and, with SecondaryIndex,
-	// the index/base cross-consistency) against a model snapshot.
+	// the index/base cross-consistency) against a model snapshot, and that
+	// its log re-encodes to the bytes it holds.
 	verifyState := func(vd *db.DB, want map[string]string) error {
 		if err := verifyRows(vd, chaosTable, want); err != nil {
 			return err
 		}
 		if err := vd.VerifyConsistency(); err != nil {
 			return fmt.Errorf("consistency: %v", err)
+		}
+		if err := vd.Log().CodecRoundTrip(); err != nil {
+			return fmt.Errorf("log codec: %v", err)
 		}
 		if o.SecondaryIndex {
 			return verifyIndex(vd, chaosTable, want)

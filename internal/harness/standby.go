@@ -356,6 +356,13 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	if err := promoted.VerifyConsistency(); err != nil {
 		return nil, fmt.Errorf("repl sweep: promoted consistency: %v", err)
 	}
+	// The standby's log is the shipped records appended again: they must
+	// re-encode to their own bytes for their LSNs to be the primary's.
+	for _, l := range []*wal.Log{preLog, promoted.Log()} {
+		if err := l.CodecRoundTrip(); err != nil {
+			return nil, fmt.Errorf("repl sweep: standby log codec: %v", err)
+		}
+	}
 
 	// (c) Every-boundary forks over the received window: each prefix of
 	// the standby's log is a correct promotion point.

@@ -142,6 +142,9 @@ const retireBatch = 256
 // Store is the engine-wide version store for one epoch.
 type Store struct {
 	stats *trace.Stats
+	// peakSeeded is set once the store has raised VersionChainPeak to 1,
+	// so creating a chain need not read the shared gauge again.
+	peakSeeded atomic.Bool
 
 	mu         sync.Mutex
 	visible    wal.LSN
@@ -301,7 +304,9 @@ func (st *Store) PushTo(tableID uint64, key []byte, present bool, value []byte, 
 				*touched = append(*touched, c)
 			}
 			c.versions = append(c.versions, v)
-			st.stats.MaxGauge(&st.stats.VersionChainPeak, uint64(len(c.versions)))
+			if n := len(c.versions); n > 1 {
+				st.stats.MaxGauge(&st.stats.VersionChainPeak, uint64(n))
+			}
 			tc.mu.Unlock()
 			trace.Add(&st.stats.VersionsPushed, 1)
 			return nil
@@ -330,8 +335,10 @@ func (st *Store) PushTo(tableID uint64, key []byte, present bool, value []byte, 
 		}
 		tc.index.insertAfter(&path, c)
 		*touched = append(*touched, c)
-		st.stats.MaxGauge(&st.stats.VersionChainPeak, 1)
 		tc.mu.Unlock()
+		if !st.peakSeeded.Load() && st.peakSeeded.CompareAndSwap(false, true) {
+			st.stats.MaxGauge(&st.stats.VersionChainPeak, 1)
+		}
 		trace.Add(&st.stats.ChainsCreated, 1)
 		trace.Add(&st.stats.VersionsPushed, 1)
 		return nil

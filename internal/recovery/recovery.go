@@ -216,13 +216,13 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 				e.UndoNxtLSN = r.LSN
 			}
 			switch r.Type {
-			case wal.RecCommit:
-				e.State = wal.TxCommitted
 			case wal.RecAbort:
 				e.State = wal.TxRollingBack
 			case wal.RecPrepare:
 				e.State = wal.TxPrepared
-			case wal.RecEnd:
+			case wal.RecCommit, wal.RecEnd:
+				// A commit writes no end record: it finishes the
+				// transaction as an end record does.
 				delete(txTable, r.TxID)
 			}
 		}
@@ -232,7 +232,8 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 			}
 		}
 	}
-	// Committed-but-not-ended transactions need only their end record.
+	// A checkpoint's table can list a transaction as committed whose commit
+	// record lies below the scan start: it is finished too.
 	for id, e := range txTable {
 		if e.State == wal.TxCommitted {
 			delete(txTable, id)

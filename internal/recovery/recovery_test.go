@@ -642,15 +642,17 @@ func TestCrashAtEveryNthRecord(t *testing.T) {
 		return e, scripts
 	}
 
-	// Probe crash points spread across the log. Commits force the log, so
-	// losing the tail requires the TruncateTo failure-injection hook; that
-	// is only a faithful crash if no page ever reached the disk with a
-	// higher LSN — asserted via the disk write counter.
+	// Probe crash points spread across the log: every 53rd record, a fixed
+	// step so that the subtests keep their names when the workload's record
+	// count moves (11 points over its ~600 records). Commits force the
+	// log, so losing the tail requires the TruncateTo failure-injection
+	// hook; that is only a faithful crash if no page ever reached the disk
+	// with a higher LSN — asserted via the disk write counter.
+	const step = 53
 	probe, _ := build()
 	all := probe.log.Records(1)
-	step := len(all) / 12
-	if step == 0 {
-		step = 1
+	if len(all) < 6*step {
+		t.Fatalf("the workload logged %d records; the probe wants at least %d", len(all), 6*step)
 	}
 	for idx := step; idx < len(all); idx += step {
 		idx := idx

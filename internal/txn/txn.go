@@ -439,8 +439,10 @@ func (t *Tx) Savepoint() wal.LSN {
 	return t.lastLSN
 }
 
-// Commit terminates the transaction: commit record, synchronous log force,
-// lock release, end record. The force is the group-commit path: concurrent
+// Commit terminates the transaction: commit record, lock release,
+// synchronous log force. No end record follows: restart analysis finishes
+// a transaction at its commit record, so an end record would buy nothing
+// but log bytes. The force is the group-commit path: concurrent
 // committers coalesce onto one in-flight flush (wal.Log.Force), and Commit
 // returns only once the commit record's LSN is covered by the stable LSN —
 // a transaction is never acknowledged while its commit record is volatile.
@@ -487,7 +489,6 @@ func (t *Tx) Commit() error {
 	if hook != nil {
 		hook.StampCommit(t.ID, lsn, &t.versions)
 	}
-	t.Log(&wal.Record{Type: wal.RecEnd})
 	t.mgr.finish(t)
 	return nil
 }

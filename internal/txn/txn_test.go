@@ -83,10 +83,10 @@ func TestCommitForcesLogAndReleasesLocks(t *testing.T) {
 	if m.Lookup(tx.ID) != nil {
 		t.Fatal("tx survived commit in table")
 	}
-	// Records: update, commit, end.
+	// Records: update, commit; no end record follows a commit.
 	recs := log.Records(1)
-	if recs[len(recs)-1].Type != wal.RecEnd || recs[len(recs)-2].Type != wal.RecCommit {
-		t.Fatal("commit/end records missing or misordered")
+	if last := recs[len(recs)-1]; last.Type != wal.RecCommit || last.LSN != tx.CommitLSN() {
+		t.Fatalf("last record is %s, want the commit record", last)
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("double commit: %v", err)

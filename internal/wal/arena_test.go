@@ -105,8 +105,10 @@ func sameRecord(t *testing.T, what string, got, want *Record, lsn LSN) {
 // intact through every reader and both wire formats.
 func TestRecordsSpanningChunks(t *testing.T) {
 	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	first := &Record{Type: RecUpdate, TxID: 1, Page: 3, Op: OpIdxFormat}
+	first.Payload = fill(chunkSize-2-first.EncodedSize(), 1) // ends 2 bytes short of the chunk
 	want := []*Record{
-		{Type: RecUpdate, TxID: 1, Page: 3, Op: OpIdxFormat, Payload: fill(chunkSize-2-recHeaderSize, 1)},
+		first,
 		{Type: RecUpdate, TxID: 1, Page: 4, Op: OpDataInsert, Payload: fill(50, 2)}, // header straddles
 		{Type: RecEndCkpt, Payload: fill(2*chunkSize+7, 3)},                         // spans three chunks
 		{Type: RecCommit, TxID: 1},

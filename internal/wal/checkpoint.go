@@ -17,7 +17,8 @@ const (
 	// TxPrepared: in-doubt under two-phase commit; restart reacquires its
 	// locks and awaits the coordinator's decision.
 	TxPrepared
-	// TxCommitted: commit record logged but end record not yet written.
+	// TxCommitted: commit record logged, transaction not yet out of the
+	// table (a fuzzy checkpoint can catch it there); restart drops it.
 	TxCommitted
 	// TxRollingBack: an abort record was logged; restart finishes the undo.
 	TxRollingBack

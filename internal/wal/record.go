@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
 
 	"ariesim/internal/storage"
 )
@@ -48,8 +50,9 @@ const (
 	RecCommit
 	// RecAbort marks the start of a total rollback.
 	RecAbort
-	// RecEnd marks a transaction fully finished (after commit processing
-	// or rollback completion).
+	// RecEnd marks a rolled-back transaction fully finished: its rollback
+	// (or restart's undo of it) is complete. A commit writes none; its
+	// commit record finishes it.
 	RecEnd
 	// RecPrepare marks an in-doubt (two-phase commit) transaction; its
 	// payload carries the locks to reacquire during restart.
@@ -172,19 +175,60 @@ func (r *Record) Undoable() bool {
 	return r.Type == RecUpdate && !r.RedoOnly && r.Op != OpNone
 }
 
-// On-log record layout: length u32 | CRC32-C u32 | body. The CRC covers
-// everything after itself (body and payload), so a torn log tail — a
-// record only partially on stable storage when the machine died — is
-// detected at restart and the log truncated there, rather than replaying
-// garbage (ARIES' partial-record assumption, made checkable).
-const recHeaderSize = 4 + 4 + 1 + 1 + 4 + 8 + 8 + 4 + 2
+// On-log record layout:
+//
+//	len u32 | CRC32-C u32 | flags u8 | uvarint TxID | uvarint PrevLSN |
+//	[uvarint UndoNxtLSN] | [uvarint Page | uvarint Op] | payload
+//
+// The flags byte holds the type in its low 4 bits, RedoOnly, and whether
+// UndoNxtLSN (present iff non-zero) and the Page/Op pair (present iff either
+// is non-zero) follow; a commit record is 8 + 1 + two varints. The fixed
+// prefix is what a reader needs before it can parse anything: the length
+// sizes the record in the arena and in an archive stream, and the CRC covers
+// everything after itself (body and payload), so a torn log tail — a record
+// only partially on stable storage when the machine died — is detected at
+// restart and the log truncated there, rather than replaying garbage (ARIES'
+// partial-record assumption, made checkable).
+//
+// The encoding is a pure function of the record's fields (no field is a
+// delta from the record's own LSN: an append claims its bytes before it
+// knows its LSN) and canonical: varints are minimal and optional fields
+// appear exactly when they are non-zero, so a decoded record re-encodes to
+// the same bytes, and a standby re-appending shipped records reproduces the
+// primary's LSNs. DecodeRecord rejects anything else.
+const (
+	recPrefixSize = 4 + 4
+	// recHeaderSize is the smallest record: the prefix, the flags byte and
+	// one byte each for TxID and PrevLSN.
+	recHeaderSize = recPrefixSize + 1 + 1 + 1
+
+	flagTypeMask = 0x0f
+	flagRedoOnly = 0x10
+	flagPageOp   = 0x20
+	flagUndoNxt  = 0x40
+	flagUnused   = 0x80
+)
 
 // ErrBadRecordCRC reports a log record whose stored CRC does not match its
 // bytes: a torn or corrupted log tail.
 var ErrBadRecordCRC = errors.New("wal: log record CRC mismatch")
 
+// uvarintLen is the length of v's minimal uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func (r *Record) hasPageOp() bool { return r.Page != storage.InvalidPageID || r.Op != OpNone }
+
 // EncodedSize returns the on-log size of the record.
-func (r *Record) EncodedSize() int { return recHeaderSize + len(r.Payload) }
+func (r *Record) EncodedSize() int {
+	n := recPrefixSize + 1 + uvarintLen(uint64(r.TxID)) + uvarintLen(uint64(r.PrevLSN)) + len(r.Payload)
+	if r.UndoNxtLSN != NilLSN {
+		n += uvarintLen(uint64(r.UndoNxtLSN))
+	}
+	if r.hasPageOp() {
+		n += uvarintLen(uint64(r.Page)) + uvarintLen(uint64(r.Op))
+	}
+	return n
+}
 
 // Encode serializes the record (excluding its LSN, which is its address).
 func (r *Record) Encode() []byte {
@@ -195,25 +239,36 @@ func (r *Record) Encode() []byte {
 
 // encodeTo serializes the record into b, which is exactly EncodedSize long.
 func (r *Record) encodeTo(b []byte) {
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)))
-	b[8] = uint8(r.Type)
-	b[9] = 0
-	if r.RedoOnly {
-		b[9] = 1
+	if r.Type > flagTypeMask {
+		panic(fmt.Sprintf("wal: record type %d does not fit the header", r.Type))
 	}
-	binary.LittleEndian.PutUint32(b[10:14], uint32(r.TxID))
-	binary.LittleEndian.PutUint64(b[14:22], uint64(r.PrevLSN))
-	binary.LittleEndian.PutUint64(b[22:30], uint64(r.UndoNxtLSN))
-	binary.LittleEndian.PutUint32(b[30:34], uint32(r.Page))
-	binary.LittleEndian.PutUint16(b[34:36], uint16(r.Op))
-	copy(b[recHeaderSize:], r.Payload)
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)))
+	flags := uint8(r.Type)
+	if r.RedoOnly {
+		flags |= flagRedoOnly
+	}
+	off := recPrefixSize + 1
+	off += binary.PutUvarint(b[off:], uint64(r.TxID))
+	off += binary.PutUvarint(b[off:], uint64(r.PrevLSN))
+	if r.UndoNxtLSN != NilLSN {
+		flags |= flagUndoNxt
+		off += binary.PutUvarint(b[off:], uint64(r.UndoNxtLSN))
+	}
+	if r.hasPageOp() {
+		flags |= flagPageOp
+		off += binary.PutUvarint(b[off:], uint64(r.Page))
+		off += binary.PutUvarint(b[off:], uint64(r.Op))
+	}
+	b[recPrefixSize] = flags
+	copy(b[off:], r.Payload)
 	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[8:], recCRCTable))
 }
 
 var recCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // DecodeRecord parses one record from the head of b, returning it and the
-// number of bytes consumed. A CRC mismatch returns ErrBadRecordCRC.
+// number of bytes consumed. A CRC mismatch returns ErrBadRecordCRC; a body
+// whose CRC matches but that no Encode produces returns another error.
 func DecodeRecord(b []byte) (*Record, int, error) {
 	if len(b) < recHeaderSize {
 		return nil, 0, fmt.Errorf("wal: record header truncated (%d bytes)", len(b))
@@ -226,30 +281,84 @@ func DecodeRecord(b []byte) (*Record, int, error) {
 		return nil, 0, ErrBadRecordCRC
 	}
 	r := &Record{}
-	decodeStored(r, b[:total], NilLSN)
+	if err := decodeBody(r, b[:total]); err != nil {
+		return nil, 0, err
+	}
 	if r.Payload != nil {
 		r.Payload = append([]byte(nil), r.Payload...)
 	}
 	return r, total, nil
 }
 
-// decodeStored fills r from b, one record's stored image (already known to
-// be intact), at address lsn. The payload aliases b, capped so an append to
-// it cannot write into whatever follows.
+// decodeStored fills r from b, one record's stored image as the log's own
+// encoder wrote it, at address lsn. The payload aliases b, capped so an
+// append to it cannot write into whatever follows.
 func decodeStored(r *Record, b []byte, lsn LSN) {
+	if err := decodeBody(r, b); err != nil {
+		panic(fmt.Sprintf("wal: stored record at LSN %d: %v", lsn, err))
+	}
+	r.LSN = lsn
+}
+
+// Header fields after the flags byte, in their on-log order, and the
+// largest value each may hold.
+const (
+	fieldTxID = iota
+	fieldPrevLSN
+	fieldUndoNxtLSN
+	fieldPage
+	fieldOp
+	numFields
+)
+
+var fieldMax = [numFields]uint64{math.MaxUint32, math.MaxUint64, math.MaxUint64, math.MaxUint32, math.MaxUint16}
+
+// decodeBody fills r from b, one record's whole image, checking that b is
+// exactly what encodeTo writes for the fields it yields: every varint
+// minimal, inside the record and no wider than its field, and an optional
+// field present only when it is non-zero.
+func decodeBody(r *Record, b []byte) error {
+	flags := b[recPrefixSize]
+	typ := RecType(flags & flagTypeMask)
+	if flags&flagUnused != 0 || typ == 0 || typ > RecEndCkpt {
+		return fmt.Errorf("wal: record flags %#x invalid", flags)
+	}
+	undoNxt, pageOp := flags&flagUndoNxt != 0, flags&flagPageOp != 0
+	present := [numFields]bool{true, true, undoNxt, pageOp, pageOp}
+	var v [numFields]uint64
+	off := recPrefixSize + 1
+	for i := range v {
+		if !present[i] {
+			continue
+		}
+		if off < len(b) && b[off] < 0x80 { // one byte: minimal, below every max
+			v[i] = uint64(b[off])
+			off++
+			continue
+		}
+		x, n := binary.Uvarint(b[off:])
+		if n <= 0 || b[off+n-1] == 0 || x > fieldMax[i] { // a last byte of 0 adds nothing
+			return fmt.Errorf("wal: record header field %d overruns, is not minimal or is too wide", i)
+		}
+		v[i] = x
+		off += n
+	}
+	if undoNxt && v[fieldUndoNxtLSN] == 0 || pageOp && v[fieldPage] == 0 && v[fieldOp] == 0 {
+		return fmt.Errorf("wal: record flags %#x name a zero field", flags)
+	}
 	*r = Record{
-		LSN:        lsn,
-		Type:       RecType(b[8]),
-		RedoOnly:   b[9] == 1,
-		TxID:       TxID(binary.LittleEndian.Uint32(b[10:14])),
-		PrevLSN:    LSN(binary.LittleEndian.Uint64(b[14:22])),
-		UndoNxtLSN: LSN(binary.LittleEndian.Uint64(b[22:30])),
-		Page:       storage.PageID(binary.LittleEndian.Uint32(b[30:34])),
-		Op:         OpCode(binary.LittleEndian.Uint16(b[34:36])),
+		Type:       typ,
+		RedoOnly:   flags&flagRedoOnly != 0,
+		TxID:       TxID(v[fieldTxID]),
+		PrevLSN:    LSN(v[fieldPrevLSN]),
+		UndoNxtLSN: LSN(v[fieldUndoNxtLSN]),
+		Page:       storage.PageID(v[fieldPage]),
+		Op:         OpCode(v[fieldOp]),
 	}
-	if len(b) > recHeaderSize {
-		r.Payload = b[recHeaderSize:len(b):len(b)]
+	if off < len(b) {
+		r.Payload = b[off:len(b):len(b)]
 	}
+	return nil
 }
 
 func (r *Record) String() string {
