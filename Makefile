@@ -71,6 +71,9 @@ test-2core:
 # loss-repair tests rest on the shipper's retransmit ticker, and when the
 # stream heals depends on the ticker's schedule against the channel's
 # faults, which one pass samples only once.
+# The drain-order test repeats 20 times: N redo workers must each replay
+# their partition of the plan one page at a time in first-redo order, and a
+# second fan-out inside a worker shows only as an order its schedule breaks.
 # The paper tables repeat 5 times: -table smo parks reader goroutines behind
 # an uncommitted split, so a race or a schedule-dependent count shows up as a
 # golden diff.
@@ -86,6 +89,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestStaleSMBitIsSteppedOver$$|TestTraversalAmbiguityWaits$$' ./internal/core
 	$(GO) test -race -count=20 -run 'TestSnapshotReadPastStaleSMBit$$' ./internal/db
 	$(GO) test -race -count=20 -run 'TestVersionStoreFootprintBounded$$|TestChainListSurvivesSavepointRollback$$' ./internal/db
+	$(GO) test -race -count=20 -run 'TestDrainReplaysItsPartitionInOrder$$' ./internal/recovery
 	$(GO) test -race -count=5 ./cmd/ariesim-bench
 	$(GO) test -race -count=20 ./internal/wal
 	$(GO) test -race -count=10 ./internal/repl

@@ -46,7 +46,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the every-log-boundary crash-point sweep instead of the chaos sweep")
 	crashes := flag.Int("crashes", 20, "chaos: crash/restart points")
 	online := flag.Bool("online", false, "recover with online restart (open after analysis; chaos re-crashes a rotating subset of points mid-recovery)")
-	redoWorkers := flag.Int("redo", 8, "parallel redo/drain workers of every chaos restart and of the standby sweep")
+	redoWorkers := flag.Int("redo", 8, "goroutines replaying pages (one page at a time each) in every chaos restart's redo and the standby sweep's apply; 0 or 1 is one goroutine")
 	mvccReaders := flag.Int("mvcc", 0, "chaos: concurrent lock-free snapshot readers; every observation is verified against the commit ledger")
 	secIndex := flag.Bool("index", false, "chaos: maintain a secondary index through the whole run and cross-verify it against the base table at every crash boundary")
 	standby := flag.Bool("standby", false, "run the hot-standby failover sweep (crash the primary under live replicated traffic, promote, verify)")

@@ -1,8 +1,6 @@
 package buffer
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ariesim/internal/latch"
@@ -22,9 +20,10 @@ const DefaultCleanerBatch = 16
 //   - the dirty page table handed to fuzzy checkpoints stays small, which
 //     bounds restart redo work.
 //
-// Each shard's batch is flushed by its own goroutine with a single
-// coalesced log force covering the batch's maximum page_LSN, so a pass
-// pays one group-commit-path force rather than one per page.
+// A pass cleans the shards in turn on the cleaner's goroutine. Each shard's
+// batch is flushed with a single coalesced log force covering the batch's
+// maximum page_LSN, so a shard pays one group-commit-path force rather than
+// one per page.
 
 // StartCleaner launches the background cleaner flushing up to batch dirty
 // frames per shard every interval. It is a no-op if the cleaner is already
@@ -87,8 +86,8 @@ func (p *Pool) cleanerLoop(interval time.Duration, batch int, stop, done chan st
 	}
 }
 
-// CleanPass runs one cleaner pass: every shard concurrently flushes up to
-// batch dirty, unpinned frames starting at its clock hand (the frames the
+// CleanPass runs one cleaner pass: the shards in turn each flush up to
+// batch dirty, unpinned frames starting at their clock hand (the frames the
 // next evictions will reach). Frames stay resident — the cleaner cleans,
 // it does not evict — and their reference bits are untouched, so cleaning
 // grants no second chance. Returns the number of frames cleaned.
@@ -97,20 +96,14 @@ func (p *Pool) CleanPass(batch int) int {
 	if batch <= 0 {
 		batch = DefaultCleanerBatch
 	}
-	var total atomic.Int64
-	var wg sync.WaitGroup
+	total := 0
 	for i := range p.shards {
-		wg.Add(1)
-		go func(s *poolShard) {
-			defer wg.Done()
-			total.Add(int64(p.cleanShard(s, batch)))
-		}(&p.shards[i])
+		total += p.cleanShard(&p.shards[i], batch)
 	}
-	wg.Wait()
 	if p.stats != nil {
 		p.stats.CleanerPasses.Add(1)
 	}
-	return int(total.Load())
+	return total
 }
 
 // cleanShard collects up to batch dirty unpinned frames ahead of the clock

@@ -747,43 +747,13 @@ func (p *Pool) Crash() {
 
 // Contains reports whether page id is currently resident (possibly still
 // loading). Advisory: the answer can be stale by the time the caller acts
-// on it, which is fine for prefetch planning.
+// on it.
 func (p *Pool) Contains(id storage.PageID) bool {
 	s := p.shardOf(id)
 	s.mu.Lock()
 	_, ok := s.frames[id]
 	s.mu.Unlock()
 	return ok
-}
-
-// Prefetch fixes and immediately unfixes every non-resident page in ids,
-// issuing the miss reads concurrently so they overlap on the device queue.
-// It is purely advisory: errors are swallowed (the demand Fix will surface
-// them with full retry/recovery handling) and resident pages are skipped.
-// Returns the number of pages actually fetched.
-func (p *Pool) Prefetch(ids []storage.PageID) int {
-	var fetched atomic.Int64
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		if id == storage.InvalidPageID || p.Contains(id) {
-			continue
-		}
-		wg.Add(1)
-		go func(id storage.PageID) {
-			defer wg.Done()
-			f, err := p.Fix(id)
-			if err != nil {
-				return
-			}
-			p.Unfix(f)
-			fetched.Add(1)
-			if p.stats != nil {
-				p.stats.PagesPrefetched.Add(1)
-			}
-		}(id)
-	}
-	wg.Wait()
-	return int(fetched.Load())
 }
 
 // NumBuffered returns the number of resident frames.

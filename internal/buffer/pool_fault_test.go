@@ -144,37 +144,56 @@ func TestFailedEvictKeepsFrameDirty(t *testing.T) {
 	}
 }
 
+// A page the device cannot return intact — silently corrupted, so its
+// checksum fails, or pinned to a permanent read error until it is
+// rewritten — is counted corrupt and rebuilt by media recovery inside Fix.
 func TestFixChecksumFailureTriggersMediaRecovery(t *testing.T) {
-	d, _, p, st := newEnv(4)
-	good := make([]byte, 512)
-	good[100] = 0x42
-	if err := d.Write(9, good); err != nil {
-		t.Fatal(err)
-	}
-	d.CorruptBits(9, 200, 0xFF) // silent corruption: checksum not restamped
+	for _, tc := range []struct {
+		name   string
+		damage func(d *storage.Disk)
+	}{
+		{"checksum", func(d *storage.Disk) {
+			d.CorruptBits(9, 200, 0xFF) // silent corruption: checksum not restamped
+		}},
+		{"permanent", func(d *storage.Disk) {
+			f := storage.NewFaults(storage.FaultConfig{Seed: 1})
+			f.FailPagePermanently(9) // the recoverer's rewrite remaps it
+			d.SetInjector(f)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _, p, st := newEnv(4)
+			good := make([]byte, 512)
+			good[100] = 0x42
+			if err := d.Write(9, good); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(d)
 
-	recoveries := 0
-	p.SetMediaRecoverer(func(id storage.PageID) error {
-		if id != 9 {
-			return fmt.Errorf("recoverer called for page %d", id)
-		}
-		recoveries++
-		return d.Write(9, good) // "replay" the page to a clean state
-	})
+			recoveries := 0
+			p.SetMediaRecoverer(func(id storage.PageID) error {
+				if id != 9 {
+					return fmt.Errorf("recoverer called for page %d", id)
+				}
+				recoveries++
+				return d.Write(9, good) // "replay" the page to a clean state
+			})
 
-	f, err := p.Fix(9)
-	if err != nil {
-		t.Fatalf("fix did not self-heal a checksum failure: %v", err)
-	}
-	if f.Page.Bytes()[100] != 0x42 || f.Page.Bytes()[200] != 0 {
-		t.Fatal("recovered page has wrong content")
-	}
-	p.Unfix(f)
-	if recoveries != 1 {
-		t.Fatalf("media recoverer ran %d times, want 1", recoveries)
-	}
-	if st.CorruptPages.Load() != 1 {
-		t.Fatalf("CorruptPages = %d, want 1", st.CorruptPages.Load())
+			f, err := p.Fix(9)
+			if err != nil {
+				t.Fatalf("fix did not self-heal: %v", err)
+			}
+			if f.Page.Bytes()[100] != 0x42 || f.Page.Bytes()[200] != 0 {
+				t.Fatal("recovered page has wrong content")
+			}
+			p.Unfix(f)
+			if recoveries != 1 {
+				t.Fatalf("media recoverer ran %d times, want 1", recoveries)
+			}
+			if st.CorruptPages.Load() != 1 {
+				t.Fatalf("CorruptPages = %d, want 1", st.CorruptPages.Load())
+			}
+		})
 	}
 }
 

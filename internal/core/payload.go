@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"ariesim/internal/storage"
-	"ariesim/internal/wal"
 )
 
 type payloadWriter struct{ b []byte }
@@ -405,8 +404,7 @@ func indexIDOf(b []byte) (uint32, error) {
 // The exported face of the codec. KeyOpInfo and DecodeKeyOpPayload open a
 // key insert/delete record to sibling packages — restart's lock
 // reinstatement reads the key's RID out of a loser's records, and tests
-// assert the log sequences of Figs 9 and 10 — and IndexIDOfPayload names
-// the index any core record belongs to.
+// assert the log sequences of Figs 9 and 10.
 
 // KeyOpInfo is a decoded OpIdxInsertKey/OpIdxDeleteKey payload.
 type KeyOpInfo struct {
@@ -429,6 +427,3 @@ func DecodeKeyOpPayload(b []byte) (KeyOpInfo, error) {
 	}
 	return KeyOpInfo{Index: pl.Index, Pos: pl.Pos, PreFlags: pl.PreFlags, PostFlags: pl.PostFlags, Key: k}, nil
 }
-
-// IndexIDOfPayload extracts the index ID from any core payload.
-func IndexIDOfPayload(rec *wal.Record) (uint32, error) { return indexIDOf(rec.Payload) }

@@ -80,9 +80,11 @@ type Options struct {
 	// evictions find clean victims and checkpoint DPTs stay small. Zero
 	// (the default) disables it.
 	CleanerInterval time.Duration
-	// RedoWorkers sets the redo parallelism of restart (and, on a replica,
-	// of standby apply): the pages to redo are split across N workers by
-	// page id; zero or one is a single worker (see recovery.RestartOpts).
+	// RedoWorkers is how many goroutines replay pages in restart redo (and,
+	// on a replica, in standby apply): the pages to redo are split across N
+	// workers by page id, and each replays its share one page at a time.
+	// Zero or one is a single goroutine: Restart's own, or with
+	// OnlineRestart the background drain's (see recovery.RestartOpts).
 	RedoWorkers int
 	// OnlineRestart chooses when Restart opens the engine, not how it
 	// recovers: right after the analysis pass, with redo on demand at
@@ -169,10 +171,6 @@ type DB struct {
 	// commitGate, when set, must confirm each commit LSN against the
 	// standby before the commit is acknowledged (semi-sync replication).
 	commitGate func(wal.LSN) error
-	// ackedCommits/ackedMax are the loss-accounting ledger: commits this
-	// engine acknowledged to clients (see AckedCommits).
-	ackedCommits uint64
-	ackedMax     wal.LSN
 	// recov is the live online-restart coordinator, non-nil from an online
 	// Restart until the next Crash/reopen. It may already be done (its
 	// Recovering() false); Crash aborts it so a zombie coordinator never

@@ -45,13 +45,6 @@ func OpenReplica(opts Options, catalogMeta []byte) *DB {
 	return d
 }
 
-// Replica reports whether the engine is an unpromoted standby.
-func (d *DB) Replica() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.replica
-}
-
 // Promote turns the standby into a serving primary: flush every replayed
 // page (legal — the standby never crashed, and its log discipline forces
 // records before applying them, so the WAL rule holds), then run the
@@ -94,24 +87,4 @@ func (d *DB) SetCommitGate(gate func(wal.LSN) error) {
 	d.mu.Lock()
 	d.commitGate = gate
 	d.mu.Unlock()
-}
-
-// noteAcked records one acknowledged commit in the loss-accounting ledger.
-func (d *DB) noteAcked(lsn wal.LSN) {
-	d.mu.Lock()
-	d.ackedCommits++
-	if lsn > d.ackedMax {
-		d.ackedMax = lsn
-	}
-	d.mu.Unlock()
-}
-
-// AckedCommits returns the loss-accounting ledger: how many commits this
-// engine acknowledged to clients and the highest commit-record LSN among
-// them. After a failover, the promoted standby must contain every one of
-// them — "bounded data loss" means exactly: nothing acked is ever lost.
-func (d *DB) AckedCommits() (n uint64, max wal.LSN) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ackedCommits, d.ackedMax
 }

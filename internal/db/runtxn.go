@@ -284,8 +284,8 @@ func (d *DB) RunTxnSteps(opts RunTxnOpts, steps ...func(*txn.Tx) error) error {
 // it runs between local durability and the acknowledgement: OnCommitted
 // fires first (locally durable, outcome still ambiguous), then the gate
 // must confirm the standby has the record, and only then does the commit
-// ack — OnCommit fires and the acked-commit ledger advances. A failing
-// gate surfaces ErrCommitUnacked without acking.
+// ack and OnCommit fire. A failing gate surfaces ErrCommitUnacked without
+// acking.
 func (d *DB) commitAcked(tx *txn.Tx, onCommitted func(wal.LSN), onCommit func()) error {
 	d.epochMu.RLock()
 	defer d.epochMu.RUnlock()
@@ -308,7 +308,6 @@ func (d *DB) commitAcked(tx *txn.Tx, onCommitted func(wal.LSN), onCommit func())
 			return fmt.Errorf("%w: commit LSN %d: %v", ErrCommitUnacked, lsn, err)
 		}
 	}
-	d.noteAcked(lsn)
 	if onCommit != nil {
 		onCommit()
 	}

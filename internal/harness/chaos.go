@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -629,11 +630,12 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		// frontier. An uncommitted loser puts records past the forced
 		// prefix; the crash keeps some and tears the last, and restart must
 		// cut that one at its bad CRC and undo the rest.
-		if err := tearLogTail(d, 1+crashRNG.Intn(3)); err != nil {
+		loser, err := tearLogTail(d, 1+crashRNG.Intn(3))
+		if err != nil {
 			return nil, fmt.Errorf("chaos: torn tail: %v", err)
 		}
 		if err := verifyState(d, want); err != nil {
-			return nil, fmt.Errorf("chaos: torn tail: %v", err)
+			return nil, fmt.Errorf("chaos: torn tail: %v\n%s", err, tornTailReport(d, loser, o.SecondaryIndex))
 		}
 	}
 
@@ -716,30 +718,103 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	return res, nil
 }
 
+// tornKeys is the number of rows tearLogTail's loser inserts, under the keys
+// torn-0, torn-1, ...
+const tornKeys = 3
+
 // tearLogTail leaves an uncommitted loser's records past the forced log
 // prefix, crashes the log keeping extra of them with the last one torn, then
-// crashes and restarts the engine.
-func tearLogTail(d *db.DB, extra int) error {
+// crashes and restarts the engine. It returns the loser's transaction ID.
+func tearLogTail(d *db.DB, extra int) (wal.TxID, error) {
 	tx, err := d.Begin()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tbl, err := d.TableFor(tx, chaosTable)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < tornKeys; i++ {
 		if err := tbl.Insert(tx, []byte(fmt.Sprintf("torn-%d", i)), []byte("never-committed")); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	d.Log().CrashWithTornTail(extra)
 	d.Crash()
 	if _, err := d.Restart(); err != nil {
-		return err
+		return 0, err
 	}
 	_, err = d.AwaitRecovered()
-	return err
+	return tx.ID, err
+}
+
+// tornTailReport describes what the restart after tearLogTail left of its
+// loser: the loser's records the log kept, and for each torn-i key whether
+// the primary tree, the heap and (with the secondary index) the secondary
+// tree hold it. It is the context of a failed state check after the tear.
+func tornTailReport(d *db.DB, loser wal.TxID, secondary bool) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "loser tx %d kept:", loser)
+	d.Log().Scan(wal.NilLSN+1, func(r *wal.Record) bool {
+		if r.TxID == loser {
+			fmt.Fprintf(&b, "\n  LSN %d %s op=%s page=%d", r.LSN, r.Type, r.Op, r.Page)
+		}
+		return true
+	})
+	tbl, err := d.Table(chaosTable)
+	if err != nil {
+		return b.String() + "\n" + err.Error()
+	}
+	inPrimary := map[string]bool{}
+	if keys, err := tbl.PrimaryIndex().Dump(); err != nil {
+		fmt.Fprintf(&b, "\nprimary dump: %v", err)
+	} else {
+		for _, k := range keys {
+			inPrimary[string(k.Val)] = true
+		}
+	}
+	inHeap := map[string]bool{}
+	if recs, err := tbl.DataTable().ScanAll(); err != nil {
+		fmt.Fprintf(&b, "\nheap scan: %v", err)
+	} else {
+		for _, rec := range recs {
+			// The row codec: a little-endian u16 key length, the key, the value.
+			if len(rec) >= 2 {
+				if kl := int(rec[0]) | int(rec[1])<<8; len(rec) >= 2+kl {
+					inHeap[string(rec[2:2+kl])] = true
+				}
+			}
+		}
+	}
+	inSecondary := map[string]bool{}
+	if secondary {
+		sk := indexExtract([]byte("never-committed"))
+		err := func() error {
+			tx, err := d.Begin()
+			if err != nil {
+				return err
+			}
+			if err := tbl.ScanIndexRange(tx, indexName, sk, sk, func(_ []byte, r db.Row) (bool, error) {
+				inSecondary[string(r.Key)] = true
+				return true, nil
+			}); err != nil {
+				_ = tx.Rollback()
+				return err
+			}
+			return tx.Commit()
+		}()
+		if err != nil {
+			fmt.Fprintf(&b, "\nsecondary scan of %q: %v", sk, err)
+		}
+	}
+	for i := 0; i < tornKeys; i++ {
+		k := fmt.Sprintf("torn-%d", i)
+		fmt.Fprintf(&b, "\n  %s: primary=%t heap=%t", k, inPrimary[k], inHeap[k])
+		if secondary {
+			fmt.Fprintf(&b, " secondary=%t", inSecondary[k])
+		}
+	}
+	return b.String()
 }
 
 // forceDeadlockRepair rendezvouses two RunTxn transactions so each holds

@@ -12,8 +12,8 @@
 //     replay;
 //  3. lock reinstatement: prepared transactions reacquire the locks listed
 //     in their prepare records;
-//  4. the drain: workers walk the plan in first-redo order (prefetching
-//     batches so miss reads overlap) until every planned page is recovered;
+//  4. the drain: RedoWorkers goroutines walk the plan in first-redo order,
+//     one page at a time, until every planned page is recovered;
 //  5. loser undo in the global reverse-LSN sweep (undoLosers);
 //  6. hook out, and the checkpoint that bounds the next restart.
 //
@@ -372,32 +372,21 @@ func (o *Online) finish(err error) (*Report, error) {
 }
 
 // drainPart is one drain worker: it recovers its share of the plan
-// front-to-back in first-redo order. Batches are prefetched so miss reads
-// overlap; the per-page Fix in drainPage does the recovery.
+// front-to-back in first-redo order, one page at a time on its own
+// goroutine. drainPage's Fix does the recovery.
 func (o *Online) drainPart(pages []storage.PageID) error {
-	for len(pages) > 0 && !o.abort.Load() {
-		batch := pages[:min(redoPrefetchBatch, len(pages))]
-		pages = pages[len(batch):]
-		var live []storage.PageID
-		o.mu.Lock()
-		for _, pid := range batch {
-			if len(o.pending[pid]) > 0 {
-				o.draining[pid] = true
-				live = append(live, pid)
-			}
-		}
-		o.mu.Unlock()
-		o.pool.Prefetch(live)
-		var errs []error
-		for _, pid := range batch {
-			errs = append(errs, o.drainPage(pid))
+	for _, pid := range pages {
+		if o.abort.Load() {
+			return nil
 		}
 		o.mu.Lock()
-		for _, pid := range live {
-			delete(o.draining, pid)
-		}
+		o.draining[pid] = true
 		o.mu.Unlock()
-		if err := errors.Join(errs...); err != nil {
+		err := o.drainPage(pid)
+		o.mu.Lock()
+		delete(o.draining, pid)
+		o.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}

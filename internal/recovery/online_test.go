@@ -1,12 +1,84 @@
 package recovery
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"ariesim/internal/buffer"
 	"ariesim/internal/core"
 	"ariesim/internal/storage"
 )
+
+// planOrder is the redo plan's page order for a log restarted with nothing
+// flushed and no checkpoint: every page a redoable record names, in the
+// order of its first such record.
+func planOrder(e *env) []storage.PageID {
+	var order []storage.PageID
+	seen := map[storage.PageID]bool{}
+	for _, r := range e.log.Records(1) {
+		if r.Redoable() && !seen[r.Page] {
+			seen[r.Page] = true
+			order = append(order, r.Page)
+		}
+	}
+	return order
+}
+
+// RedoWorkers: N means N goroutines replaying pages, each walking its
+// ShardHash partition of the plan one page at a time in first-redo order.
+// With no foreground fixers and no losers, only the drain replays, so the
+// replay gate sees every planned page once, each partition in plan order.
+func TestDrainReplaysItsPartitionInOrder(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		e := newEnv(t, core.Config{ID: 1})
+		tx := e.tm.Begin()
+		e.insertRange(tx, 0, 300)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		e.crash() // nothing was flushed: every page is in the redo plan
+		order := planOrder(e)
+		if len(order) < 16 {
+			t.Fatalf("setup: a plan of %d pages", len(order))
+		}
+		e.buildVolatile()
+		e.ix = e.im.OpenIndex(e.cfg, e.root)
+		var mu sync.Mutex
+		var got []storage.PageID
+		gate := func(pid storage.PageID) {
+			mu.Lock()
+			got = append(got, pid)
+			mu.Unlock()
+		}
+		o, err := StartOnline(e.log, e.pool, e.tm, e.locks, e.stats,
+			OnlineOpts{RestartOpts: RestartOpts{RedoWorkers: workers}, replayGate: gate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := o.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RedoWorkers != workers || rep.PagesOnDemand != 0 || rep.PagesDrained != len(order) {
+			t.Fatalf("workers %d: report has %d workers, %d pages on demand, %d drained; want %d, 0, %d",
+				workers, rep.RedoWorkers, rep.PagesOnDemand, rep.PagesDrained, workers, len(order))
+		}
+		if len(got) != len(order) {
+			t.Fatalf("workers %d: %d replays for a plan of %d pages", workers, len(got), len(order))
+		}
+		for w := 0; w < workers; w++ {
+			part := func(pages []storage.PageID) []storage.PageID {
+				return slices.DeleteFunc(slices.Clone(pages), func(pid storage.PageID) bool {
+					return int(buffer.ShardHash(pid)%uint64(workers)) != w
+				})
+			}
+			if want, gotPart := part(order), part(got); !slices.Equal(gotPart, want) {
+				t.Fatalf("workers %d, partition %d: replayed %v, plan order %v", workers, w, gotPart, want)
+			}
+		}
+	}
+}
 
 // A page's replay can be started by anybody's Fix, and the drain must not
 // count the page as recovered until that replay's frame is installed and
@@ -27,17 +99,10 @@ func TestOnlineDrainWaitsOutForegroundReplay(t *testing.T) {
 	}
 	e.crash() // nothing was flushed: every page is in the redo plan
 
-	// The plan's order is first-redo order; the drain prefetches it eight
-	// pages at a time, so its last page is safely out of the first batch.
-	var order []storage.PageID
-	seen := map[storage.PageID]bool{}
-	for _, r := range e.log.Records(1) {
-		if r.Redoable() && !seen[r.Page] {
-			seen[r.Page] = true
-			order = append(order, r.Page)
-		}
-	}
-	if len(order) <= 2*redoPrefetchBatch {
+	// The drain walks the plan in first-redo order, so the plan's last page
+	// is not the first page the drain fixes.
+	order := planOrder(e)
+	if len(order) < 2 {
 		t.Fatalf("setup: a plan of %d pages", len(order))
 	}
 	target := order[len(order)-1]

@@ -79,11 +79,6 @@ type Report struct {
 // partial undo repeatable without re-undoing compensated work.
 var ErrRestartInterrupted = errors.New("recovery: restart interrupted mid-undo")
 
-// redoPrefetchBatch is how many page reads one prefetch call issues
-// concurrently; small enough not to flood a shard with loading frames,
-// large enough to keep a costed device queue busy.
-const redoPrefetchBatch = 8
-
 // RestartOpts tunes a restart run.
 type RestartOpts struct {
 	// MaxUndoSteps, when positive, crashes the restart after that many undo
@@ -92,9 +87,12 @@ type RestartOpts struct {
 	// sweep to exercise repeated restarts.
 	MaxUndoSteps int
 
-	// RedoWorkers is the redo parallelism: the pages to redo are split
-	// across that many workers by page id. Zero or one is a single worker;
-	// the effective count is clamped to the number of pages.
+	// RedoWorkers is how many goroutines replay pages: the pages to redo
+	// are split across that many workers by page id, and each worker
+	// replays its share one page at a time in first-redo order. Zero or
+	// one is a single worker on the drain's own goroutine; the effective
+	// count is clamped to the number of pages. Redo starts no other
+	// goroutine (a foreground fix still replays its own page on demand).
 	RedoWorkers int
 }
 

@@ -126,13 +126,6 @@ func (s *Shipper) ring() {
 	}
 }
 
-// AckedLSN returns the highest standby-acknowledged LSN.
-func (s *Shipper) AckedLSN() wal.LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked
-}
-
 // Lag returns how many stable log bytes the standby has not yet
 // acknowledged — the replication lag in the only unit LSNs measure.
 func (s *Shipper) Lag() uint64 {

@@ -28,11 +28,8 @@ type Disk struct {
 	meta     []byte
 	inj      FaultInjector
 
-	reads       atomic.Uint64
-	writes      atomic.Uint64
-	readErrors  atomic.Uint64
-	writeErrors atomic.Uint64
-	checksumErr atomic.Uint64
+	reads  atomic.Uint64
+	writes atomic.Uint64
 
 	ioDelay atomic.Int64 // simulated per-page device latency, ns
 }
@@ -54,9 +51,6 @@ func (d *Disk) PageSize() int { return d.pageSize }
 // overlap, exactly like independent requests on a real device queue —
 // which is what makes serialized-I/O designs measurably slow.
 func (d *Disk) SetIODelay(delay time.Duration) { d.ioDelay.Store(int64(delay)) }
-
-// IODelay returns the configured per-page device latency.
-func (d *Disk) IODelay() time.Duration { return time.Duration(d.ioDelay.Load()) }
 
 func (d *Disk) sleepIO() {
 	if ns := d.ioDelay.Load(); ns > 0 {
@@ -95,7 +89,6 @@ func (d *Disk) Read(id PageID, buf []byte) error {
 	d.sleepIO()
 	if inj := d.injector(); inj != nil {
 		if err := inj.ReadFault(id); err != nil {
-			d.readErrors.Add(1)
 			return fmt.Errorf("%w (page %d)", err, id)
 		}
 	}
@@ -110,7 +103,6 @@ func (d *Disk) Read(id PageID, buf []byte) error {
 	}
 	d.mu.RUnlock()
 	if ok && !PageFromBytes(buf).VerifyChecksum() {
-		d.checksumErr.Add(1)
 		return fmt.Errorf("%w (page %d)", ErrChecksum, id)
 	}
 	return nil
@@ -134,7 +126,6 @@ func (d *Disk) Write(id PageID, data []byte) error {
 		dec := inj.WriteFault(id, d.pageSize)
 		switch dec.Fate {
 		case WriteFail:
-			d.writeErrors.Add(1)
 			return fmt.Errorf("%w (page %d)", ErrTransientIO, id)
 		case WriteTorn:
 			d.mu.Lock()
@@ -278,12 +269,3 @@ func (d *Disk) ReadCount() uint64 { return d.reads.Load() }
 
 // WriteCount reports total page writes.
 func (d *Disk) WriteCount() uint64 { return d.writes.Load() }
-
-// ReadErrorCount reports reads failed by the fault injector.
-func (d *Disk) ReadErrorCount() uint64 { return d.readErrors.Load() }
-
-// WriteErrorCount reports writes failed by the fault injector.
-func (d *Disk) WriteErrorCount() uint64 { return d.writeErrors.Load() }
-
-// ChecksumErrorCount reports reads that failed page-checksum verification.
-func (d *Disk) ChecksumErrorCount() uint64 { return d.checksumErr.Load() }

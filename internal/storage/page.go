@@ -169,14 +169,8 @@ func (p *Page) VerifyChecksum() bool { return p.Checksum() == p.ComputeChecksum(
 // Type returns the page type.
 func (p *Page) Type() PageType { return PageType(p.b[offType]) }
 
-// SetType changes the page type (page deallocation marks pages free).
-func (p *Page) SetType(t PageType) { p.b[offType] = uint8(t) }
-
 // Level returns the page's height in the tree; 0 means leaf.
 func (p *Page) Level() uint8 { return p.b[offLevel] }
-
-// SetLevel sets the tree level.
-func (p *Page) SetLevel(l uint8) { p.b[offLevel] = l }
 
 // IsLeaf reports whether an index page is at the leaf level.
 func (p *Page) IsLeaf() bool { return p.b[offLevel] == 0 }

@@ -166,10 +166,3 @@ func DecodeNodeCell(b []byte) (Key, PageID, error) {
 	}
 	return k, PageID(binary.LittleEndian.Uint32(b[off+6 : off+10])), nil
 }
-
-// LeafCellSize returns the stored size of a leaf cell for key k, excluding
-// the slot-directory entry.
-func LeafCellSize(k Key) int { return leafCellOverhead + len(k.Val) }
-
-// NodeCellSize returns the stored size of a nonleaf cell for high key k.
-func NodeCellSize(k Key) int { return nodeCellOverhead + len(k.Val) }

@@ -60,16 +60,15 @@ type Stats struct {
 	TreeLatchWaits    atomic.Uint64
 
 	// Buffer pool.
-	PageFixes       atomic.Uint64
-	PageMisses      atomic.Uint64 // fixes that required a disk read
-	PageWrites      atomic.Uint64 // dirty pages written to disk (steal, cleaner, or flush)
-	PageEvicted     atomic.Uint64
-	EvictionsDirty  atomic.Uint64 // foreground evictions that had to write back a dirty victim
-	EvictionStalls  atomic.Uint64 // Fix retries because every candidate frame was pinned
-	FixParks        atomic.Uint64 // fixers parked on another fixer's in-flight read
-	CleanerPasses   atomic.Uint64 // background cleaner passes completed
-	CleanerWrites   atomic.Uint64 // dirty frames flushed by the cleaner
-	PagesPrefetched atomic.Uint64 // pages pulled in ahead of demand (restart prefetcher)
+	PageFixes      atomic.Uint64
+	PageMisses     atomic.Uint64 // fixes that required a disk read
+	PageWrites     atomic.Uint64 // dirty pages written to disk (steal, cleaner, or flush)
+	PageEvicted    atomic.Uint64
+	EvictionsDirty atomic.Uint64 // foreground evictions that had to write back a dirty victim
+	EvictionStalls atomic.Uint64 // Fix retries because every candidate frame was pinned
+	FixParks       atomic.Uint64 // fixers parked on another fixer's in-flight read
+	CleanerPasses  atomic.Uint64 // background cleaner passes completed
+	CleanerWrites  atomic.Uint64 // dirty frames flushed by the cleaner
 
 	// Log.
 	LogRecords         atomic.Uint64
@@ -235,14 +234,6 @@ func Add(c *atomic.Uint64, n uint64) {
 	}
 }
 
-// Inc is a nil-safe helper used by components holding a possibly-nil Stats.
-func (s *Stats) Inc(c *atomic.Uint64) {
-	if s == nil || c == nil {
-		return
-	}
-	c.Add(1)
-}
-
 // Snapshot is a plain-value copy of all counters, suitable for diffing
 // around a measured region.
 type Snapshot struct {
@@ -258,7 +249,7 @@ type Snapshot struct {
 	TreeLatchAcquires, TreeLatchWaits                         uint64
 	PageFixes, PageMisses, PageWrites, PageEvicted            uint64
 	EvictionsDirty, EvictionStalls, FixParks                  uint64
-	CleanerPasses, CleanerWrites, PagesPrefetched             uint64
+	CleanerPasses, CleanerWrites                              uint64
 	LogRecords, LogBytes, LogForces                           uint64
 	ForceWaiters, GroupCommits                                uint64
 	AppendReservations, WatermarkStalls                       uint64
@@ -321,7 +312,6 @@ func counters(s *Stats, n *Snapshot) []counter {
 		{&s.FixParks, &n.FixParks, false},
 		{&s.CleanerPasses, &n.CleanerPasses, false},
 		{&s.CleanerWrites, &n.CleanerWrites, false},
-		{&s.PagesPrefetched, &n.PagesPrefetched, false},
 		{&s.LogRecords, &n.LogRecords, false},
 		{&s.LogBytes, &n.LogBytes, false},
 		{&s.LogForces, &n.LogForces, false},
