@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-2core race fuzz-wal smoke sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline microbench ci
+.PHONY: all build vet staticcheck test test-2core race fuzz-wal fuzz-data smoke sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline microbench ci
 
 all: build vet test
 
@@ -101,6 +101,12 @@ race:
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 
+# Ten seconds of fuzzing the data page redo: any op and payload, forward or as
+# a CLR, applied to a data page holding a live record and a ghost returns an
+# error or leaves a well-formed page, and never panics.
+fuzz-data:
+	$(GO) test -run '^$$' -fuzz FuzzDataApplyRedo -fuzztime 10s -fuzzminimizetime 1s ./internal/data
+
 # A short chaos sweep under injected disk faults, planted silent corruption,
 # voluntary rollbacks and a torn log tail: the sweep fails unless each of the
 # last three happened and every fault class was absorbed.
@@ -159,4 +165,4 @@ microbench:
 # Everything a change may claim about speed comes from the repository's
 # benchmark (BENCHMARK.json, benchmark/README.md): bash benchmark/run.sh.
 
-ci: build vet staticcheck test-2core race fuzz-wal smoke sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline
+ci: build vet staticcheck test-2core race fuzz-wal fuzz-data smoke sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline

@@ -15,9 +15,13 @@ import (
 	"ariesim/internal/txn"
 )
 
-// TestConcurrentDisjointRanges runs goroutines over disjoint key ranges:
-// no lock conflicts are possible, so every transaction must commit, and
-// the final tree must match the union of the models.
+// TestConcurrentDisjointRanges runs goroutines over disjoint key ranges and
+// expects every transaction to commit and the final tree to match the union
+// of the models. The ranges share locks only where a next-key lock reaches
+// the first key of the next range; a deadlock there is possible, and its
+// victim fails the test. A watchdog fails the test after 30 s with every
+// lock head that has waiters and every goroutine's stack, rather than let a
+// wait that never ends run into the package timeout.
 func TestConcurrentDisjointRanges(t *testing.T) {
 	e := newEnv(t, 512, 256)
 	ix := e.createIndex(Config{ID: 1})
@@ -63,7 +67,21 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		dump := e.locks.DumpWaiters()
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		e.locks.Shutdown() // wake the waiters, so no worker outlives the test
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+		}
+		t.Fatalf("workers still running after 30s; lock heads with waiters:\n%s\ngoroutines:\n%s", dump, stacks)
+	}
 	if t.Failed() {
 		return
 	}

@@ -307,7 +307,7 @@ func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) (left bool) {
 			left = true
 			continue
 		}
-		lsn := tx.LogUpdate(f.ID(), wal.OpDataPurge, purgePayload{Slot: uint16(i)}.encode(), true)
+		lsn := tx.LogUpdate(f.ID(), wal.OpDataPurge, slotPayload{Slot: uint16(i)}.encode(), true)
 		if _, err := f.Page.RemoveCell(uint16(i)); err != nil {
 			panic(fmt.Sprintf("data: purge of verified ghost failed: %v", err))
 		}
@@ -387,12 +387,10 @@ func (t *Table) Delete(tx *txn.Tx, rid storage.RID, locked bool) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, rid)
 	}
-	ghost, rec := unwrapCell(cell)
-	if ghost {
+	if ghost, _ := unwrapCell(cell); ghost {
 		return fmt.Errorf("%w: %s (already deleted)", ErrNotFound, rid)
 	}
-	recCopy := append([]byte(nil), rec...)
-	lsn := tx.LogUpdate(rid.Page, wal.OpDataDelete, deletePayload{Slot: rid.Slot, Record: recCopy}.encode(), false)
+	lsn := tx.LogUpdate(rid.Page, wal.OpDataDelete, slotPayload{Slot: rid.Slot}.encode(), false)
 	cell[0] |= cellGhost
 	f.Page.SetLSN(uint64(lsn))
 	t.m.pool.MarkDirty(f, lsn)
@@ -549,27 +547,16 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		p.SetNext(pl.Next)
 		return nil
 	case wal.OpDataInsert:
+		if rec.IsCLR() {
+			return flipGhost(p, rec.Payload, false) // the undo of a delete
+		}
 		pl, err := decodeInsertPayload(rec.Payload)
 		if err != nil {
 			return err
 		}
-		if cell, ok := p.Cell(int(pl.Slot)); ok {
-			// Reviving a ghost (CLR of a delete).
-			cell[0] &^= cellGhost
-			return nil
-		}
-		return p.AddCellAt(pl.Slot, wrapRecord(pl.Record))
+		return p.AddCellAt(pl.Slot, wrapRecord(pl.Record)) // fails on an occupied slot
 	case wal.OpDataDelete:
-		pl, err := decodeInsertPayload(rec.Payload)
-		if err != nil {
-			return err
-		}
-		cell, ok := p.Cell(int(pl.Slot))
-		if !ok {
-			return fmt.Errorf("data: redo delete of missing slot %d on page %d", pl.Slot, rec.Page)
-		}
-		cell[0] |= cellGhost
-		return nil
+		return flipGhost(p, rec.Payload, true)
 	case wal.OpDataUpdate:
 		pl, err := decodeUpdatePayload(rec.Payload)
 		if err != nil {
@@ -585,7 +572,7 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		}
 		return p.ReplaceCell(pl.Slot, next)
 	case wal.OpDataPurge:
-		pl, err := decodePurgePayload(rec.Payload)
+		pl, err := decodeSlotPayload(rec.Payload)
 		if err != nil {
 			return err
 		}
@@ -610,8 +597,27 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 	}
 }
 
+// flipGhost ghosts (ghost) or revives the record in the slot a slot payload
+// names. The record must be in the other state: a delete or its undo that
+// finds anything else is a log that does not match the page.
+func flipGhost(p *storage.Page, payload []byte, ghost bool) error {
+	pl, err := decodeSlotPayload(payload)
+	if err != nil {
+		return err
+	}
+	cell, ok := p.Cell(int(pl.Slot))
+	if !ok || len(cell) == 0 {
+		return fmt.Errorf("data: slot %d of page %d holds no record", pl.Slot, p.ID())
+	}
+	if was, _ := unwrapCell(cell); was == ghost {
+		return fmt.Errorf("data: slot %d of page %d: ghost is already %v", pl.Slot, p.ID(), ghost)
+	}
+	cell[0] ^= cellGhost
+	return nil
+}
+
 // Undo compensates one data-manager record during rollback. Data undos are
-// always page-oriented: ghosting guarantees the space and slot survive, and
+// always page-oriented: a ghost keeps its slot and its record's bytes, and
 // an update in place only ever grew its record.
 func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 	f, err := m.pool.Fix(rec.Page)
@@ -628,7 +634,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		lsn := tx.LogCLR(rec.Page, wal.OpDataPurge, purgePayload{Slot: pl.Slot}.encode(), rec.PrevLSN)
+		lsn := tx.LogCLR(rec.Page, wal.OpDataPurge, slotPayload{Slot: pl.Slot}.encode(), rec.PrevLSN)
 		if _, err := f.Page.RemoveCell(pl.Slot); err != nil {
 			return fmt.Errorf("data: undo insert: %w", err)
 		}
@@ -641,16 +647,11 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		}
 		return nil
 	case wal.OpDataDelete:
-		pl, err := decodeInsertPayload(rec.Payload)
-		if err != nil {
-			return err
+		// The ghost still holds the record, so the CLR names its slot only.
+		if err := flipGhost(f.Page, rec.Payload, false); err != nil {
+			return fmt.Errorf("data: undo delete: %w", err)
 		}
-		cell, ok := f.Page.Cell(int(pl.Slot))
-		if !ok {
-			return fmt.Errorf("data: undo delete: slot %d gone from page %d", pl.Slot, rec.Page)
-		}
-		lsn := tx.LogCLR(rec.Page, wal.OpDataInsert, insertPayload{Slot: pl.Slot, Record: pl.Record}.encode(), rec.PrevLSN)
-		cell[0] &^= cellGhost
+		lsn := tx.LogCLR(rec.Page, wal.OpDataInsert, rec.Payload, rec.PrevLSN)
 		f.Page.SetLSN(uint64(lsn))
 		m.pool.MarkDirty(f, lsn)
 		return nil

@@ -555,3 +555,54 @@ func benchEnv(b *testing.B) *benchT {
 	}
 	return &benchT{mgr: e.mgr, tbl: tbl}
 }
+
+// A delete logs its slot, not its record: the ghost keeps the bytes until a
+// purge, and a purge waits for the deleter to commit. Its log record is the
+// same size for a 1-byte row as for a 3,000-byte one. The CLR that undoes it
+// names the slot alone as well (its LSN fields vary by a byte), after which
+// the row reads back whole.
+func TestDeleteLogsOnlyItsSlot(t *testing.T) {
+	e := newEnv(t, 4096, lock.GranRecord)
+	tbl := e.createTable(t)
+	var deletes []int
+	for _, n := range []int{1, 3000} {
+		row := bytes.Repeat([]byte{'r'}, n)
+		setup := e.mgr.Begin()
+		rid, err := tbl.Insert(setup, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		from := e.log.MaxLSN()
+		tx := e.mgr.Begin()
+		if err := tbl.Delete(tx, rid, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		var del, clr *wal.Record
+		for _, r := range e.log.Records(from + 1) {
+			switch {
+			case r.Op == wal.OpDataDelete:
+				del = r
+			case r.Op == wal.OpDataInsert && r.IsCLR():
+				clr = r
+			}
+		}
+		if del == nil || del.EncodedSize() > 24 || clr == nil || clr.EncodedSize() > 24 || len(clr.Payload) != 2 {
+			t.Fatalf("a %d-byte row's delete logged %v and its undo %v; want each at most 24 bytes", n, del, clr)
+		}
+		deletes = append(deletes, del.EncodedSize())
+		check := e.mgr.Begin()
+		if got, err := tbl.Fetch(check, rid, false); err != nil || !bytes.Equal(got, row) {
+			t.Fatalf("the undone delete of a %d-byte row left %d bytes, %v", n, len(got), err)
+		}
+		_ = check.Commit()
+	}
+	if deletes[0] != deletes[1] {
+		t.Fatalf("a delete logged %d bytes for a 1-byte row, %d for a 3,000-byte row", deletes[0], deletes[1])
+	}
+}

@@ -42,8 +42,7 @@ func unwrapCell(cell []byte) (bool, []byte) {
 	return cell[0]&cellGhost != 0, cell[1:]
 }
 
-// insertPayload is the body of OpDataInsert and of the CLR that revives a
-// ghost when a delete is undone.
+// insertPayload is the body of a forward OpDataInsert.
 type insertPayload struct {
 	Slot   uint16
 	Record []byte
@@ -62,10 +61,6 @@ func decodeInsertPayload(b []byte) (insertPayload, error) {
 	}
 	return insertPayload{Slot: binary.LittleEndian.Uint16(b), Record: b[2:]}, nil
 }
-
-// deletePayload is the body of OpDataDelete: the slot plus the record
-// image (needed to undo the ghosting and to verify redo).
-type deletePayload = insertPayload
 
 // SlotOfPayload extracts the target slot from an OpDataInsert, OpDataDelete
 // or OpDataUpdate payload (all three lead with it). Online restart uses it to
@@ -152,22 +147,26 @@ func (p updatePayload) apply(cell []byte) ([]byte, error) {
 	return append(out, rec[len(rec)-int(p.Suffix):]...), nil
 }
 
-// purgePayload is the body of OpDataPurge (redo-only physical removal).
-type purgePayload struct {
+// slotPayload is the body of OpDataDelete, of OpDataPurge, and of the
+// OpDataInsert CLR that revives a ghost when a delete is undone: the slot
+// alone. A ghost keeps its record's bytes until a purge, and a purge waits
+// for the deleter to commit, so neither the delete's redo nor its undo nor
+// the undo's redo needs the record from the log.
+type slotPayload struct {
 	Slot uint16
 }
 
-func (p purgePayload) encode() []byte {
+func (p slotPayload) encode() []byte {
 	b := make([]byte, 2)
 	binary.LittleEndian.PutUint16(b, p.Slot)
 	return b
 }
 
-func decodePurgePayload(b []byte) (purgePayload, error) {
+func decodeSlotPayload(b []byte) (slotPayload, error) {
 	if len(b) != 2 {
-		return purgePayload{}, fmt.Errorf("data: purge payload %d bytes", len(b))
+		return slotPayload{}, fmt.Errorf("data: slot payload %d bytes", len(b))
 	}
-	return purgePayload{Slot: binary.LittleEndian.Uint16(b)}, nil
+	return slotPayload{Slot: binary.LittleEndian.Uint16(b)}, nil
 }
 
 // formatPayload is the body of OpDataFormat: chain pointers for the fresh

@@ -27,13 +27,13 @@ func TestInsertPayloadRoundTrip(t *testing.T) {
 }
 
 func TestPurgePayloadRoundTrip(t *testing.T) {
-	got, err := decodePurgePayload(purgePayload{Slot: 42}.encode())
+	got, err := decodeSlotPayload(slotPayload{Slot: 42}.encode())
 	if err != nil || got.Slot != 42 {
 		t.Fatalf("round trip: %+v, %v", got, err)
 	}
 	for _, bad := range [][]byte{nil, {1}, {1, 2, 3}} {
-		if _, err := decodePurgePayload(bad); err == nil {
-			t.Fatalf("bad purge payload %v decoded", bad)
+		if _, err := decodeSlotPayload(bad); err == nil {
+			t.Fatalf("bad slot payload %v decoded", bad)
 		}
 	}
 }

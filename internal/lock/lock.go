@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,6 +222,7 @@ type holding struct {
 	head  *head // the head of name, which stays in the table while this is granted
 	name  Name
 	mode  Mode
+	dur   Duration   // the longest a grant on it asked for (diagnostics only)
 	seq   uint64     // manager sequence at first grant
 	hist  []modeStep // mode upgrades since, oldest first
 }
@@ -243,6 +246,7 @@ func (g *holding) modeAt(tok uint64) Mode {
 type request struct {
 	owner   *ownerLocks
 	mode    Mode // target mode (post-conversion mode for conversions)
+	dur     Duration
 	convert bool
 	name    Name
 	granted chan error
@@ -577,7 +581,7 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 			if h == nil {
 				h = s.newHead(name)
 			}
-			m.grantLocked(h, o, name, target, mine)
+			m.grantLocked(h, o, name, target, dur, mine)
 		}
 		s.mu.Unlock()
 		m.retireIfIdle(o)
@@ -591,7 +595,7 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	}
 
 	// Enqueue. Conversions go ahead of non-conversions.
-	req := &request{owner: o, mode: target, convert: convert, name: name, granted: make(chan error, 1)}
+	req := &request{owner: o, mode: target, dur: dur, convert: convert, name: name, granted: make(chan error, 1)}
 	if convert {
 		i := 0
 		for i < len(h.queue) && h.queue[i].convert {
@@ -851,16 +855,17 @@ func chooseVictim(cycle []*ownerLocks) *ownerLocks {
 // holding it already has), stamping the grant sequence consumed by
 // savepoint tokens (Token/ReleaseSince). Caller holds the mutex of the
 // shard owning name.
-func (m *Manager) grantLocked(h *head, o *ownerLocks, name Name, mode Mode, mine *holding) {
+func (m *Manager) grantLocked(h *head, o *ownerLocks, name Name, mode Mode, dur Duration, mine *holding) {
 	seq := m.seq.Add(1)
 	if mine != nil {
 		if mine.mode != mode {
 			mine.hist = append(mine.hist, modeStep{seq: seq, prev: mine.mode})
 			mine.mode = mode
 		}
+		mine.dur = max(mine.dur, dur)
 		return
 	}
-	g := &holding{owner: o, head: h, name: name, mode: mode, seq: seq}
+	g := &holding{owner: o, head: h, name: name, mode: mode, dur: dur, seq: seq}
 	h.granted = append(h.granted, g)
 	o.add(g)
 }
@@ -901,7 +906,7 @@ func (m *Manager) processQueueLocked(s *shard, name Name, h *head) {
 		if req.convert {
 			mine = req.owner.find(name) // its owner is in await: nothing else reads or writes its table
 		}
-		m.grantLocked(h, req.owner, name, req.mode, mine)
+		m.grantLocked(h, req.owner, name, req.mode, req.dur, mine)
 		req.owner.wait = nil
 		req.granted <- nil
 	}
@@ -1004,6 +1009,43 @@ func (m *Manager) NumLocks() int {
 		r.mu.Unlock()
 	}
 	return n
+}
+
+// DumpWaiters formats every name that has queued requests: its granted
+// group, then its queue in order, each entry with its owner, mode and
+// duration, and each queued request marked as a new request or a
+// conversion. It pauses every shard, as the deadlock detector does; it is
+// for diagnosing a wait that does not end, and changes nothing.
+func (m *Manager) DumpWaiters() string {
+	m.lockAll()
+	defer m.unlockAll()
+	var heads []string
+	for i := range m.shards {
+		for name, h := range m.shards[i].table {
+			if len(h.queue) == 0 {
+				continue
+			}
+			var b strings.Builder
+			fmt.Fprintf(&b, "%v\n  granted:", name)
+			for _, g := range h.granted {
+				fmt.Fprintf(&b, " [owner %d %v %v]", g.owner.id, g.mode, g.dur)
+			}
+			b.WriteString("\n  queued:")
+			for _, r := range h.queue {
+				kind := "new"
+				if r.convert {
+					kind = "conversion"
+				}
+				fmt.Fprintf(&b, " [owner %d %v %v %s]", r.owner.id, r.mode, r.dur, kind)
+			}
+			heads = append(heads, b.String()+"\n")
+		}
+	}
+	if len(heads) == 0 {
+		return "no lock has waiters\n"
+	}
+	slices.Sort(heads)
+	return strings.Join(heads, "")
 }
 
 // findCycleAllLocked returns the owners of one waits-for cycle through

@@ -96,3 +96,43 @@ func TestTimeoutCountsFromEnqueue(t *testing.T) {
 	m.ReleaseAll(2)
 	m.ReleaseAll(3)
 }
+
+// TestDumpWaitersFormatsQueuedHeads: the dump lists each name with a queue —
+// its granted group, then its queue in order, with owner, mode, duration and
+// whether a queued request is new or a conversion — and no other name.
+func TestDumpWaitersFormatsQueuedHeads(t *testing.T) {
+	m := NewManager(nil)
+	n := rec(1, 1)
+	mustGrant(t, m, 1, n, S, Commit)
+	mustGrant(t, m, 2, n, S, Manual)
+	mustGrant(t, m, 4, rec(9, 9), X, Commit) // held, nobody waits for it
+	if got := m.DumpWaiters(); got != "no lock has waiters\n" {
+		t.Fatalf("dump with no waiter:\n%s", got)
+	}
+	converted, granted := make(chan error, 1), make(chan error, 1)
+	go func() { converted <- m.Request(1, n, X, Commit, false) }()
+	awaitQueued(t, m, n, 1)
+	go func() { granted <- m.Request(3, n, S, Instant, false) }()
+	awaitQueued(t, m, n, 2)
+	want := "record(1,1)\n" +
+		"  granted: [owner 1 S commit] [owner 2 S manual]\n" +
+		"  queued: [owner 1 X commit conversion] [owner 3 S instant new]\n"
+	if got := m.DumpWaiters(); got != want {
+		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
+	}
+	m.ReleaseAll(2)
+	if err := <-converted; err != nil {
+		t.Fatal(err)
+	}
+	want = "record(1,1)\n  granted: [owner 1 X commit]\n  queued: [owner 3 S instant new]\n"
+	if got := m.DumpWaiters(); got != want {
+		t.Fatalf("dump after the conversion:\n%s\nwant:\n%s", got, want)
+	}
+	m.ReleaseAll(1)
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+	if got := m.DumpWaiters(); got != "no lock has waiters\n" {
+		t.Fatalf("dump after every grant:\n%s", got)
+	}
+}
