@@ -15,6 +15,11 @@
 //   - exclusive mutex acquisitions reachable from the log append path in
 //     package wal (the append path is a lock-free reservation pipeline:
 //     appenders share crashMu's read side and must never serialize)
+//   - a storage.Page mutator called on a buffer frame's page (x.Page.M(...))
+//     in packages core, data and space: a logged page action changes its
+//     page only through its resource manager's ApplyRedo, which
+//     txn.Tx.ApplyUpdate / ApplyCLR run on the record they log (redo arms
+//     change their *storage.Page parameter, which is not a frame's page)
 //
 // Usage mirrors the go tool: `ariesim-lint ./...` walks the tree rooted at
 // the current directory; bare directory arguments lint just that package
@@ -86,6 +91,7 @@ func main() {
 	for _, c := range []pathCheck{readOnlyPath, appendPath} {
 		findings += c.lint(parsed)
 	}
+	findings += lintFramePageMutations(parsed)
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "ariesim-lint: %d finding(s)\n", findings)
 		os.Exit(1)
@@ -284,6 +290,46 @@ func (c pathCheck) lint(parsed []parsedFile) int {
 				return true
 			})
 		}
+	}
+	return n
+}
+
+// pageMutators are the storage.Page methods that change a page.
+var pageMutators = []string{
+	"Format", "SetFlags", "SetSMBit", "SetDeleteBit", "SetPrev", "SetNext", "SetRightmost",
+	"InsertCellAt", "DeleteCellAt", "AddCell", "AddCellAt", "RemoveCell", "ReplaceCell", "SetLSN",
+}
+
+// redoOnlyPackages are the resource managers whose logged page actions
+// must run through their ApplyRedo.
+var redoOnlyPackages = map[string]bool{"core": true, "data": true, "space": true}
+
+// lintFramePageMutations reports every page mutator called on a frame's
+// page (x.Page.M(...)) in the non-test files of redoOnlyPackages among
+// parsed. Such a call changes a page by hand beside the record that says
+// how the page changes, so the two can disagree until a restart replays
+// the record.
+func lintFramePageMutations(parsed []parsedFile) int {
+	n := 0
+	for _, pf := range parsed {
+		if !redoOnlyPackages[pf.file.Name.Name] {
+			continue
+		}
+		ast.Inspect(pf.file, func(node ast.Node) bool {
+			call, ok := node.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !slices.Contains(pageMutators, sel.Sel.Name) {
+				return true
+			}
+			if recv, ok := sel.X.(*ast.SelectorExpr); ok && recv.Sel.Name == "Page" {
+				report(pf.fset.Position(call.Pos()), "Page.%s on a buffer frame's page; apply a logged page action with tx.ApplyUpdate / ApplyCLR and the resource manager's ApplyRedo", sel.Sel.Name)
+				n++
+			}
+			return true
+		})
 	}
 	return n
 }

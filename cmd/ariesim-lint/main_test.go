@@ -345,3 +345,46 @@ func Stop() {}
 		t.Fatalf("%d finding(s) with the check's package not linted; want 0", n)
 	}
 }
+
+// TestFramePageMutationFlagged: a resource manager that logs a record and
+// then changes the frame's page by hand is flagged, in each of the three
+// packages; the same mutators on a redo arm's *storage.Page parameter, on a
+// shadow page, or in another package pass.
+func TestFramePageMutationFlagged(t *testing.T) {
+	for _, pkg := range []string{"core", "data", "space"} {
+		bad := `package ` + pkg + `
+
+func (t *Table) Delete(tx *txn.Tx, f *buffer.Frame, pos int) {
+	lsn := tx.Log(nil)
+	f.Page.DeleteCellAt(pos)
+	f.Page.SetLSN(uint64(lsn))
+}
+`
+		if n := lintFramePageMutations([]parsedFile{parseSrc(t, "bad.go", bad)}); n != 2 {
+			t.Fatalf("package %s: %d finding(s) for two hand mutations of a frame's page; want 2", pkg, n)
+		}
+	}
+	good := `package core
+
+func ApplyRedo(p *storage.Page, rec *wal.Record) error {
+	p.SetFlags(0)
+	return p.InsertCellAt(0, rec.Payload)
+}
+
+func (ix *Index) replaceRoot(tx *txn.Tx, f *buffer.Frame) {
+	shadow := storage.NewPage(len(f.Page.Bytes()))
+	shadow.Format(ix.root, storage.PageTypeIndex, 0)
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxReplacePage, shadow.Bytes(), false)
+}
+`
+	if n := lintFramePageMutations([]parsedFile{parseSrc(t, "good.go", good)}); n != 0 {
+		t.Fatalf("redo arm and shadow page flagged %d finding(s); want 0", n)
+	}
+	other := `package recovery
+
+func replay(f *buffer.Frame, lsn uint64) { f.Page.SetLSN(lsn) }
+`
+	if n := lintFramePageMutations([]parsedFile{parseSrc(t, "other.go", other)}); n != 0 {
+		t.Fatalf("package recovery flagged %d finding(s); want 0", n)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ariesim/internal/latch"
 	"ariesim/internal/lock"
 	"ariesim/internal/storage"
 	"ariesim/internal/txn"
@@ -385,4 +386,83 @@ func ExampleIndex_Fetch() {
 	_ = e
 	fmt.Println("see examples/quickstart for a runnable walkthrough")
 	// Output: see examples/quickstart for a runnable walkthrough
+}
+
+// TestDeleteLockWaitReleasesTreeLatch pins §2.2's rule for the one latch
+// Delete holds across a retry: a boundary-key delete that holds the tree
+// latch in S (its point of structural consistency) and must wait for a lock
+// drops the tree latch before it waits. Kept, it closes a cycle the
+// deadlock detector cannot see: the lock holder's SMO waits for the tree
+// latch in X, and the delete waits for the lock holder to end.
+//
+//  1. The test holds the tree latch in X, so B's boundary delete, denied
+//     the conditional S, gives up its page latches and waits for the tree.
+//  2. C fetches the key: S for commit duration on its value.
+//  3. The test lets the tree latch go; B's retry asks for its instant X on
+//     the value and waits for C.
+//  4. C splits the leaf, which takes the tree latch in X.
+func TestDeleteLockWaitReleasesTreeLatch(t *testing.T) {
+	e := newEnv(t, 512, 64)
+	ix := e.createIndex(Config{ID: 1, Protocol: IndexSpecific})
+	setup := e.tm.Begin()
+	for i := 0; i < 15; i++ {
+		e.mustInsert(setup, ix, key(i))
+	}
+	e.commit(setup)
+	leaf, _, err := ix.LeafOf(key(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	await := func(what string, moved func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !moved(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	watchdog := func(what string, done <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			dump := e.locks.DumpWaiters()
+			e.locks.Shutdown() // wake the lock waiter, which frees the tree latch
+			t.Fatalf("%s still blocked after 10s: a lock wait holds the tree latch; lock heads with waiters:\n%s", what, dump)
+			return nil
+		}
+	}
+
+	ix.treeLatch.Acquire(latch.X)
+	tries := e.stats.LatchTryFailures.Load()
+	txB := e.tm.Begin()
+	deleted := make(chan error, 1)
+	go func() { deleted <- ix.Delete(txB, key(0)) }()
+	await("B's conditional tree latch to be denied", func() bool { return e.stats.LatchTryFailures.Load() > tries })
+
+	txC := e.tm.Begin()
+	if res, _, err := ix.Fetch(txC, key(0).Val, EQ); err != nil || !res.Found {
+		t.Fatalf("C's fetch: %+v, %v", res, err)
+	}
+	waits := e.stats.LockWaits.Load()
+	ix.treeLatch.Release(latch.X)
+	await("B to wait for C's lock", func() bool { return e.stats.LockWaits.Load() > waits })
+
+	split := make(chan error, 1)
+	go func() { split <- ix.SplitForInsert(txC, leaf, 512) }()
+	if err := watchdog("C's split", split); err != nil {
+		t.Fatalf("C's split: %v", err)
+	}
+	e.commit(txC)
+	if err := watchdog("B's delete", deleted); err != nil {
+		t.Fatalf("B's delete: %v", err)
+	}
+	e.commit(txB)
+	check := e.tm.Begin()
+	if res, _, err := ix.Fetch(check, key(0).Val, EQ); err != nil || res.Found {
+		t.Fatalf("key(0) after the delete: %+v, %v", res, err)
+	}
+	e.commit(check)
+	e.checkTree(ix)
 }

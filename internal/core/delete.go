@@ -64,9 +64,14 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 			ix.treeWaitInstantS()
 			continue
 		}
+		// A lock wait drops the tree latch with the page latches: a lock
+		// holder may need the tree in X for an SMO before it can end, and
+		// the deadlock detector cannot see a wait on a latch (§2.2). The
+		// retry takes the latch again.
 		unlatch := func() {
 			ix.releaseTarget(target)
 			ix.unfixLatched(leaf, latch.X)
+			releaseTree()
 		}
 		locks, err := ix.deleteLocks(leaf, pos, key, target)
 		if err != nil {
@@ -123,16 +128,7 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 		}
 		pl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: pre, PostFlags: post,
 			Cell: storage.EncodeLeafCell(key)}
-		if _, err := ix.applyLogged(tx, leaf, wal.OpIdxDeleteKey, pl.encode(), false, func() error {
-			if _, derr := leaf.Page.DeleteCellAt(pos); derr != nil {
-				return derr
-			}
-			leaf.Page.SetFlags(post)
-			return nil
-		}); err != nil {
-			ix.unfixLatched(leaf, latch.X)
-			return err
-		}
+		tx.ApplyUpdate(ix.pool, leaf, ApplyRedo, wal.OpIdxDeleteKey, pl.encode(), false)
 		ix.unfixLatched(leaf, latch.X)
 		releaseTree()
 		return nil

@@ -74,11 +74,7 @@ func (m *Manager) CreateIndex(tx *txn.Tx, cfg Config) (*Index, error) {
 		return nil, err
 	}
 	f.Latch.Acquire(latch.X)
-	pl := formatPayload{Index: cfg.ID, Level: 0}
-	lsn := tx.LogUpdate(root, wal.OpIdxFormat, pl.encode(), false)
-	f.Page.Format(root, storage.PageTypeIndex, 0)
-	f.Page.SetLSN(uint64(lsn))
-	m.pool.MarkDirty(f, lsn)
+	tx.ApplyUpdate(m.pool, f, ApplyRedo, wal.OpIdxFormat, formatPayload{Index: cfg.ID}.encode(), false)
 	f.Latch.Release(latch.X)
 	m.pool.Unfix(f)
 	return m.register(cfg, root), nil
@@ -270,31 +266,6 @@ func pageCells(p *storage.Page) [][]byte {
 	return out
 }
 
-// applyLogged performs the standard logged-update dance on a latched
-// frame: append the record, mutate, stamp the page LSN, mark dirty.
-func (ix *Index) applyLogged(tx *txn.Tx, f *buffer.Frame, op wal.OpCode, payload []byte, redoOnly bool, mutate func() error) (wal.LSN, error) {
-	lsn := tx.LogUpdate(f.ID(), op, payload, redoOnly)
-	if err := mutate(); err != nil {
-		// A mutation that fails after logging would desynchronize page and
-		// log; treat as invariant violation.
-		panic(fmt.Sprintf("core: logged mutation failed on page %d op %s: %v", f.ID(), op, err))
-	}
-	f.Page.SetLSN(uint64(lsn))
-	ix.pool.MarkDirty(f, lsn)
-	return lsn, nil
-}
-
-// applyCLR is applyLogged for compensation records during undo.
-func (ix *Index) applyCLR(tx *txn.Tx, f *buffer.Frame, op wal.OpCode, payload []byte, undoNxt wal.LSN, mutate func() error) wal.LSN {
-	lsn := tx.LogCLR(f.ID(), op, payload, undoNxt)
-	if err := mutate(); err != nil {
-		panic(fmt.Sprintf("core: CLR mutation failed on page %d op %s: %v", f.ID(), op, err))
-	}
-	f.Page.SetLSN(uint64(lsn))
-	ix.pool.MarkDirty(f, lsn)
-	return lsn
-}
-
 // fixLatched fixes and latches a page in one step.
 func (ix *Index) fixLatched(id storage.PageID, m latch.Mode) (*buffer.Frame, error) {
 	f, err := ix.pool.Fix(id)
@@ -322,8 +293,5 @@ func (ix *Index) resetBits(tx *txn.Tx, f *buffer.Frame, clearDelete bool) {
 		return
 	}
 	pl := setBitsPayload{Index: ix.cfg.ID, Flags: flags}
-	_, _ = ix.applyLogged(tx, f, wal.OpIdxSetBits, pl.encode(), true, func() error {
-		f.Page.SetFlags(flags)
-		return nil
-	})
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxSetBits, pl.encode(), true)
 }

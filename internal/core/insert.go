@@ -157,12 +157,7 @@ func (ix *Index) Insert(tx *txn.Tx, key storage.Key) error {
 
 		pre := leaf.Page.Flags()
 		pl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: pre, PostFlags: pre, Cell: cell}
-		if _, err := ix.applyLogged(tx, leaf, wal.OpIdxInsertKey, pl.encode(), false, func() error {
-			return leaf.Page.InsertCellAt(pos, cell)
-		}); err != nil {
-			ix.unfixLatched(leaf, latch.X)
-			return err
-		}
+		tx.ApplyUpdate(ix.pool, leaf, ApplyRedo, wal.OpIdxInsertKey, pl.encode(), false)
 		ix.unfixLatched(leaf, latch.X)
 		return nil
 	}

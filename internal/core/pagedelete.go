@@ -53,17 +53,7 @@ func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key stora
 		pre := f.Page.Flags()
 		pl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: pre,
 			PostFlags: pre &^ storage.FlagDeleteBit, Cell: storage.EncodeLeafCell(key)}
-		mutate := func() error {
-			_, derr := f.Page.DeleteCellAt(pos)
-			f.Page.SetFlags(pl.PostFlags)
-			return derr
-		}
-		if asCLR != nil {
-			ix.applyCLR(tx, f, wal.OpIdxDeleteKey, pl.encode(), asCLR.PrevLSN, mutate)
-		} else if _, err := ix.applyLogged(tx, f, wal.OpIdxDeleteKey, pl.encode(), false, mutate); err != nil {
-			ix.unfixLatched(f, latch.X)
-			return false, err
-		}
+		ix.deleteKey(tx, f, pl, asCLR)
 		ix.unfixLatched(f, latch.X)
 		return true, nil
 	}
@@ -78,17 +68,7 @@ func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key stora
 	pre := f.Page.Flags()
 	pl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: pre,
 		PostFlags: (pre | storage.FlagSMBit) &^ storage.FlagDeleteBit, Cell: storage.EncodeLeafCell(key)}
-	mutate := func() error {
-		_, derr := f.Page.DeleteCellAt(pos)
-		f.Page.SetFlags(pl.PostFlags)
-		return derr
-	}
-	if asCLR != nil {
-		ix.applyCLR(tx, f, wal.OpIdxDeleteKey, pl.encode(), asCLR.PrevLSN, mutate)
-	} else if _, err := ix.applyLogged(tx, f, wal.OpIdxDeleteKey, pl.encode(), false, mutate); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return false, err
-	}
+	ix.deleteKey(tx, f, pl, asCLR)
 	smoSave := tx.Savepoint() // only the SMO rolls back on failure
 	prev, next := f.Page.Prev(), f.Page.Next()
 	level, flags := f.Page.Level(), f.Page.Flags()
@@ -120,19 +100,24 @@ func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key stora
 		}
 		cpl := keyOpPayload{Index: ix.cfg.ID, Pos: 0, PreFlags: rf.Page.Flags(),
 			PostFlags: pre, Cell: pl.Cell}
-		ix.applyCLR(tx, rf, wal.OpIdxInsertKey, cpl.encode(), keyDelPrev, func() error {
-			if ierr := rf.Page.InsertCellAt(0, pl.Cell); ierr != nil {
-				return ierr
-			}
-			rf.Page.SetFlags(pre)
-			return nil
-		})
+		tx.ApplyCLR(ix.pool, rf, ApplyRedo, wal.OpIdxInsertKey, cpl.encode(), keyDelPrev)
 		ix.unfixLatched(rf, latch.X)
 		return false, err
 	}
 	tx.EndNTA(tok)
 	ix.resetSMBits(tx, ctx)
 	return true, nil
+}
+
+// deleteKey logs and applies the key delete pl on the X-latched f: as a
+// CLR compensating asCLR during logical undo, as a forward update
+// otherwise.
+func (ix *Index) deleteKey(tx *txn.Tx, f *buffer.Frame, pl keyOpPayload, asCLR *wal.Record) {
+	if asCLR != nil {
+		tx.ApplyCLR(ix.pool, f, ApplyRedo, wal.OpIdxDeleteKey, pl.encode(), asCLR.PrevLSN)
+		return
+	}
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxDeleteKey, pl.encode(), false)
 }
 
 // pageShell carries the header of a page being deleted.
@@ -176,13 +161,7 @@ func (ix *Index) deletePageLocked(tx *txn.Tx, ctx *smoCtx, shell pageShell, prob
 	}
 	fp := freePagePayload{Index: ix.cfg.ID, Level: shell.level, Flags: shell.flags,
 		Prev: shell.prev, Next: shell.next, Rightmost: shell.rightmost}
-	if _, err := ix.applyLogged(tx, f, wal.OpIdxFreePage, fp.encode(), false, func() error {
-		f.Page.Format(shell.id, storage.PageTypeFree, 0)
-		return nil
-	}); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
-	}
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxFreePage, fp.encode(), false)
 	ix.unfixLatched(f, latch.X)
 	return space.Free(tx, ix.pool, shell.id)
 }
@@ -235,19 +214,7 @@ func (ix *Index) removeChild(tx *txn.Tx, ctx *smoCtx, shell pageShell, probe sto
 		pl.Pos = uint16(pos)
 		pl.Removed = append([]byte(nil), parent.Page.MustCell(pos)...)
 	}
-	if _, err := ix.applyLogged(tx, parent, wal.OpIdxDeleteChild, pl.encode(), false, func() error {
-		if len(pl.Removed) > 0 {
-			if _, derr := parent.Page.DeleteCellAt(int(pl.Pos)); derr != nil {
-				return derr
-			}
-		}
-		parent.Page.SetRightmost(pl.NewRightmost)
-		parent.Page.SetFlags(pl.PostFlags)
-		return nil
-	}); err != nil {
-		ix.unfixLatched(parent, latch.X)
-		return err
-	}
+	tx.ApplyUpdate(ix.pool, parent, ApplyRedo, wal.OpIdxDeleteChild, pl.encode(), false)
 
 	childless := parent.Page.NSlots() == 0 && parent.Page.Rightmost() == storage.InvalidPageID
 	single := parent.Page.NSlots() == 0 && parent.Page.Rightmost() != storage.InvalidPageID
@@ -288,12 +255,9 @@ func (ix *Index) replaceRoot(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame, build fun
 		return err
 	}
 	pl := replacePayload{Index: ix.cfg.ID, After: shadow.Bytes(), Before: before}
-	_, err := ix.applyLogged(tx, f, wal.OpIdxReplacePage, pl.encode(), false, func() error {
-		copy(f.Page.Bytes(), shadow.Bytes())
-		return nil
-	})
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxReplacePage, pl.encode(), false)
 	ix.unfixLatched(f, latch.X)
-	return err
+	return nil
 }
 
 // collapseRoot replaces a zero-separator root with the content of its
@@ -334,13 +298,7 @@ func (ix *Index) collapseRoot(tx *txn.Tx, ctx *smoCtx, rootF *buffer.Frame) erro
 	}
 	fp := freePagePayload{Index: ix.cfg.ID, Level: childShell.level, Flags: childShell.flags,
 		Prev: childShell.prev, Next: childShell.next, Rightmost: childShell.rightmost}
-	if _, err := ix.applyLogged(tx, cf, wal.OpIdxFreePage, fp.encode(), false, func() error {
-		cf.Page.Format(childID, storage.PageTypeFree, 0)
-		return nil
-	}); err != nil {
-		ix.unfixLatched(cf, latch.X)
-		return err
-	}
+	tx.ApplyUpdate(ix.pool, cf, ApplyRedo, wal.OpIdxFreePage, fp.encode(), false)
 	ix.unfixLatched(cf, latch.X)
 	return space.Free(tx, ix.pool, childID)
 }

@@ -101,7 +101,6 @@ func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 	}
 	p := f.Page
 	isLeaf := p.IsLeaf()
-	n := p.NSlots()
 	m := splitPoint(p)
 
 	cells := pageCells(p)
@@ -154,21 +153,7 @@ func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 	if isLeaf {
 		fp.Prev, fp.Next = f.ID(), oldNext
 	}
-	if _, err := ix.applyLogged(tx, nf, wal.OpIdxFormat, fp.encode(), false, func() error {
-		nf.Page.Format(newPid, storage.PageTypeIndex, fp.Level)
-		nf.Page.SetFlags(fp.Flags)
-		nf.Page.SetPrev(fp.Prev)
-		nf.Page.SetNext(fp.Next)
-		nf.Page.SetRightmost(fp.Rightmost)
-		for i, c := range fp.Cells {
-			if err := nf.Page.InsertCellAt(i, c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
+	tx.ApplyUpdate(ix.pool, nf, ApplyRedo, wal.OpIdxFormat, fp.encode(), false)
 	ix.unfixLatched(nf, latch.X)
 
 	// Strip the moved cells off the left page (splits go right, §2.1).
@@ -180,25 +165,9 @@ func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 		OldRightmost: oldRightmost, NewRightmost: leftNewRightmost,
 		Moved: cells[m:],
 	}
-	if _, err := ix.applyLogged(tx, f, wal.OpIdxSplitLeft, sl.encode(), false, func() error {
-		for p.NSlots() > m {
-			if _, derr := p.DeleteCellAt(p.NSlots() - 1); derr != nil {
-				return derr
-			}
-		}
-		if isLeaf {
-			p.SetNext(newPid)
-		} else {
-			p.SetRightmost(leftNewRightmost)
-		}
-		p.SetFlags(sl.PostFlags)
-		return nil
-	}); err != nil {
-		return err
-	}
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxSplitLeft, sl.encode(), false)
 	leftID := f.ID()
 	level := p.Level()
-	_ = n
 	ix.unfixLatched(f, latch.X)
 
 	// Back-chain the old right neighbor (leaves only).
@@ -238,16 +207,8 @@ func (ix *Index) chainFix(tx *txn.Tx, ctx *smoCtx, pid storage.PageID, nextField
 		Index: ix.cfg.ID, NextField: nextField, Old: old, New: new,
 		PreFlags: pre, PostFlags: pre | storage.FlagSMBit,
 	}
-	_, err = ix.applyLogged(tx, f, wal.OpIdxChainFix, pl.encode(), false, func() error {
-		if nextField {
-			f.Page.SetNext(new)
-		} else {
-			f.Page.SetPrev(new)
-		}
-		f.Page.SetFlags(pl.PostFlags)
-		return nil
-	})
-	return err
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxChainFix, pl.encode(), false)
+	return nil
 }
 
 // postSeparator installs (sep→left, right) into left's parent at
@@ -287,21 +248,7 @@ func (ix *Index) postSeparator(tx *txn.Tx, ctx *smoCtx, sep storage.Key, left, r
 			PreFlags: pre, PostFlags: pre | storage.FlagSMBit,
 			Right: right, SepCell: sepCell,
 		}
-		if _, err := ix.applyLogged(tx, parent, wal.OpIdxSplitParent, pl.encode(), false, func() error {
-			if err := parent.Page.InsertCellAt(pos, sepCell); err != nil {
-				return err
-			}
-			if atRightmost {
-				parent.Page.SetRightmost(right)
-			} else {
-				patchNodeChild(parent.Page, pos+1, right)
-			}
-			parent.Page.SetFlags(pl.PostFlags)
-			return nil
-		}); err != nil {
-			ix.unfixLatched(parent, latch.X)
-			return err
-		}
+		tx.ApplyUpdate(ix.pool, parent, ApplyRedo, wal.OpIdxSplitParent, pl.encode(), false)
 		ix.unfixLatched(parent, latch.X)
 		return nil
 	}
@@ -426,20 +373,8 @@ func (ix *Index) rootSplitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error
 			Index: ix.cfg.ID, Level: p.Level(), Flags: storage.FlagSMBit,
 			Prev: prev, Next: next, Rightmost: rightmost, Cells: cells,
 		}
-		_, err = ix.applyLogged(tx, nf, wal.OpIdxFormat, fp.encode(), false, func() error {
-			nf.Page.Format(pid, storage.PageTypeIndex, fp.Level)
-			nf.Page.SetFlags(fp.Flags)
-			nf.Page.SetPrev(fp.Prev)
-			nf.Page.SetNext(fp.Next)
-			nf.Page.SetRightmost(fp.Rightmost)
-			for i, c := range fp.Cells {
-				if err := nf.Page.InsertCellAt(i, c); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		return err
+		tx.ApplyUpdate(ix.pool, nf, ApplyRedo, wal.OpIdxFormat, fp.encode(), false)
+		return nil
 	}
 	var lp, ln, rp, rn storage.PageID
 	if isLeaf {
@@ -464,13 +399,7 @@ func (ix *Index) rootSplitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error
 		return err
 	}
 	pl := replacePayload{Index: ix.cfg.ID, After: shadow.Bytes(), Before: before}
-	if _, err := ix.applyLogged(tx, f, wal.OpIdxReplacePage, pl.encode(), false, func() error {
-		copy(p.Bytes(), shadow.Bytes())
-		return nil
-	}); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
-	}
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxReplacePage, pl.encode(), false)
 	ix.unfixLatched(f, latch.X)
 	return nil
 }

@@ -74,8 +74,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 }
 
 // undoSMORecord performs a page-oriented compensation: it logs a CLR whose
-// op is the inverse page action and applies it through the shared redo
-// path.
+// op is the inverse page action and applies it.
 func (ix *Index) undoSMORecord(tx *txn.Tx, rec *wal.Record, invOp wal.OpCode, invPayload []byte) error {
 	f, err := ix.pool.Fix(rec.Page)
 	if err != nil {
@@ -87,9 +86,7 @@ func (ix *Index) undoSMORecord(tx *txn.Tx, rec *wal.Record, invOp wal.OpCode, in
 	if ix.stats != nil {
 		ix.stats.UndoPageOriented.Add(1)
 	}
-	ix.applyCLR(tx, f, invOp, invPayload, rec.PrevLSN, func() error {
-		return ApplyRedo(f.Page, &wal.Record{Op: invOp, Page: rec.Page, Payload: invPayload})
-	})
+	tx.ApplyCLR(ix.pool, f, ApplyRedo, invOp, invPayload, rec.PrevLSN)
 	return nil
 }
 
@@ -126,10 +123,7 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 			flags := f.Page.Flags()
 			cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos),
 				PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
-			ix.applyCLR(tx, f, wal.OpIdxDeleteKey, cpl.encode(), rec.PrevLSN, func() error {
-				_, derr := f.Page.DeleteCellAt(pos)
-				return derr
-			})
+			tx.ApplyCLR(ix.pool, f, ApplyRedo, wal.OpIdxDeleteKey, cpl.encode(), rec.PrevLSN)
 			ix.unfixLatched(f, latch.X)
 			return nil
 		}
@@ -176,10 +170,7 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 		}
 		flags := leaf.Page.Flags()
 		cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
-		ix.applyCLR(tx, leaf, wal.OpIdxDeleteKey, cpl.encode(), rec.PrevLSN, func() error {
-			_, derr := leaf.Page.DeleteCellAt(pos)
-			return derr
-		})
+		tx.ApplyCLR(ix.pool, leaf, ApplyRedo, wal.OpIdxDeleteKey, cpl.encode(), rec.PrevLSN)
 		ix.unfixLatched(leaf, latch.X)
 		return nil
 	}
@@ -220,9 +211,7 @@ func (ix *Index) undoDelete(tx *txn.Tx, rec *wal.Record) error {
 			}
 			flags := f.Page.Flags()
 			cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
-			ix.applyCLR(tx, f, wal.OpIdxInsertKey, cpl.encode(), rec.PrevLSN, func() error {
-				return f.Page.InsertCellAt(pos, pl.Cell)
-			})
+			tx.ApplyCLR(ix.pool, f, ApplyRedo, wal.OpIdxInsertKey, cpl.encode(), rec.PrevLSN)
 			ix.unfixLatched(f, latch.X)
 			return nil
 		}
@@ -265,9 +254,7 @@ func (ix *Index) undoDelete(tx *txn.Tx, rec *wal.Record) error {
 		}
 		flags := leaf.Page.Flags()
 		cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
-		ix.applyCLR(tx, leaf, wal.OpIdxInsertKey, cpl.encode(), rec.PrevLSN, func() error {
-			return leaf.Page.InsertCellAt(pos, pl.Cell)
-		})
+		tx.ApplyCLR(ix.pool, leaf, ApplyRedo, wal.OpIdxInsertKey, cpl.encode(), rec.PrevLSN)
 		ix.unfixLatched(leaf, latch.X)
 		return nil
 	}

@@ -102,10 +102,7 @@ func (m *Manager) CreateTable(tx *txn.Tx, id uint64) (*Table, error) {
 	defer m.pool.Unfix(f)
 	f.Latch.Acquire(latch.X)
 	defer f.Latch.Release(latch.X)
-	lsn := tx.LogUpdate(pid, wal.OpDataFormat, formatPayload{}.encode(), false)
-	f.Page.Format(pid, storage.PageTypeData, 0)
-	f.Page.SetLSN(uint64(lsn))
-	m.pool.MarkDirty(f, lsn)
+	tx.ApplyUpdate(m.pool, f, ApplyRedo, wal.OpDataFormat, formatPayload{}.encode(), false)
 	t := m.OpenTable(id, pid)
 	// A one-page chain needs no walk: the page is the tail and is empty.
 	m.setRoute(pid, t)
@@ -171,7 +168,7 @@ func (t *Table) buildInventory() error {
 // this insert — its deleter is still running, most often this transaction
 // itself, and younger ghosts are no likelier to be free.
 func (t *Table) Insert(tx *txn.Tx, rec []byte) (storage.RID, error) {
-	if 1+len(rec) > storage.PageCapacity(t.m.pool.PageSize()) {
+	if cellSize(rec) > storage.PageCapacity(t.m.pool.PageSize()) {
 		return storage.RID{}, fmt.Errorf("data: record of %d bytes exceeds page capacity", len(rec))
 	}
 	if !t.built.Load() {
@@ -179,14 +176,13 @@ func (t *Table) Insert(tx *txn.Tx, rec []byte) (storage.RID, error) {
 			return storage.RID{}, err
 		}
 	}
-	cell := wrapRecord(rec)
 	ghosts := true
 	for probe := 0; probe < maxProbes; probe++ {
-		pid, ok := t.inv.take(len(cell)+2, ghosts)
+		pid, ok := t.inv.take(cellSize(rec)+2, ghosts)
 		if !ok {
 			break
 		}
-		rid, _, ghostLeft, err := t.tryInsertOn(tx, pid, rec, cell)
+		rid, _, ghostLeft, err := t.tryInsertOn(tx, pid, rec)
 		if err != nil || rid != (storage.RID{}) {
 			return rid, err
 		}
@@ -203,7 +199,7 @@ func (t *Table) Insert(tx *txn.Tx, rec []byte) (storage.RID, error) {
 		if attempt > 1_000_000 {
 			return storage.RID{}, errors.New("data: insert livelock")
 		}
-		rid, next, _, err := t.tryInsertOn(tx, pid, rec, cell)
+		rid, next, _, err := t.tryInsertOn(tx, pid, rec)
 		if err != nil || rid != (storage.RID{}) {
 			return rid, err
 		}
@@ -222,17 +218,17 @@ func (t *Table) Insert(tx *txn.Tx, rec []byte) (storage.RID, error) {
 // zero RID, next is the page's successor in the chain (InvalidPageID at the
 // tail) and ghostLeft says the page still holds a ghost that could not be
 // purged.
-func (t *Table) tryInsertOn(tx *txn.Tx, pid storage.PageID, rec, cell []byte) (_ storage.RID, next storage.PageID, ghostLeft bool, _ error) {
+func (t *Table) tryInsertOn(tx *txn.Tx, pid storage.PageID, rec []byte) (_ storage.RID, next storage.PageID, ghostLeft bool, _ error) {
 	for {
 		f, err := t.m.pool.Fix(pid)
 		if err != nil {
 			return storage.RID{}, 0, false, err
 		}
 		f.Latch.Acquire(latch.X)
-		if !f.Page.HasRoomFor(len(cell)) {
+		if !f.Page.HasRoomFor(cellSize(rec)) {
 			ghostLeft = t.purgeGhosts(tx, f)
 		}
-		if !f.Page.HasRoomFor(len(cell)) {
+		if !f.Page.HasRoomFor(cellSize(rec)) {
 			next = f.Page.Next()
 			t.unlatch(f)
 			return storage.RID{}, next, ghostLeft, nil
@@ -249,13 +245,7 @@ func (t *Table) tryInsertOn(tx *txn.Tx, pid storage.PageID, rec, cell []byte) (_
 		if waited {
 			continue
 		}
-		lsn := tx.LogUpdate(pid, wal.OpDataInsert, insertPayload{Slot: slot, Record: rec}.encode(), false)
-		if err := f.Page.AddCellAt(slot, cell); err != nil {
-			t.unlatch(f)
-			return storage.RID{}, 0, false, fmt.Errorf("data: insert apply on page %d slot %d: %w", pid, slot, err)
-		}
-		f.Page.SetLSN(uint64(lsn))
-		t.m.pool.MarkDirty(f, lsn)
+		tx.ApplyUpdate(t.m.pool, f, ApplyRedo, wal.OpDataInsert, insertPayload{Slot: slot, Record: rec}.encode(), false)
 		t.unlatch(f)
 		return rid, 0, false, nil
 	}
@@ -307,12 +297,7 @@ func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) (left bool) {
 			left = true
 			continue
 		}
-		lsn := tx.LogUpdate(f.ID(), wal.OpDataPurge, slotPayload{Slot: uint16(i)}.encode(), true)
-		if _, err := f.Page.RemoveCell(uint16(i)); err != nil {
-			panic(fmt.Sprintf("data: purge of verified ghost failed: %v", err))
-		}
-		f.Page.SetLSN(uint64(lsn))
-		t.m.pool.MarkDirty(f, lsn)
+		tx.ApplyUpdate(t.m.pool, f, ApplyRedo, wal.OpDataPurge, slotPayload{Slot: uint16(i)}.encode(), true)
 	}
 	return left
 }
@@ -332,11 +317,7 @@ func (t *Table) extend(tx *txn.Tx, tail storage.PageID) (storage.PageID, error) 
 		return 0, err
 	}
 	nf.Latch.Acquire(latch.X)
-	lsn := tx.LogUpdate(pid, wal.OpDataFormat, formatPayload{Prev: tail}.encode(), false)
-	nf.Page.Format(pid, storage.PageTypeData, 0)
-	nf.Page.SetPrev(tail)
-	nf.Page.SetLSN(uint64(lsn))
-	t.m.pool.MarkDirty(nf, lsn)
+	tx.ApplyUpdate(t.m.pool, nf, ApplyRedo, wal.OpDataFormat, formatPayload{Prev: tail}.encode(), false)
 	nf.Latch.Release(latch.X)
 	t.m.pool.Unfix(nf)
 
@@ -355,11 +336,8 @@ func (t *Table) extend(tx *txn.Tx, tail storage.PageID) (storage.PageID, error) 
 		tx.EndNTA(tok)
 		return next, nil
 	}
-	lsn = tx.LogUpdate(tail, wal.OpDataChainFix,
+	tx.ApplyUpdate(t.m.pool, tf, ApplyRedo, wal.OpDataChainFix,
 		chainFixPayload{Next: true, Old: storage.InvalidPageID, New: pid}.encode(), false)
-	tf.Page.SetNext(pid)
-	tf.Page.SetLSN(uint64(lsn))
-	t.m.pool.MarkDirty(tf, lsn)
 	tx.EndNTA(tok)
 	tf.Latch.Release(latch.X)
 	t.m.pool.Unfix(tf)
@@ -390,10 +368,7 @@ func (t *Table) Delete(tx *txn.Tx, rid storage.RID, locked bool) error {
 	if ghost, _ := unwrapCell(cell); ghost {
 		return fmt.Errorf("%w: %s (already deleted)", ErrNotFound, rid)
 	}
-	lsn := tx.LogUpdate(rid.Page, wal.OpDataDelete, slotPayload{Slot: rid.Slot}.encode(), false)
-	cell[0] |= cellGhost
-	f.Page.SetLSN(uint64(lsn))
-	t.m.pool.MarkDirty(f, lsn)
+	tx.ApplyUpdate(t.m.pool, f, ApplyRedo, wal.OpDataDelete, slotPayload{Slot: rid.Slot}.encode(), false)
 	t.m.hook("delete-note", rid.Page)
 	t.inv.note(rid.Page, f.Page.FreeSpace(), true)
 	return nil
@@ -434,13 +409,7 @@ func (t *Table) Update(tx *txn.Tx, rid storage.RID, rec []byte, locked bool) (bo
 	if grow < 0 || (grow > 0 && f.Page.FreeSpace() < grow) {
 		return false, nil
 	}
-	pl := diffUpdate(rid.Slot, old, rec)
-	lsn := tx.LogUpdate(rid.Page, wal.OpDataUpdate, pl.encode(), false)
-	if err := f.Page.ReplaceCell(rid.Slot, wrapRecord(rec)); err != nil {
-		return false, fmt.Errorf("data: update apply on page %d slot %d: %w", rid.Page, rid.Slot, err)
-	}
-	f.Page.SetLSN(uint64(lsn))
-	t.m.pool.MarkDirty(f, lsn)
+	tx.ApplyUpdate(t.m.pool, f, ApplyRedo, wal.OpDataUpdate, diffUpdate(rid.Slot, old, rec).encode(), false)
 	if grow > 0 {
 		t.notePage(f.Page) // the listed room shrank
 	}
@@ -634,12 +603,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		lsn := tx.LogCLR(rec.Page, wal.OpDataPurge, slotPayload{Slot: pl.Slot}.encode(), rec.PrevLSN)
-		if _, err := f.Page.RemoveCell(pl.Slot); err != nil {
-			return fmt.Errorf("data: undo insert: %w", err)
-		}
-		f.Page.SetLSN(uint64(lsn))
-		m.pool.MarkDirty(f, lsn)
+		tx.ApplyCLR(m.pool, f, ApplyRedo, wal.OpDataPurge, slotPayload{Slot: pl.Slot}.encode(), rec.PrevLSN)
 		// The freed slot is room again. A page no handle has walked yet
 		// has no route; the walk will see it as it is.
 		if t := m.tableOf(rec.Page); t != nil {
@@ -648,36 +612,18 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		return nil
 	case wal.OpDataDelete:
 		// The ghost still holds the record, so the CLR names its slot only.
-		if err := flipGhost(f.Page, rec.Payload, false); err != nil {
-			return fmt.Errorf("data: undo delete: %w", err)
-		}
-		lsn := tx.LogCLR(rec.Page, wal.OpDataInsert, rec.Payload, rec.PrevLSN)
-		f.Page.SetLSN(uint64(lsn))
-		m.pool.MarkDirty(f, lsn)
+		tx.ApplyCLR(m.pool, f, ApplyRedo, wal.OpDataInsert, rec.Payload, rec.PrevLSN)
 		return nil
 	case wal.OpDataUpdate:
 		pl, err := decodeUpdatePayload(rec.Payload)
 		if err != nil {
 			return err
 		}
-		cell, ok := f.Page.Cell(int(pl.Slot))
-		if !ok {
-			return fmt.Errorf("data: undo update: slot %d gone from page %d", pl.Slot, rec.Page)
-		}
+		// Never larger than the record it restores (Update only grows
+		// records), so this cannot fail for want of space.
 		inv := updatePayload{Slot: pl.Slot, Prefix: pl.Prefix, Suffix: pl.Suffix, After: pl.Before}
-		prev, err := inv.apply(cell)
-		if err != nil {
-			return fmt.Errorf("data: undo update: %w", err)
-		}
-		lsn := tx.LogCLR(rec.Page, wal.OpDataUpdate, inv.encode(), rec.PrevLSN)
-		// Never larger than the cell it replaces (Update only grows records),
-		// so this cannot fail for want of space.
-		if err := f.Page.ReplaceCell(pl.Slot, prev); err != nil {
-			return fmt.Errorf("data: undo update: %w", err)
-		}
-		f.Page.SetLSN(uint64(lsn))
-		m.pool.MarkDirty(f, lsn)
-		if len(prev) != len(cell) {
+		tx.ApplyCLR(m.pool, f, ApplyRedo, wal.OpDataUpdate, inv.encode(), rec.PrevLSN)
+		if len(pl.Before) != len(pl.After) {
 			if t := m.tableOf(rec.Page); t != nil {
 				t.notePage(f.Page) // the grow's room is back
 			}
@@ -686,10 +632,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 	case wal.OpDataFormat:
 		// Undoing a table-extension format: the page reverts to a free
 		// shell; the FSM undo (a separate record) releases its bit.
-		lsn := tx.LogCLR(rec.Page, wal.OpDataFree, nil, rec.PrevLSN)
-		f.Page.Format(rec.Page, storage.PageTypeFree, 0)
-		f.Page.SetLSN(uint64(lsn))
-		m.pool.MarkDirty(f, lsn)
+		tx.ApplyCLR(m.pool, f, ApplyRedo, wal.OpDataFree, nil, rec.PrevLSN)
 		return nil
 	case wal.OpDataChainFix:
 		pl, err := decodeChainFixPayload(rec.Payload)
@@ -697,14 +640,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 			return err
 		}
 		inv := chainFixPayload{Next: pl.Next, Old: pl.New, New: pl.Old}
-		lsn := tx.LogCLR(rec.Page, wal.OpDataChainFix, inv.encode(), rec.PrevLSN)
-		if pl.Next {
-			f.Page.SetNext(pl.Old)
-		} else {
-			f.Page.SetPrev(pl.Old)
-		}
-		f.Page.SetLSN(uint64(lsn))
-		m.pool.MarkDirty(f, lsn)
+		tx.ApplyCLR(m.pool, f, ApplyRedo, wal.OpDataChainFix, inv.encode(), rec.PrevLSN)
 		return nil
 	default:
 		return fmt.Errorf("data: cannot undo op %s", rec.Op)

@@ -34,6 +34,9 @@ func wrapRecord(rec []byte) []byte {
 	return out
 }
 
+// cellSize is the size of rec's cell: flags byte + record bytes.
+func cellSize(rec []byte) int { return 1 + len(rec) }
+
 // unwrapCell splits a cell payload into (ghost, record).
 func unwrapCell(cell []byte) (bool, []byte) {
 	if len(cell) == 0 {

@@ -159,8 +159,8 @@ type DB struct {
 	// vs is this epoch's MVCC version store (see internal/mvcc and
 	// snapshot.go). buildVolatile replaces it wholesale, so restart and
 	// standby promotion invalidate every chain for free; the transaction
-	// manager's version hook points at the same store, keeping a zombie
-	// transaction's pushes on its own orphaned epoch.
+	// manager points at the same store, keeping a zombie transaction's
+	// pushes on its own orphaned epoch.
 	vs     *mvcc.Store
 	cat    catalog
 	tables map[string]*Table
@@ -250,7 +250,7 @@ func (d *DB) buildVolatile() {
 	// Pre-epoch commits live in pages with no chains; start the snapshot
 	// watermark past them so a fresh snapshot orders after every one.
 	d.vs.StartAt(log.MaxLSN())
-	d.tm.SetVersionHook(d.vs)
+	d.tm.SetVersionStore(d.vs)
 	d.tm.SetStats(d.stats)
 	d.pool.SetMediaRecoverer(func(id storage.PageID) error {
 		return d.recoverPageOn(disk, log, id)

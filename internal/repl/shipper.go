@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ariesim/internal/trace"
@@ -53,10 +52,9 @@ type Shipper struct {
 	acked    wal.LSN // highest standby-acked LSN
 	stopped  bool
 
-	notify   chan struct{} // stable-notify doorbell (coalesced)
-	notified atomic.Uint64 // highest watermark announced by the notify hook
-	stop     chan struct{} // closed by Stop
-	done     sync.WaitGroup
+	notify chan struct{} // stable-notify doorbell (coalesced)
+	stop   chan struct{} // closed by Stop
+	done   sync.WaitGroup
 }
 
 // NewShipper wires a shipper to the primary's log and the channel. The
@@ -74,22 +72,9 @@ func NewShipper(log *wal.Log, ch *Channel, opts ShipperOpts) *Shipper {
 		stop:     make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	// The hook rides the log's contiguity watermark: deliveries are
-	// strictly increasing within a crash epoch and carry the hardened
-	// mark, so the doorbell only rings when there is genuinely new stable
-	// prefix to ship — a stale or repeated watermark is dropped here.
-	log.SetStableNotify(func(lsn wal.LSN) {
-		for {
-			prev := s.notified.Load()
-			if uint64(lsn) <= prev {
-				return
-			}
-			if s.notified.CompareAndSwap(prev, uint64(lsn)) {
-				s.ring()
-				return
-			}
-		}
-	})
+	// A force that advanced the stable mark rings; ship reads the mark
+	// itself, so a ring needs no LSN and a burst of rings is one wakeup.
+	log.SetStableNotify(s.ring)
 	return s
 }
 

@@ -57,12 +57,7 @@ func Alloc(tx *txn.Tx, pool *buffer.Pool) (storage.PageID, error) {
 	if err != nil {
 		return storage.InvalidPageID, err
 	}
-	lsn := tx.LogUpdate(storage.FSMPageID, wal.OpFSMAlloc, payloadFor(bit), false)
-	if err := storage.FSMSet(f.Page, bit, true); err != nil {
-		return storage.InvalidPageID, err
-	}
-	f.Page.SetLSN(uint64(lsn))
-	pool.MarkDirty(f, lsn)
+	tx.ApplyUpdate(pool, f, ApplyRedo, wal.OpFSMAlloc, payloadFor(bit), false)
 	return storage.FSMPageForBit(bit), nil
 }
 
@@ -83,12 +78,7 @@ func Free(tx *txn.Tx, pool *buffer.Pool, id storage.PageID) error {
 	if !storage.FSMIsSet(f.Page, bit) {
 		return fmt.Errorf("space: double free of page %d", id)
 	}
-	lsn := tx.LogUpdate(storage.FSMPageID, wal.OpFSMFree, payloadFor(bit), false)
-	if err := storage.FSMSet(f.Page, bit, false); err != nil {
-		return err
-	}
-	f.Page.SetLSN(uint64(lsn))
-	pool.MarkDirty(f, lsn)
+	tx.ApplyUpdate(pool, f, ApplyRedo, wal.OpFSMFree, payloadFor(bit), false)
 	return nil
 }
 
@@ -114,8 +104,16 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 // Undo compensates an FSM record: an allocation is undone by freeing the
 // bit, a free by reallocating it. FSM undos are always page-oriented.
 func Undo(tx *txn.Tx, pool *buffer.Pool, rec *wal.Record) error {
-	bit, err := bitFrom(rec.Payload)
-	if err != nil {
+	var inverse wal.OpCode
+	switch rec.Op {
+	case wal.OpFSMAlloc:
+		inverse = wal.OpFSMFree
+	case wal.OpFSMFree:
+		inverse = wal.OpFSMAlloc
+	default:
+		return fmt.Errorf("space: cannot undo op %s", rec.Op)
+	}
+	if _, err := bitFrom(rec.Payload); err != nil {
 		return err
 	}
 	f, err := pool.Fix(storage.FSMPageID)
@@ -125,23 +123,7 @@ func Undo(tx *txn.Tx, pool *buffer.Pool, rec *wal.Record) error {
 	defer pool.Unfix(f)
 	f.Latch.Acquire(latch.X)
 	defer f.Latch.Release(latch.X)
-	ensureFSM(f.Page)
-	var inverse wal.OpCode
-	var on bool
-	switch rec.Op {
-	case wal.OpFSMAlloc:
-		inverse, on = wal.OpFSMFree, false
-	case wal.OpFSMFree:
-		inverse, on = wal.OpFSMAlloc, true
-	default:
-		return fmt.Errorf("space: cannot undo op %s", rec.Op)
-	}
-	lsn := tx.LogCLR(storage.FSMPageID, inverse, payloadFor(bit), rec.PrevLSN)
-	if err := storage.FSMSet(f.Page, bit, on); err != nil {
-		return err
-	}
-	f.Page.SetLSN(uint64(lsn))
-	pool.MarkDirty(f, lsn)
+	tx.ApplyCLR(pool, f, ApplyRedo, inverse, rec.Payload, rec.PrevLSN)
 	return nil
 }
 

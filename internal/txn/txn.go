@@ -26,26 +26,6 @@ import (
 	"ariesim/internal/wal"
 )
 
-// VersionHook is the MVCC version store's view of transaction lifecycle
-// events. A transaction passes it the list of chains that hold its
-// in-flight versions (Tx.Versions), and only one whose list is not empty
-// invokes it, so version-less commits pay nothing.
-//
-// Commit sequencing: EnterCommit before the commit record is appended
-// (freezing the visibility watermark), CommitAt once the record's LSN is
-// known, then StampCommit after the log force succeeds — or AbortCommit
-// if it does not — so the watermark only ever covers durable commits.
-type VersionHook interface {
-	EnterCommit(wal.TxID)
-	CommitAt(wal.TxID, wal.LSN)
-	StampCommit(wal.TxID, wal.LSN, *mvcc.Chains)
-	AbortCommit(wal.TxID, *mvcc.Chains)
-	// DropTx discards the transaction's in-flight versions (rollback);
-	// DropTxSince discards those pushed after the savepoint LSN.
-	DropTx(wal.TxID, *mvcc.Chains)
-	DropTxSince(wal.TxID, wal.LSN, *mvcc.Chains)
-}
-
 // Snapshot is a read-only transaction's captured visibility point plus
 // its registration in the version store's active-snapshot registry.
 type Snapshot struct {
@@ -54,8 +34,8 @@ type Snapshot struct {
 }
 
 // Undoer compensates one undoable log record on behalf of tx. The
-// implementation (the owning resource manager) must apply the inverse page
-// action and log it with tx.LogCLR, passing rec.PrevLSN as the undo-next
+// implementation (the owning resource manager) must log and apply the
+// inverse page action with tx.ApplyCLR, passing rec.PrevLSN as the undo-next
 // pointer; it may first perform logical undo work (tree traversal, SMOs
 // logged as regular records inside a nested top action).
 type Undoer interface {
@@ -82,6 +62,11 @@ type Tx struct {
 	// versions. Only the transaction's own goroutine touches it (the
 	// version store's PushTo, then commit or rollback), hence not under mu.
 	versions mvcc.Chains
+
+	// applyRec is the record apply logs and hands to redo. Redo is called
+	// through a func value, so a record built per call would escape to the
+	// heap; only the transaction's own goroutine touches this one.
+	applyRec wal.Record
 
 	// snap is non-nil for a snapshot-mode read-only transaction. It is set
 	// once, before the transaction is used, and read on every lock request
@@ -139,7 +124,7 @@ type Manager struct {
 	log    *wal.Log
 	locks  *lock.Manager
 	undoer Undoer
-	hook   VersionHook
+	store  *mvcc.Store
 	stats  *trace.Stats
 }
 
@@ -152,9 +137,12 @@ func NewManager(log *wal.Log, locks *lock.Manager) *Manager {
 // engine assembly; a separate call breaks the package cycle).
 func (m *Manager) SetUndoer(u Undoer) { m.undoer = u }
 
-// SetVersionHook wires the MVCC version store (done once at engine
-// assembly, per epoch — the hook and the store share the epoch's fate).
-func (m *Manager) SetVersionHook(h VersionHook) { m.hook = h }
+// SetVersionStore wires the MVCC version store (done once at engine
+// assembly, per epoch: the manager and the store share the epoch's fate).
+// A transaction passes it the list of chains that hold its in-flight
+// versions (Tx.Versions), and only one whose list is not empty calls it,
+// so version-less commits pay nothing.
+func (m *Manager) SetVersionStore(s *mvcc.Store) { m.store = s }
 
 // SetStats wires the trace sink (read-only lock-call accounting).
 func (m *Manager) SetStats(s *trace.Stats) { m.stats = s }
@@ -222,13 +210,13 @@ func (t *Tx) Snapshot() *Snapshot { return t.snap.Load() }
 // Versions is t's chain list, for the version store's PushTo to add to.
 func (t *Tx) Versions() *mvcc.Chains { return &t.versions }
 
-// hookFor returns the version hook if t must drive it: if some chain holds
-// an in-flight version of t.
-func (t *Tx) hookFor() VersionHook {
+// storeFor returns the version store if t must drive it: if some chain
+// holds an in-flight version of t.
+func (t *Tx) storeFor() *mvcc.Store {
 	if len(t.versions) == 0 {
 		return nil
 	}
-	return t.mgr.hook
+	return t.mgr.store
 }
 
 // adopt installs a reconstructed transaction (restart undo of losers).
@@ -390,19 +378,46 @@ func (t *Tx) logForced(rec *wal.Record) (wal.LSN, error) {
 	return lsn, nil
 }
 
-// LogUpdate logs a forward page action (undo-redo unless redoOnly).
-func (t *Tx) LogUpdate(page storage.PageID, op wal.OpCode, payload []byte, redoOnly bool) wal.LSN {
-	return t.Log(&wal.Record{
-		Type: wal.RecUpdate, Page: page, Op: op, Payload: payload, RedoOnly: redoOnly,
-	})
+// Redo applies one logged page action to its page: the owning resource
+// manager's ApplyRedo, the routine restart, standby apply and media
+// recovery replay the record with.
+type Redo func(*storage.Page, *wal.Record) error
+
+// ApplyUpdate logs a forward page action on f's page (undo-redo unless
+// redoOnly) and applies it; see apply.
+func (t *Tx) ApplyUpdate(pool *buffer.Pool, f *buffer.Frame, redo Redo, op wal.OpCode, payload []byte, redoOnly bool) wal.LSN {
+	t.applyRec = wal.Record{Type: wal.RecUpdate, Op: op, Payload: payload, RedoOnly: redoOnly}
+	return t.apply(pool, f, redo)
 }
 
-// LogCLR logs a compensation record for a page action performed during
-// undo; undoNxt must be the PrevLSN of the record being compensated.
-func (t *Tx) LogCLR(page storage.PageID, op wal.OpCode, payload []byte, undoNxt wal.LSN) wal.LSN {
-	return t.Log(&wal.Record{
-		Type: wal.RecCLR, Page: page, Op: op, Payload: payload, UndoNxtLSN: undoNxt, RedoOnly: true,
-	})
+// ApplyCLR logs a compensation record for a page action performed during
+// undo and applies it; see apply. undoNxt must be the PrevLSN of the
+// record being compensated.
+func (t *Tx) ApplyCLR(pool *buffer.Pool, f *buffer.Frame, redo Redo, op wal.OpCode, payload []byte, undoNxt wal.LSN) wal.LSN {
+	t.applyRec = wal.Record{Type: wal.RecCLR, Op: op, Payload: payload, UndoNxtLSN: undoNxt, RedoOnly: true}
+	return t.apply(pool, f, redo)
+}
+
+// apply is the one way a transaction changes a page: it logs t.applyRec
+// for f's page, applies that same record to the page with redo, stamps the
+// page LSN and marks the frame dirty. The caller holds f's X latch. Forward
+// processing and rollback thus run the code every replay runs, and a
+// record that does not reproduce its change fails the operation that wrote
+// it, not a later restart. The record is already in the log when redo
+// runs, so a failure there means page and log disagree: apply panics.
+// Redo must not keep the record; apply clears it, so no payload outlives
+// the call.
+func (t *Tx) apply(pool *buffer.Pool, f *buffer.Frame, redo Redo) wal.LSN {
+	rec := &t.applyRec
+	rec.Page = f.ID()
+	lsn := t.Log(rec)
+	if err := redo(f.Page, rec); err != nil {
+		panic(fmt.Sprintf("txn %d: redo of logged %s on page %d failed: %v", t.ID, rec.Op, rec.Page, err))
+	}
+	*rec = wal.Record{}
+	f.Page.SetLSN(uint64(lsn))
+	pool.MarkDirty(f, lsn)
+	return lsn
 }
 
 // NTAToken marks the start of a nested top action.
@@ -454,13 +469,13 @@ func (t *Tx) Commit() error {
 	}
 	t.state = wal.TxCommitted
 	t.mu.Unlock()
-	// The version hook brackets the commit record's append/force so the
+	// The version store brackets the commit record's append/force so the
 	// MVCC visibility watermark never covers a volatile commit: ticket in
 	// before the append, LSN attached once known, stamp only after the
 	// force proves durability (or abandon if a crash fences it).
-	hook := t.hookFor()
-	if hook != nil {
-		hook.EnterCommit(t.ID)
+	vs := t.storeFor()
+	if vs != nil {
+		vs.EnterCommit(t.ID)
 	}
 	// Early lock release: append the commit record, drop locks, then wait
 	// for the force. Safe because a dependent transaction's commit record
@@ -473,21 +488,21 @@ func (t *Tx) Commit() error {
 	t.mu.Lock()
 	t.commitLSN = lsn
 	t.mu.Unlock()
-	if hook != nil {
-		hook.CommitAt(t.ID, lsn)
+	if vs != nil {
+		vs.CommitAt(t.ID, lsn)
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	if !t.mgr.log.Force(lsn) {
 		// A crash fenced the force: the commit record died with its epoch
 		// and must never be acknowledged. The transaction's locks and table
 		// entry die with the orphaned manager.
-		if hook != nil {
-			hook.AbortCommit(t.ID, &t.versions)
+		if vs != nil {
+			vs.AbortCommit(t.ID, &t.versions)
 		}
 		return wal.ErrLogCrashed
 	}
-	if hook != nil {
-		hook.StampCommit(t.ID, lsn, &t.versions)
+	if vs != nil {
+		vs.StampCommit(t.ID, lsn, &t.versions)
 	}
 	t.mgr.finish(t)
 	return nil
@@ -527,8 +542,8 @@ func (t *Tx) Rollback() error {
 	if err := t.undoTo(wal.NilLSN); err != nil {
 		return err
 	}
-	if hook := t.hookFor(); hook != nil {
-		hook.DropTx(t.ID, &t.versions)
+	if vs := t.storeFor(); vs != nil {
+		vs.DropTx(t.ID, &t.versions)
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})
@@ -568,8 +583,8 @@ func (t *Tx) RollbackTo(save wal.LSN) error {
 	t.rollingBack = false
 	t.mu.Unlock()
 	if err == nil {
-		if hook := t.hookFor(); hook != nil {
-			hook.DropTxSince(t.ID, save, &t.versions)
+		if vs := t.storeFor(); vs != nil {
+			vs.DropTxSince(t.ID, save, &t.versions)
 		}
 	}
 	if err == nil && sp != nil {
@@ -639,8 +654,8 @@ func (t *Tx) undoTo(stopAfter wal.LSN) error {
 // prepared transactions reacquired any), end record written, table entry
 // removed.
 func (t *Tx) EndLoser() {
-	if hook := t.hookFor(); hook != nil {
-		hook.DropTx(t.ID, &t.versions)
+	if vs := t.storeFor(); vs != nil {
+		vs.DropTx(t.ID, &t.versions)
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})
@@ -657,8 +672,8 @@ func (t *Tx) UndoAll() error {
 	if err := t.undoTo(wal.NilLSN); err != nil {
 		return err
 	}
-	if hook := t.hookFor(); hook != nil {
-		hook.DropTx(t.ID, &t.versions)
+	if vs := t.storeFor(); vs != nil {
+		vs.DropTx(t.ID, &t.versions)
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})

@@ -25,7 +25,7 @@ func (u *recordingUndoer) Undo(tx *Tx, rec *wal.Record) error {
 		return u.fail
 	}
 	u.undone = append(u.undone, rec.LSN)
-	tx.LogCLR(rec.Page, rec.Op, rec.Payload, rec.PrevLSN)
+	logCLR(tx, rec.Page, rec.Op, rec.Payload, rec.PrevLSN)
 	return nil
 }
 
@@ -36,6 +36,16 @@ func newEnv() (*Manager, *wal.Log, *lock.Manager, *recordingUndoer) {
 	u := &recordingUndoer{}
 	m.SetUndoer(u)
 	return m, log, locks, u
+}
+
+// logUpdate and logCLR append page records with no page behind them: the
+// undo-chain tests below need the records, not their effect.
+func logUpdate(tx *Tx, page storage.PageID, op wal.OpCode, payload []byte, redoOnly bool) wal.LSN {
+	return tx.Log(&wal.Record{Type: wal.RecUpdate, Page: page, Op: op, Payload: payload, RedoOnly: redoOnly})
+}
+
+func logCLR(tx *Tx, page storage.PageID, op wal.OpCode, payload []byte, undoNxt wal.LSN) wal.LSN {
+	return tx.Log(&wal.Record{Type: wal.RecCLR, Page: page, Op: op, Payload: payload, UndoNxtLSN: undoNxt, RedoOnly: true})
 }
 
 func TestBeginAssignsUniqueIDs(t *testing.T) {
@@ -52,8 +62,8 @@ func TestBeginAssignsUniqueIDs(t *testing.T) {
 func TestLogChainsPrevLSN(t *testing.T) {
 	m, log, _, _ := newEnv()
 	tx := m.Begin()
-	l1 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
-	l2 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("b"), false)
+	l1 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
+	l2 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("b"), false)
 	r2, _ := log.Read(l2)
 	if r2.PrevLSN != l1 {
 		t.Fatalf("PrevLSN = %d, want %d", r2.PrevLSN, l1)
@@ -70,7 +80,7 @@ func TestCommitForcesLogAndReleasesLocks(t *testing.T) {
 	if err := tx.Lock(n, lock.X, lock.Commit, false); err != nil {
 		t.Fatal(err)
 	}
-	lsn := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
+	lsn := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +107,9 @@ func TestRollbackUndoesInReverseOrder(t *testing.T) {
 	m, log, locks, u := newEnv()
 	tx := m.Begin()
 	_ = tx.Lock(lock.Name{Space: lock.SpaceRecord, A: 1}, lock.X, lock.Commit, false)
-	l1 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
-	l2 := tx.LogUpdate(6, wal.OpIdxInsertKey, []byte("b"), false)
-	l3 := tx.LogUpdate(7, wal.OpIdxDeleteKey, []byte("c"), false)
+	l1 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
+	l2 := logUpdate(tx, 6, wal.OpIdxInsertKey, []byte("b"), false)
+	l3 := logUpdate(tx, 7, wal.OpIdxDeleteKey, []byte("c"), false)
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +143,8 @@ func TestRollbackUndoesInReverseOrder(t *testing.T) {
 func TestRedoOnlyRecordsSkippedInUndo(t *testing.T) {
 	m, _, _, u := newEnv()
 	tx := m.Begin()
-	l1 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
-	tx.LogUpdate(5, wal.OpIdxSetBits, []byte{0}, true) // redo-only
+	l1 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
+	logUpdate(tx, 5, wal.OpIdxSetBits, []byte{0}, true) // redo-only
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +158,13 @@ func TestPartialRollbackToSavepoint(t *testing.T) {
 	tx := m.Begin()
 	kept := lock.Name{Space: lock.SpaceRecord, A: 5}
 	_ = tx.Lock(kept, lock.X, lock.Commit, false)
-	l1 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
+	l1 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
 	_ = l1
 	save := tx.Savepoint()
 	dropped := lock.Name{Space: lock.SpaceRecord, A: 9}
 	_ = tx.Lock(dropped, lock.X, lock.Commit, false)
-	l2 := tx.LogUpdate(6, wal.OpIdxInsertKey, []byte("b"), false)
-	l3 := tx.LogUpdate(7, wal.OpIdxInsertKey, []byte("c"), false)
+	l2 := logUpdate(tx, 6, wal.OpIdxInsertKey, []byte("b"), false)
+	l3 := logUpdate(tx, 7, wal.OpIdxInsertKey, []byte("c"), false)
 	if err := tx.RollbackTo(save); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +184,7 @@ func TestPartialRollbackToSavepoint(t *testing.T) {
 	}
 	// Continue and commit; undo chain must not revisit undone records.
 	u.undone = nil
-	l4 := tx.LogUpdate(8, wal.OpIdxInsertKey, []byte("d"), false)
+	l4 := logUpdate(tx, 8, wal.OpIdxInsertKey, []byte("d"), false)
 	_ = l4
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
@@ -198,12 +208,12 @@ func TestSavepointReleaseUnblocksContender(t *testing.T) {
 	if err := tx1.Lock(pre, lock.X, lock.Commit, false); err != nil {
 		t.Fatal(err)
 	}
-	tx1.LogUpdate(5, wal.OpIdxInsertKey, []byte("pre"), false)
+	logUpdate(tx1, 5, wal.OpIdxInsertKey, []byte("pre"), false)
 	save := tx1.Savepoint()
 	if err := tx1.Lock(hot, lock.X, lock.Commit, false); err != nil {
 		t.Fatal(err)
 	}
-	tx1.LogUpdate(6, wal.OpIdxInsertKey, []byte("hot"), false)
+	logUpdate(tx1, 6, wal.OpIdxInsertKey, []byte("hot"), false)
 
 	// Tx 2 blocks on the hot lock; only the partial rollback can free it.
 	tx2 := m.Begin()
@@ -227,7 +237,7 @@ func TestSavepointReleaseUnblocksContender(t *testing.T) {
 		t.Fatal("partial rollback did not wake the contender")
 	}
 	// Tx 2 re-executes the contended work and commits.
-	tx2.LogUpdate(6, wal.OpIdxInsertKey, []byte("hot2"), false)
+	logUpdate(tx2, 6, wal.OpIdxInsertKey, []byte("hot2"), false)
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +256,12 @@ func TestSavepointReleaseUnblocksContender(t *testing.T) {
 func TestNestedTopActionBypassedOnRollback(t *testing.T) {
 	m, _, _, u := newEnv()
 	tx := m.Begin()
-	l1 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("pre"), false)
+	l1 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("pre"), false)
 	tok := tx.BeginNTA()
-	tx.LogUpdate(20, wal.OpIdxFormat, []byte("smo1"), false)
-	tx.LogUpdate(21, wal.OpIdxSplitLeft, []byte("smo2"), false)
+	logUpdate(tx, 20, wal.OpIdxFormat, []byte("smo1"), false)
+	logUpdate(tx, 21, wal.OpIdxSplitLeft, []byte("smo2"), false)
 	tx.EndNTA(tok)
-	l5 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("post"), false)
+	l5 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("post"), false)
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +274,9 @@ func TestNestedTopActionBypassedOnRollback(t *testing.T) {
 func TestIncompleteNTAIsUndone(t *testing.T) {
 	m, _, _, u := newEnv()
 	tx := m.Begin()
-	tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("pre"), false)
+	logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("pre"), false)
 	_ = tx.BeginNTA()
-	smo1 := tx.LogUpdate(20, wal.OpIdxFormat, []byte("smo1"), false)
+	smo1 := logUpdate(tx, 20, wal.OpIdxFormat, []byte("smo1"), false)
 	// No EndNTA: the dummy CLR was never written (failure mid-SMO).
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
@@ -279,7 +289,7 @@ func TestIncompleteNTAIsUndone(t *testing.T) {
 func TestUndoerErrorPropagates(t *testing.T) {
 	m, _, _, u := newEnv()
 	tx := m.Begin()
-	tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
+	logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
 	u.fail = errors.New("page vanished")
 	if err := tx.Rollback(); err == nil {
 		t.Fatal("rollback swallowed undoer error")
@@ -297,7 +307,7 @@ func TestUndoStallDetected(t *testing.T) {
 	m := NewManager(log, lock.NewManager(nil))
 	m.SetUndoer(stubbornUndoer{})
 	tx := m.Begin()
-	tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
+	logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
 	if err := tx.Rollback(); err == nil {
 		t.Fatal("stalled undo not detected")
 	}
@@ -339,8 +349,8 @@ func TestPrepareCarriesLocks(t *testing.T) {
 func TestAdoptLoserContinuesUndo(t *testing.T) {
 	m, log, _, u := newEnv()
 	tx := m.Begin()
-	l1 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
-	l2 := tx.LogUpdate(6, wal.OpIdxInsertKey, []byte("b"), false)
+	l1 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
+	l2 := logUpdate(tx, 6, wal.OpIdxInsertKey, []byte("b"), false)
 	// Simulate crash: rebuild manager state from an analysis-style entry.
 	m2 := NewManager(log, lock.NewManager(nil))
 	m2.SetUndoer(u)
@@ -363,7 +373,7 @@ func TestBoundedLoggingOnRepeatedRollback(t *testing.T) {
 	tx := m.Begin()
 	var updates []wal.LSN
 	for i := 0; i < 6; i++ {
-		updates = append(updates, tx.LogUpdate(storage.PageID(5+i), wal.OpIdxInsertKey, []byte{byte(i)}, false))
+		updates = append(updates, logUpdate(tx, storage.PageID(5+i), wal.OpIdxInsertKey, []byte{byte(i)}, false))
 	}
 	// Manually undo three records (simulating an interrupted rollback).
 	half := &recordingUndoer{}
@@ -407,7 +417,7 @@ func TestCheckpointCapturesTables(t *testing.T) {
 	pool := buffer.NewPool(disk, log, 4, nil)
 	tx := m.Begin()
 	f, _ := pool.Fix(5)
-	lsn := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
+	lsn := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
 	f.Page.SetLSN(uint64(lsn))
 	pool.MarkDirty(f, lsn)
 	pool.Unfix(f)
@@ -459,7 +469,7 @@ func TestCheckpointEntryCoversRecordsBelowBegin(t *testing.T) {
 		go func() {
 			defer close(done)
 			for i := 0; i < 20000; i++ {
-				tx.LogUpdate(5, wal.OpIdxInsertKey, nil, false)
+				logUpdate(tx, 5, wal.OpIdxInsertKey, nil, false)
 			}
 		}()
 		for running := true; running; {
@@ -500,9 +510,9 @@ func TestNTATokenDuringRollbackResumesAtUndoneRecord(t *testing.T) {
 	// point at the record being undone — not at LastLSN (a CLR).
 	m, _, _, _ := newEnv()
 	tx := m.Begin()
-	l1 := tx.LogUpdate(5, wal.OpIdxInsertKey, []byte("a"), false)
+	l1 := logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
 	_ = l1
-	l2 := tx.LogUpdate(6, wal.OpIdxDeleteKey, []byte("b"), false)
+	l2 := logUpdate(tx, 6, wal.OpIdxDeleteKey, []byte("b"), false)
 	smoUndoer := &smoDuringUndoUndoer{}
 	m.SetUndoer(smoUndoer)
 	if err := tx.Rollback(); err != nil {
@@ -528,14 +538,14 @@ func (u *smoDuringUndoUndoer) Undo(tx *Tx, rec *wal.Record) error {
 	if !u.didSMO {
 		u.didSMO = true
 		tok := tx.BeginNTA()
-		tx.LogUpdate(30, wal.OpIdxFormat, []byte("undo-smo"), false)
+		logUpdate(tx, 30, wal.OpIdxFormat, []byte("undo-smo"), false)
 		dummy := tx.EndNTA(tok)
 		r, _ := tx.mgr.log.Read(dummy)
 		u.dummyUndoNxt = r.UndoNxtLSN
 		// NOTE: tx.UndoNxtLSN now equals the token (rec.LSN); the CLR below
 		// moves it past rec.
 	}
-	tx.LogCLR(rec.Page, rec.Op, rec.Payload, rec.PrevLSN)
+	logCLR(tx, rec.Page, rec.Op, rec.Payload, rec.PrevLSN)
 	return nil
 }
 
@@ -606,4 +616,53 @@ func TestLockLatched(t *testing.T) {
 	if r := <-done; !r.waited || !errors.Is(r.err, lock.ErrShutdown) || unlatched != 2 {
 		t.Fatalf("failed wait: %+v unlatched=%d", r, unlatched)
 	}
+}
+
+// TestApplyRunsRedoOnTheLoggedRecord pins the one way a transaction changes
+// a page: the record is logged first, the same record is handed to the redo
+// routine, and the page is stamped and dirtied at its LSN. A CLR sets the
+// undo chain to its undo-next LSN. Redo failing on a record that is already
+// logged panics.
+func TestApplyRunsRedoOnTheLoggedRecord(t *testing.T) {
+	m, log, _, _ := newEnv()
+	pool := buffer.NewPool(storage.NewDisk(512), log, 4, nil)
+	tx := m.Begin()
+	f, _ := pool.Fix(5)
+	var seen []wal.Record
+	redo := func(p *storage.Page, rec *wal.Record) error {
+		if got := log.MaxLSN(); got < rec.LSN || rec.LSN == wal.NilLSN {
+			t.Fatalf("redo ran before its record was logged (max %d, record %d)", got, rec.LSN)
+		}
+		seen = append(seen, *rec)
+		p.SetFlags(rec.Payload[0])
+		return nil
+	}
+	lsn := tx.ApplyUpdate(pool, f, redo, wal.OpIdxSetBits, []byte{3}, false)
+	if len(seen) != 1 || seen[0].Page != 5 || seen[0].Op != wal.OpIdxSetBits || seen[0].LSN != lsn {
+		t.Fatalf("redo saw %v, want the update at LSN %d on page 5", seen, lsn)
+	}
+	if f.Page.Flags() != 3 || f.Page.LSN() != uint64(lsn) {
+		t.Fatalf("page flags %d LSN %d, want 3 and %d", f.Page.Flags(), f.Page.LSN(), lsn)
+	}
+	if dpt := pool.DPT(); len(dpt) != 1 || dpt[0].Page != 5 || dpt[0].RecLSN != lsn {
+		t.Fatalf("DPT = %v, want page 5 at recLSN %d", dpt, lsn)
+	}
+	clr := tx.ApplyCLR(pool, f, redo, wal.OpIdxSetBits, []byte{0}, wal.NilLSN)
+	if f.Page.Flags() != 0 || f.Page.LSN() != uint64(clr) || tx.UndoNxtLSN() != wal.NilLSN {
+		t.Fatalf("after CLR: flags %d LSN %d undoNxt %d", f.Page.Flags(), f.Page.LSN(), tx.UndoNxtLSN())
+	}
+	if r, err := log.Read(clr); err != nil || !r.IsCLR() || r.Page != 5 {
+		t.Fatalf("CLR at %d reads %v, %v", clr, r, err)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a failing redo of a logged record did not panic")
+		}
+		if tx.LastLSN() <= clr {
+			t.Fatal("the failing record was not logged before its redo")
+		}
+	}()
+	tx.ApplyUpdate(pool, f, func(*storage.Page, *wal.Record) error { return errors.New("mismatch") },
+		wal.OpIdxSetBits, []byte{1}, false)
 }

@@ -70,17 +70,9 @@ type Log struct {
 	flushGen   atomic.Uint64 // bumped by crash (under mu) so in-flight flushes and watermark waits die with their epoch
 	flushCond  *sync.Cond
 
-	// Stable-notify sequencer. Deliveries are strictly monotonic within a
-	// crash epoch: at most one goroutine delivers at a time (notifyBusy),
-	// it always delivers the current stable mark, and notifyDone records
-	// the highest value handed out — a lower watermark can never be
-	// delivered after a higher one, no matter how forces interleave.
-	// notifyGen is bumped by crash so an in-flight delivery from the dead
-	// epoch cannot record its value.
-	notifyFn   func(LSN)
-	notifyDone LSN
-	notifyBusy bool
-	notifyGen  uint64
+	// notifyFn is the stable-notify doorbell (SetStableNotify), read under
+	// mu by the force that advanced stable and rung after mu is released.
+	notifyFn func()
 
 	// publishGate, when non-nil, is called by reserveFill between the claim
 	// and the slot publish with the claimed slot index. Test-only: it lets a
@@ -121,49 +113,36 @@ func (l *Log) SetForceDelay(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// SetStableNotify installs (or, with nil, removes) the stable-LSN watermark
-// callback: after any Force/ForceAll/AppendForce that advances the stable
-// LSN, fn is called with the new watermark, outside the log mutex. This is
-// the streaming hook continuous log shipping rides on — the shipper wakes
-// on each notification and ships the newly hardened suffix. Deliveries are
-// strictly increasing within a crash epoch and coalesce under bursts (a
-// burst of forces may produce one callback carrying the highest watermark).
-// A crash does NOT notify (stable only rewinds there), and a Clone does not
-// inherit the callback: the successor log belongs to a new epoch the old
-// shipper must never observe.
-func (l *Log) SetStableNotify(fn func(LSN)) {
+// SetStableNotify installs (or, with nil, removes) the stable-notify
+// doorbell: a Force/ForceAll/AppendForce whose force advanced the stable
+// LSN rings it once the log mutex is released. This is the hook continuous
+// log shipping rides on: the shipper wakes and ships whatever the stable
+// mark now covers, which it reads itself (ShipFrom), so the doorbell
+// carries no LSN and rings need not be ordered. A crash does not ring
+// (stable only rewinds there), and a Clone does not inherit the doorbell:
+// the successor log belongs to a new epoch the old shipper must never
+// observe.
+func (l *Log) SetStableNotify(fn func()) {
 	l.mu.Lock()
 	l.notifyFn = fn
-	l.notifyDone = l.stable // fire only on advances from here on
 	l.mu.Unlock()
 }
 
-// deliverNotify drains the notify sequencer. At most one goroutine delivers
-// at a time; it hands out the current stable mark outside the mutex and
-// loops while the mark moved during delivery (the forcer that moved it saw
-// notifyBusy and left delivery to us). notifyDone only ever rises within an
-// epoch, so delivered watermarks are strictly increasing — the out-of-order
-// delivery the old post-unlock callback allowed cannot happen. Called with
-// l.mu NOT held.
-func (l *Log) deliverNotify() {
+// forceAndRing runs forceLocked under l.mu and then rings the doorbell if
+// the stable mark moved past where it stood on entry.
+func (l *Log) forceAndRing(lsn LSN) bool {
 	l.mu.Lock()
-	for {
-		fn := l.notifyFn
-		if fn == nil || l.notifyBusy || l.stable <= l.notifyDone {
-			l.mu.Unlock()
-			return
-		}
-		l.notifyBusy = true
-		lsn := l.stable
-		gen := l.notifyGen
-		l.mu.Unlock()
-		fn(lsn)
-		l.mu.Lock()
-		l.notifyBusy = false
-		if l.notifyGen == gen && lsn > l.notifyDone {
-			l.notifyDone = lsn
-		}
+	before := l.stable
+	ok := l.forceLocked(lsn)
+	ring := l.notifyFn
+	if l.stable <= before {
+		ring = nil
 	}
+	l.mu.Unlock()
+	if ring != nil {
+		ring()
+	}
+	return ok
 }
 
 // Append assigns the next LSN to r (setting r.LSN) and adds its encoding to
@@ -247,11 +226,7 @@ func (l *Log) Force(lsn LSN) bool {
 	if !l.awaitFilled(lsn) {
 		return false
 	}
-	l.mu.Lock()
-	ok := l.forceLocked(lsn)
-	l.mu.Unlock()
-	l.deliverNotify()
-	return ok
+	return l.forceAndRing(lsn)
 }
 
 // ForceAll hardens the entire log. The claimed frontier is snapshotted at
@@ -278,10 +253,7 @@ func (l *Log) ForceAll() {
 		}
 		runtime.Gosched()
 	}
-	l.mu.Lock()
-	l.forceLocked(l.filledLSN())
-	l.mu.Unlock()
-	l.deliverNotify()
+	l.forceAndRing(l.filledLSN())
 }
 
 // forceLocked hardens the log up to lsn. Caller holds l.mu and has already
@@ -596,12 +568,6 @@ func (l *Log) crashLocked(extra int, tear bool) {
 	if l.flushCond != nil {
 		l.flushCond.Broadcast()
 	}
-	// Rebase the notify sequencer on the rewound watermark. A delivery in
-	// flight belongs to the dead epoch; the generation bump keeps it from
-	// recording its value, so post-crash advances notify from the rewound
-	// mark. (A crash itself never notifies: stable only rewinds here.)
-	l.notifyGen++
-	l.notifyDone = l.stable
 }
 
 // sweepDamaged re-reads every damaged record among the first keep slots of

@@ -221,52 +221,6 @@ func TestCrashAtEveryBoundaryMatchesPrefix(t *testing.T) {
 	}
 }
 
-// TestStableNotifyMonotonicUnderConcurrentForces is the regression test for
-// out-of-order stable-notify delivery: with the callback fired after the
-// mutex was dropped, two forces completing out of order could deliver a
-// lower watermark after a higher one. The notify sequencer must deliver
-// strictly increasing watermarks no matter how forces interleave.
-func TestStableNotifyMonotonicUnderConcurrentForces(t *testing.T) {
-	l := NewLog(nil)
-	// A costed device widens the window: while one flush sleeps, a crowd of
-	// forcers parks, wakes together when it completes, and drains through
-	// the callback while the NEXT flush is already advancing the mark.
-	l.SetForceDelay(50 * time.Microsecond)
-	var mu sync.Mutex
-	var high LSN
-	var violation string
-	l.SetStableNotify(func(lsn LSN) {
-		mu.Lock()
-		if lsn <= high && violation == "" {
-			violation = fmt.Sprintf("delivered %d after %d", lsn, high)
-		}
-		if lsn > high {
-			high = lsn
-		}
-		mu.Unlock()
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 150; i++ {
-				lsn := l.Append(&Record{Type: RecUpdate, TxID: TxID(w + 1), Op: OpDataInsert, Payload: []byte("n")})
-				l.Force(lsn)
-			}
-		}(w)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if violation != "" {
-		t.Fatalf("non-monotonic stable-notify: %s", violation)
-	}
-	if high == NilLSN {
-		t.Fatal("no notifications delivered")
-	}
-}
-
 // TestTruncateToAtomicUnderConcurrentForce is the regression test for the
 // TruncateTo window: rewinding the stable mark and crashing used to be two
 // critical sections, so a force sneaking between them re-advanced the mark
