@@ -39,10 +39,12 @@ test-2core:
 # torture test that used to flake with "undo chain broken: wal: no record
 # at LSN" — the claim→publish race in the lock-free append path. The loop
 # is the regression gate for that fix: any reintroduced window resurfaces
-# as a flake well within 1000 schedules. The version store's own tests
-# (retire queue vs. concurrent committers and snapshot readers) repeat 20
-# times: its races are between StampCommit, End and RowsBetween, which a
-# single pass schedules only one way. Heap placement likewise: the
+# as a flake well within 1000 schedules; the loop alone takes about five
+# minutes, half of go test's default timeout, so that line allows 30. The
+# version store's own tests (retire queue vs. concurrent committers and
+# snapshot readers) repeat 20 times: its races are between StampCommit,
+# End and RowsBetween, which a single pass schedules only one way. Heap
+# placement likewise: the
 # free-space inventory is fed by Delete and by rollbacks under page latches
 # while inserts take from it under none, and compaction borrows a pooled
 # scratch page (-short keeps the single-goroutine count tests at one table
@@ -82,7 +84,7 @@ test-2core:
 # golden diff.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
+	$(GO) test -race -timeout 30m -run 'TestRollbackNeverDeadlocks$$' -count=1000 ./internal/core
 	$(GO) test -race -count=20 ./internal/mvcc
 	$(GO) test -race -short -count=10 ./internal/data ./internal/storage
 	$(GO) test -race -run 'TestUpdateInPlaceUnderSnapshotReaders$$' -count=20 ./internal/db
@@ -105,8 +107,8 @@ fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 
 # Ten seconds of fuzzing the data page redo: any op and payload, forward or as
-# a CLR, applied to a data page holding a live record and a ghost returns an
-# error or leaves a well-formed page, and never panics.
+# a CLR, applied to a data page holding a live record, two ghosts and an
+# emptied slot returns an error or leaves a well-formed page, and never panics.
 fuzz-data:
 	$(GO) test -run '^$$' -fuzz FuzzDataApplyRedo -fuzztime 10s -fuzzminimizetime 1s ./internal/data
 

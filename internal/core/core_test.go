@@ -1,12 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"ariesim/internal/buffer"
+	"ariesim/internal/latch"
 	"ariesim/internal/lock"
 	"ariesim/internal/storage"
 	"ariesim/internal/trace"
@@ -490,6 +492,57 @@ func TestRollbackOfSplitKeepsSMO(t *testing.T) {
 		if r.Op == wal.OpIdxUnsplitLeft {
 			t.Fatal("completed split was undone by rollback")
 		}
+	}
+}
+
+// A split whose split-point cell does not decode fails before it logs
+// anything, and leaves the page it was splitting unlatched and unpinned.
+func TestSplitOfUndecodableCellReleasesPage(t *testing.T) {
+	e := newEnv(t, 512, 64)
+	ix := e.createIndex(Config{ID: 1})
+	setup := e.tm.Begin()
+	for i := 0; i < 100; i++ {
+		e.mustInsert(setup, ix, key(i))
+	}
+	e.commit(setup)
+	root, err := ix.fixLatched(ix.root, latch.S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, leafID, err := storage.DecodeNodeCell(root.Page.MustCell(0))
+	ix.unfixLatched(root, latch.S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ix.fixLatched(leafID, latch.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Page.IsLeaf() || f.Page.NSlots() < 2 {
+		t.Fatalf("page %d is not a leaf of two or more keys", leafID)
+	}
+	// A key longer than the cell that holds it.
+	binary.LittleEndian.PutUint16(f.Page.MustCell(splitPoint(f.Page)), 0xffff)
+	ix.unfixLatched(f, latch.X)
+
+	tx := e.tm.Begin()
+	if err := ix.SplitForInsert(tx, leafID, 512); err == nil {
+		t.Fatal("a split of an undecodable cell succeeded")
+	}
+	if pinned := e.pool.PinnedPages(); len(pinned) != 0 {
+		t.Fatalf("pages %v still pinned after the failed split", pinned)
+	}
+	f, err = e.pool.Fix(leafID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := f.Latch.Held()
+	e.pool.Unfix(f)
+	if held {
+		t.Fatalf("page %d still latched after the failed split", leafID)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -171,11 +171,18 @@ func decodeFormat(b []byte) (formatPayload, error) {
 	return p, r.done()
 }
 
-// splitLeftPayload carries OpIdxSplitLeft / OpIdxUnsplitLeft: the cells
-// moved off the split page's upper half, plus the chain/rightmost changes.
-// For a leaf split, Moved = cells[From:] and the next pointer changes; for
-// a nonleaf split, Moved = cells[From:] where the first moved cell's child
-// becomes the left page's new rightmost and its high key is promoted.
+// splitLeftPayload carries OpIdxSplitLeft and its CLR OpIdxUnsplitLeft: the
+// split page's flag and chain/rightmost changes around the cut at From.
+// NewNext names the split's new right page, for a nonleaf split too (whose
+// redo ignores it). The forward record carries no cells: its redo only cuts
+// the page at From, and its undo reads the moved cells back from the new
+// page, which holds exactly what its OpIdxFormat put there until the SMO's
+// dummy CLR (DESIGN §4.6, "What a split logs"). A nonleaf split moves one
+// cell the new page does not hold — cell From, (high key, NewRightmost),
+// whose child becomes the left page's rightmost and whose high key is
+// promoted — so its forward record logs that key, leaf-cell encoded, as
+// Promoted. The CLR carries Moved, cells[From:] in full, so its redo reads
+// no second page.
 type splitLeftPayload struct {
 	Index        uint32
 	From         uint16
@@ -185,10 +192,11 @@ type splitLeftPayload struct {
 	NewNext      storage.PageID
 	OldRightmost storage.PageID
 	NewRightmost storage.PageID
-	Moved        [][]byte
+	Promoted     []byte   // OpIdxSplitLeft, nonleaf only
+	Moved        [][]byte // OpIdxUnsplitLeft only
 }
 
-func (p splitLeftPayload) encode() []byte {
+func (p splitLeftPayload) header() *payloadWriter {
 	w := &payloadWriter{}
 	w.u32(p.Index)
 	w.u16(p.From)
@@ -198,17 +206,41 @@ func (p splitLeftPayload) encode() []byte {
 	w.pid(p.NewNext)
 	w.pid(p.OldRightmost)
 	w.pid(p.NewRightmost)
+	return w
+}
+
+// encode is the forward OpIdxSplitLeft payload.
+func (p splitLeftPayload) encode() []byte {
+	w := p.header()
+	w.bytes(p.Promoted)
+	return w.b
+}
+
+// encodeUnsplit is the OpIdxUnsplitLeft CLR payload.
+func (p splitLeftPayload) encodeUnsplit() []byte {
+	w := p.header()
 	w.cells(p.Moved)
 	return w.b
 }
 
-func decodeSplitLeft(b []byte) (splitLeftPayload, error) {
-	r := &payloadReader{b: b}
-	p := splitLeftPayload{
+func readSplitLeftHeader(r *payloadReader) splitLeftPayload {
+	return splitLeftPayload{
 		Index: r.u32(), From: r.u16(), PreFlags: r.u8(), PostFlags: r.u8(),
 		OldNext: r.pid(), NewNext: r.pid(), OldRightmost: r.pid(), NewRightmost: r.pid(),
-		Moved: r.cells(),
 	}
+}
+
+func decodeSplitLeft(b []byte) (splitLeftPayload, error) {
+	r := &payloadReader{b: b}
+	p := readSplitLeftHeader(r)
+	p.Promoted = r.bytes()
+	return p, r.done()
+}
+
+func decodeUnsplitLeft(b []byte) (splitLeftPayload, error) {
+	r := &payloadReader{b: b}
+	p := readSplitLeftHeader(r)
+	p.Moved = r.cells()
 	return p, r.done()
 }
 

@@ -62,6 +62,9 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
+		if p.IsLeaf() != (len(pl.Promoted) == 0) {
+			return fmt.Errorf("core: redo split-left on page %d (level %d) with a %d-byte promoted key", rec.Page, p.Level(), len(pl.Promoted))
+		}
 		for p.NSlots() > int(pl.From) {
 			if _, err := p.DeleteCellAt(p.NSlots() - 1); err != nil {
 				return err
@@ -76,7 +79,7 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		return nil
 
 	case wal.OpIdxUnsplitLeft:
-		pl, err := decodeSplitLeft(rec.Payload)
+		pl, err := decodeUnsplitLeft(rec.Payload)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"ariesim/internal/latch"
 	"ariesim/internal/storage"
+	"ariesim/internal/txn"
 	"ariesim/internal/wal"
 )
 
@@ -62,48 +64,132 @@ func TestRedoInsertDeleteKeyInverse(t *testing.T) {
 	}
 }
 
-func TestRedoSplitLeftAndUnsplit(t *testing.T) {
-	p := freshLeaf(t)
-	p.SetNext(99)
-	orig := logicalState(t, p)
-	moved := [][]byte{append([]byte(nil), p.MustCell(2)...)}
+// splitRollbackRoundTrip formats page 700 as left describes and commits it,
+// then splits it at from as splitLocked does — the new page 755 formatted
+// with the upper cells, the split-left record logged on page 700 — and rolls
+// that transaction back. The split-left record must carry no cell (only a
+// nonleaf's promoted key), its redo must cut the page, and its undo must
+// read the moved cells back from page 755 and give page 700 its header and
+// cell bytes back, through an unsplit-left CLR that carries the cells.
+func splitRollbackRoundTrip(t *testing.T, left formatPayload, from int) {
+	t.Helper()
+	const leftID, newID = storage.PageID(700), storage.PageID(755)
+	e := newEnv(t, 512, 16)
+	ix := e.createIndex(Config{ID: 1})
+	logged := func(tx *txn.Tx, pid storage.PageID, op wal.OpCode, payload []byte) {
+		t.Helper()
+		f, err := ix.fixLatched(pid, latch.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.ApplyUpdate(e.pool, f, ApplyRedo, op, payload, false)
+		ix.unfixLatched(f, latch.X)
+	}
+	page := func(pid storage.PageID, check func(p *storage.Page)) {
+		t.Helper()
+		f, err := ix.fixLatched(pid, latch.S)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.unfixLatched(f, latch.S)
+		check(f.Page)
+	}
+
+	setup := e.tm.Begin()
+	logged(setup, leftID, wal.OpIdxFormat, left.encode())
+	e.commit(setup)
+	var orig string
+	page(leftID, func(p *storage.Page) { orig = logicalState(t, p) })
+
 	pl := splitLeftPayload{
-		Index: 1, From: 2, PreFlags: p.Flags(), PostFlags: p.Flags() | storage.FlagSMBit,
-		OldNext: 99, NewNext: 55, Moved: moved,
+		Index: 1, From: uint16(from), PreFlags: left.Flags, PostFlags: left.Flags | storage.FlagSMBit,
+		OldNext: left.Next, NewNext: newID, OldRightmost: left.Rightmost,
 	}
-	apply(t, p, wal.OpIdxSplitLeft, pl.encode())
-	if p.NSlots() != 2 || p.Next() != 55 || !p.SMBit() {
-		t.Fatalf("split-left state: nslots=%d next=%d sm=%v", p.NSlots(), p.Next(), p.SMBit())
+	right := formatPayload{Index: 1, Level: left.Level, Flags: storage.FlagSMBit}
+	if left.Level == 0 {
+		right.Prev, right.Next, right.Cells = leftID, left.Next, left.Cells[from:]
+	} else {
+		hk, child, err := storage.DecodeNodeCell(left.Cells[from])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.NewRightmost, pl.Promoted = child, storage.EncodeLeafCell(hk)
+		right.Rightmost, right.Cells = left.Rightmost, left.Cells[from+1:]
 	}
-	apply(t, p, wal.OpIdxUnsplitLeft, pl.encode())
-	if logicalState(t, p) != orig {
-		t.Fatal("split+unsplit did not round-trip")
+	tx := e.tm.Begin()
+	logged(tx, newID, wal.OpIdxFormat, right.encode())
+	logged(tx, leftID, wal.OpIdxSplitLeft, pl.encode())
+	page(leftID, func(p *storage.Page) {
+		if p.NSlots() != from || !p.SMBit() {
+			t.Fatalf("split-left state: nslots=%d sm=%v", p.NSlots(), p.SMBit())
+		}
+		if left.Level == 0 && p.Next() != newID || left.Level > 0 && p.Rightmost() != pl.NewRightmost {
+			t.Fatalf("split-left pointers: next=%d rightmost=%d", p.Next(), p.Rightmost())
+		}
+	})
+	for _, r := range e.log.Records(1) {
+		if r.Op == wal.OpIdxSplitLeft && len(r.Payload) != 26+len(pl.Promoted) {
+			t.Fatalf("a %d-byte split-left payload for a %d-byte promoted key: it carries cells", len(r.Payload), len(pl.Promoted))
+		}
+	}
+
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	page(leftID, func(p *storage.Page) {
+		if got := logicalState(t, p); got != orig {
+			t.Fatalf("split + rollback did not round-trip page %d:\n got %s\nwant %s", leftID, got, orig)
+		}
+	})
+	page(newID, func(p *storage.Page) {
+		if p.Type() != storage.PageTypeFree {
+			t.Fatalf("the new page is %v after the rollback, want free", p.Type())
+		}
+	})
+	clrs := 0
+	for _, r := range e.log.Records(1) {
+		if r.IsCLR() && r.Op == wal.OpIdxUnsplitLeft {
+			clrs++
+			u, err := decodeUnsplitLeft(r.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%x", u.Moved) != fmt.Sprintf("%x", left.Cells[from:]) {
+				t.Fatalf("unsplit-left CLR moves %x back, want %x", u.Moved, left.Cells[from:])
+			}
+		}
+	}
+	if clrs != 1 {
+		t.Fatalf("%d unsplit-left CLRs, want 1", clrs)
 	}
 }
 
+func TestRedoSplitLeftAndUnsplit(t *testing.T) {
+	p := freshLeaf(t)
+	splitRollbackRoundTrip(t, formatPayload{Index: 1, Next: 99, Cells: pageCells(p)}, 1)
+}
+
 func TestRedoSplitLeftNonleafRightmost(t *testing.T) {
-	p := storage.NewPage(512)
-	p.Format(8, storage.PageTypeIndex, 1)
-	for i, v := range []string{"gg", "pp"} {
-		cell := storage.EncodeNodeCell(storage.Key{Val: []byte(v)}, storage.PageID(30+i))
-		if err := p.InsertCellAt(i, cell); err != nil {
-			t.Fatal(err)
-		}
+	var cells [][]byte
+	for i, v := range []string{"gg", "pp", "tt"} {
+		cells = append(cells, storage.EncodeNodeCell(storage.Key{Val: []byte(v), RID: storage.RID{Page: 5, Slot: uint16(i)}}, storage.PageID(30+i)))
 	}
-	p.SetRightmost(40)
-	orig := logicalState(t, p)
-	moved := [][]byte{append([]byte(nil), p.MustCell(1)...)}
-	pl := splitLeftPayload{
-		Index: 1, From: 1, PreFlags: 0, PostFlags: storage.FlagSMBit,
-		OldRightmost: 40, NewRightmost: 31, Moved: moved,
+	splitRollbackRoundTrip(t, formatPayload{Index: 1, Level: 1, Rightmost: 40, Cells: cells}, 1)
+}
+
+// A split-left record is strict about the page's level: a leaf's carries no
+// promoted key and a nonleaf's must.
+func TestRedoSplitLeftChecksPromotedKey(t *testing.T) {
+	leaf := freshLeaf(t)
+	pl := splitLeftPayload{Index: 1, From: 1, NewNext: 55, Promoted: storage.EncodeLeafCell(storage.Key{Val: []byte("cc")})}
+	if err := ApplyRedo(leaf, &wal.Record{Op: wal.OpIdxSplitLeft, Page: leaf.ID(), Payload: pl.encode()}); err == nil {
+		t.Fatal("a leaf split-left with a promoted key applied")
 	}
-	apply(t, p, wal.OpIdxSplitLeft, pl.encode())
-	if p.Rightmost() != 31 || p.NSlots() != 1 {
-		t.Fatalf("nonleaf split-left: rightmost=%d nslots=%d", p.Rightmost(), p.NSlots())
-	}
-	apply(t, p, wal.OpIdxUnsplitLeft, pl.encode())
-	if logicalState(t, p) != orig {
-		t.Fatal("nonleaf split round-trip failed")
+	node := storage.NewPage(512)
+	node.Format(8, storage.PageTypeIndex, 1)
+	pl.Promoted = nil
+	if err := ApplyRedo(node, &wal.Record{Op: wal.OpIdxSplitLeft, Page: node.ID(), Payload: pl.encode()}); err == nil {
+		t.Fatal("a nonleaf split-left without a promoted key applied")
 	}
 }
 
@@ -270,7 +356,8 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	}{
 		{wal.OpIdxInsertKey, keyOpPayload{Index: 3, Pos: 7, PreFlags: 1, PostFlags: 2, Cell: []byte("cell")}.encode()},
 		{wal.OpIdxFormat, formatPayload{Index: 3, Level: 2, Flags: 1, Prev: 4, Next: 5, Rightmost: 6, Cells: [][]byte{[]byte("a"), []byte("bb")}}.encode()},
-		{wal.OpIdxSplitLeft, splitLeftPayload{Index: 3, From: 2, OldNext: 9, NewNext: 10, OldRightmost: 11, NewRightmost: 12, Moved: [][]byte{[]byte("m")}}.encode()},
+		{wal.OpIdxSplitLeft, splitLeftPayload{Index: 3, From: 2, OldNext: 9, NewNext: 10, OldRightmost: 11, NewRightmost: 12, Promoted: []byte("k")}.encode()},
+		{wal.OpIdxUnsplitLeft, splitLeftPayload{Index: 3, From: 2, OldNext: 9, NewNext: 10, OldRightmost: 11, NewRightmost: 12, Moved: [][]byte{[]byte("m")}}.encodeUnsplit()},
 		{wal.OpIdxChainFix, chainFixPayload{Index: 3, NextField: true, Old: 1, New: 2, PreFlags: 3, PostFlags: 4}.encode()},
 		{wal.OpIdxSplitParent, splitParentPayload{Index: 3, Pos: 1, AtRightmost: true, Right: 8, SepCell: []byte("sep")}.encode()},
 		{wal.OpIdxDeleteChild, deleteChildPayload{Index: 3, Pos: 1, WasRightmost: true, OldRightmost: 7, NewRightmost: 8, Removed: []byte("rm")}.encode()},
@@ -293,6 +380,8 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 				_, derr = decodeFormat(c.enc[:cut])
 			case wal.OpIdxSplitLeft:
 				_, derr = decodeSplitLeft(c.enc[:cut])
+			case wal.OpIdxUnsplitLeft:
+				_, derr = decodeUnsplitLeft(c.enc[:cut])
 			case wal.OpIdxChainFix:
 				_, derr = decodeChainFix(c.enc[:cut])
 			case wal.OpIdxSplitParent:

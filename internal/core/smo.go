@@ -108,9 +108,11 @@ func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 	var newCells [][]byte
 	var newRightmost storage.PageID // for the new page (nonleaf)
 	var leftNewRightmost storage.PageID
+	var promoted []byte // the split-left record's copy of the promoted high key (nonleaf)
 	if isLeaf {
 		k, err := storage.DecodeLeafCell(cells[m])
 		if err != nil {
+			ix.unfixLatched(f, latch.X)
 			return err
 		}
 		sep = ix.leafSeparator(k)
@@ -118,9 +120,11 @@ func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 	} else {
 		hk, child, err := storage.DecodeNodeCell(cells[m])
 		if err != nil {
+			ix.unfixLatched(f, latch.X)
 			return err
 		}
 		sep = hk.Clone()
+		promoted = storage.EncodeLeafCell(sep)
 		leftNewRightmost = child
 		newCells = cells[m+1:]
 		newRightmost = p.Rightmost()
@@ -156,14 +160,15 @@ func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 	tx.ApplyUpdate(ix.pool, nf, ApplyRedo, wal.OpIdxFormat, fp.encode(), false)
 	ix.unfixLatched(nf, latch.X)
 
-	// Strip the moved cells off the left page (splits go right, §2.1).
+	// Strip the moved cells off the left page (splits go right, §2.1). The
+	// record names the new page instead of repeating its cells.
 	ctx.touch(f.ID())
 	sl := splitLeftPayload{
 		Index: ix.cfg.ID, From: uint16(m),
 		PreFlags: preFlags, PostFlags: preFlags | storage.FlagSMBit,
 		OldNext: oldNext, NewNext: newPid,
 		OldRightmost: oldRightmost, NewRightmost: leftNewRightmost,
-		Moved: cells[m:],
+		Promoted: promoted,
 	}
 	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxSplitLeft, sl.encode(), false)
 	leftID := f.ID()

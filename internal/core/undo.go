@@ -46,7 +46,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		return ix.undoSMORecord(tx, rec, wal.OpIdxFreePage,
 			freePagePayload{Index: ix.cfg.ID}.encode())
 	case wal.OpIdxSplitLeft:
-		return ix.undoSMORecord(tx, rec, wal.OpIdxUnsplitLeft, rec.Payload)
+		return ix.undoSplitLeft(tx, rec)
 	case wal.OpIdxChainFix:
 		pl, err := decodeChainFix(rec.Payload)
 		if err != nil {
@@ -88,6 +88,55 @@ func (ix *Index) undoSMORecord(tx *txn.Tx, rec *wal.Record, invOp wal.OpCode, in
 	}
 	tx.ApplyCLR(ix.pool, f, ApplyRedo, invOp, invPayload, rec.PrevLSN)
 	return nil
+}
+
+// undoSplitLeft compensates an interrupted split's OpIdxSplitLeft. The
+// record names the new page rather than carrying the moved cells, and that
+// page still holds exactly the cells its format gave it: every later record
+// of the SMO is already undone (reverse LSN order), and nothing else writes
+// the page before the SMO's dummy CLR (DESIGN §4.6, "What a split logs").
+// So the cells are read back from it — for a nonleaf, behind the moved cell
+// rebuilt from the promoted key — and the CLR carries them in full, so its
+// redo reads no page but its own.
+func (ix *Index) undoSplitLeft(tx *txn.Tx, rec *wal.Record) error {
+	pl, err := decodeSplitLeft(rec.Payload)
+	if err != nil {
+		return err
+	}
+	if pl.Moved, err = ix.movedCells(rec.Page, pl); err != nil {
+		return err
+	}
+	return ix.undoSMORecord(tx, rec, wal.OpIdxUnsplitLeft, pl.encodeUnsplit())
+}
+
+// movedCells rebuilds the cells the split of page left moved off it, from
+// the new page pl names.
+func (ix *Index) movedCells(left storage.PageID, pl splitLeftPayload) ([][]byte, error) {
+	f, err := ix.fixLatched(pl.NewNext, latch.S)
+	if err != nil {
+		return nil, err
+	}
+	defer ix.unfixLatched(f, latch.S)
+	p := f.Page
+	leaf := len(pl.Promoted) == 0
+	formatted := p.Type() == storage.PageTypeIndex && p.SMBit() && p.IsLeaf() == leaf
+	if leaf {
+		formatted = formatted && p.Prev() == left && p.Next() == pl.OldNext
+	} else {
+		formatted = formatted && p.Rightmost() == pl.OldRightmost
+	}
+	if !formatted {
+		return nil, fmt.Errorf("core: undo split-left of page %d: page %d is not its formatted right half", left, pl.NewNext)
+	}
+	var moved [][]byte
+	if !leaf {
+		hk, err := storage.DecodeLeafCell(pl.Promoted)
+		if err != nil {
+			return nil, err
+		}
+		moved = append(moved, storage.EncodeNodeCell(hk, pl.NewRightmost))
+	}
+	return append(moved, pageCells(p)...), nil
 }
 
 // undoInsert removes a key the transaction inserted. Page-oriented when

@@ -272,10 +272,12 @@ func (t *Table) freeSlot(p *storage.Page) uint16 {
 }
 
 // purgeGhosts physically removes ghost records whose locks are free — the
-// deleter committed, so the space is reclaimable. Purges are logged
-// redo-only: they are never undone. It reports whether a ghost whose lock
-// is still held was left behind.
+// deleter committed, so the space is reclaimable. The pass logs one
+// redo-only purge record listing every ghost it removes: purges are never
+// undone. It reports whether a ghost whose lock is still held was left
+// behind.
 func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) (left bool) {
+	var purge []byte // the purge list, built in slot order
 	for i := 0; i < f.Page.NSlots(); i++ {
 		cell, ok := f.Page.Cell(i)
 		if !ok {
@@ -297,7 +299,10 @@ func (t *Table) purgeGhosts(tx *txn.Tx, f *buffer.Frame) (left bool) {
 			left = true
 			continue
 		}
-		tx.ApplyUpdate(t.m.pool, f, ApplyRedo, wal.OpDataPurge, slotPayload{Slot: uint16(i)}.encode(), true)
+		purge = appendPurgeSlot(purge, uint16(i))
+	}
+	if purge != nil {
+		tx.ApplyUpdate(t.m.pool, f, ApplyRedo, wal.OpDataPurge, purge, true)
 	}
 	return left
 }
@@ -541,12 +546,15 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		}
 		return p.ReplaceCell(pl.Slot, next)
 	case wal.OpDataPurge:
-		pl, err := decodeSlotPayload(rec.Payload)
-		if err != nil {
-			return err
+		if err := checkPurge(p, rec.Payload); err != nil {
+			return err // before any slot is emptied
 		}
-		_, err = p.RemoveCell(pl.Slot)
-		return err
+		for i := 0; i < len(rec.Payload)/2; i++ {
+			if _, err := p.RemoveCell(purgeSlot(rec.Payload, i)); err != nil {
+				return err
+			}
+		}
+		return nil
 	case wal.OpDataChainFix:
 		pl, err := decodeChainFixPayload(rec.Payload)
 		if err != nil {
@@ -603,7 +611,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		tx.ApplyCLR(m.pool, f, ApplyRedo, wal.OpDataPurge, slotPayload{Slot: pl.Slot}.encode(), rec.PrevLSN)
+		tx.ApplyCLR(m.pool, f, ApplyRedo, wal.OpDataPurge, appendPurgeSlot(nil, pl.Slot), rec.PrevLSN)
 		// The freed slot is room again. A page no handle has walked yet
 		// has no route; the walk will see it as it is.
 		if t := m.tableOf(rec.Page); t != nil {

@@ -150,11 +150,11 @@ func (p updatePayload) apply(cell []byte) ([]byte, error) {
 	return append(out, rec[len(rec)-int(p.Suffix):]...), nil
 }
 
-// slotPayload is the body of OpDataDelete, of OpDataPurge, and of the
-// OpDataInsert CLR that revives a ghost when a delete is undone: the slot
-// alone. A ghost keeps its record's bytes until a purge, and a purge waits
-// for the deleter to commit, so neither the delete's redo nor its undo nor
-// the undo's redo needs the record from the log.
+// slotPayload is the body of OpDataDelete and of the OpDataInsert CLR that
+// revives a ghost when a delete is undone: the slot alone. A ghost keeps its
+// record's bytes until a purge, and a purge waits for the deleter to commit,
+// so neither the delete's redo nor its undo nor the undo's redo needs the
+// record from the log.
 type slotPayload struct {
 	Slot uint16
 }
@@ -170,6 +170,38 @@ func decodeSlotPayload(b []byte) (slotPayload, error) {
 		return slotPayload{}, fmt.Errorf("data: slot payload %d bytes", len(b))
 	}
 	return slotPayload{Slot: binary.LittleEndian.Uint16(b)}, nil
+}
+
+// The body of OpDataPurge is a purge list: the slots the record empties, in
+// strictly ascending order, two bytes each and no count. One pass of
+// purgeGhosts over a page logs every ghost it proves free in one record; the
+// CLR that undoes an insert logs a one-slot list.
+
+// appendPurgeSlot adds slot, which must exceed every slot already in it, to
+// the purge list b.
+func appendPurgeSlot(b []byte, slot uint16) []byte {
+	return binary.LittleEndian.AppendUint16(b, slot)
+}
+
+// purgeSlot is the i-th slot of the purge list b.
+func purgeSlot(b []byte, i int) uint16 { return binary.LittleEndian.Uint16(b[2*i:]) }
+
+// checkPurge rejects a purge list no purge of page p logs: an empty list, a
+// list of odd length, slots out of order or repeated, and a slot of p that
+// holds no cell.
+func checkPurge(p *storage.Page, b []byte) error {
+	if len(b) == 0 || len(b)%2 != 0 {
+		return fmt.Errorf("data: purge list of %d bytes", len(b))
+	}
+	for i := 0; i < len(b)/2; i++ {
+		if i > 0 && purgeSlot(b, i) <= purgeSlot(b, i-1) {
+			return fmt.Errorf("data: purge list has slot %d after slot %d", purgeSlot(b, i), purgeSlot(b, i-1))
+		}
+		if _, ok := p.Cell(int(purgeSlot(b, i))); !ok {
+			return fmt.Errorf("data: purge of empty slot %d on page %d", purgeSlot(b, i), p.ID())
+		}
+	}
+	return nil
 }
 
 // formatPayload is the body of OpDataFormat: chain pointers for the fresh

@@ -14,11 +14,15 @@ import (
 
 // The count gate of a churning queue's log volume: one client of the
 // churn-ooc mix — insert two rows at the head of a queue, delete two at its
-// tail, scan 16 static rows under locks — on a 256-page pool. A delete logs
-// its slot, not its row (the ghost keeps the row until its deleter has
-// committed), so a transaction writes at most 660 log bytes where the row
-// copy made it about 845, and each of its two data-delete records is at most
-// 24 bytes. Counts from trace.Stats and the log, no timing.
+// tail, scan 16 static rows under locks — on a 256-page pool. Each byte is
+// logged once: a delete logs its slot, not its row (the ghost keeps the row
+// until its deleter has committed), a split's left-page record names the new
+// page instead of repeating the cells its format record carries, and a pass
+// that purges ghosts logs one record listing their slots. So a transaction
+// writes at most 585 log bytes where the row copy made it about 845, each of
+// its two data-delete records is at most 24 bytes, each split-left record at
+// most 64, and there are at most 1.1 purge records per transaction. Counts
+// from trace.Stats and the log, no timing.
 func TestChurnLogBytesPerTxn(t *testing.T) {
 	const (
 		rows  = 20_000 // static rows, scanned
@@ -88,22 +92,35 @@ func TestChurnLogBytesPerTxn(t *testing.T) {
 	}
 	diff := trace.Diff(before, d.Stats().Snap())
 
-	deletes := 0
+	deletes, splits, purges := 0, 0, 0
 	for _, r := range d.Log().Records(from + 1) {
-		if r.Op != wal.OpDataDelete {
-			continue
-		}
-		if deletes++; r.EncodedSize() > 24 {
-			t.Fatalf("a data-delete record of %d bytes, want at most 24: %s", r.EncodedSize(), r)
+		switch r.Op {
+		case wal.OpDataDelete:
+			if deletes++; r.EncodedSize() > 24 {
+				t.Fatalf("a data-delete record of %d bytes, want at most 24: %s", r.EncodedSize(), r)
+			}
+		case wal.OpIdxSplitLeft:
+			if splits++; r.EncodedSize() > 64 {
+				t.Fatalf("a split-left record of %d bytes, want at most 64: %s", r.EncodedSize(), r)
+			}
+		case wal.OpDataPurge:
+			purges++
 		}
 	}
 	if deletes != 2*txns {
 		t.Fatalf("%d data-delete records for %d transactions, want 2 each", deletes, txns)
 	}
+	if splits == 0 {
+		t.Fatal("the churn split no page")
+	}
+	if perTxn := float64(purges) / txns; perTxn > 1.1 {
+		t.Fatalf("%.2f data-purge records per transaction, want at most 1.1", perTxn)
+	}
 	perTxn := float64(diff.LogBytes) / txns
-	t.Logf("%.1f log bytes, %.2f records per transaction", perTxn, float64(diff.LogRecords)/txns)
-	if perTxn > 660 {
-		t.Fatalf("%.1f log bytes per transaction, want at most 660", perTxn)
+	t.Logf("%.1f log bytes, %.2f records per transaction; %d split-left and %d purge records",
+		perTxn, float64(diff.LogRecords)/txns, splits, purges)
+	if perTxn > 585 {
+		t.Fatalf("%.1f log bytes per transaction, want at most 585", perTxn)
 	}
 	if err := d.VerifyConsistency(); err != nil {
 		t.Fatal(err)

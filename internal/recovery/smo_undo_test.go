@@ -259,4 +259,106 @@ func TestCrashAtEveryRecordOfOneSplit(t *testing.T) {
 		}
 		e.expectKeySet(want)
 	}
+
+	t.Run("nonleaf", crashAtEveryRecordOfNonleafSplit)
+}
+
+// crashAtEveryRecordOfNonleafSplit is TestCrashAtEveryRecordOfOneSplit's
+// nonleaf case: a leaf split that propagates into a split of its (non-root)
+// parent, cut at every record of the SMO, under offline and online restart.
+// Cut before the dummy CLR, restart rolls both halves back page-oriented,
+// the parent's split-left from the cells its new page still holds; cut at
+// the dummy CLR, the SMO stands. Either way the tree is sound and holds the
+// committed keys alone.
+func crashAtEveryRecordOfNonleafSplit(t *testing.T) {
+	e := newEnv(t, core.Config{ID: 1})
+	setup := e.tm.Begin()
+	e.insertRange(setup, 0, 400)
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := e.ix.Height(); h < 3 {
+		t.Fatalf("setup tree of height %d, want 3 or more", h)
+	}
+	if err := e.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := e.disk.WriteCount()
+
+	// The loser inserts until one insert's SMO splits two pages, a leaf and
+	// its parent, below the root.
+	tx := e.tm.Begin()
+	var region []wal.LSN // the SMO's records, its first FSM allocation to its dummy CLR
+	var splitLefts []wal.LSN
+	i := 400
+	for region == nil {
+		mark := e.log.MaxLSN()
+		if err := e.ix.Insert(tx, key(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+		if i > 3000 {
+			t.Fatal("no split propagated into a nonleaf split")
+		}
+		var recs, lefts []wal.LSN
+		for _, r := range e.log.Records(mark + 1) {
+			if r.TxID != tx.ID || (recs == nil && r.Op != wal.OpFSMAlloc) {
+				continue
+			}
+			recs = append(recs, r.LSN)
+			if r.Op == wal.OpIdxSplitLeft {
+				lefts = append(lefts, r.LSN)
+			}
+			if r.Type == wal.RecDummyCLR {
+				break
+			}
+		}
+		if len(lefts) == 2 {
+			region, splitLefts = recs, lefts
+		}
+	}
+	// Every cut is a legal crash point only while the disk holds nothing
+	// the loser wrote.
+	if w := e.disk.WriteCount(); w != flushed {
+		t.Fatalf("%d page writes during the loser's inserts", w-flushed)
+	}
+
+	for _, mode := range []string{"offline", "online"} {
+		t.Run(mode, func(t *testing.T) {
+			for _, cut := range region {
+				f := e.fork(cut)
+				f.t = t
+				if mode == "online" {
+					o, err := StartOnline(f.log, f.pool, f.tm, f.locks, f.stats, OnlineOpts{})
+					if err != nil {
+						t.Fatalf("cut at %d: %v", cut, err)
+					}
+					if _, err := o.Wait(); err != nil {
+						t.Fatalf("cut at %d: %v", cut, err)
+					}
+				} else if _, err := Restart(f.log, f.pool, f.tm, f.locks, f.stats); err != nil {
+					t.Fatalf("cut at %d: %v", cut, err)
+				}
+				unsplits, wantUnsplits := 0, 0
+				for _, l := range splitLefts {
+					if l <= cut && cut < region[len(region)-1] {
+						wantUnsplits++
+					}
+				}
+				for _, r := range f.log.Records(cut + 1) {
+					if r.IsCLR() && r.Op == wal.OpIdxUnsplitLeft {
+						unsplits++
+					}
+				}
+				if unsplits != wantUnsplits {
+					t.Fatalf("cut at %d: %d unsplit-left CLRs, want %d", cut, unsplits, wantUnsplits)
+				}
+				want := map[int]bool{}
+				for j := 0; j < i; j++ {
+					want[j] = j < 400
+				}
+				f.expectKeySet(want)
+			}
+		})
+	}
 }
