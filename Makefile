@@ -63,8 +63,8 @@ test-2core:
 # savepoint tests likewise, for
 # ReleaseSince popping the owner's list while contenders queue on its names.
 # The log's tests repeat 20 times: an appender writes a record's bytes before
-# it publishes the record's slot, and a broken order is a data race the
-# detector sees only on the schedules where a reader lands in between.
+# it publishes the record's LSN in the ring, and a broken order is a data race
+# the detector sees only on the schedules where a reader lands in between.
 # The chain-list tests repeat 20 times: a transaction's list of the chains
 # holding its versions is written by db's push and read by mvcc's commit and
 # drop paths, with no mutex, while snapshot readers retire the same chains.
@@ -102,9 +102,13 @@ race:
 # Ten seconds of fuzzing the log record decoder: no input panics it, and
 # whatever decodes re-encodes to the same bytes (the header is canonical).
 # Minimizing a new input derived from the 64 KiB seed can outlast the whole
-# budget, so minimization is capped at a second.
+# budget, so minimization is capped at a second. Then ten seconds of random
+# appends (records crossing index blocks, spanning one or three chunks, ending
+# on a chunk boundary), forces, truncations, torn-tail crashes, clones, reads
+# and scans, the log checked after every step against a slice of its records.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzLogBoundaries -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 
 # Ten seconds of fuzzing the data page redo: any op and payload, forward or as
 # a CLR, applied to a data page holding a live record, two ghosts and an

@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -265,6 +268,42 @@ func (l *Log) account(enc int) {
 `
 	if n := appendPath.lint([]parsedFile{parseSrc(t, "bad.go", src)}); n == 0 {
 		t.Fatal("exclusive Lock reachable from Append was not flagged")
+	}
+}
+
+// TestAppendPathReachesRingWait holds the gate to the log's own source: the
+// wal package as it stands passes, and the same package with an exclusive
+// Lock in awaitRing — the back-pressure wait an appender spins in when it
+// runs a ring's length ahead of the watermark — fails.
+func TestAppendPathReachesRingWait(t *testing.T) {
+	paths, err := filepath.Glob("../../internal/wal/*.go")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("wal sources: %v %v", paths, err)
+	}
+	const wait = "func (l *Log) awaitRing(t uint64) {"
+	var pkg, locked []parsedFile
+	found := false
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg = append(pkg, parseSrc(t, path, string(src)))
+		mutated := strings.Replace(string(src), wait, wait+"\n\tl.mu.Lock()\n\tdefer l.mu.Unlock()", 1)
+		locked = append(locked, parseSrc(t, path, mutated))
+		found = found || mutated != string(src)
+	}
+	if !found {
+		t.Fatalf("no wal source declares %q", wait)
+	}
+	if n := appendPath.lint(pkg); n != 0 {
+		t.Fatalf("the wal package flagged %d finding(s); want 0", n)
+	}
+	if n := appendPath.lint(locked); n == 0 {
+		t.Fatalf("an exclusive Lock in awaitRing (%q) was not flagged", wait)
 	}
 }
 

@@ -377,5 +377,5 @@ func TestDataOnlyAllocations(t *testing.T) {
 	n := 0
 	read("insert", 9, func() { n++; e.mustInsert(tx, ix, key(10*n+5)) })
 	n = 0
-	read("delete", 13, func() { n++; e.mustDelete(tx, ix, key(10*n+5)) })
+	read("delete", 11, func() { n++; e.mustDelete(tx, ix, key(10*n+5)) })
 }

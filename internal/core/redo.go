@@ -34,7 +34,7 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if _, err := p.DeleteCellAt(int(pl.Pos)); err != nil {
+		if err := p.DeleteCellAt(int(pl.Pos)); err != nil {
 			return fmt.Errorf("core: redo delete at %d on page %d: %w", pl.Pos, rec.Page, err)
 		}
 		p.SetFlags(pl.PostFlags)
@@ -66,7 +66,7 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 			return fmt.Errorf("core: redo split-left on page %d (level %d) with a %d-byte promoted key", rec.Page, p.Level(), len(pl.Promoted))
 		}
 		for p.NSlots() > int(pl.From) {
-			if _, err := p.DeleteCellAt(p.NSlots() - 1); err != nil {
+			if err := p.DeleteCellAt(p.NSlots() - 1); err != nil {
 				return err
 			}
 		}
@@ -134,7 +134,7 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if _, err := p.DeleteCellAt(int(pl.Pos)); err != nil {
+		if err := p.DeleteCellAt(int(pl.Pos)); err != nil {
 			return fmt.Errorf("core: redo unsplit-parent at %d on page %d: %w", pl.Pos, rec.Page, err)
 		}
 		if pl.AtRightmost {
@@ -151,7 +151,7 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 			return err
 		}
 		if len(pl.Removed) > 0 {
-			if _, err := p.DeleteCellAt(int(pl.Pos)); err != nil {
+			if err := p.DeleteCellAt(int(pl.Pos)); err != nil {
 				return fmt.Errorf("core: redo delete-child at %d on page %d: %w", pl.Pos, rec.Page, err)
 			}
 		}

@@ -550,7 +550,7 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 			return err // before any slot is emptied
 		}
 		for i := 0; i < len(rec.Payload)/2; i++ {
-			if _, err := p.RemoveCell(purgeSlot(rec.Payload, i)); err != nil {
+			if err := p.RemoveCell(purgeSlot(rec.Payload, i)); err != nil {
 				return err
 			}
 		}

@@ -24,7 +24,7 @@ func redoPage(t testing.TB) *storage.Page {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.RemoveCell(3); err != nil {
+	if err := p.RemoveCell(3); err != nil {
 		t.Fatal(err)
 	}
 	return p

@@ -29,7 +29,7 @@ func BenchmarkPageInsertDeleteCell(b *testing.B) {
 		if err := p.InsertCellAt(50, cell); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.DeleteCellAt(50); err != nil {
+		if err := p.DeleteCellAt(50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func BenchmarkPageCompaction(b *testing.B) {
 		b.StopTimer()
 		p := benchLeaf(b, 100)
 		for j := 0; j < 50; j++ {
-			if _, err := p.DeleteCellAt(j); err != nil {
+			if err := p.DeleteCellAt(j); err != nil {
 				b.Fatal(err)
 			}
 		}

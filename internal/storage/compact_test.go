@@ -67,9 +67,9 @@ func TestCompactStableSlotsAgainstModel(t *testing.T) {
 				if model[slot] == nil {
 					continue
 				}
-				got, err := p.RemoveCell(uint16(slot))
-				if err != nil || !bytes.Equal(got, model[slot]) {
-					t.Fatalf("seed %d step %d: RemoveCell(%d) = %x, %v", seed, step, slot, got, err)
+				got, _ := p.Cell(slot)
+				if err := p.RemoveCell(uint16(slot)); err != nil || !bytes.Equal(got, model[slot]) {
+					t.Fatalf("seed %d step %d: RemoveCell(%d) of %x: %v", seed, step, slot, got, err)
 				}
 				model[slot] = nil
 			}
@@ -109,7 +109,7 @@ func TestReplaceCellAgainstModel(t *testing.T) {
 				}
 				model[slot] = cell
 			case rng.Intn(4) == 0:
-				if _, err := p.RemoveCell(uint16(slot)); err != nil {
+				if err := p.RemoveCell(uint16(slot)); err != nil {
 					t.Fatalf("seed %d step %d: RemoveCell(%d): %v", seed, step, slot, err)
 				}
 				model[slot] = nil
@@ -189,9 +189,9 @@ func TestCompactDenseSlotsAgainstModel(t *testing.T) {
 				model[at] = cell
 			} else if len(model) > 0 {
 				at := rng.Intn(len(model))
-				got, err := p.DeleteCellAt(at)
-				if err != nil || !bytes.Equal(got, model[at]) {
-					t.Fatalf("seed %d step %d: DeleteCellAt(%d) = %x, %v", seed, step, at, got, err)
+				got := p.MustCell(at)
+				if err := p.DeleteCellAt(at); err != nil || !bytes.Equal(got, model[at]) {
+					t.Fatalf("seed %d step %d: DeleteCellAt(%d) of %x: %v", seed, step, at, got, err)
 				}
 				model = append(model[:at], model[at+1:]...)
 			}
@@ -212,7 +212,7 @@ func TestCompactDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.RemoveCell(3); err != nil {
+	if err := p.RemoveCell(3); err != nil {
 		t.Fatal(err)
 	}
 	p.compact() // the first call may fill the scratch pool

@@ -327,23 +327,20 @@ func (p *Page) InsertCellAt(i int, payload []byte) error {
 }
 
 // DeleteCellAt removes the cell at dense position i, shifting later slots
-// down. It returns a copy of the removed payload (needed for undo logging).
-func (p *Page) DeleteCellAt(i int) ([]byte, error) {
+// down. A caller that needs the removed payload reads it (Cell) first.
+func (p *Page) DeleteCellAt(i int) error {
 	n := p.NSlots()
 	if i < 0 || i >= n {
-		return nil, fmt.Errorf("%w: delete at %d of %d", ErrBadSlot, i, n)
+		return fmt.Errorf("%w: delete at %d of %d", ErrBadSlot, i, n)
 	}
 	off := p.slot(i)
 	if off == freeSlotMarker {
-		return nil, fmt.Errorf("%w: delete of freed slot %d", ErrBadSlot, i)
+		return fmt.Errorf("%w: delete of freed slot %d", ErrBadSlot, i)
 	}
-	size := int(p.u16(int(off)))
-	out := make([]byte, size)
-	copy(out, p.b[int(off)+2:int(off)+2+size])
 	copy(p.b[p.slotOff(i):p.slotOff(n-1)], p.b[p.slotOff(i+1):p.slotOff(n)])
 	p.setNSlots(n - 1)
-	p.setGarbage(p.garbage() + size + 2)
-	return out, nil
+	p.setGarbage(p.garbage() + int(p.u16(int(off))) + 2)
+	return nil
 }
 
 // AddCell places a cell in the first free stable slot (or a new one) and
@@ -403,21 +400,19 @@ func (p *Page) AddCellAt(slot uint16, payload []byte) error {
 	return nil
 }
 
-// RemoveCell frees a stable slot, returning a copy of its payload.
-func (p *Page) RemoveCell(slot uint16) ([]byte, error) {
+// RemoveCell frees a stable slot. A caller that needs the removed payload
+// reads it (Cell) first.
+func (p *Page) RemoveCell(slot uint16) error {
 	if int(slot) >= p.NSlots() {
-		return nil, fmt.Errorf("%w: remove of slot %d (nslots=%d)", ErrBadSlot, slot, p.NSlots())
+		return fmt.Errorf("%w: remove of slot %d (nslots=%d)", ErrBadSlot, slot, p.NSlots())
 	}
 	off := p.slot(int(slot))
 	if off == freeSlotMarker {
-		return nil, fmt.Errorf("%w: remove of freed slot %d", ErrBadSlot, slot)
+		return fmt.Errorf("%w: remove of freed slot %d", ErrBadSlot, slot)
 	}
-	size := int(p.u16(int(off)))
-	out := make([]byte, size)
-	copy(out, p.b[int(off)+2:int(off)+2+size])
 	p.setSlot(int(slot), freeSlotMarker)
-	p.setGarbage(p.garbage() + size + 2)
-	return out, nil
+	p.setGarbage(p.garbage() + int(p.u16(int(off))) + 2)
+	return nil
 }
 
 // ReplaceCell overwrites the payload of a live stable slot; the slot number

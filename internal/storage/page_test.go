@@ -82,9 +82,11 @@ func TestDenseInsertDeleteOrdering(t *testing.T) {
 			t.Errorf("cell %d = %q, want %q", i, got, w)
 		}
 	}
-	got, err := p.DeleteCellAt(1)
-	if err != nil || string(got) != "bbb" {
-		t.Fatalf("DeleteCellAt(1) = %q, %v", got, err)
+	if got := string(p.MustCell(1)); got != "bbb" {
+		t.Fatalf("cell 1 = %q before its delete", got)
+	}
+	if err := p.DeleteCellAt(1); err != nil {
+		t.Fatalf("DeleteCellAt(1): %v", err)
 	}
 	if p.NSlots() != 2 || string(p.MustCell(1)) != "ccc" {
 		t.Fatalf("after delete: nslots=%d cell1=%q", p.NSlots(), p.MustCell(1))
@@ -106,7 +108,7 @@ func TestDensePageFullAndCompaction(t *testing.T) {
 		t.Fatal("no cells fit at all")
 	}
 	// Delete one, insert again: must succeed via garbage reclamation.
-	if _, err := p.DeleteCellAt(0); err != nil {
+	if err := p.DeleteCellAt(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.InsertCellAt(0, cell); err != nil {
@@ -138,7 +140,7 @@ func TestStableSlotsPreserveRIDs(t *testing.T) {
 	if s0 != 0 || s1 != 1 || s2 != 2 {
 		t.Fatalf("slots = %d,%d,%d", s0, s1, s2)
 	}
-	if _, err := p.RemoveCell(s1); err != nil {
+	if err := p.RemoveCell(s1); err != nil {
 		t.Fatal(err)
 	}
 	// rec2 must still be reachable at its original slot.
@@ -207,7 +209,7 @@ func TestStableCompactionKeepsSlots(t *testing.T) {
 	}
 	// Free every other cell, then add a big one forcing compaction.
 	for i := 0; i < len(slots); i += 2 {
-		if _, err := p.RemoveCell(slots[i]); err != nil {
+		if err := p.RemoveCell(slots[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,12 +336,11 @@ func TestQuickDensePageModel(t *testing.T) {
 			model[pos] = cell
 		} else {
 			pos := rng.Intn(len(model))
-			got, err := p.DeleteCellAt(pos)
-			if err != nil {
-				t.Fatalf("step %d: delete: %v", step, err)
+			if got := p.MustCell(pos); !bytes.Equal(got, model[pos]) {
+				t.Fatalf("step %d: deleting %x, model %x", step, got, model[pos])
 			}
-			if !bytes.Equal(got, model[pos]) {
-				t.Fatalf("step %d: deleted %x, model %x", step, got, model[pos])
+			if err := p.DeleteCellAt(pos); err != nil {
+				t.Fatalf("step %d: delete: %v", step, err)
 			}
 			model = append(model[:pos], model[pos+1:]...)
 		}
@@ -384,12 +385,11 @@ func TestQuickStableSlotModel(t *testing.T) {
 				victim = s
 				break
 			}
-			got, err := p.RemoveCell(victim)
-			if err != nil {
-				t.Fatalf("step %d: remove: %v", step, err)
+			if got, ok := p.Cell(int(victim)); !ok || !bytes.Equal(got, model[victim]) {
+				t.Fatalf("step %d: removing the wrong payload", step)
 			}
-			if !bytes.Equal(got, model[victim]) {
-				t.Fatalf("step %d: removed wrong payload", step)
+			if err := p.RemoveCell(victim); err != nil {
+				t.Fatalf("step %d: remove: %v", step, err)
 			}
 			delete(model, victim)
 		}

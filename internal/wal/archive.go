@@ -65,7 +65,7 @@ func (l *Log) Archive(w io.Writer) (int, error) {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return 0, err
 	}
-	for _, b := range v.span(0, v.n) {
+	for _, b := range v.span(0, v.end) {
 		if _, err := bw.Write(b); err != nil {
 			return 0, err
 		}

@@ -33,18 +33,18 @@ var ErrLogCrashed = errors.New("wal: log crashed during append-force")
 // with the relevant LSNs.
 //
 // The append path is a lock-free reservation pipeline (see reserve.go):
-// Append claims its byte range and slot with one atomic fetch-add, publishes
-// the record, and advances the contiguity watermark. Only the flush pipeline
-// (group commit), the crash fence, and the marks (stable/master) are
+// Append claims its byte range and ring ticket with one atomic fetch-add,
+// publishes the record, and advances the contiguity watermark. Only the flush
+// pipeline (group commit), the crash fence, and the marks (stable/master) are
 // mutex-guarded — and every consumer of "the log's contents" (snapshots,
 // archive, shipping, redo) reads the watermarked prefix, which is hole-free
 // by construction.
 type Log struct {
 	// Reservation pipeline (lock-free append path; see reserve.go).
-	resv   atomic.Uint64             // packed claim word: records<<40 | bytes
-	dir    atomic.Pointer[[]*logSeg] // slot directory (slot i: LSN of record i), grown by CAS
-	chunks atomic.Pointer[[]*chunk]  // byte arena: record LSN n at offset n-1, grown by CAS
-	filled atomic.Uint64             // contiguity watermark: slots [0,filled) published
+	resv   atomic.Uint64            // packed claim word: records mod 2^16 <<48 | bytes (cap 2^48)
+	chunks atomic.Pointer[[]*chunk] // byte arena: record LSN n at offset n-1, grown by CAS
+	ring   [ringSize]atomic.Uint64  // publish ring: entry t mod ringSize holds ticket t's LSN
+	filled atomic.Uint64            // contiguity watermark, packed like resv: the published prefix
 
 	// crashMu fences appends against crash truncation: appenders hold the
 	// shared side (non-serializing among themselves) across claim+publish;
@@ -75,11 +75,11 @@ type Log struct {
 	notifyFn func()
 
 	// publishGate, when non-nil, is called by reserveFill between the claim
-	// and the slot publish with the claimed slot index. Test-only: it lets a
+	// and the publish with the claimed ticket. Test-only: it lets a
 	// schedule-pinned test hold one reservation open inside the
 	// claim→publish window while other appenders publish past it. Installed
 	// before any appender starts (never mutated concurrently).
-	publishGate func(slot uint64)
+	publishGate func(ticket uint64)
 
 	// damage records byte-level corruption planted in the stored image of
 	// individual records (torn log writes, media rot). It is consulted by
@@ -100,6 +100,7 @@ type damageSpot struct {
 // NewLog creates an empty log reporting into stats (which may be nil).
 func NewLog(stats *trace.Stats) *Log {
 	l := &Log{stats: stats, damage: make(map[LSN][]damageSpot)}
+	l.chunks.Store(&[]*chunk{})
 	l.flushCond = sync.NewCond(&l.mu)
 	return l
 }
@@ -150,7 +151,7 @@ func (l *Log) forceAndRing(lsn LSN) bool {
 // returns the LSN. The log keeps r's bytes, not r: the caller may reuse r.
 //
 // This is the lock-free reservation path: one atomic fetch-add claims the
-// byte range and slot, and concurrent appenders never serialize (the
+// byte range and ring ticket, and concurrent appenders never serialize (the
 // ariesim-lint append-path check keeps exclusive mutexes off it).
 func (l *Log) Append(r *Record) LSN {
 	l.crashMu.RLock()
@@ -183,14 +184,14 @@ func (l *Log) AppendForce(r *Record) (LSN, error) {
 // outstanding reservations drain. Lock-free: the stall spins on the
 // watermark, counting one WatermarkStalls per stalled wait.
 func (l *Log) awaitFilled(lsn LSN) bool {
-	if l.filledLSN() >= lsn {
+	if l.filledEnd() >= uint64(lsn) {
 		return true
 	}
 	gen := l.flushGen.Load()
 	stalled := false
-	for l.filledLSN() < lsn {
-		count, _ := unpackResv(l.resv.Load())
-		if l.filled.Load() >= count {
+	for l.filledEnd() < uint64(lsn) {
+		_, claimed := unpackResv(l.resv.Load())
+		if l.filledEnd() >= claimed {
 			// Every claimed reservation is published and the watermark is
 			// still below lsn: the target is beyond the frontier (a force
 			// of a not-yet-appended LSN). Nothing left to wait for.
@@ -235,13 +236,13 @@ func (l *Log) Force(lsn LSN) bool {
 // concurrent append to slip a record between the snapshot and the flush
 // start, and no hole below the flushed mark.
 func (l *Log) ForceAll() {
-	count, _ := unpackResv(l.resv.Load())
-	if count == 0 {
+	_, claimed := unpackResv(l.resv.Load())
+	if claimed == 0 {
 		return
 	}
 	gen := l.flushGen.Load()
 	stalled := false
-	for l.filled.Load() < count {
+	for l.filledEnd() < claimed {
 		if l.flushGen.Load() != gen {
 			return
 		}
@@ -336,7 +337,7 @@ func (l *Log) NextLSN() LSN {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
 	_, off := unpackResv(l.resv.Load())
-	return off + 1
+	return LSN(off + 1)
 }
 
 // MaxLSN returns the LSN of the most recently appended record under the
@@ -352,8 +353,7 @@ func (l *Log) MaxLSN() LSN {
 func (l *Log) Bytes() uint64 {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
-	v := l.view()
-	return v.end(v.n)
+	return l.filledEnd()
 }
 
 // NumRecords returns the number of appended records under the contiguity
@@ -361,7 +361,7 @@ func (l *Log) Bytes() uint64 {
 func (l *Log) NumRecords() int {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
-	return int(l.filled.Load())
+	return int(l.view().n)
 }
 
 // SetMaster durably stores the checkpoint anchor (the "master record" kept
@@ -385,16 +385,16 @@ func (l *Log) Master() LSN {
 
 // Read returns a freshly decoded copy of the record at lsn.
 //
-// Appends publish out of slot order: a record can sit published at slot i
-// while an earlier reservation (slot j < i, another appender) is still
-// inside its claim→publish window, which parks the contiguity watermark at
-// j. A reader chasing an undo chain lands in exactly that window — the
-// transaction's own just-appended record is published but not yet covered —
-// so a watermark-capped search must not conclude "no such record" while
-// unpublished reservations remain below the claimed frontier. Read waits
-// out the transient hole (mirroring awaitFilled): it returns the record as
-// soon as the watermark covers it, and reports absence only once the LSN is
-// provably beyond every claim or every claimed reservation has published.
+// Appends publish out of order: a record can sit published while an earlier
+// reservation (another appender) is still inside its claim→publish window,
+// which parks the contiguity watermark below it. A reader chasing an undo
+// chain lands in exactly that window — the transaction's own just-appended
+// record is published but not yet covered — so a watermark-capped search
+// must not conclude "no such record" while the LSN lies below the claimed
+// frontier. Read waits out the transient hole (mirroring awaitFilled): once
+// the watermark covers the LSN it returns the record that starts there, and
+// it reports absence at once for an LSN beyond every claim, and for one the
+// watermark covers that no record starts at.
 // The wait cannot deadlock or outlive the epoch: Read holds crashMu shared,
 // so no crash truncates mid-wait, and every unpublished reservation it can
 // wait on is owned by an appender that already holds crashMu shared too —
@@ -402,18 +402,18 @@ func (l *Log) Master() LSN {
 func (l *Log) Read(lsn LSN) (*Record, error) {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
-	for {
+	for lsn != NilLSN {
 		v := l.view()
-		if i := v.search(lsn); i < v.n && v.lsn(i) == lsn {
+		if off := uint64(lsn) - 1; off < v.end {
+			if !v.isStart(off) {
+				break
+			}
 			r := &Record{}
-			decodeStored(r, v.stored(lsn), lsn)
+			decodeStored(r, v.stored(off), lsn)
 			return r, nil
 		}
-		count, off := unpackResv(l.resv.Load())
-		if lsn > off || v.n >= count {
-			// Beyond every claimed byte, or every claimed reservation had
-			// published when the search ran: no record holds this LSN.
-			break
+		if _, claimed := unpackResv(l.resv.Load()); uint64(lsn) > claimed {
+			break // beyond every claimed byte
 		}
 		runtime.Gosched()
 	}
@@ -426,13 +426,14 @@ func (l *Log) Read(lsn LSN) (*Record, error) {
 // records are those under the watermark at the call; fn may use the log.
 func (l *Log) Scan(from LSN, fn func(*Record) bool) {
 	v := l.snapshot()
-	for i := v.search(from); i < v.n; i++ {
-		lsn := v.lsn(i)
+	for off, _ := v.locate(uint64(max(from, 1)) - 1); off < v.end; {
+		b := v.stored(off)
 		r := &Record{}
-		decodeStored(r, v.stored(lsn), lsn)
+		decodeStored(r, b, LSN(off+1))
 		if !fn(r) {
 			return
 		}
+		off += uint64(len(b))
 	}
 }
 
@@ -443,7 +444,7 @@ func (l *Log) Scan(from LSN, fn func(*Record) bool) {
 // the log's stored bytes.
 func (l *Log) SnapshotFrom(from LSN) []*Record {
 	v := l.snapshot()
-	return v.records(v.search(from), v.n)
+	return v.from(from)
 }
 
 // SnapshotStable returns every record with from <= LSN <= stable, decoded
@@ -455,7 +456,13 @@ func (l *Log) SnapshotFrom(from LSN) []*Record {
 // can only land strictly after the returned prefix.
 func (l *Log) SnapshotStable(from LSN) (recs []*Record, stable, master LSN) {
 	v, stable, master := l.stableView()
-	return v.records(v.search(from), v.n), stable, master
+	return v.from(from), stable, master
+}
+
+// from decodes every record of v with LSN >= from.
+func (v *view) from(from LSN) []*Record {
+	off, ord := v.locate(uint64(max(from, 1)) - 1)
+	return v.records(off, v.n-ord)
 }
 
 // stableView returns a view cut at the stable mark, with the stable and
@@ -467,7 +474,7 @@ func (l *Log) stableView() (v view, stable, master LSN) {
 	stable, master = l.stable, l.master
 	l.mu.Unlock()
 	v = l.view()
-	v.n = v.search(stable + 1)
+	v.end, v.n = v.locate(uint64(stable))
 	return v, stable, master
 }
 
@@ -531,32 +538,26 @@ func (l *Log) TruncateTo(lsn LSN) {
 // no appender is between claim and publish, so the watermark can be dragged
 // to the claimed frontier — the crash-truncation rule "truncate at the
 // watermark, never mid-hole" holds by construction. Unfilled reservations
-// cannot exist here; the survivors are found by binary search on the slots,
-// records above them are discarded by cutting the directories at the new
-// frontier (copy-on-write: a zombie's decoded records keep their bytes), and
-// the reservation word is rewound so the address space continues from the
-// survivor.
+// cannot exist here; the survivors are the records up to the stable mark,
+// found through the block index, records above them are discarded by cutting
+// the arena at the new frontier (copy-on-write: a zombie's decoded records
+// keep their bytes), and the reservation word is rewound so the address
+// space continues from the survivor.
 func (l *Log) crashLocked(extra int, tear bool) {
 	l.advanceFilled()
 	v := l.view()
-	i := v.search(l.stable + 1)
-	keep := min(i+uint64(extra), v.n)
-	if tear && keep > i && keep > 0 {
+	keep, _ := v.locate(uint64(l.stable))
+	torn := uint64(0)
+	for ; extra > 0 && keep < v.end; extra-- {
+		torn = keep + 1
+		keep += uint64(v.size(keep))
+	}
+	if tear && torn != 0 {
 		// Tear the last survivor: its trailing half never hit the platter.
-		last := v.lsn(keep - 1)
-		l.damage[last] = append(l.damage[last], damageSpot{off: v.size(last) / 2, xor: 0xA5})
+		l.damage[LSN(torn)] = append(l.damage[LSN(torn)], damageSpot{off: v.size(torn-1) / 2, xor: 0xA5})
 	}
-	n := l.sweepDamaged(&v, keep)
-	l.stable = NilLSN
-	if n > 0 {
-		l.stable = v.lsn(n - 1)
-	}
-	nextOff := v.end(n)
-	segs, chunks := v.cut(n, nextOff)
-	l.dir.Store(segs)
-	l.chunks.Store(chunks)
-	l.filled.Store(n)
-	l.resv.Store(packResv(n, LSN(nextOff)))
+	end, n := v.locate(l.sweepDamaged(&v, keep))
+	l.stable = l.install(&v, end, n)
 	if l.master > l.stable {
 		l.master = NilLSN
 	}
@@ -570,32 +571,32 @@ func (l *Log) crashLocked(extra int, tear bool) {
 	}
 }
 
-// sweepDamaged re-reads every damaged record among the first keep slots of
-// v the way a restart reads the stable log — stored bytes, with planted
-// corruption applied — and returns the number of slots before the first
-// record that fails to decode. It visits only the damaged LSNs.
+// sweepDamaged re-reads every damaged record of v below offset keep the way
+// a restart reads the stable log — stored bytes, with planted corruption
+// applied — and returns the offset of the first record that fails to decode
+// (keep if none does). It visits only the damaged LSNs.
 func (l *Log) sweepDamaged(v *view, keep uint64) uint64 {
 	cut := keep
 	for lsn, spots := range l.damage {
-		i := v.search(lsn)
-		if i >= cut || v.lsn(i) != lsn {
+		off := uint64(lsn) - 1
+		if off >= cut || !v.isStart(off) {
 			continue
 		}
-		b := append([]byte(nil), v.stored(lsn)...)
+		b := append([]byte(nil), v.stored(off)...)
 		for _, s := range spots {
 			if s.off >= 0 && s.off < len(b) {
 				b[s.off] ^= s.xor
 			}
 		}
 		if _, _, err := DecodeRecord(b); err != nil {
-			cut = i
+			cut = off
 		}
 	}
 	if cut == keep {
 		return keep
 	}
 	for lsn := range l.damage {
-		if i := v.search(lsn); i >= cut && i < keep && v.lsn(i) == lsn {
+		if off := uint64(lsn) - 1; off >= cut && off < keep && v.isStart(off) {
 			delete(l.damage, lsn)
 		}
 	}
@@ -614,7 +615,7 @@ func (l *Log) CorruptStored(lsn LSN, off int, mask byte) error {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
 	v := l.view()
-	if i := v.search(lsn); i >= v.n || v.lsn(i) != lsn {
+	if lsn == NilLSN || !v.isStart(uint64(lsn)-1) {
 		return fmt.Errorf("wal: no record at LSN %d", lsn)
 	}
 	l.mu.Lock()
@@ -632,11 +633,10 @@ func (l *Log) TornTailTruncations() uint64 {
 }
 
 // Clone copies the log's state into a new Log reporting into stats. Every
-// arena chunk and slot segment wholly below the frontier is shared (nothing
-// there is ever rewritten); the frontier's own chunk and segment, the marks,
-// and planted damage are copied — O(chunks), not O(records). Clone holds the
-// crash fence exclusively, so no reservation is mid-fill and the copy is
-// hole-free. Used to fork an engine for crash-point sweeps without
+// arena chunk wholly below the frontier is shared (nothing there is ever
+// rewritten); the frontier's own chunk, the marks, and planted damage are
+// copied — O(chunks), not O(records). Clone holds the crash fence
+// exclusively, so no reservation is mid-fill and the copy is hole-free. Used to fork an engine for crash-point sweeps without
 // disturbing the original.
 func (l *Log) Clone(stats *trace.Stats) *Log {
 	l.crashMu.Lock()
@@ -644,14 +644,9 @@ func (l *Log) Clone(stats *trace.Stats) *Log {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.advanceFilled()
-	count, off := unpackResv(l.resv.Load())
 	out := NewLog(stats)
 	v := l.view()
-	segs, chunks := v.cut(count, uint64(off))
-	out.dir.Store(segs)
-	out.chunks.Store(chunks)
-	out.filled.Store(count)
-	out.resv.Store(packResv(count, off))
+	out.install(&v, v.end, v.n)
 	out.stable = l.stable
 	out.master = l.master
 	out.truncates = l.truncates
@@ -664,13 +659,14 @@ func (l *Log) Clone(stats *trace.Stats) *Log {
 
 // CodecRoundTrip checks every record under the watermark end to end: its
 // stored bytes decode with their CRC intact, re-encoding the decoded record
-// reproduces them byte for byte, and the next record starts where this one
-// ends. Used by tests and the crash tool.
+// reproduces them byte for byte, every index block the next record starts
+// in or beyond notes it as its first, and the records number what the
+// watermark counts. Used by tests and the crash tool.
 func (l *Log) CodecRoundTrip() error {
 	v := l.snapshot()
-	for i := uint64(0); i < v.n; i++ {
-		lsn := v.lsn(i)
-		b := v.stored(lsn)
+	var i uint64
+	for off := uint64(0); off < v.end; i++ {
+		lsn, b := LSN(off+1), v.stored(off)
 		got, n, err := DecodeRecord(b)
 		if err != nil {
 			return fmt.Errorf("LSN %d: %w", lsn, err)
@@ -679,9 +675,16 @@ func (l *Log) CodecRoundTrip() error {
 		if enc := got.Encode(); n != len(b) || !bytes.Equal(enc, b) {
 			return fmt.Errorf("LSN %d: stored %d bytes, decoded %d, re-encoded %d differ: %s", lsn, len(b), n, len(enc), got)
 		}
-		if i+1 < v.n && v.lsn(i+1) != lsn+LSN(len(b)) {
-			return fmt.Errorf("LSN %d: %d bytes, but the next record is at LSN %d", lsn, len(b), v.lsn(i+1))
+		next := off + uint64(n)
+		for k := off>>blockShift + 1; k <= next>>blockShift && k<<blockShift>>chunkShift < uint64(len(v.chunks)); k++ {
+			if first, ord := v.entry(k).load(); first != next || ord != i+1 {
+				return fmt.Errorf("block %d notes record %d at offset %d, want record %d at %d", k, ord, first, i+1, next)
+			}
 		}
+		off = next
+	}
+	if i != v.n {
+		return fmt.Errorf("%d records under the watermark, counted %d", i, v.n)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func checkDense(t *testing.T, recs []*Record, firstLSN LSN) {
 
 // TestConcurrentReservationsDense: N concurrent appenders with mixed
 // payload sizes produce unique, dense, byte-accurate LSN ranges — the
-// packed-claim invariant that slot order and byte order can never disagree.
+// packed-claim invariant that ticket order and byte order can never disagree.
 func TestConcurrentReservationsDense(t *testing.T) {
 	const workers, perWorker = 8, 400
 	st := &trace.Stats{}
@@ -323,8 +324,8 @@ func TestAppendForceSucceedsBothModes(t *testing.T) {
 
 // TestReadWaitsOutClaimPublishWindow is the schedule-pinned regression for
 // the undo-chain race: appender A is parked inside its claim→publish window
-// (via the publishGate test hook) while appender B claims the next slot and
-// publishes. B's record now exists in the slot directory but the contiguity
+// (via the publishGate test hook) while appender B claims the next ticket and
+// publishes. B's record now sits in the publish ring but the contiguity
 // watermark is parked below it at A's hole. The pre-fix Read consulted only
 // the watermark-capped search and immediately reported B's record missing —
 // which is exactly how a rolling-back transaction chasing its own PrevLSN
@@ -336,8 +337,8 @@ func TestReadWaitsOutClaimPublishWindow(t *testing.T) {
 	l := NewLog(nil)
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	l.publishGate = func(slot uint64) {
-		if slot == 0 {
+	l.publishGate = func(ticket uint64) {
+		if ticket == 0 {
 			close(entered)
 			<-gate
 		}
@@ -351,7 +352,7 @@ func TestReadWaitsOutClaimPublishWindow(t *testing.T) {
 	}()
 	<-entered
 
-	// A holds slot 0 unpublished; B publishes at slot 1. The watermark
+	// A holds ticket 0 unpublished; B publishes ticket 1. The watermark
 	// cannot advance past A's hole, so B's record is exactly the
 	// published-but-uncovered state the race exposes.
 	lsnB := l.Append(&Record{Type: RecUpdate, TxID: 2, Op: OpDataInsert, Payload: []byte("b")})
@@ -390,5 +391,119 @@ func TestReadWaitsOutClaimPublishWindow(t *testing.T) {
 	}
 	if rr.r.LSN != lsnB || rr.r.TxID != 2 {
 		t.Fatalf("Read(%d) = {LSN %d, TxID %d}, want B's record", lsnB, rr.r.LSN, rr.r.TxID)
+	}
+}
+
+// TestPublishRingBackPressure: an appender parked between its claim and its
+// publish holds every appender ringSize-1 or more tickets behind it at the
+// ring — they claim past it but never overwrite its entry — and nothing
+// deadlocks once it is released. Enough records follow, from concurrent
+// appenders, to wrap the 16-bit count more than three times; the log stays
+// dense, counts every record, and reads each one back. Read of an LSN inside
+// a record fails, and Scan from one starts at the next record.
+func TestPublishRingBackPressure(t *testing.T) {
+	const (
+		parked    = 5            // the parked appender's ticket
+		crowd     = 2 * ringSize // appenders that claim behind it
+		free      = ringSize - 2 // of those, the ones that may publish past it
+		workers   = 4
+		perWorker = 50_000
+		total     = parked + 1 + crowd + workers*perWorker
+	)
+	if total <= 3<<16 {
+		t.Fatalf("%d records do not wrap the 16-bit count three times", total)
+	}
+	rec := func(i int) *Record {
+		return &Record{Type: RecUpdate, TxID: TxID(i%7 + 1), Op: OpDataInsert, Payload: bytes.Repeat([]byte{byte(i)}, i%29+1)}
+	}
+	st := &trace.Stats{}
+	l := NewLog(st)
+	var gated atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	l.publishGate = func(ticket uint64) {
+		if ticket == parked && gated.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	for i := 0; i < parked; i++ {
+		l.Append(rec(i))
+	}
+	var wg sync.WaitGroup
+	var published atomic.Int64
+	appendOne := func(i int) {
+		defer wg.Done()
+		l.Append(rec(i))
+		published.Add(1)
+	}
+	wg.Add(1)
+	go appendOne(parked)
+	<-entered
+	for i := 0; i < crowd; i++ {
+		wg.Add(1)
+		go appendOne(parked + 1 + i)
+	}
+	// Each appender that must wait counts one watermark stall as it starts to.
+	deadline := time.Now().Add(10 * time.Second)
+	for published.Load() < free || st.WatermarkStalls.Load() < crowd-free {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d appenders published and %d wait at the ring; want %d and %d", published.Load(), st.WatermarkStalls.Load(), free, crowd-free)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := published.Load(); got != free {
+		t.Fatalf("%d appenders published past the parked one, want %d", got, free)
+	}
+	if got := l.ring[parked&ringMask].Load(); got != 0 {
+		t.Fatalf("the parked appender's ring entry was overwritten with LSN %d", got)
+	}
+	if got := l.NumRecords(); got != parked {
+		t.Fatalf("watermark covers %d records, want %d", got, parked)
+	}
+	close(release)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("appenders waiting at the ring never published after the parked one was released")
+	}
+
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				l.Append(rec(w*perWorker + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := l.NumRecords(); got != total {
+		t.Fatalf("NumRecords = %d, want %d", got, total)
+	}
+	recs := l.Records(1)
+	if len(recs) != total {
+		t.Fatalf("%d records, want %d", len(recs), total)
+	}
+	checkDense(t, recs, 1)
+	for _, r := range recs {
+		got, err := l.Read(r.LSN)
+		if err != nil || !bytes.Equal(got.Encode(), r.Encode()) {
+			t.Fatalf("Read(%d) = %v, %v; want %v", r.LSN, got, err, r)
+		}
+	}
+	mid := recs[total/2]
+	if r, err := l.Read(mid.LSN + 1); err == nil {
+		t.Fatalf("Read inside the record at LSN %d returned %v", mid.LSN, r)
+	}
+	l.Scan(mid.LSN+1, func(r *Record) bool {
+		if want := recs[total/2+1].LSN; r.LSN != want {
+			t.Fatalf("Scan from inside the record at LSN %d starts at %d, want %d", mid.LSN, r.LSN, want)
+		}
+		return false
+	})
+	if err := l.CodecRoundTrip(); err != nil {
+		t.Fatal(err)
 	}
 }
