@@ -410,10 +410,10 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 	return p.InsertCellAt(0, rec.Payload)
 }
 
-func (ix *Index) replaceRoot(tx *txn.Tx, f *buffer.Frame) {
+func (ix *Index) formatFromShadow(tx *txn.Tx, f *buffer.Frame) {
 	shadow := storage.NewPage(len(f.Page.Bytes()))
 	shadow.Format(ix.root, storage.PageTypeIndex, 0)
-	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxReplacePage, shadow.Bytes(), false)
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxFormat, shadow.Bytes(), false)
 }
 `
 	if n := lintFramePageMutations([]parsedFile{parseSrc(t, "good.go", good)}); n != 0 {

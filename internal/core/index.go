@@ -50,8 +50,8 @@ func NewManager(pool *buffer.Pool, stats *trace.Stats) *Manager {
 }
 
 // Index is one B+-tree. The root page ID is fixed for the index's
-// lifetime (root splits redistribute the root's content into two fresh
-// children), so no mutable root pointer exists.
+// lifetime (a root split pushes the root's content down to a fresh child
+// and splits that), so no mutable root pointer exists.
 type Index struct {
 	cfg  Config
 	root storage.PageID
@@ -249,12 +249,16 @@ func nodeChildPos(p *storage.Page, child storage.PageID) (pos int, rightmost boo
 
 // patchNodeChild rewrites the child pointer of the node cell at pos in
 // place (the child occupies the cell's trailing 4 bytes).
-func patchNodeChild(p *storage.Page, pos int, child storage.PageID) {
-	cell := p.MustCell(pos)
+func patchNodeChild(p *storage.Page, pos int, child storage.PageID) error {
+	cell, ok := p.Cell(pos)
+	if !ok || len(cell) < 4 {
+		return fmt.Errorf("core: page %d has no node cell %d to patch", p.ID(), pos)
+	}
 	cell[len(cell)-4] = byte(child)
 	cell[len(cell)-3] = byte(child >> 8)
 	cell[len(cell)-2] = byte(child >> 16)
 	cell[len(cell)-1] = byte(child >> 24)
+	return nil
 }
 
 // pageCells copies every cell payload off an index page.

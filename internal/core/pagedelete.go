@@ -159,7 +159,7 @@ func (ix *Index) deletePageLocked(tx *txn.Tx, ctx *smoCtx, shell pageShell, prob
 	if err != nil {
 		return err
 	}
-	fp := freePagePayload{Index: ix.cfg.ID, Level: shell.level, Flags: shell.flags,
+	fp := formatPayload{Index: ix.cfg.ID, Level: shell.level, Flags: shell.flags,
 		Prev: shell.prev, Next: shell.next, Rightmost: shell.rightmost}
 	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxFreePage, fp.encode(), false)
 	ix.unfixLatched(f, latch.X)
@@ -227,10 +227,8 @@ func (ix *Index) removeChild(tx *txn.Tx, ctx *smoCtx, shell pageShell, probe sto
 	switch {
 	case childless && isRoot:
 		// The tree is empty: the root reverts to an empty leaf.
-		return ix.replaceRoot(tx, ctx, parent, func(shadow *storage.Page) error {
-			shadow.Format(ix.root, storage.PageTypeIndex, 0)
-			return nil
-		})
+		ix.formatRoot(tx, ctx, parent, formatPayload{Flags: storage.FlagSMBit}, storage.InvalidPageID)
+		return nil
 	case childless:
 		// The parent itself is deleted next.
 		ix.unfixLatched(parent, latch.X)
@@ -244,24 +242,8 @@ func (ix *Index) removeChild(tx *txn.Tx, ctx *smoCtx, shell pageShell, probe sto
 	}
 }
 
-// replaceRoot rewrites the X-latched root through an OpIdxReplacePage
-// record built by build. The latch is consumed.
-func (ix *Index) replaceRoot(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame, build func(*storage.Page) error) error {
-	ctx.touch(ix.root)
-	before := append([]byte(nil), f.Page.Bytes()...)
-	shadow := storage.NewPage(len(f.Page.Bytes()))
-	if err := build(shadow); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
-	}
-	pl := replacePayload{Index: ix.cfg.ID, After: shadow.Bytes(), Before: before}
-	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxReplacePage, pl.encode(), false)
-	ix.unfixLatched(f, latch.X)
-	return nil
-}
-
-// collapseRoot replaces a zero-separator root with the content of its
-// single child and frees the child. The X latch on the root is consumed.
+// collapseRoot gives a zero-separator root the content of its single child
+// and frees the child. The X latch on the root is consumed.
 func (ix *Index) collapseRoot(tx *txn.Tx, ctx *smoCtx, rootF *buffer.Frame) error {
 	childID := rootF.Page.Rightmost()
 	if err := ix.smoPageLock(tx, childID); err != nil {
@@ -274,40 +256,15 @@ func (ix *Index) collapseRoot(tx *txn.Tx, ctx *smoCtx, rootF *buffer.Frame) erro
 		return err
 	}
 	ctx.touch(childID)
-	childImage := append([]byte(nil), child.Page.Bytes()...)
-	childShell := pageShell{
-		id: childID, prev: child.Page.Prev(), next: child.Page.Next(),
-		level: child.Page.Level(), flags: child.Page.Flags(), rightmost: child.Page.Rightmost(),
-	}
+	cp := child.Page
+	fp := formatPayload{Index: ix.cfg.ID, Level: cp.Level(), Flags: cp.Flags(),
+		Prev: cp.Prev(), Next: cp.Next(), Rightmost: cp.Rightmost(), Cells: pageCells(cp)}
+	root := fp
+	root.Flags |= storage.FlagSMBit
+	ix.formatRoot(tx, ctx, rootF, root, storage.InvalidPageID)
+	// The free names the child's cells: its undo formats them back, before
+	// the root's undo takes them off the root.
+	tx.ApplyUpdate(ix.pool, child, ApplyRedo, wal.OpIdxFreePage, fp.encode(), false)
 	ix.unfixLatched(child, latch.X)
-
-	if err := ix.replaceRoot(tx, ctx, rootF, func(shadow *storage.Page) error {
-		// Same content, the root's identity.
-		copy(shadow.Bytes(), childImage)
-		patchPageID(shadow, ix.root)
-		shadow.SetFlags(shadow.Flags() | storage.FlagSMBit)
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	// Free the absorbed child.
-	cf, err := ix.fixLatched(childID, latch.X)
-	if err != nil {
-		return err
-	}
-	fp := freePagePayload{Index: ix.cfg.ID, Level: childShell.level, Flags: childShell.flags,
-		Prev: childShell.prev, Next: childShell.next, Rightmost: childShell.rightmost}
-	tx.ApplyUpdate(ix.pool, cf, ApplyRedo, wal.OpIdxFreePage, fp.encode(), false)
-	ix.unfixLatched(cf, latch.X)
 	return space.Free(tx, ix.pool, childID)
-}
-
-// patchPageID rewrites a page buffer's own-ID header field.
-func patchPageID(p *storage.Page, id storage.PageID) {
-	b := p.Bytes()
-	b[0] = byte(id)
-	b[1] = byte(id >> 8)
-	b[2] = byte(id >> 16)
-	b[3] = byte(id >> 24)
 }

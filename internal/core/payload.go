@@ -139,7 +139,10 @@ func decodeKeyOp(b []byte) (keyOpPayload, error) {
 }
 
 // formatPayload carries OpIdxFormat: the full image of a freshly formatted
-// index page (the right half created by a split).
+// index page (the right half created by a split, a root's pushed-down
+// child). OpIdxFreePage carries one too, naming what undoing the free
+// formats the page back to; a page deletion frees an empty page, a root
+// collapse the child whose cells it gave the root.
 type formatPayload struct {
 	Index     uint32
 	Level     uint8
@@ -162,12 +165,46 @@ func (p formatPayload) encode() []byte {
 	return w.b
 }
 
-func decodeFormat(b []byte) (formatPayload, error) {
-	r := &payloadReader{b: b}
-	p := formatPayload{
+func readFormat(r *payloadReader) formatPayload {
+	return formatPayload{
 		Index: r.u32(), Level: r.u8(), Flags: r.u8(),
 		Prev: r.pid(), Next: r.pid(), Rightmost: r.pid(), Cells: r.cells(),
 	}
+}
+
+func decodeFormat(b []byte) (formatPayload, error) {
+	r := &payloadReader{b: b}
+	p := readFormat(r)
+	return p, r.done()
+}
+
+// rootFormatPayload carries OpIdxFormatRoot, a rewrite of the root in place
+// (a push-down, a collapse, an empty-tree reset) and its CLR. The embedded
+// formatPayload is what the root becomes, so its redo is OpIdxFormat's. The
+// rest is for undo: the root's prior header, and Child, the page a push-down
+// moved the root's cells to (InvalidPageID otherwise), from which undo reads
+// them back (DESIGN §4.6, "Root splits").
+type rootFormatPayload struct {
+	formatPayload
+	PriorLevel     uint8
+	PriorFlags     uint8
+	PriorRightmost storage.PageID
+	Child          storage.PageID
+}
+
+func (p rootFormatPayload) encode() []byte {
+	w := &payloadWriter{b: p.formatPayload.encode()}
+	w.u8(p.PriorLevel)
+	w.u8(p.PriorFlags)
+	w.pid(p.PriorRightmost)
+	w.pid(p.Child)
+	return w.b
+}
+
+func decodeRootFormat(b []byte) (rootFormatPayload, error) {
+	r := &payloadReader{b: b}
+	p := rootFormatPayload{formatPayload: readFormat(r),
+		PriorLevel: r.u8(), PriorFlags: r.u8(), PriorRightmost: r.pid(), Child: r.pid()}
 	return p, r.done()
 }
 
@@ -350,58 +387,6 @@ func decodeDeleteChild(b []byte) (deleteChildPayload, error) {
 	p := deleteChildPayload{Index: r.u32(), Pos: r.u16(), WasRightmost: r.u8() == 1,
 		PreFlags: r.u8(), PostFlags: r.u8(), OldRightmost: r.pid(), NewRightmost: r.pid(),
 		Removed: r.bytes()}
-	return p, r.done()
-}
-
-// replacePayload carries OpIdxReplacePage: a physical full-page rewrite
-// (root split and root collapse). After is what redo installs; Before is
-// carried for undo (the CLR's payload holds only its own After).
-type replacePayload struct {
-	Index  uint32
-	After  []byte
-	Before []byte
-}
-
-func (p replacePayload) encode() []byte {
-	w := &payloadWriter{}
-	w.u32(p.Index)
-	w.bytes(p.After)
-	w.bytes(p.Before)
-	return w.b
-}
-
-func decodeReplace(b []byte) (replacePayload, error) {
-	r := &payloadReader{b: b}
-	p := replacePayload{Index: r.u32(), After: r.bytes(), Before: r.bytes()}
-	return p, r.done()
-}
-
-// freePagePayload carries OpIdxFreePage / OpIdxUnfreePage: enough of the
-// freed page's header to restore its empty shell on undo.
-type freePagePayload struct {
-	Index     uint32
-	Level     uint8
-	Flags     uint8
-	Prev      storage.PageID
-	Next      storage.PageID
-	Rightmost storage.PageID
-}
-
-func (p freePagePayload) encode() []byte {
-	w := &payloadWriter{}
-	w.u32(p.Index)
-	w.u8(p.Level)
-	w.u8(p.Flags)
-	w.pid(p.Prev)
-	w.pid(p.Next)
-	w.pid(p.Rightmost)
-	return w.b
-}
-
-func decodeFreePage(b []byte) (freePagePayload, error) {
-	r := &payloadReader{b: b}
-	p := freePagePayload{Index: r.u32(), Level: r.u8(), Flags: r.u8(),
-		Prev: r.pid(), Next: r.pid(), Rightmost: r.pid()}
 	return p, r.done()
 }
 

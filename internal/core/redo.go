@@ -40,8 +40,16 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		p.SetFlags(pl.PostFlags)
 		return nil
 
-	case wal.OpIdxFormat:
-		pl, err := decodeFormat(rec.Payload)
+	case wal.OpIdxFormat, wal.OpIdxFormatRoot:
+		var pl formatPayload
+		var err error
+		if rec.Op == wal.OpIdxFormat {
+			pl, err = decodeFormat(rec.Payload)
+		} else {
+			var rp rootFormatPayload
+			rp, err = decodeRootFormat(rec.Payload)
+			pl = rp.formatPayload
+		}
 		if err != nil {
 			return err
 		}
@@ -119,8 +127,8 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		}
 		if pl.AtRightmost {
 			p.SetRightmost(pl.Right)
-		} else {
-			patchNodeChild(p, int(pl.Pos)+1, pl.Right)
+		} else if err := patchNodeChild(p, int(pl.Pos)+1, pl.Right); err != nil {
+			return err
 		}
 		p.SetFlags(pl.PostFlags)
 		return nil
@@ -139,8 +147,8 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		}
 		if pl.AtRightmost {
 			p.SetRightmost(left)
-		} else {
-			patchNodeChild(p, int(pl.Pos), left)
+		} else if err := patchNodeChild(p, int(pl.Pos), left); err != nil {
+			return err
 		}
 		p.SetFlags(pl.PreFlags)
 		return nil
@@ -173,36 +181,11 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		p.SetFlags(pl.PreFlags)
 		return nil
 
-	case wal.OpIdxReplacePage:
-		pl, err := decodeReplace(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if len(pl.After) != len(p.Bytes()) {
-			return fmt.Errorf("core: redo replace-page image is %d bytes, page is %d", len(pl.After), len(p.Bytes()))
-		}
-		copy(p.Bytes(), pl.After)
-		return nil
-
 	case wal.OpIdxFreePage:
-		pl, err := decodeFreePage(rec.Payload)
-		if err != nil {
+		if _, err := decodeFormat(rec.Payload); err != nil {
 			return err
 		}
-		_ = pl
 		p.Format(rec.Page, storage.PageTypeFree, 0)
-		return nil
-
-	case wal.OpIdxUnfreePage:
-		pl, err := decodeFreePage(rec.Payload)
-		if err != nil {
-			return err
-		}
-		p.Format(rec.Page, storage.PageTypeIndex, pl.Level)
-		p.SetFlags(pl.Flags)
-		p.SetPrev(pl.Prev)
-		p.SetNext(pl.Next)
-		p.SetRightmost(pl.Rightmost)
 		return nil
 
 	case wal.OpIdxSetBits:

@@ -292,41 +292,90 @@ func TestRedoDeleteChildAndUndelete(t *testing.T) {
 	}
 }
 
+// A free record names what the page held; its undo is a format CLR with the
+// same payload, which gives a root collapse's child its cells back.
 func TestRedoFreeUnfreePage(t *testing.T) {
 	p := freshLeaf(t)
 	p.SetPrev(3)
 	p.SetNext(4)
-	pl := freePagePayload{Index: 1, Level: 0, Flags: p.Flags(), Prev: 3, Next: 4}
+	orig := logicalState(t, p)
+	pl := formatPayload{Index: 1, Level: 0, Flags: p.Flags(), Prev: 3, Next: 4, Cells: pageCells(p)}
 	apply(t, p, wal.OpIdxFreePage, pl.encode())
-	if p.Type() != storage.PageTypeFree {
-		t.Fatalf("type = %v", p.Type())
+	if p.Type() != storage.PageTypeFree || p.NSlots() != 0 {
+		t.Fatalf("type = %v, %d cells", p.Type(), p.NSlots())
 	}
-	apply(t, p, wal.OpIdxUnfreePage, pl.encode())
-	if p.Type() != storage.PageTypeIndex || p.Prev() != 3 || p.Next() != 4 || p.NSlots() != 0 {
-		t.Fatal("unfree did not restore the empty shell")
+	apply(t, p, wal.OpIdxFormat, pl.encode())
+	if got := logicalState(t, p); got != orig {
+		t.Fatalf("free + format did not round-trip:\n got %s\nwant %s", got, orig)
 	}
 }
 
-func TestRedoReplacePage(t *testing.T) {
-	p := freshLeaf(t)
-	before := append([]byte(nil), p.Bytes()...)
-	shadow := storage.NewPage(512)
-	shadow.Format(p.ID(), storage.PageTypeIndex, 2)
-	pl := replacePayload{Index: 1, After: shadow.Bytes(), Before: before}
-	apply(t, p, wal.OpIdxReplacePage, pl.encode())
-	if p.Level() != 2 {
-		t.Fatalf("level = %d", p.Level())
+// TestRedoPushDownRoundTrip pushes a root leaf down and rolls the push-down
+// back. The root-format record carries no cell, its redo leaves the root a
+// zero-separator nonleaf over the child, and its undo reads the cells back
+// from the child and gives the root its header and cell bytes back. An undo
+// whose child is not the push-down's formatted child is refused.
+func TestRedoPushDownRoundTrip(t *testing.T) {
+	e := newEnv(t, 512, 16)
+	ix := e.createIndex(Config{ID: 1})
+	setup := e.tm.Begin()
+	for i := 0; i < 5; i++ {
+		e.mustInsert(setup, ix, key(i))
 	}
-	// The inverse is a replace with the before image.
-	inv := replacePayload{Index: 1, After: before}
-	apply(t, p, wal.OpIdxReplacePage, inv.encode())
-	if string(p.Bytes()) != string(before) {
-		t.Fatal("replace round-trip failed")
+	e.commit(setup)
+	page := func(pid storage.PageID) *storage.Page {
+		t.Helper()
+		f, err := ix.fixLatched(pid, latch.S)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.unfixLatched(f, latch.S)
+		return f.Page.Clone()
 	}
-	// Size mismatch rejected.
-	bad := replacePayload{Index: 1, After: []byte("short")}
-	if err := ApplyRedo(p, &wal.Record{Op: wal.OpIdxReplacePage, Page: p.ID(), Payload: bad.encode()}); err == nil {
-		t.Fatal("short image accepted")
+	before := page(ix.root)
+	orig := logicalState(t, before)
+
+	tx := e.tm.Begin()
+	f, err := ix.fixLatched(ix.root, latch.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := ix.pushDown(tx, &smoCtx{}, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := cf.ID()
+	ix.unfixLatched(cf, latch.X)
+	root := page(ix.root)
+	if root.Level() != 1 || root.NSlots() != 0 || root.Rightmost() != child || !root.SMBit() {
+		t.Fatalf("pushed-down root: level %d, %d cells, rightmost %d (child %d)", root.Level(), root.NSlots(), root.Rightmost(), child)
+	}
+	if got, want := fmt.Sprintf("%x", pageCells(page(child))), fmt.Sprintf("%x", pageCells(before)); got != want {
+		t.Fatalf("the child holds %s, want the root's %s", got, want)
+	}
+	var fwd *wal.Record
+	for _, r := range e.log.Records(1) {
+		if r.Op == wal.OpIdxFormatRoot {
+			fwd = r
+		}
+	}
+	if fwd == nil || len(fwd.Payload) != 30 {
+		t.Fatalf("root-format record %v: want a 30-byte payload with no cell", fwd)
+	}
+
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got := logicalState(t, page(ix.root)); got != orig {
+		t.Fatalf("push-down + rollback did not round-trip the root:\n got %s\nwant %s", got, orig)
+	}
+	if p := page(child); p.Type() != storage.PageTypeFree {
+		t.Fatalf("the child is %v after the rollback, want free", p.Type())
+	}
+
+	// The child is free now: undoing the push-down again must refuse it.
+	if err := ix.undoFormatRoot(e.tm.Begin(), fwd); err == nil {
+		t.Fatal("undo of a push-down read its cells from a free page")
 	}
 }
 
@@ -361,8 +410,7 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		{wal.OpIdxChainFix, chainFixPayload{Index: 3, NextField: true, Old: 1, New: 2, PreFlags: 3, PostFlags: 4}.encode()},
 		{wal.OpIdxSplitParent, splitParentPayload{Index: 3, Pos: 1, AtRightmost: true, Right: 8, SepCell: []byte("sep")}.encode()},
 		{wal.OpIdxDeleteChild, deleteChildPayload{Index: 3, Pos: 1, WasRightmost: true, OldRightmost: 7, NewRightmost: 8, Removed: []byte("rm")}.encode()},
-		{wal.OpIdxReplacePage, replacePayload{Index: 3, After: []byte("after"), Before: []byte("before")}.encode()},
-		{wal.OpIdxFreePage, freePagePayload{Index: 3, Level: 1, Flags: 2, Prev: 3, Next: 4, Rightmost: 5}.encode()},
+		{wal.OpIdxFormatRoot, rootFormatPayload{formatPayload: formatPayload{Index: 3, Level: 1, Rightmost: 6}, PriorFlags: 1, PriorRightmost: 2, Child: 6}.encode()},
 		{wal.OpIdxSetBits, setBitsPayload{Index: 3, Flags: 3}.encode()},
 	}
 	for _, c := range cases {
@@ -388,10 +436,8 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 				_, derr = decodeSplitParent(c.enc[:cut])
 			case wal.OpIdxDeleteChild:
 				_, derr = decodeDeleteChild(c.enc[:cut])
-			case wal.OpIdxReplacePage:
-				_, derr = decodeReplace(c.enc[:cut])
-			case wal.OpIdxFreePage:
-				_, derr = decodeFreePage(c.enc[:cut])
+			case wal.OpIdxFormatRoot:
+				_, derr = decodeRootFormat(c.enc[:cut])
 			case wal.OpIdxSetBits:
 				_, derr = decodeSetBits(c.enc[:cut])
 			}
@@ -400,4 +446,60 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzIndexApplyRedo applies any index op and payload, forward or as a CLR,
+// to a formatted leaf, a nonleaf and a pushed-down root: no input panics
+// ApplyRedo.
+func FuzzIndexApplyRedo(f *testing.F) {
+	node := storage.EncodeNodeCell(storage.Key{Val: []byte("mm")}, 31)
+	leaf := storage.EncodeLeafCell(storage.Key{Val: []byte("bb"), RID: storage.RID{Page: 9, Slot: 9}})
+	for _, s := range []struct {
+		op      wal.OpCode
+		payload []byte
+	}{
+		{wal.OpIdxInsertKey, keyOpPayload{Index: 1, Pos: 1, Cell: leaf}.encode()},
+		{wal.OpIdxDeleteKey, keyOpPayload{Index: 1, Pos: 0, Cell: leaf}.encode()},
+		{wal.OpIdxFormat, formatPayload{Index: 1, Level: 1, Rightmost: 40, Cells: [][]byte{node}}.encode()},
+		{wal.OpIdxFormatRoot, rootFormatPayload{formatPayload: formatPayload{Index: 1, Level: 1, Rightmost: 8}, Child: 8}.encode()},
+		{wal.OpIdxSplitLeft, splitLeftPayload{Index: 1, From: 1, NewNext: 55}.encode()},
+		{wal.OpIdxSplitLeft, splitLeftPayload{Index: 1, From: 0, NewNext: 55, NewRightmost: 31, Promoted: leaf}.encode()},
+		{wal.OpIdxUnsplitLeft, splitLeftPayload{Index: 1, From: 1, Moved: [][]byte{leaf}}.encodeUnsplit()},
+		{wal.OpIdxChainFix, chainFixPayload{Index: 1, NextField: true, New: 8}.encode()},
+		{wal.OpIdxSplitParent, splitParentPayload{Index: 1, Pos: 0, AtRightmost: true, Right: 9, SepCell: node}.encode()},
+		{wal.OpIdxUnsplitParent, splitParentPayload{Index: 1, Pos: 0, AtRightmost: true, Right: 9, SepCell: node}.encode()},
+		{wal.OpIdxDeleteChild, deleteChildPayload{Index: 1, Pos: 0, Removed: node}.encode()},
+		{wal.OpIdxUndeleteChild, deleteChildPayload{Index: 1, Pos: 0, Removed: node}.encode()},
+		{wal.OpIdxFreePage, formatPayload{Index: 1}.encode()},
+		{wal.OpIdxSetBits, setBitsPayload{Index: 1, Flags: storage.FlagSMBit}.encode()},
+	} {
+		for kind := uint8(0); kind < 3; kind++ {
+			f.Add(kind, uint16(s.op), false, s.payload)
+		}
+	}
+	f.Add(uint8(1), uint16(wal.OpIdxFormatRoot), true, rootFormatPayload{formatPayload: formatPayload{Index: 1, Cells: [][]byte{leaf}}}.encode())
+	f.Fuzz(func(t *testing.T, kind uint8, op uint16, clr bool, payload []byte) {
+		var p *storage.Page
+		switch kind % 3 {
+		case 0:
+			p = freshLeaf(t)
+		case 1:
+			p = storage.NewPage(512)
+			p.Format(8, storage.PageTypeIndex, 1)
+			p.SetRightmost(40)
+			if err := p.InsertCellAt(0, node); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			p = storage.NewPage(512)
+			p.Format(2, storage.PageTypeIndex, 1)
+			p.SetFlags(storage.FlagSMBit)
+			p.SetRightmost(8)
+		}
+		rec := &wal.Record{Type: wal.RecUpdate, Page: p.ID(), Op: wal.OpCode(op), Payload: payload}
+		if clr {
+			rec.Type = wal.RecCLR
+		}
+		_ = ApplyRedo(p, rec)
+	})
 }

@@ -87,13 +87,16 @@ func (ix *Index) SplitForInsert(tx *txn.Tx, leafID storage.PageID, cellSize int)
 	return nil
 }
 
-// splitLocked splits the X-latched page f (leaf or nonleaf, not the root)
-// or the root, propagating upward. The latch on f is released before the
-// parent is touched (§4: lower-level latches released before higher-level
-// pages are latched).
+// splitLocked splits the X-latched page f (leaf or nonleaf), propagating
+// upward; the root is first pushed down, and its new child split. The latch
+// on f is released before the parent is touched (§4: lower-level latches
+// released before higher-level pages are latched).
 func (ix *Index) splitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
 	if f.ID() == ix.root {
-		return ix.rootSplitLocked(tx, ctx, f)
+		var err error
+		if f, err = ix.pushDown(tx, ctx, f); err != nil {
+			return err
+		}
 	}
 	if err := ix.smoPageLock(tx, f.ID()); err != nil {
 		ix.unfixLatched(f, latch.X)
@@ -314,99 +317,50 @@ func (ix *Index) parentOf(tx *txn.Tx, probe storage.Key, child storage.PageID, c
 	}
 }
 
-// rootSplitLocked splits the root by redistributing its content into two
-// fresh children — the root page ID never changes (DESIGN.md §4). The
-// X latch on the root frame is consumed.
-func (ix *Index) rootSplitLocked(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) error {
+// pushDown moves the X-latched root's content to a fresh child and rewrites
+// the root as a zero-separator nonleaf one level up over it, so that the
+// root keeps its page ID (DESIGN.md §4) and a root split is its child's
+// ordinary split, whose separator post fills the root. The root's latch is
+// consumed; the child is returned X-latched.
+func (ix *Index) pushDown(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame) (*buffer.Frame, error) {
 	p := f.Page
-	isLeaf := p.IsLeaf()
-	cells := pageCells(p)
-	m := splitPoint(p)
-	before := append([]byte(nil), p.Bytes()...)
-
-	var sep storage.Key
-	var leftCells, rightCells [][]byte
-	var leftRightmost, rightRightmost storage.PageID
-	if isLeaf {
-		k, err := storage.DecodeLeafCell(cells[m])
-		if err != nil {
-			ix.unfixLatched(f, latch.X)
-			return err
-		}
-		sep = ix.leafSeparator(k)
-		leftCells, rightCells = cells[:m], cells[m:]
-	} else {
-		hk, child, err := storage.DecodeNodeCell(cells[m])
-		if err != nil {
-			ix.unfixLatched(f, latch.X)
-			return err
-		}
-		sep = hk.Clone()
-		leftRightmost = child
-		rightRightmost = p.Rightmost()
-		leftCells, rightCells = cells[:m], cells[m+1:]
+	childID, err := space.Alloc(tx, ix.pool)
+	if err == nil {
+		err = ix.smoPageLock(tx, ix.root)
 	}
-
-	leftID, err := space.Alloc(tx, ix.pool)
+	if err == nil {
+		err = ix.smoPageLock(tx, childID)
+	}
+	var cf *buffer.Frame
+	if err == nil {
+		cf, err = ix.pool.Fix(childID)
+	}
 	if err != nil {
 		ix.unfixLatched(f, latch.X)
-		return err
+		return nil, err
 	}
-	rightID, err := space.Alloc(tx, ix.pool)
-	if err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
+	cf.Latch.Acquire(latch.X)
+	ctx.touch(childID)
+	fp := formatPayload{
+		Index: ix.cfg.ID, Level: p.Level(), Flags: storage.FlagSMBit,
+		Rightmost: p.Rightmost(), Cells: pageCells(p),
 	}
-	for _, pid := range []storage.PageID{ix.root, leftID, rightID} {
-		if err := ix.smoPageLock(tx, pid); err != nil {
-			ix.unfixLatched(f, latch.X)
-			return err
-		}
-	}
-	ctx.touch(leftID)
-	ctx.touch(rightID)
+	tx.ApplyUpdate(ix.pool, cf, ApplyRedo, wal.OpIdxFormat, fp.encode(), false)
+	ix.formatRoot(tx, ctx, f, formatPayload{Level: p.Level() + 1, Flags: storage.FlagSMBit, Rightmost: childID}, childID)
+	return cf, nil
+}
+
+// formatRoot rewrites the X-latched root in place as fp, logging the root's
+// prior header and child, the page a push-down moved its cells to, for
+// undo (OpIdxFormatRoot). The latch is consumed.
+func (ix *Index) formatRoot(tx *txn.Tx, ctx *smoCtx, f *buffer.Frame, fp formatPayload, child storage.PageID) {
 	ctx.touch(ix.root)
-
-	format := func(pid storage.PageID, cells [][]byte, prev, next, rightmost storage.PageID) error {
-		nf, err := ix.pool.Fix(pid)
-		if err != nil {
-			return err
-		}
-		nf.Latch.Acquire(latch.X)
-		defer ix.unfixLatched(nf, latch.X)
-		fp := formatPayload{
-			Index: ix.cfg.ID, Level: p.Level(), Flags: storage.FlagSMBit,
-			Prev: prev, Next: next, Rightmost: rightmost, Cells: cells,
-		}
-		tx.ApplyUpdate(ix.pool, nf, ApplyRedo, wal.OpIdxFormat, fp.encode(), false)
-		return nil
-	}
-	var lp, ln, rp, rn storage.PageID
-	if isLeaf {
-		lp, ln, rp, rn = 0, rightID, leftID, 0
-	}
-	if err := format(leftID, leftCells, lp, ln, leftRightmost); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
-	}
-	if err := format(rightID, rightCells, rp, rn, rightRightmost); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
-	}
-
-	// Rewrite the root as a one-separator nonleaf over (left, right).
-	shadow := storage.NewPage(len(p.Bytes()))
-	shadow.Format(ix.root, storage.PageTypeIndex, p.Level()+1)
-	shadow.SetFlags(storage.FlagSMBit)
-	shadow.SetRightmost(rightID)
-	if err := shadow.InsertCellAt(0, storage.EncodeNodeCell(sep, leftID)); err != nil {
-		ix.unfixLatched(f, latch.X)
-		return err
-	}
-	pl := replacePayload{Index: ix.cfg.ID, After: shadow.Bytes(), Before: before}
-	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxReplacePage, pl.encode(), false)
+	fp.Index = ix.cfg.ID
+	p := f.Page
+	pl := rootFormatPayload{formatPayload: fp,
+		PriorLevel: p.Level(), PriorFlags: p.Flags(), PriorRightmost: p.Rightmost(), Child: child}
+	tx.ApplyUpdate(ix.pool, f, ApplyRedo, wal.OpIdxFormatRoot, pl.encode(), false)
 	ix.unfixLatched(f, latch.X)
-	return nil
 }
 
 // leafSeparator derives the high key posted to the parent when a leaf

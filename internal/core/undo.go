@@ -44,7 +44,7 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		// The formatted page reverts to a free shell; its FSM bit is
 		// released by the allocation record's own undo.
 		return ix.undoSMORecord(tx, rec, wal.OpIdxFreePage,
-			freePagePayload{Index: ix.cfg.ID}.encode())
+			formatPayload{Index: ix.cfg.ID}.encode())
 	case wal.OpIdxSplitLeft:
 		return ix.undoSplitLeft(tx, rec)
 	case wal.OpIdxChainFix:
@@ -59,15 +59,11 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		return ix.undoSMORecord(tx, rec, wal.OpIdxUnsplitParent, rec.Payload)
 	case wal.OpIdxDeleteChild:
 		return ix.undoSMORecord(tx, rec, wal.OpIdxUndeleteChild, rec.Payload)
-	case wal.OpIdxReplacePage:
-		pl, err := decodeReplace(rec.Payload)
-		if err != nil {
-			return err
-		}
-		inv := replacePayload{Index: pl.Index, After: pl.Before}
-		return ix.undoSMORecord(tx, rec, wal.OpIdxReplacePage, inv.encode())
+	case wal.OpIdxFormatRoot:
+		return ix.undoFormatRoot(tx, rec)
 	case wal.OpIdxFreePage:
-		return ix.undoSMORecord(tx, rec, wal.OpIdxUnfreePage, rec.Payload)
+		// The record names what the page held before the free.
+		return ix.undoSMORecord(tx, rec, wal.OpIdxFormat, rec.Payload)
 	default:
 		return fmt.Errorf("core: cannot undo op %s", rec.Op)
 	}
@@ -107,6 +103,45 @@ func (ix *Index) undoSplitLeft(tx *txn.Tx, rec *wal.Record) error {
 		return err
 	}
 	return ix.undoSMORecord(tx, rec, wal.OpIdxUnsplitLeft, pl.encodeUnsplit())
+}
+
+// undoFormatRoot compensates an interrupted SMO's rewrite of the root with
+// the opposite rewrite. Before a collapse or an empty-tree reset the root had
+// no cells, so its prior header alone rebuilds it. Before a push-down it held
+// the cells the push-down formatted its child with, and the child still holds
+// exactly those — the split-left argument of undoSplitLeft — so the CLR gives
+// them back to the root.
+func (ix *Index) undoFormatRoot(tx *txn.Tx, rec *wal.Record) error {
+	pl, err := decodeRootFormat(rec.Payload)
+	if err != nil {
+		return err
+	}
+	inv := rootFormatPayload{
+		formatPayload: formatPayload{Index: pl.Index, Level: pl.PriorLevel,
+			Flags: pl.PriorFlags, Rightmost: pl.PriorRightmost},
+		PriorLevel: pl.Level, PriorFlags: pl.Flags, PriorRightmost: pl.Rightmost,
+	}
+	if pl.Child != storage.InvalidPageID {
+		if inv.Cells, err = ix.pushedCells(pl); err != nil {
+			return err
+		}
+	}
+	return ix.undoSMORecord(tx, rec, wal.OpIdxFormatRoot, inv.encode())
+}
+
+// pushedCells reads back the cells a push-down moved to the child pl names,
+// refusing a page that is not that child as its format left it.
+func (ix *Index) pushedCells(pl rootFormatPayload) ([][]byte, error) {
+	f, err := ix.fixLatched(pl.Child, latch.S)
+	if err != nil {
+		return nil, err
+	}
+	defer ix.unfixLatched(f, latch.S)
+	p := f.Page
+	if p.Type() != storage.PageTypeIndex || !p.SMBit() || p.Level() != pl.PriorLevel || p.Rightmost() != pl.PriorRightmost {
+		return nil, fmt.Errorf("core: undo push-down of root %d: page %d is not its formatted child", ix.root, pl.Child)
+	}
+	return pageCells(p), nil
 }
 
 // movedCells rebuilds the cells the split of page left moved off it, from

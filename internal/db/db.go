@@ -269,7 +269,7 @@ type undoRouter struct {
 
 func (r *undoRouter) Undo(tx *txn.Tx, rec *wal.Record) error {
 	switch {
-	case rec.Op >= wal.OpIdxInsertKey && rec.Op <= wal.OpIdxUnfreePage,
+	case rec.Op >= wal.OpIdxInsertKey && rec.Op <= wal.OpIdxUndeleteChild,
 		rec.Op == wal.OpFSMAlloc, rec.Op == wal.OpFSMFree:
 		return r.im.Undo(tx, rec)
 	case rec.Op >= wal.OpDataFormat && rec.Op <= wal.OpDataFree:

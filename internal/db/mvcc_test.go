@@ -444,10 +444,22 @@ func TestMVCCSnapshotOracle(t *testing.T) {
 	}
 
 	obsCh := make(chan snapObservation, 1024)
+	// firstObs counts down once per reader, at its first queued observation
+	// (or a full channel, which already holds plenty), so stop waits for
+	// every reader to have contributed; a scan made after the writers finish
+	// is checked against the complete ledger like any other.
+	var firstObs sync.WaitGroup
+	firstObs.Add(readers)
 	for r := 0; r < readers; r++ {
 		readerWg.Add(1)
 		go func(seed int64) {
 			defer readerWg.Done()
+			queued := false
+			defer func() {
+				if !queued {
+					firstObs.Done()
+				}
+			}()
 			for {
 				select {
 				case <-stop:
@@ -483,6 +495,10 @@ func TestMVCCSnapshotOracle(t *testing.T) {
 					case obsCh <- *obs:
 					default: // keep the channel bounded; later observations replace nothing
 					}
+					if !queued {
+						queued = true
+						firstObs.Done()
+					}
 				}
 			}
 		}(int64(r))
@@ -513,9 +529,11 @@ func TestMVCCSnapshotOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the writers drain, then stop the readers: readers only exit on
-	// stop, so waiting for them before closing it would deadlock.
+	// Let the writers drain and every reader queue an observation, then
+	// stop the readers: readers only exit on stop, so waiting for them
+	// before closing it would deadlock.
 	writerWg.Wait()
+	firstObs.Wait()
 	close(stop)
 	readerWg.Wait()
 	close(obsCh)

@@ -62,9 +62,8 @@ type RunTxnOpts struct {
 	// MaxAttempts bounds full executions of the body (default 16).
 	MaxAttempts int
 	// BaseBackoff is the first contention backoff (default 200µs); each
-	// further contention retry doubles it up to MaxBackoff (default 20ms).
+	// further contention retry doubles it up to maxBackoff.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Seed drives the backoff jitter deterministically. Concurrent callers
 	// should use distinct seeds or their retries stampede in lockstep.
 	Seed int64
@@ -89,15 +88,15 @@ type RunTxnOpts struct {
 	OnCommitted func(wal.LSN)
 }
 
+// maxBackoff caps the doubling contention backoff.
+const maxBackoff = 20 * time.Millisecond
+
 func (o RunTxnOpts) withDefaults() RunTxnOpts {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 16
 	}
 	if o.BaseBackoff == 0 {
 		o.BaseBackoff = 200 * time.Microsecond
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = 20 * time.Millisecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -207,8 +206,8 @@ func (d *DB) retry(opts RunTxnOpts, begin func() (*txn.Tx, error), fn func(*txn.
 				d.stats.TxnTimeoutRetries.Add(1)
 			}
 			time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff)+1)))
-			if backoff *= 2; backoff > opts.MaxBackoff {
-				backoff = opts.MaxBackoff
+			if backoff *= 2; backoff > maxBackoff {
+				backoff = maxBackoff
 			}
 		case ClassCrash:
 			d.stats.TxnRetries.Add(1)

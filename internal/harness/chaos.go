@@ -52,10 +52,6 @@ type ChaosOpts struct {
 	// LockWaitTimeout bounds lock waits (default 20ms); the retry layer
 	// absorbs the resulting ErrLockTimeouts.
 	LockWaitTimeout time.Duration
-	// WatchdogPatience is the livelock bound (default 15s): the run fails
-	// if commit throughput stalls for this long between crashes — the
-	// symptom of retries collapsing into livelock.
-	WatchdogPatience time.Duration
 	// OnlineRestart restarts the engine (and every verification fork)
 	// online: workers resume the moment analysis finishes, racing the
 	// background drain and loser undo, and a rotating subset of crash
@@ -89,6 +85,11 @@ type ChaosOpts struct {
 	whileDown func(point int) error
 }
 
+// watchdogPatience is the livelock bound: the run fails if commit
+// throughput stalls for this long between crashes — the symptom of retries
+// collapsing into livelock.
+const watchdogPatience = 15 * time.Second
+
 func (o ChaosOpts) withDefaults() ChaosOpts {
 	if o.Workers == 0 {
 		o.Workers = 8
@@ -107,9 +108,6 @@ func (o ChaosOpts) withDefaults() ChaosOpts {
 	}
 	if o.LockWaitTimeout == 0 {
 		o.LockWaitTimeout = 20 * time.Millisecond
-	}
-	if o.WatchdogPatience == 0 {
-		o.WatchdogPatience = 15 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -458,7 +456,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 				viaIndex := o.SecondaryIndex && iter%2 == 1
 				err := d.RunReadOnlyWith(db.RunTxnOpts{
 					Seed:          o.Seed + int64(r)*7919 + int64(iter),
-					RetryDeadline: o.WatchdogPatience,
+					RetryDeadline: watchdogPatience,
 				}, func(tx *txn.Tx) error {
 					obs = nil
 					snap := tx.Snapshot()
@@ -554,14 +552,14 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	for c := 0; c < o.Crashes; c++ {
 		// Let traffic accumulate, with the livelock watchdog running.
 		target := run.led.ackedCount() + o.CommitsPerPhase
-		deadline := time.Now().Add(o.WatchdogPatience)
+		deadline := time.Now().Add(watchdogPatience)
 		for run.led.ackedCount() < target {
 			if err := failed(); err != nil {
 				return fail(err)
 			}
 			if time.Now().After(deadline) {
 				return fail(fmt.Errorf("chaos: livelock: %d/%d commits after %v at crash point %d (retry throughput collapsed)",
-					run.led.ackedCount()-(target-o.CommitsPerPhase), o.CommitsPerPhase, o.WatchdogPatience, c))
+					run.led.ackedCount()-(target-o.CommitsPerPhase), o.CommitsPerPhase, watchdogPatience, c))
 			}
 			time.Sleep(200 * time.Microsecond)
 		}

@@ -50,8 +50,7 @@ type StandbySweepOpts struct {
 	// standby-durable, making the zero-acked-loss assertion airtight.
 	// Without it shipping is asynchronous and the sweep only asserts the
 	// weaker exact-state and boundary properties.
-	SyncGate    bool
-	GateTimeout time.Duration // default 2s
+	SyncGate bool
 	// OnlineRestart promotes with the online-restart coordinator (open
 	// after analysis).
 	OnlineRestart bool
@@ -62,6 +61,10 @@ type StandbySweepOpts struct {
 	BoundaryStride int
 	Logf           func(string, ...any)
 }
+
+// standbyGateTimeout bounds how long the semi-sync commit gate waits for
+// the standby's acknowledgement.
+const standbyGateTimeout = 2 * time.Second
 
 func (o StandbySweepOpts) withDefaults() StandbySweepOpts {
 	if o.Seed == 0 {
@@ -78,9 +81,6 @@ func (o StandbySweepOpts) withDefaults() StandbySweepOpts {
 	}
 	if o.Keys == 0 {
 		o.Keys = 40
-	}
-	if o.GateTimeout == 0 {
-		o.GateTimeout = 2 * time.Second
 	}
 	if o.RedoWorkers == 0 {
 		o.RedoWorkers = 2
@@ -173,7 +173,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	})
 	shipper.Start()
 	if o.SyncGate {
-		primary.SetCommitGate(shipper.Gate(o.GateTimeout))
+		primary.SetCommitGate(shipper.Gate(standbyGateTimeout))
 	}
 
 	// ---- Live traffic. Each generation (1 = old primary, 2 = promoted

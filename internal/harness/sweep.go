@@ -18,8 +18,6 @@ type SweepOpts struct {
 	Seed int64
 	// Txns is the number of workload transactions (default 50).
 	Txns int
-	// OpsPerTxn is the number of row operations per transaction (default 4).
-	OpsPerTxn int
 	// PageSize for the swept engine (default 512 — small pages force page
 	// splits and deletes, so the log is dense with nested top actions).
 	PageSize int
@@ -39,12 +37,12 @@ type SweepOpts struct {
 	Logf func(format string, args ...any)
 }
 
+// sweepOpsPerTxn is the number of row operations per sweep transaction.
+const sweepOpsPerTxn = 4
+
 func (o SweepOpts) withDefaults() SweepOpts {
 	if o.Txns == 0 {
 		o.Txns = 50
-	}
-	if o.OpsPerTxn == 0 {
-		o.OpsPerTxn = 4
 	}
 	if o.PageSize == 0 {
 		o.PageSize = 512
@@ -159,7 +157,7 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("txn %d begin: %w", t, err)
 		}
-		for op := 0; op < opts.OpsPerTxn; op++ {
+		for op := 0; op < sweepOpsPerTxn; op++ {
 			k := key(rng.Intn(keySpace))
 			// Every transaction first updates a committed row, the three
 			// kinds in turn, so that the smallest sweep has them all.

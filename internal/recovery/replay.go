@@ -33,7 +33,7 @@ import (
 // routeRedo dispatches one record's redo to its resource manager.
 func routeRedo(p *storage.Page, rec *wal.Record) error {
 	switch {
-	case rec.Op >= wal.OpIdxInsertKey && rec.Op <= wal.OpIdxUnfreePage:
+	case rec.Op >= wal.OpIdxInsertKey && rec.Op <= wal.OpIdxUndeleteChild:
 		return core.ApplyRedo(p, rec)
 	case rec.Op == wal.OpFSMAlloc || rec.Op == wal.OpFSMFree:
 		return space.ApplyRedo(p, rec)

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"fmt"
 	"testing"
 
 	"ariesim/internal/core"
@@ -8,32 +9,32 @@ import (
 )
 
 // cutAfter truncates the stable log right after the first record of the
-// given op logged by tx, simulating a crash at that exact point.
-func (e *env) cutAfter(t *testing.T, tx wal.TxID, op wal.OpCode) bool {
+// given op logged by tx, simulating a crash at that exact point, and returns
+// that record's LSN (0 if tx logged none).
+func (e *env) cutAfter(t *testing.T, tx wal.TxID, op wal.OpCode) wal.LSN {
 	t.Helper()
 	for _, r := range e.log.Records(1) {
 		if r.TxID == tx && r.Op == op {
 			e.log.TruncateTo(r.LSN)
 			e.pool.Crash()
-			return true
+			return r.LSN
 		}
 	}
-	return false
+	return 0
 }
 
-// expectCLRs asserts that restart wrote at least one CLR with each op.
-func (e *env) expectCLRs(t *testing.T, ops ...wal.OpCode) {
+// expectCLRs asserts that the CLRs restart wrote after the cut begin with
+// exactly ops, in order.
+func (e *env) expectCLRs(t *testing.T, cut wal.LSN, ops ...wal.OpCode) {
 	t.Helper()
-	seen := map[wal.OpCode]bool{}
-	for _, r := range e.log.Records(1) {
-		if r.Type == wal.RecCLR {
-			seen[r.Op] = true
+	var got []wal.OpCode
+	for _, r := range e.log.Records(cut + 1) {
+		if r.Type == wal.RecCLR && len(got) < len(ops) {
+			got = append(got, r.Op)
 		}
 	}
-	for _, op := range ops {
-		if !seen[op] {
-			t.Errorf("no CLR with op %s written during restart", op)
-		}
+	if fmt.Sprint(got) != fmt.Sprint(ops) {
+		t.Errorf("restart's first CLRs are %v, want %v", got, ops)
 	}
 }
 
@@ -72,11 +73,12 @@ func TestCrashAfterSplitParentPost(t *testing.T) {
 			t.Fatal("no parent-posting split")
 		}
 	}
-	if !e.cutAfter(t, tx.ID, wal.OpIdxSplitParent) {
+	cut := e.cutAfter(t, tx.ID, wal.OpIdxSplitParent)
+	if cut == 0 {
 		t.Fatal("cut point vanished")
 	}
 	e.restart()
-	e.expectCLRs(t, wal.OpIdxUnsplitParent, wal.OpIdxUnsplitLeft, wal.OpFSMFree)
+	e.expectCLRs(t, cut, wal.OpIdxUnsplitParent, wal.OpIdxUnsplitLeft, wal.OpIdxFreePage, wal.OpFSMFree)
 	want := map[int]bool{}
 	for j := 0; j < 150; j++ {
 		want[j] = true
@@ -87,9 +89,10 @@ func TestCrashAfterSplitParentPost(t *testing.T) {
 	e.expectKeySet(want)
 }
 
-// TestCrashDuringRootSplit cuts the log right after the root's physical
-// replacement: restart undoes it via the before-image CLR and frees the
-// two fresh children.
+// TestCrashDuringRootSplit cuts the log right after the push-down's
+// root-format record: restart gives the root its cells back from the child
+// (the root-format CLR), then frees the child (its format's free-page CLR)
+// and its FSM bit.
 func TestCrashDuringRootSplit(t *testing.T) {
 	e := newEnv(t, core.Config{ID: 1})
 	tx := e.tm.Begin()
@@ -104,11 +107,12 @@ func TestCrashDuringRootSplit(t *testing.T) {
 		}
 	}
 	// The first split of a fresh index is a root split.
-	if !e.cutAfter(t, tx.ID, wal.OpIdxReplacePage) {
-		t.Fatal("no root replace record found")
+	cut := e.cutAfter(t, tx.ID, wal.OpIdxFormatRoot)
+	if cut == 0 {
+		t.Fatal("no root-format record found")
 	}
 	e.restart()
-	e.expectCLRs(t, wal.OpIdxReplacePage, wal.OpIdxFreePage, wal.OpFSMFree)
+	e.expectCLRs(t, cut, wal.OpIdxFormatRoot, wal.OpIdxFreePage, wal.OpFSMFree)
 	e.expectKeySet(map[int]bool{}) // the whole tx is a loser
 	// The root is a leaf again, and usable.
 	if h, err := e.ix.Height(); err != nil || h != 1 {
@@ -144,7 +148,7 @@ func TestCrashDuringPageDeleteChainFix(t *testing.T) {
 	if e.stats.PageDeletes.Load() == 0 {
 		t.Fatal("no page delete")
 	}
-	if !e.cutAfter(t, tx.ID, wal.OpIdxChainFix) {
+	if e.cutAfter(t, tx.ID, wal.OpIdxChainFix) == 0 {
 		t.Fatal("no chain-fix record found")
 	}
 	e.restart()
@@ -166,9 +170,10 @@ func TestCrashDuringPageDeleteChainFix(t *testing.T) {
 	e.expectKeySet(want)
 }
 
-// TestCrashDuringRootCollapse drives the tree up and back down so the root
-// collapse (ReplacePage + child free) appears in the log, then cuts inside
-// it.
+// TestCrashDuringRootCollapse drives the tree up and back down so a root
+// collapse (root-format + child free) appears in the log, then cuts right
+// after its root-format record: restart's first CLR is the root-format CLR
+// that restores the zero-separator root, then the parent entry comes back.
 func TestCrashDuringRootCollapse(t *testing.T) {
 	e := newEnv(t, core.Config{ID: 1})
 	setup := e.tm.Begin()
@@ -182,11 +187,13 @@ func TestCrashDuringRootCollapse(t *testing.T) {
 	// Drain almost everything in one loser transaction: collapses occur.
 	tx := e.tm.Begin()
 	e.deleteRange(tx, 0, 199)
-	// Find a ReplacePage logged by the DRAIN (a collapse, not a split).
-	if !e.cutAfter(t, tx.ID, wal.OpIdxReplacePage) {
+	// The drain's first root-format record is a collapse, not a split.
+	cut := e.cutAfter(t, tx.ID, wal.OpIdxFormatRoot)
+	if cut == 0 {
 		t.Skip("drain caused no root collapse on this geometry")
 	}
 	e.restart()
+	e.expectCLRs(t, cut, wal.OpIdxFormatRoot, wal.OpIdxUndeleteChild)
 	// All 200 keys are back (the whole drain was a loser), and the tree
 	// is structurally sound despite the interrupted collapse.
 	want := map[int]bool{}
@@ -261,6 +268,7 @@ func TestCrashAtEveryRecordOfOneSplit(t *testing.T) {
 	}
 
 	t.Run("nonleaf", crashAtEveryRecordOfNonleafSplit)
+	t.Run("root-collapse", crashAtEveryRecordOfRootCollapse)
 }
 
 // crashAtEveryRecordOfNonleafSplit is TestCrashAtEveryRecordOfOneSplit's
@@ -323,6 +331,32 @@ func crashAtEveryRecordOfNonleafSplit(t *testing.T) {
 		t.Fatalf("%d page writes during the loser's inserts", w-flushed)
 	}
 
+	want := map[int]bool{}
+	for j := 0; j < i; j++ {
+		want[j] = j < 400
+	}
+	e.sweepCuts(t, region, want, func(t *testing.T, f *env, cut wal.LSN) {
+		unsplits, wantUnsplits := 0, 0
+		for _, l := range splitLefts {
+			if l <= cut && cut < region[len(region)-1] {
+				wantUnsplits++
+			}
+		}
+		for _, r := range f.log.Records(cut + 1) {
+			if r.IsCLR() && r.Op == wal.OpIdxUnsplitLeft {
+				unsplits++
+			}
+		}
+		if unsplits != wantUnsplits {
+			t.Fatalf("cut at %d: %d unsplit-left CLRs, want %d", cut, unsplits, wantUnsplits)
+		}
+	})
+}
+
+// sweepCuts forks e's stable state at every cut in region, restarts each
+// fork offline and online, and requires a sound tree holding exactly the
+// keys want marks present; check, if set, then inspects the restarted fork.
+func (e *env) sweepCuts(t *testing.T, region []wal.LSN, want map[int]bool, check func(t *testing.T, f *env, cut wal.LSN)) {
 	for _, mode := range []string{"offline", "online"} {
 		t.Run(mode, func(t *testing.T) {
 			for _, cut := range region {
@@ -339,26 +373,68 @@ func crashAtEveryRecordOfNonleafSplit(t *testing.T) {
 				} else if _, err := Restart(f.log, f.pool, f.tm, f.locks, f.stats); err != nil {
 					t.Fatalf("cut at %d: %v", cut, err)
 				}
-				unsplits, wantUnsplits := 0, 0
-				for _, l := range splitLefts {
-					if l <= cut && cut < region[len(region)-1] {
-						wantUnsplits++
-					}
-				}
-				for _, r := range f.log.Records(cut + 1) {
-					if r.IsCLR() && r.Op == wal.OpIdxUnsplitLeft {
-						unsplits++
-					}
-				}
-				if unsplits != wantUnsplits {
-					t.Fatalf("cut at %d: %d unsplit-left CLRs, want %d", cut, unsplits, wantUnsplits)
-				}
-				want := map[int]bool{}
-				for j := 0; j < i; j++ {
-					want[j] = j < 400
+				if check != nil {
+					check(t, f, cut)
 				}
 				f.expectKeySet(want)
 			}
 		})
 	}
+}
+
+// crashAtEveryRecordOfRootCollapse is TestCrashAtEveryRecordOfOneSplit's
+// root-collapse case: a loser empties the left leaf of a two-leaf tree, and
+// the page deletion leaves the root one child, which the root absorbs. The
+// log is cut at every record from the emptying key delete to the SMO's dummy
+// CLR, under offline and online restart; every committed key is back and the
+// tree is sound.
+func crashAtEveryRecordOfRootCollapse(t *testing.T) {
+	e := newEnv(t, core.Config{ID: 1})
+	setup := e.tm.Begin()
+	n := 0
+	for e.stats.PageSplits.Load() == 0 {
+		if err := e.ix.Insert(setup, key(n)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := e.disk.WriteCount()
+
+	tx := e.tm.Begin()
+	var region []wal.LSN // the collapsing delete's records, to its dummy CLR
+	for i := 0; region == nil; i++ {
+		if i == n {
+			t.Fatal("draining the left leaf collapsed no root")
+		}
+		mark := e.log.MaxLSN()
+		if err := e.ix.Delete(tx, key(i)); err != nil {
+			t.Fatal(err)
+		}
+		if h, _ := e.ix.Height(); h > 1 {
+			continue
+		}
+		for _, r := range e.log.Records(mark + 1) {
+			if r.TxID != tx.ID {
+				continue
+			}
+			region = append(region, r.LSN)
+			if r.Type == wal.RecDummyCLR {
+				break
+			}
+		}
+	}
+	if w := e.disk.WriteCount(); w != flushed {
+		t.Fatalf("%d page writes during the loser's deletes", w-flushed)
+	}
+	want := map[int]bool{}
+	for j := 0; j < n; j++ {
+		want[j] = true
+	}
+	e.sweepCuts(t, region, want, nil)
 }

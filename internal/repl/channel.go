@@ -57,9 +57,8 @@ type ChannelFaults struct {
 	ReorderProb float64
 	// CorruptProb flips one byte of the frame before delivery.
 	CorruptProb float64
-	// StallProb delays the delivery by StallDelay (default 1ms).
-	StallProb  float64
-	StallDelay time.Duration
+	// StallProb delays the delivery by stallDelay.
+	StallProb float64
 	// MaxConsecutive caps the run of consecutively faulted sends (default
 	// 2): after that many in a row the next send is delivered clean. The
 	// cap is what makes every test terminate — some frame always gets
@@ -67,15 +66,15 @@ type ChannelFaults struct {
 	MaxConsecutive int
 }
 
+// stallDelay is how long a stall fault holds a frame back.
+const stallDelay = time.Millisecond
+
 func (c ChannelFaults) withDefaults() ChannelFaults {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.MaxConsecutive == 0 {
 		c.MaxConsecutive = 2
-	}
-	if c.StallDelay == 0 {
-		c.StallDelay = time.Millisecond
 	}
 	return c
 }
@@ -181,7 +180,7 @@ func (c *Channel) Send(frame []byte) {
 		c.deliver(bad)
 	case c.rng.Float64() < c.cfg.StallProb:
 		c.counts.Stalled++
-		stall = c.cfg.StallDelay
+		stall = stallDelay
 		c.deliver(frame)
 	default:
 		faulted = false

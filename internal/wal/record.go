@@ -105,8 +105,8 @@ const (
 	OpIdxChainFix    // rewrite a sibling chain pointer
 	OpIdxSplitParent // post a separator (high key, child) into a parent
 	OpIdxDeleteChild // remove a child entry from a parent
-	OpIdxReplacePage // physical full-page replace (root split/collapse)
-	OpIdxFreePage    // mark an index page free (page deletion)
+	OpIdxFormatRoot  // rewrite the root in place (push-down, collapse, reset)
+	OpIdxFreePage    // mark an index page free (undone by an OpIdxFormat CLR)
 	OpIdxSetBits     // redo-only flag-byte update (SM_Bit/Delete_Bit resets)
 
 	// Compensating index actions (the redo bodies of CLRs written when a
@@ -114,7 +114,6 @@ const (
 	OpIdxUnsplitLeft   // put the moved cells back (undo of OpIdxSplitLeft)
 	OpIdxUnsplitParent // remove a posted separator (undo of OpIdxSplitParent)
 	OpIdxUndeleteChild // restore a removed child entry (undo of OpIdxDeleteChild)
-	OpIdxUnfreePage    // restore a freed page's empty shell (undo of OpIdxFreePage)
 
 	// Free-space map operations.
 	OpFSMAlloc // set an allocation bit
@@ -134,9 +133,8 @@ func (o OpCode) String() string {
 	names := [...]string{
 		"none", "idx-insert", "idx-delete", "idx-format", "idx-split-left",
 		"idx-chain-fix", "idx-split-parent", "idx-delete-child",
-		"idx-replace-page", "idx-free-page", "idx-set-bits",
+		"idx-format-root", "idx-free-page", "idx-set-bits",
 		"idx-unsplit-left", "idx-unsplit-parent", "idx-undelete-child",
-		"idx-unfree-page",
 		"fsm-alloc", "fsm-free", "data-format", "data-insert", "data-delete",
 		"data-update", "data-purge", "data-chain-fix", "data-free",
 	}
