@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-2core race fuzz-wal fuzz-data fuzz-core smoke sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline microbench ci
+.PHONY: all build vet staticcheck test test-2core race fuzz-wal fuzz-data fuzz-core smoke examples sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline microbench ci
 
 all: build vet test
 
@@ -128,6 +128,15 @@ fuzz-core:
 smoke:
 	$(GO) run ./cmd/ariesim-crash -workers 4 -crashes 3 -seed 1 -faults
 
+# Build and run each program under examples/: they drive the public facade
+# (package ariesim) and log.Fatal on any invariant they check, so the target
+# fails on the first non-zero exit.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d; \
+	done
+
 # Exhaustive crash-point sweep: every log record boundary, double recovery.
 # This and the chaos targets below run internal/harness through
 # cmd/ariesim-crash.
@@ -180,4 +189,4 @@ microbench:
 # Everything a change may claim about speed comes from the repository's
 # benchmark (BENCHMARK.json, benchmark/README.md): bash benchmark/run.sh.
 
-ci: build vet staticcheck test-2core race fuzz-wal fuzz-data fuzz-core smoke sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline
+ci: build vet staticcheck test-2core race fuzz-wal fuzz-data fuzz-core smoke examples sweep chaos chaos-online chaos-standby chaos-mvcc chaos-index chaos-index-offline

@@ -56,7 +56,7 @@ type Row = db.Row
 type Tx = txn.Tx
 
 // RestartReport summarizes a recovery run (records analyzed, redone,
-// losers undone, in-doubt transactions).
+// losers undone, locks reinstated).
 type RestartReport = recovery.Report
 
 // Stats is the engine instrumentation: lock calls by space/mode/duration,

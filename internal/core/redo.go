@@ -122,6 +122,18 @@ func ApplyRedo(p *storage.Page, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
+		if !pl.AtRightmost {
+			// The cell now at Pos is the one whose child is patched once the
+			// separator lands in front of it: check it first, so that an
+			// error leaves the page as it was.
+			cell, ok := p.Cell(int(pl.Pos))
+			if !ok {
+				return fmt.Errorf("core: redo split-parent at %d on page %d: no node cell to patch", pl.Pos, rec.Page)
+			}
+			if _, _, err := storage.DecodeNodeCell(cell); err != nil {
+				return fmt.Errorf("core: redo split-parent at %d on page %d: %w", pl.Pos, rec.Page, err)
+			}
+		}
 		if err := p.InsertCellAt(int(pl.Pos), pl.SepCell); err != nil {
 			return fmt.Errorf("core: redo split-parent at %d on page %d: %w", pl.Pos, rec.Page, err)
 		}

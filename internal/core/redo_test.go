@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -479,27 +480,56 @@ func FuzzIndexApplyRedo(f *testing.F) {
 	}
 	f.Add(uint8(1), uint16(wal.OpIdxFormatRoot), true, rootFormatPayload{formatPayload: formatPayload{Index: 1, Cells: [][]byte{leaf}}}.encode())
 	f.Fuzz(func(t *testing.T, kind uint8, op uint16, clr bool, payload []byte) {
-		var p *storage.Page
-		switch kind % 3 {
-		case 0:
-			p = freshLeaf(t)
-		case 1:
-			p = storage.NewPage(512)
-			p.Format(8, storage.PageTypeIndex, 1)
-			p.SetRightmost(40)
-			if err := p.InsertCellAt(0, node); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			p = storage.NewPage(512)
-			p.Format(2, storage.PageTypeIndex, 1)
-			p.SetFlags(storage.FlagSMBit)
-			p.SetRightmost(8)
-		}
+		p := fuzzPage(t, kind)
 		rec := &wal.Record{Type: wal.RecUpdate, Page: p.ID(), Op: wal.OpCode(op), Payload: payload}
 		if clr {
 			rec.Type = wal.RecCLR
 		}
 		_ = ApplyRedo(p, rec)
 	})
+}
+
+// fuzzPage is the page FuzzIndexApplyRedo applies its record to: by kind
+// modulo 3, a three-key leaf, a nonleaf with one node cell (child 31) and
+// rightmost 40, or a pushed-down root (no cells, rightmost 8, SM_Bit set).
+func fuzzPage(t *testing.T, kind uint8) *storage.Page {
+	t.Helper()
+	switch kind % 3 {
+	case 0:
+		return freshLeaf(t)
+	case 1:
+		p := storage.NewPage(512)
+		p.Format(8, storage.PageTypeIndex, 1)
+		p.SetRightmost(40)
+		if err := p.InsertCellAt(0, storage.EncodeNodeCell(storage.Key{Val: []byte("mm")}, 31)); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	default:
+		p := storage.NewPage(512)
+		p.Format(2, storage.PageTypeIndex, 1)
+		p.SetFlags(storage.FlagSMBit)
+		p.SetRightmost(8)
+		return p
+	}
+}
+
+// TestRedoSplitParentFailureLeavesPageUnchanged replays the kept fuzz input
+// testdata/fuzz/FuzzIndexApplyRedo/6f4c83d2c5b9e83f: a split-parent at
+// position 1 of a one-cell nonleaf, where no node cell follows the
+// separator to take the new child. Redo must fail before it inserts the
+// separator, leaving every byte of the page as it was.
+func TestRedoSplitParentFailureLeavesPageUnchanged(t *testing.T) {
+	p := fuzzPage(t, '(')
+	before := append([]byte(nil), p.Bytes()...)
+	rec := &wal.Record{Type: wal.RecUpdate, Page: p.ID(), Op: wal.OpIdxSplitParent, Payload: []byte("0000\x01\x000000000\x00\x00")}
+	if pl, err := decodeSplitParent(rec.Payload); err != nil || pl.Pos != 1 || pl.AtRightmost {
+		t.Fatalf("seed decodes to %+v, %v; want a split-parent at position 1", pl, err)
+	}
+	if err := ApplyRedo(p, rec); err == nil {
+		t.Fatal("split-parent with no cell to patch applied")
+	}
+	if !bytes.Equal(p.Bytes(), before) {
+		t.Fatalf("failed redo changed the page: %d slots, had 1", p.NSlots())
+	}
 }

@@ -233,40 +233,6 @@ func (d *DB) retry(opts RunTxnOpts, begin func() (*txn.Tx, error), fn func(*txn.
 	return fmt.Errorf("db: transaction gave up after %d attempts: %w", opts.MaxAttempts, lastErr)
 }
 
-// maxStepAttempts bounds savepoint-scoped retries of one step before
-// RunTxnSteps escalates to a full-transaction retry.
-const maxStepAttempts = 3
-
-// RunTxnSteps executes a multi-statement body as a sequence of steps with
-// savepoint-based partial retry: a step failing on contention is rolled
-// back to its own savepoint — releasing only the locks that step took —
-// and re-executed in place, preserving the work of completed steps. A step
-// that keeps losing escalates to RunTxnWith's full rollback-and-retry.
-func (d *DB) RunTxnSteps(opts RunTxnOpts, steps ...func(*txn.Tx) error) error {
-	opts = opts.withDefaults()
-	rng := &lazyRNG{seed: opts.Seed + 1}
-	return d.RunTxnWith(opts, func(tx *txn.Tx) error {
-		for _, step := range steps {
-			save := tx.Savepoint()
-			for stepAttempt := 0; ; stepAttempt++ {
-				err := step(tx)
-				if err == nil {
-					break
-				}
-				if ClassifyErr(err) != ClassContention || stepAttempt+1 >= maxStepAttempts {
-					return err
-				}
-				if rbErr := tx.RollbackTo(save); rbErr != nil {
-					return fmt.Errorf("db: partial rollback after %v: %w", err, rbErr)
-				}
-				d.stats.TxnStepRetries.Add(1)
-				time.Sleep(time.Duration(rng.Int63n(int64(opts.BaseBackoff)) + 1))
-			}
-		}
-		return nil
-	})
-}
-
 // commitAcked commits tx and acknowledges it atomically with respect to
 // Crash: under the shared side of epochMu either the engine is up and tx
 // belongs to the current epoch — then the commit record is forced and

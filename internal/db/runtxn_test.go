@@ -208,71 +208,3 @@ func TestRunTxnWaitsOutCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRunTxnStepsPartialRetry: a step losing to contention retries from its
-// own savepoint, preserving completed steps' work instead of redoing it.
-func TestRunTxnStepsPartialRetry(t *testing.T) {
-	d := Open(Options{})
-	tbl, err := d.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var step1Runs, step2Runs int
-	err = d.RunTxnSteps(RunTxnOpts{BaseBackoff: time.Microsecond},
-		func(tx *txn.Tx) error {
-			step1Runs++
-			return tbl.Insert(tx, []byte("a"), []byte("1"))
-		},
-		func(tx *txn.Tx) error {
-			step2Runs++
-			if step2Runs < 3 {
-				return fmt.Errorf("update: %w", lock.ErrLockTimeout)
-			}
-			return tbl.Insert(tx, []byte("b"), []byte("2"))
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step1Runs != 1 {
-		t.Errorf("step 1 ran %d times, want 1 (partial retry redid completed work)", step1Runs)
-	}
-	if step2Runs != 3 {
-		t.Errorf("step 2 ran %d times, want 3", step2Runs)
-	}
-	if got := d.Stats().TxnStepRetries.Load(); got != 2 {
-		t.Errorf("TxnStepRetries = %d, want 2", got)
-	}
-	// Both rows committed.
-	if err := d.RunTxn(func(tx *txn.Tx) error {
-		for _, k := range []string{"a", "b"} {
-			if _, err := tbl.Get(tx, []byte(k)); err != nil {
-				return fmt.Errorf("row %q: %w", k, err)
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunTxnStepsEscalates: a step that keeps losing past maxStepAttempts
-// escalates to a full-transaction retry rather than spinning in place.
-func TestRunTxnStepsEscalates(t *testing.T) {
-	d := Open(Options{})
-	var step1Runs, step2Runs int
-	err := d.RunTxnSteps(RunTxnOpts{BaseBackoff: time.Microsecond},
-		func(tx *txn.Tx) error { step1Runs++; return nil },
-		func(tx *txn.Tx) error {
-			step2Runs++
-			if step2Runs <= maxStepAttempts {
-				return lock.ErrDeadlock
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step1Runs != 2 {
-		t.Errorf("step 1 ran %d times, want 2 (one escalated full retry)", step1Runs)
-	}
-}

@@ -383,7 +383,9 @@ type ownerShard struct {
 }
 
 // Manager is the lock manager. All state is volatile: a crash empties the
-// lock table (restart reacquires locks only for prepared transactions).
+// lock table, and only an online restart grants locks again before new
+// work, reinstating the X locks of the losers it undoes in the background
+// (Reinstate).
 //
 // The table is hash-sharded: grants, releases, and queue processing lock
 // only the shard owning the name, so disjoint transactions scale across

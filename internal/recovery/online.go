@@ -10,16 +10,14 @@
 //     planned page replays its records before any fixer sees the page, and
 //     the pool's loading-frame protocol makes N concurrent fixers cost one
 //     replay;
-//  3. lock reinstatement: prepared transactions reacquire the locks listed
-//     in their prepare records;
-//  4. the drain: RedoWorkers goroutines walk the plan in first-redo order,
+//  3. the drain: RedoWorkers goroutines walk the plan in first-redo order,
 //     one page at a time, until every planned page is recovered;
-//  5. loser undo in the global reverse-LSN sweep (undoLosers);
-//  6. hook out, and the checkpoint that bounds the next restart.
+//  4. loser undo in the global reverse-LSN sweep (undoLosers);
+//  5. hook out, and the checkpoint that bounds the next restart.
 //
 // What differs between the two entry points is only when the engine opens.
-// RestartWith (offline) runs 1–6 in order and returns; nobody is let in
-// before 6. StartOnline opens between 3 and 4: losers are classified — a
+// RestartWith (offline) runs 1–5 in order and returns; nobody is let in
+// before 5. StartOnline opens between 2 and 3: losers are classified — a
 // loser whose remaining undo chain is inserts and updates in place
 // (OpDataInsert / OpIdxInsertKey / OpDataUpdate, with completed nested top
 // actions bypassed via their dummy CLRs) can be undone *after* open under
@@ -80,11 +78,10 @@ type OnlineOpts struct {
 	replayGate func(storage.PageID)
 }
 
-// Online is the restart coordinator. begin runs analysis, installs the
-// plan behind the pool's recovery hook and reinstates in-doubt locks;
-// RestartWith then drives the remaining phases itself, StartOnline opens
-// the engine and leaves them to background goroutines that run until Wait
-// returns.
+// Online is the restart coordinator. begin runs analysis and installs the
+// plan behind the pool's recovery hook; RestartWith then drives the
+// remaining phases itself, StartOnline opens the engine and leaves them to
+// background goroutines that run until Wait returns.
 type Online struct {
 	pool  *buffer.Pool
 	tm    *txn.Manager
@@ -118,10 +115,9 @@ type Online struct {
 }
 
 // begin runs the phases every restart starts with — analysis, plan
-// construction, hook installation, in-doubt lock reinstatement — and
-// returns the coordinator with the losers (the transactions in flight at
-// the crash) analysis found. From here on every Fix recovers its page
-// before the caller sees it.
+// construction, hook installation — and returns the coordinator with the
+// losers (the transactions in flight at the crash) analysis found. From
+// here on every Fix recovers its page before the caller sees it.
 func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats, opts OnlineOpts) (*Online, []*wal.TxTableEntry, error) {
 	rep := &Report{}
 	t := time.Now()
@@ -159,15 +155,11 @@ func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats,
 		done:       make(chan struct{}),
 	}
 	pool.SetRecoveryHook(o.recoverPage)
-	if err := reacquireLocks(log, tm, txTable, rep); err != nil {
-		pool.SetRecoveryHook(nil)
-		return nil, nil, err
-	}
-	var losers []*wal.TxTableEntry
+	// Analysis drops every finished transaction, so what it leaves are the
+	// losers.
+	losers := make([]*wal.TxTableEntry, 0, len(txTable))
 	for _, e := range txTable {
-		if e.State == wal.TxActive || e.State == wal.TxRollingBack {
-			losers = append(losers, e)
-		}
+		losers = append(losers, e)
 	}
 	return o, losers, nil
 }

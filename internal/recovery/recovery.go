@@ -16,8 +16,8 @@
 //     guarantees that an incomplete SMO is undone before any logical undo
 //     needs to traverse its tree (§3 "Restart Undo Considerations").
 //
-// Locks are reacquired only for in-doubt (prepared) transactions, from
-// the lock lists carried in their prepare records.
+// An offline restart grants no locks. An online restart reinstates X locks
+// for the losers it undoes in the background (online.go).
 package recovery
 
 import (
@@ -43,7 +43,6 @@ type Report struct {
 	RedosApplied  int
 	RedosSkipped  int
 	LosersUndone  int
-	InDoubt       []wal.TxID
 	LocksRestored int
 
 	// RedoWorkers is the effective drain parallelism (after clamping to the
@@ -216,8 +215,6 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 			switch r.Type {
 			case wal.RecAbort:
 				e.State = wal.TxRollingBack
-			case wal.RecPrepare:
-				e.State = wal.TxPrepared
 			case wal.RecCommit, wal.RecEnd:
 				// A commit writes no end record: it finishes the
 				// transaction as an end record does.
@@ -238,45 +235,6 @@ func analyze(log *wal.Log, rep *Report) (map[wal.TxID]*wal.TxTableEntry, map[sto
 		}
 	}
 	return txTable, dpt, maxTx, recs
-}
-
-// reacquireLocks restores the locks of in-doubt transactions from their
-// prepare records, so new transactions cannot see their uncommitted data.
-func reacquireLocks(log *wal.Log, tm *txn.Manager, txTable map[wal.TxID]*wal.TxTableEntry, rep *Report) error {
-	for _, e := range txTable {
-		if e.State != wal.TxPrepared {
-			continue
-		}
-		rep.InDoubt = append(rep.InDoubt, e.TxID)
-		// Adopt the in-doubt transaction so the coordinator's eventual
-		// decision (commit or rollback) can be executed against it.
-		tm.AdoptLoser(*e)
-		// Find the prepare record by walking the PrevLSN chain.
-		lsn := e.LastLSN
-		for lsn != wal.NilLSN {
-			r, err := log.Read(lsn)
-			if err != nil {
-				return err
-			}
-			if r.Type == wal.RecPrepare {
-				specs, err := wal.DecodeLocks(r.Payload)
-				if err != nil {
-					return err
-				}
-				for _, s := range specs {
-					name := lock.Name{Space: lock.Space(s.Space), A: s.A, B: s.B}
-					if err := tm.Locks().Request(lock.Owner(e.TxID), name, lock.Mode(s.Mode), lock.Commit, false); err != nil {
-						return fmt.Errorf("recovery: reacquire %v for tx %d: %w", name, e.TxID, err)
-					}
-					rep.LocksRestored++
-				}
-				break
-			}
-			lsn = r.PrevLSN
-		}
-	}
-	sort.Slice(rep.InDoubt, func(i, j int) bool { return rep.InDoubt[i] < rep.InDoubt[j] })
-	return nil
 }
 
 // undoLosers rolls the adopted losers back in one global reverse-LSN sweep

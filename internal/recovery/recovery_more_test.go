@@ -260,67 +260,3 @@ func TestAnalysisSkipsEndedTransactions(t *testing.T) {
 	}
 	e.expectKeySet(want)
 }
-
-// TestInDoubtRollbackDecision: after restart reacquires a prepared
-// transaction's locks, the coordinator's abort decision rolls it back —
-// its updates vanish and its locks release.
-func TestInDoubtRollbackDecision(t *testing.T) {
-	e := newEnv(t, core.Config{ID: 1})
-	tx := e.tm.Begin()
-	e.insertRange(tx, 0, 8)
-	if err := tx.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	e.crash()
-	rep := e.restart()
-	if len(rep.InDoubt) != 1 {
-		t.Fatalf("in-doubt = %v", rep.InDoubt)
-	}
-	adopted := e.tm.Lookup(tx.ID)
-	if adopted == nil {
-		t.Fatal("in-doubt transaction not adopted")
-	}
-	if err := adopted.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	e.expectKeySet(map[int]bool{0: false, 1: false, 2: false, 3: false, 4: false, 5: false, 6: false, 7: false})
-	// And the lock table is clean for new work.
-	w := e.tm.Begin()
-	e.insertRange(w, 0, 8)
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]bool{}
-	for i := 0; i < 8; i++ {
-		want[i] = true
-	}
-	e.expectKeySet(want)
-}
-
-// TestInDoubtSurvivesSecondCrash: an undecided in-doubt transaction must
-// remain in-doubt across ANOTHER crash/restart cycle (its prepare record
-// keeps it alive until a decision is logged).
-func TestInDoubtSurvivesSecondCrash(t *testing.T) {
-	e := newEnv(t, core.Config{ID: 1})
-	tx := e.tm.Begin()
-	e.insertRange(tx, 0, 5)
-	if err := tx.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	e.crash()
-	e.restart()
-	e.crash()
-	rep := e.restart()
-	if len(rep.InDoubt) != 1 || rep.InDoubt[0] != tx.ID {
-		t.Fatalf("in-doubt after second crash = %v", rep.InDoubt)
-	}
-	adopted := e.tm.Lookup(tx.ID)
-	if err := adopted.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]bool{}
-	for i := 0; i < 5; i++ {
-		want[i] = true
-	}
-	e.expectKeySet(want)
-}

@@ -506,50 +506,6 @@ func TestCheckpointBoundsAnalysis(t *testing.T) {
 	e.expectKeySet(want)
 }
 
-func TestInDoubtTransactionKeepsLocks(t *testing.T) {
-	e := newEnv(t, core.Config{ID: 1})
-	tx := e.tm.Begin()
-	e.insertRange(tx, 0, 5)
-	// The transaction prepared: its locks must survive the crash.
-	if err := tx.Lock(lock.Name{Space: lock.SpaceRecord, A: 42, B: 7}, lock.X, lock.Commit, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	e.crash()
-	rep := e.restart()
-	if len(rep.InDoubt) != 1 || rep.InDoubt[0] != tx.ID {
-		t.Fatalf("in-doubt = %v", rep.InDoubt)
-	}
-	if rep.LocksRestored == 0 {
-		t.Fatal("no locks reacquired")
-	}
-	if !e.locks.HoldsAtLeast(lock.Owner(tx.ID), lock.Name{Space: lock.SpaceRecord, A: 42, B: 7}, lock.X) {
-		t.Fatal("prepared transaction's lock not restored")
-	}
-	// New transactions are blocked by the restored lock.
-	blocked := e.tm.Begin()
-	err := blocked.Lock(lock.Name{Space: lock.SpaceRecord, A: 42, B: 7}, lock.S, lock.Commit, true)
-	if err == nil {
-		t.Fatal("in-doubt lock not blocking")
-	}
-	_ = blocked.Rollback()
-	// The coordinator decides commit: the adopted in-doubt tx finishes.
-	adopted := e.tm.Lookup(tx.ID)
-	if adopted == nil {
-		t.Fatal("in-doubt transaction not in table")
-	}
-	if err := adopted.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]bool{}
-	for i := 0; i < 5; i++ {
-		want[i] = true
-	}
-	e.expectKeySet(want)
-}
-
 func TestMediaRecovery(t *testing.T) {
 	e := newEnv(t, core.Config{ID: 1})
 	tx := e.tm.Begin()

@@ -48,7 +48,6 @@ type Stats struct {
 	TxnDeadlockRetries   atomic.Uint64 // ...because the txn was a deadlock victim
 	TxnTimeoutRetries    atomic.Uint64 // ...because a lock wait timed out
 	TxnCrashWaits        atomic.Uint64 // RunTxn attempts parked waiting for Restart
-	TxnStepRetries       atomic.Uint64 // savepoint-scoped partial retries (RunTxnSteps)
 	TxnRetrySuccesses    atomic.Uint64 // transactions that committed after >=1 retry
 	TxnRecoveringRetries atomic.Uint64 // immediate retries on ErrRecovering (engine up, op degraded)
 
@@ -243,7 +242,7 @@ type Snapshot struct {
 	DeadlockVictims, VictimsOther, LockTimeouts               uint64
 	LockWaitNanos, LockWaitsParked                            uint64
 	TxnRetries, TxnDeadlockRetries, TxnTimeoutRetries         uint64
-	TxnCrashWaits, TxnStepRetries, TxnRetrySuccesses          uint64
+	TxnCrashWaits, TxnRetrySuccesses                          uint64
 	TxnRecoveringRetries                                      uint64
 	LatchAcquires, LatchWaits, LatchTryFailures               uint64
 	TreeLatchAcquires, TreeLatchWaits                         uint64
@@ -295,7 +294,6 @@ func counters(s *Stats, n *Snapshot) []counter {
 		{&s.TxnDeadlockRetries, &n.TxnDeadlockRetries, false},
 		{&s.TxnTimeoutRetries, &n.TxnTimeoutRetries, false},
 		{&s.TxnCrashWaits, &n.TxnCrashWaits, false},
-		{&s.TxnStepRetries, &n.TxnStepRetries, false},
 		{&s.TxnRetrySuccesses, &n.TxnRetrySuccesses, false},
 		{&s.TxnRecoveringRetries, &n.TxnRecoveringRetries, false},
 		{&s.LatchAcquires, &n.LatchAcquires, false},

@@ -55,7 +55,7 @@ func TestSnapshotDiff(t *testing.T) {
 	after := s.Snap()
 	d := Diff(before, after)
 
-	if len(first) < 70 {
+	if len(first) < 69 {
 		t.Fatalf("reflection found only %d counters", len(first))
 	}
 	for name := range first {

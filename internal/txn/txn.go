@@ -1,7 +1,8 @@
 // Package txn implements ariesim's transaction manager: the transaction
 // table, commit (force-at-commit), total and partial rollback driven by
-// the UndoNxtLSN chain, nested top actions (dummy CLRs), two-phase-commit
-// prepare, and fuzzy checkpoints.
+// the UndoNxtLSN chain, nested top actions (dummy CLRs), and fuzzy
+// checkpoints. A transaction ends in one of two ways: Commit, or EndLoser
+// once its undo chain is exhausted (Rollback, or restart's undo pass).
 //
 // Rollback follows ARIES (paper §1.2): records are undone in reverse
 // chronological order; every undo writes a compensation log record whose
@@ -219,35 +220,19 @@ func (t *Tx) storeFor() *mvcc.Store {
 	return t.mgr.store
 }
 
-// adopt installs a reconstructed transaction (restart undo of losers).
-func (m *Manager) adopt(t *Tx) {
+// AdoptLoser reconstructs an in-flight transaction from analysis output so
+// the undo pass can drive it. Restart offers each loser once.
+func (m *Manager) AdoptLoser(e wal.TxTableEntry) *Tx {
+	t := &Tx{ID: e.TxID, state: e.State, lastLSN: e.LastLSN, undoNxtLSN: e.UndoNxtLSN, mgr: m}
+	if e.State == wal.TxRollingBack {
+		t.rollingBack = true
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t.mgr = m
 	m.table[t.ID] = t
 	if t.ID >= m.nextID {
 		m.nextID = t.ID + 1
 	}
-}
-
-// AdoptLoser reconstructs an in-flight transaction from analysis output so
-// the undo pass (or in-doubt handling) can drive it. Idempotent: online
-// restart adopts prepared transactions during lock reinstatement and the
-// remaining losers when phases are wired up, so an entry may be offered
-// twice — the live Tx (which may already hold reinstated locks and undo
-// progress) wins over a fresh reconstruction.
-func (m *Manager) AdoptLoser(e wal.TxTableEntry) *Tx {
-	m.mu.Lock()
-	if existing, ok := m.table[e.TxID]; ok && existing.mgr == m {
-		m.mu.Unlock()
-		return existing
-	}
-	m.mu.Unlock()
-	t := &Tx{ID: e.TxID, state: e.State, lastLSN: e.LastLSN, undoNxtLSN: e.UndoNxtLSN}
-	if e.State == wal.TxRollingBack {
-		t.rollingBack = true
-	}
-	m.adopt(t)
 	return t
 }
 
@@ -363,21 +348,6 @@ func (t *Tx) Log(rec *wal.Record) wal.LSN {
 	return lsn
 }
 
-// logForced is Log followed by a force through the group-commit path: the
-// record is durable when it returns nil. A non-nil error
-// (wal.ErrLogCrashed) means a crash landed during the flush: the record's
-// LSN was assigned but the record died with its epoch, and the caller must
-// not acknowledge whatever depended on it. (Log's bookkeeping has run
-// either way; a crashed transaction's state dies with its orphaned
-// manager.)
-func (t *Tx) logForced(rec *wal.Record) (wal.LSN, error) {
-	lsn := t.Log(rec)
-	if !t.mgr.log.Force(lsn) {
-		return lsn, wal.ErrLogCrashed
-	}
-	return lsn, nil
-}
-
 // Redo applies one logged page action to its page: the owning resource
 // manager's ApplyRedo, the routine restart, standby apply and media
 // recovery replay the record with.
@@ -463,7 +433,7 @@ func (t *Tx) Savepoint() wal.LSN {
 // a transaction is never acknowledged while its commit record is volatile.
 func (t *Tx) Commit() error {
 	t.mu.Lock()
-	if t.state != wal.TxActive && t.state != wal.TxPrepared {
+	if t.state != wal.TxActive {
 		t.mu.Unlock()
 		return ErrTxDone
 	}
@@ -508,27 +478,7 @@ func (t *Tx) Commit() error {
 	return nil
 }
 
-// Prepare logs the in-doubt record carrying the transaction's locks and
-// forces it. The transaction then awaits CommitPrepared or Rollback.
-func (t *Tx) Prepare() error {
-	t.mu.Lock()
-	if t.state != wal.TxActive {
-		t.mu.Unlock()
-		return ErrTxDone
-	}
-	t.state = wal.TxPrepared
-	t.mu.Unlock()
-	var specs []wal.LockSpec
-	for _, h := range t.mgr.locks.LocksOf(lock.Owner(t.ID)) {
-		specs = append(specs, wal.LockSpec{Space: uint8(h.Name.Space), Mode: uint8(h.Mode), A: h.Name.A, B: h.Name.B})
-	}
-	if _, err := t.logForced(&wal.Record{Type: wal.RecPrepare, Payload: wal.EncodeLocks(specs)}); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Rollback undoes the whole transaction and releases its locks.
+// Rollback undoes the whole transaction and ends it through EndLoser.
 func (t *Tx) Rollback() error {
 	t.mu.Lock()
 	if t.state == wal.TxCommitted {
@@ -542,12 +492,7 @@ func (t *Tx) Rollback() error {
 	if err := t.undoTo(wal.NilLSN); err != nil {
 		return err
 	}
-	if vs := t.storeFor(); vs != nil {
-		vs.DropTx(t.ID, &t.versions)
-	}
-	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
-	t.Log(&wal.Record{Type: wal.RecEnd})
-	t.mgr.finish(t)
+	t.EndLoser()
 	return nil
 }
 
@@ -556,10 +501,9 @@ func (t *Tx) Rollback() error {
 // reverted) once the undo completes, so a partially-rolled-back transaction
 // does not keep starving the waiters that made it a deadlock victim. ARIES
 // permits either policy on partial rollback; releasing is safe here because
-// the undo is complete before any lock is dropped, and it is what makes
-// savepoint-scoped retry (db.RunTxnSteps) effective under contention. Locks
-// held at the savepoint are kept. A save LSN without a matching Savepoint
-// call (e.g. a raw LastLSN) conservatively releases nothing.
+// the undo is complete before any lock is dropped. Locks held at the
+// savepoint are kept. A save LSN without a matching Savepoint call (e.g. a
+// raw LastLSN) conservatively releases nothing.
 func (t *Tx) RollbackTo(save wal.LSN) error {
 	t.mu.Lock()
 	if t.state != wal.TxActive {
@@ -650,9 +594,10 @@ func (t *Tx) undoTo(stopAfter wal.LSN) error {
 	}
 }
 
-// EndLoser finalizes a fully-undone restart loser: locks released (only
-// prepared transactions reacquired any), end record written, table entry
-// removed.
+// EndLoser finalizes a fully-undone transaction — a rollback, or a restart
+// loser once the undo pass has exhausted its chain: in-flight versions
+// dropped, locks released (a live rollback's, or the X locks online
+// restart reinstated), end record written, table entry removed.
 func (t *Tx) EndLoser() {
 	if vs := t.storeFor(); vs != nil {
 		vs.DropTx(t.ID, &t.versions)
@@ -660,25 +605,6 @@ func (t *Tx) EndLoser() {
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})
 	t.mgr.finish(t)
-}
-
-// UndoAll is the restart-undo entry point: it finishes rolling back an
-// adopted loser and writes its end record.
-func (t *Tx) UndoAll() error {
-	t.mu.Lock()
-	t.state = wal.TxRollingBack
-	t.rollingBack = true
-	t.mu.Unlock()
-	if err := t.undoTo(wal.NilLSN); err != nil {
-		return err
-	}
-	if vs := t.storeFor(); vs != nil {
-		vs.DropTx(t.ID, &t.versions)
-	}
-	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
-	t.Log(&wal.Record{Type: wal.RecEnd})
-	t.mgr.finish(t)
-	return nil
 }
 
 // Checkpoint takes a fuzzy checkpoint: begin record, end record carrying

@@ -313,37 +313,16 @@ func TestUndoStallDetected(t *testing.T) {
 	}
 }
 
-func TestPrepareCarriesLocks(t *testing.T) {
-	m, log, _, _ := newEnv()
-	tx := m.Begin()
-	_ = tx.Lock(lock.Name{Space: lock.SpaceRecord, A: 4, B: 2}, lock.X, lock.Commit, false)
-	_ = tx.Lock(lock.Name{Space: lock.SpaceEOF, A: 1}, lock.S, lock.Commit, false)
-	if err := tx.Prepare(); err != nil {
-		t.Fatal(err)
+// undoLoser finishes an adopted loser the way restart's undo pass does:
+// one UndoStep at a time until its chain is exhausted, then EndLoser.
+func undoLoser(t *testing.T, loser *Tx) {
+	t.Helper()
+	for loser.UndoNxtLSN() != wal.NilLSN {
+		if err := loser.UndoStep(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tx.State() != wal.TxPrepared {
-		t.Fatalf("state = %v", tx.State())
-	}
-	recs := log.Records(1)
-	last := recs[len(recs)-1]
-	if last.Type != wal.RecPrepare {
-		t.Fatalf("last record = %v", last.Type)
-	}
-	if log.StableLSN() < last.LSN {
-		t.Fatal("prepare not forced")
-	}
-	specs, err := wal.DecodeLocks(last.Payload)
-	if err != nil || len(specs) != 2 {
-		t.Fatalf("lock list: %v, %v", specs, err)
-	}
-	// A prepared transaction can still commit.
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// And cannot prepare twice.
-	if err := tx.Prepare(); !errors.Is(err, ErrTxDone) {
-		t.Fatalf("prepare after commit: %v", err)
-	}
+	loser.EndLoser()
 }
 
 func TestAdoptLoserContinuesUndo(t *testing.T) {
@@ -355,9 +334,7 @@ func TestAdoptLoserContinuesUndo(t *testing.T) {
 	m2 := NewManager(log, lock.NewManager(nil))
 	m2.SetUndoer(u)
 	loser := m2.AdoptLoser(wal.TxTableEntry{TxID: tx.ID, State: wal.TxActive, LastLSN: l2, UndoNxtLSN: l2})
-	if err := loser.UndoAll(); err != nil {
-		t.Fatal(err)
-	}
+	undoLoser(t, loser)
 	if len(u.undone) != 2 || u.undone[0] != l2 || u.undone[1] != l1 {
 		t.Fatalf("restart undo = %v", u.undone)
 	}
@@ -394,9 +371,7 @@ func TestBoundedLoggingOnRepeatedRollback(t *testing.T) {
 	rest := &recordingUndoer{}
 	m2.SetUndoer(rest)
 	loser := m2.AdoptLoser(wal.TxTableEntry{TxID: tx.ID, State: wal.TxRollingBack, LastLSN: lastLSN, UndoNxtLSN: undoNxt})
-	if err := loser.UndoAll(); err != nil {
-		t.Fatal(err)
-	}
+	undoLoser(t, loser)
 	if len(rest.undone) != 3 {
 		t.Fatalf("second pass undid %d, want 3", len(rest.undone))
 	}

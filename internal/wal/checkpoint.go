@@ -14,9 +14,6 @@ type TxState uint8
 const (
 	// TxActive: in-flight; a loser if the log holds no commit record.
 	TxActive TxState = iota + 1
-	// TxPrepared: in-doubt under two-phase commit; restart reacquires its
-	// locks and awaits the coordinator's decision.
-	TxPrepared
 	// TxCommitted: commit record logged, transaction not yet out of the
 	// table (a fuzzy checkpoint can catch it there); restart drops it.
 	TxCommitted
@@ -28,8 +25,6 @@ func (s TxState) String() string {
 	switch s {
 	case TxActive:
 		return "active"
-	case TxPrepared:
-		return "prepared"
 	case TxCommitted:
 		return "committed"
 	case TxRollingBack:
@@ -132,50 +127,4 @@ func DecodeCheckpointData(b []byte) (*CheckpointData, error) {
 		off += 12
 	}
 	return c, nil
-}
-
-// LockSpec names one lock held by a prepared transaction, carried in the
-// prepare record so restart analysis can reacquire it.
-type LockSpec struct {
-	Space uint8
-	Mode  uint8
-	A, B  uint64
-}
-
-// EncodeLocks serializes a prepare record's lock list.
-func EncodeLocks(locks []LockSpec) []byte {
-	b := make([]byte, 4+len(locks)*18)
-	binary.LittleEndian.PutUint32(b, uint32(len(locks)))
-	off := 4
-	for _, l := range locks {
-		b[off] = l.Space
-		b[off+1] = l.Mode
-		binary.LittleEndian.PutUint64(b[off+2:], l.A)
-		binary.LittleEndian.PutUint64(b[off+10:], l.B)
-		off += 18
-	}
-	return b
-}
-
-// DecodeLocks parses a prepare record's lock list.
-func DecodeLocks(b []byte) ([]LockSpec, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("wal: lock list truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) < 4+n*18 {
-		return nil, fmt.Errorf("wal: lock list claims %d entries, have %d bytes", n, len(b))
-	}
-	out := make([]LockSpec, n)
-	off := 4
-	for i := range out {
-		out[i] = LockSpec{
-			Space: b[off],
-			Mode:  b[off+1],
-			A:     binary.LittleEndian.Uint64(b[off+2:]),
-			B:     binary.LittleEndian.Uint64(b[off+10:]),
-		}
-		off += 18
-	}
-	return out, nil
 }

@@ -25,7 +25,7 @@ func codecCases() []*Record {
 		{Type: RecCommit, TxID: 5, PrevLSN: 300},
 		{Type: RecAbort, TxID: 6, PrevLSN: 1 << 35},
 		{Type: RecEnd, TxID: 6, PrevLSN: 1<<35 + 40},
-		{Type: RecPrepare, TxID: 7, PrevLSN: 64, Payload: EncodeLocks([]LockSpec{{Space: 1, Mode: 2, A: 3, B: 4}})},
+		{Type: RecCommit, TxID: 7, PrevLSN: 64},
 		{Type: RecBeginCkpt},
 		{Type: RecEndCkpt, PrevLSN: 5000, Payload: (&CheckpointData{}).Encode()},
 		{Type: RecUpdate, TxID: 8, Page: 0, Op: OpFSMAlloc, Payload: []byte{2}},
@@ -36,10 +36,19 @@ func codecCases() []*Record {
 	}
 }
 
-// TestRecordCodecTable: every case's EncodedSize is its encoding's length,
-// every field survives the round trip, and the decoded record re-encodes to
-// the same bytes.
+// TestRecordCodecTable: the cases hold every record type, every case's
+// EncodedSize is its encoding's length, every field survives the round
+// trip, and the decoded record re-encodes to the same bytes.
 func TestRecordCodecTable(t *testing.T) {
+	seen := map[RecType]bool{}
+	for _, c := range codecCases() {
+		seen[c.Type] = true
+	}
+	for typ := RecUpdate; typ <= RecEndCkpt; typ++ {
+		if !seen[typ] {
+			t.Errorf("no codec case of type %s", typ)
+		}
+	}
 	for i, want := range codecCases() {
 		enc := want.Encode()
 		if len(enc) != want.EncodedSize() {

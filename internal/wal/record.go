@@ -54,9 +54,6 @@ const (
 	// (or restart's undo of it) is complete. A commit writes none; its
 	// commit record finishes it.
 	RecEnd
-	// RecPrepare marks an in-doubt (two-phase commit) transaction; its
-	// payload carries the locks to reacquire during restart.
-	RecPrepare
 	// RecBeginCkpt and RecEndCkpt delimit a fuzzy checkpoint; the end
 	// record carries the dirty page table and transaction table.
 	RecBeginCkpt
@@ -77,8 +74,6 @@ func (t RecType) String() string {
 		return "abort"
 	case RecEnd:
 		return "end"
-	case RecPrepare:
-		return "prepare"
 	case RecBeginCkpt:
 		return "begin-ckpt"
 	case RecEndCkpt:

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,7 +150,7 @@ func TestRecordCodecErrors(t *testing.T) {
 func TestQuickRecordCodec(t *testing.T) {
 	f := func(typ uint8, tx uint32, prev, undo uint64, page uint32, op uint16, redoOnly bool, payload []byte) bool {
 		r := &Record{
-			Type: RecType(typ%9 + 1), TxID: TxID(tx), PrevLSN: LSN(prev),
+			Type: RecType(typ%uint8(RecEndCkpt) + 1), TxID: TxID(tx), PrevLSN: LSN(prev),
 			UndoNxtLSN: LSN(undo), Page: storage.PageID(page),
 			Op: OpCode(op % 16), RedoOnly: redoOnly, Payload: payload,
 		}
@@ -188,21 +190,25 @@ func TestRecordPredicates(t *testing.T) {
 }
 
 func TestCheckpointDataRoundTrip(t *testing.T) {
+	// One transaction in every state.
 	c := &CheckpointData{
 		Txs: []TxTableEntry{
 			{TxID: 1, State: TxActive, LastLSN: 100, UndoNxtLSN: 90},
-			{TxID: 2, State: TxPrepared, LastLSN: 200, UndoNxtLSN: 200},
+			{TxID: 2, State: TxCommitted, LastLSN: 200, UndoNxtLSN: 200},
+			{TxID: 3, State: TxRollingBack, LastLSN: 300, UndoNxtLSN: 120},
 		},
 		DPT: []DPTEntry{{Page: 5, RecLSN: 50}, {Page: 9, RecLSN: 77}},
+	}
+	for st := TxActive; st <= TxRollingBack; st++ {
+		if !slices.ContainsFunc(c.Txs, func(e TxTableEntry) bool { return e.State == st }) {
+			t.Errorf("no checkpoint entry in state %s", st)
+		}
 	}
 	got, err := DecodeCheckpointData(c.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Txs) != 2 || len(got.DPT) != 2 {
-		t.Fatalf("lengths: %d txs %d dpt", len(got.Txs), len(got.DPT))
-	}
-	if got.Txs[1] != c.Txs[1] || got.DPT[0] != c.DPT[0] {
+	if !reflect.DeepEqual(got, c) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	if _, err := DecodeCheckpointData([]byte{1}); err == nil {
@@ -211,23 +217,6 @@ func TestCheckpointDataRoundTrip(t *testing.T) {
 	empty, err := DecodeCheckpointData((&CheckpointData{}).Encode())
 	if err != nil || len(empty.Txs) != 0 || len(empty.DPT) != 0 {
 		t.Fatalf("empty checkpoint round trip: %+v, %v", empty, err)
-	}
-}
-
-func TestLockSpecRoundTrip(t *testing.T) {
-	locks := []LockSpec{{Space: 1, Mode: 2, A: 3, B: 4}, {Space: 5, Mode: 1, A: ^uint64(0), B: 0}}
-	got, err := DecodeLocks(EncodeLocks(locks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != locks[0] || got[1] != locks[1] {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if _, err := DecodeLocks([]byte{9}); err == nil {
-		t.Error("truncated lock list decoded")
-	}
-	if _, err := DecodeLocks(EncodeLocks(locks)[:10]); err == nil {
-		t.Error("short lock list decoded")
 	}
 }
 
