@@ -113,25 +113,26 @@ func runChaos(seed int64, workers, crashes int, faults, online bool, redoWorkers
 	if secIndex {
 		fmt.Printf("secondary index: cross-verified against the base table at every crash boundary\n")
 	}
+	st := res.Stats
 	fmt.Printf("contention: %d deadlocks (%d victims), %d lock timeouts\n",
-		res.Deadlocks, res.DeadlockVictims, res.LockTimeouts)
+		st.Deadlocks, st.DeadlockVictims, st.LockTimeouts)
 	fmt.Printf("retry layer: %d retries (%d deadlock, %d timeout, %d crash-wait), %d retried txns committed\n",
-		res.TxnRetries, res.DeadlockRetries, res.TimeoutRetries, res.CrashWaits, res.RetrySuccesses)
+		st.TxnRetries, st.TxnDeadlockRetries, st.TxnTimeoutRetries, st.TxnCrashWaits, st.TxnRetrySuccesses)
 	fmt.Printf("recovery: %d redos, %d undo steps across restarts, %d updates in place in the log\n",
-		res.RestartRedos, res.RestartUndos, res.InPlaceUpdates)
+		st.RedoApplied, st.UndoPageOriented+st.UndoLogical, res.InPlaceUpdates)
 	if online {
 		fmt.Printf("online restart: %d online restarts, %d mid-recovery crashes, %d recovering retries\n",
-			res.OnlineRestarts, res.MidRecoveryCrashes, res.RecoveringRetries)
+			st.OnlineRestarts, res.MidRecoveryCrashes, st.TxnRecoveringRetries)
 		fmt.Printf("online redo: %d pages on demand at fix time, %d by background drain, %d checkpoints fenced\n",
-			res.PagesOnDemand, res.PagesDrained, res.CheckpointsSkipped)
+			st.PagesRedoneOnDemand, st.PagesRedoneByDrain, st.CheckpointsSkippedRecovering)
 	}
 	if mvccReaders > 0 {
 		fmt.Printf("mvcc: %d snapshots verified committed-consistent (%d begun, %d row reads, %d too-old retries, %d reader lock calls)\n",
-			res.SnapshotsVerified, res.SnapshotBegins, res.SnapshotReads, res.SnapshotTooOld, res.ReadOnlyLockCalls)
+			res.SnapshotsVerified, st.SnapshotBegins, st.SnapshotReads, st.SnapshotTooOld, st.ReadOnlyLockCalls)
 	}
 	if faults {
 		fmt.Printf("fault handling: %d voluntary rollbacks, %d torn-tail truncations, %d corrupt pages healed by %d media recoveries\n",
-			res.Rollbacks, res.TornTailTruncations, res.CorruptPages, res.MediaRecoveries)
+			res.Rollbacks, st.TornTailTruncations, st.CorruptPages, st.MediaRecoveries)
 		c := res.FaultsInjected
 		fmt.Printf("faults injected: %d read errors, %d write errors, %d torn writes, %d bit flips\n",
 			c.ReadFaults, c.WriteFaults, c.TornWrites, c.BitFlips)
@@ -152,7 +153,6 @@ func runStandby(seed int64, workers, commits int, faults, online bool, redoWorke
 		Workers:         workers,
 		PreCrashCommits: commits,
 		Faults:          f,
-		SyncGate:        true,
 		OnlineRestart:   online,
 		RedoWorkers:     redoWorkers,
 		Logf:            func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
@@ -165,7 +165,8 @@ func runStandby(seed int64, workers, commits int, faults, online bool, redoWorke
 	fmt.Printf("ambiguity: %d gate-failed commits (%d resolved present, %d resolved lost)\n",
 		res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut)
 	fmt.Printf("shipping: %d segments shipped, %d resent, %d applied, %d rejected; %d naks\n",
-		res.SegmentsShipped, res.SegmentsResent, res.SegmentsApplied, res.SegmentsRejected, res.Naks)
+		res.Primary.SegmentsShipped, res.Primary.SegmentsResent, res.Promoted.SegmentsApplied,
+		res.Promoted.SegmentsRejected, res.Promoted.ReplNaks)
 	fmt.Printf("channel faults: %+v\n", res.Channel)
 	fmt.Printf("failover: TTFC %v, zombie segments fenced %d, lag p50 %.0f / p99 %.0f log bytes\n",
 		res.FailoverTTFC, res.ZombieRejected, res.LagP50, res.LagP99)

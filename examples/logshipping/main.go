@@ -35,11 +35,9 @@ func main() {
 	standbyStats := &trace.Stats{}
 	standby := repl.NewStandby(ch, primary.Disk().ReadMeta(), repl.StandbyOpts{
 		DBOpts: db.Options{PageSize: 1024, RedoWorkers: 2, Stats: standbyStats},
-		Epoch:  1,
 	})
 	standby.Start()
 	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{
-		Epoch:  1,
 		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
 		Stats:  primary.Stats(),
 	})

@@ -108,10 +108,10 @@ type RecoveryHook func(id storage.PageID, p *storage.Page) (dirty bool, recLSN w
 
 // Frame is one slot of the frame table and the page currently bound to it:
 // the page bytes, the page latch, and the pin / dirty / recLSN bookkeeping.
-// Callers mutate Page only while holding Latch in X mode and must log the
-// change and call MarkDirty before releasing the latch. A *Frame, its Page
-// and every slice of the page's bytes are the caller's only until Unfix:
-// the next miss may rebind all three to another page.
+// Callers mutate Page only while holding Latch in X mode and must call
+// MarkDirty before they log the change. A *Frame, its Page and every slice
+// of the page's bytes are the caller's only until Unfix: the next miss may
+// rebind all three to another page.
 type Frame struct {
 	Page  *storage.Page
 	Latch *latch.Latch
@@ -540,10 +540,10 @@ func (p *Pool) Unfix(f *Frame) {
 	f.ref.Store(true)
 }
 
-// MarkDirty records that the holder of the frame's X latch has applied the
-// update logged at lsn. On a clean→dirty transition the update's LSN
-// becomes the frame's recLSN (the dirty page table entry ARIES redo
-// starts from). Touches only the frame's own mutex.
+// MarkDirty records that the holder of the frame's X latch is applying an
+// update logged at lsn or later. On a clean→dirty transition lsn becomes the
+// frame's recLSN (the dirty page table entry ARIES redo starts from).
+// Touches only the frame's own mutex.
 func (p *Pool) MarkDirty(f *Frame, lsn wal.LSN) {
 	f.mu.Lock()
 	if !f.dirty {
@@ -768,18 +768,23 @@ func (p *Pool) NumBuffered() int {
 	return n
 }
 
-// PinnedPages returns IDs of currently pinned frames (leak assertions).
+// PinnedPages returns the IDs of the frames pinned at one instant (leak and
+// pin-bound assertions): a pin is taken only under its shard's mutex, and it
+// holds them all while it reads.
 func (p *Pool) PinnedPages() []storage.PageID {
+	for i := range p.shards {
+		p.shards[i].mu.Lock()
+	}
 	var out []storage.PageID
 	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for id, f := range s.frames {
+		for id, f := range p.shards[i].frames {
 			if f.pins.Load() > 0 {
 				out = append(out, id)
 			}
 		}
-		s.mu.Unlock()
+	}
+	for i := range p.shards {
+		p.shards[i].mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -39,15 +39,16 @@ func TestChaosSweep(t *testing.T) {
 	}
 	// The contract the retry layer exists for: both contention repair
 	// paths exercised and retried through to a successful commit.
-	if res.DeadlockVictims == 0 {
+	st := res.Stats
+	if st.DeadlockVictims == 0 {
 		t.Error("no deadlock victim was aborted")
 	}
-	if res.LockTimeouts == 0 {
+	if st.LockTimeouts == 0 {
 		t.Error("no lock wait timed out")
 	}
-	if res.DeadlockRetries == 0 || res.TimeoutRetries == 0 || res.RetrySuccesses == 0 {
+	if st.TxnDeadlockRetries == 0 || st.TxnTimeoutRetries == 0 || st.TxnRetrySuccesses == 0 {
 		t.Errorf("retry counters: deadlock=%d timeout=%d successes=%d, want all > 0",
-			res.DeadlockRetries, res.TimeoutRetries, res.RetrySuccesses)
+			st.TxnDeadlockRetries, st.TxnTimeoutRetries, st.TxnRetrySuccesses)
 	}
 	t.Logf("chaos result: %+v", res)
 }
@@ -80,13 +81,13 @@ func TestChaosSweepOnlineRestart(t *testing.T) {
 	if res.Crashes != o.Crashes {
 		t.Errorf("crashes = %d, want %d", res.Crashes, o.Crashes)
 	}
-	if res.OnlineRestarts == 0 {
+	if res.Stats.OnlineRestarts == 0 {
 		t.Error("no restart ran online")
 	}
 	if res.MidRecoveryCrashes == 0 {
 		t.Error("no crash landed mid-recovery")
 	}
-	if res.PagesOnDemand+res.PagesDrained == 0 {
+	if res.Stats.PagesRedoneOnDemand+res.Stats.PagesRedoneByDrain == 0 {
 		t.Error("no pages recovered by hook or drain")
 	}
 	t.Logf("chaos result: %+v", res)
@@ -125,8 +126,8 @@ func TestChaosSweepSecondaryIndex(t *testing.T) {
 	if res.SnapshotsVerified == 0 {
 		t.Error("no snapshot observations verified")
 	}
-	if res.ReadOnlyLockCalls != 0 {
-		t.Errorf("snapshot readers made %d lock calls, want 0", res.ReadOnlyLockCalls)
+	if res.Stats.ReadOnlyLockCalls != 0 {
+		t.Errorf("snapshot readers made %d lock calls, want 0", res.Stats.ReadOnlyLockCalls)
 	}
 	t.Logf("chaos result: %+v", res)
 }

@@ -71,10 +71,6 @@ type Options struct {
 	// still queued after it fails with lock.ErrLockTimeout. Zero keeps
 	// waits unbounded (deadlock detection alone resolves cycles).
 	LockWaitTimeout time.Duration
-	// LogForceDelay simulates the latency of one physical log flush. Zero
-	// (the default) keeps forces instantaneous; a realistic value
-	// (50–500µs) makes group commit measurable.
-	LogForceDelay time.Duration
 	// CleanerInterval enables the background page cleaner, which flushes
 	// dirty frames ahead of the clock hand every interval so foreground
 	// evictions find clean victims and checkpoint DPTs stay small. Zero
@@ -215,7 +211,6 @@ func newDB(opts Options, disk *storage.Disk, log *wal.Log, up bool) *DB {
 		cat:   catalog{NextTableID: 1, NextIndexID: 1},
 		upCh:  make(chan struct{}),
 	}
-	log.SetForceDelay(opts.LogForceDelay)
 	lock.RegisterTraceNames()
 	if up {
 		close(d.upCh)
@@ -680,12 +675,11 @@ func (t *Table) recordLockNeeded() bool {
 	return !t.db.opts.Protocol.KeyLockIsRecordLock()
 }
 
-// fetchRow is the single locked read-path call site: every repeatable-read
-// and cursor-stability record fetch — the point reads and the positioning
-// reads of Delete and Update, and every row of the table's locked walk —
-// resolves its RID through here, so the lock-or-not decision — and its
-// divergence from the lock-free snapshot path, which replaces this call
-// entirely — lives in exactly one place. key and value are slices of a
+// fetchRow is the single repeatable-read record fetch: the point reads, the
+// positioning reads of Delete and Update, and every row of the table's
+// locked walk resolve their RID through here, so the lock-or-not decision —
+// and its divergence from the lock-free snapshot path, which replaces this
+// call entirely — lives in exactly one place. key and value are slices of a
 // private copy of the record: a scan hands them to its caller as they are.
 func (t *Table) fetchRow(tx *txn.Tx, rid storage.RID) (key, value []byte, err error) {
 	rec, err := t.data.Fetch(tx, rid, t.recordLockNeeded())
@@ -1326,7 +1320,20 @@ func (t *Table) GetCS(tx *txn.Tx, key []byte) ([]byte, error) {
 	if !res.Found {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	_, value, err := t.fetchRow(tx, res.Key.RID)
+	rid := res.Key.RID
+	// A record lock apart from the key lock is given back after the read
+	// too, unless tx held it already: FetchCS's rule for the key.
+	if name := lock.DataLockName(t.db.opts.Granularity, uint64(rid.Page), rid.Slot); t.recordLockNeeded() && !tx.HoldsLock(name) {
+		if err := tx.Lock(name, lock.S, lock.Manual, false); err != nil {
+			return nil, err
+		}
+		defer tx.Unlock(name)
+	}
+	rec, err := t.data.Fetch(tx, rid, false)
+	if err != nil {
+		return nil, err
+	}
+	_, value, err := decodeRow(rec)
 	return value, err
 }
 

@@ -81,31 +81,38 @@ func TestScanPrefix(t *testing.T) {
 	}
 }
 
+// TestGetCSDoesNotBlockWriters: a cursor-stability read leaves no lock
+// behind under any protocol, the key lock or, where it is a separate lock,
+// the record lock.
 func TestGetCSDoesNotBlockWriters(t *testing.T) {
-	d := openSmall(t)
-	tbl, _ := d.CreateTable("t")
-	tx := d.MustBegin()
-	_ = tbl.Insert(tx, k(1), v(1))
-	_ = tx.Commit()
+	for _, proto := range []core.Protocol{core.DataOnly, core.IndexSpecific, core.KVL, core.SystemR} {
+		t.Run(proto.String(), func(t *testing.T) {
+			d := Open(Options{PageSize: 512, PoolSize: 128, Protocol: proto})
+			tbl, _ := d.CreateTable("t")
+			tx := d.MustBegin()
+			_ = tbl.Insert(tx, k(1), v(1))
+			_ = tx.Commit()
 
-	reader := d.MustBegin()
-	if got, err := tbl.GetCS(reader, k(1)); err != nil || string(got) != string(v(1)) {
-		t.Fatalf("GetCS = %q, %v", got, err)
+			reader := d.MustBegin()
+			if got, err := tbl.GetCS(reader, k(1)); err != nil || string(got) != string(v(1)) {
+				t.Fatalf("GetCS = %q, %v", got, err)
+			}
+			// Reader still open, but a writer can delete the row immediately.
+			writer := d.MustBegin()
+			done := make(chan error, 1)
+			go func() { done <- tbl.Delete(writer, k(1)) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("writer blocked by a cursor-stability reader")
+			}
+			_ = writer.Commit()
+			_ = reader.Commit()
+		})
 	}
-	// Reader still open, but a writer can delete the row immediately.
-	writer := d.MustBegin()
-	done := make(chan error, 1)
-	go func() { done <- tbl.Delete(writer, k(1)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("writer blocked by a cursor-stability reader")
-	}
-	_ = writer.Commit()
-	_ = reader.Commit()
 }
 
 func TestGetCSStillSeesOnlyCommitted(t *testing.T) {

@@ -23,7 +23,8 @@ import (
 // TestCommitAckImpliesStableLSN: after every acked commit, the commit
 // record (the end record's PrevLSN) is covered by the stable LSN.
 func TestCommitAckImpliesStableLSN(t *testing.T) {
-	d := Open(Options{LogForceDelay: 200 * time.Microsecond})
+	d := Open(Options{})
+	d.Log().SetForceDelay(200 * time.Microsecond)
 	if _, err := d.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,8 @@ func TestCommitAckImpliesStableLSN(t *testing.T) {
 // device share flushes — the engine acks all of them with far fewer
 // physical forces than commits, and the group-commit counters prove it.
 func TestConcurrentCommitsCoalesce(t *testing.T) {
-	d := Open(Options{LogForceDelay: 500 * time.Microsecond})
+	d := Open(Options{})
+	d.Log().SetForceDelay(500 * time.Microsecond)
 	if _, err := d.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,8 @@ func TestAckedCommitsSurviveCrashes(t *testing.T) {
 		workers = 4
 		crashes = 6
 	)
-	d := Open(Options{LogForceDelay: 200 * time.Microsecond, PoolSize: 64})
+	d := Open(Options{PoolSize: 64})
+	d.Log().SetForceDelay(200 * time.Microsecond) // Crash's log clone keeps it
 	if _, err := d.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func ClassifyErr(err error) RetryClass {
 		return ClassContention
 	case errors.Is(err, ErrCrashed), errors.Is(err, lock.ErrShutdown),
 		errors.Is(err, wal.ErrLogCrashed):
-		// wal.ErrLogCrashed surfaces from Commit/Prepare when the crash
+		// wal.ErrLogCrashed surfaces from Commit when the crash
 		// landed during the commit record's flush: the record died with its
 		// log epoch, so the transaction is repaired exactly like any other
 		// crash casualty — await restart, re-execute.
@@ -61,9 +61,6 @@ func ClassifyErr(err error) RetryClass {
 type RunTxnOpts struct {
 	// MaxAttempts bounds full executions of the body (default 16).
 	MaxAttempts int
-	// BaseBackoff is the first contention backoff (default 200µs); each
-	// further contention retry doubles it up to maxBackoff.
-	BaseBackoff time.Duration
 	// Seed drives the backoff jitter deterministically. Concurrent callers
 	// should use distinct seeds or their retries stampede in lockstep.
 	Seed int64
@@ -88,15 +85,13 @@ type RunTxnOpts struct {
 	OnCommitted func(wal.LSN)
 }
 
-// maxBackoff caps the doubling contention backoff.
-const maxBackoff = 20 * time.Millisecond
+// A contention retry first backs off baseBackoff, and each further one
+// doubles it up to maxBackoff.
+const baseBackoff, maxBackoff = 200 * time.Microsecond, 20 * time.Millisecond
 
 func (o RunTxnOpts) withDefaults() RunTxnOpts {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 16
-	}
-	if o.BaseBackoff == 0 {
-		o.BaseBackoff = 200 * time.Microsecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -161,7 +156,7 @@ func (d *DB) RunTxnWith(opts RunTxnOpts, fn func(*txn.Tx) error) error {
 func (d *DB) retry(opts RunTxnOpts, begin func() (*txn.Tx, error), fn func(*txn.Tx) error, end func(*txn.Tx, error) error) error {
 	opts = opts.withDefaults()
 	rng := &lazyRNG{seed: opts.Seed}
-	backoff := opts.BaseBackoff
+	backoff := baseBackoff
 	lastErr := ErrCrashed // until an attempt has run
 	var deadline time.Time
 	if opts.RetryDeadline > 0 {
@@ -225,7 +220,7 @@ func (d *DB) retry(opts RunTxnOpts, begin func() (*txn.Tx, error), fn func(*txn.
 			// Jitter AFTER the restart releases the herd: every retrier
 			// wakes on the same upCh close, so without this they re-enter
 			// the fresh epoch in lockstep and collide all over again.
-			time.Sleep(time.Duration(rng.Int63n(int64(opts.BaseBackoff) + 1)))
+			time.Sleep(time.Duration(rng.Int63n(int64(baseBackoff) + 1)))
 		default:
 			return err
 		}

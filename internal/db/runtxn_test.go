@@ -132,7 +132,7 @@ func TestRunTxnSurfacesFatal(t *testing.T) {
 func TestRunTxnGivesUpAfterMaxAttempts(t *testing.T) {
 	d := Open(Options{})
 	calls := 0
-	err := d.RunTxnWith(RunTxnOpts{MaxAttempts: 4, BaseBackoff: time.Microsecond},
+	err := d.RunTxnWith(RunTxnOpts{MaxAttempts: 4},
 		func(tx *txn.Tx) error {
 			calls++
 			return lock.ErrLockTimeout

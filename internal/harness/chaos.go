@@ -11,6 +11,7 @@ import (
 
 	"ariesim/internal/db"
 	"ariesim/internal/storage"
+	"ariesim/internal/trace"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
 )
@@ -39,19 +40,11 @@ type ChaosOpts struct {
 	// CommitsPerPhase is how many acked commits must accumulate between
 	// crashes (default 25), so every crash lands under live traffic.
 	CommitsPerPhase int
-	// PageSize (default 512) — small pages force SMOs under the workload.
-	PageSize int
-	// PoolSize in frames (default 64) — small pools force steals, so
-	// uncommitted pages reach disk and restart must undo them.
-	PoolSize int
 	// Faults injects seeded disk faults, plants silent corruption, and
 	// tears the log tail at one last crash once the workers have stopped.
 	// The sweep then fails unless some page was healed by media recovery, a
 	// torn record was cut, and a writer rolled back (which takes Workers ≥ 3).
 	Faults bool
-	// LockWaitTimeout bounds lock waits (default 20ms); the retry layer
-	// absorbs the resulting ErrLockTimeouts.
-	LockWaitTimeout time.Duration
 	// OnlineRestart restarts the engine (and every verification fork)
 	// online: workers resume the moment analysis finishes, racing the
 	// background drain and loser undo, and a rotating subset of crash
@@ -85,6 +78,15 @@ type ChaosOpts struct {
 	whileDown func(point int) error
 }
 
+// The chaos engine: small pages force SMOs, a small pool forces steals (so
+// restart must undo uncommitted pages that reached disk), and a short
+// lock-wait bound makes ErrLockTimeouts for the retry layer to absorb.
+const (
+	chaosPageSize        = 512
+	chaosPoolSize        = 64
+	chaosLockWaitTimeout = 20 * time.Millisecond
+)
+
 // watchdogPatience is the livelock bound: the run fails if commit
 // throughput stalls for this long between crashes — the symptom of retries
 // collapsing into livelock.
@@ -100,15 +102,6 @@ func (o ChaosOpts) withDefaults() ChaosOpts {
 	if o.CommitsPerPhase == 0 {
 		o.CommitsPerPhase = 25
 	}
-	if o.PageSize == 0 {
-		o.PageSize = 512
-	}
-	if o.PoolSize == 0 {
-		o.PoolSize = 64
-	}
-	if o.LockWaitTimeout == 0 {
-		o.LockWaitTimeout = 20 * time.Millisecond
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -121,43 +114,15 @@ type ChaosResult struct {
 	Commits int // transactions acked committed
 	// InPlaceUpdates counts the OpDataUpdate records in the final log; a run
 	// with none is an error.
-	InPlaceUpdates int
-
-	// Contention-repair counters (from trace.Stats at the end of the run).
-	Deadlocks       uint64 // waits-for cycles detected
-	DeadlockVictims uint64 // victims aborted out of those cycles
-	LockTimeouts    uint64 // waits abandoned at the timeout
-	TxnRetries      uint64 // automatic full-transaction retries
-	DeadlockRetries uint64 // ... due to being a deadlock victim
-	TimeoutRetries  uint64 // ... due to a lock-wait timeout
-	CrashWaits      uint64 // retries that waited out a restart
-	RetrySuccesses  uint64 // transactions that committed after >=1 retry
-	CorruptPages    uint64 // checksum failures detected
-	MediaRecoveries uint64 // pages healed from image copy + log
-	FaultsInjected  storage.FaultCounts
-	RestartRedos    uint64 // redo records applied across all restarts
-	RestartUndos    uint64 // undo steps driven across all restarts
-	GaveUp          int    // transactions that exhausted their retries (no effect committed)
-	Rollbacks       int    // writer bodies that asked RunTxn to roll their work back
-
-	// TornTailTruncations counts restarts that cut a torn log record
-	// (nonzero exactly when Faults is set).
-	TornTailTruncations uint64
-
-	// Online-restart counters (zero unless ChaosOpts.OnlineRestart).
-	OnlineRestarts     uint64 // restarts that opened after analysis
-	MidRecoveryCrashes int    // crashes landed while background recovery ran
-	RecoveringRetries  uint64 // RunTxn immediate retries on ErrRecovering
-	CheckpointsSkipped uint64 // checkpoints refused while recovery was pending
-	PagesOnDemand      uint64 // pages recovered at fix time by the hook
-	PagesDrained       uint64 // pages recovered by the background drain
-
-	// Snapshot-reader counters (zero unless ChaosOpts.SnapshotReaders > 0).
-	SnapshotsVerified int    // observations verified committed-consistent
-	SnapshotBegins    uint64 // lock-free snapshots taken
-	SnapshotReads     uint64 // per-key visibility resolutions
-	SnapshotTooOld    uint64 // pruned-snapshot aborts absorbed by retry
-	ReadOnlyLockCalls uint64 // lock-manager calls by snapshot readers (must be 0)
+	InPlaceUpdates     int
+	GaveUp             int // transactions that exhausted their retries (no effect committed)
+	Rollbacks          int // writer bodies that asked RunTxn to roll their work back
+	MidRecoveryCrashes int // crashes landed while background recovery ran
+	SnapshotsVerified  int // snapshot observations verified committed-consistent
+	FaultsInjected     storage.FaultCounts
+	// Stats is the engine's counters at the end of the run: contention and
+	// its repair, restarts, media recovery, snapshot reads.
+	Stats trace.Snapshot
 }
 
 // chaosSnapObs is one snapshot reader observation: the full table as seen
@@ -182,6 +147,26 @@ type chaosRun struct {
 
 // errRollback is what a writer body returns to roll its completed work back.
 var errRollback = errors.New("chaos: voluntary rollback")
+
+// firstErr keeps the first error a sweep's goroutines report.
+type firstErr struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (f *firstErr) set(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil {
+		f.err = err
+	}
+}
+
+func (f *firstErr) get() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
 
 // upsert is the package's upsert plus staging the result.
 func (st staged) upsert(tbl *db.Table, tx *txn.Tx, k, v []byte) error {
@@ -219,8 +204,8 @@ func (r *chaosRun) write(seed int64, body func(tbl *db.Table, tx *txn.Tx, st sta
 func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	o = o.withDefaults()
 	d := db.Open(db.Options{
-		PageSize: o.PageSize, PoolSize: o.PoolSize,
-		LockWaitTimeout: o.LockWaitTimeout,
+		PageSize: chaosPageSize, PoolSize: chaosPoolSize,
+		LockWaitTimeout: chaosLockWaitTimeout,
 		OnlineRestart:   o.OnlineRestart,
 		RedoWorkers:     o.RedoWorkers,
 	})
@@ -273,7 +258,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		if tries == 5 {
 			return nil, fmt.Errorf("chaos: forced timeout phase timed nothing out in %d tries", tries)
 		}
-		if err := forceTimeoutRepair(run, o.Seed+int64(tries), o.LockWaitTimeout); err != nil {
+		if err := forceTimeoutRepair(run, o.Seed+int64(tries)); err != nil {
 			return nil, err
 		}
 	}
@@ -294,20 +279,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var workerErrMu sync.Mutex
-	var workerErr error
-	failWorker := func(err error) {
-		workerErrMu.Lock()
-		if workerErr == nil {
-			workerErr = err
-		}
-		workerErrMu.Unlock()
-	}
-	failed := func() error {
-		workerErrMu.Lock()
-		defer workerErrMu.Unlock()
-		return workerErr
-	}
+	var workerErr firstErr
 	// fail ends the run with err. With the engine down the workers are parked
 	// in AwaitUp inside RunTxn, which only a Restart releases: they are
 	// abandoned there, not waited for, so the failure is reported instead of
@@ -374,7 +346,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 						if err := st.upsert(tbl, tx, hot[2], val(hot[2])); err != nil {
 							return err
 						}
-						time.Sleep(o.LockWaitTimeout * 3 / 2)
+						time.Sleep(chaosLockWaitTimeout * 3 / 2)
 					default:
 						if rng.Intn(4) == 0 {
 							if err := st.upsert(tbl, tx, hot[2], val(hot[2])); err != nil {
@@ -427,7 +399,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					// ClassifyErr sees through it; anything genuinely fatal
 					// fails the run.
 					if db.ClassifyErr(err) == db.ClassFatal {
-						failWorker(fmt.Errorf("chaos: worker %d: %w", w, err))
+						workerErr.set(fmt.Errorf("chaos: worker %d: %w", w, err))
 						return
 					}
 					gaveUp.Add(1)
@@ -493,7 +465,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 				})
 				if err != nil {
 					if db.ClassifyErr(err) == db.ClassFatal {
-						failWorker(fmt.Errorf("chaos: snapshot reader %d: %w", r, err))
+						workerErr.set(fmt.Errorf("chaos: snapshot reader %d: %w", r, err))
 						return
 					}
 					continue // give-up under extreme contention: legal, retry fresh
@@ -527,7 +499,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 			// Both the fork and the restarted engine must heal it.
 			if ids := d.Disk().PageIDs(); len(ids) > 0 {
 				victim := ids[crashRNG.Intn(len(ids))]
-				d.Disk().CorruptBits(victim, crashRNG.Intn(o.PageSize-1)+1, byte(crashRNG.Intn(255)+1))
+				d.Disk().CorruptBits(victim, crashRNG.Intn(chaosPageSize-1)+1, byte(crashRNG.Intn(255)+1))
 			}
 		}
 		fork := d.Fork()
@@ -554,7 +526,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		target := run.led.ackedCount() + o.CommitsPerPhase
 		deadline := time.Now().Add(watchdogPatience)
 		for run.led.ackedCount() < target {
-			if err := failed(); err != nil {
+			if err := workerErr.get(); err != nil {
 				return fail(err)
 			}
 			if time.Now().After(deadline) {
@@ -608,7 +580,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 
 	close(stop)
 	wg.Wait()
-	if err := failed(); err != nil {
+	if err := workerErr.get(); err != nil {
 		return nil, err
 	}
 
@@ -676,42 +648,21 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 			return nil, fmt.Errorf("chaos: snapshot readers issued %d lock-manager calls (must be 0)",
 				sn.ReadOnlyLockCalls)
 		}
-		res.SnapshotBegins = sn.SnapshotBegins
-		res.SnapshotReads = sn.SnapshotReads
-		res.SnapshotTooOld = sn.SnapshotTooOld
-		res.ReadOnlyLockCalls = sn.ReadOnlyLockCalls
 	}
 	res.Commits = run.led.ackedCount()
 	res.GaveUp = int(gaveUp.Load())
 	res.Rollbacks = int(rollbacks.Load())
-	res.TornTailTruncations = sn.TornTailTruncations
-	res.Deadlocks = sn.Deadlocks
-	res.DeadlockVictims = sn.DeadlockVictims
-	res.LockTimeouts = sn.LockTimeouts
-	res.TxnRetries = sn.TxnRetries
-	res.DeadlockRetries = sn.TxnDeadlockRetries
-	res.TimeoutRetries = sn.TxnTimeoutRetries
-	res.CrashWaits = sn.TxnCrashWaits
-	res.RetrySuccesses = sn.TxnRetrySuccesses
-	res.CorruptPages = sn.CorruptPages
-	res.MediaRecoveries = sn.MediaRecoveries
-	res.RestartRedos = sn.RedoApplied
-	res.RestartUndos = sn.UndoPageOriented + sn.UndoLogical
-	res.OnlineRestarts = sn.OnlineRestarts
-	res.RecoveringRetries = sn.TxnRecoveringRetries
-	res.CheckpointsSkipped = sn.CheckpointsSkippedRecovering
-	res.PagesOnDemand = sn.PagesRedoneOnDemand
-	res.PagesDrained = sn.PagesRedoneByDrain
+	res.Stats = sn
 	if inj != nil {
 		res.FaultsInjected = inj.Counts()
 	}
-	if res.DeadlockRetries == 0 || res.TimeoutRetries == 0 || res.RetrySuccesses == 0 {
+	if sn.TxnDeadlockRetries == 0 || sn.TxnTimeoutRetries == 0 || sn.TxnRetrySuccesses == 0 {
 		return res, fmt.Errorf("chaos: repair paths under-exercised: %d deadlock retries, %d timeout retries, %d retry successes",
-			res.DeadlockRetries, res.TimeoutRetries, res.RetrySuccesses)
+			sn.TxnDeadlockRetries, sn.TxnTimeoutRetries, sn.TxnRetrySuccesses)
 	}
-	if o.Faults && (res.Rollbacks == 0 || res.TornTailTruncations == 0 || res.MediaRecoveries == 0) {
+	if o.Faults && (res.Rollbacks == 0 || sn.TornTailTruncations == 0 || sn.MediaRecoveries == 0) {
 		return res, fmt.Errorf("chaos: fault paths under-exercised: %d voluntary rollbacks, %d torn-tail truncations, %d media recoveries",
-			res.Rollbacks, res.TornTailTruncations, res.MediaRecoveries)
+			res.Rollbacks, sn.TornTailTruncations, sn.MediaRecoveries)
 	}
 	return res, nil
 }
@@ -873,7 +824,7 @@ func forceDeadlockRepair(run *chaosRun, seed int64) error {
 // forceTimeoutRepair parks one transaction on a key well past the lock-wait
 // timeout while another requests it: the waiter must time out and RunTxn
 // must retry it to success once the holder commits.
-func forceTimeoutRepair(run *chaosRun, seed int64, timeout time.Duration) error {
+func forceTimeoutRepair(run *chaosRun, seed int64) error {
 	key := []byte("force-to")
 	holderHas := make(chan struct{})
 	var once sync.Once
@@ -887,7 +838,7 @@ func forceTimeoutRepair(run *chaosRun, seed int64, timeout time.Duration) error 
 				return err
 			}
 			once.Do(func() { close(holderHas) })
-			time.Sleep(timeout * 5)
+			time.Sleep(chaosLockWaitTimeout * 5)
 			return nil
 		})
 	}()

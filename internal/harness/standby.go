@@ -22,8 +22,9 @@ import (
 // promotion, continued traffic on the promoted node — and exact
 // verification at three levels:
 //
-//  1. Zero acked loss: with the semi-sync gate, every commit acknowledged
-//     to a client is present on the promoted node. (The whole point.)
+//  1. Zero acked loss: commits ack through the semi-sync gate, so every
+//     commit acknowledged to a client is present on the promoted node.
+//     (The whole point.)
 //  2. Exact state: the promoted node's rows equal the ledger model —
 //     acked commits plus exactly those ambiguous (gate-failed) commits
 //     whose commit records made it into the promoted log, nothing else.
@@ -46,11 +47,6 @@ type StandbySweepOpts struct {
 	Keys               int // hot-key space (default 40)
 	// Faults is the channel fault profile (zero = perfect channel).
 	Faults repl.ChannelFaults
-	// SyncGate installs the semi-sync commit gate: commits ack only once
-	// standby-durable, making the zero-acked-loss assertion airtight.
-	// Without it shipping is asynchronous and the sweep only asserts the
-	// weaker exact-state and boundary properties.
-	SyncGate bool
 	// OnlineRestart promotes with the online-restart coordinator (open
 	// after analysis).
 	OnlineRestart bool
@@ -96,21 +92,20 @@ func (o StandbySweepOpts) withDefaults() StandbySweepOpts {
 
 // StandbySweepResult summarizes one standby sweep.
 type StandbySweepResult struct {
-	CommitsAcked     int // commits acknowledged to clients (both nodes)
-	CommitsUnacked   int // ambiguous gate failures (ErrCommitUnacked)
-	ResolvedIn       int // ambiguous commits whose records reached the standby
-	ResolvedOut      int // ambiguous commits lost with the primary
-	Boundaries       int // boundary forks verified
-	InPlaceUpdates   int // OpDataUpdate records the standby replayed (0 is an error)
-	FailoverTTFC     time.Duration
-	SegmentsShipped  uint64
-	SegmentsResent   uint64
-	SegmentsApplied  uint64
-	SegmentsRejected uint64
-	Naks             uint64
-	ZombieRejected   uint64 // old-epoch segments rejected after promotion
-	Channel          repl.ChannelCounts
-	LagP50, LagP99   float64 // applied-lag percentiles, log bytes
+	CommitsAcked   int // commits acknowledged to clients (both nodes)
+	CommitsUnacked int // ambiguous gate failures (ErrCommitUnacked)
+	ResolvedIn     int // ambiguous commits whose records reached the standby
+	ResolvedOut    int // ambiguous commits lost with the primary
+	Boundaries     int // boundary forks verified
+	InPlaceUpdates int // OpDataUpdate records the standby replayed (0 is an error)
+	FailoverTTFC   time.Duration
+	ZombieRejected uint64 // old-epoch segments rejected after promotion
+	Channel        repl.ChannelCounts
+	LagP50, LagP99 float64 // applied-lag percentiles, log bytes
+	// Primary and Promoted are the two nodes' engine counters at the end:
+	// segments shipped and resent on the primary, segments applied and
+	// rejected and NAKs sent on the standby that was promoted.
+	Primary, Promoted trace.Snapshot
 }
 
 // sweepOp is one client transaction: a single-key upsert or delete.
@@ -162,19 +157,15 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	ch := repl.NewChannel(o.Faults)
 	sOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers,
 		OnlineRestart: o.OnlineRestart, Stats: &trace.Stats{}}
-	standby := repl.NewStandby(ch, meta, repl.StandbyOpts{DBOpts: sOpts, Epoch: 1})
+	standby := repl.NewStandby(ch, meta, repl.StandbyOpts{DBOpts: sOpts})
 	standby.Start()
 
 	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{
-		Epoch:      1,
-		Retransmit: 2 * time.Millisecond,
-		MetaFn:     func() []byte { return primary.Disk().ReadMeta() },
-		Stats:      primary.Stats(),
+		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
+		Stats:  primary.Stats(),
 	})
 	shipper.Start()
-	if o.SyncGate {
-		primary.SetCommitGate(shipper.Gate(standbyGateTimeout))
-	}
+	primary.SetCommitGate(shipper.Gate(standbyGateTimeout))
 
 	// ---- Live traffic. Each generation (1 = old primary, 2 = promoted
 	// node) keeps its own ledger: the two logs share an address space.
@@ -190,15 +181,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	var crashedAt time.Time
 	var ttfcOnce sync.Once
 	var ttfc time.Duration
-	var fatalMu sync.Mutex
-	var fatalErr error
-	setFatal := func(err error) {
-		fatalMu.Lock()
-		if fatalErr == nil {
-			fatalErr = err
-		}
-		fatalMu.Unlock()
-	}
+	var fatal firstErr
 
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
@@ -256,7 +239,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 						return
 					}
 				default:
-					setFatal(fmt.Errorf("repl sweep: worker %d: %w", w, err))
+					fatal.set(fmt.Errorf("repl sweep: worker %d: %w", w, err))
 					return
 				}
 			}
@@ -266,10 +249,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	waitFor := func(cond func() bool, what string) error {
 		deadline := time.Now().Add(60 * time.Second)
 		for !cond() {
-			fatalMu.Lock()
-			err := fatalErr
-			fatalMu.Unlock()
-			if err != nil {
+			if err := fatal.get(); err != nil {
 				return err
 			}
 			if time.Now().After(deadline) {
@@ -312,7 +292,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	}
 	close(stopCh)
 	wg.Wait()
-	if err := func() error { fatalMu.Lock(); defer fatalMu.Unlock(); return fatalErr }(); err != nil {
+	if err := fatal.get(); err != nil {
 		return nil, err
 	}
 	res.FailoverTTFC = ttfc
@@ -336,11 +316,11 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 		return nil, fmt.Errorf("repl sweep: promoted recovery: %w", err)
 	}
 
-	// (a) Zero acked loss under the gate; resolution accounting either way.
-	// Post-promote commits landed on the serving node itself.
+	// (a) Zero acked loss, and resolution accounting. Post-promote commits
+	// landed on the serving node itself.
 	var lost wal.LSN
 	res.ResolvedIn, res.ResolvedOut, lost = leds[1].resolve(preLog)
-	if lost != wal.NilLSN && o.SyncGate {
+	if lost != wal.NilLSN {
 		return nil, fmt.Errorf("repl sweep: ACKED commit LSN %d lost in failover", lost)
 	}
 	if _, _, lost := leds[2].resolve(promoted.Log()); lost != wal.NilLSN {
@@ -386,15 +366,10 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	}
 
 	// ---- Bookkeeping.
-	psn := primary.Stats().Snap()
-	ssn := promoted.Stats().Snap()
+	res.Primary = primary.Stats().Snap()
+	res.Promoted = promoted.Stats().Snap()
 	res.CommitsAcked = leds[1].ackedCount() + leds[2].ackedCount()
 	res.CommitsUnacked = int(unacked.Load())
-	res.SegmentsShipped = psn.SegmentsShipped
-	res.SegmentsResent = psn.SegmentsResent
-	res.SegmentsApplied = ssn.SegmentsApplied
-	res.SegmentsRejected = ssn.SegmentsRejected
-	res.Naks = ssn.ReplNaks
 	res.Channel = ch.Counts()
 	if lags := standby.LagSamples(); len(lags) > 0 {
 		sort.Float64s(lags)
@@ -404,7 +379,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	o.Logf("repl: %d acked (%d ambiguous: %d resolved in, %d out), TTFC %v, %d boundaries, "+
 		"%d shipped/%d resent/%d applied/%d rejected, %d naks, zombie %d, channel %+v",
 		res.CommitsAcked, res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut, res.FailoverTTFC,
-		res.Boundaries, res.SegmentsShipped, res.SegmentsResent, res.SegmentsApplied,
-		res.SegmentsRejected, res.Naks, res.ZombieRejected, res.Channel)
+		res.Boundaries, res.Primary.SegmentsShipped, res.Primary.SegmentsResent, res.Promoted.SegmentsApplied,
+		res.Promoted.SegmentsRejected, res.Promoted.ReplNaks, res.ZombieRejected, res.Channel)
 	return res, nil
 }

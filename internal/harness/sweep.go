@@ -18,12 +18,6 @@ type SweepOpts struct {
 	Seed int64
 	// Txns is the number of workload transactions (default 50).
 	Txns int
-	// PageSize for the swept engine (default 512 — small pages force page
-	// splits and deletes, so the log is dense with nested top actions).
-	PageSize int
-	// PoolSize in frames (default 256; large enough that no page is
-	// evicted, which keeps every log prefix a legal crash state).
-	PoolSize int
 	// RedoWorkers sets restart redo parallelism on every fork (0/1 =
 	// serial). The sweep's verification is identical either way — that is
 	// the point of running it with workers > 1.
@@ -37,18 +31,19 @@ type SweepOpts struct {
 	Logf func(format string, args ...any)
 }
 
+// The swept engine's shape: small pages force page splits and deletes, so
+// the log is dense with nested top actions, and the pool is large enough
+// that no page is evicted, which keeps every log prefix a legal crash state.
 // sweepOpsPerTxn is the number of row operations per sweep transaction.
-const sweepOpsPerTxn = 4
+const (
+	sweepPageSize  = 512
+	sweepPoolSize  = 256
+	sweepOpsPerTxn = 4
+)
 
 func (o SweepOpts) withDefaults() SweepOpts {
 	if o.Txns == 0 {
 		o.Txns = 50
-	}
-	if o.PageSize == 0 {
-		o.PageSize = 512
-	}
-	if o.PoolSize == 0 {
-		o.PoolSize = 256
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -58,8 +53,8 @@ func (o SweepOpts) withDefaults() SweepOpts {
 
 // SweepResult summarizes a crash-point sweep.
 type SweepResult struct {
-	// Points is the number of crash points exercised: one per log record
-	// boundary after setup.
+	// Points is the number of crash points exercised, each recovered
+	// offline and online: one per log record boundary after setup.
 	Points int
 	// Records is the total number of log records the workload produced.
 	Records int
@@ -74,10 +69,8 @@ type SweepResult struct {
 	// forcing the second restart to recover from a half-done recovery.
 	// Every point runs two restarts regardless.
 	DoubleRecoveries int
-	// OnlinePoints counts boundaries additionally recovered with online
-	// restart (every point); OnlineRecrashes counts the rotating subset
-	// whose online recovery was itself crashed mid-flight and rerun.
-	OnlinePoints    int
+	// OnlineRecrashes counts the rotating subset of points whose online
+	// recovery was itself crashed mid-flight and rerun.
 	OnlineRecrashes int
 }
 
@@ -108,7 +101,7 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &SweepResult{}
 
-	d := db.Open(db.Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize})
+	d := db.Open(db.Options{PageSize: sweepPageSize, PoolSize: sweepPoolSize})
 	tbl, err := d.CreateTable(sweepTable)
 	if err != nil {
 		return nil, err
@@ -306,7 +299,6 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		if err := verify(ofork, want); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): online: %w", i, L, err)
 		}
-		res.OnlinePoints++
 		res.Points++
 		if (i+1)%100 == 0 {
 			opts.Logf("sweep: %d/%d points verified (%d double recoveries)",

@@ -402,7 +402,7 @@ type Manager struct {
 	registry []ownerShard // by owner ID; as many as shards
 	mask     uint64
 	seq      atomic.Uint64 // grant sequence, for savepoint tokens
-	timeout  atomic.Int64  // default unconditional wait bound in ns (0 = none)
+	timeout  atomic.Int64  // unconditional wait bound in ns (0 = none)
 	down     atomic.Bool   // shut down by crash; all requests fail
 	stats    *trace.Stats
 }
@@ -540,12 +540,6 @@ func (h *head) compatibleWithGranted(owner *ownerLocks, mode Mode) bool {
 // answered from the owner's own table: one registry lookup, no shard mutex,
 // no allocation.
 func (m *Manager) Request(owner Owner, name Name, mode Mode, dur Duration, conditional bool) error {
-	return m.RequestWith(owner, name, mode, dur, conditional, 0)
-}
-
-// RequestWith is Request with a per-request wait bound: timeout 0 uses the
-// manager default (SetWaitTimeout), negative waits without bound.
-func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, conditional bool, timeout time.Duration) error {
 	if m.stats != nil {
 		m.stats.CountLock(int(name.Space), int(mode), int(dur))
 	}
@@ -616,7 +610,7 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 	if m.stats != nil {
 		m.stats.LockWaits.Add(1)
 	}
-	err := m.await(req, enqueued, timeout)
+	err := m.await(req, enqueued)
 	if err != nil {
 		m.retireIfIdle(o)
 		return err
@@ -633,9 +627,9 @@ func (m *Manager) RequestWith(owner Owner, name Name, mode Mode, dur Duration, c
 // granted (nil), aborted by a deadlock detector or Shutdown, or timed out.
 // It polls req for waitSpin first, then parks. Whether it is polling or
 // parked, req stays queued the same way: granters, the detector and Shutdown
-// resolve it through its channel either way. The timeout and the first
-// deadlock probe are counted from enqueued.
-func (m *Manager) await(req *request, enqueued time.Time, timeout time.Duration) error {
+// resolve it through its channel either way. The manager's wait timeout and
+// the first deadlock probe are counted from enqueued.
+func (m *Manager) await(req *request, enqueued time.Time) error {
 	if m.stats != nil {
 		defer func() { m.stats.LockWaitNanos.Add(uint64(time.Since(enqueued))) }()
 	}
@@ -650,11 +644,11 @@ func (m *Manager) await(req *request, enqueued time.Time, timeout time.Duration)
 		}
 		runtime.Gosched()
 	}
+	// The bound is read before the park is counted: whoever sees the count
+	// knows the bound this wait took.
+	timeout := time.Duration(m.timeout.Load())
 	if m.stats != nil {
 		m.stats.LockWaitsParked.Add(1)
-	}
-	if timeout == 0 {
-		timeout = time.Duration(m.timeout.Load())
 	}
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
@@ -976,7 +970,7 @@ func (m *Manager) HoldsAtLeast(owner Owner, name Name, mode Mode) bool {
 	return false
 }
 
-// Held lists owner's current locks (prepare records, tests).
+// Held is one of an owner's current locks, as LocksOf lists them.
 type Held struct {
 	Name Name
 	Mode Mode

@@ -44,6 +44,18 @@ func awaitQueued(t *testing.T, m *Manager, name Name, n int) {
 	}
 }
 
+// awaitParked waits until n waits reported to st have parked. A parked wait
+// has read the manager's wait bound, so a SetWaitTimeout after this leaves
+// it its own.
+func awaitParked(t *testing.T, st *trace.Stats, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); st.LockWaitsParked.Load() < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waits parked", st.LockWaitsParked.Load(), n)
+		}
+	}
+}
+
 // queueByHand blocks owner (which holds something) on name (which is held)
 // the way Request does, but with no goroutine waiting on the request: nothing
 // probes for deadlocks or times out on its behalf until a test calls await
@@ -547,31 +559,6 @@ func TestLockWaitTimeout(t *testing.T) {
 	m.ReleaseAll(3)
 }
 
-// TestPerRequestTimeoutOverride: RequestWith's timeout overrides the
-// manager default in both directions (tighter, and unbounded via negative).
-func TestPerRequestTimeoutOverride(t *testing.T) {
-	m := NewManager(nil)
-	m.SetWaitTimeout(10 * time.Second) // default: effectively unbounded here
-	mustGrant(t, m, 1, rec(1, 1), X, Commit)
-	err := m.RequestWith(2, rec(1, 1), S, Commit, false, 20*time.Millisecond)
-	if !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("per-request timeout ignored: %v", err)
-	}
-	// Negative = wait forever: must still be waiting when we release.
-	got := make(chan error, 1)
-	go func() { got <- m.RequestWith(3, rec(1, 1), S, Commit, false, -1) }()
-	select {
-	case err := <-got:
-		t.Fatalf("unbounded wait returned early: %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	m.ReleaseAll(1)
-	if err := <-got; err != nil {
-		t.Fatal(err)
-	}
-	m.ReleaseAll(3)
-}
-
 // TestShutdownWakesWaiters: Shutdown (crash fencing) must wake every
 // blocked waiter with ErrShutdown and refuse new requests.
 func TestShutdownWakesWaiters(t *testing.T) {
@@ -602,12 +589,16 @@ func TestShutdownWakesWaiters(t *testing.T) {
 // compatible requests queued BEHIND it (blocked only by FIFO order) must be
 // granted immediately — the removal path must reprocess the queue.
 func TestTimeoutRemovalWakesGrantable(t *testing.T) {
-	m := NewManager(nil)
+	st := &trace.Stats{}
+	m := NewManager(st)
+	m.SetWaitTimeout(50 * time.Millisecond)
 	mustGrant(t, m, 1, rec(1, 1), S, Commit)
-	// Owner 2 queues X (conflicts with the held S), bounded wait.
+	// Owner 2 queues X (conflicts with the held S), bounded wait; once it
+	// has parked, the bound it took is set, and later waits are unbounded.
 	xgot := make(chan error, 1)
-	go func() { xgot <- m.RequestWith(2, rec(1, 1), X, Commit, false, 50*time.Millisecond) }()
-	awaitQueued(t, m, rec(1, 1), 1)
+	go func() { xgot <- m.Request(2, rec(1, 1), X, Commit, false) }()
+	awaitParked(t, st, 1)
+	m.SetWaitTimeout(0)
 	// Owners 3 and 4 queue S behind the X: compatible with owner 1, but
 	// FIFO keeps them waiting while the X sits ahead.
 	sgot := make(chan error, 2)

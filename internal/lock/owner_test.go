@@ -187,7 +187,10 @@ func TestRegistryHygiene(t *testing.T) {
 			}
 			m.ReleaseAll(partner)
 		case o%50 == 0:
-			if err := m.RequestWith(o, hot, S, Commit, false, 20*time.Microsecond); !errors.Is(err, ErrLockTimeout) {
+			m.SetWaitTimeout(20 * time.Microsecond)
+			err := m.Request(o, hot, S, Commit, false)
+			m.SetWaitTimeout(0)
+			if !errors.Is(err, ErrLockTimeout) {
 				t.Fatalf("owner %d: %v, want ErrLockTimeout", o, err)
 			}
 		case o%3 == 0:

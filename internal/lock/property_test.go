@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ariesim/internal/trace"
 )
 
 // Algebraic properties of the mode lattice, checked exhaustively and via
@@ -103,13 +105,16 @@ func TestQuickTimeoutRemovalWakesAllGrantable(t *testing.T) {
 	name := Name{Space: SpaceRecord, A: 1}
 	f := func(n, modeBits uint8) bool {
 		waiters := int(n%5) + 1
-		m := NewManager(nil)
+		st := &trace.Stats{}
+		m := NewManager(st)
+		m.SetWaitTimeout(25 * time.Millisecond)
 		if err := m.Request(1, name, S, Commit, false); err != nil {
 			return false
 		}
 		xdone := make(chan error, 1)
-		go func() { xdone <- m.RequestWith(2, name, X, Commit, false, 25*time.Millisecond) }()
-		awaitQueued(t, m, name, 1) // the X is at the queue head
+		go func() { xdone <- m.Request(2, name, X, Commit, false) }()
+		awaitParked(t, st, 1) // the X is at the queue head with its bound
+		m.SetWaitTimeout(0)   // the crowd waits without one
 		granted := make(chan Owner, waiters)
 		var wg sync.WaitGroup
 		for i := 0; i < waiters; i++ {
@@ -157,16 +162,17 @@ func TestQuickTimeoutRemovalWakesAllGrantable(t *testing.T) {
 }
 
 // TestQuickTimeoutInterleavedSchedule drives a random schedule of bounded
-// conflicting waits, so timeouts expire while other waits are still in
-// flight (removal interleaved with enqueueing and granting). Whatever the
-// interleaving: no hang, every failure is a typed timeout/deadlock, and
-// the table drains to empty after all owners release.
+// conflicting waits, staggered in time, so timeouts expire while other waits
+// are still in flight (removal interleaved with enqueueing and granting).
+// Whatever the interleaving: no hang, every failure is a typed
+// timeout/deadlock, and the table drains to empty after all owners release.
 func TestQuickTimeoutInterleavedSchedule(t *testing.T) {
 	f := func(ops []uint16) bool {
 		if len(ops) > 16 {
 			ops = ops[:16]
 		}
 		m := NewManager(nil)
+		m.SetWaitTimeout(9 * time.Millisecond)
 		var bad atomic.Bool
 		var wg sync.WaitGroup
 		for i, op := range ops {
@@ -176,11 +182,12 @@ func TestQuickTimeoutInterleavedSchedule(t *testing.T) {
 			if op%2 == 0 {
 				mode = X
 			}
-			timeout := time.Duration(op%8+1) * 3 * time.Millisecond
+			delay := time.Duration(op%8) * 3 * time.Millisecond
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				err := m.RequestWith(owner, name, mode, Commit, false, timeout)
+				time.Sleep(delay)
+				err := m.Request(owner, name, mode, Commit, false)
 				if err != nil && !errors.Is(err, ErrLockTimeout) {
 					bad.Store(true) // single-lock owners can only time out
 				}

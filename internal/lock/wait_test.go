@@ -42,7 +42,7 @@ func TestResolvedBeforeAwaitTakesNoPark(t *testing.T) {
 			m := NewManager(st)
 			req := queueBehind(t, m)
 			c.resolve(m)
-			if err := m.await(req, time.Now(), 0); !errors.Is(err, c.want) {
+			if err := m.await(req, time.Now()); !errors.Is(err, c.want) {
 				t.Fatalf("await = %v, want %v", err, c.want)
 			}
 			wantParks(t, st, 0)
@@ -61,8 +61,9 @@ func TestTimeoutCountsFromEnqueue(t *testing.T) {
 	m := NewManager(st)
 	req := queueBehind(t, m)
 	const bound = 20 * time.Millisecond
+	m.SetWaitTimeout(bound)
 	enqueued := time.Now()
-	if err := m.await(req, enqueued, bound); !errors.Is(err, ErrLockTimeout) {
+	if err := m.await(req, enqueued); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
 	if waited := time.Since(enqueued); waited < bound {
@@ -73,9 +74,10 @@ func TestTimeoutCountsFromEnqueue(t *testing.T) {
 	// A request that waited out all of its bound before await was called
 	// has nothing left to wait.
 	const long = 10 * time.Second
+	m.SetWaitTimeout(long)
 	req = queueByHand(m, 2, rec(1, 1), X)
 	start := time.Now()
-	if err := m.await(req, start.Add(-long), long); !errors.Is(err, ErrLockTimeout) {
+	if err := m.await(req, start.Add(-long)); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
 	if d := time.Since(start); d >= long/2 {

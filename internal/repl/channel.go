@@ -47,7 +47,7 @@ type Control struct {
 // ChannelFaults configures the data-path fault injector. Probabilities
 // are per-send and independent; the zero value is a perfect channel.
 type ChannelFaults struct {
-	// Seed drives the deterministic fault sequence (0 means 1).
+	// Seed drives the deterministic fault sequence.
 	Seed int64
 	// DropProb loses the frame entirely.
 	DropProb float64
@@ -59,25 +59,16 @@ type ChannelFaults struct {
 	CorruptProb float64
 	// StallProb delays the delivery by stallDelay.
 	StallProb float64
-	// MaxConsecutive caps the run of consecutively faulted sends (default
-	// 2): after that many in a row the next send is delivered clean. The
-	// cap is what makes every test terminate — some frame always gets
-	// through, exactly like the storage injector's guarantee.
-	MaxConsecutive int
 }
 
 // stallDelay is how long a stall fault holds a frame back.
 const stallDelay = time.Millisecond
 
-func (c ChannelFaults) withDefaults() ChannelFaults {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.MaxConsecutive == 0 {
-		c.MaxConsecutive = 2
-	}
-	return c
-}
+// maxConsecutive caps the run of consecutively faulted sends: after that
+// many in a row the next send is delivered clean. The cap is what makes
+// every test terminate — some frame always gets through, exactly like the
+// storage injector's guarantee.
+const maxConsecutive = 2
 
 // Channel is the in-process replication link: a lossy data path
 // (primary → standby) and a reliable control path (standby → primary).
@@ -102,7 +93,6 @@ type ChannelCounts struct {
 
 // NewChannel creates a channel with the given fault profile.
 func NewChannel(cfg ChannelFaults) *Channel {
-	cfg = cfg.withDefaults()
 	return &Channel{
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		cfg:    cfg,
@@ -154,7 +144,7 @@ func (c *Channel) Send(frame []byte) {
 	var stall time.Duration
 	faulted := true
 	switch {
-	case c.consec >= c.cfg.MaxConsecutive:
+	case c.consec >= maxConsecutive:
 		faulted = false
 	case c.rng.Float64() < c.cfg.DropProb:
 		c.counts.Dropped++

@@ -23,7 +23,7 @@ func testDBOpts() db.Options {
 }
 
 // pair wires a primary, a channel with the given faults, a standby, and a
-// started shipper, all on epoch 1.
+// started shipper, all on the first epoch.
 func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Shipper) {
 	t.Helper()
 	primary := db.Open(testDBOpts())
@@ -32,14 +32,12 @@ func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Ship
 	}
 	ch := NewChannel(faults)
 	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
-		DBOpts: testDBOpts(), Epoch: 1,
+		DBOpts: testDBOpts(),
 	})
 	standby.Start()
 	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
-		Epoch:      1,
-		Retransmit: 2 * time.Millisecond,
-		MetaFn:     func() []byte { return primary.Disk().ReadMeta() },
-		Stats:      primary.Stats(),
+		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
+		Stats:  primary.Stats(),
 	})
 	shipper.Start()
 	return primary, ch, standby, shipper
@@ -221,7 +219,7 @@ func TestGapNaksOnce(t *testing.T) {
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
 	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
-		DBOpts: testDBOpts(), Epoch: 1,
+		DBOpts: testDBOpts(),
 	})
 	standby.Start()
 	sstats := standby.DB().Stats()
@@ -235,7 +233,7 @@ func TestGapNaksOnce(t *testing.T) {
 	from := recs[len(recs)/2].LSN
 	const repeats = 5
 	for i := 0; i < repeats; i++ {
-		ch.Send(primary.Log().ShipFrom(from, 1).Encode())
+		ch.Send(primary.Log().ShipFrom(from, firstEpoch).Encode())
 	}
 	for wait := time.Now().Add(10 * time.Second); sstats.SegmentsRejected.Load() < repeats; {
 		if time.Now().After(wait) {
@@ -248,7 +246,7 @@ func TestGapNaksOnce(t *testing.T) {
 	}
 
 	// The segment the NAK asks for heals the gap.
-	ch.Send(primary.Log().ShipFrom(expected, 1).Encode())
+	ch.Send(primary.Log().ShipFrom(expected, firstEpoch).Encode())
 	stable := primary.Log().StableLSN()
 	for wait := time.Now().Add(10 * time.Second); standby.AppliedLSN() < stable; {
 		if time.Now().After(wait) {
@@ -290,7 +288,7 @@ func TestGapNaksOnce(t *testing.T) {
 func TestRedoFailureStopsStandby(t *testing.T) {
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
-	standby := NewStandby(ch, nil, StandbyOpts{DBOpts: testDBOpts(), Epoch: 1})
+	standby := NewStandby(ch, nil, StandbyOpts{DBOpts: testDBOpts()})
 	standby.Start()
 	sstats := standby.DB().Stats()
 
@@ -298,10 +296,10 @@ func TestRedoFailureStopsStandby(t *testing.T) {
 	// other, then refused by redo.
 	bad := wal.NewLog(nil)
 	bad.Force(bad.Append(&wal.Record{Type: wal.RecUpdate, TxID: 1, Op: wal.OpCode(250), Page: 1}))
-	ch.Send(bad.ShipFrom(wal.NilLSN+1, 1).Encode())
+	ch.Send(bad.ShipFrom(wal.NilLSN+1, firstEpoch).Encode())
 	// A heartbeat a running standby would acknowledge; a stopped one
 	// rejects it.
-	ch.Send(bad.ShipFrom(bad.StableLSN()+1, 1).Encode())
+	ch.Send(bad.ShipFrom(bad.StableLSN()+1, firstEpoch).Encode())
 	for wait := time.Now().Add(10 * time.Second); sstats.SegmentsRejected.Load() == 0; {
 		if time.Now().After(wait) {
 			t.Fatalf("heartbeat after the failed segment never rejected")
@@ -338,13 +336,11 @@ func TestLostCatalogUpdateRepaired(t *testing.T) {
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
 	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
-		DBOpts: testDBOpts(), Epoch: 1,
+		DBOpts: testDBOpts(),
 	})
 	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
-		Epoch:      1,
-		Retransmit: 2 * time.Millisecond,
-		MetaFn:     func() []byte { return primary.Disk().ReadMeta() },
-		Stats:      primary.Stats(),
+		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
+		Stats:  primary.Stats(),
 	})
 	shipper.Start()
 	defer shipper.Stop()

@@ -17,17 +17,20 @@ var ErrShipperStopped = errors.New("repl: shipper stopped")
 // acknowledged the LSN.
 var ErrAckTimeout = errors.New("repl: standby ack timeout")
 
+// firstEpoch stamps every segment a shipper sends and is the epoch a new
+// standby accepts. Fence moves the standby past it, so the dead primary's
+// stragglers bounce (zombie fencing).
+const firstEpoch uint64 = 1
+
+// retransmit is how long shipped-but-unacked records may age before the
+// shipper re-ships from the acked watermark. This is the loss repair the
+// stream's liveness rests on: a dropped frame (or a dropped NAK re-ship) is
+// re-sent after at most one retransmit interval, keeping the commit gate
+// live.
+const retransmit = 2 * time.Millisecond
+
 // ShipperOpts tunes the primary-side shipper.
 type ShipperOpts struct {
-	// Epoch stamps every outgoing segment; the standby accepts only its
-	// own epoch (zombie fencing).
-	Epoch uint64
-	// Retransmit is how long shipped-but-unacked records may age before
-	// the shipper re-ships from the acked watermark (default 5ms). This is
-	// the loss repair the stream's liveness rests on: a dropped frame (or
-	// a dropped NAK re-ship) is re-sent after at most one retransmit
-	// interval, keeping the commit gate live.
-	Retransmit time.Duration
 	// MetaFn, when set, supplies the primary's current catalog blob; the
 	// shipper embeds it in every segment, so mid-stream DDL reaches the
 	// standby whichever of its segments gets through.
@@ -60,9 +63,6 @@ type Shipper struct {
 // NewShipper wires a shipper to the primary's log and the channel. The
 // shipper installs itself as the log's stable-notify hook.
 func NewShipper(log *wal.Log, ch *Channel, opts ShipperOpts) *Shipper {
-	if opts.Retransmit == 0 {
-		opts.Retransmit = 5 * time.Millisecond
-	}
 	s := &Shipper{
 		log:      log,
 		ch:       ch,
@@ -163,12 +163,9 @@ func (s *Shipper) ShipNow() {
 	s.ship(0, true)
 }
 
-// shipFrom ships [from..stable] as one segment; from 0 means the current
-// cursor. A shipped window advances the cursor; a NAK rewinds it.
-func (s *Shipper) shipFrom(from wal.LSN) {
-	s.ship(from, false)
-}
-
+// ship sends [from..stable] as one segment; from 0 means the current
+// cursor. A shipped window advances the cursor; a NAK rewinds it. Unless
+// force is set, nothing new to send sends nothing.
 func (s *Shipper) ship(from wal.LSN, force bool) {
 	s.mu.Lock()
 	if from == 0 {
@@ -176,7 +173,7 @@ func (s *Shipper) ship(from wal.LSN, force bool) {
 	} else if from < s.nextShip {
 		s.nextShip = from // NAK rewind
 	}
-	seg := s.log.ShipFrom(from, s.opts.Epoch)
+	seg := s.log.ShipFrom(from, firstEpoch)
 	recs := seg.Records
 	if len(recs) == 0 && from > seg.Stable && !force {
 		s.mu.Unlock()
@@ -200,16 +197,16 @@ func (s *Shipper) ship(from wal.LSN, force bool) {
 // acked watermark when acks stall — the repair path for dropped frames.
 func (s *Shipper) shipLoop() {
 	defer s.done.Done()
-	retransmit := time.NewTicker(s.opts.Retransmit)
-	defer retransmit.Stop()
+	ticker := time.NewTicker(retransmit)
+	defer ticker.Stop()
 	lastAcked := wal.NilLSN
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-s.notify:
-			s.shipFrom(0)
-		case <-retransmit.C:
+			s.ship(0, false)
+		case <-ticker.C:
 			s.mu.Lock()
 			acked, next, stopped := s.acked, s.nextShip, s.stopped
 			s.mu.Unlock()
@@ -223,7 +220,7 @@ func (s *Shipper) shipLoop() {
 				if s.opts.Stats != nil {
 					s.opts.Stats.SegmentsResent.Add(1)
 				}
-				s.shipFrom(acked + 1)
+				s.ship(acked+1, false)
 			}
 			lastAcked = acked
 		}
@@ -256,7 +253,7 @@ func (s *Shipper) controlLoop() {
 			if s.opts.Stats != nil {
 				s.opts.Stats.SegmentsResent.Add(1)
 			}
-			s.shipFrom(wal.LSN(m.LSN))
+			s.ship(wal.LSN(m.LSN), false)
 		}
 	}
 }

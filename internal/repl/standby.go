@@ -20,9 +20,6 @@ type StandbyOpts struct {
 	// DB options for the replica engine (pool size, online restart for
 	// promotion, ...). RedoWorkers is also the per-batch apply parallelism.
 	DBOpts db.Options
-	// Epoch the standby accepts; segments from any other epoch are
-	// rejected. Promote bumps it so the dead primary's stragglers fence.
-	Epoch uint64
 }
 
 // Standby owns a replica engine and drives it from a Channel: append each
@@ -36,7 +33,7 @@ type Standby struct {
 
 	mu       sync.Mutex
 	db       *db.DB
-	epoch    uint64
+	epoch    uint64  // the epoch accepted: firstEpoch until Fence bumps it
 	applied  wal.LSN // tail LSN of the last appended-and-applied record
 	promoted bool
 	// naked is the expected LSN of the last NAK sent: every gap frame for
@@ -59,7 +56,7 @@ func NewStandby(ch *Channel, catalogMeta []byte, opts StandbyOpts) *Standby {
 		ch:    ch,
 		opts:  opts,
 		db:    db.OpenReplica(opts.DBOpts, catalogMeta),
-		epoch: opts.Epoch,
+		epoch: firstEpoch,
 		done:  make(chan struct{}),
 	}
 }
@@ -115,7 +112,7 @@ func (s *Standby) handleSegment(frame []byte) {
 		// bounds, so NAK our tail (once) and let the shipper's retransmit
 		// repair whatever else it carried.
 		stats.SegmentsRejected.Add(1)
-		s.nakLocked(s.nextLSNLocked())
+		s.nakLocked(sdb.Log().NextLSN())
 		return
 	}
 	if seg.Epoch != s.epoch {
@@ -132,7 +129,7 @@ func (s *Standby) handleSegment(frame []byte) {
 	// Dedup: drop the prefix we already hold (duplicate or overlapping
 	// delivery). Idempotent by page_LSN anyway, but trimming keeps the
 	// local log append-exact.
-	next := s.nextLSNLocked()
+	next := sdb.Log().NextLSN()
 	recs := seg.Records
 	for len(recs) > 0 && recs[0].LSN < next {
 		recs = recs[1:]
@@ -200,11 +197,6 @@ func (s *Standby) appendApplyLocked(seg *wal.Segment, recs []*wal.Record) {
 		_ = sdb.Pool().FlushAll()
 	}
 	s.ackLocked()
-}
-
-// nextLSNLocked returns the LSN the local log will assign next.
-func (s *Standby) nextLSNLocked() wal.LSN {
-	return s.db.Log().NextLSN()
 }
 
 // ackLocked reports the applied watermark to the primary.

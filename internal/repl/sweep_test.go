@@ -22,7 +22,6 @@ func TestStandbySweepMini(t *testing.T) {
 			Seed: 7, DropProb: 0.15, DupProb: 0.08,
 			ReorderProb: 0.08, CorruptProb: 0.05, StallProb: 0.02,
 		},
-		SyncGate:       true,
 		RedoWorkers:    2,
 		BoundaryStride: 3,
 		Logf:           t.Logf,

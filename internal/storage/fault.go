@@ -77,14 +77,14 @@ type FaultConfig struct {
 	TornWriteProb float64
 	// BitFlipProb injects one-bit corruption on writes (silent).
 	BitFlipProb float64
-	// MaxConsecutive caps consecutive injected faults (reads and writes
-	// counted separately) so capped retry loops always converge; after the
-	// cap, the next operation is forced to succeed. Default 2.
-	MaxConsecutive int
 }
 
+// maxConsecutive caps a run of injected faults (reads and writes counted
+// separately); after the cap, the next operation is forced to succeed.
+const maxConsecutive = 2
+
 // Faults is a seeded, deterministic FaultInjector with bounded adversity:
-// it never injects more than MaxConsecutive faults in a row, so the buffer
+// it never injects more than maxConsecutive faults in a row, so the buffer
 // pool's capped retries are guaranteed to make progress.
 type Faults struct {
 	mu          sync.Mutex
@@ -102,9 +102,6 @@ type Faults struct {
 
 // NewFaults creates an injector for cfg.
 func NewFaults(cfg FaultConfig) *Faults {
-	if cfg.MaxConsecutive <= 0 {
-		cfg.MaxConsecutive = 2
-	}
 	return &Faults{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
@@ -128,7 +125,7 @@ func (f *Faults) ReadFault(id PageID) error {
 		f.readFaults++
 		return ErrPermanentIO
 	}
-	if f.consecRead >= f.cfg.MaxConsecutive {
+	if f.consecRead >= maxConsecutive {
 		f.consecRead = 0
 		return nil
 	}
@@ -147,7 +144,7 @@ func (f *Faults) WriteFault(id PageID, pageSize int) WriteDecision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.permanent, id)
-	if f.consecWrite >= f.cfg.MaxConsecutive {
+	if f.consecWrite >= maxConsecutive {
 		f.consecWrite = 0
 		return WriteDecision{Fate: WriteOK}
 	}

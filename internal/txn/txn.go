@@ -57,6 +57,7 @@ type Tx struct {
 	undoNxtLSN  wal.LSN
 	commitLSN   wal.LSN
 	rollingBack bool
+	ended       bool        // EndLoser has run
 	saves       []savepoint // Savepoint history, oldest first
 
 	// versions lists the chains holding the transaction's in-flight
@@ -368,25 +369,27 @@ func (t *Tx) ApplyCLR(pool *buffer.Pool, f *buffer.Frame, redo Redo, op wal.OpCo
 	return t.apply(pool, f, redo)
 }
 
-// apply is the one way a transaction changes a page: it logs t.applyRec
-// for f's page, applies that same record to the page with redo, stamps the
-// page LSN and marks the frame dirty. The caller holds f's X latch. Forward
+// apply is the one way a transaction changes a page: it marks the frame
+// dirty, logs t.applyRec for f's page, applies that same record to the page
+// with redo and stamps the page LSN. The caller holds f's X latch. Forward
 // processing and rollback thus run the code every replay runs, and a
 // record that does not reproduce its change fails the operation that wrote
 // it, not a later restart. The record is already in the log when redo
 // runs, so a failure there means page and log disagree: apply panics.
 // Redo must not keep the record; apply clears it, so no payload outlives
-// the call.
+// the call. The frame is dirtied first, at the log's next LSN (at most the
+// record's), so a fuzzy checkpoint that begins after the record lists the
+// page in its DPT.
 func (t *Tx) apply(pool *buffer.Pool, f *buffer.Frame, redo Redo) wal.LSN {
 	rec := &t.applyRec
 	rec.Page = f.ID()
+	pool.MarkDirty(f, t.mgr.log.NextLSN())
 	lsn := t.Log(rec)
 	if err := redo(f.Page, rec); err != nil {
 		panic(fmt.Sprintf("txn %d: redo of logged %s on page %d failed: %v", t.ID, rec.Op, rec.Page, err))
 	}
 	*rec = wal.Record{}
 	f.Page.SetLSN(uint64(lsn))
-	pool.MarkDirty(f, lsn)
 	return lsn
 }
 
@@ -478,17 +481,22 @@ func (t *Tx) Commit() error {
 	return nil
 }
 
-// Rollback undoes the whole transaction and ends it through EndLoser.
+// Rollback undoes the whole transaction and ends it through EndLoser. A call
+// after an undo that failed part-way resumes it; a call after the end
+// returns ErrTxDone and logs nothing.
 func (t *Tx) Rollback() error {
 	t.mu.Lock()
-	if t.state == wal.TxCommitted {
+	if t.state == wal.TxCommitted || t.ended {
 		t.mu.Unlock()
 		return ErrTxDone
 	}
+	first := t.state == wal.TxActive
 	t.state = wal.TxRollingBack
 	t.rollingBack = true
 	t.mu.Unlock()
-	t.Log(&wal.Record{Type: wal.RecAbort})
+	if first {
+		t.Log(&wal.Record{Type: wal.RecAbort})
+	}
 	if err := t.undoTo(wal.NilLSN); err != nil {
 		return err
 	}
@@ -604,6 +612,7 @@ func (t *Tx) EndLoser() {
 	}
 	t.mgr.locks.ReleaseAll(lock.Owner(t.ID))
 	t.Log(&wal.Record{Type: wal.RecEnd})
+	t.ended = true
 	t.mgr.finish(t)
 }
 

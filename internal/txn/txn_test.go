@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -286,13 +287,47 @@ func TestIncompleteNTAIsUndone(t *testing.T) {
 	}
 }
 
+// TestUndoerErrorPropagates: a rollback whose undo fails returns the error,
+// and a second Rollback resumes the undo and ends the transaction, with one
+// abort record in the log.
 func TestUndoerErrorPropagates(t *testing.T) {
-	m, _, _, u := newEnv()
+	m, log, _, u := newEnv()
 	tx := m.Begin()
 	logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
 	u.fail = errors.New("page vanished")
 	if err := tx.Rollback(); err == nil {
 		t.Fatal("rollback swallowed undoer error")
+	}
+	u.fail = nil
+	if err := tx.Rollback(); err != nil {
+		t.Fatalf("retried rollback: %v", err)
+	}
+	var types []wal.RecType
+	for _, r := range log.Records(1) {
+		types = append(types, r.Type)
+	}
+	want := []wal.RecType{wal.RecUpdate, wal.RecAbort, wal.RecCLR, wal.RecEnd}
+	if !slices.Equal(types, want) {
+		t.Fatalf("log holds %v, want %v", types, want)
+	}
+}
+
+// TestSecondRollbackLogsNothing: once a rollback has ended the transaction,
+// Rollback, like Commit and RollbackTo, returns ErrTxDone and appends no
+// abort or end record.
+func TestSecondRollbackLogsNothing(t *testing.T) {
+	m, log, _, _ := newEnv()
+	tx := m.Begin()
+	logUpdate(tx, 5, wal.OpIdxInsertKey, []byte("a"), false)
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	n := len(log.Records(1))
+	if err := tx.Rollback(); !errors.Is(err, ErrTxDone) {
+		t.Fatalf("second Rollback = %v, want ErrTxDone", err)
+	}
+	if got := len(log.Records(1)); got != n {
+		t.Fatalf("second Rollback grew the log from %d to %d records", n, got)
 	}
 }
 
@@ -591,6 +626,44 @@ func TestLockLatched(t *testing.T) {
 	if r := <-done; !r.waited || !errors.Is(r.err, lock.ErrShutdown) || unlatched != 2 {
 		t.Fatalf("failed wait: %+v unlatched=%d", r, unlatched)
 	}
+}
+
+// TestCheckpointDuringApplyListsThePage: a checkpoint whose begin record
+// follows an update's record must list the updated page in its DPT at a
+// recLSN no later than the record, or restart analysis, which starts at the
+// begin record, never redoes it. The redo routine takes the checkpoint, so it
+// lands between the update's append and the end of apply.
+func TestCheckpointDuringApplyListsThePage(t *testing.T) {
+	m, log, _, _ := newEnv()
+	pool := buffer.NewPool(storage.NewDisk(512), log, 4, nil)
+	tx := m.Begin()
+	f, _ := pool.Fix(5)
+	defer pool.Unfix(f)
+	var begin wal.LSN
+	redo := func(p *storage.Page, rec *wal.Record) error {
+		begin = m.Checkpoint(pool)
+		p.SetFlags(rec.Payload[0])
+		return nil
+	}
+	lsn := tx.ApplyUpdate(pool, f, redo, wal.OpIdxSetBits, []byte{3}, false)
+	if begin <= lsn {
+		t.Fatalf("checkpoint begin %d not after the update at %d", begin, lsn)
+	}
+	recs := log.Records(begin)
+	end := recs[len(recs)-1]
+	if end.Type != wal.RecEndCkpt {
+		t.Fatalf("last record is %s, want the end-checkpoint record", end.Type)
+	}
+	data, err := wal.DecodeCheckpointData(end.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range data.DPT {
+		if e.Page == 5 && e.RecLSN <= lsn {
+			return
+		}
+	}
+	t.Fatalf("record %d below checkpoint begin %d, but page 5 missing from its DPT %v", lsn, begin, data.DPT)
 }
 
 // TestApplyRunsRedoOnTheLoggedRecord pins the one way a transaction changes
