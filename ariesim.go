@@ -113,11 +113,11 @@ type RunTxnOpts = db.RunTxnOpts
 func Open(opts Options) *DB { return db.Open(opts) }
 
 // OpenStandby builds a warm standby from a shipped log archive (see
-// DB.ArchiveLog and wal.ReadArchive) plus the primary's catalog blob
-// (DB.Disk().ReadMeta()), replaying the log page-oriented onto a fresh
-// disk — the log-shipping pattern §3's redo design makes possible.
-func OpenStandby(opts Options, shipped *Log, catalogMeta []byte) (*DB, *RestartReport, error) {
-	return db.OpenStandby(opts, shipped, catalogMeta)
+// DB.ArchiveLog and ReadLogArchive), replaying the log page-oriented onto
+// a fresh disk — the log-shipping pattern §3's redo design makes possible.
+// The schema comes with the log: the catalog is a logged heap.
+func OpenStandby(opts Options, shipped *Log) (*DB, *RestartReport, error) {
+	return db.OpenStandby(opts, shipped)
 }
 
 // Log is the write-ahead log manager (exposed for archiving and standby

@@ -1,6 +1,7 @@
 package ariesim_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -104,4 +105,65 @@ func ExampleOpen() {
 	_ = r.Commit()
 	fmt.Println(string(balance))
 	// Output: 100
+}
+
+// TestLogArchiveStandby ships a primary's log as an archive and opens a
+// standby from it alone: a table the primary created after some traffic
+// reaches the standby through the catalog records in the log, beside the
+// first table's rows.
+func TestLogArchiveStandby(t *testing.T) {
+	primary := ariesim.Open(ariesim.Options{PageSize: 1024, PoolSize: 64})
+	put := func(table string, keys ...string) {
+		t.Helper()
+		tbl, err := primary.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := primary.MustBegin()
+		for _, k := range keys {
+			if err := tbl.Insert(tx, []byte(k), []byte("v-"+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := primary.CreateTable("first"); err != nil {
+		t.Fatal(err)
+	}
+	put("first", "a", "b", "c")
+	if _, err := primary.CreateTable("second"); err != nil {
+		t.Fatal(err)
+	}
+	put("second", "x", "y")
+
+	var wire bytes.Buffer
+	if _, err := primary.ArchiveLog(&wire); err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := ariesim.ReadLogArchive(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby, _, err := ariesim.OpenStandby(ariesim.Options{PageSize: 1024, PoolSize: 64}, shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.VerifyConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	r := standby.MustBegin()
+	defer r.Rollback()
+	for table, keys := range map[string][]string{"first": {"a", "b", "c"}, "second": {"x", "y"}} {
+		tbl, err := standby.Table(table)
+		if err != nil {
+			t.Fatalf("standby lacks %s: %v", table, err)
+		}
+		for _, k := range keys {
+			if v, err := tbl.Get(r, []byte(k)); err != nil || string(v) != "v-"+k {
+				t.Fatalf("%s[%s] = %q, %v", table, k, v, err)
+			}
+		}
+	}
 }

@@ -33,13 +33,12 @@ func main() {
 		Seed: 42, DropProb: 0.10, DupProb: 0.05, ReorderProb: 0.05, CorruptProb: 0.03,
 	})
 	standbyStats := &trace.Stats{}
-	standby := repl.NewStandby(ch, primary.Disk().ReadMeta(), repl.StandbyOpts{
+	standby := repl.NewStandby(ch, repl.StandbyOpts{
 		DBOpts: db.Options{PageSize: 1024, RedoWorkers: 2, Stats: standbyStats},
 	})
 	standby.Start()
 	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{
-		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
-		Stats:  primary.Stats(),
+		Stats: primary.Stats(),
 	})
 	shipper.Start()
 

@@ -23,13 +23,19 @@ import (
 // frees) are only ever undone when the SMO was interrupted; their undo is
 // strictly page-oriented, restoring structural consistency.
 func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
-	switch rec.Op {
-	case wal.OpFSMAlloc, wal.OpFSMFree:
+	if rec.Op == wal.OpFSMAlloc || rec.Op == wal.OpFSMFree {
 		return space.Undo(tx, m.pool, rec)
 	}
 	id, err := indexIDOf(rec.Payload)
 	if err != nil {
 		return err
+	}
+	if rec.Op == wal.OpIdxFormat {
+		// The formatted page reverts to a free shell; its FSM bit is
+		// released by the allocation record's own undo. The undo reads no
+		// page but its own, so it needs no registered index: the root of a
+		// DDL that crashed before logging its catalog row is in no catalog.
+		return m.undoPage(tx, rec, wal.OpIdxFreePage, formatPayload{Index: id}.encode())
 	}
 	ix := m.Lookup(id)
 	if ix == nil {
@@ -40,11 +46,6 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		return ix.undoInsert(tx, rec)
 	case wal.OpIdxDeleteKey:
 		return ix.undoDelete(tx, rec)
-	case wal.OpIdxFormat:
-		// The formatted page reverts to a free shell; its FSM bit is
-		// released by the allocation record's own undo.
-		return ix.undoSMORecord(tx, rec, wal.OpIdxFreePage,
-			formatPayload{Index: ix.cfg.ID}.encode())
 	case wal.OpIdxSplitLeft:
 		return ix.undoSplitLeft(tx, rec)
 	case wal.OpIdxChainFix:
@@ -54,35 +55,35 @@ func (m *Manager) Undo(tx *txn.Tx, rec *wal.Record) error {
 		}
 		inv := chainFixPayload{Index: pl.Index, NextField: pl.NextField,
 			Old: pl.New, New: pl.Old, PreFlags: pl.PostFlags, PostFlags: pl.PreFlags}
-		return ix.undoSMORecord(tx, rec, wal.OpIdxChainFix, inv.encode())
+		return m.undoPage(tx, rec, wal.OpIdxChainFix, inv.encode())
 	case wal.OpIdxSplitParent:
-		return ix.undoSMORecord(tx, rec, wal.OpIdxUnsplitParent, rec.Payload)
+		return m.undoPage(tx, rec, wal.OpIdxUnsplitParent, rec.Payload)
 	case wal.OpIdxDeleteChild:
-		return ix.undoSMORecord(tx, rec, wal.OpIdxUndeleteChild, rec.Payload)
+		return m.undoPage(tx, rec, wal.OpIdxUndeleteChild, rec.Payload)
 	case wal.OpIdxFormatRoot:
 		return ix.undoFormatRoot(tx, rec)
 	case wal.OpIdxFreePage:
 		// The record names what the page held before the free.
-		return ix.undoSMORecord(tx, rec, wal.OpIdxFormat, rec.Payload)
+		return m.undoPage(tx, rec, wal.OpIdxFormat, rec.Payload)
 	default:
 		return fmt.Errorf("core: cannot undo op %s", rec.Op)
 	}
 }
 
-// undoSMORecord performs a page-oriented compensation: it logs a CLR whose
-// op is the inverse page action and applies it.
-func (ix *Index) undoSMORecord(tx *txn.Tx, rec *wal.Record, invOp wal.OpCode, invPayload []byte) error {
-	f, err := ix.pool.Fix(rec.Page)
+// undoPage performs a page-oriented compensation: it logs a CLR whose op
+// is the inverse page action and applies it.
+func (m *Manager) undoPage(tx *txn.Tx, rec *wal.Record, invOp wal.OpCode, invPayload []byte) error {
+	f, err := m.pool.Fix(rec.Page)
 	if err != nil {
 		return err
 	}
-	defer ix.pool.Unfix(f)
+	defer m.pool.Unfix(f)
 	f.Latch.Acquire(latch.X)
 	defer f.Latch.Release(latch.X)
-	if ix.stats != nil {
-		ix.stats.UndoPageOriented.Add(1)
+	if m.stats != nil {
+		m.stats.UndoPageOriented.Add(1)
 	}
-	tx.ApplyCLR(ix.pool, f, ApplyRedo, invOp, invPayload, rec.PrevLSN)
+	tx.ApplyCLR(m.pool, f, ApplyRedo, invOp, invPayload, rec.PrevLSN)
 	return nil
 }
 
@@ -102,7 +103,7 @@ func (ix *Index) undoSplitLeft(tx *txn.Tx, rec *wal.Record) error {
 	if pl.Moved, err = ix.movedCells(rec.Page, pl); err != nil {
 		return err
 	}
-	return ix.undoSMORecord(tx, rec, wal.OpIdxUnsplitLeft, pl.encodeUnsplit())
+	return ix.mgr.undoPage(tx, rec, wal.OpIdxUnsplitLeft, pl.encodeUnsplit())
 }
 
 // undoFormatRoot compensates an interrupted SMO's rewrite of the root with
@@ -126,7 +127,7 @@ func (ix *Index) undoFormatRoot(tx *txn.Tx, rec *wal.Record) error {
 			return err
 		}
 	}
-	return ix.undoSMORecord(tx, rec, wal.OpIdxFormatRoot, inv.encode())
+	return ix.mgr.undoPage(tx, rec, wal.OpIdxFormatRoot, inv.encode())
 }
 
 // pushedCells reads back the cells a push-down moved to the child pl names,

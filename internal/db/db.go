@@ -11,7 +11,6 @@ package db
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -107,29 +106,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// catalog is the persisted schema. It stands in for the host system's
-// catalog (see DESIGN.md §4) and lives in the disk's meta area.
-type catalog struct {
-	NextTableID uint64         `json:"next_table_id"`
-	NextIndexID uint32         `json:"next_index_id"`
-	Tables      []catalogTable `json:"tables"`
-}
-
-type catalogTable struct {
-	Name      string         `json:"name"`
-	ID        uint64         `json:"id"`
-	FirstPage uint32         `json:"first_page"`
-	Indexes   []catalogIndex `json:"indexes"`
-}
-
-type catalogIndex struct {
-	Name      string `json:"name"`
-	ID        uint32 `json:"id"`
-	Root      uint32 `json:"root"`
-	Unique    bool   `json:"unique"`
-	Secondary bool   `json:"secondary"`
-}
-
 // DB is an engine instance.
 type DB struct {
 	opts  Options
@@ -145,6 +121,9 @@ type DB struct {
 	// forces. Lock order: epochMu before mu; nothing acquires them in the
 	// reverse order.
 	epochMu sync.RWMutex
+	// ddlMu admits one CreateTable at a time, so names stay unique and only
+	// the first DDL creates the catalog heap. Lock order: ddlMu before mu.
+	ddlMu sync.Mutex
 
 	mu    sync.Mutex
 	locks *lock.Manager
@@ -157,10 +136,14 @@ type DB struct {
 	// standby promotion invalidate every chain for free; the transaction
 	// manager points at the same store, keeping a zombie transaction's
 	// pushes on its own orphaned epoch.
-	vs     *mvcc.Store
-	cat    catalog
-	tables map[string]*Table
-	downed bool
+	vs *mvcc.Store
+	// catalog is the catalog heap (catalog.go), nil until a DDL commits.
+	// The next IDs are one past the highest its rows name.
+	catalog     *data.Table
+	nextTableID uint64
+	nextIndexID uint32
+	tables      map[string]*Table
+	downed      bool
 	// replica marks an unpromoted standby (see replica.go): closed to
 	// transactions like a crashed engine, opened by Promote.
 	replica bool
@@ -208,7 +191,6 @@ func newDB(opts Options, disk *storage.Disk, log *wal.Log, up bool) *DB {
 		stats: opts.Stats,
 		disk:  disk,
 		log:   log,
-		cat:   catalog{NextTableID: 1, NextIndexID: 1},
 		upCh:  make(chan struct{}),
 	}
 	lock.RegisterTraceNames()
@@ -251,6 +233,7 @@ func (d *DB) buildVolatile() {
 		return d.recoverPageOn(disk, log, id)
 	})
 	d.tables = make(map[string]*Table)
+	d.catalog, d.nextTableID, d.nextIndexID = nil, 1, 1
 	d.downed = false
 }
 
@@ -462,15 +445,6 @@ func (d *DB) AwaitUpFor(timeout time.Duration) bool {
 	}
 }
 
-// saveCatalog persists the schema to the disk meta area.
-func (d *DB) saveCatalog() {
-	b, err := json.Marshal(d.cat)
-	if err != nil {
-		panic(fmt.Sprintf("db: catalog marshal: %v", err))
-	}
-	d.disk.WriteMeta(b)
-}
-
 // Table is a handle on one table: a record heap plus a unique primary
 // index over the row key, with optional secondary indexes.
 type Table struct {
@@ -503,31 +477,62 @@ type secondary struct {
 	bound bool
 }
 
-// CreateTable creates a table with its primary index in one internal
-// transaction.
-func (d *DB) CreateTable(name string) (*Table, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// ddlCheckLocked refuses DDL on a crashed engine, and during background
+// recovery, whose drain and loser undo DDL would race over the FSM and the
+// catalog; callers retry. Caller holds d.mu.
+func (d *DB) ddlCheckLocked() error {
 	if d.downed {
-		return nil, ErrCrashed
+		return ErrCrashed
 	}
 	if d.recoveringLocked() {
-		// DDL during background recovery would race the drain's page fixes
-		// and the losers' undo over the FSM and catalog; callers retry.
-		return nil, ErrRecovering
+		return ErrRecovering
 	}
-	if _, dup := d.tables[name]; dup {
-		return nil, fmt.Errorf("db: table %q exists", name)
+	return nil
+}
+
+// CreateTable creates a table with its primary index in one internal
+// transaction. Like CreateIndex's, it runs without d.mu: under page locking
+// its catalog insert can wait for a CreateIndex's, whose backfill can wait
+// for a writer that needs d.mu to commit.
+func (d *DB) CreateTable(name string) (*Table, error) {
+	d.ddlMu.Lock()
+	defer d.ddlMu.Unlock()
+	d.mu.Lock()
+	err := d.ddlCheckLocked()
+	if _, dup := d.tables[name]; err == nil && dup {
+		err = fmt.Errorf("db: table %q exists", name)
 	}
-	tx := d.tm.Begin()
-	tableID := d.cat.NextTableID
-	indexID := d.cat.NextIndexID
-	dt, err := d.dm.CreateTable(tx, tableID)
 	if err != nil {
-		_ = tx.Rollback()
+		d.mu.Unlock()
 		return nil, err
 	}
-	ix, err := d.im.CreateIndex(tx, d.indexConfig(indexID, true))
+	// A failed DDL leaks only its reserved IDs.
+	tm, dm, im, cat := d.tm, d.dm, d.im, d.catalog
+	tableID, indexID := d.nextTableID, d.nextIndexID
+	d.nextTableID++
+	d.nextIndexID++
+	d.mu.Unlock()
+	tx := tm.Begin()
+	var dt *data.Table
+	var ix *core.Index
+	if cat == nil { // the first DDL creates the heap, on the first page allocated
+		cat, err = dm.CreateTable(tx, catalogID)
+		if err == nil && cat.FirstPage != storage.FirstAllocatablePageID {
+			err = fmt.Errorf("db: catalog heap created on page %d", cat.FirstPage)
+		}
+	}
+	if err == nil {
+		dt, err = dm.CreateTable(tx, tableID)
+	}
+	if err == nil {
+		ix, err = im.CreateIndex(tx, d.indexConfig(indexID, true))
+	}
+	if err == nil {
+		_, err = cat.Insert(tx, catalogRow{kind: rowTable, table: tableID, page: dt.FirstPage, name: name}.encode())
+	}
+	if err == nil {
+		_, err = cat.Insert(tx, catalogRow{kind: rowPrimary, table: tableID, index: indexID, page: ix.Root(), name: name + "_pk"}.encode())
+	}
 	if err != nil {
 		_ = tx.Rollback()
 		return nil, err
@@ -535,13 +540,12 @@ func (d *DB) CreateTable(name string) (*Table, error) {
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	d.cat.NextTableID++
-	d.cat.NextIndexID++
-	d.cat.Tables = append(d.cat.Tables, catalogTable{
-		Name: name, ID: tableID, FirstPage: uint32(dt.FirstPage),
-		Indexes: []catalogIndex{{Name: name + "_pk", ID: indexID, Root: uint32(ix.Root()), Unique: true}},
-	})
-	d.saveCatalog()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.downed || d.tm != tm {
+		return nil, ErrCrashed // the restart's log decides whether the table exists
+	}
+	d.catalog = cat
 	t := &Table{db: d, name: name, id: tableID, data: dt, primary: ix, vs: d.vs}
 	d.tables[name] = t
 	return t, nil
@@ -977,9 +981,9 @@ func (d *DB) markUpLocked() {
 	}
 }
 
-// reopenLocked rebuilds the volatile state and reopens the catalog and
-// table handles; the caller holds d.mu and then runs restart recovery.
-func (d *DB) reopenLocked() error {
+// reopenLocked rebuilds the volatile state; the caller holds d.mu and
+// then runs restart recovery, which reopens the catalog.
+func (d *DB) reopenLocked() {
 	// A restart over a still-recovering engine (legal: tests and sweeps
 	// restart without an intervening Crash) orphans the old coordinator.
 	d.abortRecoveryLocked()
@@ -992,34 +996,12 @@ func (d *DB) reopenLocked() error {
 	// the restart keeps a pre-crash zombie and a post-restart transaction
 	// from ever sharing one. (Restart analysis may push it higher still.)
 	d.tm.SetNextID(prevNextID)
-	if meta := d.disk.ReadMeta(); len(meta) > 0 {
-		if err := json.Unmarshal(meta, &d.cat); err != nil {
-			return fmt.Errorf("db: catalog corrupt: %w", err)
-		}
-	}
-	for _, ct := range d.cat.Tables {
-		t := &Table{db: d, name: ct.Name, id: ct.ID,
-			data: d.dm.OpenTable(ct.ID, storage.PageID(ct.FirstPage)), vs: d.vs}
-		for _, ci := range ct.Indexes {
-			ix := d.im.OpenIndex(d.indexConfig(ci.ID, ci.Unique), storage.PageID(ci.Root))
-			if ci.Secondary {
-				sec := &secondary{name: ci.Name, ix: ix,
-					extract: func([]byte) []byte { panic("db: secondary extractor not re-bound; call OpenSecondaryIndex") }}
-				if fn, ok := d.extractors[ct.Name+"/"+ci.Name]; ok {
-					sec.extract, sec.bound = fn, true
-				}
-				t.secondaries = append(t.secondaries, sec)
-			} else {
-				t.primary = ix
-			}
-		}
-		d.tables[ct.Name] = t
-	}
-	return nil
 }
 
-// Restart rebuilds the volatile state, reopens the catalog, and runs
-// restart recovery. Secondary index extractors must be re-bound afterwards
+// Restart rebuilds the volatile state and runs restart recovery, which
+// reopens the catalog: every index a catalog row names is registered before
+// the first loser undo step, and the table handles are built from the rows
+// that survive undo. Secondary index extractors must be re-bound afterwards
 // via OpenSecondaryIndex.
 //
 // With Options.OnlineRestart (under the default data-only protocol) the
@@ -1030,11 +1012,9 @@ func (d *DB) reopenLocked() error {
 func (d *DB) Restart() (*recovery.Report, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.reopenLocked(); err != nil {
-		return nil, err
-	}
+	d.reopenLocked()
 	if d.opts.OnlineRestart && d.opts.Protocol.KeyLockIsRecordLock() {
-		o, err := recovery.StartOnline(d.log, d.pool, d.tm, d.locks, d.stats,
+		o, err := recovery.StartOnline(d.log, d.pool, d.tm, d.locks, d.stats, d.openCatalogLocked,
 			recovery.OnlineOpts{
 				RestartOpts: d.restartOptsLocked(0),
 				Granularity: d.opts.Granularity,
@@ -1043,12 +1023,28 @@ func (d *DB) Restart() (*recovery.Report, error) {
 			return nil, err
 		}
 		d.recov = o
+		// The pre-open undo has rolled back every DDL loser: their format
+		// and FSM records keep them out of the background.
+		if err := d.openCatalogLocked(); err != nil {
+			d.abortRecoveryLocked()
+			return nil, err
+		}
 		d.stats.OnlineRestarts.Add(1)
 		d.markUpLocked()
 		return o.OpenReport(), nil
 	}
-	rep, err := recovery.RestartWith(d.log, d.pool, d.tm, d.locks, d.stats,
-		d.restartOptsLocked(0))
+	return d.restartOfflineLocked(0)
+}
+
+// restartOfflineLocked runs the restart coordinator to completion, with an
+// undo-step budget when maxUndoSteps is positive, and opens the engine on
+// success. Caller holds d.mu.
+func (d *DB) restartOfflineLocked(maxUndoSteps int) (*recovery.Report, error) {
+	rep, err := recovery.RestartWith(d.log, d.pool, d.tm, d.locks, d.stats, d.openCatalogLocked,
+		d.restartOptsLocked(maxUndoSteps))
+	if err == nil {
+		err = d.openCatalogLocked()
+	}
 	if err == nil {
 		d.markUpLocked()
 	}
@@ -1097,11 +1093,8 @@ func (d *DB) SetRedoWorkers(n int) {
 func (d *DB) RestartInterrupted(maxUndoSteps int, forceTail bool) (interrupted bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.reopenLocked(); err != nil {
-		return false, err
-	}
-	_, err = recovery.RestartWith(d.log, d.pool, d.tm, d.locks, d.stats,
-		d.restartOptsLocked(maxUndoSteps))
+	d.reopenLocked()
+	_, err = d.restartOfflineLocked(maxUndoSteps)
 	if errors.Is(err, recovery.ErrRestartInterrupted) {
 		if forceTail {
 			d.log.ForceAll()
@@ -1121,15 +1114,12 @@ func (d *DB) RestartInterrupted(maxUndoSteps int, forceTail bool) (interrupted b
 		}
 		return true, nil
 	}
-	if err == nil {
-		d.markUpLocked()
-	}
 	return false, err
 }
 
-// Fork clones the engine's stable state — disk pages, catalog meta, and
-// the log — into an independent crashed engine, as if a copy of the
-// machine lost power at this instant. The fork must be Restarted before
+// Fork clones the engine's stable state — the disk pages and the log, the
+// catalog heap's among them — into an independent crashed engine, as if a
+// copy of the machine lost power at this instant. The fork must be Restarted before
 // use; the original is untouched. Crash-point sweeps fork once per
 // truncation point instead of mutating the engine under test.
 func (d *DB) Fork() *DB {
@@ -1364,16 +1354,14 @@ func (t *Table) ScanPrefix(tx *txn.Tx, prefix []byte, fn func(Row) (bool, error)
 func (d *DB) ArchiveLog(w io.Writer) (int, error) { return d.Log().Archive(w) }
 
 // OpenStandby builds an engine on a FRESH disk from a shipped log (see
-// wal.ReadArchive) plus the primary's catalog blob, and runs ARIES restart
-// against it: page-oriented redo reconstructs every page, the undo pass
-// rolls back whatever was in flight at ship time. The result is a warm
+// wal.ReadArchive) and runs ARIES restart against it: page-oriented redo
+// reconstructs every page, the catalog heap's among them, and the undo pass
+// rolls back whatever was in flight at ship time, DDL included. The result is a warm
 // standby, immediately writable after promotion. Secondary-index
 // extractors must be re-bound via OpenSecondaryIndex, as after any restart.
-func OpenStandby(opts Options, shipped *wal.Log, catalogMeta []byte) (*DB, *recovery.Report, error) {
+func OpenStandby(opts Options, shipped *wal.Log) (*DB, *recovery.Report, error) {
 	opts = opts.withDefaults()
-	disk := storage.NewDisk(opts.PageSize)
-	disk.WriteMeta(catalogMeta)
-	d := newDB(opts, disk, shipped, false)
+	d := newDB(opts, storage.NewDisk(opts.PageSize), shipped, false)
 	rep, err := d.Restart()
 	if err != nil {
 		return nil, nil, err

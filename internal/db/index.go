@@ -41,36 +41,26 @@ import (
 //
 // The backfill scan takes commit-duration S + next-key locks on every
 // existing primary key, so under live write traffic CreateIndex can block
-// behind writers (or lose a deadlock) — contention-class failures leave the
-// catalog untouched and may simply be retried.
+// behind writers (or lose a deadlock) — contention-class failures roll the
+// catalog row back with the tree and may simply be retried.
 func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) error {
 	d := t.db
 	d.mu.Lock()
-	if d.downed {
+	if err := d.ddlCheckLocked(); err != nil {
 		d.mu.Unlock()
-		return ErrCrashed
+		return err
 	}
-	if d.recoveringLocked() {
+	if name == t.name+"_pk" || t.lookupSecondary(name) != nil {
 		d.mu.Unlock()
-		return ErrRecovering
-	}
-	for i := range d.cat.Tables {
-		if d.cat.Tables[i].ID != t.id {
-			continue
-		}
-		for _, ci := range d.cat.Tables[i].Indexes {
-			if ci.Name == name {
-				d.mu.Unlock()
-				return fmt.Errorf("db: table %q already has index %q", t.name, name)
-			}
-		}
+		return fmt.Errorf("db: table %q already has index %q", t.name, name)
 	}
 	// Reserve the index ID under d.mu; a failed backfill leaks only the
-	// number. The managers are captured here so a crash mid-backfill leaves
-	// this DDL a zombie of its own epoch, like any in-flight transaction.
-	id := d.cat.NextIndexID
-	d.cat.NextIndexID++
-	tm, im := d.tm, d.im
+	// number. The managers and the catalog heap are captured here so a
+	// crash mid-backfill leaves this DDL a zombie of its own epoch, like any
+	// in-flight transaction.
+	id := d.nextIndexID
+	d.nextIndexID++
+	tm, im, cat := d.tm, d.im, d.catalog
 	d.mu.Unlock()
 
 	// The backfill transaction runs WITHOUT d.mu: its locked scan can wait
@@ -87,6 +77,11 @@ func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) erro
 			return fmt.Errorf("db: index backfill failed (%v); rollback failed: %w", err, rbErr)
 		}
 		return err
+	}
+	// The catalog row goes in before the backfill: restart registers the
+	// index from it, so a backfill a crash cuts short can be undone.
+	if _, err := cat.Insert(tx, catalogRow{kind: rowSecondary, table: t.id, index: id, page: ix.Root(), name: name}.encode()); err != nil {
+		return fail(err)
 	}
 	res, cur, err := t.primary.Fetch(tx, nil, core.GE)
 	if err != nil {
@@ -110,15 +105,6 @@ func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) erro
 		return err
 	}
 	d.registerExtractor(t.name, name, extract)
-	d.mu.Lock()
-	for i := range d.cat.Tables {
-		if d.cat.Tables[i].ID == t.id {
-			d.cat.Tables[i].Indexes = append(d.cat.Tables[i].Indexes,
-				catalogIndex{Name: name, ID: id, Root: uint32(ix.Root()), Secondary: true})
-		}
-	}
-	d.saveCatalog()
-	d.mu.Unlock()
 	return nil
 }
 

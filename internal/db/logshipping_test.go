@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"ariesim/internal/storage"
 	"ariesim/internal/wal"
 )
 
@@ -58,18 +57,8 @@ func TestLogShippingStandby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standby := &DB{
-		opts:  Options{PageSize: 512, PoolSize: 512}.withDefaults(),
-		disk:  storage.NewDisk(512),
-		log:   standbyLog,
-		cat:   catalog{NextTableID: 1, NextIndexID: 1},
-		stats: Options{}.withDefaults().Stats,
-	}
-	// The catalog travels out of band (as schemas do between sites).
-	standby.disk.WriteMeta(primary.Disk().ReadMeta())
-	standby.buildVolatile()
-	standby.downed = true
-	rep, err := standby.Restart()
+	// The schema travels in the log: the catalog heap is rebuilt by redo.
+	standby, rep, err := OpenStandby(Options{PageSize: 512, PoolSize: 512}, standbyLog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,14 @@ import (
 // buildCrashWorkload populates an engine with an SMO-dense seeded workload
 // (inserts, updates, deletes, a mid-run fuzzy checkpoint, a trailing
 // in-flight loser) and forces the log so every record is a legal crash
-// point. Returns the engine and the first post-setup LSN.
-func buildCrashWorkload(t *testing.T, seed int64, txns int) (*DB, wal.LSN) {
+// point, its CreateTable's among them.
+func buildCrashWorkload(t *testing.T, seed int64, txns int) *DB {
 	t.Helper()
 	d := Open(Options{PageSize: 512, PoolSize: 256})
 	tbl, err := d.CreateTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	setupLSN := d.Log().MaxLSN()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < txns; i++ {
 		tx := d.MustBegin()
@@ -61,7 +60,7 @@ func buildCrashWorkload(t *testing.T, seed int64, txns int) (*DB, wal.LSN) {
 		}
 	}
 	d.Log().ForceAll()
-	return d, setupLSN
+	return d
 }
 
 // recoveredDisk forks the engine, crashes it at boundary L, restarts with
@@ -94,8 +93,8 @@ func TestParallelRedoByteIdenticalAcrossCrashPoints(t *testing.T) {
 	if testing.Short() {
 		txns, points = 12, 4
 	}
-	d, setupLSN := buildCrashWorkload(t, 1337, txns)
-	boundaries := recovery.Boundaries(d.Log(), setupLSN)
+	d := buildCrashWorkload(t, 1337, txns)
+	boundaries := recovery.Boundaries(d.Log(), wal.NilLSN)
 	if len(boundaries) < points {
 		t.Fatalf("workload produced only %d boundaries", len(boundaries))
 	}

@@ -30,17 +30,15 @@ var ErrNotReplica = errors.New("db: not a replica")
 // needing certainty must reconcile against the promoted node.
 var ErrCommitUnacked = errors.New("db: commit not acknowledged by standby")
 
-// OpenReplica builds a standby engine: fresh disk (seeded with the
-// primary's catalog blob), empty log, warm-ready pool — and leaves it
-// closed to transactions. Replication appends shipped records to Log()
+// OpenReplica builds a standby engine: fresh disk, empty log, warm-ready
+// pool — and leaves it closed to transactions. Replication appends shipped records to Log()
 // (reproducing the primary's LSNs, since an LSN is 1 + the record's byte
 // offset), forces them, and replays them into Pool() via
-// recovery.ApplyRecords. Promote opens it.
-func OpenReplica(opts Options, catalogMeta []byte) *DB {
+// recovery.ApplyRecords. Promote opens it, and its restart reads the schema
+// from the catalog heap the shipped records rebuilt.
+func OpenReplica(opts Options) *DB {
 	opts = opts.withDefaults()
-	disk := storage.NewDisk(opts.PageSize)
-	disk.WriteMeta(catalogMeta)
-	d := newDB(opts, disk, wal.NewLog(opts.Stats), false)
+	d := newDB(opts, storage.NewDisk(opts.PageSize), wal.NewLog(opts.Stats), false)
 	d.replica = true
 	return d
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +28,12 @@ import (
 //     acked commits plus exactly those ambiguous (gate-failed) commits
 //     whose commit records made it into the promoted log, nothing else.
 //  3. Every-boundary forks: for EVERY record boundary L of the log the
-//     standby had received at promotion, a standby promoted from the
-//     prefix ≤ L recovers to exactly the commits whose records fit in
-//     that prefix — the standby is a correct crash point everywhere, not
-//     just where we happened to promote.
+//     standby had received at promotion, from the first record of the
+//     table's CreateTable on, a standby promoted from the prefix ≤ L
+//     recovers to exactly the commits whose records fit in that prefix —
+//     the table itself only once its DDL's commit does — so the standby is
+//     a correct crash point everywhere, not just where we happened to
+//     promote.
 
 // StandbySweepOpts configures RunStandbySweep. The zero value is usable.
 type StandbySweepOpts struct {
@@ -101,7 +102,6 @@ type StandbySweepResult struct {
 	FailoverTTFC   time.Duration
 	ZombieRejected uint64 // old-epoch segments rejected after promotion
 	Channel        repl.ChannelCounts
-	LagP50, LagP99 float64 // applied-lag percentiles, log bytes
 	// Primary and Promoted are the two nodes' engine counters at the end:
 	// segments shipped and resent on the primary, segments applied and
 	// rejected and NAKs sent on the standby that was promoted.
@@ -148,21 +148,18 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	if _, err := primary.CreateTable(standbyTable); err != nil {
 		return nil, err
 	}
-	meta := primary.Disk().ReadMeta()
-	primary.Log().ForceAll()
-	// Boundary forks must land after the table-creation records: a log
-	// truncated inside the setup prefix describes a half-built catalog.
-	setupLSN := primary.Log().StableLSN()
+	// The table exists in a log prefix exactly when the prefix holds the
+	// CreateTable's commit record, the last record it wrote.
+	ddlLSN := primary.Log().MaxLSN()
 
 	ch := repl.NewChannel(o.Faults)
 	sOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers,
 		OnlineRestart: o.OnlineRestart, Stats: &trace.Stats{}}
-	standby := repl.NewStandby(ch, meta, repl.StandbyOpts{DBOpts: sOpts})
+	standby := repl.NewStandby(ch, repl.StandbyOpts{DBOpts: sOpts})
 	standby.Start()
 
 	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{
-		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
-		Stats:  primary.Stats(),
+		Stats: primary.Stats(),
 	})
 	shipper.Start()
 	primary.SetCommitGate(shipper.Gate(standbyGateTimeout))
@@ -349,17 +346,17 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	if res.InPlaceUpdates = inPlaceUpdates(preLog); res.InPlaceUpdates == 0 {
 		return nil, errNoInPlaceUpdate
 	}
-	boundaries := recovery.Boundaries(preLog, setupLSN)
+	boundaries := recovery.Boundaries(preLog, wal.NilLSN)
 	for i := 0; i < len(boundaries); i += o.BoundaryStride {
 		L := boundaries[i]
 		truncLog := preLog.Clone(&trace.Stats{})
 		truncLog.TruncateTo(L)
 		fOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers, Stats: &trace.Stats{}}
-		fork, _, err := db.OpenStandby(fOpts, truncLog, meta)
+		fork, _, err := db.OpenStandby(fOpts, truncLog)
 		if err != nil {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): open: %v", i, L, err)
 		}
-		if err := verifyRows(fork, standbyTable, leds[1].heldBy(nil, fork.Log())); err != nil {
+		if err := verifyTableAt(fork, standbyTable, L >= ddlLSN, leds[1].heldBy(nil, fork.Log())); err != nil {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): %v", i, L, err)
 		}
 		res.Boundaries++
@@ -371,11 +368,6 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	res.CommitsAcked = leds[1].ackedCount() + leds[2].ackedCount()
 	res.CommitsUnacked = int(unacked.Load())
 	res.Channel = ch.Counts()
-	if lags := standby.LagSamples(); len(lags) > 0 {
-		sort.Float64s(lags)
-		res.LagP50 = lags[len(lags)/2]
-		res.LagP99 = lags[len(lags)*99/100]
-	}
 	o.Logf("repl: %d acked (%d ambiguous: %d resolved in, %d out), TTFC %v, %d boundaries, "+
 		"%d shipped/%d resent/%d applied/%d rejected, %d naks, zombie %d, channel %+v",
 		res.CommitsAcked, res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut, res.FailoverTTFC,

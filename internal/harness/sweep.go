@@ -53,10 +53,8 @@ func (o SweepOpts) withDefaults() SweepOpts {
 
 // SweepResult summarizes a crash-point sweep.
 type SweepResult struct {
-	// Points is the number of crash points exercised, each recovered
-	// offline and online: one per log record boundary after setup.
-	Points int
-	// Records is the total number of log records the workload produced.
+	// Records is the number of log records the script wrote, its DDL
+	// included: each boundary is a crash point recovered offline and online.
 	Records int
 	// Commits and Rollbacks count workload transactions by outcome.
 	Commits   int
@@ -74,20 +72,27 @@ type SweepResult struct {
 	OnlineRecrashes int
 }
 
-const sweepTable = "sweep"
+// The swept table, and the table and index the script creates mid-way.
+const (
+	sweepTable = "sweep"
+	midTable   = "sweep_mid"
+	midIndex   = "by_val_tail_too"
+)
 
 // CrashSweep is the tentpole robustness harness: it runs a scripted
 // multi-transaction workload dense with page splits/deletes (SMOs as
-// nested top actions), commits, rollbacks, a fuzzy checkpoint and a
-// trailing in-flight loser — then, for EVERY log record boundary the
-// workload produced, forks the stable state, truncates the log there
+// nested top actions), commits, rollbacks, a CreateTable and a backfilling
+// CreateIndex part-way through, a fuzzy checkpoint and a trailing in-flight
+// loser — then, for EVERY log record boundary the script produced from its
+// first CreateTable on, forks the stable state, truncates the log there
 // (simulating a crash whose last force reached exactly that record),
 // restarts, re-crashes the engine mid-restart (an undo-step budget kills
 // recovery partway through loser rollback, alternating whether the
 // interrupted restart's own CLRs survive), restarts again, and verifies
 // that the recovered table equals, byte for byte, the latest committed
-// snapshot covered by the truncation point — under full structural and
-// checksum consistency verification.
+// snapshot covered by the truncation point, and that each table and index
+// exists exactly when its DDL's commit is covered — under full structural
+// and checksum consistency verification.
 //
 // This is the ARIES idempotence-of-restart guarantee (repeat history +
 // CLRs bound undo work) checked exhaustively rather than at hand-picked
@@ -102,18 +107,20 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 	res := &SweepResult{}
 
 	d := db.Open(db.Options{PageSize: sweepPageSize, PoolSize: sweepPoolSize})
+	// Each DDL's last record is its commit: a log prefix holds the table or
+	// index exactly when it reaches that LSN.
+	var ddl struct{ table, index, midTable, midIndex wal.LSN }
 	tbl, err := d.CreateTable(sweepTable)
 	if err != nil {
 		return nil, err
 	}
+	ddl.table = d.Log().MaxLSN()
 	if opts.SecondaryIndex {
 		if err := tbl.CreateIndex(indexName, indexExtract); err != nil {
 			return nil, err
 		}
+		ddl.index = d.Log().MaxLSN()
 	}
-	// Catalog and root-page setup is not crash-swept: catalog persistence
-	// is via non-logged meta writes, so boundaries start after it.
-	setupLSN := d.Log().MaxLSN()
 
 	const keySpace = 200
 	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
@@ -200,6 +207,18 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 			led.record(commitLSN, st)
 			res.Commits++
 		}
+		if t == opts.Txns/3 {
+			// Boundaries inside DDL, the index's backfill of the rows so
+			// far among them; later transactions maintain the new index.
+			if _, err := d.CreateTable(midTable); err != nil {
+				return nil, err
+			}
+			ddl.midTable = d.Log().MaxLSN()
+			if err := tbl.CreateIndex(midIndex, indexExtract); err != nil {
+				return nil, err
+			}
+			ddl.midIndex = d.Log().MaxLSN()
+		}
 		if t == opts.Txns/2 {
 			d.Checkpoint() // boundaries inside the fuzzy checkpoint too
 		}
@@ -224,7 +243,7 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		return nil, err
 	}
 
-	boundaries := recovery.Boundaries(d.Log(), setupLSN)
+	boundaries := recovery.Boundaries(d.Log(), wal.NilLSN)
 	res.Records = len(boundaries)
 	if res.InPlaceUpdates = inPlaceUpdates(d.Log()); res.InPlaceUpdates == 0 {
 		return nil, errNoInPlaceUpdate
@@ -232,15 +251,26 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 	opts.Logf("sweep: %d txns (%d committed, %d rolled back), %d crash points",
 		opts.Txns, res.Commits, res.Rollbacks, len(boundaries))
 
-	// verify checks a recovered fork against the committed snapshot its
-	// truncation point covers.
-	verify := func(fork *db.DB, want map[string]string) error {
-		if err := verifyRows(fork, sweepTable, want); err != nil {
+	// verify checks a fork recovered from the log prefix ending at L against
+	// the DDL and the committed snapshot the prefix covers.
+	verify := func(fork *db.DB, L wal.LSN, want map[string]string) error {
+		if err := verifyTableAt(fork, sweepTable, L >= ddl.table, want); err != nil {
 			return err
 		}
-		if opts.SecondaryIndex {
+		if opts.SecondaryIndex && L >= ddl.index {
 			if err := verifyIndex(fork, sweepTable, want); err != nil {
 				return err
+			}
+		}
+		if err := verifyTableAt(fork, midTable, L >= ddl.midTable, nil); err != nil {
+			return err
+		}
+		if L >= ddl.table {
+			// Binding the extractor finds the index if it exists; the
+			// consistency check below then holds every entry to it.
+			ftbl, _ := fork.Table(sweepTable) // present: checked above
+			if err := ftbl.OpenSecondaryIndex(midIndex, indexExtract); (err == nil) != (L >= ddl.midIndex) {
+				return fmt.Errorf("index %q: open = %v with its CreateIndex committed at LSN %d", midIndex, err, ddl.midIndex)
 			}
 		}
 		if err := fork.VerifyConsistency(); err != nil {
@@ -270,7 +300,7 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		}
 
 		want := led.through(L)
-		if err := verify(fork, want); err != nil {
+		if err := verify(fork, L, want); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): %w", i, L, err)
 		}
 
@@ -296,10 +326,9 @@ func CrashSweep(opts SweepOpts) (*SweepResult, error) {
 		if _, err := ofork.AwaitRecovered(); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): await recovered: %w", i, L, err)
 		}
-		if err := verify(ofork, want); err != nil {
+		if err := verify(ofork, L, want); err != nil {
 			return nil, fmt.Errorf("point %d (LSN %d): online: %w", i, L, err)
 		}
-		res.Points++
 		if (i+1)%100 == 0 {
 			opts.Logf("sweep: %d/%d points verified (%d double recoveries)",
 				i+1, len(boundaries), res.DoubleRecoveries)

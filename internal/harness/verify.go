@@ -53,6 +53,19 @@ func verifyRows(d *db.DB, table string, want map[string]string) error {
 	return nil
 }
 
+// verifyTableAt checks a table against the log prefix d recovered from:
+// present with exactly the rows want when the prefix holds its
+// CreateTable's commit (created), absent otherwise.
+func verifyTableAt(d *db.DB, table string, created bool, want map[string]string) error {
+	if created {
+		return verifyRows(d, table, want)
+	}
+	if _, err := d.Table(table); err == nil {
+		return fmt.Errorf("table %q exists before its CreateTable committed", table)
+	}
+	return nil
+}
+
 // errNoInPlaceUpdate fails a sweep whose workload never updated a row in
 // place: every update having taken the delete + insert fallback, the sweep
 // would pass without redoing or undoing one OpDataUpdate.

@@ -89,7 +89,7 @@ func TestLoserDeletesRestoredWithoutRowImages(t *testing.T) {
 				if online {
 					e.buildVolatile()
 					e.ix = e.im.OpenIndex(e.cfg, e.root)
-					o, err := StartOnline(e.log, e.pool, e.tm, e.locks, e.stats, OnlineOpts{})
+					o, err := StartOnline(e.log, e.pool, e.tm, e.locks, e.stats, nil, OnlineOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}

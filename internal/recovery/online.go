@@ -115,10 +115,11 @@ type Online struct {
 }
 
 // begin runs the phases every restart starts with — analysis, plan
-// construction, hook installation — and returns the coordinator with the
-// losers (the transactions in flight at the crash) analysis found. From
-// here on every Fix recovers its page before the caller sees it.
-func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats, opts OnlineOpts) (*Online, []*wal.TxTableEntry, error) {
+// construction, hook installation, beforeUndo — and returns the
+// coordinator with the losers (the transactions in flight at the crash)
+// analysis found. From here on every Fix recovers its page before the
+// caller sees it.
+func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats, beforeUndo func() error, opts OnlineOpts) (*Online, []*wal.TxTableEntry, error) {
 	rep := &Report{}
 	t := time.Now()
 	txTable, dpt, maxTx, recs := analyze(log, rep)
@@ -155,6 +156,12 @@ func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats,
 		done:       make(chan struct{}),
 	}
 	pool.SetRecoveryHook(o.recoverPage)
+	if beforeUndo != nil {
+		if err := beforeUndo(); err != nil {
+			pool.SetRecoveryHook(nil)
+			return nil, nil, err
+		}
+	}
 	// Analysis drops every finished transaction, so what it leaves are the
 	// losers.
 	losers := make([]*wal.TxTableEntry, 0, len(txTable))
@@ -171,10 +178,10 @@ func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats,
 // either is already undone or holds its locks again. The returned report
 // has the open-time fields (AnalyzedFrom, RedoFrom, walls, LocksRestored)
 // filled in; the redo/undo totals are written by the background phases and
-// must be read through Wait.
-func StartOnline(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.Manager, stats *trace.Stats, opts OnlineOpts) (*Online, error) {
+// must be read through Wait. beforeUndo is as for RestartWith.
+func StartOnline(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, locks *lock.Manager, stats *trace.Stats, beforeUndo func() error, opts OnlineOpts) (*Online, error) {
 	start := time.Now()
-	o, losers, err := begin(log, pool, tm, stats, opts)
+	o, losers, err := begin(log, pool, tm, stats, beforeUndo, opts)
 	if err != nil {
 		return nil, err
 	}

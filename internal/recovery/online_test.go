@@ -51,7 +51,7 @@ func TestDrainReplaysItsPartitionInOrder(t *testing.T) {
 			got = append(got, pid)
 			mu.Unlock()
 		}
-		o, err := StartOnline(e.log, e.pool, e.tm, e.locks, e.stats,
+		o, err := StartOnline(e.log, e.pool, e.tm, e.locks, e.stats, nil,
 			OnlineOpts{RestartOpts: RestartOpts{RedoWorkers: workers}, replayGate: gate})
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestOnlineDrainWaitsOutForegroundReplay(t *testing.T) {
 	}
 	e.buildVolatile()
 	e.ix = e.im.OpenIndex(e.cfg, e.root)
-	o, err := StartOnline(e.log, e.pool, e.tm, e.locks, e.stats,
+	o, err := StartOnline(e.log, e.pool, e.tm, e.locks, e.stats, nil,
 		OnlineOpts{RestartOpts: RestartOpts{RedoWorkers: 1}, replayGate: gate})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ func (e *env) restartWith(opts RestartOpts) *Report {
 	e.t.Helper()
 	e.buildVolatile()
 	e.ix = e.im.OpenIndex(e.cfg, e.root)
-	rep, err := RestartWith(e.log, e.pool, e.tm, e.locks, e.stats, opts)
+	rep, err := RestartWith(e.log, e.pool, e.tm, e.locks, e.stats, nil, opts)
 	if err != nil {
 		e.t.Fatalf("restart: %v", err)
 	}

@@ -87,7 +87,7 @@ func (e *env) restart() *Report {
 	e.t.Helper()
 	e.buildVolatile()
 	e.ix = e.im.OpenIndex(e.cfg, e.root)
-	rep, err := Restart(e.log, e.pool, e.tm, e.locks, e.stats)
+	rep, err := RestartWith(e.log, e.pool, e.tm, e.locks, e.stats, nil, RestartOpts{})
 	if err != nil {
 		e.t.Fatalf("restart: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestRedoIsPageOriented(t *testing.T) {
 	e.buildVolatile()
 	e.ix = e.im.OpenIndex(e.cfg, e.root)
 	before := e.stats.Traversals.Load()
-	rep, err := Restart(e.log, e.pool, e.tm, e.locks, e.stats)
+	rep, err := RestartWith(e.log, e.pool, e.tm, e.locks, e.stats, nil, RestartOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestRepeatedCrashBoundedLogging(t *testing.T) {
 		e.buildVolatile()
 		e.ix = e.im.OpenIndex(e.cfg, e.root)
 		e.tm.SetUndoer(&limitedUndoer{inner: e.im, remaining: 10})
-		if _, err := Restart(e.log, e.pool, e.tm, e.locks, e.stats); err == nil {
+		if _, err := RestartWith(e.log, e.pool, e.tm, e.locks, e.stats, nil, RestartOpts{}); err == nil {
 			t.Fatalf("round %d: injected crash did not surface", round)
 		}
 		e.log.ForceAll()

@@ -188,15 +188,15 @@ func TestReplayMatchesSerialReference(t *testing.T) {
 		run  func(f *env) error
 	}{
 		{"offline/1", func(f *env) error {
-			_, err := RestartWith(f.log, f.pool, f.tm, f.locks, f.stats, RestartOpts{RedoWorkers: 1})
+			_, err := RestartWith(f.log, f.pool, f.tm, f.locks, f.stats, nil, RestartOpts{RedoWorkers: 1})
 			return err
 		}},
 		{"offline/8", func(f *env) error {
-			_, err := RestartWith(f.log, f.pool, f.tm, f.locks, f.stats, RestartOpts{RedoWorkers: 8})
+			_, err := RestartWith(f.log, f.pool, f.tm, f.locks, f.stats, nil, RestartOpts{RedoWorkers: 8})
 			return err
 		}},
 		{"online", func(f *env) error {
-			o, err := StartOnline(f.log, f.pool, f.tm, f.locks, f.stats,
+			o, err := StartOnline(f.log, f.pool, f.tm, f.locks, f.stats, nil,
 				OnlineOpts{RestartOpts: RestartOpts{RedoWorkers: 2}})
 			if err == nil {
 				_, err = o.Wait()
@@ -293,7 +293,7 @@ func TestRestartInterruptedRerunMatches(t *testing.T) {
 		for budget := 1; ; budget++ {
 			what := fmt.Sprintf("budget %d, tail forced=%v", budget, forceTail)
 			f := e.fork(L)
-			_, err := RestartWith(f.log, f.pool, f.tm, f.locks, f.stats, RestartOpts{MaxUndoSteps: budget, RedoWorkers: 2})
+			_, err := RestartWith(f.log, f.pool, f.tm, f.locks, f.stats, nil, RestartOpts{MaxUndoSteps: budget, RedoWorkers: 2})
 			if hooked(f.pool) {
 				t.Fatalf("%s: restart returned (%v) with the recovery hook still installed", what, err)
 			}

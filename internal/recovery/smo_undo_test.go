@@ -363,14 +363,14 @@ func (e *env) sweepCuts(t *testing.T, region []wal.LSN, want map[int]bool, check
 				f := e.fork(cut)
 				f.t = t
 				if mode == "online" {
-					o, err := StartOnline(f.log, f.pool, f.tm, f.locks, f.stats, OnlineOpts{})
+					o, err := StartOnline(f.log, f.pool, f.tm, f.locks, f.stats, nil, OnlineOpts{})
 					if err != nil {
 						t.Fatalf("cut at %d: %v", cut, err)
 					}
 					if _, err := o.Wait(); err != nil {
 						t.Fatalf("cut at %d: %v", cut, err)
 					}
-				} else if _, err := Restart(f.log, f.pool, f.tm, f.locks, f.stats); err != nil {
+				} else if _, err := RestartWith(f.log, f.pool, f.tm, f.locks, f.stats, nil, RestartOpts{}); err != nil {
 					t.Fatalf("cut at %d: %v", cut, err)
 				}
 				if check != nil {

@@ -31,13 +31,12 @@ func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Ship
 		t.Fatalf("create table: %v", err)
 	}
 	ch := NewChannel(faults)
-	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
+	standby := NewStandby(ch, StandbyOpts{
 		DBOpts: testDBOpts(),
 	})
 	standby.Start()
 	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
-		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
-		Stats:  primary.Stats(),
+		Stats: primary.Stats(),
 	})
 	shipper.Start()
 	return primary, ch, standby, shipper
@@ -153,7 +152,9 @@ func TestShipApplyPromote(t *testing.T) {
 
 // TestLossyChannelCatchUp runs every fault class at once under the
 // semi-sync gate: each commit must still ack (retransmit + NAK repair the
-// stream), and the standby must converge to the primary's exact state.
+// stream), and the standby must converge to the primary's exact state —
+// a table created mid-stream included, whose schema reaches the standby
+// only as catalog records in the log the faults mangle.
 func TestLossyChannelCatchUp(t *testing.T) {
 	faults := ChannelFaults{
 		Seed:        42,
@@ -172,11 +173,26 @@ func TestLossyChannelCatchUp(t *testing.T) {
 	if testing.Short() {
 		n = 25
 	}
+	const second = "repl_kv2"
 	for i := 0; i < n; i++ {
 		k := "k" + strconv.Itoa(i%9)
 		v := "v" + strconv.Itoa(i)
 		put(t, primary, k, v) // gated: returns only once standby-durable
 		want[k] = v
+		if i == n/2 {
+			if _, err := primary.CreateTable(second); err != nil {
+				t.Fatalf("create %s: %v", second, err)
+			}
+			if err := primary.RunTxn(func(tx *txn.Tx) error {
+				tbl, err := primary.TableFor(tx, second)
+				if err != nil {
+					return err
+				}
+				return tbl.Insert(tx, []byte("b"), []byte("2"))
+			}); err != nil {
+				t.Fatalf("insert into %s: %v", second, err)
+			}
+		}
 	}
 	counts := ch.Counts()
 	if counts.Dropped+counts.Duplicated+counts.Reordered+counts.Corrupted == 0 {
@@ -193,6 +209,15 @@ func TestLossyChannelCatchUp(t *testing.T) {
 	shipper.Stop()
 	if err := verifyRows(promoted, want); err != nil {
 		t.Fatalf("promoted state after lossy stream: %v", err)
+	}
+	tbl, err := promoted.Table(second)
+	if err != nil {
+		t.Fatalf("promoted node lacks %s: %v", second, err)
+	}
+	tx := promoted.MustBegin()
+	defer tx.Rollback()
+	if v, err := tbl.Get(tx, []byte("b")); err != nil || string(v) != "2" {
+		t.Fatalf("%s[b] = %q, %v; want 2", second, v, err)
 	}
 	t.Logf("channel: %+v; naks=%d resent=%d applied=%d rejected=%d",
 		counts, promoted.Stats().ReplNaks.Load(), primary.Stats().SegmentsResent.Load(),
@@ -218,7 +243,7 @@ func TestGapNaksOnce(t *testing.T) {
 
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
-	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
+	standby := NewStandby(ch, StandbyOpts{
 		DBOpts: testDBOpts(),
 	})
 	standby.Start()
@@ -288,7 +313,7 @@ func TestGapNaksOnce(t *testing.T) {
 func TestRedoFailureStopsStandby(t *testing.T) {
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
-	standby := NewStandby(ch, nil, StandbyOpts{DBOpts: testDBOpts()})
+	standby := NewStandby(ch, StandbyOpts{DBOpts: testDBOpts()})
 	standby.Start()
 	sstats := standby.DB().Stats()
 
@@ -320,75 +345,6 @@ func TestRedoFailureStopsStandby(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "redo") {
 		t.Fatalf("promote error %q does not name the redo failure", err)
-	}
-}
-
-// TestLostCatalogUpdateRepaired: the only frame that first carries a
-// mid-stream table's catalog blob is lost before the standby reads it.
-// The retransmit repair that follows must carry the blob too, or the
-// promoted node lacks the table whose rows it replayed.
-func TestLostCatalogUpdateRepaired(t *testing.T) {
-	primary := db.Open(testDBOpts())
-	if _, err := primary.CreateTable(testTable); err != nil {
-		t.Fatalf("create table: %v", err)
-	}
-	put(t, primary, "a", "1")
-	ch := NewChannel(ChannelFaults{})
-	defer ch.Close()
-	standby := NewStandby(ch, primary.Disk().ReadMeta(), StandbyOpts{
-		DBOpts: testDBOpts(),
-	})
-	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
-		MetaFn: func() []byte { return primary.Disk().ReadMeta() },
-		Stats:  primary.Stats(),
-	})
-	shipper.Start()
-	defer shipper.Stop()
-
-	const second = "repl_kv2"
-	if _, err := primary.CreateTable(second); err != nil {
-		t.Fatalf("create %s: %v", second, err)
-	}
-	if err := primary.RunTxn(func(tx *txn.Tx) error {
-		tbl, err := primary.TableFor(tx, second)
-		if err != nil {
-			return err
-		}
-		return tbl.Insert(tx, []byte("b"), []byte("2"))
-	}); err != nil {
-		t.Fatalf("insert into %s: %v", second, err)
-	}
-
-	// Lose every frame up to the first that reaches the insert's commit:
-	// the first frame shipped after the CreateTable is among them.
-	stable := primary.Log().StableLSN()
-	for reached := false; !reached; {
-		select {
-		case frame := <-ch.RecvCh():
-			if seg, err := wal.DecodeSegment(frame); err == nil && len(seg.Records) > 0 {
-				reached = seg.Records[len(seg.Records)-1].LSN >= stable
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("no frame reached LSN %d", stable)
-		}
-	}
-
-	standby.Start()
-	if err := shipper.WaitAcked(stable, 10*time.Second); err != nil {
-		t.Fatalf("stream never repaired: %v", err)
-	}
-	promoted, _, err := standby.Promote()
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	tbl, err := promoted.Table(second)
-	if err != nil {
-		t.Fatalf("promoted node lacks %s: %v", second, err)
-	}
-	tx := promoted.MustBegin()
-	defer tx.Rollback()
-	if v, err := tbl.Get(tx, []byte("b")); err != nil || string(v) != "2" {
-		t.Fatalf("%s[b] = %q, %v; want 2", second, v, err)
 	}
 }
 

@@ -31,10 +31,6 @@ const retransmit = 2 * time.Millisecond
 
 // ShipperOpts tunes the primary-side shipper.
 type ShipperOpts struct {
-	// MetaFn, when set, supplies the primary's current catalog blob; the
-	// shipper embeds it in every segment, so mid-stream DDL reaches the
-	// standby whichever of its segments gets through.
-	MetaFn func() []byte
 	// Stats receives shipping counters (may be nil).
 	Stats *trace.Stats
 }
@@ -178,9 +174,6 @@ func (s *Shipper) ship(from wal.LSN, force bool) {
 	if len(recs) == 0 && from > seg.Stable && !force {
 		s.mu.Unlock()
 		return // nothing stable beyond the cursor; heartbeats aren't needed
-	}
-	if s.opts.MetaFn != nil {
-		seg.Meta = s.opts.MetaFn()
 	}
 	if len(recs) > 0 {
 		last := recs[len(recs)-1]

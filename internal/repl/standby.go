@@ -43,19 +43,16 @@ type Standby struct {
 	// and Promote returns it.
 	err error
 
-	// lag samples (stable-at-ship minus applied, in log bytes), bounded.
-	lagSamples []float64
-
 	done chan struct{}
 }
 
-// NewStandby builds the replica engine (fresh disk seeded with the
-// primary's catalog blob) and wires it to the channel.
-func NewStandby(ch *Channel, catalogMeta []byte, opts StandbyOpts) *Standby {
+// NewStandby builds the replica engine on a fresh disk and wires it to the
+// channel. The schema arrives as catalog records in the log it replays.
+func NewStandby(ch *Channel, opts StandbyOpts) *Standby {
 	return &Standby{
 		ch:    ch,
 		opts:  opts,
-		db:    db.OpenReplica(opts.DBOpts, catalogMeta),
+		db:    db.OpenReplica(opts.DBOpts),
 		epoch: firstEpoch,
 		done:  make(chan struct{}),
 	}
@@ -73,14 +70,6 @@ func (s *Standby) AppliedLSN() wal.LSN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.applied
-}
-
-// LagSamples returns the recorded per-segment lag samples (log bytes the
-// primary had hardened beyond the standby's applied tail at each apply).
-func (s *Standby) LagSamples() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64(nil), s.lagSamples...)
 }
 
 // Start launches the receive loop.
@@ -177,9 +166,6 @@ func (s *Standby) appendApplyLocked(seg *wal.Segment, recs []*wal.Record) {
 		return
 	}
 	s.applied = recs[len(recs)-1].LSN
-	if seg.Meta != nil {
-		sdb.Disk().WriteMeta(seg.Meta)
-	}
 	// Advance the master record (clamped to our stable prefix) so a
 	// promotion's analysis starts at the primary's last checkpoint rather
 	// than LSN 1.
@@ -187,9 +173,6 @@ func (s *Standby) appendApplyLocked(seg *wal.Segment, recs []*wal.Record) {
 		log.SetMaster(seg.Master)
 	}
 	stats.SegmentsApplied.Add(1)
-	if lag := float64(seg.Stable) - float64(s.applied); lag >= 0 && len(s.lagSamples) < 1<<16 {
-		s.lagSamples = append(s.lagSamples, lag)
-	}
 	if stats.SegmentsApplied.Load()%flushEvery == 0 {
 		// Background flush: bounds promotion redo like a checkpoint bounds
 		// restart redo. Everything appended is forced, so the WAL rule

@@ -25,7 +25,6 @@ type Disk struct {
 	mu       sync.RWMutex
 	pageSize int
 	pages    map[PageID][]byte
-	meta     []byte
 	inj      FaultInjector
 
 	reads  atomic.Uint64
@@ -59,7 +58,7 @@ func (d *Disk) sleepIO() {
 }
 
 // SetInjector installs (or, with nil, removes) a fault injector. Faults
-// apply only to page reads and writes, not to meta or snapshot access.
+// apply only to page reads and writes, not to snapshot access.
 func (d *Disk) SetInjector(inj FaultInjector) {
 	d.mu.Lock()
 	d.inj = inj
@@ -192,8 +191,8 @@ func (d *Disk) Snapshot() map[PageID][]byte {
 	return out
 }
 
-// Clone deep-copies the disk (pages and meta, not the injector or
-// counters). Used to fork an engine's stable state for crash-point sweeps.
+// Clone deep-copies the disk's pages (not the injector or counters). Used
+// to fork an engine's stable state for crash-point sweeps.
 func (d *Disk) Clone() *Disk {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -203,8 +202,6 @@ func (d *Disk) Clone() *Disk {
 		copy(cp, b)
 		out.pages[id] = cp
 	}
-	out.meta = make([]byte, len(d.meta))
-	copy(out.meta, d.meta)
 	out.ioDelay.Store(d.ioDelay.Load()) // the hardware stays slow across a crash
 	return out
 }
@@ -224,26 +221,6 @@ func (d *Disk) Restore(id PageID, snapshot map[PageID][]byte) {
 	} else {
 		d.Corrupt(id) // page did not exist at dump time
 	}
-}
-
-// WriteMeta stores the engine's catalog blob. This stands in for the host
-// system's catalog/file directory; it is not part of the logged page space
-// (see DESIGN.md §4, "catalog durability").
-func (d *Disk) WriteMeta(b []byte) {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	d.mu.Lock()
-	d.meta = cp
-	d.mu.Unlock()
-}
-
-// ReadMeta returns the catalog blob.
-func (d *Disk) ReadMeta() []byte {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	cp := make([]byte, len(d.meta))
-	copy(cp, d.meta)
-	return cp
 }
 
 // NumPages returns the count of pages ever written.

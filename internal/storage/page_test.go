@@ -521,14 +521,6 @@ func TestDiskSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestDiskMetaRoundTrip(t *testing.T) {
-	d := NewDisk(512)
-	d.WriteMeta([]byte("catalog"))
-	if got := string(d.ReadMeta()); got != "catalog" {
-		t.Fatalf("meta = %q", got)
-	}
-}
-
 func TestDiskConcurrentAccess(t *testing.T) {
 	d := NewDisk(512)
 	done := make(chan error, 8)

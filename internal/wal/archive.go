@@ -152,8 +152,8 @@ func ReadArchive(r io.Reader) (*Log, error) {
 // Segment is one resumable slice of the stable log stream: the unit a
 // shipper sends and a standby applies. Its framing is what a receiver
 // reads: an epoch for zombie-primary fencing, the shipper's stable and
-// master watermarks, the catalog blob, and a whole-frame CRC. A receiver
-// finds gaps and duplicates from the records' own LSNs.
+// master watermarks, and a whole-frame CRC. A receiver finds gaps and
+// duplicates from the records' own LSNs.
 type Segment struct {
 	// Epoch is the cluster generation the sender believes it leads. A
 	// receiver that has promoted past this epoch rejects the segment: the
@@ -162,10 +162,6 @@ type Segment struct {
 	// Stable and Master are the sender's watermarks at ship time.
 	Stable LSN
 	Master LSN
-	// Meta is the primary's current catalog blob; the standby persists it
-	// so a promotion sees every table the shipped log references (DDL can
-	// happen mid-stream).
-	Meta []byte
 	// Records is the shipped log slice, contiguous and in LSN order.
 	Records []*Record
 }
@@ -173,13 +169,12 @@ type Segment struct {
 // segment frame layout, all little-endian:
 //
 //	magic u32 | epoch u64 | stable u64 | master u64 | firstLSN u64 |
-//	metaLen u32 | count u32 | bodyLen u32 | crc u32 |
-//	meta bytes | body (count × encoded records)
+//	count u32 | bodyLen u32 | crc u32 | body (count × encoded records)
 //
 // The CRC is CRC32-Castagnoli over the entire frame with the crc field
 // zeroed — header fields included, so a flipped epoch or LSN is as
 // detectable as a flipped payload byte.
-const segHeaderSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4
+const segHeaderSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4
 
 // Encode serializes the segment into one self-checking frame.
 func (s *Segment) Encode() []byte {
@@ -187,7 +182,7 @@ func (s *Segment) Encode() []byte {
 	for _, r := range s.Records {
 		bodyLen += r.EncodedSize()
 	}
-	b := make([]byte, segHeaderSize+len(s.Meta)+bodyLen)
+	b := make([]byte, segHeaderSize+bodyLen)
 	binary.LittleEndian.PutUint32(b[0:4], segmentMagic)
 	binary.LittleEndian.PutUint64(b[4:12], s.Epoch)
 	binary.LittleEndian.PutUint64(b[12:20], uint64(s.Stable))
@@ -195,17 +190,15 @@ func (s *Segment) Encode() []byte {
 	if len(s.Records) > 0 {
 		binary.LittleEndian.PutUint64(b[28:36], uint64(s.Records[0].LSN))
 	}
-	binary.LittleEndian.PutUint32(b[36:40], uint32(len(s.Meta)))
-	binary.LittleEndian.PutUint32(b[40:44], uint32(len(s.Records)))
-	binary.LittleEndian.PutUint32(b[44:48], uint32(bodyLen))
-	// crc at [48:52] stays zero while hashing.
+	binary.LittleEndian.PutUint32(b[36:40], uint32(len(s.Records)))
+	binary.LittleEndian.PutUint32(b[40:44], uint32(bodyLen))
+	// crc at [44:48] stays zero while hashing.
 	off := segHeaderSize
-	off += copy(b[off:], s.Meta)
 	for _, r := range s.Records {
 		r.encodeTo(b[off : off+r.EncodedSize()])
 		off += r.EncodedSize()
 	}
-	binary.LittleEndian.PutUint32(b[48:52], crc32.Checksum(b, recCRCTable))
+	binary.LittleEndian.PutUint32(b[44:48], crc32.Checksum(b, recCRCTable))
 	return b
 }
 
@@ -221,16 +214,15 @@ func DecodeSegment(b []byte) (*Segment, error) {
 	if binary.LittleEndian.Uint32(b[0:4]) != segmentMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSegmentCorrupt)
 	}
-	metaLen := int(binary.LittleEndian.Uint32(b[36:40]))
-	count := int(binary.LittleEndian.Uint32(b[40:44]))
-	bodyLen := int(binary.LittleEndian.Uint32(b[44:48]))
-	if metaLen < 0 || bodyLen < 0 || segHeaderSize+metaLen+bodyLen != len(b) {
+	count := int(binary.LittleEndian.Uint32(b[36:40]))
+	bodyLen := int(binary.LittleEndian.Uint32(b[40:44]))
+	if segHeaderSize+bodyLen != len(b) {
 		return nil, fmt.Errorf("%w: frame length mismatch", ErrSegmentCorrupt)
 	}
-	stored := binary.LittleEndian.Uint32(b[48:52])
+	stored := binary.LittleEndian.Uint32(b[44:48])
 	check := make([]byte, len(b))
 	copy(check, b)
-	binary.LittleEndian.PutUint32(check[48:52], 0)
+	binary.LittleEndian.PutUint32(check[44:48], 0)
 	if stored != crc32.Checksum(check, recCRCTable) {
 		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrSegmentCorrupt)
 	}
@@ -239,10 +231,7 @@ func DecodeSegment(b []byte) (*Segment, error) {
 		Stable: LSN(binary.LittleEndian.Uint64(b[12:20])),
 		Master: LSN(binary.LittleEndian.Uint64(b[20:28])),
 	}
-	if metaLen > 0 {
-		s.Meta = append([]byte(nil), b[segHeaderSize:segHeaderSize+metaLen]...)
-	}
-	body := b[segHeaderSize+metaLen:]
+	body := b[segHeaderSize:]
 	lsn := LSN(binary.LittleEndian.Uint64(b[28:36]))
 	for i := 0; i < count; i++ {
 		rec, n, err := DecodeRecord(body)
