@@ -109,9 +109,12 @@ race:
 # appends (records crossing index blocks, spanning one or three chunks, ending
 # on a chunk boundary), forces, truncations, torn-tail crashes, clones, reads
 # and scans, the log checked after every step against a slice of its records.
+# Then ten seconds of segment frames, raw and resealed: whatever decodes
+# re-encodes to its body, and an archive read never panics.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzLogBoundaries -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 
 # Ten seconds of fuzzing the data page redo: any op and payload, forward or as
 # a CLR, applied to a data page holding a live record, two ghosts and an

@@ -113,9 +113,10 @@ type RunTxnOpts = db.RunTxnOpts
 func Open(opts Options) *DB { return db.Open(opts) }
 
 // OpenStandby builds a warm standby from a shipped log archive (see
-// DB.ArchiveLog and ReadLogArchive), replaying the log page-oriented onto
-// a fresh disk — the log-shipping pattern §3's redo design makes possible.
-// The schema comes with the log: the catalog is a logged heap.
+// DB.ArchiveLog and ReadLogArchive: the stable log's stored bytes in one
+// self-checking frame), replaying the log page-oriented onto a fresh disk —
+// the log-shipping pattern §3's redo design makes possible. The schema
+// comes with the log: the catalog is a logged heap.
 func OpenStandby(opts Options, shipped *Log) (*DB, *RestartReport, error) {
 	return db.OpenStandby(opts, shipped)
 }
@@ -125,5 +126,7 @@ func OpenStandby(opts Options, shipped *Log) (*DB, *RestartReport, error) {
 type Log = wal.Log
 
 // ReadLogArchive reconstructs a Log from an archive stream produced by
-// DB.ArchiveLog.
+// DB.ArchiveLog. A stream cut short, or whose last record is damaged, still
+// yields the intact prefix, together with a torn-tail error; any other
+// damage rejects the stream.
 func ReadLogArchive(r io.Reader) (*Log, error) { return wal.ReadArchive(r) }

@@ -17,7 +17,7 @@
 // reorders, corruption, stalls) while concurrent clients commit through
 // the semi-sync gate; the primary is crashed under live traffic, the
 // standby is promoted, the zombie primary's stragglers must bounce off
-// the epoch fence, and the promoted node is verified byte-exactly against
+// the promotion fence, and the promoted node is verified byte-exactly against
 // the acked-commit ledger — plus one promotion fork per log record
 // boundary of the standby's received window.
 //

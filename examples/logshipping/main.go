@@ -5,7 +5,7 @@
 // append, force, replay, acknowledge, forever. When the primary crashes
 // mid-traffic, Promote finishes the pending restart (undoing whatever was
 // in flight) and the standby becomes the serving primary; stragglers from
-// the dead primary bounce off the epoch fence.
+// the dead primary bounce off the promotion fence.
 package main
 
 import (
@@ -33,13 +33,9 @@ func main() {
 		Seed: 42, DropProb: 0.10, DupProb: 0.05, ReorderProb: 0.05, CorruptProb: 0.03,
 	})
 	standbyStats := &trace.Stats{}
-	standby := repl.NewStandby(ch, repl.StandbyOpts{
-		DBOpts: db.Options{PageSize: 1024, RedoWorkers: 2, Stats: standbyStats},
-	})
+	standby := repl.NewStandby(ch, db.Options{PageSize: 1024, RedoWorkers: 2, Stats: standbyStats})
 	standby.Start()
-	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{
-		Stats: primary.Stats(),
-	})
+	shipper := repl.NewShipper(primary.Log(), ch, primary.Stats())
 	shipper.Start()
 
 	// Semi-synchronous commit: RunTxn does not return until the standby
@@ -111,8 +107,8 @@ func main() {
 	fmt.Printf("standby promoted: %d records analyzed, %d redone, %d in-flight rolled back\n",
 		report.RecordsSeen, report.RedosApplied, report.LosersUndone)
 
-	// A zombie gasp from the dead primary's shipper: the promoted node is
-	// on a new epoch, so the frame is rejected, not applied.
+	// A zombie gasp from the dead primary's shipper: the promoted node has
+	// fenced its receive loop, so the frame is rejected, not applied.
 	rejBefore := standbyStats.SegmentsRejected.Load()
 	for deadline := time.Now().Add(2 * time.Second); standbyStats.SegmentsRejected.Load() == rejBefore; {
 		if time.Now().After(deadline) {
@@ -121,7 +117,7 @@ func main() {
 		shipper.ShipNow()
 		time.Sleep(time.Millisecond)
 	}
-	fmt.Println("zombie segment from the dead primary fenced by epoch check")
+	fmt.Println("zombie segment from the dead primary fenced by promotion")
 
 	count := 0
 	if err := promoted.RunTxn(func(r *txn.Tx) error {

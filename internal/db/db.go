@@ -1248,6 +1248,81 @@ func checkMirror(ix *core.Index, records map[storage.RID][]byte, keyOf func(rec 
 	return nil
 }
 
+// Location is where one row key lives in a table. A zero RID (page 0 is
+// never a data page) is "not held".
+type Location struct {
+	Heap    storage.RID // the heap record whose row has the key
+	Value   []byte      // that row's value
+	Primary storage.RID // the RID the primary index maps the key to
+	// Secondary maps every secondary index's name to the RID of its entry
+	// for the key: an entry under the heap record's RID or the primary's.
+	Secondary map[string]storage.RID
+}
+
+func (l Location) String() string {
+	return fmt.Sprintf("heap=%s primary=%s secondary=%v", l.Heap, l.Primary, l.Secondary)
+}
+
+// Locate reports, for each key, which of t's heap, primary index and
+// secondary indexes hold it, and at what RID. It takes latches only, no
+// locks and no transaction, so a dump may call it on a table whose state is
+// in question. It reads the whole heap and every tree: it is for
+// diagnostics on a quiesced engine, not for the serving path.
+func (t *Table) Locate(keys ...[]byte) (map[string]Location, error) {
+	t.mu.Lock()
+	secs := append([]*secondary(nil), t.secondaries...)
+	t.mu.Unlock()
+	out := make(map[string]Location, len(keys))
+	for _, k := range keys {
+		out[string(k)] = Location{Secondary: make(map[string]storage.RID, len(secs))}
+	}
+	records, err := t.data.ScanAll()
+	if err != nil {
+		return nil, err
+	}
+	for rid, rec := range records {
+		key, value, err := decodeRow(rec)
+		if err != nil {
+			return nil, err
+		}
+		if loc, ok := out[string(key)]; ok {
+			loc.Heap, loc.Value = rid, value
+			out[string(key)] = loc
+		}
+	}
+	entries, err := t.primary.Dump()
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if loc, ok := out[string(e.Val)]; ok {
+			loc.Primary = e.RID
+			out[string(e.Val)] = loc
+		}
+	}
+	for _, sec := range secs {
+		entries, err := sec.ix.Dump()
+		if err != nil {
+			return nil, err
+		}
+		held := make(map[storage.RID]bool, len(entries))
+		for _, e := range entries {
+			held[e.RID] = true
+		}
+		for _, loc := range out {
+			switch {
+			case held[loc.Heap]:
+				loc.Secondary[sec.name] = loc.Heap
+			case held[loc.Primary]:
+				loc.Secondary[sec.name] = loc.Primary
+			default:
+				loc.Secondary[sec.name] = storage.RID{}
+			}
+		}
+	}
+	return out, nil
+}
+
 // checksumSweep reads every written disk page, verifying its checksum and
 // repairing corrupt or permanently unreadable pages in place via media
 // recovery. Transient read errors are retried.

@@ -189,41 +189,17 @@ func TestCreateIndexDuringWrites(t *testing.T) {
 
 // diagnoseIndexCount logs why TestCreateIndexDuringWrites's index scan
 // returned the wrong number of rows. For every committed key the scan did not
-// return exactly once it logs the key's RID; whether the primary tree, the
-// heap and the secondary tree hold it, which tells a build that lost the
+// return exactly once it logs where the key lives (Table.Locate: heap,
+// primary and secondary, and at what RID), which tells a build that lost the
 // entry from a scan that skipped one the tree has; its commit LSN against
 // the log's end just before and just after CreateIndex; and the secondary
 // leaves holding the entries beside its place.
 func diagnoseIndexCount(t *testing.T, tbl *Table, seen map[string]int, committed map[string]wal.LSN, before, after wal.LSN) {
 	t.Helper()
 	sec := tbl.lookupSecondary("by_group").ix
-	primKeys, err := tbl.primary.Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
 	secKeys, err := sec.Dump()
 	if err != nil {
 		t.Fatal(err)
-	}
-	records, err := tbl.data.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inPrimary := map[string]storage.RID{}
-	for _, pk := range primKeys {
-		inPrimary[string(pk.Val)] = pk.RID
-	}
-	type heapRow struct {
-		rid   storage.RID
-		value []byte
-	}
-	inHeap := map[string]heapRow{}
-	for rid, rec := range records {
-		key, value, err := decodeRow(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inHeap[string(key)] = heapRow{rid, value}
 	}
 	leafOf := func(at storage.Key) string {
 		leaf, _, err := sec.LeafOf(at)
@@ -233,30 +209,27 @@ func diagnoseIndexCount(t *testing.T, tbl *Table, seen map[string]int, committed
 		return fmt.Sprint(leaf)
 	}
 	t.Logf("log end: %d before CreateIndex, %d after", before, after)
-	keys := make([]string, 0, len(committed))
+	var keys [][]byte
 	for key := range committed {
-		keys = append(keys, key)
+		if seen[key] != 1 {
+			keys = append(keys, []byte(key))
+		}
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	locs, err := tbl.Locate(keys...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, key := range keys {
-		if seen[key] == 1 {
-			continue
-		}
-		rid, primOK := inPrimary[key]
-		row, heapOK := inHeap[key]
-		if !primOK {
-			rid = row.rid
-		}
-		msg := fmt.Sprintf("key %q at %s, committed at LSN %d, scanned %d times: in primary %v, in heap %v",
-			key, rid, committed[key], seen[key], primOK, heapOK)
-		if heapOK {
-			at := storage.Key{Val: idxExtract(row.value), RID: rid}
+		loc := locs[string(key)]
+		msg := fmt.Sprintf("key %q committed at LSN %d, scanned %d times: %s", key, committed[string(key)], seen[string(key)], loc)
+		if loc.Heap != (storage.RID{}) {
+			at := storage.Key{Val: idxExtract(loc.Value), RID: loc.Heap}
 			pos := sort.Search(len(secKeys), func(i int) bool { return secKeys[i].Compare(at) >= 0 })
-			next, present := pos, pos < len(secKeys) && secKeys[pos].Compare(at) == 0
-			if present {
+			next := pos
+			if pos < len(secKeys) && secKeys[pos].Compare(at) == 0 {
 				next++
 			}
-			msg += fmt.Sprintf(", in secondary %v", present)
 			if pos > 0 {
 				msg += fmt.Sprintf(", previous entry %s on leaf %s", secKeys[pos-1], leafOf(secKeys[pos-1]))
 			}
@@ -265,6 +238,42 @@ func diagnoseIndexCount(t *testing.T, tbl *Table, seen map[string]int, committed
 			}
 		}
 		t.Log(msg)
+	}
+}
+
+// TestLocateTakesLatchesOnly: Locate finds a row in the heap, the primary
+// and the secondary under one RID, reports a key no row has as held
+// nowhere, and makes no lock-manager call.
+func TestLocateTakesLatchesOnly(t *testing.T) {
+	d := openSmall(t)
+	tbl, _ := d.CreateTable("t")
+	if err := tbl.CreateIndex("by_group", idxExtract); err != nil {
+		t.Fatal(err)
+	}
+	tx := d.MustBegin()
+	for i := 0; i < 10; i++ {
+		if err := tbl.Insert(tx, k(i), idxVal(k(i), i%3, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	calls := d.Stats().TotalLockCalls()
+	locs, err := tbl.Locate(k(4), k(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().TotalLockCalls(); got != calls {
+		t.Fatalf("Locate made %d lock calls", got-calls)
+	}
+	in := locs[string(k(4))]
+	if in.Heap == (storage.RID{}) || in.Primary != in.Heap || in.Secondary["by_group"] != in.Heap ||
+		!bytes.Equal(in.Value, idxVal(k(4), 1, 4)) {
+		t.Fatalf("k(4): %s, value %q", in, in.Value)
+	}
+	if out := locs[string(k(99))].String(); out != "heap=(0.0) primary=(0.0) secondary=map[by_group:(0.0)]" {
+		t.Fatalf("k(99): %s", out)
 	}
 }
 

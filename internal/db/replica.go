@@ -53,9 +53,9 @@ func OpenReplica(opts Options) *DB {
 // finishes recovering in the background, minimizing failover
 // time-to-first-commit.
 //
-// Epoch fencing against the dead primary's late segments is the
-// replication layer's job (repl.Standby.Promote bumps the epoch before
-// calling here); this method is engine-side only.
+// Fencing off the dead primary's late segments is the replication layer's
+// job (repl.Standby.Promote fences its receive loop before calling here);
+// this method is engine-side only.
 func (d *DB) Promote() (*recovery.Report, error) {
 	d.mu.Lock()
 	if !d.replica {

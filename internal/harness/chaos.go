@@ -605,7 +605,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 			return nil, fmt.Errorf("chaos: torn tail: %v", err)
 		}
 		if err := verifyState(d, want); err != nil {
-			return nil, fmt.Errorf("chaos: torn tail: %v\n%s", err, tornTailReport(d, loser, o.SecondaryIndex))
+			return nil, fmt.Errorf("chaos: torn tail: %v\n%s", err, tornTailReport(d, loser))
 		}
 	}
 
@@ -698,10 +698,10 @@ func tearLogTail(d *db.DB, extra int) (wal.TxID, error) {
 }
 
 // tornTailReport describes what the restart after tearLogTail left of its
-// loser: the loser's records the log kept, and for each torn-i key whether
-// the primary tree, the heap and (with the secondary index) the secondary
-// tree hold it. It is the context of a failed state check after the tear.
-func tornTailReport(d *db.DB, loser wal.TxID, secondary bool) string {
+// loser: the loser's records the log kept, and where each torn-i key lives
+// (db.Table.Locate). It is the context of a failed state check after the
+// tear.
+func tornTailReport(d *db.DB, loser wal.TxID) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "loser tx %d kept:", loser)
 	d.Log().Scan(wal.NilLSN+1, func(r *wal.Record) bool {
@@ -714,54 +714,16 @@ func tornTailReport(d *db.DB, loser wal.TxID, secondary bool) string {
 	if err != nil {
 		return b.String() + "\n" + err.Error()
 	}
-	inPrimary := map[string]bool{}
-	if keys, err := tbl.PrimaryIndex().Dump(); err != nil {
-		fmt.Fprintf(&b, "\nprimary dump: %v", err)
-	} else {
-		for _, k := range keys {
-			inPrimary[string(k.Val)] = true
-		}
+	keys := make([][]byte, tornKeys)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("torn-%d", i))
 	}
-	inHeap := map[string]bool{}
-	if recs, err := tbl.DataTable().ScanAll(); err != nil {
-		fmt.Fprintf(&b, "\nheap scan: %v", err)
-	} else {
-		for _, rec := range recs {
-			// The row codec: a little-endian u16 key length, the key, the value.
-			if len(rec) >= 2 {
-				if kl := int(rec[0]) | int(rec[1])<<8; len(rec) >= 2+kl {
-					inHeap[string(rec[2:2+kl])] = true
-				}
-			}
-		}
+	locs, err := tbl.Locate(keys...)
+	if err != nil {
+		return b.String() + "\n" + err.Error()
 	}
-	inSecondary := map[string]bool{}
-	if secondary {
-		sk := indexExtract([]byte("never-committed"))
-		err := func() error {
-			tx, err := d.Begin()
-			if err != nil {
-				return err
-			}
-			if err := tbl.ScanIndexRange(tx, indexName, sk, sk, func(_ []byte, r db.Row) (bool, error) {
-				inSecondary[string(r.Key)] = true
-				return true, nil
-			}); err != nil {
-				_ = tx.Rollback()
-				return err
-			}
-			return tx.Commit()
-		}()
-		if err != nil {
-			fmt.Fprintf(&b, "\nsecondary scan of %q: %v", sk, err)
-		}
-	}
-	for i := 0; i < tornKeys; i++ {
-		k := fmt.Sprintf("torn-%d", i)
-		fmt.Fprintf(&b, "\n  %s: primary=%t heap=%t", k, inPrimary[k], inHeap[k])
-		if secondary {
-			fmt.Fprintf(&b, " secondary=%t", inSecondary[k])
-		}
+	for _, k := range keys {
+		fmt.Fprintf(&b, "\n  %s: %s", k, locs[string(k)])
 	}
 	return b.String()
 }

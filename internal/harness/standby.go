@@ -100,7 +100,7 @@ type StandbySweepResult struct {
 	Boundaries     int // boundary forks verified
 	InPlaceUpdates int // OpDataUpdate records the standby replayed (0 is an error)
 	FailoverTTFC   time.Duration
-	ZombieRejected uint64 // old-epoch segments rejected after promotion
+	ZombieRejected uint64 // dead-primary segments rejected after promotion
 	Channel        repl.ChannelCounts
 	// Primary and Promoted are the two nodes' engine counters at the end:
 	// segments shipped and resent on the primary, segments applied and
@@ -155,12 +155,10 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	ch := repl.NewChannel(o.Faults)
 	sOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers,
 		OnlineRestart: o.OnlineRestart, Stats: &trace.Stats{}}
-	standby := repl.NewStandby(ch, repl.StandbyOpts{DBOpts: sOpts})
+	standby := repl.NewStandby(ch, sOpts)
 	standby.Start()
 
-	shipper := repl.NewShipper(primary.Log(), ch, repl.ShipperOpts{
-		Stats: primary.Stats(),
-	})
+	shipper := repl.NewShipper(primary.Log(), ch, primary.Stats())
 	shipper.Start()
 	primary.SetCommitGate(shipper.Gate(standbyGateTimeout))
 
@@ -295,7 +293,7 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	res.FailoverTTFC = ttfc
 
 	// ---- Phase 4: the zombie primary's dying gasp must bounce off the
-	// epoch fence.
+	// promotion fence.
 	rejBefore := promoted.Stats().SegmentsRejected.Load()
 	if err := waitFor(func() bool {
 		shipper.ShipNow() // keep gasping: the lossy channel may drop any one frame

@@ -4,14 +4,16 @@
 // continuously with the page-partitioned parallel redo — "a restart that
 // never ends" — until Promote turns it into the serving primary.
 //
-// Wire model. Data frames (one wal.Segment encoding each) travel over the
-// lossy path: each send may be dropped, duplicated, reordered, corrupted,
-// or stalled by the injector, mirroring storage.FaultInjector's philosophy
-// (seeded, reproducible, with a consecutive-fault cap so progress is
-// guaranteed). Control messages (ACK / NAK, standby → primary) travel over
-// a reliable in-order path, the moral equivalent of the TCP connection a
-// real system would keep for its feedback channel; the data path is where
-// loss hurts and where the protocol must defend itself. Loss is repaired
+// Wire model. Data frames (one wal.Segment encoding each: the primary's
+// stored log bytes from one record to its stable mark, which the shipper
+// copies and the standby decodes once) travel over the lossy path: each
+// send may be dropped, duplicated, reordered, corrupted, or stalled by the
+// injector, mirroring storage.FaultInjector's philosophy (seeded,
+// reproducible, with a consecutive-fault cap so progress is guaranteed).
+// Control messages (ACK / NAK, standby → primary) travel over a reliable
+// in-order path, the moral equivalent of the TCP connection a real system
+// would keep for its feedback channel; the data path is where loss hurts
+// and where the protocol must defend itself. Loss is repaired
 // in two tiers: the shipper re-ships its unacked window whenever acks
 // stall for one retransmit interval (the only tier liveness rests on,
 // since the fault cap lets some re-ship through), and a standby that sees

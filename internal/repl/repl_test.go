@@ -23,7 +23,7 @@ func testDBOpts() db.Options {
 }
 
 // pair wires a primary, a channel with the given faults, a standby, and a
-// started shipper, all on the first epoch.
+// started shipper.
 func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Shipper) {
 	t.Helper()
 	primary := db.Open(testDBOpts())
@@ -31,13 +31,9 @@ func pair(t *testing.T, faults ChannelFaults) (*db.DB, *Channel, *Standby, *Ship
 		t.Fatalf("create table: %v", err)
 	}
 	ch := NewChannel(faults)
-	standby := NewStandby(ch, StandbyOpts{
-		DBOpts: testDBOpts(),
-	})
+	standby := NewStandby(ch, testDBOpts())
 	standby.Start()
-	shipper := NewShipper(primary.Log(), ch, ShipperOpts{
-		Stats: primary.Stats(),
-	})
+	shipper := NewShipper(primary.Log(), ch, primary.Stats())
 	shipper.Start()
 	return primary, ch, standby, shipper
 }
@@ -243,9 +239,7 @@ func TestGapNaksOnce(t *testing.T) {
 
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
-	standby := NewStandby(ch, StandbyOpts{
-		DBOpts: testDBOpts(),
-	})
+	standby := NewStandby(ch, testDBOpts())
 	standby.Start()
 	sstats := standby.DB().Stats()
 	expected := standby.DB().Log().NextLSN()
@@ -258,7 +252,7 @@ func TestGapNaksOnce(t *testing.T) {
 	from := recs[len(recs)/2].LSN
 	const repeats = 5
 	for i := 0; i < repeats; i++ {
-		ch.Send(primary.Log().ShipFrom(from, firstEpoch).Encode())
+		ch.Send(primary.Log().ShipFrom(from).Encode())
 	}
 	for wait := time.Now().Add(10 * time.Second); sstats.SegmentsRejected.Load() < repeats; {
 		if time.Now().After(wait) {
@@ -271,7 +265,7 @@ func TestGapNaksOnce(t *testing.T) {
 	}
 
 	// The segment the NAK asks for heals the gap.
-	ch.Send(primary.Log().ShipFrom(expected, firstEpoch).Encode())
+	ch.Send(primary.Log().ShipFrom(expected).Encode())
 	stable := primary.Log().StableLSN()
 	for wait := time.Now().Add(10 * time.Second); standby.AppliedLSN() < stable; {
 		if time.Now().After(wait) {
@@ -313,7 +307,7 @@ func TestGapNaksOnce(t *testing.T) {
 func TestRedoFailureStopsStandby(t *testing.T) {
 	ch := NewChannel(ChannelFaults{})
 	defer ch.Close()
-	standby := NewStandby(ch, StandbyOpts{DBOpts: testDBOpts()})
+	standby := NewStandby(ch, testDBOpts())
 	standby.Start()
 	sstats := standby.DB().Stats()
 
@@ -321,10 +315,10 @@ func TestRedoFailureStopsStandby(t *testing.T) {
 	// other, then refused by redo.
 	bad := wal.NewLog(nil)
 	bad.Force(bad.Append(&wal.Record{Type: wal.RecUpdate, TxID: 1, Op: wal.OpCode(250), Page: 1}))
-	ch.Send(bad.ShipFrom(wal.NilLSN+1, firstEpoch).Encode())
+	ch.Send(bad.ShipFrom(wal.NilLSN + 1).Encode())
 	// A heartbeat a running standby would acknowledge; a stopped one
 	// rejects it.
-	ch.Send(bad.ShipFrom(bad.StableLSN()+1, firstEpoch).Encode())
+	ch.Send(bad.ShipFrom(bad.StableLSN() + 1).Encode())
 	for wait := time.Now().Add(10 * time.Second); sstats.SegmentsRejected.Load() == 0; {
 		if time.Now().After(wait) {
 			t.Fatalf("heartbeat after the failed segment never rejected")
@@ -348,8 +342,9 @@ func TestRedoFailureStopsStandby(t *testing.T) {
 	}
 }
 
-// TestZombieFencing: segments from the dead epoch bounce off a promoted
-// standby, and a standby joined at the wrong epoch never applies anything.
+// TestZombieFencing: once the standby is promoted, every segment the dead
+// primary still ships bounces off it, and the zombie's later writes never
+// reach the new primary.
 func TestZombieFencing(t *testing.T) {
 	primary, ch, standby, shipper := pair(t, ChannelFaults{})
 	defer ch.Close()

@@ -17,11 +17,6 @@ var ErrShipperStopped = errors.New("repl: shipper stopped")
 // acknowledged the LSN.
 var ErrAckTimeout = errors.New("repl: standby ack timeout")
 
-// firstEpoch stamps every segment a shipper sends and is the epoch a new
-// standby accepts. Fence moves the standby past it, so the dead primary's
-// stragglers bounce (zombie fencing).
-const firstEpoch uint64 = 1
-
 // retransmit is how long shipped-but-unacked records may age before the
 // shipper re-ships from the acked watermark. This is the loss repair the
 // stream's liveness rests on: a dropped frame (or a dropped NAK re-ship) is
@@ -29,21 +24,15 @@ const firstEpoch uint64 = 1
 // live.
 const retransmit = 2 * time.Millisecond
 
-// ShipperOpts tunes the primary-side shipper.
-type ShipperOpts struct {
-	// Stats receives shipping counters (may be nil).
-	Stats *trace.Stats
-}
-
 // Shipper streams a log's stable prefix over a Channel as framed
 // segments. Start it once; it wakes on the log's stable-notify hook
 // (wal.Log.SetStableNotify), ships everything newly hardened, and
 // services the control path: ACKs advance the acked watermark (and
 // release commit-gate waiters), NAKs rewind the ship cursor.
 type Shipper struct {
-	log  *wal.Log
-	ch   *Channel
-	opts ShipperOpts
+	log   *wal.Log
+	ch    *Channel
+	stats *trace.Stats // shipping counters (may be nil)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -56,13 +45,14 @@ type Shipper struct {
 	done   sync.WaitGroup
 }
 
-// NewShipper wires a shipper to the primary's log and the channel. The
-// shipper installs itself as the log's stable-notify hook.
-func NewShipper(log *wal.Log, ch *Channel, opts ShipperOpts) *Shipper {
+// NewShipper wires a shipper to the primary's log and the channel, counting
+// into stats (which may be nil). The shipper installs itself as the log's
+// stable-notify hook.
+func NewShipper(log *wal.Log, ch *Channel, stats *trace.Stats) *Shipper {
 	s := &Shipper{
 		log:      log,
 		ch:       ch,
-		opts:     opts,
+		stats:    stats,
 		nextShip: wal.NilLSN + 1,
 		notify:   make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -154,7 +144,7 @@ func (s *Shipper) Gate(timeout time.Duration) func(wal.LSN) error {
 
 // ShipNow forces one segment send even when nothing new is stable — an
 // empty segment is a heartbeat, and it is how a zombie primary's dying
-// gasp reaches (and bounces off) a promoted standby's epoch fence.
+// gasp reaches (and bounces off) a promoted standby's fence.
 func (s *Shipper) ShipNow() {
 	s.ship(0, true)
 }
@@ -169,20 +159,18 @@ func (s *Shipper) ship(from wal.LSN, force bool) {
 	} else if from < s.nextShip {
 		s.nextShip = from // NAK rewind
 	}
-	seg := s.log.ShipFrom(from, firstEpoch)
-	recs := seg.Records
-	if len(recs) == 0 && from > seg.Stable && !force {
+	seg := s.log.ShipFrom(from)
+	if len(seg.Body) == 0 && from > seg.Stable && !force {
 		s.mu.Unlock()
 		return // nothing stable beyond the cursor; heartbeats aren't needed
 	}
-	if len(recs) > 0 {
-		last := recs[len(recs)-1]
-		s.nextShip = last.LSN + wal.LSN(last.EncodedSize())
+	if len(seg.Body) > 0 {
+		s.nextShip = seg.First + wal.LSN(len(seg.Body))
 	}
 	s.mu.Unlock()
 	s.ch.Send(seg.Encode())
-	if s.opts.Stats != nil {
-		s.opts.Stats.SegmentsShipped.Add(1)
+	if s.stats != nil {
+		s.stats.SegmentsShipped.Add(1)
 	}
 }
 
@@ -210,8 +198,8 @@ func (s *Shipper) shipLoop() {
 				// Shipped records aged past one interval with no ack
 				// progress: assume loss and re-ship the whole unacked
 				// window.
-				if s.opts.Stats != nil {
-					s.opts.Stats.SegmentsResent.Add(1)
+				if s.stats != nil {
+					s.stats.SegmentsResent.Add(1)
 				}
 				s.ship(acked+1, false)
 			}
@@ -243,8 +231,8 @@ func (s *Shipper) controlLoop() {
 			}
 			s.mu.Unlock()
 		case CtlNak:
-			if s.opts.Stats != nil {
-				s.opts.Stats.SegmentsResent.Add(1)
+			if s.stats != nil {
+				s.stats.SegmentsResent.Add(1)
 			}
 			s.ship(wal.LSN(m.LSN), false)
 		}

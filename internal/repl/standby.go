@@ -15,13 +15,6 @@ import (
 // bound a restart.
 const flushEvery = 16
 
-// StandbyOpts tunes the standby.
-type StandbyOpts struct {
-	// DB options for the replica engine (pool size, online restart for
-	// promotion, ...). RedoWorkers is also the per-batch apply parallelism.
-	DBOpts db.Options
-}
-
 // Standby owns a replica engine and drives it from a Channel: append each
 // in-order segment to the local log, force it, replay it into the pool
 // with the page-partitioned parallel redo, acknowledge, repeat — forever,
@@ -29,11 +22,10 @@ type StandbyOpts struct {
 // whatever that NAK's re-ship loses.
 type Standby struct {
 	ch   *Channel
-	opts StandbyOpts
+	opts db.Options // the replica engine's; RedoWorkers is also the apply parallelism
 
 	mu       sync.Mutex
 	db       *db.DB
-	epoch    uint64  // the epoch accepted: firstEpoch until Fence bumps it
 	applied  wal.LSN // tail LSN of the last appended-and-applied record
 	promoted bool
 	// naked is the expected LSN of the last NAK sent: every gap frame for
@@ -46,15 +38,15 @@ type Standby struct {
 	done chan struct{}
 }
 
-// NewStandby builds the replica engine on a fresh disk and wires it to the
-// channel. The schema arrives as catalog records in the log it replays.
-func NewStandby(ch *Channel, opts StandbyOpts) *Standby {
+// NewStandby builds the replica engine with opts on a fresh disk and wires
+// it to the channel. The schema arrives as catalog records in the log it
+// replays.
+func NewStandby(ch *Channel, opts db.Options) *Standby {
 	return &Standby{
-		ch:    ch,
-		opts:  opts,
-		db:    db.OpenReplica(opts.DBOpts),
-		epoch: firstEpoch,
-		done:  make(chan struct{}),
+		ch:   ch,
+		opts: opts,
+		db:   db.OpenReplica(opts),
+		done: make(chan struct{}),
 	}
 }
 
@@ -95,7 +87,7 @@ func (s *Standby) handleSegment(frame []byte) {
 	defer s.mu.Unlock()
 	sdb := s.db
 	stats := sdb.Stats()
-	seg, err := wal.DecodeSegment(frame)
+	seg, recs, err := wal.DecodeSegment(frame)
 	if err != nil {
 		// The channel mangled the frame. We cannot even trust its window
 		// bounds, so NAK our tail (once) and let the shipper's retransmit
@@ -104,13 +96,9 @@ func (s *Standby) handleSegment(frame []byte) {
 		s.nakLocked(sdb.Log().NextLSN())
 		return
 	}
-	if seg.Epoch != s.epoch {
-		// Zombie fencing: a dead primacy's stragglers (or a sender from a
-		// future we haven't joined) are rejected wholesale.
-		stats.SegmentsRejected.Add(1)
-		return
-	}
 	if s.promoted || s.err != nil {
+		// Zombie fencing: after Fence every segment is a dead primacy's
+		// straggler, and a stopped standby applies nothing.
 		stats.SegmentsRejected.Add(1)
 		return
 	}
@@ -119,12 +107,11 @@ func (s *Standby) handleSegment(frame []byte) {
 	// delivery). Idempotent by page_LSN anyway, but trimming keeps the
 	// local log append-exact.
 	next := sdb.Log().NextLSN()
-	recs := seg.Records
 	for len(recs) > 0 && recs[0].LSN < next {
 		recs = recs[1:]
 	}
 	if len(recs) == 0 {
-		if len(seg.Records) > 0 {
+		if len(seg.Body) > 0 {
 			stats.SegmentsRejected.Add(1) // pure duplicate
 		}
 		s.ackLocked()
@@ -158,7 +145,7 @@ func (s *Standby) appendApplyLocked(seg *wal.Segment, recs []*wal.Record) {
 	// Force before apply: the pool may steal/flush any replayed page, and
 	// the WAL rule demands its log records be stable first.
 	log.ForceAll()
-	if _, err := recovery.ApplyRecords(sdb.Pool(), recs, s.opts.DBOpts.RedoWorkers, stats); err != nil {
+	if _, err := recovery.ApplyRecords(sdb.Pool(), recs, s.opts.RedoWorkers, stats); err != nil {
 		// The pool saw a record it cannot redo, and the record is already
 		// in the local log, so no re-ship can apply it again: stop here and
 		// leave the error to Promote.
@@ -198,23 +185,20 @@ func (s *Standby) nakLocked(expected wal.LSN) {
 	s.ch.SendControl(Control{Kind: CtlNak, LSN: uint64(expected)})
 }
 
-// Fence stops segment application and bumps the epoch: anything the dead
-// primary still ships is stale from this instant on (rejected and
-// counted). Fence is the first half of Promote, exposed so a harness can
-// capture the exact promoted log base between fencing and promotion.
+// Fence stops segment application: anything the dead primary still ships
+// is stale from this instant on (rejected and counted). Fence is the first
+// half of Promote, exposed so a harness can capture the exact promoted log
+// base between fencing and promotion.
 func (s *Standby) Fence() {
 	s.mu.Lock()
-	if !s.promoted {
-		s.promoted = true
-		s.epoch++
-	}
+	s.promoted = true
 	s.mu.Unlock()
 }
 
-// Promote fences the epoch, then opens the replica as the new primary
+// Promote fences the standby, then opens the replica as the new primary
 // (db.Promote: flush, restart recovery over the shipped log, undo of the
 // dead primary's in-flight transactions). The receive loop keeps running,
-// rejecting — and counting — every late segment from the old epoch, until
+// rejecting — and counting — every late segment from the old primary, until
 // the channel closes. A standby stopped by a redo failure does not open;
 // Promote returns that failure.
 func (s *Standby) Promote() (*db.DB, *recovery.Report, error) {

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,23 +8,30 @@ import (
 	"io"
 )
 
-// Log archiving and shipping. Media recovery needs the log back to the
-// oldest image copy; real systems therefore archive the stable log to
-// offline storage, and a hot standby consumes the same byte stream
-// incrementally. Archive serializes the stable prefix with the on-log
-// record codec, ReadArchive reconstructs a Log from an archive stream, and
-// Segment frames a resumable slice of that stream (epoch, watermarks,
-// per-segment CRC) for continuous shipping over a lossy channel. Archive
-// writes the log's stored record bytes as they are and Segment.Encode
-// re-encodes its records — the same codec a file-backed log would use, read
-// back with DecodeRecord — so the wire format is pinned by tests.
+// Log shipping and archiving. A hot standby consumes the stable log as a
+// stream of segments, and media recovery rolls an image copy forward from an
+// archive; both read one frame format. A segment's body is the stable log's
+// stored bytes from one record start to the stable mark, exactly as the
+// arena holds them, behind a header carrying the sender's watermarks, the
+// body's first LSN and a frame CRC. An archive is the one segment that starts
+// at LSN 1. The sender copies bytes and decodes nothing; a receiver decodes
+// each record once, with DecodeRecord, so the wire format is the log's own.
 
+const segmentMagic = uint32(0x41525347) // "ARSG"
+
+// segment frame layout, all little-endian:
+//
+//	magic u32 | stable u64 | master u64 | first u64 | bodyLen u32 | crc u32 | body
+//
+// The CRC is CRC32-Castagnoli over the header fields before it and the body,
+// so a flipped watermark or first LSN is as detectable as a flipped record
+// byte.
 const (
-	archiveMagic = uint32(0x41524C47) // "ARLG"
-	segmentMagic = uint32(0x41525347) // "ARSG"
+	segCRCOff     = 4 + 8 + 8 + 8 + 4
+	segHeaderSize = segCRCOff + 4
 )
 
-// Typed archive-stream errors. Callers classify with errors.Is.
+// Typed frame errors. Callers classify with errors.Is.
 var (
 	// ErrArchiveTorn reports an archive stream that ends mid-record — the
 	// tail was torn off in transit or on the media, exactly like a torn WAL
@@ -33,44 +39,142 @@ var (
 	// alongside this error, and the caller decides whether the lost
 	// suffix matters.
 	ErrArchiveTorn = errors.New("wal: archive tail torn")
-	// ErrArchiveCorrupt reports corruption in the middle of an archive
-	// stream: a record fails its CRC (or carries a garbage length) while
-	// more data follows. Unlike a torn tail there is no way to trust
-	// anything at or after the damage, so the stream is rejected outright.
-	ErrArchiveCorrupt = errors.New("wal: archive corrupt mid-stream")
-	// ErrSegmentCorrupt reports a replication segment whose frame CRC or
-	// record codec check failed — the channel damaged it in flight. The
-	// receiver discards the frame and NAKs.
-	ErrSegmentCorrupt = errors.New("wal: replication segment corrupt")
+	// ErrSegmentCorrupt reports a frame damaged beyond a torn tail: a bad
+	// magic, length or frame CRC, or a record that fails its codec while
+	// more bytes follow. Nothing at or after the damage can be trusted, so
+	// a standby discards the segment and NAKs, and ReadArchive rejects the
+	// stream outright.
+	ErrSegmentCorrupt = errors.New("wal: log frame corrupt")
 )
 
-// Archive writes the stable log prefix to w: a small header (magic,
-// stable LSN, master LSN) followed by the encoded records. It returns the
-// number of records written.
+// Segment is one resumable slice of the stable log stream: the unit a
+// shipper sends, a standby applies and an archive holds. A receiver finds
+// gaps and duplicates from the records' own LSNs.
+type Segment struct {
+	// Stable and Master are the sender's watermarks at ship time.
+	Stable LSN
+	Master LSN
+	// First is the LSN of Body's first record (the next LSN when Body is
+	// empty).
+	First LSN
+	// Body is the shipped records' stored bytes, contiguous and in LSN
+	// order.
+	Body []byte
+}
+
+// header returns the segment's frame header, CRC included.
+func (s *Segment) header() []byte {
+	h := make([]byte, segHeaderSize)
+	binary.LittleEndian.PutUint32(h[0:4], segmentMagic)
+	binary.LittleEndian.PutUint64(h[4:12], uint64(s.Stable))
+	binary.LittleEndian.PutUint64(h[12:20], uint64(s.Master))
+	binary.LittleEndian.PutUint64(h[20:28], uint64(s.First))
+	binary.LittleEndian.PutUint32(h[28:32], uint32(len(s.Body)))
+	binary.LittleEndian.PutUint32(h[segCRCOff:], frameCRC(h, s.Body))
+	return h
+}
+
+// frameCRC is the CRC of a frame with header hdr and body body.
+func frameCRC(hdr, body []byte) uint32 {
+	return crc32.Update(crc32.Checksum(hdr[:segCRCOff], recCRCTable), recCRCTable, body)
+}
+
+// Encode serializes the segment into one self-checking frame.
+func (s *Segment) Encode() []byte { return append(s.header(), s.Body...) }
+
+// DecodeSegment parses and verifies one segment frame and decodes its
+// records, each at First plus its offset in Body. Any damage returns
+// ErrSegmentCorrupt (wrapped with detail): the channel mangled the frame
+// and the receiver should discard it.
+func DecodeSegment(b []byte) (*Segment, []*Record, error) {
+	return decodeFrame(b, false)
+}
+
+// decodeFrame parses one frame and decodes its records. With torn set it
+// accepts a damaged tail the way a restart accepts a torn log tail: a frame
+// cut short, or one whose last record fails to decode with nothing after it,
+// yields the segment cut to its intact records, the records, and
+// ErrArchiveTorn. Any other damage is ErrSegmentCorrupt.
+func decodeFrame(b []byte, torn bool) (*Segment, []*Record, error) {
+	if len(b) < segHeaderSize || binary.LittleEndian.Uint32(b) != segmentMagic {
+		return nil, nil, fmt.Errorf("%w: no frame header", ErrSegmentCorrupt)
+	}
+	s := &Segment{
+		Stable: LSN(binary.LittleEndian.Uint64(b[4:12])),
+		Master: LSN(binary.LittleEndian.Uint64(b[12:20])),
+		First:  LSN(binary.LittleEndian.Uint64(b[20:28])),
+		Body:   b[segHeaderSize:],
+	}
+	bodyLen := int(binary.LittleEndian.Uint32(b[28:32]))
+	if n := len(s.Body); n > bodyLen || n < bodyLen && !torn {
+		return nil, nil, fmt.Errorf("%w: %d body bytes, header says %d", ErrSegmentCorrupt, n, bodyLen)
+	}
+	intact := len(s.Body) == bodyLen && frameCRC(b, s.Body) == binary.LittleEndian.Uint32(b[segCRCOff:])
+	if !intact && !torn {
+		return nil, nil, fmt.Errorf("%w: frame CRC mismatch", ErrSegmentCorrupt)
+	}
+	var recs []*Record
+	for off := 0; off < len(s.Body); {
+		rec, n, err := DecodeRecord(s.Body[off:])
+		if err != nil {
+			// The record is the tail if it claims every byte left or more.
+			if rest := s.Body[off:]; !torn || len(rest) >= 4 && int(binary.LittleEndian.Uint32(rest)) < len(rest) {
+				return nil, nil, fmt.Errorf("%w: record at LSN %d: %v", ErrSegmentCorrupt, s.First+LSN(off), err)
+			}
+			s.Body = s.Body[:off]
+			return s, recs, ErrArchiveTorn
+		}
+		rec.LSN = s.First + LSN(off)
+		recs = append(recs, rec)
+		off += n
+	}
+	switch {
+	case intact:
+		return s, recs, nil
+	case len(s.Body) < bodyLen:
+		return s, recs, ErrArchiveTorn // the stream stopped at a record boundary
+	}
+	return nil, nil, fmt.Errorf("%w: frame CRC mismatch", ErrSegmentCorrupt)
+}
+
+// ShipFrom builds the segment covering every stable record with
+// LSN >= from; a from inside a record starts at the next record. The body
+// is the log's stored bytes, copied and not decoded, and the watermarks are
+// captured in the same instant — the Archive snapshot contract applied to a
+// suffix. An empty result (nothing new hardened) is a valid heartbeat
+// segment.
+func (l *Log) ShipFrom(from LSN) *Segment {
+	s, _ := l.shipFrom(from)
+	return s
+}
+
+// shipFrom is ShipFrom, also returning the number of records shipped.
+func (l *Log) shipFrom(from LSN) (*Segment, int) {
+	v, stable, master := l.stableView()
+	start, ord := v.locate(uint64(max(from, 1)) - 1)
+	s := &Segment{Stable: stable, Master: master, First: LSN(start + 1), Body: make([]byte, v.end-start)}
+	v.copyOut(s.Body, start)
+	return s, int(v.n - ord)
+}
+
+// Archive writes the stable log prefix to w as one segment frame from
+// LSN 1 and returns the number of records written.
 //
 // Snapshot contract: the archive is exactly the stable prefix at one
-// instant between the call and its return (records and watermarks are
+// instant between the call and its return (bytes and watermarks are
 // captured under a single lock acquisition). Writers may keep appending
 // and forcing concurrently; everything they harden after that instant is
 // excluded, nothing before it is ever missing, and the header's stable LSN
 // always equals the LSN of the last archived record.
 func (l *Log) Archive(w io.Writer) (int, error) {
-	v, stable, master := l.stableView()
-
-	bw := bufio.NewWriter(w)
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], archiveMagic)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(stable))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(master))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	s, n := l.shipFrom(NilLSN + 1)
+	if _, err := w.Write(s.header()); err != nil {
 		return 0, err
 	}
-	for _, b := range v.span(0, v.end) {
-		if _, err := bw.Write(b); err != nil {
-			return 0, err
-		}
+	if _, err := w.Write(s.Body); err != nil {
+		return 0, err
 	}
-	return int(v.n), bw.Flush()
+	return n, nil
 }
 
 // ReadArchive reconstructs a Log from an archive stream. The returned log
@@ -79,182 +183,35 @@ func (l *Log) Archive(w io.Writer) (int, error) {
 //
 // Damage is classified, not silently swallowed:
 //
-//   - A torn tail — the stream simply stops mid-record — is recoverable,
-//     exactly like a torn WAL tail: the intact prefix is returned as a
-//     usable log TOGETHER with ErrArchiveTorn, so the caller can decide
-//     whether the loss matters (media recovery shrugs).
-//   - Mid-stream corruption — a record that fails its CRC or carries a
-//     garbage length while more bytes follow — is unrecoverable: nothing
-//     at or beyond the damage can be trusted to re-frame, so ReadArchive
-//     rejects the stream with ErrArchiveCorrupt.
+//   - A torn tail — the stream stops short of the frame's length, or its
+//     last record fails to decode — is recoverable, exactly like a torn
+//     WAL tail: the intact prefix is returned as a usable log TOGETHER with
+//     ErrArchiveTorn, so the caller can decide whether the loss matters
+//     (media recovery shrugs).
+//   - Any other damage — a record that fails its codec while more bytes
+//     follow, a whole frame that fails its CRC, a frame that does not
+//     start at LSN 1 — is unrecoverable: ReadArchive rejects the stream
+//     with ErrSegmentCorrupt.
 func ReadArchive(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	var hdr [20]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wal: archive header: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wal: archive: %w", err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != archiveMagic {
-		return nil, fmt.Errorf("wal: not a log archive")
+	s, recs, err := decodeFrame(b, true)
+	if err != nil && !errors.Is(err, ErrArchiveTorn) {
+		return nil, err
 	}
-	stable := LSN(binary.LittleEndian.Uint64(hdr[4:12]))
-	master := LSN(binary.LittleEndian.Uint64(hdr[12:20]))
-
+	if s.First != NilLSN+1 {
+		return nil, fmt.Errorf("%w: archive starts at LSN %d", ErrSegmentCorrupt, s.First)
+	}
 	l := NewLog(nil)
-	// moreData reports whether any byte follows the current read position —
-	// the discriminator between a torn tail and mid-stream corruption.
-	moreData := func() bool {
-		_, err := br.Peek(1)
-		return err == nil
-	}
-	var readErr error
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			if err != io.EOF {
-				readErr = ErrArchiveTorn // stream died inside a length prefix
-			}
-			break
-		}
-		total := binary.LittleEndian.Uint32(lenBuf[:])
-		if total < recHeaderSize {
-			if moreData() {
-				return nil, fmt.Errorf("%w: record length %d", ErrArchiveCorrupt, total)
-			}
-			readErr = ErrArchiveTorn
-			break
-		}
-		buf := make([]byte, total)
-		copy(buf, lenBuf[:])
-		if _, err := io.ReadFull(br, buf[4:]); err != nil {
-			readErr = ErrArchiveTorn // record body truncated: the stream ended here
-			break
-		}
-		rec, _, err := DecodeRecord(buf)
-		if err != nil {
-			if moreData() {
-				return nil, fmt.Errorf("%w: %v", ErrArchiveCorrupt, err)
-			}
-			readErr = ErrArchiveTorn // bad CRC on the final record: torn tail
-			break
-		}
+	for _, rec := range recs {
 		l.Append(rec)
 	}
-	if max := l.MaxLSN(); stable > max {
-		stable = max // archive tail was lost; clamp the stable mark
-	}
+	stable := min(s.Stable, l.MaxLSN()) // a lost tail clamps the stable mark
 	l.Force(stable)
-	if master != NilLSN && master <= stable {
-		l.SetMaster(master)
+	if s.Master != NilLSN && s.Master <= stable {
+		l.SetMaster(s.Master)
 	}
-	return l, readErr
-}
-
-// Segment is one resumable slice of the stable log stream: the unit a
-// shipper sends and a standby applies. Its framing is what a receiver
-// reads: an epoch for zombie-primary fencing, the shipper's stable and
-// master watermarks, and a whole-frame CRC. A receiver finds gaps and
-// duplicates from the records' own LSNs.
-type Segment struct {
-	// Epoch is the cluster generation the sender believes it leads. A
-	// receiver that has promoted past this epoch rejects the segment: the
-	// sender is a zombie of a dead primacy.
-	Epoch uint64
-	// Stable and Master are the sender's watermarks at ship time.
-	Stable LSN
-	Master LSN
-	// Records is the shipped log slice, contiguous and in LSN order.
-	Records []*Record
-}
-
-// segment frame layout, all little-endian:
-//
-//	magic u32 | epoch u64 | stable u64 | master u64 | firstLSN u64 |
-//	count u32 | bodyLen u32 | crc u32 | body (count × encoded records)
-//
-// The CRC is CRC32-Castagnoli over the entire frame with the crc field
-// zeroed — header fields included, so a flipped epoch or LSN is as
-// detectable as a flipped payload byte.
-const segHeaderSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4
-
-// Encode serializes the segment into one self-checking frame.
-func (s *Segment) Encode() []byte {
-	bodyLen := 0
-	for _, r := range s.Records {
-		bodyLen += r.EncodedSize()
-	}
-	b := make([]byte, segHeaderSize+bodyLen)
-	binary.LittleEndian.PutUint32(b[0:4], segmentMagic)
-	binary.LittleEndian.PutUint64(b[4:12], s.Epoch)
-	binary.LittleEndian.PutUint64(b[12:20], uint64(s.Stable))
-	binary.LittleEndian.PutUint64(b[20:28], uint64(s.Master))
-	if len(s.Records) > 0 {
-		binary.LittleEndian.PutUint64(b[28:36], uint64(s.Records[0].LSN))
-	}
-	binary.LittleEndian.PutUint32(b[36:40], uint32(len(s.Records)))
-	binary.LittleEndian.PutUint32(b[40:44], uint32(bodyLen))
-	// crc at [44:48] stays zero while hashing.
-	off := segHeaderSize
-	for _, r := range s.Records {
-		r.encodeTo(b[off : off+r.EncodedSize()])
-		off += r.EncodedSize()
-	}
-	binary.LittleEndian.PutUint32(b[44:48], crc32.Checksum(b, recCRCTable))
-	return b
-}
-
-// DecodeSegment parses and verifies one segment frame. Any damage — bad
-// magic, bad frame CRC, bad lengths, a record that fails its own codec, or
-// a record stream that is not contiguous in LSN — returns ErrSegmentCorrupt
-// (wrapped with detail): the channel mangled the frame and the receiver
-// should discard it.
-func DecodeSegment(b []byte) (*Segment, error) {
-	if len(b) < segHeaderSize {
-		return nil, fmt.Errorf("%w: frame %d bytes", ErrSegmentCorrupt, len(b))
-	}
-	if binary.LittleEndian.Uint32(b[0:4]) != segmentMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrSegmentCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint32(b[36:40]))
-	bodyLen := int(binary.LittleEndian.Uint32(b[40:44]))
-	if segHeaderSize+bodyLen != len(b) {
-		return nil, fmt.Errorf("%w: frame length mismatch", ErrSegmentCorrupt)
-	}
-	stored := binary.LittleEndian.Uint32(b[44:48])
-	check := make([]byte, len(b))
-	copy(check, b)
-	binary.LittleEndian.PutUint32(check[44:48], 0)
-	if stored != crc32.Checksum(check, recCRCTable) {
-		return nil, fmt.Errorf("%w: frame CRC mismatch", ErrSegmentCorrupt)
-	}
-	s := &Segment{
-		Epoch:  binary.LittleEndian.Uint64(b[4:12]),
-		Stable: LSN(binary.LittleEndian.Uint64(b[12:20])),
-		Master: LSN(binary.LittleEndian.Uint64(b[20:28])),
-	}
-	body := b[segHeaderSize:]
-	lsn := LSN(binary.LittleEndian.Uint64(b[28:36]))
-	for i := 0; i < count; i++ {
-		rec, n, err := DecodeRecord(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrSegmentCorrupt, i, err)
-		}
-		rec.LSN = lsn
-		lsn += LSN(n)
-		s.Records = append(s.Records, rec)
-		body = body[n:]
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing body bytes", ErrSegmentCorrupt, len(body))
-	}
-	return s, nil
-}
-
-// ShipFrom builds the segment covering every stable record with
-// LSN >= from, stamped with the given epoch. The records are decoded like
-// SnapshotStable's, and the watermarks are captured in the same instant as
-// the records — the Archive snapshot contract applied to a suffix. An
-// empty result (nothing new hardened) is a valid heartbeat segment.
-func (l *Log) ShipFrom(from LSN, epoch uint64) *Segment {
-	recs, stable, master := l.SnapshotStable(from)
-	return &Segment{Epoch: epoch, Stable: stable, Master: master, Records: recs}
+	return l, err
 }

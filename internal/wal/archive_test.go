@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -104,8 +105,8 @@ func TestReadArchiveMidStreamCorruption(t *testing.T) {
 	b := append([]byte(nil), buf.Bytes()...)
 	b[len(b)/2] ^= 0x40
 	got, err := ReadArchive(bytes.NewReader(b))
-	if !errors.Is(err, ErrArchiveCorrupt) {
-		t.Fatalf("mid-stream corruption: err = %v, want ErrArchiveCorrupt", err)
+	if !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("mid-stream corruption: err = %v, want ErrSegmentCorrupt", err)
 	}
 	if got != nil {
 		t.Fatal("corrupt archive must not yield a partial log")
@@ -184,49 +185,67 @@ func TestArchiveMidBurst(t *testing.T) {
 	<-done
 }
 
+// TestSegmentRoundTrip: a segment's body is the arena's stored bytes from
+// the first record at or after from — a from inside a record, as the
+// shipper's acked+1 retransmit asks, starts at the next one — and the frame
+// decodes back to the same header, body and records.
 func TestSegmentRoundTrip(t *testing.T) {
 	l := NewLog(nil)
+	var lsns []LSN
 	var prev LSN
 	for i := 0; i < 20; i++ {
 		prev = l.Append(upd(TxID(i%3+1), prev, storage.PageID(i%5), "segment payload"))
+		lsns = append(lsns, prev)
 	}
 	l.Force(prev)
-	seg := l.ShipFrom(NilLSN+1, 7)
-	if last := seg.Records[len(seg.Records)-1].LSN; last != l.StableLSN() {
-		t.Fatalf("segment tail %d != stable %d", last, l.StableLSN())
-	}
-	got, err := DecodeSegment(seg.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 7 || got.Stable != seg.Stable || got.Master != seg.Master {
-		t.Fatalf("header mismatch: %+v vs %+v", got, seg)
-	}
-	if len(got.Records) != len(seg.Records) {
-		t.Fatalf("%d records, want %d", len(got.Records), len(seg.Records))
-	}
-	for i := range seg.Records {
-		if got.Records[i].LSN != seg.Records[i].LSN ||
-			got.Records[i].String() != seg.Records[i].String() {
-			t.Fatalf("record %d differs:\n  %s\n  %s", i, seg.Records[i], got.Records[i])
+	l.SetMaster(lsns[5])
+	// stored concatenates the stored images of the records from LSN from on.
+	stored := func(from LSN) []byte {
+		v := l.snapshot()
+		var b []byte
+		for off := uint64(from) - 1; off < v.end; off += uint64(v.size(off)) {
+			b = append(b, v.stored(off)...)
 		}
+		return b
 	}
-	// Resumable: ship only the suffix after an already-applied point.
-	mid := seg.Records[10].LSN
-	suffix := l.ShipFrom(mid, 7)
-	if len(suffix.Records) != 10 || suffix.Records[0].LSN != mid {
-		t.Fatalf("suffix ships %d records, want 10 from %d", len(suffix.Records), mid)
-	}
-	if got, err := DecodeSegment(suffix.Encode()); err != nil || got.Records[0].LSN != mid {
-		t.Fatalf("suffix decodes: %v", err)
-	}
-	// Empty segment (heartbeat) round-trips too.
-	hb := l.ShipFrom(l.StableLSN()+1, 7)
-	if len(hb.Records) != 0 {
-		t.Fatalf("heartbeat: %d records", len(hb.Records))
-	}
-	if _, err := DecodeSegment(hb.Encode()); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name        string
+		from, first LSN
+	}{
+		{"whole log", NilLSN + 1, lsns[0]},
+		{"suffix", lsns[10], lsns[10]},
+		{"mid-record from", lsns[10] + 1, lsns[11]},
+		{"heartbeat", l.StableLSN() + 1, l.NextLSN()},
+	} {
+		seg := l.ShipFrom(c.from)
+		if seg.First != c.first || seg.Stable != l.StableLSN() || seg.Master != lsns[5] {
+			t.Fatalf("%s: header %d/%d/%d, want first %d, stable %d, master %d",
+				c.name, seg.First, seg.Stable, seg.Master, c.first, l.StableLSN(), lsns[5])
+		}
+		if !bytes.Equal(seg.Body, stored(c.first)) {
+			t.Fatalf("%s: body differs from the log's stored bytes", c.name)
+		}
+		got, recs, err := DecodeSegment(seg.Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got.Stable != seg.Stable || got.Master != seg.Master || got.First != seg.First || !bytes.Equal(got.Body, seg.Body) {
+			t.Fatalf("%s: decoded %+v, shipped %+v", c.name, got, seg)
+		}
+		var want []LSN
+		for _, lsn := range lsns {
+			if lsn >= c.first {
+				want = append(want, lsn)
+			}
+		}
+		if len(recs) != len(want) {
+			t.Fatalf("%s: %d records, want %d", c.name, len(recs), len(want))
+		}
+		for i, r := range recs {
+			if r.LSN != want[i] || !bytes.Equal(r.Encode(), stored(want[i])[:r.EncodedSize()]) {
+				t.Fatalf("%s: record %d is %v, want the stored record at LSN %d", c.name, i, r, want[i])
+			}
+		}
 	}
 }
 
@@ -237,23 +256,24 @@ func TestSegmentDetectsCorruption(t *testing.T) {
 		prev = l.Append(upd(1, prev, storage.PageID(i), "corrupt-me"))
 	}
 	l.Force(prev)
-	clean := l.ShipFrom(NilLSN+1, 3).Encode()
+	clean := l.ShipFrom(NilLSN + 1).Encode()
 	// Every single-byte flip anywhere in the frame must be caught: one in
-	// each header field, then the body.
-	for _, pos := range []int{0, 5, 13, 21, 29, 37, 41, 45, segHeaderSize + 1, len(clean) / 2, len(clean) - 1} {
+	// each header field (magic, stable, master, first, bodyLen, crc), then
+	// the body.
+	for _, pos := range []int{0, 5, 13, 21, 29, 33, segHeaderSize + 1, len(clean) / 2, len(clean) - 1} {
 		b := append([]byte(nil), clean...)
 		b[pos] ^= 0x01
-		if _, err := DecodeSegment(b); !errors.Is(err, ErrSegmentCorrupt) {
+		if _, _, err := DecodeSegment(b); !errors.Is(err, ErrSegmentCorrupt) {
 			t.Fatalf("flip at %d: err = %v, want ErrSegmentCorrupt", pos, err)
 		}
 	}
-	// Truncation too.
-	for _, cut := range []int{0, 3, segHeaderSize - 1, len(clean) - 1} {
-		if _, err := DecodeSegment(clean[:cut]); !errors.Is(err, ErrSegmentCorrupt) {
-			t.Fatalf("cut to %d: err = %v, want ErrSegmentCorrupt", cut, err)
+	// Truncation too, and a byte past the frame.
+	for _, b := range [][]byte{clean[:0], clean[:3], clean[:segHeaderSize-1], clean[:len(clean)-1], append(clean[:len(clean):len(clean)], 0)} {
+		if _, _, err := DecodeSegment(b); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("%d-byte frame: err = %v, want ErrSegmentCorrupt", len(b), err)
 		}
 	}
-	if _, err := DecodeSegment(clean); err != nil {
+	if _, _, err := DecodeSegment(clean); err != nil {
 		t.Fatalf("clean frame rejected: %v", err)
 	}
 }
@@ -269,4 +289,57 @@ func TestArchiveEmptyLog(t *testing.T) {
 	if err != nil || got.NumRecords() != 0 {
 		t.Fatalf("ReadArchive empty: %d records, %v", got.NumRecords(), err)
 	}
+}
+
+// sealFrame returns a copy of b, at least a frame header long, with the
+// header's body length and CRC made to match the bytes after it.
+func sealFrame(b []byte) []byte {
+	s := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(s[28:32], uint32(len(s)-segHeaderSize))
+	binary.LittleEndian.PutUint32(s[segCRCOff:], frameCRC(s, s[segHeaderSize:]))
+	return s
+}
+
+// FuzzDecodeSegment: on any bytes, raw or sealed with a matching length and
+// CRC, DecodeSegment errors or returns records whose encodings, concatenated,
+// are the body, each at First plus its offset; and ReadArchive never panics
+// and returns only logs whose records pass CodecRoundTrip.
+//
+//	go test -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s ./internal/wal
+func FuzzDecodeSegment(f *testing.F) {
+	l := NewLog(nil)
+	var prev LSN
+	for i := 0; i < 4; i++ {
+		prev = l.Append(upd(TxID(i+1), prev, storage.PageID(i+2), "fuzz"))
+	}
+	l.Force(prev)
+	clean := l.ShipFrom(NilLSN + 1).Encode()
+	f.Add(clean)
+	f.Add(l.ShipFrom(l.StableLSN() + 1).Encode()) // a heartbeat
+	f.Add(clean[:len(clean)-5])                   // a truncated frame
+	f.Fuzz(func(t *testing.T, b []byte) {
+		inputs := [][]byte{b}
+		if len(b) >= segHeaderSize {
+			inputs = append(inputs, sealFrame(b))
+		}
+		for _, in := range inputs {
+			if seg, recs, err := DecodeSegment(in); err == nil {
+				var body []byte
+				for _, r := range recs {
+					if r.LSN != seg.First+LSN(len(body)) {
+						t.Fatalf("record %v at body offset %d of a segment from %d", r, len(body), seg.First)
+					}
+					body = append(body, r.Encode()...)
+				}
+				if !bytes.Equal(body, seg.Body) {
+					t.Fatalf("records re-encode to %x, body is %x", body, seg.Body)
+				}
+			}
+			if got, _ := ReadArchive(bytes.NewReader(in)); got != nil {
+				if err := got.CodecRoundTrip(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
 }

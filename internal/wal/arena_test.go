@@ -105,7 +105,7 @@ func sameRecord(t *testing.T, what string, got, want *Record, lsn LSN) {
 
 // TestRecordsSpanningChunks: a record whose length field straddles a chunk
 // boundary, one whose payload does, and one longer than two chunks read back
-// intact through every reader and both wire formats.
+// intact through every reader, an archive and a segment.
 func TestRecordsSpanningChunks(t *testing.T) {
 	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 	first := &Record{Type: RecUpdate, TxID: 1, Page: 3, Op: OpIdxFormat}
@@ -166,18 +166,17 @@ func TestRecordsSpanningChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seg := l.ShipFrom(lsns[1], 1)
-	frame := seg.Encode()
-	// The archive holds the stored bytes after its 20-byte header; the
-	// segment's body re-encodes the same records and must match them.
-	if !bytes.Equal(frame[segHeaderSize:], archived[20+lsns[1]-1:]) {
+	// The archive is the segment from LSN 1, so a suffix's body is the
+	// archive's bytes from that record on.
+	seg := l.ShipFrom(lsns[1])
+	if !bytes.Equal(seg.Body, archived[segHeaderSize+lsns[1]-1:]) {
 		t.Fatal("segment body differs from the log's stored bytes")
 	}
-	got, err := DecodeSegment(frame)
+	_, recs, err := DecodeSegment(seg.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("DecodeSegment", append([]*Record{l.Records(1)[0]}, got.Records...))
+	check("DecodeSegment", append([]*Record{l.Records(1)[0]}, recs...))
 }
 
 // TestCloneThenAppendToBoth: a clone taken mid-chunk, and mid-way through the

@@ -448,9 +448,9 @@ func (l *Log) SnapshotFrom(from LSN) []*Record {
 }
 
 // SnapshotStable returns every record with from <= LSN <= stable, decoded
-// like SnapshotFrom, together with the stable and master LSNs — the
-// consistent stable-prefix snapshot the archive and the log shipper are
-// defined against. The stable mark can only cover watermarked records
+// like SnapshotFrom, together with the stable and master LSNs — the same
+// stable-prefix cut the archive and the log shipper copy as bytes. The
+// stable mark can only cover watermarked records
 // (Force awaits the watermark before advancing it), so the snapshot is
 // hole-free by construction; concurrent appends and forces racing the call
 // can only land strictly after the returned prefix.

@@ -319,19 +319,6 @@ func (v *view) stored(off uint64) []byte {
 	return b
 }
 
-// span returns the arena bytes [off, end) as slices of the chunks, in order
-// (empty, not nil, for an empty range).
-func (v *view) span(off, end uint64) [][]byte {
-	out := [][]byte{}
-	for off < end {
-		lo := off & chunkMask
-		n := min(end-off, chunkSize-lo)
-		out = append(out, v.chunks[off>>chunkShift].b[lo:lo+n:lo+n])
-		off += n
-	}
-	return out
-}
-
 // records decodes the n records starting at offset off into one backing
 // array.
 func (v *view) records(off, n uint64) []*Record {
