@@ -11,13 +11,14 @@ vet:
 	$(GO) vet ./...
 
 # Blocking static analysis. The in-repo std-lib linter always runs: gofmt
-# cleanliness, a handful of AST checks, and three gates staticcheck has
+# cleanliness, a handful of AST checks, and four gates staticcheck has
 # no notion of — no lock-manager call and no Commit on the snapshot read
 # path (db, mvcc and core), no exclusive mutex on the log append path
-# (wal.Append / reserveFill), and no storage.Page mutator on a buffer
+# (wal.Append / reserveFill), no storage.Page mutator on a buffer
 # frame's page in core, data and space (a logged page action is applied
 # by its resource manager's ApplyRedo, through txn.Tx.ApplyUpdate /
-# ApplyCLR).
+# ApplyCLR), and no `stats` field compared with nil (x.stats != nil:
+# constructors substitute a fresh trace.Stats, so no sink is nil).
 # staticcheck runs as well where it is installed.
 staticcheck:
 	$(GO) run ./cmd/ariesim-lint ./...

@@ -54,7 +54,6 @@ var tables = []struct {
 // run prints the named table — or, for "all", every table with a blank line
 // after each — to w.
 func run(w io.Writer, table string) error {
-	lock.RegisterTraceNames()
 	found := false
 	for _, t := range tables {
 		if table == "all" || table == t.name {

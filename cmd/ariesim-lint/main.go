@@ -20,6 +20,9 @@
 //     page only through its resource manager's ApplyRedo, which
 //     txn.Tx.ApplyUpdate / ApplyCLR run on the record they log (redo arms
 //     change their *storage.Page parameter, which is not a frame's page)
+//   - a field named stats compared with nil: every constructor that takes
+//     a *trace.Stats substitutes a fresh sink for nil, so no component
+//     holds a nil one and such a guard is dead code
 //
 // Usage mirrors the go tool: `ariesim-lint ./...` walks the tree rooted at
 // the current directory; bare directory arguments lint just that package
@@ -163,7 +166,31 @@ func lintFile(path string) (int, parsedFile) {
 		}
 		return true
 	})
-	return n, parsedFile{path: path, fset: fset, file: f}
+	pf := parsedFile{path: path, fset: fset, file: f}
+	return n + lintStatsGuards(pf), pf
+}
+
+// lintStatsGuards reports every comparison of a field named stats with nil
+// in pf. A constructor's stats parameter is an identifier, not a field, so
+// the substitution itself is not flagged.
+func lintStatsGuards(pf parsedFile) int {
+	n := 0
+	ast.Inspect(pf.file, func(node ast.Node) bool {
+		x, ok := node.(*ast.BinaryExpr)
+		if !ok || (x.Op != token.EQL && x.Op != token.NEQ) {
+			return true
+		}
+		for _, pair := range [][2]ast.Expr{{x.X, x.Y}, {x.Y, x.X}} {
+			sel, isSel := pair[0].(*ast.SelectorExpr)
+			id, isIdent := pair[1].(*ast.Ident)
+			if isSel && sel.Sel.Name == "stats" && isIdent && id.Name == "nil" {
+				report(pf.fset.Position(x.Pos()), "stats field compared with nil; constructors substitute a fresh trace.Stats, so the sink is never nil")
+				n++
+			}
+		}
+		return true
+	})
+	return n
 }
 
 // pathCheck is a reachability gate over a name-based call graph: starting

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -425,5 +426,61 @@ func replay(f *buffer.Frame, lsn uint64) { f.Page.SetLSN(lsn) }
 `
 	if n := lintFramePageMutations([]parsedFile{parseSrc(t, "other.go", other)}); n != 0 {
 		t.Fatalf("package recovery flagged %d finding(s); want 0", n)
+	}
+}
+
+// TestStatsNilGuardFlagged holds the never-nil sink rule to the tree: every
+// Go file of the module passes, and a guard put back on a log's sink fails. A constructor comparing its stats parameter and db.Options
+// comparing its Stats field are not guards on a held sink, and pass.
+func TestStatsNilGuardFlagged(t *testing.T) {
+	files := 0
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../.." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return fs.SkipDir
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files++
+		if n := lintStatsGuards(parseSrc(t, path, string(src))); n != 0 {
+			t.Errorf("%s: %d stats nil guard(s); want 0", path, n)
+		}
+		return nil
+	})
+	if err != nil || files < 100 {
+		t.Fatalf("walked %d Go files: %v", files, err)
+	}
+	// Assembled from two parts, so that grepping the tree for the guard
+	// finds none.
+	guard := "if l.stats " + "!= nil {"
+	guarded := parseSrc(t, "guarded.go", "package wal\n\nfunc (l *Log) flushed() {\n\t"+guard+"\n\t\tl.stats.LogForces.Add(1)\n\t}\n}\n")
+	if n := lintStatsGuards(guarded); n != 1 {
+		t.Fatalf("%s flagged %d time(s); want 1", guard, n)
+	}
+	allowed := parseSrc(t, "allowed.go", `package db
+
+func NewLog(stats *Stats) *Log {
+	if stats == nil {
+		stats = &Stats{}
+	}
+	return &Log{stats: stats}
+}
+
+func (o Options) withDefaults() Options {
+	if o.Stats == nil {
+		o.Stats = &Stats{}
+	}
+	return o
+}
+`)
+	if n := lintStatsGuards(allowed); n != 0 {
+		t.Fatalf("a constructor's parameter check and o.Stats flagged %d time(s); want 0", n)
 	}
 }

@@ -100,9 +100,7 @@ func (p *Pool) CleanPass(batch int) int {
 	for i := range p.shards {
 		total += p.cleanShard(&p.shards[i], batch)
 	}
-	if p.stats != nil {
-		p.stats.CleanerPasses.Add(1)
-	}
+	p.stats.CleanerPasses.Add(1)
 	return total
 }
 
@@ -151,9 +149,7 @@ func (p *Pool) cleanShard(s *poolShard, batch int) int {
 	for _, f := range victims {
 		if err := p.writeBack(f); err == nil {
 			cleaned++
-			if p.stats != nil {
-				p.stats.CleanerWrites.Add(1)
-			}
+			p.stats.CleanerWrites.Add(1)
 		}
 		// Plain unpin, not Unfix: cleaning must not set the reference bit.
 		f.pins.Add(-1)

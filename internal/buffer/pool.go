@@ -201,9 +201,7 @@ func (p *Pool) rebind(s *poolShard, f *Frame, id storage.PageID) {
 	}
 	if f.id != storage.InvalidPageID {
 		delete(s.frames, f.id)
-		if p.stats != nil {
-			p.stats.PageEvicted.Add(1)
-		}
+		p.stats.PageEvicted.Add(1)
 	}
 	f.id = id
 	f.loadErr = nil
@@ -275,7 +273,7 @@ func NewPoolWith(disk *storage.Disk, log *wal.Log, cfg Config, stats *trace.Stat
 	p := &Pool{
 		disk:     disk,
 		log:      log,
-		stats:    stats,
+		stats:    trace.OrNew(stats),
 		capacity: cfg.Capacity,
 		shards:   make([]poolShard, n),
 		mask:     uint64(n - 1),
@@ -390,14 +388,10 @@ func (p *Pool) readPage(id storage.PageID, buf []byte) error {
 			if attempt >= maxIORetries {
 				return err
 			}
-			if p.stats != nil {
-				p.stats.IORetries.Add(1)
-			}
+			p.stats.IORetries.Add(1)
 			time.Sleep(backoff(attempt))
 		case errors.Is(err, storage.ErrChecksum) || errors.Is(err, storage.ErrPermanentIO):
-			if p.stats != nil {
-				p.stats.CorruptPages.Add(1)
-			}
+			p.stats.CorruptPages.Add(1)
 			// Recovery's own rebuild write may be torn or flipped by the
 			// same faulty device, so allow a few rounds; a fault injector
 			// that caps consecutive faults guarantees convergence.
@@ -426,9 +420,7 @@ func (p *Pool) writePage(id storage.PageID, buf []byte) error {
 		if !errors.Is(err, storage.ErrTransientIO) || attempt >= maxIORetries {
 			return err
 		}
-		if p.stats != nil {
-			p.stats.IORetries.Add(1)
-		}
+		p.stats.IORetries.Add(1)
 		time.Sleep(backoff(attempt))
 	}
 }
@@ -445,9 +437,7 @@ func (p *Pool) Fix(id storage.PageID) (*Frame, error) {
 	if id == storage.InvalidPageID {
 		return nil, errors.New("buffer: fix of invalid page 0")
 	}
-	if p.stats != nil {
-		p.stats.PageFixes.Add(1)
-	}
+	p.stats.PageFixes.Add(1)
 	s := p.shardOf(id)
 	for stalls := 0; ; {
 		s.mu.Lock()
@@ -458,9 +448,7 @@ func (p *Pool) Fix(id storage.PageID) (*Frame, error) {
 			// Park until the frame's read (if any) completes; on a loaded
 			// frame this is a single atomic load.
 			if hit.loading.Load() {
-				if p.stats != nil {
-					p.stats.FixParks.Add(1)
-				}
+				p.stats.FixParks.Add(1)
 				hit.awaitLoad()
 			}
 			if err := hit.loadErr; err != nil {
@@ -479,9 +467,7 @@ func (p *Pool) Fix(id storage.PageID) (*Frame, error) {
 				s.mu.Unlock()
 				continue
 			}
-			if p.stats != nil {
-				p.stats.PageMisses.Add(1)
-			}
+			p.stats.PageMisses.Add(1)
 			p.rebind(s, f, id)
 			s.mu.Unlock()
 			return p.load(s, f)
@@ -492,9 +478,7 @@ func (p *Pool) Fix(id storage.PageID) (*Frame, error) {
 		}
 		// Transient full-pin: every candidate was pinned at this instant.
 		// Wait out the pin holders and retry instead of failing the caller.
-		if p.stats != nil {
-			p.stats.EvictionStalls.Add(1)
-		}
+		p.stats.EvictionStalls.Add(1)
 		wait := backoff(stalls)
 		if wait > maxStallBackoff {
 			wait = maxStallBackoff
@@ -597,9 +581,7 @@ func (p *Pool) victimLocked(s *poolShard) (*Frame, error) {
 			// Dirty victim: pin it (under s.mu, so the zero pin count we saw
 			// cannot change concurrently) and do the steal outside the lock.
 			f.pins.Add(1)
-			if p.stats != nil {
-				p.stats.EvictionsDirty.Add(1)
-			}
+			p.stats.EvictionsDirty.Add(1)
 			s.mu.Unlock()
 			err := p.writeBack(f)
 			s.mu.Lock()
@@ -640,9 +622,7 @@ func (p *Pool) writeBack(f *Frame) error {
 		return err
 	}
 	f.markClean()
-	if p.stats != nil {
-		p.stats.PageWrites.Add(1)
-	}
+	p.stats.PageWrites.Add(1)
 	return nil
 }
 

@@ -488,7 +488,7 @@ func TestRollbackOfSplitKeepsSMO(t *testing.T) {
 	e.checkTree(ix)
 	e.expectKeys(ix, want)
 	// No split may have been undone: the log contains no OpIdxUnsplitLeft.
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Op == wal.OpIdxUnsplitLeft {
 			t.Fatal("completed split was undone by rollback")
 		}
@@ -648,7 +648,7 @@ func TestSplitLogIsRedoable(t *testing.T) {
 	e.commit(tx)
 
 	rebuilt := map[storage.PageID]*storage.Page{}
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if !r.Redoable() || r.Page == storage.FSMPageID {
 			continue
 		}
@@ -684,7 +684,7 @@ func TestIndexSpecificLockingLocksKeyValues(t *testing.T) {
 	tx := e.tm.Begin()
 	e.mustInsert(tx, ix, key(1))
 	// The inserted key's value is X-locked in the key-value space.
-	if e.stats.LockCalls(int(lock.SpaceKeyValue), int(lock.X), int(lock.Commit)) == 0 {
+	if e.stats.Snap().LockCalls[lock.SpaceKeyValue][lock.X][lock.Commit] == 0 {
 		t.Fatal("index-specific insert did not lock the key value")
 	}
 	e.commit(tx)
@@ -692,7 +692,6 @@ func TestIndexSpecificLockingLocksKeyValues(t *testing.T) {
 
 func TestStatsLockTableRendering(t *testing.T) {
 	e := newEnv(t, 512, 64)
-	lock.RegisterTraceNames()
 	ix := e.createIndex(Config{ID: 1})
 	tx := e.tm.Begin()
 	e.mustInsert(tx, ix, key(1))

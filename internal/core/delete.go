@@ -115,9 +115,7 @@ func (ix *Index) Delete(tx *txn.Tx, key storage.Key) error {
 				heldTree = ix.treeAcquireS()
 				continue // revalidate with the POSC held
 			}
-			if ix.stats != nil {
-				ix.stats.DeleteBitPOSCs.Add(1)
-			}
+			ix.stats.DeleteBitPOSCs.Add(1)
 		}
 
 		pre := leaf.Page.Flags()

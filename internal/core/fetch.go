@@ -241,9 +241,7 @@ func (ix *Index) step(c *Cursor) (found, error) {
 		}
 		return ix.findFrom(f, probeAfter(c.key))
 	}
-	if ix.stats != nil {
-		ix.stats.LeafReposition.Add(1)
-	}
+	ix.stats.LeafReposition.Add(1)
 	ix.unfixLatched(f, latch.S)
 	probe := probeAfter(c.key)
 	leaf, err := ix.traverse(probe, false)

@@ -72,7 +72,7 @@ func TestFigure1LogicalUndo(t *testing.T) {
 	}
 	// The CLR compensating the insert targets P2.
 	var clr *wal.Record
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Type == wal.RecCLR && r.Op == wal.OpIdxDeleteKey && r.TxID == t1.ID {
 			clr = r
 		}
@@ -417,7 +417,7 @@ func TestFigure9SplitLogSequence(t *testing.T) {
 	e.commit(setup)
 
 	// The splitting transaction is the one that inserted the last key.
-	recs := e.log.Records(1)
+	recs := e.log.SnapshotFrom(1)
 	var dummyIdx, firstSMOIdx, insertIdx = -1, -1, -1
 	for j, r := range recs {
 		switch {
@@ -478,7 +478,7 @@ func TestFigure10PageDeleteLogSequence(t *testing.T) {
 	}
 	e.commit(tx)
 
-	recs := e.log.Records(1)
+	recs := e.log.SnapshotFrom(1)
 	// Find the first dummy CLR of tx and the key delete preceding it.
 	for j, r := range recs {
 		if r.Type == wal.RecDummyCLR && r.TxID == tx.ID {
@@ -765,7 +765,7 @@ func TestStaleSMBitIsSteppedOver(t *testing.T) {
 	if n := e.stats.AmbiguityRestarts.Load(); n != 0 {
 		t.Fatalf("%d ambiguity restarts past a stale SM_Bit, want 0", n)
 	}
-	for _, r := range e.log.Records(from) {
+	for _, r := range e.log.SnapshotFrom(from) {
 		if r.Op == wal.OpIdxSetBits {
 			t.Fatalf("a fetch logged a bit reset on page %d", r.Page)
 		}

@@ -46,7 +46,7 @@ type Manager struct {
 
 // NewManager creates an index manager over pool.
 func NewManager(pool *buffer.Pool, stats *trace.Stats) *Manager {
-	return &Manager{pool: pool, stats: stats, indexes: make(map[uint32]*Index)}
+	return &Manager{pool: pool, stats: trace.OrNew(stats), indexes: make(map[uint32]*Index)}
 }
 
 // Index is one B+-tree. The root page ID is fixed for the index's

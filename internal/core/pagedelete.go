@@ -58,10 +58,8 @@ func (ix *Index) deleteEmptyingLeaf(tx *txn.Tx, leafID storage.PageID, key stora
 		return true, nil
 	}
 
-	if ix.stats != nil {
-		ix.stats.SMOs.Add(1)
-		ix.stats.PageDeletes.Add(1)
-	}
+	ix.stats.SMOs.Add(1)
+	ix.stats.PageDeletes.Add(1)
 	// The emptying delete, logged BEFORE the NTA so that rollback undoes
 	// it (Fig 10: the dummy CLR will point at this record).
 	keyDelPrev := tx.LastLSN()

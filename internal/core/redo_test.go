@@ -128,7 +128,7 @@ func splitRollbackRoundTrip(t *testing.T, left formatPayload, from int) {
 			t.Fatalf("split-left pointers: next=%d rightmost=%d", p.Next(), p.Rightmost())
 		}
 	})
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Op == wal.OpIdxSplitLeft && len(r.Payload) != 26+len(pl.Promoted) {
 			t.Fatalf("a %d-byte split-left payload for a %d-byte promoted key: it carries cells", len(r.Payload), len(pl.Promoted))
 		}
@@ -148,7 +148,7 @@ func splitRollbackRoundTrip(t *testing.T, left formatPayload, from int) {
 		}
 	})
 	clrs := 0
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.IsCLR() && r.Op == wal.OpIdxUnsplitLeft {
 			clrs++
 			u, err := decodeUnsplitLeft(r.Payload)
@@ -355,7 +355,7 @@ func TestRedoPushDownRoundTrip(t *testing.T) {
 		t.Fatalf("the child holds %s, want the root's %s", got, want)
 	}
 	var fwd *wal.Record
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Op == wal.OpIdxFormatRoot {
 			fwd = r
 		}

@@ -24,17 +24,13 @@ const maxRestarts = 10000
 //
 // The returned frame is latched S for reads and X for updates (forUpdate).
 func (ix *Index) traverse(probe storage.Key, forUpdate bool) (*buffer.Frame, error) {
-	if ix.stats != nil {
-		ix.stats.Traversals.Add(1)
-	}
+	ix.stats.Traversals.Add(1)
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		f, ambiguous, err := ix.descend(probe, forUpdate)
 		if err != nil || !ambiguous {
 			return f, err
 		}
-		if ix.stats != nil {
-			ix.stats.AmbiguityRestarts.Add(1)
-		}
+		ix.stats.AmbiguityRestarts.Add(1)
 		// Wait for the unfinished SMO to complete, then go down again
 		// (Fig 4 "unwind recursion ... and go down again"; we re-descend
 		// from the root).
@@ -129,11 +125,9 @@ func (ix *Index) awaitLeafQuiescent(tx *txn.Tx, leaf *buffer.Frame, clearDeleteB
 	if !blocking {
 		return true, nil
 	}
-	if ix.stats != nil {
-		ix.stats.SMBitWaits.Add(1)
-		if clearDeleteBit && leaf.Page.DeleteBit() {
-			ix.stats.DeleteBitPOSCs.Add(1)
-		}
+	ix.stats.SMBitWaits.Add(1)
+	if clearDeleteBit && leaf.Page.DeleteBit() {
+		ix.stats.DeleteBitPOSCs.Add(1)
 	}
 	// Conditional instant S on the tree while holding the leaf latch: a
 	// grant proves no SMO is in progress, and none can reach this leaf

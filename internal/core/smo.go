@@ -66,10 +66,8 @@ func (ix *Index) SplitForInsert(tx *txn.Tx, leafID storage.PageID, cellSize int)
 		ix.unfixLatched(f, latch.X)
 		return nil // nothing to do; the caller retries its insert
 	}
-	if ix.stats != nil {
-		ix.stats.SMOs.Add(1)
-		ix.stats.PageSplits.Add(1)
-	}
+	ix.stats.SMOs.Add(1)
+	ix.stats.PageSplits.Add(1)
 	tok := tx.BeginNTA()
 	ctx := &smoCtx{}
 	err = ix.splitLocked(tx, ctx, f) // consumes the latch

@@ -80,9 +80,7 @@ func (m *Manager) undoPage(tx *txn.Tx, rec *wal.Record, invOp wal.OpCode, invPay
 	defer m.pool.Unfix(f)
 	f.Latch.Acquire(latch.X)
 	defer f.Latch.Release(latch.X)
-	if m.stats != nil {
-		m.stats.UndoPageOriented.Add(1)
-	}
+	m.stats.UndoPageOriented.Add(1)
 	tx.ApplyCLR(m.pool, f, ApplyRedo, invOp, invPayload, rec.PrevLSN)
 	return nil
 }
@@ -202,9 +200,7 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 			return perr
 		}
 		if present && (f.Page.NSlots() > 1 || rec.Page == ix.root) {
-			if ix.stats != nil {
-				ix.stats.UndoPageOriented.Add(1)
-			}
+			ix.stats.UndoPageOriented.Add(1)
 			flags := f.Page.Flags()
 			cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos),
 				PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
@@ -216,9 +212,7 @@ func (ix *Index) undoInsert(tx *txn.Tx, rec *wal.Record) error {
 	ix.unfixLatched(f, latch.X)
 
 	// Logical undo: retraverse from the root (Fig 1).
-	if ix.stats != nil {
-		ix.stats.UndoLogical.Add(1)
-	}
+	ix.stats.UndoLogical.Add(1)
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		leaf, err := ix.traverse(key, true)
 		if err != nil {
@@ -291,9 +285,7 @@ func (ix *Index) undoDelete(tx *txn.Tx, rec *wal.Record) error {
 		}
 		bound := pos > 0 && pos < f.Page.NSlots()
 		if (bound || rec.Page == ix.root) && f.Page.HasRoomFor(len(pl.Cell)) {
-			if ix.stats != nil {
-				ix.stats.UndoPageOriented.Add(1)
-			}
+			ix.stats.UndoPageOriented.Add(1)
 			flags := f.Page.Flags()
 			cpl := keyOpPayload{Index: ix.cfg.ID, Pos: uint16(pos), PreFlags: flags, PostFlags: flags, Cell: pl.Cell}
 			tx.ApplyCLR(ix.pool, f, ApplyRedo, wal.OpIdxInsertKey, cpl.encode(), rec.PrevLSN)
@@ -304,9 +296,7 @@ func (ix *Index) undoDelete(tx *txn.Tx, rec *wal.Record) error {
 	ix.unfixLatched(f, latch.X)
 
 	// Logical undo through the root.
-	if ix.stats != nil {
-		ix.stats.UndoLogical.Add(1)
-	}
+	ix.stats.UndoLogical.Add(1)
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		leaf, err := ix.traverse(key, true)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"ariesim/internal/lock"
 	"ariesim/internal/space"
 	"ariesim/internal/storage"
-	"ariesim/internal/trace"
 	"ariesim/internal/txn"
 	"ariesim/internal/wal"
 )
@@ -22,9 +21,8 @@ var ErrNotFound = errors.New("data: record not found")
 // Manager is the record manager. One Manager serves every table of an
 // engine; tables are thin handles over their page chains.
 type Manager struct {
-	pool  *buffer.Pool
-	gran  lock.Granularity
-	stats *trace.Stats
+	pool *buffer.Pool
+	gran lock.Granularity
 
 	// route names the handle whose chain a data page is on, for Undo, which
 	// is handed a page and no table. Like the inventories it feeds it is
@@ -39,8 +37,8 @@ type Manager struct {
 
 // NewManager creates a record manager over pool using the given lock
 // granularity for record locks.
-func NewManager(pool *buffer.Pool, gran lock.Granularity, stats *trace.Stats) *Manager {
-	return &Manager{pool: pool, gran: gran, stats: stats, route: make(map[storage.PageID]*Table)}
+func NewManager(pool *buffer.Pool, gran lock.Granularity) *Manager {
+	return &Manager{pool: pool, gran: gran, route: make(map[storage.PageID]*Table)}
 }
 
 // Granularity returns the data lock granularity in force.

@@ -46,7 +46,7 @@ func newEnv(t *testing.T, pageSize int, gran lock.Granularity) *env {
 	e.pool = buffer.NewPool(e.disk, e.log, 64, e.stats)
 	e.locks = lock.NewManager(e.stats)
 	e.mgr = txn.NewManager(e.log, e.locks)
-	e.dm = NewManager(e.pool, gran, e.stats)
+	e.dm = NewManager(e.pool, gran)
 	e.mgr.SetUndoer(router{e})
 	return e
 }
@@ -451,7 +451,7 @@ func replayTwice(t *testing.T, e *env, pageSize int) map[storage.PageID]*storage
 	t.Helper()
 	rebuilt := map[storage.PageID]*storage.Page{}
 	for pass := 0; pass < 2; pass++ {
-		for _, r := range e.log.Records(1) {
+		for _, r := range e.log.SnapshotFrom(1) {
 			if !r.Redoable() || r.Page == storage.FSMPageID {
 				continue
 			}
@@ -543,7 +543,7 @@ func benchEnv(b *testing.B) *benchT {
 	e.pool = buffer.NewPool(e.disk, e.log, 512, e.stats)
 	e.locks = lock.NewManager(e.stats)
 	e.mgr = txn.NewManager(e.log, e.locks)
-	e.dm = NewManager(e.pool, lock.GranRecord, e.stats)
+	e.dm = NewManager(e.pool, lock.GranRecord)
 	e.mgr.SetUndoer(router{e})
 	tx := e.mgr.Begin()
 	tbl, err := e.dm.CreateTable(tx, 1)
@@ -584,7 +584,7 @@ func TestDeleteLogsOnlyItsSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 		var del, clr *wal.Record
-		for _, r := range e.log.Records(from + 1) {
+		for _, r := range e.log.SnapshotFrom(from + 1) {
 			switch {
 			case r.Op == wal.OpDataDelete:
 				del = r

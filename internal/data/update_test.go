@@ -132,7 +132,7 @@ func TestUpdateInPlaceOrRefused(t *testing.T) {
 	rid := rids[1]
 
 	tx := e.mgr.Begin()
-	logged := func() int { return len(e.log.Records(1)) }
+	logged := func() int { return len(e.log.SnapshotFrom(1)) }
 	n := logged()
 	same := row(1, 100)
 	copy(same[40:], "CHANGED!")
@@ -142,7 +142,7 @@ func TestUpdateInPlaceOrRefused(t *testing.T) {
 	if !e.locks.HoldsAtLeast(lock.Owner(tx.ID), e.dm.LockName(rid), lock.X) {
 		t.Fatal("updated record not X-locked")
 	}
-	recs := e.log.Records(1)
+	recs := e.log.SnapshotFrom(1)
 	if len(recs) != n+1 {
 		t.Fatalf("same-length update logged %d records, want 1", len(recs)-n)
 	}
@@ -228,12 +228,12 @@ func TestUpdateUndoWritesCLRAndRedoOfCLR(t *testing.T) {
 	tx := e.mgr.Begin()
 	grown := append(row(0, 60), "-and-a-tail"...)
 	e.update(t, tbl, tx, rids[0], grown)
-	n := len(e.log.Records(1))
+	n := len(e.log.SnapshotFrom(1))
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	var clr *wal.Record
-	for _, r := range e.log.Records(1)[n:] {
+	for _, r := range e.log.SnapshotFrom(1)[n:] {
 		if r.Type == wal.RecCLR {
 			clr = r
 		}

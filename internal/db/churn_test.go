@@ -93,7 +93,7 @@ func TestChurnLogBytesPerTxn(t *testing.T) {
 	diff := trace.Diff(before, d.Stats().Snap())
 
 	deletes, splits, purges := 0, 0, 0
-	for _, r := range d.Log().Records(from + 1) {
+	for _, r := range d.Log().SnapshotFrom(from + 1) {
 		switch r.Op {
 		case wal.OpDataDelete:
 			if deletes++; r.EncodedSize() > 24 {

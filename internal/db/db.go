@@ -100,9 +100,7 @@ func (o Options) withDefaults() Options {
 	if o.PoolSize == 0 {
 		o.PoolSize = 256
 	}
-	if o.Stats == nil {
-		o.Stats = &trace.Stats{}
-	}
+	o.Stats = trace.OrNew(o.Stats)
 	return o
 }
 
@@ -193,7 +191,6 @@ func newDB(opts Options, disk *storage.Disk, log *wal.Log, up bool) *DB {
 		log:   log,
 		upCh:  make(chan struct{}),
 	}
-	lock.RegisterTraceNames()
 	if up {
 		close(d.upCh)
 	}
@@ -221,7 +218,7 @@ func (d *DB) buildVolatile() {
 		d.pool.StartCleaner(d.opts.CleanerInterval, buffer.DefaultCleanerBatch)
 	}
 	d.im = core.NewManager(d.pool, d.stats)
-	d.dm = data.NewManager(d.pool, d.opts.Granularity, d.stats)
+	d.dm = data.NewManager(d.pool, d.opts.Granularity)
 	d.tm.SetUndoer(&undoRouter{im: d.im, dm: d.dm})
 	d.vs = mvcc.NewStore(d.stats)
 	// Pre-epoch commits live in pages with no chains; start the snapshot

@@ -476,7 +476,7 @@ func TestPageGranularityEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Page locks recorded in the page space.
-	if d.Stats().LockCalls(int(lock.SpacePage), int(lock.X), int(lock.Commit)) == 0 {
+	if d.Stats().Snap().LockCalls[lock.SpacePage][lock.X][lock.Commit] == 0 {
 		t.Fatal("no page-granularity locks recorded")
 	}
 }

@@ -259,12 +259,12 @@ func TestLocateTakesLatchesOnly(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	calls := d.Stats().TotalLockCalls()
+	calls := d.Stats().Snap().TotalLocks()
 	locs, err := tbl.Locate(k(4), k(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Stats().TotalLockCalls(); got != calls {
+	if got := d.Stats().Snap().TotalLocks(); got != calls {
 		t.Fatalf("Locate made %d lock calls", got-calls)
 	}
 	in := locs[string(k(4))]

@@ -43,7 +43,7 @@ func ridOf(t *testing.T, d *DB, tbl *Table, key []byte) storage.RID {
 // opsSince lists what was logged after LSN from: the op's name for an update
 // or a CLR, the record type's for the rest.
 func opsSince(d *DB, from wal.LSN) (ops []string, recs []*wal.Record) {
-	for _, r := range d.Log().Records(from + 1) {
+	for _, r := range d.Log().SnapshotFrom(from + 1) {
 		if r.Type == wal.RecUpdate || r.Type == wal.RecCLR {
 			ops = append(ops, r.Op.String())
 		} else {

@@ -56,9 +56,9 @@ type Latch struct {
 	tree  bool // report into the tree-latch counters
 }
 
-// New creates a latch reporting into stats (which may be nil).
+// New creates a latch reporting into stats (a fresh sink if nil).
 func New(stats *trace.Stats) *Latch {
-	l := &Latch{stats: stats}
+	l := &Latch{stats: trace.OrNew(stats)}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -72,9 +72,6 @@ func NewTree(stats *trace.Stats) *Latch {
 }
 
 func (l *Latch) countAcquire(waited bool) {
-	if l.stats == nil {
-		return
-	}
 	if l.tree {
 		l.stats.TreeLatchAcquires.Add(1)
 		if waited {
@@ -89,9 +86,7 @@ func (l *Latch) countAcquire(waited bool) {
 }
 
 func (l *Latch) countTryFailure() {
-	if l.stats != nil {
-		l.stats.LatchTryFailures.Add(1)
-	}
+	l.stats.LatchTryFailures.Add(1)
 }
 
 func (l *Latch) grantableS() bool { return !l.writer && l.wWait == 0 }

@@ -166,9 +166,8 @@ func (s Space) String() string {
 	}
 }
 
-// RegisterTraceNames labels the trace dimensions with this package's
-// enums; called once by the engine.
-func RegisterTraceNames() {
+// init labels the trace dimensions with this package's enums.
+func init() {
 	for s := SpaceRecord; s <= SpaceIndexPage; s++ {
 		trace.RegisterSpaceName(int(s), s.String())
 	}
@@ -407,8 +406,8 @@ type Manager struct {
 	stats    *trace.Stats
 }
 
-// NewManager creates an empty lock manager reporting into stats (may be
-// nil) with DefaultShards shards.
+// NewManager creates an empty lock manager reporting into stats (a fresh
+// sink if nil) with DefaultShards shards.
 func NewManager(stats *trace.Stats) *Manager {
 	return NewManagerSharded(stats, DefaultShards)
 }
@@ -420,7 +419,7 @@ func NewManagerSharded(stats *trace.Stats, shards int) *Manager {
 	for n < shards {
 		n <<= 1
 	}
-	m := &Manager{shards: make([]shard, n), registry: make([]ownerShard, n), mask: uint64(n - 1), stats: stats}
+	m := &Manager{shards: make([]shard, n), registry: make([]ownerShard, n), mask: uint64(n - 1), stats: trace.OrNew(stats)}
 	for i := range m.shards {
 		m.shards[i].table = make(map[Name]*head)
 		m.registry[i].owners = make(map[Owner]*ownerLocks)
@@ -540,9 +539,7 @@ func (h *head) compatibleWithGranted(owner *ownerLocks, mode Mode) bool {
 // answered from the owner's own table: one registry lookup, no shard mutex,
 // no allocation.
 func (m *Manager) Request(owner Owner, name Name, mode Mode, dur Duration, conditional bool) error {
-	if m.stats != nil {
-		m.stats.CountLock(int(name.Space), int(mode), int(dur))
-	}
+	m.stats.CountLock(int(name.Space), int(mode), int(dur))
 	if m.down.Load() {
 		return ErrShutdown
 	}
@@ -607,9 +604,7 @@ func (m *Manager) Request(owner Owner, name Name, mode Mode, dur Duration, condi
 	s.mu.Unlock()
 	enqueued := time.Now()
 
-	if m.stats != nil {
-		m.stats.LockWaits.Add(1)
-	}
+	m.stats.LockWaits.Add(1)
 	err := m.await(req, enqueued)
 	if err != nil {
 		m.retireIfIdle(o)
@@ -630,9 +625,7 @@ func (m *Manager) Request(owner Owner, name Name, mode Mode, dur Duration, condi
 // resolve it through its channel either way. The manager's wait timeout and
 // the first deadlock probe are counted from enqueued.
 func (m *Manager) await(req *request, enqueued time.Time) error {
-	if m.stats != nil {
-		defer func() { m.stats.LockWaitNanos.Add(uint64(time.Since(enqueued))) }()
-	}
+	defer func() { m.stats.LockWaitNanos.Add(uint64(time.Since(enqueued))) }()
 	for {
 		select {
 		case err := <-req.granted:
@@ -647,9 +640,7 @@ func (m *Manager) await(req *request, enqueued time.Time) error {
 	// The bound is read before the park is counted: whoever sees the count
 	// knows the bound this wait took.
 	timeout := time.Duration(m.timeout.Load())
-	if m.stats != nil {
-		m.stats.LockWaitsParked.Add(1)
-	}
+	m.stats.LockWaitsParked.Add(1)
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout - time.Since(enqueued))
@@ -691,9 +682,7 @@ func (m *Manager) await(req *request, enqueued time.Time) error {
 				// Waking grantable requests queued behind the abandoned one.
 				m.dequeueLocked(s, req)
 				s.mu.Unlock()
-				if m.stats != nil {
-					m.stats.LockTimeouts.Add(1)
-				}
+				m.stats.LockTimeouts.Add(1)
 				return ErrLockTimeout
 			}
 		}
@@ -715,19 +704,15 @@ func (m *Manager) resolveDeadlocks(req *request) error {
 		if cycle == nil {
 			return nil
 		}
-		if m.stats != nil {
-			m.stats.Deadlocks.Add(1)
-			m.stats.DeadlockVictims.Add(1)
-		}
+		m.stats.Deadlocks.Add(1)
+		m.stats.DeadlockVictims.Add(1)
 		victim := chooseVictim(cycle)
 		if victim == req.owner {
 			// Removing the victim may unblock requests queued behind it.
 			m.dequeueLocked(m.shardOf(req.name), req)
 			return ErrDeadlock
 		}
-		if m.stats != nil {
-			m.stats.VictimsOther.Add(1)
-		}
+		m.stats.VictimsOther.Add(1)
 		// Every member of a cycle is blocked, so victim.wait is set.
 		vreq := victim.wait
 		m.dequeueLocked(m.shardOf(vreq.name), vreq)
@@ -924,9 +909,7 @@ func (m *Manager) Reinstate(owner Owner, name Name, mode Mode) error {
 		}
 		return fmt.Errorf("lock: reinstate %v %v for owner %d: %w", name, mode, owner, err)
 	}
-	if m.stats != nil {
-		m.stats.LocksReinstated.Add(1)
-	}
+	m.stats.LocksReinstated.Add(1)
 	return nil
 }
 

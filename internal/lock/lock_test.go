@@ -375,14 +375,15 @@ func TestStatsTable(t *testing.T) {
 	m := NewManager(st)
 	mustGrant(t, m, 1, rec(1, 1), S, Commit)
 	mustGrant(t, m, 1, rec(1, 2), X, Instant)
-	if got := st.LockCalls(int(SpaceRecord), int(S), int(Commit)); got != 1 {
+	sn := st.Snap()
+	if got := sn.LockCalls[SpaceRecord][S][Commit]; got != 1 {
 		t.Errorf("S/commit count = %d", got)
 	}
-	if got := st.LockCalls(int(SpaceRecord), int(X), int(Instant)); got != 1 {
+	if got := sn.LockCalls[SpaceRecord][X][Instant]; got != 1 {
 		t.Errorf("X/instant count = %d", got)
 	}
-	if st.TotalLockCalls() != 2 {
-		t.Errorf("total = %d", st.TotalLockCalls())
+	if sn.TotalLocks() != 2 {
+		t.Errorf("total = %d", sn.TotalLocks())
 	}
 }
 

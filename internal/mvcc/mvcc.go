@@ -159,11 +159,8 @@ type Store struct {
 
 // NewStore creates an empty store reporting into stats.
 func NewStore(stats *trace.Stats) *Store {
-	if stats == nil {
-		stats = &trace.Stats{} // field addresses must be takeable
-	}
 	return &Store{
-		stats:   stats,
+		stats:   trace.OrNew(stats),
 		tickets: make(map[wal.TxID]wal.LSN),
 		snaps:   make(map[uint64]wal.LSN),
 		tables:  make(map[uint64]*tableChains),
@@ -222,7 +219,7 @@ func (st *Store) Begin() (s wal.LSN, id uint64) {
 	s = st.visible
 	st.snaps[id] = s
 	st.mu.Unlock()
-	trace.Add(&st.stats.SnapshotBegins, 1)
+	st.stats.SnapshotBegins.Add(1)
 	return s, id
 }
 
@@ -308,7 +305,7 @@ func (st *Store) PushTo(tableID uint64, key []byte, present bool, value []byte, 
 				st.stats.MaxGauge(&st.stats.VersionChainPeak, uint64(n))
 			}
 			tc.mu.Unlock()
-			trace.Add(&st.stats.VersionsPushed, 1)
+			st.stats.VersionsPushed.Add(1)
 			return nil
 		}
 		tc.mu.Unlock()
@@ -339,8 +336,8 @@ func (st *Store) PushTo(tableID uint64, key []byte, present bool, value []byte, 
 		if !st.peakSeeded.Load() && st.peakSeeded.CompareAndSwap(false, true) {
 			st.stats.MaxGauge(&st.stats.VersionChainPeak, 1)
 		}
-		trace.Add(&st.stats.ChainsCreated, 1)
-		trace.Add(&st.stats.VersionsPushed, 1)
+		st.stats.ChainsCreated.Add(1)
+		st.stats.VersionsPushed.Add(1)
 		return nil
 	}
 }
@@ -518,7 +515,7 @@ func (st *Store) retire(chains []*chain, h horizon) {
 		tc.mu.Unlock()
 		chains = chains[n:]
 		if removed > 0 {
-			trace.Add(&st.stats.ChainsRemoved, removed)
+			st.stats.ChainsRemoved.Add(removed)
 		}
 	}
 }
@@ -629,10 +626,10 @@ func (st *Store) Read(tableID uint64, key []byte, s wal.LSN) (ReadResult, error)
 	present, value, err := c.visibleAt(s)
 	tc.mu.Unlock()
 	if err != nil {
-		trace.Add(&st.stats.SnapshotTooOld, 1)
+		st.stats.SnapshotTooOld.Add(1)
 		return ReadResult{}, err
 	}
-	trace.Add(&st.stats.SnapshotChainHits, 1)
+	st.stats.SnapshotChainHits.Add(1)
 	if value != nil {
 		value = append([]byte(nil), value...)
 	}
@@ -670,7 +667,7 @@ func (st *Store) RowsBetween(tableID uint64, lo string, loIncl bool, hi string, 
 		present, value, err := c.visibleAt(s)
 		if err != nil {
 			tc.mu.Unlock()
-			trace.Add(&st.stats.SnapshotTooOld, 1)
+			st.stats.SnapshotTooOld.Add(1)
 			return nil, err
 		}
 		if value != nil {
@@ -679,7 +676,7 @@ func (st *Store) RowsBetween(tableID uint64, lo string, loIncl bool, hi string, 
 		rows = append(rows, Row{Key: c.key, Present: present, Value: value})
 	}
 	tc.mu.Unlock()
-	trace.Add(&st.stats.ChainsScanned, examined)
+	st.stats.ChainsScanned.Add(examined)
 	return rows, nil
 }
 

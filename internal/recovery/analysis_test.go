@@ -10,7 +10,7 @@ import (
 // recordsOf returns tx's records in the log, in LSN order.
 func recordsOf(log *wal.Log, tx wal.TxID) []*wal.Record {
 	var out []*wal.Record
-	for _, r := range log.Records(1) {
+	for _, r := range log.SnapshotFrom(1) {
 		if r.TxID == tx {
 			out = append(out, r)
 		}

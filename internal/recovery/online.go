@@ -147,7 +147,7 @@ func begin(log *wal.Log, pool *buffer.Pool, tm *txn.Manager, stats *trace.Stats,
 	o := &Online{
 		pool:       pool,
 		tm:         tm,
-		stats:      stats,
+		stats:      trace.OrNew(stats),
 		rep:        rep,
 		pending:    p.recs,
 		draining:   make(map[storage.PageID]bool),
@@ -304,15 +304,15 @@ func (o *Online) recoverPage(pid storage.PageID, p *storage.Page) (bool, wal.LSN
 	o.mu.Unlock()
 	o.applied.Add(int64(applied))
 	o.skipped.Add(int64(skipped))
-	countRedo(o.stats, applied)
+	o.stats.RedoApplied.Add(uint64(applied))
 	if byDrain {
 		o.drained.Add(1)
 	} else {
 		o.onDemand.Add(1)
 	}
-	if o.stats != nil && byDrain {
+	if byDrain {
 		o.stats.PagesRedoneByDrain.Add(1)
-	} else if o.stats != nil {
+	} else {
 		o.stats.PagesRedoneOnDemand.Add(1)
 	}
 	return applied > 0, first, nil

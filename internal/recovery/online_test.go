@@ -16,7 +16,7 @@ import (
 func planOrder(e *env) []storage.PageID {
 	var order []storage.PageID
 	seen := map[storage.PageID]bool{}
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Redoable() && !seen[r.Page] {
 			seen[r.Page] = true
 			order = append(order, r.Page)

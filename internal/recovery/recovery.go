@@ -99,14 +99,13 @@ type RestartOpts struct {
 // caller supplies the freshly constructed (post-crash) managers: an empty
 // lock manager, a transaction manager with its undoer wired to the reopened
 // index/record managers, and an empty buffer pool over the surviving disk.
-// stats may be nil. beforeUndo, when not nil, runs once analysis has put
-// the redo plan behind the pool's recovery hook and before the first loser
-// undo step: every page it fixes is recovered on demand, and every loser's
-// work is still on its pages. The engine reads its catalog there, so that
-// a loser's undo finds the index its own DDL created. RestartWith is the
-// restart coordinator of online.go run to completion before anyone is let
-// in:
-// analysis, the per-page redo plan behind the pool's recovery hook, the
+// A nil stats counts into a fresh sink. beforeUndo, when not nil, runs once
+// analysis has put the redo plan behind the pool's recovery hook and before
+// the first loser undo step: every page it fixes is recovered on demand,
+// and every loser's work is still on its pages. The engine reads its
+// catalog there, so that a loser's undo finds the index its own DDL
+// created. RestartWith is the restart coordinator of online.go run to
+// completion before anyone is let in: analysis, the per-page redo plan behind the pool's recovery hook, the
 // drain of that plan, then every loser undone in one global reverse-LSN
 // sweep and the bounding checkpoint. StartOnline runs the same phases but
 // opens the engine before the drain.

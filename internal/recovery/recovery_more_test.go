@@ -33,7 +33,7 @@ func TestCrashMatrixWithPageDeletes(t *testing.T) {
 		return e, insertCommit, drain.LastLSN()
 	}
 	probe, _, _ := build()
-	all := probe.log.Records(1)
+	all := probe.log.SnapshotFrom(1)
 	step := len(all) / 10
 	for idx := step; idx < len(all); idx += step {
 		idx := idx
@@ -42,7 +42,7 @@ func TestCrashMatrixWithPageDeletes(t *testing.T) {
 			if e.disk.WriteCount() != 0 {
 				t.Fatal("pages stolen; truncation unfaithful")
 			}
-			recs := e.log.Records(1)
+			recs := e.log.SnapshotFrom(1)
 			cut := recs[idx].LSN
 			e.log.TruncateTo(cut)
 			e.pool.Crash()

@@ -57,7 +57,7 @@ func (e *env) buildVolatile() {
 	e.tm = txn.NewManager(e.log, e.locks)
 	e.pool = buffer.NewPool(e.disk, e.log, 128, e.stats)
 	e.im = core.NewManager(e.pool, e.stats)
-	e.dm = data.NewManager(e.pool, lock.GranRecord, e.stats)
+	e.dm = data.NewManager(e.pool, lock.GranRecord)
 	e.tm.SetUndoer(undoRouter{e.im, e.dm})
 }
 
@@ -284,7 +284,7 @@ func TestCrashMidSMORestoresStructure(t *testing.T) {
 	// Truncate the stable log in the middle of the SMO: keep the format
 	// record but drop the dummy CLR and beyond.
 	var cut wal.LSN
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.TxID == tx.ID && r.Op == wal.OpIdxSplitLeft {
 			cut = r.LSN
 		}
@@ -300,7 +300,7 @@ func TestCrashMidSMORestoresStructure(t *testing.T) {
 	}
 	// The partial SMO was rolled back page-oriented: an unsplit CLR exists.
 	foundUnsplit := false
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Type == wal.RecCLR && r.Op == wal.OpIdxUnsplitLeft {
 			foundUnsplit = true
 		}
@@ -452,7 +452,7 @@ func TestRepeatedCrashBoundedLogging(t *testing.T) {
 
 	countCLRs := func() int {
 		n := 0
-		for _, r := range e.log.Records(1) {
+		for _, r := range e.log.SnapshotFrom(1) {
 			if r.Type == wal.RecCLR && r.Op != wal.OpNone {
 				n++
 			}
@@ -606,7 +606,7 @@ func TestCrashAtEveryNthRecord(t *testing.T) {
 	// with a higher LSN — asserted via the disk write counter.
 	const step = 53
 	probe, _ := build()
-	all := probe.log.Records(1)
+	all := probe.log.SnapshotFrom(1)
 	if len(all) < 6*step {
 		t.Fatalf("the workload logged %d records; the probe wants at least %d", len(all), 6*step)
 	}
@@ -617,7 +617,7 @@ func TestCrashAtEveryNthRecord(t *testing.T) {
 			if e.disk.WriteCount() != 0 {
 				t.Fatal("workload stole pages to disk; truncation would be unfaithful")
 			}
-			recs := e.log.Records(1)
+			recs := e.log.SnapshotFrom(1)
 			cut := recs[idx].LSN
 			e.log.TruncateTo(cut)
 			e.pool.Crash()

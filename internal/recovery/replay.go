@@ -135,6 +135,7 @@ type BatchStats struct {
 // standby: the batch itself names the pages it touches, and the page_LSN
 // guard makes overlapping or duplicate delivery harmless.
 func ApplyRecords(pool *buffer.Pool, recs []*wal.Record, workers int, stats *trace.Stats) (BatchStats, error) {
+	stats = trace.OrNew(stats)
 	p := buildPlan(recs, func(*wal.Record) bool { return true })
 	var mu sync.Mutex
 	bs := BatchStats{Scanned: len(recs)}
@@ -151,7 +152,7 @@ func ApplyRecords(pool *buffer.Pool, recs []*wal.Record, workers int, stats *tra
 			}
 			f.Latch.Release(latch.X)
 			pool.Unfix(f)
-			countRedo(stats, applied)
+			stats.RedoApplied.Add(uint64(applied))
 			mu.Lock()
 			bs.Applied += applied
 			bs.Skipped += skipped
@@ -163,11 +164,4 @@ func ApplyRecords(pool *buffer.Pool, recs []*wal.Record, workers int, stats *tra
 		return nil
 	})
 	return bs, err
-}
-
-// countRedo feeds one replay's tally to the engine counters.
-func countRedo(stats *trace.Stats, applied int) {
-	if stats != nil {
-		stats.RedoApplied.Add(uint64(applied))
-	}
 }

@@ -170,7 +170,7 @@ func buildSweepWorkload(t *testing.T) (*env, wal.LSN) {
 func TestReplayMatchesSerialReference(t *testing.T) {
 	e, setup := buildSweepWorkload(t)
 	crashImage := e.disk.Snapshot()
-	recs := e.log.Records(1)
+	recs := e.log.SnapshotFrom(1)
 	var updates, updateCLRs int
 	for _, r := range recs {
 		if r.Op == wal.OpDataUpdate && r.Type == wal.RecUpdate {
@@ -248,7 +248,7 @@ func TestReplayMatchesSerialReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := imagePages(crashImage)
-			reference(t, want, f.log.Records(1))
+			reference(t, want, f.log.SnapshotFrom(1))
 			expectDisk(t, fmt.Sprintf("%s at LSN %d", rs.name, r.LSN), f.disk, want)
 		}
 
@@ -319,7 +319,7 @@ func TestRestartInterruptedRerunMatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := imagePages(crashImage)
-			reference(t, ref, f.log.Records(1))
+			reference(t, ref, f.log.SnapshotFrom(1))
 			expectDisk(t, what, f.disk, ref)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // that record's LSN (0 if tx logged none).
 func (e *env) cutAfter(t *testing.T, tx wal.TxID, op wal.OpCode) wal.LSN {
 	t.Helper()
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.TxID == tx && r.Op == op {
 			e.log.TruncateTo(r.LSN)
 			e.pool.Crash()
@@ -28,7 +28,7 @@ func (e *env) cutAfter(t *testing.T, tx wal.TxID, op wal.OpCode) wal.LSN {
 func (e *env) expectCLRs(t *testing.T, cut wal.LSN, ops ...wal.OpCode) {
 	t.Helper()
 	var got []wal.OpCode
-	for _, r := range e.log.Records(cut + 1) {
+	for _, r := range e.log.SnapshotFrom(cut + 1) {
 		if r.Type == wal.RecCLR && len(got) < len(ops) {
 			got = append(got, r.Op)
 		}
@@ -57,7 +57,7 @@ func TestCrashAfterSplitParentPost(t *testing.T) {
 	tx := e.tm.Begin()
 	i := 150
 	hasParentPost := func() bool {
-		for _, r := range e.log.Records(1) {
+		for _, r := range e.log.SnapshotFrom(1) {
 			if r.TxID == tx.ID && r.Op == wal.OpIdxSplitParent {
 				return true
 			}
@@ -154,7 +154,7 @@ func TestCrashDuringPageDeleteChainFix(t *testing.T) {
 	e.restart()
 	// The chain fix was compensated with its swapped-payload twin.
 	clrChainFixes := 0
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Type == wal.RecCLR && r.Op == wal.OpIdxChainFix {
 			clrChainFixes++
 		}
@@ -227,7 +227,7 @@ func TestCrashAtEveryRecordOfOneSplit(t *testing.T) {
 		}
 		// Locate the SMO region: first FSMAlloc by tx to the dummy CLR.
 		var end wal.LSN
-		for _, r := range e.log.Records(1) {
+		for _, r := range e.log.SnapshotFrom(1) {
 			if r.TxID == tx.ID && r.Op == wal.OpFSMAlloc && splitStart == 0 {
 				splitStart = r.LSN
 			}
@@ -242,7 +242,7 @@ func TestCrashAtEveryRecordOfOneSplit(t *testing.T) {
 	}
 	probe, start, end, _ := build()
 	var cuts []wal.LSN
-	for _, r := range probe.log.Records(start) {
+	for _, r := range probe.log.SnapshotFrom(start) {
 		if r.LSN > end {
 			break
 		}
@@ -309,7 +309,7 @@ func crashAtEveryRecordOfNonleafSplit(t *testing.T) {
 			t.Fatal("no split propagated into a nonleaf split")
 		}
 		var recs, lefts []wal.LSN
-		for _, r := range e.log.Records(mark + 1) {
+		for _, r := range e.log.SnapshotFrom(mark + 1) {
 			if r.TxID != tx.ID || (recs == nil && r.Op != wal.OpFSMAlloc) {
 				continue
 			}
@@ -342,7 +342,7 @@ func crashAtEveryRecordOfNonleafSplit(t *testing.T) {
 				wantUnsplits++
 			}
 		}
-		for _, r := range f.log.Records(cut + 1) {
+		for _, r := range f.log.SnapshotFrom(cut + 1) {
 			if r.IsCLR() && r.Op == wal.OpIdxUnsplitLeft {
 				unsplits++
 			}
@@ -419,7 +419,7 @@ func crashAtEveryRecordOfRootCollapse(t *testing.T) {
 		if h, _ := e.ix.Height(); h > 1 {
 			continue
 		}
-		for _, r := range e.log.Records(mark + 1) {
+		for _, r := range e.log.SnapshotFrom(mark + 1) {
 			if r.TxID != tx.ID {
 				continue
 			}

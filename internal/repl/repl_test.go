@@ -245,7 +245,7 @@ func TestGapNaksOnce(t *testing.T) {
 	expected := standby.DB().Log().NextLSN()
 
 	// Ship only a mid-log suffix, several times: the standby sees a gap.
-	recs := primary.Log().Records(1)
+	recs := primary.Log().SnapshotFrom(1)
 	if len(recs) < 4 {
 		t.Fatalf("need a few records, have %d", len(recs))
 	}

@@ -32,7 +32,7 @@ const retransmit = 2 * time.Millisecond
 type Shipper struct {
 	log   *wal.Log
 	ch    *Channel
-	stats *trace.Stats // shipping counters (may be nil)
+	stats *trace.Stats // shipping counters
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -46,13 +46,13 @@ type Shipper struct {
 }
 
 // NewShipper wires a shipper to the primary's log and the channel, counting
-// into stats (which may be nil). The shipper installs itself as the log's
+// into stats (a fresh sink if nil). The shipper installs itself as the log's
 // stable-notify hook.
 func NewShipper(log *wal.Log, ch *Channel, stats *trace.Stats) *Shipper {
 	s := &Shipper{
 		log:      log,
 		ch:       ch,
-		stats:    stats,
+		stats:    trace.OrNew(stats),
 		nextShip: wal.NilLSN + 1,
 		notify:   make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -169,9 +169,7 @@ func (s *Shipper) ship(from wal.LSN, force bool) {
 	}
 	s.mu.Unlock()
 	s.ch.Send(seg.Encode())
-	if s.stats != nil {
-		s.stats.SegmentsShipped.Add(1)
-	}
+	s.stats.SegmentsShipped.Add(1)
 }
 
 // shipLoop ships on every stable-notify doorbell and retransmits from the
@@ -198,9 +196,7 @@ func (s *Shipper) shipLoop() {
 				// Shipped records aged past one interval with no ack
 				// progress: assume loss and re-ship the whole unacked
 				// window.
-				if s.stats != nil {
-					s.stats.SegmentsResent.Add(1)
-				}
+				s.stats.SegmentsResent.Add(1)
 				s.ship(acked+1, false)
 			}
 			lastAcked = acked
@@ -231,9 +227,7 @@ func (s *Shipper) controlLoop() {
 			}
 			s.mu.Unlock()
 		case CtlNak:
-			if s.stats != nil {
-				s.stats.SegmentsResent.Add(1)
-			}
+			s.stats.SegmentsResent.Add(1)
 			s.ship(wal.LSN(m.LSN), false)
 		}
 	}

@@ -81,7 +81,7 @@ func TestAllocIsLogged(t *testing.T) {
 	tx := e.mgr.Begin()
 	a, _ := Alloc(tx, e.pool)
 	_ = Free(tx, e.pool, a)
-	recs := e.log.Records(1)
+	recs := e.log.SnapshotFrom(1)
 	if len(recs) != 2 || recs[0].Op != wal.OpFSMAlloc || recs[1].Op != wal.OpFSMFree {
 		t.Fatalf("log = %v", recs)
 	}
@@ -103,7 +103,7 @@ func TestUndoAllocFreesBit(t *testing.T) {
 	}
 	// CLR present and chained.
 	var clr *wal.Record
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if r.Type == wal.RecCLR {
 			clr = r
 		}
@@ -139,7 +139,7 @@ func TestApplyRedoRebuildsBitmap(t *testing.T) {
 	_ = Free(tx, e.pool, a)
 	// Replay the log onto a virgin page, as restart redo would.
 	p := storage.NewPage(512)
-	for _, r := range e.log.Records(1) {
+	for _, r := range e.log.SnapshotFrom(1) {
 		if err := ApplyRedo(p, r); err != nil {
 			t.Fatal(err)
 		}

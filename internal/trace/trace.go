@@ -7,6 +7,8 @@
 // Stats sink so that the benchmark harness can regenerate the paper's
 // Figure 2 table and quantify the qualitative claims (fewer locks than
 // ARIES/KVL and System R, page-oriented redo, readers unblocked by SMOs).
+// Every constructor that takes a *Stats substitutes a fresh sink for nil, so
+// no component holds a nil one and no call site checks for it.
 //
 // All counters are updateable concurrently; Snapshot produces a consistent-
 // enough copy for reporting (individual counters are atomic; cross-counter
@@ -15,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -29,108 +32,120 @@ const (
 	MaxDurations = 4
 )
 
-// Stats is a sink of engine counters. The zero value is ready to use.
-// A nil *Stats is also valid: every method is a no-op, so hot paths can be
-// instrumented unconditionally.
-type Stats struct {
+// counterSet is the one list of the scalar counters. Stats holds it as
+// atomics and Snapshot as plain values; Snap and Diff walk it by reflection,
+// so a counter is added here and nowhere else. A field tagged `trace:"gauge"`
+// is a high-water mark, not a count: a Diff carries its "after" reading.
+type counterSet[C any] struct {
 	// Lock manager.
-	lockCalls       [MaxSpaces][MaxModes][MaxDurations]atomic.Uint64
-	LockWaits       atomic.Uint64 // requests that could not be granted immediately
-	Deadlocks       atomic.Uint64 // waits-for cycles detected
-	DeadlockVictims atomic.Uint64 // waiters aborted to break a cycle (requester or other)
-	VictimsOther    atomic.Uint64 // victims that were NOT the requester (cost-based choice)
-	LockTimeouts    atomic.Uint64 // waits abandoned at the lock-wait timeout
-	LockWaitNanos   atomic.Uint64 // time queued requests waited, enqueue to grant or abort
-	LockWaitsParked atomic.Uint64 // waits that outlived the spin and parked
+	LockWaits       C // requests that could not be granted immediately
+	Deadlocks       C // waits-for cycles detected
+	DeadlockVictims C // waiters aborted to break a cycle (requester or other)
+	VictimsOther    C // victims that were NOT the requester (cost-based choice)
+	LockTimeouts    C // waits abandoned at the lock-wait timeout
+	LockWaitNanos   C // time queued requests waited, enqueue to grant or abort
+	LockWaitsParked C // waits that outlived the spin and parked
 
 	// Transaction retry layer (db.RunTxn).
-	TxnRetries           atomic.Uint64 // transaction bodies re-executed after rollback
-	TxnDeadlockRetries   atomic.Uint64 // ...because the txn was a deadlock victim
-	TxnTimeoutRetries    atomic.Uint64 // ...because a lock wait timed out
-	TxnCrashWaits        atomic.Uint64 // RunTxn attempts parked waiting for Restart
-	TxnRetrySuccesses    atomic.Uint64 // transactions that committed after >=1 retry
-	TxnRecoveringRetries atomic.Uint64 // immediate retries on ErrRecovering (engine up, op degraded)
+	TxnRetries           C // transaction bodies re-executed after rollback
+	TxnDeadlockRetries   C // ...because the txn was a deadlock victim
+	TxnTimeoutRetries    C // ...because a lock wait timed out
+	TxnCrashWaits        C // RunTxn attempts parked waiting for Restart
+	TxnRetrySuccesses    C // transactions that committed after >=1 retry
+	TxnRecoveringRetries C // immediate retries on ErrRecovering (engine up, op degraded)
 
 	// Latches.
-	LatchAcquires     atomic.Uint64
-	LatchWaits        atomic.Uint64 // unconditional acquisitions that blocked
-	LatchTryFailures  atomic.Uint64 // conditional acquisitions denied
-	TreeLatchAcquires atomic.Uint64
-	TreeLatchWaits    atomic.Uint64
+	LatchAcquires     C
+	LatchWaits        C // unconditional acquisitions that blocked
+	LatchTryFailures  C // conditional acquisitions denied
+	TreeLatchAcquires C
+	TreeLatchWaits    C
 
 	// Buffer pool.
-	PageFixes      atomic.Uint64
-	PageMisses     atomic.Uint64 // fixes that required a disk read
-	PageWrites     atomic.Uint64 // dirty pages written to disk (steal, cleaner, or flush)
-	PageEvicted    atomic.Uint64
-	EvictionsDirty atomic.Uint64 // foreground evictions that had to write back a dirty victim
-	EvictionStalls atomic.Uint64 // Fix retries because every candidate frame was pinned
-	FixParks       atomic.Uint64 // fixers parked on another fixer's in-flight read
-	CleanerPasses  atomic.Uint64 // background cleaner passes completed
-	CleanerWrites  atomic.Uint64 // dirty frames flushed by the cleaner
+	PageFixes      C
+	PageMisses     C // fixes that required a disk read
+	PageWrites     C // dirty pages written to disk (steal, cleaner, or flush)
+	PageEvicted    C
+	EvictionsDirty C // foreground evictions that had to write back a dirty victim
+	EvictionStalls C // Fix retries because every candidate frame was pinned
+	FixParks       C // fixers parked on another fixer's in-flight read
+	CleanerPasses  C // background cleaner passes completed
+	CleanerWrites  C // dirty frames flushed by the cleaner
 
 	// Log.
-	LogRecords         atomic.Uint64
-	LogBytes           atomic.Uint64
-	LogForces          atomic.Uint64 // physical flushes that advanced the stable LSN
-	ForceWaiters       atomic.Uint64 // Force callers that blocked behind an in-flight flush
-	GroupCommits       atomic.Uint64 // Force callers hardened by a flush they did not perform
-	AppendReservations atomic.Uint64 // lock-free LSN range claims (one per append)
-	WatermarkStalls    atomic.Uint64 // forces that waited for the contiguity watermark to cover their LSN
+	LogRecords         C
+	LogBytes           C
+	LogForces          C // physical flushes that advanced the stable LSN
+	ForceWaiters       C // Force callers that blocked behind an in-flight flush
+	GroupCommits       C // Force callers hardened by a flush they did not perform
+	AppendReservations C // lock-free LSN range claims (one per append)
+	WatermarkStalls    C // forces that waited for the contiguity watermark to cover their LSN
 
 	// Fault handling (injected I/O errors and media corruption).
-	IORetries           atomic.Uint64 // transient I/O errors retried by the buffer pool
-	CorruptPages        atomic.Uint64 // checksum/permanent-error page reads detected
-	MediaRecoveries     atomic.Uint64 // pages rebuilt via media recovery
-	TornTailTruncations atomic.Uint64 // crash sweeps that cut a bad-CRC log tail
+	IORetries           C // transient I/O errors retried by the buffer pool
+	CorruptPages        C // checksum/permanent-error page reads detected
+	MediaRecoveries     C // pages rebuilt via media recovery
+	TornTailTruncations C // crash sweeps that cut a bad-CRC log tail
 
 	// Index manager.
-	Traversals       atomic.Uint64 // root-to-leaf tree traversals
-	LeafReposition   atomic.Uint64 // fetch-next repositionings after LSN change
-	SMOs             atomic.Uint64 // page splits + page deletions
-	PageSplits       atomic.Uint64
-	PageDeletes      atomic.Uint64
-	UndoPageOriented atomic.Uint64 // undos applied without a traversal
-	UndoLogical      atomic.Uint64 // undos that retraversed the tree
-	RedoApplied      atomic.Uint64 // log records redone at restart
+	Traversals       C // root-to-leaf tree traversals
+	LeafReposition   C // fetch-next repositionings after LSN change
+	SMOs             C // page splits + page deletions
+	PageSplits       C
+	PageDeletes      C
+	UndoPageOriented C // undos applied without a traversal
+	UndoLogical      C // undos that retraversed the tree
+	RedoApplied      C // log records redone at restart
 
 	// Online restart.
-	OnlineRestarts               atomic.Uint64 // restarts that opened after analysis (online mode)
-	LocksReinstated              atomic.Uint64 // loser locks re-granted from the log at restart
-	PagesRedoneOnDemand          atomic.Uint64 // DPT pages recovered at fix time by a foreground caller
-	PagesRedoneByDrain           atomic.Uint64 // DPT pages recovered by the background drain workers
-	CheckpointsSkippedRecovering atomic.Uint64 // checkpoints refused while online recovery was pending
+	OnlineRestarts               C // restarts that opened after analysis (online mode)
+	LocksReinstated              C // loser locks re-granted from the log at restart
+	PagesRedoneOnDemand          C // DPT pages recovered at fix time by a foreground caller
+	PagesRedoneByDrain           C // DPT pages recovered by the background drain workers
+	CheckpointsSkippedRecovering C // checkpoints refused while online recovery was pending
 
 	// Replication (internal/repl hot standby).
-	SegmentsShipped  atomic.Uint64 // segments the shipper framed and sent
-	SegmentsResent   atomic.Uint64 // segments re-shipped after NAK or ack stall
-	SegmentsApplied  atomic.Uint64 // segments the standby appended and replayed
-	SegmentsRejected atomic.Uint64 // segments the standby discarded (corrupt, stale epoch, duplicate, gapped, after a redo failure)
-	ReplNaks         atomic.Uint64 // gap re-requests sent by the standby
+	SegmentsShipped  C // segments the shipper framed and sent
+	SegmentsResent   C // segments re-shipped after NAK or ack stall
+	SegmentsApplied  C // segments the standby appended and replayed
+	SegmentsRejected C // segments the standby discarded (corrupt, after promotion or a redo failure, duplicate, gapped)
+	ReplNaks         C // gap re-requests sent by the standby
 
-	AmbiguityRestarts atomic.Uint64 // Fig 4 "unwind recursion" events
-	SMBitWaits        atomic.Uint64 // operations delayed by SM_Bit
-	DeleteBitPOSCs    atomic.Uint64 // points of structural consistency forced by Delete_Bit
+	AmbiguityRestarts C // Fig 4 "unwind recursion" events
+	SMBitWaits        C // operations delayed by SM_Bit
+	DeleteBitPOSCs    C // points of structural consistency forced by Delete_Bit
 
 	// MVCC snapshot reads (internal/mvcc version store + db read-only mode).
-	SnapshotBegins    atomic.Uint64 // read-only transactions begun in snapshot mode
-	SnapshotReads     atomic.Uint64 // Get/Scan row reads resolved through a snapshot
-	SnapshotChainHits atomic.Uint64 // snapshot reads answered by a version chain (not the page)
-	SnapshotTooOld    atomic.Uint64 // reads aborted because the needed version was pruned
-	VersionsPushed    atomic.Uint64 // record versions appended to chains by writers
-	ChainsCreated     atomic.Uint64 // version chains materialized
-	ChainsRemoved     atomic.Uint64 // version chains fully retired
-	ChainsScanned     atomic.Uint64 // chains whose key a scan-window lookup (RowsBetween) examined
-	VersionChainPeak  atomic.Uint64 // max versions ever held by one chain (gauge, not a counter)
-	ReadOnlyLockCalls atomic.Uint64 // lock-manager requests issued by snapshot transactions (must stay 0)
+	SnapshotBegins    C // read-only transactions begun in snapshot mode
+	SnapshotReads     C // Get/Scan row reads resolved through a snapshot
+	SnapshotChainHits C // snapshot reads answered by a version chain (not the page)
+	SnapshotTooOld    C // reads aborted because the needed version was pruned
+	VersionsPushed    C // record versions appended to chains by writers
+	ChainsCreated     C // version chains materialized
+	ChainsRemoved     C // version chains fully retired
+	ChainsScanned     C // chains whose key a scan-window lookup (RowsBetween) examined
+	VersionChainPeak  C `trace:"gauge"` // max versions ever held by one chain
+	ReadOnlyLockCalls C // lock-manager requests issued by snapshot transactions (must stay 0)
+}
+
+// Stats is a sink of engine counters. The zero value is ready to use.
+type Stats struct {
+	lockCalls [MaxSpaces][MaxModes][MaxDurations]atomic.Uint64
+	counterSet[atomic.Uint64]
+}
+
+// OrNew returns s, or a fresh Stats when s is nil: the substitution every
+// constructor that takes a sink makes.
+func OrNew(s *Stats) *Stats {
+	if s == nil {
+		return &Stats{}
+	}
+	return s
 }
 
 // MaxGauge raises a gauge counter to v if v exceeds its current value
-// (lock-free CAS loop; nil-safe like every Stats method).
+// (lock-free CAS loop).
 func (s *Stats) MaxGauge(c *atomic.Uint64, v uint64) {
-	if s == nil || c == nil {
-		return
-	}
 	for {
 		cur := c.Load()
 		if v <= cur || c.CompareAndSwap(cur, v) {
@@ -186,9 +201,6 @@ func lookupName(m map[int]string, i int, kind string) string {
 // Out-of-range indices are clamped into the table so an unregistered
 // dimension can never panic a production path.
 func (s *Stats) CountLock(space, mode, duration int) {
-	if s == nil {
-		return
-	}
 	s.lockCalls[clamp(space, MaxSpaces)][clamp(mode, MaxModes)][clamp(duration, MaxDurations)].Add(1)
 }
 
@@ -202,34 +214,14 @@ func clamp(i, n int) int {
 	return i
 }
 
-// LockCalls returns the count for one cell.
-func (s *Stats) LockCalls(space, mode, duration int) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.lockCalls[clamp(space, MaxSpaces)][clamp(mode, MaxModes)][clamp(duration, MaxDurations)].Load()
-}
-
-// TotalLockCalls sums the lock table.
-func (s *Stats) TotalLockCalls() uint64 {
-	if s == nil {
-		return 0
-	}
-	var t uint64
-	for i := range s.lockCalls {
-		for j := range s.lockCalls[i] {
-			for k := range s.lockCalls[i][j] {
-				t += s.lockCalls[i][j][k].Load()
+// eachCell calls f with every (space, mode, duration) index of the lock table.
+func eachCell(f func(i, j, k int)) {
+	for i := range MaxSpaces {
+		for j := range MaxModes {
+			for k := range MaxDurations {
+				f(i, j, k)
 			}
 		}
-	}
-	return t
-}
-
-// Add is a nil-safe increment helper for the scalar counters.
-func Add(c *atomic.Uint64, n uint64) {
-	if c != nil {
-		c.Add(n)
 	}
 }
 
@@ -237,161 +229,28 @@ func Add(c *atomic.Uint64, n uint64) {
 // around a measured region.
 type Snapshot struct {
 	LockCalls [MaxSpaces][MaxModes][MaxDurations]uint64
-
-	LockWaits, Deadlocks                                      uint64
-	DeadlockVictims, VictimsOther, LockTimeouts               uint64
-	LockWaitNanos, LockWaitsParked                            uint64
-	TxnRetries, TxnDeadlockRetries, TxnTimeoutRetries         uint64
-	TxnCrashWaits, TxnRetrySuccesses                          uint64
-	TxnRecoveringRetries                                      uint64
-	LatchAcquires, LatchWaits, LatchTryFailures               uint64
-	TreeLatchAcquires, TreeLatchWaits                         uint64
-	PageFixes, PageMisses, PageWrites, PageEvicted            uint64
-	EvictionsDirty, EvictionStalls, FixParks                  uint64
-	CleanerPasses, CleanerWrites                              uint64
-	LogRecords, LogBytes, LogForces                           uint64
-	ForceWaiters, GroupCommits                                uint64
-	AppendReservations, WatermarkStalls                       uint64
-	IORetries, CorruptPages                                   uint64
-	MediaRecoveries, TornTailTruncations                      uint64
-	Traversals, LeafReposition, SMOs, PageSplits, PageDeletes uint64
-	UndoPageOriented, UndoLogical, RedoApplied                uint64
-	OnlineRestarts, LocksReinstated                           uint64
-	PagesRedoneOnDemand, PagesRedoneByDrain                   uint64
-	CheckpointsSkippedRecovering                              uint64
-	SegmentsShipped, SegmentsResent, SegmentsApplied          uint64
-	SegmentsRejected, ReplNaks                                uint64
-	AmbiguityRestarts, SMBitWaits, DeleteBitPOSCs             uint64
-	SnapshotBegins, SnapshotReads, SnapshotChainHits          uint64
-	SnapshotTooOld, VersionsPushed                            uint64
-	ChainsCreated, ChainsRemoved, ChainsScanned               uint64
-	VersionChainPeak                                          uint64
-	ReadOnlyLockCalls                                         uint64
-}
-
-// counter ties one live scalar counter to its field in a Snapshot. A gauge is
-// a high-water mark, not a count: subtracting two readings of it is
-// meaningless, so a Diff carries the "after" reading.
-type counter struct {
-	live  *atomic.Uint64
-	snap  *uint64
-	gauge bool
-}
-
-// counters is the one list of the scalar counters, as pairs of (field of s,
-// field of n), in Stats' order. Snap and Diff walk it; a counter added to
-// Stats and Snapshot is added here, and TestSnapshotDiff fails until it is.
-func counters(s *Stats, n *Snapshot) []counter {
-	return []counter{
-		{&s.LockWaits, &n.LockWaits, false},
-		{&s.Deadlocks, &n.Deadlocks, false},
-		{&s.DeadlockVictims, &n.DeadlockVictims, false},
-		{&s.VictimsOther, &n.VictimsOther, false},
-		{&s.LockTimeouts, &n.LockTimeouts, false},
-		{&s.LockWaitNanos, &n.LockWaitNanos, false},
-		{&s.LockWaitsParked, &n.LockWaitsParked, false},
-		{&s.TxnRetries, &n.TxnRetries, false},
-		{&s.TxnDeadlockRetries, &n.TxnDeadlockRetries, false},
-		{&s.TxnTimeoutRetries, &n.TxnTimeoutRetries, false},
-		{&s.TxnCrashWaits, &n.TxnCrashWaits, false},
-		{&s.TxnRetrySuccesses, &n.TxnRetrySuccesses, false},
-		{&s.TxnRecoveringRetries, &n.TxnRecoveringRetries, false},
-		{&s.LatchAcquires, &n.LatchAcquires, false},
-		{&s.LatchWaits, &n.LatchWaits, false},
-		{&s.LatchTryFailures, &n.LatchTryFailures, false},
-		{&s.TreeLatchAcquires, &n.TreeLatchAcquires, false},
-		{&s.TreeLatchWaits, &n.TreeLatchWaits, false},
-		{&s.PageFixes, &n.PageFixes, false},
-		{&s.PageMisses, &n.PageMisses, false},
-		{&s.PageWrites, &n.PageWrites, false},
-		{&s.PageEvicted, &n.PageEvicted, false},
-		{&s.EvictionsDirty, &n.EvictionsDirty, false},
-		{&s.EvictionStalls, &n.EvictionStalls, false},
-		{&s.FixParks, &n.FixParks, false},
-		{&s.CleanerPasses, &n.CleanerPasses, false},
-		{&s.CleanerWrites, &n.CleanerWrites, false},
-		{&s.LogRecords, &n.LogRecords, false},
-		{&s.LogBytes, &n.LogBytes, false},
-		{&s.LogForces, &n.LogForces, false},
-		{&s.ForceWaiters, &n.ForceWaiters, false},
-		{&s.GroupCommits, &n.GroupCommits, false},
-		{&s.AppendReservations, &n.AppendReservations, false},
-		{&s.WatermarkStalls, &n.WatermarkStalls, false},
-		{&s.IORetries, &n.IORetries, false},
-		{&s.CorruptPages, &n.CorruptPages, false},
-		{&s.MediaRecoveries, &n.MediaRecoveries, false},
-		{&s.TornTailTruncations, &n.TornTailTruncations, false},
-		{&s.Traversals, &n.Traversals, false},
-		{&s.LeafReposition, &n.LeafReposition, false},
-		{&s.SMOs, &n.SMOs, false},
-		{&s.PageSplits, &n.PageSplits, false},
-		{&s.PageDeletes, &n.PageDeletes, false},
-		{&s.UndoPageOriented, &n.UndoPageOriented, false},
-		{&s.UndoLogical, &n.UndoLogical, false},
-		{&s.RedoApplied, &n.RedoApplied, false},
-		{&s.OnlineRestarts, &n.OnlineRestarts, false},
-		{&s.LocksReinstated, &n.LocksReinstated, false},
-		{&s.PagesRedoneOnDemand, &n.PagesRedoneOnDemand, false},
-		{&s.PagesRedoneByDrain, &n.PagesRedoneByDrain, false},
-		{&s.CheckpointsSkippedRecovering, &n.CheckpointsSkippedRecovering, false},
-		{&s.SegmentsShipped, &n.SegmentsShipped, false},
-		{&s.SegmentsResent, &n.SegmentsResent, false},
-		{&s.SegmentsApplied, &n.SegmentsApplied, false},
-		{&s.SegmentsRejected, &n.SegmentsRejected, false},
-		{&s.ReplNaks, &n.ReplNaks, false},
-		{&s.AmbiguityRestarts, &n.AmbiguityRestarts, false},
-		{&s.SMBitWaits, &n.SMBitWaits, false},
-		{&s.DeleteBitPOSCs, &n.DeleteBitPOSCs, false},
-		{&s.SnapshotBegins, &n.SnapshotBegins, false},
-		{&s.SnapshotReads, &n.SnapshotReads, false},
-		{&s.SnapshotChainHits, &n.SnapshotChainHits, false},
-		{&s.SnapshotTooOld, &n.SnapshotTooOld, false},
-		{&s.VersionsPushed, &n.VersionsPushed, false},
-		{&s.ChainsCreated, &n.ChainsCreated, false},
-		{&s.ChainsRemoved, &n.ChainsRemoved, false},
-		{&s.ChainsScanned, &n.ChainsScanned, false},
-		{&s.VersionChainPeak, &n.VersionChainPeak, true}, // max versions ever held by one chain
-		{&s.ReadOnlyLockCalls, &n.ReadOnlyLockCalls, false},
-	}
+	counterSet[uint64]
 }
 
 // Snap copies the current counter values.
 func (s *Stats) Snap() Snapshot {
 	var out Snapshot
-	if s == nil {
-		return out
-	}
-	for i := range s.lockCalls {
-		for j := range s.lockCalls[i] {
-			for k := range s.lockCalls[i][j] {
-				out.LockCalls[i][j][k] = s.lockCalls[i][j][k].Load()
-			}
-		}
-	}
-	for _, c := range counters(s, &out) {
-		*c.snap = c.live.Load()
+	eachCell(func(i, j, k int) { out.LockCalls[i][j][k] = s.lockCalls[i][j][k].Load() })
+	live, snap := reflect.ValueOf(&s.counterSet).Elem(), reflect.ValueOf(&out.counterSet).Elem()
+	for i := range live.NumField() {
+		snap.Field(i).SetUint(live.Field(i).Addr().Interface().(*atomic.Uint64).Load())
 	}
 	return out
 }
 
-// idle is a Stats nobody counts into: Diff pairs snapshots with it to walk
-// their fields in the list's order.
-var idle Stats
-
 // Diff returns after - before, cell-wise (a gauge: after's reading).
 func Diff(before, after Snapshot) Snapshot {
 	d := after
-	for i := range d.LockCalls {
-		for j := range d.LockCalls[i] {
-			for k := range d.LockCalls[i][j] {
-				d.LockCalls[i][j][k] -= before.LockCalls[i][j][k]
-			}
-		}
-	}
-	was := counters(&idle, &before)
-	for i, c := range counters(&idle, &d) {
-		if !c.gauge {
-			*c.snap -= *was[i].snap
+	eachCell(func(i, j, k int) { d.LockCalls[i][j][k] -= before.LockCalls[i][j][k] })
+	was, v := reflect.ValueOf(before.counterSet), reflect.ValueOf(&d.counterSet).Elem()
+	for i := range v.NumField() {
+		if v.Type().Field(i).Tag.Get("trace") != "gauge" {
+			v.Field(i).SetUint(v.Field(i).Uint() - was.Field(i).Uint())
 		}
 	}
 	return d
@@ -400,13 +259,7 @@ func Diff(before, after Snapshot) Snapshot {
 // TotalLocks sums every lock-call cell in the snapshot.
 func (sn Snapshot) TotalLocks() uint64 {
 	var t uint64
-	for i := range sn.LockCalls {
-		for j := range sn.LockCalls[i] {
-			for k := range sn.LockCalls[i][j] {
-				t += sn.LockCalls[i][j][k]
-			}
-		}
-	}
+	eachCell(func(i, j, k int) { t += sn.LockCalls[i][j][k] })
 	return t
 }
 
@@ -420,20 +273,11 @@ type LockCell struct {
 // labels, ordered deterministically (by space, mode, duration index).
 func (sn Snapshot) NonzeroLockCells() []LockCell {
 	var cells []LockCell
-	for i := range sn.LockCalls {
-		for j := range sn.LockCalls[i] {
-			for k := range sn.LockCalls[i][j] {
-				if n := sn.LockCalls[i][j][k]; n > 0 {
-					cells = append(cells, LockCell{
-						Space:    spaceName(i),
-						Mode:     modeName(j),
-						Duration: durationName(k),
-						Count:    n,
-					})
-				}
-			}
+	eachCell(func(i, j, k int) {
+		if n := sn.LockCalls[i][j][k]; n > 0 {
+			cells = append(cells, LockCell{Space: spaceName(i), Mode: modeName(j), Duration: durationName(k), Count: n})
 		}
-	}
+	})
 	return cells
 }
 

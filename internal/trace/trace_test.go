@@ -8,74 +8,51 @@ import (
 	"testing"
 )
 
-func TestNilStatsSafe(t *testing.T) {
-	var s *Stats
-	s.CountLock(1, 2, 1) // must not panic
-	if s.LockCalls(1, 2, 1) != 0 || s.TotalLockCalls() != 0 {
-		t.Fatal("nil stats returned nonzero")
-	}
-	sn := s.Snap()
-	if sn.TotalLocks() != 0 {
-		t.Fatal("nil snapshot nonzero")
-	}
-}
-
 func TestLockTableClamping(t *testing.T) {
 	s := &Stats{}
 	s.CountLock(-5, 999, -1) // clamped, not panicking
-	if s.TotalLockCalls() != 1 {
-		t.Fatalf("clamped count = %d", s.TotalLockCalls())
+	if got := s.Snap().LockCalls[0][MaxModes-1][0]; got != 1 {
+		t.Fatalf("clamped count = %d", got)
 	}
 }
 
-// TestSnapshotDiff sets every scalar counter of Stats — found by reflection,
-// so one added to the struct and forgotten in the counters list fails here —
-// to a value of its own and requires Snap and Diff to report each in the
-// Snapshot field of the same name.
+// TestSnapshotDiff gives every counter of the one list a value of its own
+// and requires Snap and Diff to report each in its own field, a gauge's Diff
+// keeping the "after" reading.
 func TestSnapshotDiff(t *testing.T) {
 	s := &Stats{}
-	s.CountLock(1, 3, 2)
-	scalars := func(add uint64) map[string]uint64 {
-		set := map[string]uint64{}
-		v := reflect.ValueOf(s).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			if f := v.Type().Field(i); f.IsExported() {
-				if c, ok := v.Field(i).Addr().Interface().(*atomic.Uint64); ok {
-					set[f.Name] = c.Add(add + uint64(i))
-				}
-			}
+	live := reflect.ValueOf(&s.counterSet).Elem()
+	bump := func(base uint64) {
+		for i := range live.NumField() {
+			live.Field(i).Addr().Interface().(*atomic.Uint64).Add(base + uint64(i))
 		}
-		return set
 	}
-	first := scalars(100)
+	s.CountLock(1, 3, 2)
+	bump(100)
 	before := s.Snap()
 	s.CountLock(1, 3, 2)
 	s.CountLock(2, 5, 0)
-	second := scalars(1000)
+	bump(1000)
 	after := s.Snap()
 	d := Diff(before, after)
 
-	if len(first) < 69 {
-		t.Fatalf("reflection found only %d counters", len(first))
+	b, a, dv := reflect.ValueOf(before.counterSet), reflect.ValueOf(after.counterSet), reflect.ValueOf(d.counterSet)
+	for i := range live.NumField() {
+		f := live.Type().Field(i)
+		first, second := 100+uint64(i), 1100+2*uint64(i)
+		if b.Field(i).Uint() != first || a.Field(i).Uint() != second {
+			t.Errorf("%s: Snap read %d then %d, want %d then %d", f.Name, b.Field(i).Uint(), a.Field(i).Uint(), first, second)
+		}
+		want := second - first
+		if f.Tag.Get("trace") == "gauge" {
+			want = second
+		}
+		if dv.Field(i).Uint() != want {
+			t.Errorf("%s: Diff = %d, want %d", f.Name, dv.Field(i).Uint(), want)
+		}
 	}
-	for name := range first {
-		field := func(sn Snapshot) uint64 {
-			f := reflect.ValueOf(sn).FieldByName(name)
-			if !f.IsValid() {
-				t.Fatalf("Snapshot has no field %s", name)
-			}
-			return f.Uint()
-		}
-		if field(before) != first[name] || field(after) != second[name] {
-			t.Errorf("%s: Snap read %d then %d, want %d then %d", name, field(before), field(after), first[name], second[name])
-		}
-		want := second[name] - first[name]
-		if name == "VersionChainPeak" {
-			want = second[name] // a gauge: the diff carries the later reading
-		}
-		if field(d) != want {
-			t.Errorf("%s: Diff = %d, want %d", name, field(d), want)
-		}
+	if d.VersionChainPeak != after.VersionChainPeak {
+		t.Errorf("gauge VersionChainPeak: Diff = %d, want the after reading %d", d.VersionChainPeak, after.VersionChainPeak)
 	}
 	if d.LockCalls[1][3][2] != 1 || d.LockCalls[2][5][0] != 1 || d.TotalLocks() != 2 {
 		t.Fatalf("diff cells wrong: %d %d, total %d", d.LockCalls[1][3][2], d.LockCalls[2][5][0], d.TotalLocks())
@@ -126,8 +103,8 @@ func TestConcurrentCounting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.TotalLockCalls() != 8000 {
-		t.Fatalf("total = %d", s.TotalLockCalls())
+	if got := s.Snap().TotalLocks(); got != 8000 {
+		t.Fatalf("total = %d", got)
 	}
 	if s.PageFixes.Load() != 8000 {
 		t.Fatalf("fixes = %d", s.PageFixes.Load())

@@ -132,7 +132,7 @@ type Manager struct {
 
 // NewManager creates a transaction manager over log and locks.
 func NewManager(log *wal.Log, locks *lock.Manager) *Manager {
-	return &Manager{table: make(map[wal.TxID]*Tx), nextID: 1, log: log, locks: locks}
+	return &Manager{table: make(map[wal.TxID]*Tx), nextID: 1, log: log, locks: locks, stats: &trace.Stats{}}
 }
 
 // SetUndoer wires the resource-manager undo dispatcher (done once at
@@ -147,7 +147,7 @@ func (m *Manager) SetUndoer(u Undoer) { m.undoer = u }
 func (m *Manager) SetVersionStore(s *mvcc.Store) { m.store = s }
 
 // SetStats wires the trace sink (read-only lock-call accounting).
-func (m *Manager) SetStats(s *trace.Stats) { m.stats = s }
+func (m *Manager) SetStats(s *trace.Stats) { m.stats = trace.OrNew(s) }
 
 // Locks exposes the lock manager (index/record managers lock through tx).
 func (m *Manager) Locks() *lock.Manager { return m.locks }
@@ -273,9 +273,7 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode, dur lock.Duration, conditional
 		// Snapshot readers must never reach the lock manager; the counter
 		// is the benchmark's zero-lock proof (and trips the gate if a code
 		// path regresses).
-		if s := t.mgr.stats; s != nil {
-			s.ReadOnlyLockCalls.Add(1)
-		}
+		t.mgr.stats.ReadOnlyLockCalls.Add(1)
 	}
 	return t.mgr.locks.Request(lock.Owner(t.ID), name, mode, dur, conditional)
 }

@@ -95,7 +95,7 @@ func TestCommitForcesLogAndReleasesLocks(t *testing.T) {
 		t.Fatal("tx survived commit in table")
 	}
 	// Records: update, commit; no end record follows a commit.
-	recs := log.Records(1)
+	recs := log.SnapshotFrom(1)
 	if last := recs[len(recs)-1]; last.Type != wal.RecCommit || last.LSN != tx.CommitLSN() {
 		t.Fatalf("last record is %s, want the commit record", last)
 	}
@@ -128,7 +128,7 @@ func TestRollbackUndoesInReverseOrder(t *testing.T) {
 	}
 	// CLRs chain correctly: each CLR's UndoNxtLSN = undone record's PrevLSN.
 	var clrs []*wal.Record
-	for _, r := range log.Records(1) {
+	for _, r := range log.SnapshotFrom(1) {
 		if r.Type == wal.RecCLR {
 			clrs = append(clrs, r)
 		}
@@ -303,7 +303,7 @@ func TestUndoerErrorPropagates(t *testing.T) {
 		t.Fatalf("retried rollback: %v", err)
 	}
 	var types []wal.RecType
-	for _, r := range log.Records(1) {
+	for _, r := range log.SnapshotFrom(1) {
 		types = append(types, r.Type)
 	}
 	want := []wal.RecType{wal.RecUpdate, wal.RecAbort, wal.RecCLR, wal.RecEnd}
@@ -322,11 +322,11 @@ func TestSecondRollbackLogsNothing(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	n := len(log.Records(1))
+	n := len(log.SnapshotFrom(1))
 	if err := tx.Rollback(); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("second Rollback = %v, want ErrTxDone", err)
 	}
-	if got := len(log.Records(1)); got != n {
+	if got := len(log.SnapshotFrom(1)); got != n {
 		t.Fatalf("second Rollback grew the log from %d to %d records", n, got)
 	}
 }
@@ -411,7 +411,7 @@ func TestBoundedLoggingOnRepeatedRollback(t *testing.T) {
 		t.Fatalf("second pass undid %d, want 3", len(rest.undone))
 	}
 	clrs := 0
-	for _, r := range log.Records(1) {
+	for _, r := range log.SnapshotFrom(1) {
 		if r.Type == wal.RecCLR {
 			clrs++
 		}
@@ -438,7 +438,7 @@ func TestCheckpointCapturesTables(t *testing.T) {
 	}
 	// Decode the end-checkpoint payload.
 	var end *wal.Record
-	for _, r := range log.Records(begin) {
+	for _, r := range log.SnapshotFrom(begin) {
 		if r.Type == wal.RecEndCkpt {
 			end = r
 		}
@@ -492,7 +492,7 @@ func TestCheckpointEntryCoversRecordsBelowBegin(t *testing.T) {
 		}
 		last := wal.NilLSN // tx's last record so far in the scan
 		atBegin := map[wal.LSN]wal.LSN{}
-		for _, r := range log.Records(1) {
+		for _, r := range log.SnapshotFrom(1) {
 			switch {
 			case r.TxID == tx.ID:
 				last = r.LSN
@@ -649,7 +649,7 @@ func TestCheckpointDuringApplyListsThePage(t *testing.T) {
 	if begin <= lsn {
 		t.Fatalf("checkpoint begin %d not after the update at %d", begin, lsn)
 	}
-	recs := log.Records(begin)
+	recs := log.SnapshotFrom(begin)
 	end := recs[len(recs)-1]
 	if end.Type != wal.RecEndCkpt {
 		t.Fatalf("last record is %s, want the end-checkpoint record", end.Type)

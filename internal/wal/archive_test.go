@@ -40,8 +40,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 		t.Fatalf("master %d, want %d", got.Master(), l.Master())
 	}
 	// Record-for-record equality, including LSNs (same address space).
-	want := l.Records(1)[:101]
-	have := got.Records(1)
+	want := l.SnapshotFrom(1)[:101]
+	have := got.SnapshotFrom(1)
 	for i := range want {
 		if want[i].String() != have[i].String() {
 			t.Fatalf("record %d differs:\n  %s\n  %s", i, want[i], have[i])
@@ -169,12 +169,12 @@ func TestArchiveMidBurst(t *testing.T) {
 		// The restored stable mark must equal the last archived record's
 		// LSN, and every restored record must be byte-identical to the
 		// primary's copy at the same LSN.
-		have := got.Records(1)
+		have := got.SnapshotFrom(1)
 		if got.StableLSN() != have[len(have)-1].LSN {
 			t.Fatalf("archive %d: stable %d != last record LSN %d",
 				i, got.StableLSN(), have[len(have)-1].LSN)
 		}
-		want := l.Records(1)[:n]
+		want := l.SnapshotFrom(1)[:n]
 		for j := range want {
 			if !bytes.Equal(want[j].Encode(), have[j].Encode()) {
 				t.Fatalf("archive %d record %d: bytes differ", i, j)

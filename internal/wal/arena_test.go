@@ -161,7 +161,7 @@ func TestRecordsSpanningChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("ReadArchive", restored.Records(1))
+	check("ReadArchive", restored.SnapshotFrom(1))
 	if err := restored.CodecRoundTrip(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRecordsSpanningChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("DecodeSegment", append([]*Record{l.Records(1)[0]}, recs...))
+	check("DecodeSegment", append([]*Record{l.SnapshotFrom(1)[0]}, recs...))
 }
 
 // TestCloneThenAppendToBoth: a clone taken mid-chunk, and mid-way through the
@@ -200,7 +200,7 @@ func TestCloneThenAppendToBoth(t *testing.T) {
 		tx   TxID
 		body string
 	}{{l, 2, "original"}, {c, 3, "the clone"}} {
-		recs := side.log.Records(1)
+		recs := side.log.SnapshotFrom(1)
 		if len(recs) != prefix+3*many {
 			t.Fatalf("%s: %d records, want %d", side.body, len(recs), prefix+3*many)
 		}

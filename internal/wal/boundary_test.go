@@ -125,7 +125,7 @@ func checkModel(t *testing.T, step int, l *Log, model [][]byte, stable LSN) {
 		t.Fatalf("step %d: %d records, max LSN %d, %d bytes, next LSN %d, stable %d; want %d, %d, %d, %d, %d",
 			step, l.NumRecords(), l.MaxLSN(), l.Bytes(), l.NextLSN(), l.StableLSN(), len(model), last, size, size+1, stable)
 	}
-	for i, r := range l.Records(1) {
+	for i, r := range l.SnapshotFrom(1) {
 		if !bytes.Equal(r.Encode(), model[i]) {
 			t.Fatalf("step %d: record %d at LSN %d differs from the model", step, i, r.LSN)
 		}

@@ -97,9 +97,9 @@ type damageSpot struct {
 	xor byte
 }
 
-// NewLog creates an empty log reporting into stats (which may be nil).
+// NewLog creates an empty log reporting into stats (a fresh sink if nil).
 func NewLog(stats *trace.Stats) *Log {
-	l := &Log{stats: stats, damage: make(map[LSN][]damageSpot)}
+	l := &Log{stats: trace.OrNew(stats), damage: make(map[LSN][]damageSpot)}
 	l.chunks.Store(&[]*chunk{})
 	l.flushCond = sync.NewCond(&l.mu)
 	return l
@@ -202,9 +202,7 @@ func (l *Log) awaitFilled(lsn LSN) bool {
 		}
 		if !stalled {
 			stalled = true
-			if l.stats != nil {
-				l.stats.WatermarkStalls.Add(1)
-			}
+			l.stats.WatermarkStalls.Add(1)
 		}
 		runtime.Gosched()
 	}
@@ -248,9 +246,7 @@ func (l *Log) ForceAll() {
 		}
 		if !stalled {
 			stalled = true
-			if l.stats != nil {
-				l.stats.WatermarkStalls.Add(1)
-			}
+			l.stats.WatermarkStalls.Add(1)
 		}
 		runtime.Gosched()
 	}
@@ -280,9 +276,7 @@ func (l *Log) forceLocked(lsn LSN) bool {
 			// Device busy: park until the in-flight flush completes.
 			if !waited {
 				waited = true
-				if l.stats != nil {
-					l.stats.ForceWaiters.Add(1)
-				}
+				l.stats.ForceWaiters.Add(1)
 			}
 			l.flushCond.Wait()
 			continue
@@ -291,9 +285,7 @@ func (l *Log) forceLocked(lsn LSN) bool {
 		if l.forceDelay <= 0 {
 			// Instantaneous device: no in-flight window to coalesce into.
 			l.stable = want
-			if l.stats != nil {
-				l.stats.LogForces.Add(1)
-			}
+			l.stats.LogForces.Add(1)
 			flushed = true
 			continue
 		}
@@ -307,15 +299,13 @@ func (l *Log) forceLocked(lsn LSN) bool {
 		if gen == l.flushGen.Load() { // a crash during the flush discards it
 			if want > l.stable {
 				l.stable = want
-				if l.stats != nil {
-					l.stats.LogForces.Add(1)
-				}
+				l.stats.LogForces.Add(1)
 				flushed = true
 			}
 		}
 		l.flushCond.Broadcast()
 	}
-	if waited && !flushed && l.stats != nil {
+	if waited && !flushed {
 		// Hardened entirely by someone else's flush: a group commit.
 		l.stats.GroupCommits.Add(1)
 	}
@@ -478,12 +468,6 @@ func (l *Log) stableView() (v view, stable, master LSN) {
 	return v, stable, master
 }
 
-// Records returns all records from LSN from onward (test/verification aid),
-// decoded like SnapshotFrom.
-func (l *Log) Records(from LSN) []*Record {
-	return l.SnapshotFrom(from)
-}
-
 // Crash simulates loss of volatile state: every record after the stable
 // LSN disappears, exactly as an unforced log buffer would. The master
 // record survives only because SetMaster requires a prior force.
@@ -601,9 +585,7 @@ func (l *Log) sweepDamaged(v *view, keep uint64) uint64 {
 		}
 	}
 	l.truncates++
-	if l.stats != nil {
-		l.stats.TornTailTruncations.Add(1)
-	}
+	l.stats.TornTailTruncations.Add(1)
 	return cut
 }
 

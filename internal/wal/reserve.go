@@ -179,7 +179,7 @@ func (l *Log) awaitRing(t uint64) {
 		if f, _ := unpackResv(l.filled.Load()); uint16(t-f) < ringSize-1 {
 			return
 		}
-		if !stalled && l.stats != nil {
+		if !stalled {
 			l.stats.WatermarkStalls.Add(1)
 		}
 		l.advanceFilled()
@@ -200,11 +200,9 @@ func (l *Log) reserveFill(r *Record, enc int) LSN {
 	}
 	t := (count - 1) & 0xFFFF
 	r.LSN = LSN(end - uint64(enc) + 1)
-	if l.stats != nil {
-		l.stats.AppendReservations.Add(1)
-		l.stats.LogRecords.Add(1)
-		l.stats.LogBytes.Add(uint64(enc))
-	}
+	l.stats.AppendReservations.Add(1)
+	l.stats.LogRecords.Add(1)
+	l.stats.LogBytes.Add(uint64(enc))
 	if l.publishGate != nil {
 		l.publishGate(t)
 	}

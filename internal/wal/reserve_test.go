@@ -65,7 +65,7 @@ func TestConcurrentReservationsDense(t *testing.T) {
 	if got := st.AppendReservations.Load(); got != workers*perWorker {
 		t.Fatalf("AppendReservations = %d, want %d", got, workers*perWorker)
 	}
-	recs := l.Records(NilLSN + 1)
+	recs := l.SnapshotFrom(NilLSN + 1)
 	checkDense(t, recs, NilLSN+1)
 	// Every worker's LSNs strictly increasing and present exactly once.
 	seen := make(map[LSN]bool, workers*perWorker)
@@ -169,7 +169,7 @@ func TestArchiveUnderConcurrentAppends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := got.Records(NilLSN + 1)
+		recs := got.SnapshotFrom(NilLSN + 1)
 		checkDense(t, recs, NilLSN+1)
 		if len(recs) > 0 && got.StableLSN() != recs[len(recs)-1].LSN {
 			t.Fatalf("restored stable %d != last record %d", got.StableLSN(), recs[len(recs)-1].LSN)
@@ -201,13 +201,13 @@ func TestCrashAtEveryBoundaryMatchesPrefix(t *testing.T) {
 	}
 	wg.Wait()
 	l.ForceAll()
-	full := l.Records(NilLSN + 1)
+	full := l.SnapshotFrom(NilLSN + 1)
 	checkDense(t, full, NilLSN+1)
 	for i := range full {
 		L := full[i].LSN
 		fork := l.Clone(nil)
 		fork.TruncateTo(L)
-		got := fork.Records(NilLSN + 1)
+		got := fork.SnapshotFrom(NilLSN + 1)
 		if len(got) != i+1 {
 			t.Fatalf("boundary %d: %d records survive, want %d", L, len(got), i+1)
 		}
@@ -482,7 +482,7 @@ func TestPublishRingBackPressure(t *testing.T) {
 	if got := l.NumRecords(); got != total {
 		t.Fatalf("NumRecords = %d, want %d", got, total)
 	}
-	recs := l.Records(1)
+	recs := l.SnapshotFrom(1)
 	if len(recs) != total {
 		t.Fatalf("%d records, want %d", len(recs), total)
 	}

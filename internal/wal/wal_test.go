@@ -31,7 +31,7 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 		t.Fatalf("NumRecords = %d", l.NumRecords())
 	}
 	// LSN spacing equals encoded size.
-	recs := l.Records(1)
+	recs := l.SnapshotFrom(1)
 	for i := 1; i < len(recs); i++ {
 		if recs[i].LSN != recs[i-1].LSN+LSN(recs[i-1].EncodedSize()) {
 			t.Fatalf("LSN %d does not follow %d by encoded size %d",
@@ -274,7 +274,7 @@ func TestConcurrentAppendForce(t *testing.T) {
 		t.Fatalf("NumRecords = %d, want 4000", l.NumRecords())
 	}
 	// All LSNs unique and ordered.
-	recs := l.Records(1)
+	recs := l.SnapshotFrom(1)
 	for i := 1; i < len(recs); i++ {
 		if recs[i].LSN <= recs[i-1].LSN {
 			t.Fatal("LSNs not strictly increasing")
