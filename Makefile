@@ -76,10 +76,9 @@ test-2core:
 # one traverse, which decides under a page latch whether a set SM_Bit
 # belongs to a live SMO by trying the tree latch, so a wrong answer shows only
 # on the schedules where an SMO holds or releases it in between.
-# The replication tests repeat 10 times: a gap NAKs only once, so the
-# loss-repair tests rest on the shipper's retransmit ticker, and when the
-# stream heals depends on the ticker's schedule against the channel's
-# faults, which one pass samples only once.
+# The replication tests repeat 10 times: the shipper's retransmit ticker is
+# the one loss repair, and when the stream heals depends on the ticker's
+# schedule against the channel's faults, which one pass samples only once.
 # The drain-order test repeats 20 times: N redo workers must each replay
 # their partition of the plan one page at a time in first-redo order, and a
 # second fan-out inside a worker shows only as an order its schedule breaks.
@@ -166,9 +165,13 @@ chaos-online:
 # traffic over a seeded lossy channel through the semi-sync gate, primary
 # crashed mid-traffic, standby promoted, zombie segments fenced, and the
 # promoted node verified byte-exactly — plus a promotion fork per record
-# boundary of the standby's received window.
+# boundary of the standby's received window. Five seeds, because the
+# retransmit ticker is the one loss repair and each seed's fault sequence
+# meets it on a different schedule.
 chaos-standby:
-	$(GO) run -race ./cmd/ariesim-crash -standby -faults -workers 3 -commits 60 -seed 1
+	for seed in 1 2 3 4 5; do \
+		$(GO) run -race ./cmd/ariesim-crash -standby -faults -workers 3 -commits 60 -seed $$seed || exit 1; \
+	done
 
 # Chaos sweep with lock-free snapshot readers racing the writers and the
 # crash schedule: every reader observation must be exactly the committed

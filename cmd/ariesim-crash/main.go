@@ -164,9 +164,9 @@ func runStandby(seed int64, workers, commits int, faults, online bool, redoWorke
 		res.CommitsAcked, res.Boundaries, res.InPlaceUpdates)
 	fmt.Printf("ambiguity: %d gate-failed commits (%d resolved present, %d resolved lost)\n",
 		res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut)
-	fmt.Printf("shipping: %d segments shipped, %d resent, %d applied, %d rejected; %d naks\n",
+	fmt.Printf("shipping: %d segments shipped, %d resent, %d applied, %d rejected\n",
 		res.Primary.SegmentsShipped, res.Primary.SegmentsResent, res.Promoted.SegmentsApplied,
-		res.Promoted.SegmentsRejected, res.Promoted.ReplNaks)
+		res.Promoted.SegmentsRejected)
 	fmt.Printf("channel faults: %+v\n", res.Channel)
 	fmt.Printf("failover: TTFC %v, zombie segments fenced %d\n",
 		res.FailoverTTFC, res.ZombieRejected)

@@ -28,7 +28,7 @@ func main() {
 	}
 
 	// The wire: drops, duplicates, reordering, corruption — the protocol
-	// (CRC frames, retransmit, one NAK per gap) absorbs all of it.
+	// (CRC frames, a retransmit from the acked watermark) absorbs all of it.
 	ch := repl.NewChannel(repl.ChannelFaults{
 		Seed: 42, DropProb: 0.10, DupProb: 0.05, ReorderProb: 0.05, CorruptProb: 0.03,
 	})

@@ -193,8 +193,8 @@ func TestTornLogTailUndoesLoser(t *testing.T) {
 	// sweep truncates the log mid-way through the loser's work.
 	d.Log().CrashWithTornTail(2)
 	d.Crash()
-	if d.Log().TornTailTruncations() != 1 {
-		t.Fatalf("truncations = %d, want 1", d.Log().TornTailTruncations())
+	if got := d.Stats().TornTailTruncations.Load(); got != 1 {
+		t.Fatalf("truncations = %d, want 1", got)
 	}
 
 	if _, err := d.Restart(); err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -104,7 +105,7 @@ type StandbySweepResult struct {
 	Channel        repl.ChannelCounts
 	// Primary and Promoted are the two nodes' engine counters at the end:
 	// segments shipped and resent on the primary, segments applied and
-	// rejected and NAKs sent on the standby that was promoted.
+	// rejected on the standby that was promoted.
 	Primary, Promoted trace.Snapshot
 }
 
@@ -331,8 +332,12 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	if err := promoted.VerifyConsistency(); err != nil {
 		return nil, fmt.Errorf("repl sweep: promoted consistency: %v", err)
 	}
-	// The standby's log is the shipped records appended again: they must
-	// re-encode to their own bytes for their LSNs to be the primary's.
+	// The standby's log is the primary's bytes over the range it received,
+	// and every record of it (and of the promoted log) decodes and indexes.
+	got, sent := preLog.ShipFrom(wal.NilLSN+1).Body, primary.Log().ShipFrom(wal.NilLSN+1).Body
+	if len(got) > len(sent) || !bytes.Equal(got, sent[:len(got)]) {
+		return nil, fmt.Errorf("repl sweep: the standby's %d log bytes are not the primary's (%d stable)", len(got), len(sent))
+	}
 	for _, l := range []*wal.Log{preLog, promoted.Log()} {
 		if err := l.CodecRoundTrip(); err != nil {
 			return nil, fmt.Errorf("repl sweep: standby log codec: %v", err)
@@ -367,9 +372,9 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	res.CommitsUnacked = int(unacked.Load())
 	res.Channel = ch.Counts()
 	o.Logf("repl: %d acked (%d ambiguous: %d resolved in, %d out), TTFC %v, %d boundaries, "+
-		"%d shipped/%d resent/%d applied/%d rejected, %d naks, zombie %d, channel %+v",
+		"%d shipped/%d resent/%d applied/%d rejected, zombie %d, channel %+v",
 		res.CommitsAcked, res.CommitsUnacked, res.ResolvedIn, res.ResolvedOut, res.FailoverTTFC,
 		res.Boundaries, res.Primary.SegmentsShipped, res.Primary.SegmentsResent, res.Promoted.SegmentsApplied,
-		res.Promoted.SegmentsRejected, res.Promoted.ReplNaks, res.ZombieRejected, res.Channel)
+		res.Promoted.SegmentsRejected, res.ZombieRejected, res.Channel)
 	return res, nil
 }

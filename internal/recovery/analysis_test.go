@@ -57,7 +57,7 @@ func TestCheckpointedCommittedEntryIsNoLoser(t *testing.T) {
 		upd := log.Append(&wal.Record{Type: wal.RecUpdate, TxID: 7, Page: 9, Op: wal.OpIdxInsertKey, Payload: []byte("k")})
 		begin := log.Append(&wal.Record{Type: wal.RecBeginCkpt})
 		data := &wal.CheckpointData{Txs: []wal.TxTableEntry{{TxID: 7, State: c.state, LastLSN: upd, UndoNxtLSN: upd}}}
-		log.AppendForce(&wal.Record{Type: wal.RecEndCkpt, PrevLSN: begin, Payload: data.Encode()})
+		log.Force(log.Append(&wal.Record{Type: wal.RecEndCkpt, PrevLSN: begin, Payload: data.Encode()}))
 		log.SetMaster(begin)
 		rep := &Report{}
 		txs, _, maxTx, _ := analyze(log, rep)

@@ -6,45 +6,29 @@
 //
 // Wire model. Data frames (one wal.Segment encoding each: the primary's
 // stored log bytes from one record to its stable mark, which the shipper
-// copies and the standby decodes once) travel over the lossy path: each
-// send may be dropped, duplicated, reordered, corrupted, or stalled by the
-// injector, mirroring storage.FaultInjector's philosophy (seeded,
-// reproducible, with a consecutive-fault cap so progress is guaranteed).
-// Control messages (ACK / NAK, standby → primary) travel over a reliable
-// in-order path, the moral equivalent of the TCP connection a real system
-// would keep for its feedback channel; the data path is where loss hurts
-// and where the protocol must defend itself. Loss is repaired
-// in two tiers: the shipper re-ships its unacked window whenever acks
-// stall for one retransmit interval (the only tier liveness rests on,
-// since the fault cap lets some re-ship through), and a standby that sees
-// a gap NAKs its expected LSN once, so the common loss heals without
-// waiting for the ticker.
+// copies and the standby decodes once and joins to its own log as the same
+// bytes) travel over the lossy path: each send may be dropped, duplicated,
+// reordered, corrupted, or stalled by the injector, mirroring
+// storage.FaultInjector's philosophy (seeded, reproducible, with a
+// consecutive-fault cap so progress is guaranteed). The standby → primary
+// direction carries one thing, the acked watermark: the highest LSN the
+// standby holds appended, forced and applied. It only rises, so it is a
+// value the standby raises and the shipper reads, with a one-slot doorbell
+// to wake the shipper — the moral equivalent of the TCP connection a real
+// system would keep for its feedback, where a newer ack subsumes every
+// older one. Loss is repaired in one tier: the shipper re-ships its unacked
+// window whenever the watermark stalls for one retransmit interval, and the
+// fault cap lets some re-ship through. A standby drops a corrupt, gapped
+// or duplicate segment and says nothing.
 package repl
 
 import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"ariesim/internal/wal"
 )
-
-// ControlKind enumerates the standby→primary feedback messages.
-type ControlKind int
-
-const (
-	// CtlAck acknowledges that every record with LSN <= Control.LSN is
-	// appended, forced, and applied on the standby.
-	CtlAck ControlKind = iota
-	// CtlNak reports a gap: the standby needs shipping to resume from
-	// Control.LSN (its next expected record). It is a hint, sent once per
-	// gap; the retransmit ticker covers a lost re-ship.
-	CtlNak
-)
-
-// Control is one feedback message.
-type Control struct {
-	Kind ControlKind
-	LSN  uint64 // CtlAck: applied watermark; CtlNak: next expected LSN
-}
 
 // ChannelFaults configures the data-path fault injector. Probabilities
 // are per-send and independent; the zero value is a perfect channel.
@@ -73,8 +57,8 @@ const stallDelay = time.Millisecond
 const maxConsecutive = 2
 
 // Channel is the in-process replication link: a lossy data path
-// (primary → standby) and a reliable control path (standby → primary).
-// Both ends close down together via Close.
+// (primary → standby) and the acked watermark (standby → primary). Both
+// close down together via Close.
 type Channel struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -83,9 +67,10 @@ type Channel struct {
 	held   []byte // frame held back by a reorder fault
 	counts ChannelCounts
 	closed bool
+	acked  wal.LSN // highest LSN the standby acknowledged
 
-	frames chan []byte  // data path (fault-injected)
-	ctrl   chan Control // control path (reliable)
+	frames chan []byte   // data path (fault-injected)
+	bell   chan struct{} // rung when acked rises (one slot: rings coalesce)
 }
 
 // ChannelCounts tallies injected faults for reporting.
@@ -99,7 +84,7 @@ func NewChannel(cfg ChannelFaults) *Channel {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		cfg:    cfg,
 		frames: make(chan []byte, 256),
-		ctrl:   make(chan Control, 256),
+		bell:   make(chan struct{}, 1),
 	}
 }
 
@@ -120,7 +105,7 @@ func (c *Channel) Close() {
 	}
 	c.closed = true
 	close(c.frames)
-	close(c.ctrl)
+	close(c.bell)
 }
 
 // deliver enqueues one frame, dropping it if the receiver is hopelessly
@@ -197,19 +182,27 @@ func (c *Channel) Send(frame []byte) {
 // RecvCh exposes the data path for select loops.
 func (c *Channel) RecvCh() <-chan []byte { return c.frames }
 
-// SendControl enqueues one reliable control message.
-func (c *Channel) SendControl(m Control) {
+// Ack raises the acked watermark to lsn and rings the doorbell; an lsn at or
+// below the watermark changes nothing and rings nothing.
+func (c *Channel) Ack(lsn wal.LSN) {
 	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	defer c.mu.Unlock()
+	if c.closed || lsn <= c.acked {
 		return
 	}
-	// Control is reliable AND non-lossy: block if full (it never is in
-	// practice; the shipper drains eagerly).
-	defer func() { recover() }() // racing Close is a benign shutdown
-	c.ctrl <- m
+	c.acked = lsn
+	select {
+	case c.bell <- struct{}{}:
+	default:
+	}
 }
 
-// ControlCh exposes the control path for select loops.
-func (c *Channel) ControlCh() <-chan Control { return c.ctrl }
+// Acked returns the acked watermark.
+func (c *Channel) Acked() wal.LSN {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.acked
+}
+
+// AckCh is the doorbell Ack rings, closed by Close.
+func (c *Channel) AckCh() <-chan struct{} { return c.bell }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -81,6 +82,16 @@ func verifyRows(d *db.DB, want map[string]string) error {
 	return nil
 }
 
+// sameBytes fails unless the standby's log is byte for byte the primary's
+// stable log over the range the standby holds.
+func sameBytes(standby, primary *wal.Log) error {
+	got, sent := standby.ShipFrom(wal.NilLSN+1).Body, primary.ShipFrom(wal.NilLSN+1).Body
+	if len(got) > len(sent) || !bytes.Equal(got, sent[:len(got)]) {
+		return fmt.Errorf("the standby's %d log bytes are not the primary's (%d stable)", len(got), len(sent))
+	}
+	return nil
+}
+
 // commitSet collects the LSN of every commit record in the log.
 func commitSet(log *wal.Log) map[wal.LSN]bool {
 	set := map[wal.LSN]bool{}
@@ -129,6 +140,9 @@ func TestShipApplyPromote(t *testing.T) {
 	if got, stable := standby.AppliedLSN(), primary.Log().StableLSN(); got != stable {
 		t.Fatalf("applied %d, primary stable %d", got, stable)
 	}
+	if err := sameBytes(standby.DB().Log(), primary.Log()); err != nil {
+		t.Fatal(err)
+	}
 
 	promoted, rep, err := standby.Promote()
 	if err != nil {
@@ -147,8 +161,8 @@ func TestShipApplyPromote(t *testing.T) {
 }
 
 // TestLossyChannelCatchUp runs every fault class at once under the
-// semi-sync gate: each commit must still ack (retransmit + NAK repair the
-// stream), and the standby must converge to the primary's exact state —
+// semi-sync gate: each commit must still ack (the retransmit ticker repairs
+// the stream), and the standby must converge to the primary's exact state —
 // a table created mid-stream included, whose schema reaches the standby
 // only as catalog records in the log the faults mangle.
 func TestLossyChannelCatchUp(t *testing.T) {
@@ -215,16 +229,17 @@ func TestLossyChannelCatchUp(t *testing.T) {
 	if v, err := tbl.Get(tx, []byte("b")); err != nil || string(v) != "2" {
 		t.Fatalf("%s[b] = %q, %v; want 2", second, v, err)
 	}
-	t.Logf("channel: %+v; naks=%d resent=%d applied=%d rejected=%d",
-		counts, promoted.Stats().ReplNaks.Load(), primary.Stats().SegmentsResent.Load(),
+	t.Logf("channel: %+v; resent=%d applied=%d rejected=%d",
+		counts, primary.Stats().SegmentsResent.Load(),
 		promoted.Stats().SegmentsApplied.Load(), promoted.Stats().SegmentsRejected.Load())
 }
 
-// TestGapNaksOnce drives the standby's gap handling by hand: a segment
-// starting beyond its tail, sent several times, is rejected every time and
-// NAKed exactly once, nothing is applied across the gap, and a segment
-// from the expected LSN then heals the standby completely.
-func TestGapNaksOnce(t *testing.T) {
+// TestGapIsDroppedUntilReshipped drives the standby's gap handling by hand:
+// a segment starting beyond its tail, sent several times, is rejected every
+// time, nothing is applied across the gap, the acked watermark does not move
+// and its doorbell never rings. A re-ship from the acked watermark — what the
+// shipper's retransmit ticker sends — then heals the standby exactly.
+func TestGapIsDroppedUntilReshipped(t *testing.T) {
 	primary := db.Open(testDBOpts())
 	if _, err := primary.CreateTable(testTable); err != nil {
 		t.Fatalf("create table: %v", err)
@@ -242,7 +257,6 @@ func TestGapNaksOnce(t *testing.T) {
 	standby := NewStandby(ch, testDBOpts())
 	standby.Start()
 	sstats := standby.DB().Stats()
-	expected := standby.DB().Log().NextLSN()
 
 	// Ship only a mid-log suffix, several times: the standby sees a gap.
 	recs := primary.Log().SnapshotFrom(1)
@@ -260,37 +274,35 @@ func TestGapNaksOnce(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if got := standby.AppliedLSN(); got != wal.NilLSN || sstats.SegmentsApplied.Load() != 0 {
-		t.Fatalf("applied across the gap: at %d after %d segments", got, sstats.SegmentsApplied.Load())
+	if got := standby.AppliedLSN(); got != wal.NilLSN || sstats.SegmentsApplied.Load() != 0 || standby.DB().Log().NumRecords() != 0 {
+		t.Fatalf("applied across the gap: at %d after %d segments, %d records logged",
+			got, sstats.SegmentsApplied.Load(), standby.DB().Log().NumRecords())
+	}
+	select {
+	case <-ch.AckCh():
+		t.Fatalf("the ack doorbell rang for gapped segments (acked %d)", ch.Acked())
+	default:
+	}
+	if got := ch.Acked(); got != wal.NilLSN {
+		t.Fatalf("acked %d across the gap", got)
 	}
 
-	// The segment the NAK asks for heals the gap.
-	ch.Send(primary.Log().ShipFrom(expected).Encode())
+	// The ticker's re-ship from the acked watermark heals the gap.
+	ch.Send(primary.Log().ShipFrom(ch.Acked() + 1).Encode())
 	stable := primary.Log().StableLSN()
-	for wait := time.Now().Add(10 * time.Second); standby.AppliedLSN() < stable; {
-		if time.Now().After(wait) {
-			t.Fatalf("gap never healed: at %d, want %d", standby.AppliedLSN(), stable)
-		}
-		runtime.Gosched()
+	select {
+	case <-ch.AckCh():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("gap never healed: at %d, want %d", standby.AppliedLSN(), stable)
 	}
-
-	// The control stream carries exactly one NAK, for the standby's tail,
-	// before the ack of the healing segment.
-	var naks []Control
-	for acked := false; !acked; {
-		m := <-ch.ControlCh()
-		switch m.Kind {
-		case CtlNak:
-			naks = append(naks, m)
-		case CtlAck:
-			acked = wal.LSN(m.LSN) == stable
-		}
+	if got := ch.Acked(); got != stable || standby.AppliedLSN() != stable {
+		t.Fatalf("acked %d, applied %d; want %d", got, standby.AppliedLSN(), stable)
 	}
-	if len(naks) != 1 || naks[0].LSN != uint64(expected) {
-		t.Fatalf("naks = %+v, want one for LSN %d", naks, expected)
+	if err := sameBytes(standby.DB().Log(), primary.Log()); err != nil {
+		t.Fatal(err)
 	}
-	if got := sstats.ReplNaks.Load(); got != 1 {
-		t.Fatalf("standby counted %d naks, want 1", got)
+	if got := standby.DB().Log().Bytes(); got != uint64(primary.Log().NextLSN()-1) {
+		t.Fatalf("the standby holds %d log bytes, the primary %d", got, primary.Log().NextLSN()-1)
 	}
 	promoted, _, err := standby.Promote()
 	if err != nil {
@@ -328,10 +340,8 @@ func TestRedoFailureStopsStandby(t *testing.T) {
 	if got := standby.AppliedLSN(); got != wal.NilLSN || sstats.SegmentsApplied.Load() != 0 {
 		t.Fatalf("failed segment counted as applied: at %d", got)
 	}
-	select {
-	case m := <-ch.ControlCh():
-		t.Fatalf("stopped standby sent %+v", m)
-	default:
+	if got := ch.Acked(); got != wal.NilLSN {
+		t.Fatalf("stopped standby acked %d", got)
 	}
 	promoted, _, err := standby.Promote()
 	if err == nil || promoted != nil {

@@ -17,27 +17,27 @@ var ErrShipperStopped = errors.New("repl: shipper stopped")
 // acknowledged the LSN.
 var ErrAckTimeout = errors.New("repl: standby ack timeout")
 
-// retransmit is how long shipped-but-unacked records may age before the
-// shipper re-ships from the acked watermark. This is the loss repair the
-// stream's liveness rests on: a dropped frame (or a dropped NAK re-ship) is
-// re-sent after at most one retransmit interval, keeping the commit gate
-// live.
-const retransmit = 2 * time.Millisecond
+// retransmit is how long the acked watermark may stall below the stable mark
+// before the shipper re-ships from it. This is the stream's one loss repair:
+// a dropped, corrupted or gapped frame is re-sent once the watermark has
+// stalled for a whole interval, keeping the commit gate live. The interval
+// is the latency a lost frame adds to a gated commit, so it is short: the
+// standby sweep takes about 9 % longer at 2 ms, and re-ships no fewer
+// segments.
+const retransmit = time.Millisecond
 
 // Shipper streams a log's stable prefix over a Channel as framed
 // segments. Start it once; it wakes on the log's stable-notify hook
-// (wal.Log.SetStableNotify), ships everything newly hardened, and
-// services the control path: ACKs advance the acked watermark (and
-// release commit-gate waiters), NAKs rewind the ship cursor.
+// (wal.Log.SetStableNotify), ships everything newly hardened, and wakes
+// commit-gate waiters whenever the channel's acked watermark rises.
 type Shipper struct {
 	log   *wal.Log
 	ch    *Channel
 	stats *trace.Stats // shipping counters
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	nextShip wal.LSN // first LSN not yet shipped
-	acked    wal.LSN // highest standby-acked LSN
+	cond     *sync.Cond // broadcast when the acked watermark rises, or on Stop
+	nextShip wal.LSN    // first LSN not yet shipped
 	stopped  bool
 
 	notify chan struct{} // stable-notify doorbell (coalesced)
@@ -64,11 +64,11 @@ func NewShipper(log *wal.Log, ch *Channel, stats *trace.Stats) *Shipper {
 	return s
 }
 
-// Start launches the ship and control loops.
+// Start launches the ship and ack loops.
 func (s *Shipper) Start() {
 	s.done.Add(2)
 	go s.shipLoop()
-	go s.controlLoop()
+	go s.ackLoop()
 	s.ring() // ship whatever is already stable
 }
 
@@ -100,10 +100,7 @@ func (s *Shipper) ring() {
 // Lag returns how many stable log bytes the standby has not yet
 // acknowledged — the replication lag in the only unit LSNs measure.
 func (s *Shipper) Lag() uint64 {
-	stable := s.log.StableLSN()
-	s.mu.Lock()
-	acked := s.acked
-	s.mu.Unlock()
+	stable, acked := s.log.StableLSN(), s.ch.Acked()
 	if stable <= acked {
 		return 0
 	}
@@ -122,7 +119,7 @@ func (s *Shipper) WaitAcked(lsn wal.LSN, timeout time.Duration) error {
 	defer timer.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.acked < lsn {
+	for s.ch.Acked() < lsn {
 		if s.stopped {
 			return ErrShipperStopped
 		}
@@ -150,14 +147,12 @@ func (s *Shipper) ShipNow() {
 }
 
 // ship sends [from..stable] as one segment; from 0 means the current
-// cursor. A shipped window advances the cursor; a NAK rewinds it. Unless
-// force is set, nothing new to send sends nothing.
+// cursor. A shipped window moves the cursor to its end. Unless force is
+// set, nothing new to send sends nothing.
 func (s *Shipper) ship(from wal.LSN, force bool) {
 	s.mu.Lock()
 	if from == 0 {
 		from = s.nextShip
-	} else if from < s.nextShip {
-		s.nextShip = from // NAK rewind
 	}
 	seg := s.log.ShipFrom(from)
 	if len(seg.Body) == 0 && from > seg.Stable && !force {
@@ -186,16 +181,10 @@ func (s *Shipper) shipLoop() {
 		case <-s.notify:
 			s.ship(0, false)
 		case <-ticker.C:
-			s.mu.Lock()
-			acked, next, stopped := s.acked, s.nextShip, s.stopped
-			s.mu.Unlock()
-			if stopped {
-				return
-			}
-			if acked+1 < next && acked == lastAcked {
-				// Shipped records aged past one interval with no ack
-				// progress: assume loss and re-ship the whole unacked
-				// window.
+			acked := s.ch.Acked()
+			if acked < s.log.StableLSN() && acked == lastAcked {
+				// Stable records stayed unacked for a whole interval:
+				// assume loss and re-ship the whole unacked window.
 				s.stats.SegmentsResent.Add(1)
 				s.ship(acked+1, false)
 			}
@@ -204,31 +193,22 @@ func (s *Shipper) shipLoop() {
 	}
 }
 
-// controlLoop services the standby's feedback.
-func (s *Shipper) controlLoop() {
+// ackLoop wakes the commit-gate waiters on every ring of the channel's ack
+// doorbell. The broadcast is under s.mu, which a waiter holds from reading
+// the watermark until it waits, so no rise is missed.
+func (s *Shipper) ackLoop() {
 	defer s.done.Done()
 	for {
-		var m Control
-		var ok bool
 		select {
-		case m, ok = <-s.ch.ControlCh():
+		case _, ok := <-s.ch.AckCh():
 			if !ok {
 				return
 			}
 		case <-s.stop:
 			return
 		}
-		switch m.Kind {
-		case CtlAck:
-			s.mu.Lock()
-			if wal.LSN(m.LSN) > s.acked {
-				s.acked = wal.LSN(m.LSN)
-				s.cond.Broadcast()
-			}
-			s.mu.Unlock()
-		case CtlNak:
-			s.stats.SegmentsResent.Add(1)
-			s.ship(wal.LSN(m.LSN), false)
-		}
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
 	}
 }

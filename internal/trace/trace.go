@@ -106,10 +106,9 @@ type counterSet[C any] struct {
 
 	// Replication (internal/repl hot standby).
 	SegmentsShipped  C // segments the shipper framed and sent
-	SegmentsResent   C // segments re-shipped after NAK or ack stall
+	SegmentsResent   C // segments re-shipped after an ack stall
 	SegmentsApplied  C // segments the standby appended and replayed
 	SegmentsRejected C // segments the standby discarded (corrupt, after promotion or a redo failure, duplicate, gapped)
-	ReplNaks         C // gap re-requests sent by the standby
 
 	AmbiguityRestarts C // Fig 4 "unwind recursion" events
 	SMBitWaits        C // operations delayed by SM_Bit

@@ -15,7 +15,9 @@ import (
 // arena holds them, behind a header carrying the sender's watermarks, the
 // body's first LSN and a frame CRC. An archive is the one segment that starts
 // at LSN 1. The sender copies bytes and decodes nothing; a receiver decodes
-// each record once, with DecodeRecord, so the wire format is the log's own.
+// each record once (DecodeSegment) and joins the segment to its own log as
+// the same bytes (Receive), so the wire format is the log's own and a
+// received log is byte-identical to the sender's over what it received.
 
 const segmentMagic = uint32(0x41525347) // "ARSG"
 
@@ -42,9 +44,11 @@ var (
 	// ErrSegmentCorrupt reports a frame damaged beyond a torn tail: a bad
 	// magic, length or frame CRC, or a record that fails its codec while
 	// more bytes follow. Nothing at or after the damage can be trusted, so
-	// a standby discards the segment and NAKs, and ReadArchive rejects the
-	// stream outright.
+	// a standby discards the segment, and ReadArchive rejects the stream
+	// outright.
 	ErrSegmentCorrupt = errors.New("wal: log frame corrupt")
+	// ErrSegmentGap reports a segment whose records start beyond a log's next LSN.
+	ErrSegmentGap = errors.New("wal: segment leaves a gap")
 )
 
 // Segment is one resumable slice of the stable log stream: the unit a
@@ -197,7 +201,7 @@ func ReadArchive(r io.Reader) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: archive: %w", err)
 	}
-	s, recs, err := decodeFrame(b, true)
+	s, _, err := decodeFrame(b, true)
 	if err != nil && !errors.Is(err, ErrArchiveTorn) {
 		return nil, err
 	}
@@ -205,13 +209,39 @@ func ReadArchive(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("%w: archive starts at LSN %d", ErrSegmentCorrupt, s.First)
 	}
 	l := NewLog(nil)
-	for _, rec := range recs {
-		l.Append(rec)
+	l.Receive(s) // a fresh log expects LSN 1: no gap
+	return l, err
+}
+
+// Receive joins the decoded segment s to the log as s's bytes, so its LSNs
+// are the sender's by construction: it drops the records below the log's
+// next LSN (a duplicate or overlapping delivery), appends the rest, forces
+// them, and adopts the sender's master once the stable prefix covers it. It
+// returns how many records of s it appended, the last ones. A segment that
+// starts beyond the next LSN is refused with ErrSegmentGap, the log
+// unchanged. The caller is the log's only appender while Receive runs.
+func (l *Log) Receive(s *Segment) (int, error) {
+	n, last := 0, NilLSN
+	l.crashMu.RLock()
+	_, end := unpackResv(l.resv.Load())
+	next := LSN(end + 1)
+	for lsn, b := s.First, s.Body; len(b) > 0; {
+		size := binary.LittleEndian.Uint32(b)
+		if lsn > next { // before the first append only: later, lsn == next
+			l.crashMu.RUnlock()
+			return 0, fmt.Errorf("%w: record at LSN %d, log expects %d", ErrSegmentGap, lsn, next)
+		}
+		if lsn == next {
+			last = l.reserveFill(nil, b[:size], int(size))
+			next += LSN(size)
+			n++
+		}
+		lsn, b = lsn+LSN(size), b[size:]
 	}
-	stable := min(s.Stable, l.MaxLSN()) // a lost tail clamps the stable mark
-	l.Force(stable)
-	if s.Master != NilLSN && s.Master <= stable {
+	l.crashMu.RUnlock()
+	l.Force(last)
+	if s.Master > l.Master() && s.Master <= l.StableLSN() {
 		l.SetMaster(s.Master)
 	}
-	return l, err
+	return n, nil
 }

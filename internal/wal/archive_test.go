@@ -249,6 +249,84 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReceive joins segments of a sender's log to receivers holding a prefix
+// of it: a whole log, a suffix, an overlapping duplicate, a pure duplicate, a
+// gapped segment (refused, the receiver unchanged) and a heartbeat. After
+// each the receiver holds exactly the sender's bytes over what it holds, all
+// stable, and the sender's master once its stable prefix covers it.
+func TestReceive(t *testing.T) {
+	sender := NewLog(nil)
+	var lsns []LSN
+	var prev LSN
+	for i := 0; i < 30; i++ {
+		payload := "received payload"
+		if i == 20 { // spans a chunk boundary, so Receive copies across chunks
+			payload = string(bytes.Repeat([]byte{byte(i)}, chunkSize+100))
+		}
+		prev = sender.Append(upd(TxID(i%3+1), prev, storage.PageID(i%5), payload))
+		lsns = append(lsns, prev)
+	}
+	sender.Force(prev)
+	sender.SetMaster(lsns[12])
+	whole := sender.ShipFrom(NilLSN + 1)
+	// holding returns a receiver that holds the sender's first k records and
+	// no master.
+	holding := func(k int) *Log {
+		r := NewLog(nil)
+		end := len(whole.Body)
+		if k < len(lsns) {
+			end = int(lsns[k]) - 1
+		}
+		if n, err := r.Receive(&Segment{First: 1, Body: whole.Body[:end]}); n != k || err != nil {
+			t.Fatalf("prefix of %d records: appended %d, %v", k, n, err)
+		}
+		return r
+	}
+	for _, c := range []struct {
+		name       string
+		have       int      // records the receiver holds before
+		seg        *Segment // what it receives
+		n, hold    int      // records appended, and held after
+		gap        bool
+		masterHeld bool // the receiver adopts the sender's master
+	}{
+		{"whole log", 0, whole, 30, 30, false, true},
+		{"suffix", 10, sender.ShipFrom(lsns[10]), 20, 30, false, true},
+		{"overlapping duplicate", 10, sender.ShipFrom(lsns[5]), 20, 30, false, true},
+		{"pure duplicate", 30, sender.ShipFrom(lsns[3]), 0, 30, false, true},
+		{"gap", 5, sender.ShipFrom(lsns[10]), 0, 5, true, false},
+		{"heartbeat", 30, sender.ShipFrom(sender.StableLSN() + 1), 0, 30, false, true},
+		{"heartbeat beyond a short receiver", 5, sender.ShipFrom(sender.StableLSN() + 1), 0, 5, false, false},
+	} {
+		r := holding(c.have)
+		n, err := r.Receive(c.seg)
+		if n != c.n || errors.Is(err, ErrSegmentGap) != c.gap || err != nil && !c.gap {
+			t.Fatalf("%s: appended %d, %v; want %d, gap %v", c.name, n, err, c.n, c.gap)
+		}
+		last, end := NilLSN, 0
+		if c.hold > 0 {
+			last, end = lsns[c.hold-1], len(whole.Body)
+		}
+		if c.hold < len(lsns) {
+			end = int(lsns[c.hold]) - 1
+		}
+		master := NilLSN
+		if c.masterHeld {
+			master = lsns[12]
+		}
+		if got := r.ShipFrom(NilLSN + 1).Body; !bytes.Equal(got, whole.Body[:end]) {
+			t.Fatalf("%s: receiver holds %d bytes that differ from the sender's %d", c.name, len(got), end)
+		}
+		if r.NumRecords() != c.hold || r.MaxLSN() != last || r.StableLSN() != last || r.Master() != master {
+			t.Fatalf("%s: %d records, max %d, stable %d, master %d; want %d, %d, %d, %d",
+				c.name, r.NumRecords(), r.MaxLSN(), r.StableLSN(), r.Master(), c.hold, last, last, master)
+		}
+		if err := r.CodecRoundTrip(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+}
+
 func TestSegmentDetectsCorruption(t *testing.T) {
 	l := NewLog(nil)
 	var prev LSN

@@ -224,7 +224,7 @@ func TestCloneThenAppendToBoth(t *testing.T) {
 // LSNs.
 func TestDecodedPayloadSurvivesCrashRewind(t *testing.T) {
 	l := NewLog(nil)
-	l.AppendForce(&Record{Type: RecCommit, TxID: 1})
+	l.Force(l.Append(&Record{Type: RecCommit, TxID: 1}))
 	lsn := l.Append(&Record{Type: RecUpdate, TxID: 2, Payload: []byte("zombie payload")})
 	zombie, err := l.Read(lsn)
 	if err != nil {

@@ -8,14 +8,16 @@ import (
 // FuzzLogBoundaries drives a log through appends of every size — small
 // records crossing index blocks, and records that span one chunk boundary,
 // end exactly on one, or span three chunks — and through forces,
-// truncations, torn-tail crashes, clones, and reads and scans at arbitrary
-// LSNs, checking it after every step against a slice of the encoded records
+// truncations, torn-tail crashes, clones, reads and scans at arbitrary LSNs,
+// and a fresh log receiving the stable prefix (which then carries on as the
+// log), checking it after every step against a slice of the encoded records
 // that must survive. An input is a list of (op, arg) byte pairs.
 func FuzzLogBoundaries(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 7, 2, 1, 0, 3, 4, 2, 6, 0x31})
 	f.Add([]byte{1, 3, 1, 4, 0, 9, 2, 0, 1, 5, 0, 5, 6, 0x12, 3, 2, 0, 1})
 	f.Add([]byte{0, 1, 1, 4, 5, 0, 1, 2, 2, 0, 4, 3, 6, 0x25, 5, 0, 1, 3})
 	f.Add(bytes.Repeat([]byte{0, 200, 0, 17, 2, 5, 6, 0x40}, 40))
+	f.Add([]byte{1, 0, 0, 3, 1, 2, 0, 4, 2, 0, 7, 1, 0, 5, 7, 0, 2, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		l := NewLog(nil)
 		var model [][]byte // the encoded records the log must hold, in order
@@ -33,7 +35,7 @@ func FuzzLogBoundaries(f *testing.F) {
 			return lsns[i-1] + LSN(len(model[i-1]))
 		}
 		for step := 0; step+1 < len(ops); step += 2 {
-			op, arg := ops[step]%7, int(ops[step+1])
+			op, arg := ops[step]%8, int(ops[step+1])
 			switch op {
 			case 0, 1: // append a small record, or (at most 8 times) a big one
 				r := &Record{Type: RecUpdate, TxID: TxID(arg + 1), PrevLSN: LSN(step), Page: 3, Op: OpDataInsert}
@@ -103,8 +105,22 @@ func FuzzLogBoundaries(f *testing.F) {
 				if first < len(model) && (len(got) == 0 || got[0].LSN != lsns[first]) || first == len(model) && len(got) != 0 {
 					t.Fatalf("step %d: Scan(%d) starts at %v, want record %d", step, lsn, got, first)
 				}
+			case 7: // a fresh log receives the stable prefix from record k (a gap unless k is 0 or beyond it), then all of it; it carries on as the log
+				k := arg % (len(model) + 1)
+				r := NewLog(nil)
+				n, err := r.Receive(l.ShipFrom(lsnOf(k)))
+				if gap := k > 0 && k < stable; (err != nil) != gap || n != 0 && (k > 0 || n != stable) {
+					t.Fatalf("step %d: receiving from record %d of %d stable: %d appended, %v", step, k, stable, n, err)
+				}
+				if m, err := r.Receive(l.ShipFrom(1)); err != nil || n+m != stable {
+					t.Fatalf("step %d: receiving the stable prefix of %d records: %d then %d appended, %v", step, stable, n, m, err)
+				}
+				if got, want := r.ShipFrom(1).Body, l.ShipFrom(1).Body; !bytes.Equal(got, want) {
+					t.Fatalf("step %d: the receiver's %d bytes differ from the sender's %d", step, len(got), len(want))
+				}
+				l = r
 			}
-			if op == 3 || op == 4 {
+			if op == 3 || op == 4 || op == 7 {
 				model, lsns = model[:stable], lsns[:stable]
 			}
 			checkModel(t, step, l, model, lsnOf(stable-1))

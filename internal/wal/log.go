@@ -13,10 +13,10 @@ import (
 	"ariesim/internal/trace"
 )
 
-// ErrLogCrashed reports an append-force whose record died with a crashed log
-// epoch: the LSN was assigned but the record never reached stable storage
-// and never will. Callers must not acknowledge anything that depended on it.
-var ErrLogCrashed = errors.New("wal: log crashed during append-force")
+// ErrLogCrashed reports a commit whose record died with a crashed log epoch
+// (Force returned false): it never reached stable storage and never will.
+// Callers must not acknowledge anything that depended on it.
+var ErrLogCrashed = errors.New("wal: log crashed during force")
 
 // Log is the write-ahead log manager. Records live in a single virtual
 // byte address space; a record's LSN is one plus its byte offset, so LSNs
@@ -85,8 +85,7 @@ type Log struct {
 	// individual records (torn log writes, media rot). It is consulted by
 	// the CRC sweep that every crash performs: the surviving log is the
 	// prefix up to the first record that no longer decodes.
-	damage    map[LSN][]damageSpot
-	truncates uint64 // torn-tail truncations performed by crash sweeps
+	damage map[LSN][]damageSpot
 
 	stats *trace.Stats
 }
@@ -115,7 +114,7 @@ func (l *Log) SetForceDelay(d time.Duration) {
 }
 
 // SetStableNotify installs (or, with nil, removes) the stable-notify
-// doorbell: a Force/ForceAll/AppendForce whose force advanced the stable
+// doorbell: a Force, ForceAll or Receive whose force advanced the stable
 // LSN rings it once the log mutex is released. This is the hook continuous
 // log shipping rides on: the shipper wakes and ships whatever the stable
 // mark now covers, which it reads itself (ShipFrom), so the doorbell
@@ -155,25 +154,9 @@ func (l *Log) forceAndRing(lsn LSN) bool {
 // ariesim-lint append-path check keeps exclusive mutexes off it).
 func (l *Log) Append(r *Record) LSN {
 	l.crashMu.RLock()
-	lsn := l.reserveFill(r, r.EncodedSize())
+	r.LSN = l.reserveFill(r, nil, r.EncodedSize())
 	l.crashMu.RUnlock()
-	return lsn
-}
-
-// AppendForce appends r and hardens it — the commit-path combination: a
-// lock-free append followed by a coalescing force. The flush sleeps outside
-// the log mutex, so concurrent committers overlap their device waits and
-// share flushes.
-//
-// If a crash lands while the record is being hardened, AppendForce returns
-// the dead record's LSN together with ErrLogCrashed: the record is gone
-// with its epoch and the caller must not acknowledge the commit.
-func (l *Log) AppendForce(r *Record) (LSN, error) {
-	lsn := l.Append(r)
-	if !l.Force(lsn) {
-		return lsn, ErrLogCrashed
-	}
-	return lsn, nil
+	return r.LSN
 }
 
 // awaitFilled blocks until the contiguity watermark covers lsn — i.e. every
@@ -319,10 +302,8 @@ func (l *Log) StableLSN() LSN {
 	return l.stable
 }
 
-// NextLSN returns the LSN the next appended record will receive. Because
-// LSNs are byte addresses, a standby appending the exact record stream the
-// primary logged reproduces the primary's LSNs — NextLSN is therefore the
-// "expected next" mark replication gap detection compares against.
+// NextLSN returns the LSN the next appended record will receive: one past
+// the claimed bytes.
 func (l *Log) NextLSN() LSN {
 	l.crashMu.RLock()
 	defer l.crashMu.RUnlock()
@@ -584,7 +565,6 @@ func (l *Log) sweepDamaged(v *view, keep uint64) uint64 {
 			delete(l.damage, lsn)
 		}
 	}
-	l.truncates++
 	l.stats.TornTailTruncations.Add(1)
 	return cut
 }
@@ -606,14 +586,6 @@ func (l *Log) CorruptStored(lsn LSN, off int, mask byte) error {
 	return nil
 }
 
-// TornTailTruncations reports how many crash sweeps found a bad-CRC record
-// and truncated the log there.
-func (l *Log) TornTailTruncations() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.truncates
-}
-
 // Clone copies the log's state into a new Log reporting into stats. Every
 // arena chunk wholly below the frontier is shared (nothing there is ever
 // rewritten); the frontier's own chunk, the marks, and planted damage are
@@ -631,7 +603,6 @@ func (l *Log) Clone(stats *trace.Stats) *Log {
 	out.install(&v, v.end, v.n)
 	out.stable = l.stable
 	out.master = l.master
-	out.truncates = l.truncates
 	out.forceDelay = l.forceDelay
 	for lsn, spots := range l.damage {
 		out.damage[lsn] = append([]damageSpot(nil), spots...)

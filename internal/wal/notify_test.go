@@ -20,7 +20,8 @@ func TestStableNotify(t *testing.T) {
 	l.Force(a)
 	l.Force(a) // no advance: no ring
 	l.Force(b)
-	c, _ := l.AppendForce(upd(2, 0, 2, "c"))
+	c := l.Append(upd(2, 0, 2, "c"))
+	l.Force(c)
 	l.ForceAll() // already stable: no ring
 	scratch := l.Append(upd(2, c, 2, "volatile"))
 	l.ForceAll()

@@ -187,8 +187,7 @@ func (r *Record) Undoable() bool {
 // delta from the record's own LSN: an append claims its bytes before it
 // knows its LSN) and canonical: varints are minimal and optional fields
 // appear exactly when they are non-zero, so a decoded record re-encodes to
-// the same bytes, and a standby re-appending shipped records reproduces the
-// primary's LSNs. DecodeRecord rejects anything else.
+// the same bytes (CodecRoundTrip). DecodeRecord rejects anything else.
 const (
 	recPrefixSize = 4 + 4
 	// recHeaderSize is the smallest record: the prefix, the flags byte and

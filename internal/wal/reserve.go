@@ -102,17 +102,20 @@ func (l *Log) chunkAt(k uint64) *chunk {
 	}
 }
 
-// fill stores r's encoding, enc bytes, at arena offset off. A record that
-// fits its chunk is encoded in place; one that spans chunks is encoded once
-// and copied across them.
-func (l *Log) fill(r *Record, off uint64, enc int) {
+// fill stores a record's stored image, enc bytes, at arena offset off: b, a
+// received record's bytes, or r's encoding when b is nil. A record r that
+// fits its chunk is encoded in place; any other image is copied across the
+// chunks it spans.
+func (l *Log) fill(r *Record, b []byte, off uint64, enc int) {
 	c := l.chunkAt(off >> chunkShift)
 	lo := off & chunkMask
-	if lo+uint64(enc) <= chunkSize {
-		r.encodeTo(c.b[lo : lo+uint64(enc)])
-		return
+	if b == nil {
+		if lo+uint64(enc) <= chunkSize {
+			r.encodeTo(c.b[lo : lo+uint64(enc)])
+			return
+		}
+		b = r.Encode()
 	}
-	b := r.Encode()
 	n := copy(c.b[lo:], b)
 	for off += uint64(n); n < len(b); off += chunkSize {
 		n += copy(l.chunkAt(off >> chunkShift).b[:], b[n:])
@@ -188,29 +191,30 @@ func (l *Log) awaitRing(t uint64) {
 }
 
 // reserveFill is the lock-free append: claim the byte range and ticket with
-// one fetch-add, encode the record into its bytes, publish its LSN, advance
-// the watermark. Caller holds crashMu.RLock (shared — appenders never
-// serialize on it) so a crash cannot truncate between the claim and the
-// publish, which would leave a permanent hole. The stats counters are bumped
-// before the publish, so they never lag the watermark.
-func (l *Log) reserveFill(r *Record, enc int) LSN {
+// one fetch-add, store the record's image (fill's r or b) in its bytes,
+// publish its LSN, advance the watermark, and return the LSN. Caller holds
+// crashMu.RLock (shared — appenders never serialize on it) so a crash cannot
+// truncate between the claim and the publish, which would leave a permanent
+// hole. The stats counters are bumped before the publish, so they never lag
+// the watermark.
+func (l *Log) reserveFill(r *Record, b []byte, enc int) LSN {
 	count, end := unpackResv(l.resv.Add(uint64(1)<<countShift | uint64(enc)))
 	if end < uint64(enc) {
 		panic("wal: log byte address space (2^48) exhausted")
 	}
 	t := (count - 1) & 0xFFFF
-	r.LSN = LSN(end - uint64(enc) + 1)
+	off := end - uint64(enc)
 	l.stats.AppendReservations.Add(1)
 	l.stats.LogRecords.Add(1)
 	l.stats.LogBytes.Add(uint64(enc))
 	if l.publishGate != nil {
 		l.publishGate(t)
 	}
-	l.fill(r, uint64(r.LSN)-1, enc)
+	l.fill(r, b, off, enc)
 	l.awaitRing(t)
-	l.ring[t&ringMask].Store(uint64(r.LSN))
+	l.ring[t&ringMask].Store(off + 1)
 	l.advanceFilled()
-	return r.LSN
+	return LSN(off + 1)
 }
 
 // view is a snapshot of the published prefix: its n records, its end bytes

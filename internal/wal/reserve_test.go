@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -278,10 +277,10 @@ func TestTruncateToAtomicUnderConcurrentForce(t *testing.T) {
 	}
 }
 
-// TestAppendForceSurfacesCrash is the regression test for AppendForce's
-// zombie return: a crash landing during the flush used to hand back the
-// dead record's LSN with no signal. It must report ErrLogCrashed.
-func TestAppendForceSurfacesCrash(t *testing.T) {
+// TestForceSurfacesCrash: a crash landing during the flush of a just
+// appended commit record must not hand back the dead record as hardened:
+// Force returns false.
+func TestForceSurfacesCrash(t *testing.T) {
 	l := NewLog(nil)
 	seed := l.Append(&Record{Type: RecUpdate, TxID: 1, Op: OpDataInsert, Payload: []byte("s")})
 	l.Force(seed)
@@ -289,32 +288,32 @@ func TestAppendForceSurfacesCrash(t *testing.T) {
 
 	type result struct {
 		lsn LSN
-		err error
+		ok  bool
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		lsn, err := l.AppendForce(&Record{Type: RecCommit, TxID: 1})
-		resCh <- result{lsn, err}
+		lsn := l.Append(&Record{Type: RecCommit, TxID: 1})
+		resCh <- result{lsn, l.Force(lsn)}
 	}()
 	awaitFlushing(t, l, seed+1) // the commit record's flush is in flight
 	l.Crash()
-	if res := <-resCh; !errors.Is(res.err, ErrLogCrashed) {
-		t.Fatalf("AppendForce returned (%d, %v), want ErrLogCrashed", res.lsn, res.err)
+	if res := <-resCh; res.ok {
+		t.Fatalf("Force(%d) reported the crashed record stable", res.lsn)
 	}
 	if got := l.StableLSN(); got != seed {
 		t.Fatalf("stable %d after crash, want %d", got, seed)
 	}
 }
 
-// TestAppendForceSucceedsBothModes: the error-returning signature still
-// reports clean successes as nil, with an instantaneous and a costed device.
-func TestAppendForceSucceedsBothModes(t *testing.T) {
+// TestAppendThenForceSucceedsBothModes: Force reports a clean success as
+// true, with an instantaneous and a costed device.
+func TestAppendThenForceSucceedsBothModes(t *testing.T) {
 	for _, delay := range []time.Duration{0, 100 * time.Microsecond} {
 		l := NewLog(&trace.Stats{})
 		l.SetForceDelay(delay)
-		lsn, err := l.AppendForce(&Record{Type: RecCommit, TxID: 1})
-		if err != nil {
-			t.Fatalf("delay %v: %v", delay, err)
+		lsn := l.Append(&Record{Type: RecCommit, TxID: 1})
+		if !l.Force(lsn) {
+			t.Fatalf("delay %v: Force(%d) failed", delay, lsn)
 		}
 		if l.StableLSN() != lsn {
 			t.Fatalf("delay %v: stable %d, want %d", delay, l.StableLSN(), lsn)

@@ -247,7 +247,7 @@ func TestCodecRoundTripSweep(t *testing.T) {
 	}
 }
 
-func TestConcurrentAppendForce(t *testing.T) {
+func TestConcurrentAppendThenForce(t *testing.T) {
 	l := NewLog(&trace.Stats{})
 	done := make(chan LSN, 8)
 	for g := 0; g < 8; g++ {
