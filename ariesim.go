@@ -51,6 +51,10 @@ type Table = db.Table
 // Row is one scan result.
 type Row = db.Row
 
+// KeySpec is a secondary index's key (Table.CreateIndex), stored with the
+// index's definition: the part of a row's value the index is ordered by.
+type KeySpec = db.KeySpec
+
 // Tx is a transaction handle. Commit forces the log; Rollback undoes all
 // work through compensation log records.
 type Tx = txn.Tx

@@ -167,3 +167,67 @@ func TestLogArchiveStandby(t *testing.T) {
 		}
 	}
 }
+
+// TestLogArchiveStandbyIndex opens a standby from the archive of a primary
+// that created a secondary index: the standby learns the index's key from
+// its catalog row, so it maintains and scans the index with no help from
+// the application.
+func TestLogArchiveStandbyIndex(t *testing.T) {
+	primary := ariesim.Open(ariesim.Options{PageSize: 1024, PoolSize: 64})
+	tbl, err := primary.CreateTable("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("by_customer", ariesim.KeySpec{Sep: '|', HasSep: true}); err != nil {
+		t.Fatal(err)
+	}
+	tx := primary.MustBegin()
+	for k, v := range map[string]string{"o1": "acme|gear", "o2": "globex|cog", "o3": "acme|nut"} {
+		if err := tbl.Insert(tx, []byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if _, err := primary.ArchiveLog(&wire); err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := ariesim.ReadLogArchive(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby, _, err := ariesim.OpenStandby(ariesim.Options{PageSize: 1024, PoolSize: 64}, shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := standby.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := standby.MustBegin()
+	if err := st.Insert(w, []byte("o4"), []byte("acme|bolt")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r := standby.MustBegin()
+	var got []string
+	if err := st.ScanIndexRange(r, "by_customer", []byte("acme"), []byte("acme"), func(sk []byte, row ariesim.Row) (bool, error) {
+		got = append(got, string(sk)+"="+string(row.Key))
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[acme=o1 acme=o3 acme=o4]"; fmt.Sprint(got) != want {
+		t.Fatalf("standby index scan %v, want %s", got, want)
+	}
+	if err := standby.VerifyConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -17,22 +17,14 @@ func orderKey(id int) []byte { return []byte(fmt.Sprintf("order%05d", id)) }
 // row value: "<customer>|<item>"
 func orderVal(customer, item string) []byte { return []byte(customer + "|" + item) }
 
-func customerOf(value []byte) []byte {
-	for i, b := range value {
-		if b == '|' {
-			return value[:i]
-		}
-	}
-	return value
-}
-
 func main() {
 	db := ariesim.Open(ariesim.Options{})
 	orders, err := db.CreateTable("orders")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := orders.CreateIndex("by_customer", customerOf); err != nil {
+	// The index key is the customer: the value up to its '|'.
+	if err := orders.CreateIndex("by_customer", ariesim.KeySpec{Sep: '|', HasSep: true}); err != nil {
 		log.Fatal(err)
 	}
 

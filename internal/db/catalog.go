@@ -24,31 +24,55 @@ const (
 )
 
 // catalogRow is one catalog record: kind u8 | table u64 | index u32 (0 on
-// a table row) | page u32 | name.
+// a table row) | page u32 | [key] | name. Only a secondary row carries
+// key, its KeySpec: hasSep u8 | sep u8 | prefix u32 | suffix u32.
 type catalogRow struct {
 	kind  byte
 	table uint64
 	index uint32
 	page  storage.PageID
+	key   KeySpec
 	name  string
 }
 
-const catalogRowHeader = 1 + 8 + 4 + 4
+const catalogRowHeader, keySpecSize = 1 + 8 + 4 + 4, 1 + 1 + 4 + 4
 
 func (r catalogRow) encode() []byte {
 	b := binary.LittleEndian.AppendUint64([]byte{r.kind}, r.table)
 	b = binary.LittleEndian.AppendUint32(b, r.index)
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.page))
+	if r.kind == rowSecondary {
+		var hasSep byte
+		if r.key.HasSep {
+			hasSep = 1
+		}
+		b = binary.LittleEndian.AppendUint32(append(b, hasSep, r.key.Sep), uint32(r.key.Prefix))
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.key.Suffix))
+	}
 	return append(b, r.name...)
 }
 
 func decodeCatalogRow(b []byte) (catalogRow, error) {
+	corrupt := func() (catalogRow, error) { return catalogRow{}, fmt.Errorf("db: corrupt catalog row %x", b) }
 	if len(b) < catalogRowHeader || b[0] < rowTable || b[0] > rowSecondary {
-		return catalogRow{}, fmt.Errorf("db: corrupt catalog row %x", b)
+		return corrupt()
 	}
-	return catalogRow{kind: b[0], table: binary.LittleEndian.Uint64(b[1:]),
-		index: binary.LittleEndian.Uint32(b[9:]), page: storage.PageID(binary.LittleEndian.Uint32(b[13:])),
-		name: string(b[catalogRowHeader:])}, nil
+	r := catalogRow{kind: b[0], table: binary.LittleEndian.Uint64(b[1:]),
+		index: binary.LittleEndian.Uint32(b[9:]), page: storage.PageID(binary.LittleEndian.Uint32(b[13:]))}
+	rest := b[catalogRowHeader:]
+	if r.kind == rowSecondary {
+		if len(rest) < keySpecSize || rest[0] > 1 {
+			return corrupt()
+		}
+		r.key = KeySpec{HasSep: rest[0] == 1, Sep: rest[1],
+			Prefix: int(binary.LittleEndian.Uint32(rest[2:])), Suffix: int(binary.LittleEndian.Uint32(rest[6:]))}
+		if !r.key.valid() {
+			return corrupt()
+		}
+		rest = rest[keySpecSize:]
+	}
+	r.name = string(rest)
+	return r, nil
 }
 
 // openCatalogLocked reads the catalog heap, registers every index a row
@@ -101,12 +125,7 @@ func (d *DB) openCatalogLocked() error {
 			t.primary = ix
 			continue
 		}
-		sec := &secondary{name: r.name, ix: ix,
-			extract: func([]byte) []byte { panic("db: secondary extractor not re-bound; call OpenSecondaryIndex") }}
-		if fn, ok := d.extractors[t.name+"/"+r.name]; ok {
-			sec.extract, sec.bound = fn, true
-		}
-		t.secondaries = append(t.secondaries, sec)
+		t.secondaries = append(t.secondaries, &secondary{name: r.name, ix: ix, key: r.key})
 	}
 	return nil
 }

@@ -162,15 +162,6 @@ type DB struct {
 	// (valid here because the simulated log is never pruned).
 	imgMu sync.Mutex
 	img   *recovery.ImageCopy
-
-	// extractors remembers every secondary-index extractor registered this
-	// process ("table/index" → fn), so reopenLocked re-binds them during
-	// restart — BEFORE the engine reopens to writers, which would otherwise
-	// race OpenSecondaryIndex and hit the unbound placeholder. Extractors
-	// are code, not data: a fresh process (or OpenStandby) still re-binds
-	// via OpenSecondaryIndex. Guarded by mu; Fork inherits a copy (the
-	// forked engine is "the same application" reopening its state).
-	extractors map[string]func(value []byte) []byte
 }
 
 // Open creates a fresh engine on a new simulated disk.
@@ -465,13 +456,16 @@ type Table struct {
 }
 
 type secondary struct {
-	name    string
-	ix      *core.Index
-	extract func(value []byte) []byte
-	// bound reports whether extract is real code: false after a restart
-	// until OpenSecondaryIndex re-binds it (the placeholder panics).
-	// Verification skips extractor checks on unbound indexes.
-	bound bool
+	name string
+	ix   *core.Index
+	key  KeySpec
+}
+
+// secondaryList copies the table's secondary indexes under t.mu.
+func (t *Table) secondaryList() []*secondary {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]*secondary(nil), t.secondaries...)
 }
 
 // ddlCheckLocked refuses DDL on a crashed engine, and during background
@@ -584,23 +578,6 @@ func (d *DB) TableFor(tx *txn.Tx, name string) (*Table, error) {
 	return t, nil
 }
 
-// OpenSecondaryIndex re-binds a secondary index's extractor after restart.
-// The binding is also remembered process-wide, so later restarts of this
-// engine (and its forks) re-bind automatically.
-func (t *Table) OpenSecondaryIndex(name string, extract func(value []byte) []byte) error {
-	t.db.registerExtractor(t.name, name, extract)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, s := range t.secondaries {
-		if s.name == name {
-			s.extract = extract
-			s.bound = true
-			return nil
-		}
-	}
-	return fmt.Errorf("db: table %q has no secondary index %q", t.name, name)
-}
-
 // row codec: u16 keyLen | key | value.
 func encodeRow(key, value []byte) []byte {
 	b := make([]byte, 2+len(key)+len(value))
@@ -653,11 +630,8 @@ func (t *Table) Insert(tx *txn.Tx, key, value []byte) error {
 		}
 		return err
 	}
-	t.mu.Lock()
-	secs := append([]*secondary(nil), t.secondaries...)
-	t.mu.Unlock()
-	for _, s := range secs {
-		if err := s.ix.Insert(tx, storage.Key{Val: s.extract(value), RID: rid}); err != nil {
+	for _, s := range t.secondaryList() {
+		if err := s.ix.Insert(tx, storage.Key{Val: s.key.Key(value), RID: rid}); err != nil {
 			if rbErr := tx.RollbackTo(save); rbErr != nil {
 				return fmt.Errorf("db: secondary insert failed (%v); rollback failed: %w", err, rbErr)
 			}
@@ -752,11 +726,8 @@ func (t *Table) Delete(tx *txn.Tx, key []byte) error {
 	if err := t.primary.Delete(tx, storage.Key{Val: res.Key.Val, RID: rid}); err != nil {
 		return fail(err)
 	}
-	t.mu.Lock()
-	secs := append([]*secondary(nil), t.secondaries...)
-	t.mu.Unlock()
-	for _, s := range secs {
-		if err := s.ix.Delete(tx, storage.Key{Val: s.extract(value), RID: rid}); err != nil {
+	for _, s := range t.secondaryList() {
+		if err := s.ix.Delete(tx, storage.Key{Val: s.key.Key(value), RID: rid}); err != nil {
 			return fail(err)
 		}
 	}
@@ -767,7 +738,7 @@ func (t *Table) Delete(tx *txn.Tx, key []byte) error {
 // key — under data-only locking that is the record's lock and the lock on
 // every index entry carrying its RID — the record manager rewrites the row
 // where it lies under one log record, and the RID, the primary tree and every
-// secondary index whose extracted key is unchanged are left alone. A value
+// secondary index whose key is unchanged are left alone. A value
 // shorter than the one it replaces, or one its page has no room for, moves
 // the row instead: delete + insert in the same transaction, under a new RID.
 func (t *Table) Update(tx *txn.Tx, key, value []byte) error {
@@ -806,11 +777,8 @@ func (t *Table) Update(tx *txn.Tx, key, value []byte) error {
 			return fail(err)
 		}
 		if inPlace {
-			t.mu.Lock()
-			secs := append([]*secondary(nil), t.secondaries...)
-			t.mu.Unlock()
-			for _, s := range secs {
-				was, is := s.extract(old), s.extract(value)
+			for _, s := range t.secondaryList() {
+				was, is := s.key.Key(old), s.key.Key(value)
 				if bytes.Equal(was, is) {
 					continue
 				}
@@ -998,8 +966,7 @@ func (d *DB) reopenLocked() {
 // Restart rebuilds the volatile state and runs restart recovery, which
 // reopens the catalog: every index a catalog row names is registered before
 // the first loser undo step, and the table handles are built from the rows
-// that survive undo. Secondary index extractors must be re-bound afterwards
-// via OpenSecondaryIndex.
+// that survive undo.
 //
 // With Options.OnlineRestart (under the default data-only protocol) the
 // engine is up the moment Restart returns — right after the analysis pass —
@@ -1125,35 +1092,18 @@ func (d *DB) Fork() *DB {
 	opts := d.opts
 	opts.Stats = &trace.Stats{}
 	nd := newDB(opts, d.disk.Clone(), d.log.Clone(opts.Stats), false)
-	if len(d.extractors) > 0 {
-		nd.extractors = make(map[string]func(value []byte) []byte, len(d.extractors))
-		for k, fn := range d.extractors {
-			nd.extractors[k] = fn
-		}
-	}
 	d.imgMu.Lock()
 	nd.img = d.img // image pages are immutable; safe to share
 	d.imgMu.Unlock()
 	return nd
 }
 
-// registerExtractor remembers a secondary-index extractor for automatic
-// re-binding on restart (see DB.extractors).
-func (d *DB) registerExtractor(table, index string, fn func(value []byte) []byte) {
-	d.mu.Lock()
-	if d.extractors == nil {
-		d.extractors = make(map[string]func(value []byte) []byte)
-	}
-	d.extractors[table+"/"+index] = fn
-	d.mu.Unlock()
-}
-
 // VerifyConsistency cross-checks every table on a quiesced engine: every
 // on-disk page passes its checksum (corrupt pages are self-healed via
 // media recovery), the tree invariants hold, and the primary index and
 // record heap are exact mirrors (every live record indexed once under its
-// own RID, and vice versa). Secondary indexes are checked against the
-// extractor when bound.
+// own RID, and vice versa). Every secondary index is held to its KeySpec
+// the same way.
 func (d *DB) VerifyConsistency() error {
 	// The whole-engine sweep assumes a quiesced, fully recovered engine:
 	// mid-online-recovery the heap/index mirrors legitimately disagree with
@@ -1176,27 +1126,11 @@ func (d *DB) VerifyConsistency() error {
 		if err != nil {
 			return err
 		}
-		if err := checkMirror(t.primary, records, func(rec []byte) ([]byte, error) {
-			key, _, err := decodeRow(rec)
-			return key, err
-		}); err != nil {
+		if err := checkMirror(t.primary, records, func(key, _ []byte) []byte { return key }); err != nil {
 			return fmt.Errorf("table %q primary: %w", t.name, err)
 		}
-		t.mu.Lock()
-		secs := append([]*secondary(nil), t.secondaries...)
-		t.mu.Unlock()
-		for _, s := range secs {
-			var keyOf func(rec []byte) ([]byte, error) // unbound: RIDs only
-			if s.bound {
-				keyOf = func(rec []byte) ([]byte, error) {
-					_, value, err := decodeRow(rec)
-					if err != nil {
-						return nil, err
-					}
-					return s.extract(value), nil
-				}
-			}
-			if err := checkMirror(s.ix, records, keyOf); err != nil {
+		for _, s := range t.secondaryList() {
+			if err := checkMirror(s.ix, records, func(_, value []byte) []byte { return s.key.Key(value) }); err != nil {
 				return fmt.Errorf("table %q secondary %q: %w", t.name, s.name, err)
 			}
 		}
@@ -1207,10 +1141,9 @@ func (d *DB) VerifyConsistency() error {
 // checkMirror checks ix's tree invariants and that ix and the heap's
 // records are exact mirrors. Every entry references a live record, under
 // the RID it was built for, at most once; with equal counts, that injective
-// entry→record map means every record is indexed exactly once. When keyOf
-// is set, every entry also carries exactly the key keyOf derives from its
-// record.
-func checkMirror(ix *core.Index, records map[storage.RID][]byte, keyOf func(rec []byte) ([]byte, error)) error {
+// entry→record map means every record is indexed exactly once. Every entry
+// also carries exactly the key keyOf derives from its record's row.
+func checkMirror(ix *core.Index, records map[storage.RID][]byte, keyOf func(key, value []byte) []byte) error {
 	if err := ix.CheckStructure(); err != nil {
 		return err
 	}
@@ -1231,14 +1164,11 @@ func checkMirror(ix *core.Index, records map[storage.RID][]byte, keyOf func(rec 
 		if !ok {
 			return fmt.Errorf("entry %q references missing record %s", k.Val, k.RID)
 		}
-		if keyOf == nil {
-			continue
-		}
-		want, err := keyOf(rec)
+		key, value, err := decodeRow(rec)
 		if err != nil {
 			return err
 		}
-		if string(want) != string(k.Val) {
+		if want := keyOf(key, value); string(want) != string(k.Val) {
 			return fmt.Errorf("entry %q at %s, record derives %q", k.Val, k.RID, want)
 		}
 	}
@@ -1266,9 +1196,7 @@ func (l Location) String() string {
 // in question. It reads the whole heap and every tree: it is for
 // diagnostics on a quiesced engine, not for the serving path.
 func (t *Table) Locate(keys ...[]byte) (map[string]Location, error) {
-	t.mu.Lock()
-	secs := append([]*secondary(nil), t.secondaries...)
-	t.mu.Unlock()
+	secs := t.secondaryList()
 	out := make(map[string]Location, len(keys))
 	for _, k := range keys {
 		out[string(k)] = Location{Secondary: make(map[string]storage.RID, len(secs))}
@@ -1429,8 +1357,8 @@ func (d *DB) ArchiveLog(w io.Writer) (int, error) { return d.Log().Archive(w) }
 // wal.ReadArchive) and runs ARIES restart against it: page-oriented redo
 // reconstructs every page, the catalog heap's among them, and the undo pass
 // rolls back whatever was in flight at ship time, DDL included. The result is a warm
-// standby, immediately writable after promotion. Secondary-index
-// extractors must be re-bound via OpenSecondaryIndex, as after any restart.
+// standby, immediately writable after promotion, secondary indexes
+// included: each index's KeySpec is in its catalog row.
 func OpenStandby(opts Options, shipped *wal.Log) (*DB, *recovery.Report, error) {
 	opts = opts.withDefaults()
 	d := newDB(opts, storage.NewDisk(opts.PageSize), shipped, false)

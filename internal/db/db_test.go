@@ -137,8 +137,7 @@ func TestSecondaryIndex(t *testing.T) {
 	d := openSmall(t)
 	tbl, _ := d.CreateTable("orders")
 	// Secondary on the first 4 bytes of the value ("customer id").
-	byCustomer := func(value []byte) []byte { return value[:4] }
-	if err := tbl.CreateIndex("by_customer", byCustomer); err != nil {
+	if err := tbl.CreateIndex("by_customer", KeySpec{Prefix: 4}); err != nil {
 		t.Fatal(err)
 	}
 	tx := d.MustBegin()
@@ -273,8 +272,7 @@ func TestCrashRestartCycle(t *testing.T) {
 func TestRestartReopensSecondary(t *testing.T) {
 	d := openSmall(t)
 	tbl, _ := d.CreateTable("t")
-	ext := func(value []byte) []byte { return value[:2] }
-	_ = tbl.CreateIndex("s", ext)
+	_ = tbl.CreateIndex("s", KeySpec{Prefix: 2})
 	tx := d.MustBegin()
 	for i := 0; i < 20; i++ {
 		_ = tbl.Insert(tx, k(i), []byte(fmt.Sprintf("%02d-rest", i%4)))
@@ -285,9 +283,6 @@ func TestRestartReopensSecondary(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ = d.Table("t")
-	if err := tbl.OpenSecondaryIndex("s", ext); err != nil {
-		t.Fatal(err)
-	}
 	rtx := d.MustBegin()
 	n := 0
 	if err := tbl.ScanIndexRange(rtx, "s", []byte("01"), []byte("01"), func([]byte, Row) (bool, error) {

@@ -19,13 +19,15 @@
 // S-locked to commit and the gap beyond the range end is protected by the
 // next-key fetch, so phantoms cannot appear in the scanned range. Snapshot
 // transactions instead route to snapshotScanIndex, which re-keys the
-// latch-only primary-order chain merge by extracted secondary key (zero
-// lock-manager calls; see its comment for why the secondary tree itself
-// cannot be walked soundly under a snapshot).
+// latch-only primary-order chain merge by secondary key (zero lock-manager
+// calls; see its comment for why the secondary tree itself cannot be
+// walked soundly under a snapshot).
 package db
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sort"
 
 	"ariesim/internal/core"
@@ -34,16 +36,50 @@ import (
 	"ariesim/internal/wal"
 )
 
+// KeySpec is a secondary index's key, stored in its catalog row: the value
+// up to its first Sep (when HasSep; all of it if none), then the first
+// Prefix or last Suffix bytes of that, clamped to its length. The zero
+// KeySpec is the whole value.
+type KeySpec struct {
+	Sep            byte
+	HasSep         bool
+	Prefix, Suffix int
+}
+
+// Key is the secondary key of value: a sub-slice of it, not a copy.
+func (k KeySpec) Key(value []byte) []byte {
+	if k.HasSep {
+		if i := bytes.IndexByte(value, k.Sep); i >= 0 {
+			value = value[:i:i]
+		}
+	}
+	switch n := len(value); {
+	case k.Prefix > 0 && k.Prefix < n:
+		return value[:k.Prefix:k.Prefix]
+	case k.Suffix > 0 && k.Suffix < n:
+		return value[n-k.Suffix:]
+	}
+	return value
+}
+
+// valid reports whether k sets at most one of Prefix and Suffix, each a
+// length a catalog row's u32 holds.
+func (k KeySpec) valid() bool {
+	return uint64(k.Prefix) <= math.MaxUint32 && uint64(k.Suffix) <= math.MaxUint32 && (k.Prefix == 0 || k.Suffix == 0)
+}
+
 // CreateIndex creates a non-unique secondary index named name over
-// extract(value) and backfills it from the table's existing rows in one
-// internal transaction. The extractor is code, not data: after Restart it
-// must be re-registered under the same name via OpenSecondaryIndex.
+// key.Key(value) and backfills it from the table's existing rows in one
+// internal transaction.
 //
 // The backfill scan takes commit-duration S + next-key locks on every
 // existing primary key, so under live write traffic CreateIndex can block
 // behind writers (or lose a deadlock) — contention-class failures roll the
 // catalog row back with the tree and may simply be retried.
-func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) error {
+func (t *Table) CreateIndex(name string, key KeySpec) error {
+	if !key.valid() {
+		return fmt.Errorf("db: invalid key spec %+v", key)
+	}
 	d := t.db
 	d.mu.Lock()
 	if err := d.ddlCheckLocked(); err != nil {
@@ -80,7 +116,7 @@ func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) erro
 	}
 	// The catalog row goes in before the backfill: restart registers the
 	// index from it, so a backfill a crash cuts short can be undone.
-	if _, err := cat.Insert(tx, catalogRow{kind: rowSecondary, table: t.id, index: id, page: ix.Root(), name: name}.encode()); err != nil {
+	if _, err := cat.Insert(tx, catalogRow{kind: rowSecondary, table: t.id, index: id, page: ix.Root(), key: key, name: name}.encode()); err != nil {
 		return fail(err)
 	}
 	res, cur, err := t.primary.Fetch(tx, nil, core.GE)
@@ -89,14 +125,14 @@ func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) erro
 	}
 	if err := t.walk(tx, t.primary, res, cur, func([]byte) bool { return false },
 		func(at storage.Key, r Row) (bool, error) {
-			return true, ix.Insert(tx, storage.Key{Val: extract(r.Value), RID: at.RID})
+			return true, ix.Insert(tx, storage.Key{Val: key.Key(r.Value), RID: at.RID})
 		}); err != nil {
 		return fail(err)
 	}
 	// Publish before commit: a writer blocked on the backfill's locks
 	// resumes only after the commit releases them, re-reads the secondary
 	// list after its primary-index operation, and maintains the new tree.
-	sec := &secondary{name: name, ix: ix, extract: extract, bound: true}
+	sec := &secondary{name: name, ix: ix, key: key}
 	t.mu.Lock()
 	t.secondaries = append(t.secondaries, sec)
 	t.mu.Unlock()
@@ -104,7 +140,6 @@ func (t *Table) CreateIndex(name string, extract func(value []byte) []byte) erro
 		t.removeSecondary(sec)
 		return err
 	}
-	d.registerExtractor(t.name, name, extract)
 	return nil
 }
 
@@ -166,7 +201,7 @@ func (t *Table) ScanIndexRange(tx *txn.Tx, name string, from, to []byte, fn func
 }
 
 // snapshotScanIndex is ScanIndexRange under a snapshot: the primary-order
-// latch-only scan re-keyed by extracted secondary key.
+// latch-only scan re-keyed by secondary key.
 //
 // Version chains are keyed by PRIMARY key, so the only sound merge of page
 // state with chains is the one snapshotScan already performs — window by
@@ -179,21 +214,18 @@ func (t *Table) ScanIndexRange(tx *txn.Tx, name string, from, to []byte, fn func
 // snapshots (retirement only preserves chains whose newest COMMIT exceeds
 // a registered snapshot; an aborter commits nothing). So the snapshot path
 // does not read the secondary tree at all: it runs the proven primary-key
-// merge, extracts each visible row's secondary key from its value-at-s —
+// merge, evaluates each visible row's secondary key on its value-at-s —
 // which decides both visibility and emission key — filters to [from, to],
 // and emits sorted by (secondaryKey, primaryKey). Emission was never
 // streamed off the tree under a snapshot, so the buffering is not new
 // cost; locked transactions keep the streaming secondary-order scan.
 func (t *Table) snapshotScanIndex(s wal.LSN, sec *secondary, from, to []byte, fn func(secKey []byte, r Row) (bool, error)) error {
-	if !sec.bound {
-		return fmt.Errorf("db: secondary index %q has no extractor; call OpenSecondaryIndex", sec.name)
-	}
 	type hit struct {
 		skey, pk, value []byte
 	}
 	var hits []hit
 	if err := t.snapshotScan(s, nil, nil, func(r Row) (bool, error) {
-		sk := sec.extract(r.Value)
+		sk := sec.key.Key(r.Value)
 		if (from != nil && string(sk) < string(from)) || (to != nil && string(sk) > string(to)) {
 			return true, nil
 		}

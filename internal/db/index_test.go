@@ -22,7 +22,8 @@ func idxVal(pk []byte, group, n int) []byte {
 	return []byte(fmt.Sprintf("g%03d|%s|%d", group, pk, n))
 }
 
-func idxExtract(value []byte) []byte { return append([]byte(nil), value[:4]...) }
+// idxKey keys the index on the group tag, idxVal's first four bytes.
+var idxKey = KeySpec{Prefix: 4}
 
 // TestCreateIndexBackfill builds an index on a table that already has rows:
 // the backfill must cover every existing row, range bounds must hold, and
@@ -39,7 +40,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.CreateIndex("by_group", idxExtract); err != nil {
+	if err := tbl.CreateIndex("by_group", idxKey); err != nil {
 		t.Fatal(err)
 	}
 	// Post-build writers maintain the index without touching CreateIndex.
@@ -60,8 +61,8 @@ func TestCreateIndexBackfill(t *testing.T) {
 	got := map[string]string{}
 	var lastSK, lastPK string
 	err := tbl.ScanIndex(rtx, "by_group", func(sk []byte, r Row) (bool, error) {
-		if string(sk) != string(idxExtract(r.Value)) {
-			t.Fatalf("row %q under key %q, want %q", r.Key, sk, idxExtract(r.Value))
+		if string(sk) != string(idxKey.Key(r.Value)) {
+			t.Fatalf("row %q under key %q, want %q", r.Key, sk, idxKey.Key(r.Value))
 		}
 		if s, p := string(sk), string(r.Key); s < lastSK || (s == lastSK && p <= lastPK) {
 			t.Fatalf("scan order violated at (%q, %q) after (%q, %q)", s, p, lastSK, lastPK)
@@ -95,7 +96,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 		t.Fatalf("range scan found %d rows, want 16", n)
 	}
 	_ = rtx.Commit()
-	if err := tbl.CreateIndex("by_group", idxExtract); err == nil {
+	if err := tbl.CreateIndex("by_group", idxKey); err == nil {
 		t.Fatal("duplicate CreateIndex succeeded")
 	}
 	if err := d.VerifyConsistency(); err != nil {
@@ -157,7 +158,7 @@ func TestCreateIndexDuringWrites(t *testing.T) {
 		}(w)
 	}
 	before := d.Log().MaxLSN()
-	if err := tbl.CreateIndex("by_group", idxExtract); err != nil {
+	if err := tbl.CreateIndex("by_group", idxKey); err != nil {
 		t.Fatal(err)
 	}
 	after := d.Log().MaxLSN()
@@ -167,8 +168,8 @@ func TestCreateIndexDuringWrites(t *testing.T) {
 	n := 0
 	seen := map[string]int{}
 	err := tbl.ScanIndex(rtx, "by_group", func(sk []byte, r Row) (bool, error) {
-		if string(sk) != string(idxExtract(r.Value)) {
-			t.Fatalf("row %q under key %q, want %q", r.Key, sk, idxExtract(r.Value))
+		if string(sk) != string(idxKey.Key(r.Value)) {
+			t.Fatalf("row %q under key %q, want %q", r.Key, sk, idxKey.Key(r.Value))
 		}
 		n++
 		seen[string(r.Key)]++
@@ -224,7 +225,7 @@ func diagnoseIndexCount(t *testing.T, tbl *Table, seen map[string]int, committed
 		loc := locs[string(key)]
 		msg := fmt.Sprintf("key %q committed at LSN %d, scanned %d times: %s", key, committed[string(key)], seen[string(key)], loc)
 		if loc.Heap != (storage.RID{}) {
-			at := storage.Key{Val: idxExtract(loc.Value), RID: loc.Heap}
+			at := storage.Key{Val: idxKey.Key(loc.Value), RID: loc.Heap}
 			pos := sort.Search(len(secKeys), func(i int) bool { return secKeys[i].Compare(at) >= 0 })
 			next := pos
 			if pos < len(secKeys) && secKeys[pos].Compare(at) == 0 {
@@ -247,7 +248,7 @@ func diagnoseIndexCount(t *testing.T, tbl *Table, seen map[string]int, committed
 func TestLocateTakesLatchesOnly(t *testing.T) {
 	d := openSmall(t)
 	tbl, _ := d.CreateTable("t")
-	if err := tbl.CreateIndex("by_group", idxExtract); err != nil {
+	if err := tbl.CreateIndex("by_group", idxKey); err != nil {
 		t.Fatal(err)
 	}
 	tx := d.MustBegin()
@@ -283,7 +284,7 @@ func TestLocateTakesLatchesOnly(t *testing.T) {
 func TestIndexRollbackRestoresBothTrees(t *testing.T) {
 	d := openSmall(t)
 	tbl, _ := d.CreateTable("t")
-	if err := tbl.CreateIndex("by_group", idxExtract); err != nil {
+	if err := tbl.CreateIndex("by_group", idxKey); err != nil {
 		t.Fatal(err)
 	}
 	tx := d.MustBegin()
@@ -339,7 +340,7 @@ func TestIndexRollbackRestoresBothTrees(t *testing.T) {
 func TestIndexScanWriterOracle(t *testing.T) {
 	d := openSmall(t)
 	tbl, _ := d.CreateTable("t")
-	if err := tbl.CreateIndex("by_group", idxExtract); err != nil {
+	if err := tbl.CreateIndex("by_group", idxKey); err != nil {
 		t.Fatal(err)
 	}
 	seed := d.MustBegin()
@@ -395,8 +396,8 @@ func TestIndexScanWriterOracle(t *testing.T) {
 		}(w)
 	}
 	check := func(kind string, sk []byte, r Row) error {
-		if string(sk) != string(idxExtract(r.Value)) {
-			return fmt.Errorf("%s scan: row %q under key %q, value says %q", kind, r.Key, sk, idxExtract(r.Value))
+		if string(sk) != string(idxKey.Key(r.Value)) {
+			return fmt.Errorf("%s scan: row %q under key %q, value says %q", kind, r.Key, sk, idxKey.Key(r.Value))
 		}
 		if !bytes.Contains(r.Value, r.Key) {
 			return fmt.Errorf("%s scan: row %q carries foreign value %q", kind, r.Key, r.Value)
@@ -465,7 +466,7 @@ func TestIndexRangeScanCostTracksMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.CreateIndex("by_val", func(v []byte) []byte { return append([]byte(nil), v...) }); err != nil {
+		if err := tbl.CreateIndex("by_val", KeySpec{}); err != nil {
 			t.Fatal(err)
 		}
 		for lo := 0; lo < rows; lo += 500 {

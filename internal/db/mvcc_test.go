@@ -30,7 +30,7 @@ func TestSnapshotReadBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.CreateIndex("s", func(v []byte) []byte { return v[:2] }); err != nil {
+	if err := tbl.CreateIndex("s", KeySpec{Prefix: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.RunTxn(func(tx *txn.Tx) error {

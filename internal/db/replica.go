@@ -1,6 +1,6 @@
 // Replica role and failover. A hot standby is an engine that never opened:
-// it owns a fresh disk, an (initially empty) log that replication appends
-// shipped records into, and a buffer pool that perpetual redo
+// it owns a fresh disk, an (initially empty) log that replication joins
+// the primary's shipped log bytes to, and a buffer pool that perpetual redo
 // (recovery.ApplyRecords) keeps warm. It accepts no transactions — Begin
 // fails with ErrCrashed exactly as on a crashed engine — until Promote
 // runs restart recovery over the shipped log and opens it as the new
@@ -31,11 +31,12 @@ var ErrNotReplica = errors.New("db: not a replica")
 var ErrCommitUnacked = errors.New("db: commit not acknowledged by standby")
 
 // OpenReplica builds a standby engine: fresh disk, empty log, warm-ready
-// pool — and leaves it closed to transactions. Replication appends shipped records to Log()
-// (reproducing the primary's LSNs, since an LSN is 1 + the record's byte
-// offset), forces them, and replays them into Pool() via
-// recovery.ApplyRecords. Promote opens it, and its restart reads the schema
-// from the catalog heap the shipped records rebuilt.
+// pool — and leaves it closed to transactions. Replication joins each
+// shipped segment to Log() as the primary's bytes (wal.Log.Receive, which
+// forces them, so the LSNs are the primary's by construction) and replays
+// its records into Pool() via recovery.ApplyRecords. Promote opens it, and
+// its restart reads the schema, each index's key included, from the
+// catalog heap the shipped records rebuilt.
 func OpenReplica(opts Options) *DB {
 	opts = opts.withDefaults()
 	d := newDB(opts, storage.NewDisk(opts.PageSize), wal.NewLog(opts.Stats), false)

@@ -19,7 +19,7 @@ import (
 )
 
 // tailVal is a value of size bytes that says which row it belongs to and ends
-// in a four-digit tag, the bytes tailExtract keys a secondary index on.
+// in a four-digit tag, the bytes tailKey keys a secondary index on.
 func tailVal(key []byte, gen, size, tag int) []byte {
 	b := bytes.Repeat([]byte{'.'}, size)
 	copy(b, fmt.Sprintf("%s#%d", key, gen))
@@ -27,7 +27,7 @@ func tailVal(key []byte, gen, size, tag int) []byte {
 	return b
 }
 
-func tailExtract(v []byte) []byte { return append([]byte(nil), v[len(v)-4:]...) }
+var tailKey = KeySpec{Suffix: 4}
 
 func ridOf(t *testing.T, d *DB, tbl *Table, key []byte) storage.RID {
 	t.Helper()
@@ -66,7 +66,7 @@ func TestUpdateInPlaceCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.CreateIndex("by_tail", tailExtract); err != nil {
+	if err := tbl.CreateIndex("by_tail", tailKey); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.RunTxn(func(tx *txn.Tx) error {
@@ -189,7 +189,7 @@ func freeOn(t *testing.T, d *DB, pid storage.PageID) int {
 func TestUpdateFallbackMovesTheRow(t *testing.T) {
 	d := openSmall(t)
 	tbl, _ := d.CreateTable("t")
-	if err := tbl.CreateIndex("by_tail", tailExtract); err != nil {
+	if err := tbl.CreateIndex("by_tail", tailKey); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.RunTxn(func(tx *txn.Tx) error {
@@ -256,7 +256,7 @@ func TestUpdateRollbackAfterPageFilled(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d := openSmall(t)
 			tbl, _ := d.CreateTable("t")
-			if err := tbl.CreateIndex("by_tail", tailExtract); err != nil {
+			if err := tbl.CreateIndex("by_tail", tailKey); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.RunTxn(func(tx *txn.Tx) error {

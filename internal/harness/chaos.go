@@ -64,7 +64,7 @@ type ChaosOpts struct {
 	// for the whole run: every Insert/Update/Delete updates both trees in
 	// one transaction, and every crash boundary cross-verifies the index
 	// against the base table (each committed row indexed exactly once under
-	// the key the extractor derives, no orphan entries) in the verification
+	// its key, no orphan entries) in the verification
 	// fork AND the restarted engine's final check. With SnapshotReaders,
 	// readers alternate base-table and index-order snapshot scans and both
 	// observation kinds are ledger-verified.
@@ -214,7 +214,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 		return nil, fmt.Errorf("chaos: create table: %v", err)
 	}
 	if o.SecondaryIndex {
-		if err := tbl0.CreateIndex(indexName, indexExtract); err != nil {
+		if err := tbl0.CreateIndex(indexName, indexKey); err != nil {
 			return nil, fmt.Errorf("chaos: create index: %v", err)
 		}
 	}
@@ -232,7 +232,7 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 			return fmt.Errorf("log codec: %v", err)
 		}
 		if o.SecondaryIndex {
-			return verifyIndex(vd, chaosTable, want)
+			return verifyIndex(vd, chaosTable, indexName, true, want)
 		}
 		return nil
 	}
@@ -439,10 +439,10 @@ func RunChaosSweep(o ChaosOpts) (*ChaosResult, error) {
 					rows := map[string]string{}
 					if viaIndex && snap != nil {
 						// Index-order scan through the lock-free chain merge;
-						// the pair must agree with the extractor on the spot.
+						// the pair must agree with the key on the spot.
 						if err := tbl.ScanIndex(tx, indexName, func(sk []byte, row db.Row) (bool, error) {
-							if string(sk) != string(indexExtract(row.Value)) {
-								return false, fmt.Errorf("index scan pair %q / %q disagrees with extractor", sk, row.Value)
+							if string(sk) != string(indexKey.Key(row.Value)) {
+								return false, fmt.Errorf("index scan pair %q / %q disagrees with its key", sk, row.Value)
 							}
 							if _, dup := rows[string(row.Key)]; dup {
 								return false, fmt.Errorf("index scan emitted row %q twice", row.Key)

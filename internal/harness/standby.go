@@ -27,14 +27,16 @@ import (
 //     (The whole point.)
 //  2. Exact state: the promoted node's rows equal the ledger model —
 //     acked commits plus exactly those ambiguous (gate-failed) commits
-//     whose commit records made it into the promoted log, nothing else.
+//     whose commit records made it into the promoted log, nothing else —
+//     and so does its secondary index, which the promoted node maintains
+//     from the key in the index's catalog row.
 //  3. Every-boundary forks: for EVERY record boundary L of the log the
 //     standby had received at promotion, from the first record of the
 //     table's CreateTable on, a standby promoted from the prefix ≤ L
 //     recovers to exactly the commits whose records fit in that prefix —
-//     the table itself only once its DDL's commit does — so the standby is
-//     a correct crash point everywhere, not just where we happened to
-//     promote.
+//     the table and its index each only once its DDL's commit does — so
+//     the standby is a correct crash point everywhere, not just where we
+//     happened to promote.
 
 // StandbySweepOpts configures RunStandbySweep. The zero value is usable.
 type StandbySweepOpts struct {
@@ -146,12 +148,18 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	// ---- Build the primary, the channel, the standby, the shipper.
 	pOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers, Stats: &trace.Stats{}}
 	primary := db.Open(pOpts)
-	if _, err := primary.CreateTable(standbyTable); err != nil {
+	tbl, err := primary.CreateTable(standbyTable)
+	if err != nil {
 		return nil, err
 	}
-	// The table exists in a log prefix exactly when the prefix holds the
-	// CreateTable's commit record, the last record it wrote.
+	// The table (the index) exists in a log prefix exactly when the prefix
+	// holds the CreateTable's (CreateIndex's) commit, the last record it
+	// wrote.
 	ddlLSN := primary.Log().MaxLSN()
+	if err := tbl.CreateIndex(indexName, indexKey); err != nil {
+		return nil, err
+	}
+	indexLSN := primary.Log().MaxLSN()
 
 	ch := repl.NewChannel(o.Faults)
 	sOpts := db.Options{PoolSize: 96, RedoWorkers: o.RedoWorkers,
@@ -329,6 +337,9 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 	if err := verifyRows(promoted, standbyTable, want); err != nil {
 		return nil, fmt.Errorf("repl sweep: promoted state: %v", err)
 	}
+	if err := verifyIndex(promoted, standbyTable, indexName, true, want); err != nil {
+		return nil, fmt.Errorf("repl sweep: promoted state: %v", err)
+	}
 	if err := promoted.VerifyConsistency(); err != nil {
 		return nil, fmt.Errorf("repl sweep: promoted consistency: %v", err)
 	}
@@ -359,8 +370,14 @@ func RunStandbySweep(o StandbySweepOpts) (*StandbySweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): open: %v", i, L, err)
 		}
-		if err := verifyTableAt(fork, standbyTable, L >= ddlLSN, leds[1].heldBy(nil, fork.Log())); err != nil {
+		want := leds[1].heldBy(nil, fork.Log())
+		if err := verifyTableAt(fork, standbyTable, L >= ddlLSN, want); err != nil {
 			return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): %v", i, L, err)
+		}
+		if L >= ddlLSN {
+			if err := verifyIndex(fork, standbyTable, indexName, L >= indexLSN, want); err != nil {
+				return nil, fmt.Errorf("repl sweep: boundary %d (LSN %d): %v", i, L, err)
+			}
 		}
 		res.Boundaries++
 	}

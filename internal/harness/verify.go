@@ -9,6 +9,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"ariesim/internal/db"
 	"ariesim/internal/txn"
@@ -86,24 +87,20 @@ func inPlaceUpdates(log *wal.Log) int {
 // indexName is the secondary index the sweeps maintain when asked to.
 const indexName = "by_val_tail"
 
-// indexExtract derives the secondary key from a row value: its trailing
-// four bytes. Every workload here ends its values in the digits or letters
-// that change from write to write, so the key moves on almost every update
-// (index maintenance rides along with every operation) while staying
-// non-unique (duplicate-key paths are exercised), and short control values
-// stay legal.
-func indexExtract(v []byte) []byte {
-	if len(v) > 4 {
-		v = v[len(v)-4:]
-	}
-	return append([]byte(nil), v...)
-}
+// indexKey is the sweeps' secondary key: a row value's trailing four bytes.
+// Every workload here ends its values in the digits or letters that change
+// from write to write, so the key moves on almost every update (index
+// maintenance rides along with every operation) while staying non-unique
+// (duplicate-key paths are exercised), and short control values stay legal.
+var indexKey = db.KeySpec{Suffix: 4}
 
-// verifyIndex cross-checks the secondary index against the committed model:
-// a locked index-order scan must yield every row of want exactly once, with
-// its committed value, under exactly the key indexExtract derives from it —
-// and nothing else. (Structural base↔index checks are VerifyConsistency's.)
-func verifyIndex(d *db.DB, table string, want map[string]string) error {
+// verifyIndex checks a secondary index against the log prefix d recovered
+// from. When the prefix holds its CreateIndex's commit (created), a locked
+// index-order scan must yield every row of want exactly once, with its
+// committed value, under exactly the key indexKey derives from it — and
+// nothing else; otherwise the scan must find no such index. (Structural
+// base↔index checks are VerifyConsistency's.)
+func verifyIndex(d *db.DB, table, index string, created bool, want map[string]string) error {
 	tbl, err := d.Table(table)
 	if err != nil {
 		return err
@@ -113,7 +110,7 @@ func verifyIndex(d *db.DB, table string, want map[string]string) error {
 		return err
 	}
 	seen := map[string]bool{}
-	if err := tbl.ScanIndex(tx, indexName, func(sk []byte, r db.Row) (bool, error) {
+	err = tbl.ScanIndex(tx, index, func(sk []byte, r db.Row) (bool, error) {
 		k := string(r.Key)
 		if seen[k] {
 			return false, fmt.Errorf("row %q indexed twice", r.Key)
@@ -126,20 +123,28 @@ func verifyIndex(d *db.DB, table string, want map[string]string) error {
 		if string(r.Value) != wv {
 			return false, fmt.Errorf("row %q = %q through the index, committed value %q", r.Key, r.Value, wv)
 		}
-		if wantSK := indexExtract(r.Value); string(sk) != string(wantSK) {
-			return false, fmt.Errorf("row %q indexed under %q, extractor derives %q", r.Key, sk, wantSK)
+		if wantSK := indexKey.Key(r.Value); string(sk) != string(wantSK) {
+			return false, fmt.Errorf("row %q indexed under %q, its key is %q", r.Key, sk, wantSK)
 		}
 		return true, nil
-	}); err != nil {
+	})
+	if !created {
+		_ = tx.Rollback()
+		if err == nil || !strings.Contains(err.Error(), "no secondary index") {
+			return fmt.Errorf("index %q before its CreateIndex committed: scan = %v", index, err)
+		}
+		return nil
+	}
+	if err != nil {
 		_ = tx.Rollback() // the scan error is the one to report
-		return fmt.Errorf("index %q: %w", indexName, err)
+		return fmt.Errorf("index %q: %w", index, err)
 	}
 	if err := tx.Commit(); err != nil {
 		return err
 	}
 	for k := range want {
 		if !seen[k] {
-			return fmt.Errorf("index %q: committed row %q missing from index", indexName, k)
+			return fmt.Errorf("index %q: committed row %q missing from index", index, k)
 		}
 	}
 	return nil
